@@ -394,7 +394,7 @@ impl TraceCore {
             debug_assert!(self.pending_mem.is_some(), "stalled without a pending op");
             if let Some(op) = self.pending_mem {
                 self.stats.stall_cycles += cycles;
-                hierarchy.apply_stall_retries(self.id, op.addr, op.is_write, cycles);
+                hierarchy.apply_stall_retries(self.id, op.addr, now + 1, cycles);
             }
         } else {
             // Batched full-width non-memory issue.

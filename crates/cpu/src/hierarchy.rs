@@ -75,6 +75,37 @@ struct MshrEntry {
     store: bool,
 }
 
+/// A core's record of the block whose access last stalled on full MSHRs.
+///
+/// While the memo is [`Memo::Live`] the block misses L1, L2 and the LLC
+/// and the core's MSHRs are full without an entry for it, so a retry is
+/// exactly one miss per level plus one MSHR stall. Only two things end
+/// that: the core's own completion (an MSHR frees; the memo is dropped)
+/// and an LLC fill of the block by anyone else — a completion or a dirty
+/// L2 victim, both through [`CacheHierarchy::install_llc`]. Derived
+/// state: never serialized, dropped by `load_state`.
+#[derive(Debug, Clone, Copy)]
+struct StallMemo {
+    block: u64,
+    /// First retry cycle not yet accounted for, by a real retry or by
+    /// [`CacheHierarchy::apply_stall_retries`] (debug bookkeeping).
+    next_retry: u64,
+    state: Memo,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Memo {
+    /// A retry of the block stalls; [`CacheHierarchy::access`] applies it
+    /// in O(1).
+    Live,
+    /// A fill installed the block in the LLC; the system loop has not yet
+    /// said when the core next retries ([`CacheHierarchy::take_unblocked`]).
+    Unblocked,
+    /// Retries before this cycle predate the fill that installed the
+    /// block, so they still stalled and may be settled lazily.
+    SettleBefore(u64),
+}
+
 /// Aggregated hierarchy statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
@@ -107,6 +138,11 @@ pub struct CacheHierarchy {
     llc_misses_per_core: Vec<u64>,
     mshr_merges: u64,
     mshr_stalls: u64,
+    /// Per-core stall memo (see [`StallMemo`]).
+    stall: Vec<Option<StallMemo>>,
+    /// Set when a fill unblocked some core's memo since the last
+    /// [`CacheHierarchy::take_unblocked`].
+    unblocked: bool,
 }
 
 impl CacheHierarchy {
@@ -126,6 +162,8 @@ impl CacheHierarchy {
             llc_misses_per_core: vec![0; cores],
             mshr_merges: 0,
             mshr_stalls: 0,
+            stall: vec![None; cores],
+            unblocked: false,
         }
     }
 
@@ -137,8 +175,34 @@ impl CacheHierarchy {
     /// stores are posted, so they return [`Access::Hit`] even when the
     /// line is being fetched (the MSHR records that the eventual fill must
     /// be dirty). [`Access::Stall`] means the core must retry.
+    ///
+    /// A retry of the block whose access last stalled is answered from
+    /// the core's stall memo in O(1) with the same effects as the full
+    /// walk: one L1, L2 and LLC miss, each advancing its recency clock,
+    /// and one MSHR stall.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> Access {
         let block = self.block_of(addr);
+        if let Some(memo) = &mut self.stall[core] {
+            if memo.block == block && memo.state == Memo::Live {
+                memo.next_retry = now + 1;
+                self.l1[core].note_misses(1);
+                self.l2[core].note_misses(1);
+                self.llc.note_misses(1);
+                self.mshr_stalls += 1;
+                return Access::Stall;
+            }
+        }
+        let access = self.walk(core, block, is_write, now);
+        self.stall[core] = (access == Access::Stall).then_some(StallMemo {
+            block,
+            next_retry: now + 1,
+            state: Memo::Live,
+        });
+        access
+    }
+
+    /// The full lookup path of [`CacheHierarchy::access`].
+    fn walk(&mut self, core: usize, block: u64, is_write: bool, now: u64) -> Access {
         let lat1 = u64::from(self.cfg.l1.latency);
         if self.l1[core].access(block, is_write) {
             return Access::Hit { ready_at: now + lat1 };
@@ -201,19 +265,27 @@ impl CacheHierarchy {
 
     fn fill_l2(&mut self, core: usize, block: u64) {
         if let Some(victim) = self.l2[core].fill(block, false) {
-            self.fill_llc_dirty(victim);
+            self.install_llc(victim, true);
         }
     }
 
     fn fill_l2_dirty(&mut self, core: usize, block: u64) {
         if let Some(victim) = self.l2[core].fill(block, true) {
-            self.fill_llc_dirty(victim);
+            self.install_llc(victim, true);
         }
     }
 
-    fn fill_llc_dirty(&mut self, block: u64) {
-        if let Some(victim) = self.llc.fill(block, true) {
+    /// Every LLC fill goes through here: it writes back a dirty victim and
+    /// unblocks the stall memo of each core waiting on the block.
+    fn install_llc(&mut self, block: u64, dirty: bool) {
+        if let Some(victim) = self.llc.fill(block, dirty) {
             self.push_writeback(victim);
+        }
+        for memo in self.stall.iter_mut().flatten() {
+            if memo.block == block && memo.state == Memo::Live {
+                memo.state = Memo::Unblocked;
+                self.unblocked = true;
+            }
         }
     }
 
@@ -240,41 +312,75 @@ impl CacheHierarchy {
     pub fn on_completion(&mut self, req_id: u64) -> Vec<u64> {
         let (core, block) = self.req_map.remove(&req_id).expect("completion for unknown request");
         let entry = self.mshrs[core].remove(&block).expect("MSHR entry must exist");
-        if let Some(victim) = self.llc.fill(block, false) {
-            self.push_writeback(victim);
-        }
+        // An MSHR freed: the core's next retry walks the hierarchy again.
+        self.stall[core] = None;
+        self.install_llc(block, false);
         self.fill_l2(core, block);
         self.fill_l1(core, block, entry.store);
         entry.waiters
     }
 
-    /// Batched accounting for `cycles` consecutive retries of an access
-    /// that stalls on full MSHRs: the exact per-cycle side effects of
-    /// [`CacheHierarchy::access`] returning [`Access::Stall`] — an L1, L2
-    /// and LLC miss plus one MSHR-stall count per cycle — without walking
-    /// the lookup path each cycle. An event-driven system loop uses this
-    /// to skip over stalled intervals while keeping every counter (and
-    /// the caches' recency clocks) bit-identical to per-cycle ticking.
+    /// Batched accounting for the `cycles` consecutive retries at cycles
+    /// `from..from + cycles` of an access that stalled on full MSHRs: the
+    /// exact per-retry side effects of [`CacheHierarchy::access`]
+    /// returning [`Access::Stall`] — an L1, L2 and LLC miss plus one
+    /// MSHR-stall count each — without walking the lookup path. An
+    /// event-driven system loop uses this to skip over stalled intervals
+    /// while keeping every counter bit-identical to per-cycle ticking.
     ///
-    /// Only valid while the hierarchy state is unchanged since the access
-    /// last stalled (no fills, no other accesses by this core), which is
-    /// exactly the skipped-interval invariant.
-    pub fn apply_stall_retries(&mut self, core: usize, addr: u64, is_write: bool, cycles: u64) {
+    /// The retries may be settled lazily, after another core's fill has
+    /// already installed the block, as long as they predate that fill.
+    /// Debug builds check this against the core's stall memo: the retries
+    /// continue its last stalled access with no gap or overlap, and
+    /// either the memo still stands (the block misses every level, the
+    /// MSHRs are full) or they end before the retry cycle the system loop
+    /// reported through [`CacheHierarchy::take_unblocked`].
+    pub fn apply_stall_retries(&mut self, core: usize, addr: u64, from: u64, cycles: u64) {
         let block = self.block_of(addr);
+        let memo = self.stall[core].as_mut().filter(|m| m.block == block);
         debug_assert!(
-            !self.l1[core].probe(block) && !self.l2[core].probe(block) && !self.llc.probe(block),
-            "stall retries require the block to miss every level"
+            memo.as_ref().is_some_and(|m| m.next_retry == from),
+            "stall retries must continue the core's last stalled access"
         );
-        debug_assert!(
-            !self.mshrs[core].contains_key(&block)
-                && self.mshrs[core].len() >= self.cfg.mshrs_per_core,
-            "stall retries require full MSHRs without a mergeable entry"
-        );
-        let _ = is_write; // misses count identically for loads and stores
+        if let Some(memo) = memo {
+            debug_assert!(
+                match memo.state {
+                    Memo::Live => true,
+                    Memo::Unblocked => false,
+                    Memo::SettleBefore(at) => from + cycles <= at,
+                },
+                "stall retries settled past the fill that installed the block"
+            );
+            memo.next_retry = from + cycles;
+            debug_assert!(
+                memo.state != Memo::Live
+                    || (!self.l1[core].probe(block)
+                        && !self.l2[core].probe(block)
+                        && !self.llc.probe(block)
+                        && !self.mshrs[core].contains_key(&block)
+                        && self.mshrs[core].len() >= self.cfg.mshrs_per_core),
+                "a live stall memo requires the block to miss every level with full MSHRs"
+            );
+        }
         self.l1[core].note_misses(cycles);
         self.l2[core].note_misses(cycles);
         self.llc.note_misses(cycles);
         self.mshr_stalls += cycles;
+    }
+
+    /// Reports each core whose stall memo an LLC fill unblocked since the
+    /// last call: `retry_at(core)` returns the cycle of that core's next
+    /// real retry, which [`CacheHierarchy::apply_stall_retries`] then
+    /// holds lazily settled retries to. O(1) when nothing was unblocked.
+    pub fn take_unblocked(&mut self, mut retry_at: impl FnMut(usize) -> u64) {
+        if !std::mem::take(&mut self.unblocked) {
+            return;
+        }
+        for (core, memo) in self.stall.iter_mut().enumerate() {
+            if let Some(memo) = memo.as_mut().filter(|m| m.state == Memo::Unblocked) {
+                memo.state = Memo::SettleBefore(retry_at(core));
+            }
+        }
     }
 
     /// The next CPU cycle strictly after `now` at which the hierarchy has
@@ -401,6 +507,8 @@ impl CacheHierarchy {
         }
         self.mshr_merges = crate::take(src);
         self.mshr_stalls = crate::take(src);
+        self.stall.fill(None);
+        self.unblocked = false;
     }
 
     /// Snapshot of all counters.
@@ -476,11 +584,186 @@ mod tests {
             assert_eq!(a.access(0, addr, false, now), Access::Stall);
         }
         assert_eq!(b.access(0, addr, false, 0), Access::Stall);
-        b.apply_stall_retries(0, addr, false, 5);
+        b.apply_stall_retries(0, addr, 1, 5);
         assert_eq!(a.stats().mshr_stalls, b.stats().mshr_stalls);
         assert_eq!(a.stats().l1[0], b.stats().l1[0]);
         assert_eq!(a.stats().l2[0], b.stats().l2[0]);
         assert_eq!(a.stats().llc, b.stats().llc);
+    }
+
+    /// Fills core 0's eight MSHRs with loads that stay in flight.
+    fn fill_mshrs(h: &mut CacheHierarchy) {
+        for i in 0..8u64 {
+            assert!(matches!(h.access(0, i * 0x10000, false, 0), Access::Pending { .. }));
+        }
+    }
+
+    /// Completes every read request in the outbox.
+    fn complete_all(h: &mut CacheHierarchy) {
+        let reads: Vec<u64> = h.take_outgoing().filter(|r| !r.is_write).map(|r| r.id).collect();
+        for id in reads {
+            h.on_completion(id);
+        }
+    }
+
+    fn snapshot(h: &CacheHierarchy) -> Vec<u64> {
+        let mut words = Vec::new();
+        h.save_state(&mut words);
+        words
+    }
+
+    #[test]
+    fn memoized_retries_match_full_walk_retries() {
+        // `walked` forgets its memo before every retry, so each retry
+        // walks L1, L2, the LLC and the MSHRs; `memoized` answers them
+        // from the memo. Core 1 hits a line between retries so the
+        // interleaving of recency stamps with retry clock bumps matters.
+        let mut walked = hierarchy();
+        let mut memoized = hierarchy();
+        let stalled = 99 * 0x10000;
+        for h in [&mut walked, &mut memoized] {
+            fill_mshrs(h);
+            assert!(matches!(h.access(1, 0x40, false, 0), Access::Pending { .. }));
+            let id = h.take_outgoing().next_back().expect("core 1's fill").id;
+            h.on_completion(id);
+        }
+        for now in 1..20u64 {
+            walked.stall[0] = None;
+            assert_eq!(walked.access(0, stalled, false, now), Access::Stall);
+            assert_eq!(memoized.access(0, stalled, false, now), Access::Stall);
+            if now % 5 == 0 {
+                for h in [&mut walked, &mut memoized] {
+                    assert!(matches!(h.access(1, 0x40, false, now), Access::Hit { .. }));
+                }
+            }
+        }
+        assert!(memoized.stall[0].is_some(), "the memo must have answered the retries");
+        // Same counters, recency clocks and line stamps...
+        assert_eq!(walked.stats(), memoized.stats());
+        assert_eq!(snapshot(&walked), snapshot(&memoized));
+        // ...so the next conflicting fills pick the same LRU victims.
+        let set_stride = 512 * 64 * 16u64; // a multiple of every level's set span
+        for i in 1..=20u64 {
+            for h in [&mut walked, &mut memoized] {
+                assert!(matches!(
+                    h.access(1, 0x40 + i * set_stride, true, 100 + i),
+                    Access::Hit { .. }
+                ));
+                complete_all(h);
+            }
+        }
+        assert_eq!(snapshot(&walked), snapshot(&memoized));
+        assert!(walked.stats().l1[1].evictions > 0, "the fills must have evicted lines");
+    }
+
+    #[test]
+    fn retry_hits_the_llc_after_another_cores_completion_fills_the_block() {
+        let mut h = hierarchy();
+        fill_mshrs(&mut h);
+        let block = 99 * 0x10000;
+        assert_eq!(h.access(0, block, false, 1), Access::Stall);
+        assert_eq!(h.access(0, block, false, 2), Access::Stall);
+        assert!(matches!(h.access(1, block, false, 2), Access::Pending { .. }));
+        let id = h.take_outgoing().next_back().expect("core 1's fill").id;
+        h.on_completion(id);
+        let llc_hit = 4 + 12 + 38;
+        assert_eq!(h.access(0, block, false, 3), Access::Hit { ready_at: 3 + llc_hit });
+    }
+
+    /// Direct-mapped toy levels with one MSHR per core: 4-set L1 and LLC,
+    /// 8-set L2, so block 8 shares block 0's L2 set and block 4 shares
+    /// its LLC set but not its L2 set.
+    fn toy() -> CacheHierarchy {
+        let cfg = HierarchyConfig {
+            l1: CacheParams { size_bytes: 256, ways: 1, block_bytes: 64, latency: 1 },
+            l2: CacheParams { size_bytes: 512, ways: 1, block_bytes: 64, latency: 2 },
+            llc: CacheParams { size_bytes: 256, ways: 1, block_bytes: 64, latency: 3 },
+            mshrs_per_core: 1,
+            fill_latency: 1,
+        };
+        CacheHierarchy::new(cfg, 2)
+    }
+
+    /// Core 1 holds block 0 dirty in its L2 only; block 8 sits in the
+    /// LLC; core 0 is stalled on block 0 behind a miss in flight. Core
+    /// 1's next access to block 8 hits the LLC and evicts dirty block 0
+    /// from its L2 into the LLC.
+    fn stalled_behind_a_dirty_l2_line() -> CacheHierarchy {
+        let blk = |b: u64| b * 64;
+        let mut h = toy();
+        assert!(matches!(h.access(1, blk(0), true, 0), Access::Hit { .. }));
+        complete_all(&mut h);
+        assert!(matches!(h.access(1, blk(4), false, 1), Access::Pending { .. }));
+        complete_all(&mut h); // block 4 displaces block 0 from the LLC and L1
+        assert!(matches!(h.access(0, blk(8), false, 2), Access::Pending { .. }));
+        complete_all(&mut h); // block 8 displaces block 4 from the LLC
+        assert!(matches!(h.access(0, blk(1), false, 3), Access::Pending { .. }));
+        assert_eq!(h.access(0, blk(0), false, 3), Access::Stall);
+        assert_eq!(h.access(0, blk(0), false, 4), Access::Stall);
+        h
+    }
+
+    #[test]
+    fn retry_hits_the_llc_after_a_dirty_l2_victim_writes_the_block_back() {
+        let mut h = stalled_behind_a_dirty_l2_line();
+        assert!(matches!(h.access(1, 8 * 64, false, 5), Access::Hit { .. }));
+        assert!(
+            h.take_outgoing().all(|r| !r.is_write),
+            "block 0 moved into the LLC, not to memory"
+        );
+        assert_eq!(h.access(0, 0, false, 5), Access::Hit { ready_at: 5 + 1 + 2 + 3 });
+    }
+
+    #[test]
+    fn lazily_settled_retries_may_predate_the_unblocking_fill() {
+        // The stalled core's retries at cycles 5..9 are settled only after
+        // the fill at cycle 9 that unblocked it; the system loop reports
+        // its next retry at cycle 9.
+        let mut h = stalled_behind_a_dirty_l2_line();
+        assert!(matches!(h.access(1, 8 * 64, false, 9), Access::Hit { .. }));
+        let mut reported = Vec::new();
+        h.take_unblocked(|core| {
+            reported.push(core);
+            9
+        });
+        assert_eq!(reported, vec![0]);
+        let stalls = h.stats().mshr_stalls;
+        h.apply_stall_retries(0, 0, 5, 4);
+        assert_eq!(h.stats().mshr_stalls, stalls + 4);
+        assert!(matches!(h.access(0, 0, false, 9), Access::Hit { .. }));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "settled past the fill")]
+    fn settling_a_retry_after_the_unblocking_fill_is_caught() {
+        let mut h = stalled_behind_a_dirty_l2_line();
+        assert!(matches!(h.access(1, 8 * 64, false, 9), Access::Hit { .. }));
+        h.take_unblocked(|_| 9);
+        // The retry at cycle 9 would see the block: it is not a stall.
+        h.apply_stall_retries(0, 0, 5, 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "continue the core's last stalled access")]
+    fn settling_retries_out_of_order_is_caught() {
+        let mut h = hierarchy();
+        fill_mshrs(&mut h);
+        assert_eq!(h.access(0, 99 * 0x10000, false, 10), Access::Stall);
+        h.apply_stall_retries(0, 99 * 0x10000, 12, 3); // cycle 11 went missing
+    }
+
+    #[test]
+    fn own_completion_clears_the_memo() {
+        let mut h = hierarchy();
+        fill_mshrs(&mut h);
+        let block = 99 * 0x10000;
+        assert_eq!(h.access(0, block, false, 1), Access::Stall);
+        let first = h.take_outgoing().next().expect("core 0's first fill").id;
+        h.on_completion(first);
+        assert!(h.stall[0].is_none());
+        assert!(matches!(h.access(0, block, false, 2), Access::Pending { .. }));
     }
 
     #[test]

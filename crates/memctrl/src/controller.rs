@@ -400,16 +400,6 @@ impl MemoryController {
         }
     }
 
-    /// Takes all completions produced so far.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use `drain_completions_into` \
-                with a reused buffer instead"
-    )]
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Moves all completions into `out` (appended in production order),
     /// keeping both buffers' capacity — the allocation-free form for
     /// per-cycle callers.

@@ -363,6 +363,13 @@ impl System {
                 }
                 true
             });
+            // A dirty victim a later core pushed into the LLC may have
+            // unblocked an earlier, already ticked core: it retries next
+            // cycle, so nothing may be skipped.
+            self.hierarchy.take_unblocked(|_| {
+                next = now + 1;
+                now + 1
+            });
             if let Some(p) = &mut self.profiler {
                 p.clock.lap(PROF_CORES);
             }

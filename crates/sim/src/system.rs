@@ -6,16 +6,20 @@
 //!   every memory controller on every CPU/bus cycle — simple, and the
 //!   equivalence oracle;
 //! * [`Kernel::Event`] executes exactly the same per-cycle step, but only
-//!   at cycles where some component can act. Between events it advances
-//!   the clock straight to the minimum component horizon
-//!   (`next_event_at` on cores, hierarchy and controllers) and batches
-//!   the skipped interval into the per-cycle blocked counters
-//!   (`window_full_cycles`, `stall_cycles`, MSHR-stall retry misses), so
-//!   the resulting [`RunStats`] are **bit-identical** to the reference.
+//!   at cycles where some component can act, and within a step ticks only
+//!   the cores that are due (see `CoreClocks`). Between events it
+//!   advances the clock straight to the minimum component horizon
+//!   (`next_event_at` on cores, hierarchy and controllers); each core
+//!   batches the cycles it skipped into the per-cycle blocked counters
+//!   (`window_full_cycles`, `stall_cycles`, MSHR-stall retry misses) when
+//!   it is next touched, so the resulting [`RunStats`] are
+//!   **bit-identical** to the reference.
 //!
-//! The invariant that makes this sound: between two executed steps no
-//! component state changes except the batched counters, and every
-//! component horizon is a lower bound on its next state change.
+//! The invariant that makes this sound: between two ticks of a core
+//! nothing changes its state except the batched counters, every
+//! component horizon is a lower bound on its next state change, and
+//! settling a core's skipped cycles late preserves the order of every
+//! cache's LRU stamps (though not their absolute clock values).
 
 use figaro_cpu::{CacheHierarchy, TraceCore};
 use figaro_dram::AddressMapping;
@@ -56,6 +60,47 @@ pub struct System {
     /// Optional wall-clock kernel self-profile (`FIGARO_PROFILE=1` via
     /// diag). Result-neutral by the same argument as `telemetry`.
     pub(crate) profiler: Option<Box<KernelProfile>>,
+}
+
+/// The event kernel's per-core due set. A core is ticked only at its own
+/// horizon or when an event touches it; every cycle in between would be
+/// a batchable tick (blocked counters or full-width non-memory issue),
+/// so the core settles those cycles lazily with
+/// [`TraceCore::skip_cycles`] when it is next touched. Settling late
+/// moves stall retries' recency-clock bumps after other cores' accesses,
+/// which changes the caches' absolute clock values but never the order
+/// of their LRU stamps — and only that order picks victims.
+#[derive(Debug)]
+struct CoreClocks {
+    /// The cycle each core must next tick: its own `next_event_at`, or
+    /// the current step when an event touched it (`u64::MAX` while it
+    /// waits on an event).
+    due: Vec<u64>,
+    /// The first cycle each core has neither ticked nor skipped.
+    synced: Vec<u64>,
+}
+
+impl CoreClocks {
+    /// Every core due (and synced) at `now`, the span's first step.
+    fn new(cores: usize, now: u64) -> Self {
+        Self { due: vec![now; cores], synced: vec![now; cores] }
+    }
+
+    /// Settles core `i`'s skipped cycles before `to`.
+    fn catch_up(
+        &mut self,
+        i: usize,
+        to: u64,
+        core: &mut TraceCore,
+        hierarchy: &mut CacheHierarchy,
+    ) {
+        let from = self.synced[i];
+        if to > from && !core.finished() {
+            debug_assert!(to <= self.due[i], "core {i} skipped past its due cycle");
+            core.skip_cycles(from - 1, to - from, hierarchy);
+            self.synced[i] = to;
+        }
+    }
 }
 
 impl System {
@@ -194,7 +239,7 @@ impl System {
     /// with its horizon bookkeeping.)
     fn step(&mut self, now: u64, per_bus: u64, fill_latency: u64) {
         if let Some(bus) = self.bus_boundary(now, per_bus) {
-            self.step_bus(bus, per_bus, fill_latency, false);
+            self.step_bus(bus, per_bus, fill_latency, false, None);
         }
         for core in &mut self.cores {
             core.tick(now, &mut self.hierarchy);
@@ -208,7 +253,18 @@ impl System {
     /// this bus cycle is **not** ticked — its tick is a no-op by the
     /// horizon contract, so skipping the call cannot change behavior; the
     /// refreshed horizon doubles as the cache the event kernel reads.
-    fn step_bus(&mut self, bus: u64, per_bus: u64, fill_latency: u64, event_mode: bool) {
+    ///
+    /// With `clocks` (the event kernel's due set), each completion first
+    /// catches its core up to this cycle and marks it due now, and every
+    /// core whose stall memo the fill unblocked is marked due now too.
+    fn step_bus(
+        &mut self,
+        bus: u64,
+        per_bus: u64,
+        fill_latency: u64,
+        event_mode: bool,
+        mut clocks: Option<&mut CoreClocks>,
+    ) {
         self.route_requests(bus);
         if event_mode {
             for sh in &mut self.shards {
@@ -228,11 +284,23 @@ impl System {
                 continue;
             }
             self.shards[ch].mc.drain_completions_into(&mut self.completion_buf);
+            let now = bus * per_bus;
             for i in 0..self.completion_buf.len() {
                 let c = self.completion_buf[i];
+                let core = c.core as usize;
+                if let Some(clocks) = clocks.as_deref_mut() {
+                    clocks.catch_up(core, now, &mut self.cores[core], &mut self.hierarchy);
+                    clocks.due[core] = now;
+                }
                 let ready_cpu = c.done_at * per_bus + fill_latency;
                 for token in self.hierarchy.on_completion(c.id) {
-                    self.cores[c.core as usize].wake(token, ready_cpu);
+                    self.cores[core].wake(token, ready_cpu);
+                }
+                if let Some(clocks) = clocks.as_deref_mut() {
+                    self.hierarchy.take_unblocked(|u| {
+                        clocks.due[u] = clocks.due[u].min(now);
+                        now
+                    });
                 }
             }
             self.completion_buf.clear();
@@ -376,8 +444,9 @@ impl System {
     }
 
     /// Next-event time skipping ([`Kernel::Event`]): execute the same
-    /// per-cycle step as the reference kernel, but only at event cycles;
-    /// skipped intervals are folded into the blocked counters.
+    /// per-cycle step as the reference kernel, but only at event cycles,
+    /// and tick only the cores due at each; skipped cycles are folded into
+    /// the blocked counters.
     pub(crate) fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
         self.run_event_span(max_cpu_cycles);
         self.collect()
@@ -387,6 +456,12 @@ impl System {
     /// `run_event` is `run_event_span` + `collect`, and the sampled
     /// kernel's detailed windows reuse the span directly so each window
     /// is the exact event-kernel cycle sequence.
+    ///
+    /// An executed step ticks only the cores in the due set (see
+    /// [`CoreClocks`]); every other core's tick would be a batchable
+    /// no-op, so it catches up with [`TraceCore::skip_cycles`] just
+    /// before an event touches it, before a telemetry sample, and at
+    /// span end.
     fn run_event_span(&mut self, max_cpu_cycles: u64) {
         let per_bus = self.cfg.cpu_cycles_per_bus;
         let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);
@@ -396,30 +471,49 @@ impl System {
         // Wakes for its still-in-flight loads go through `wake`, not tick.
         let mut live: Vec<usize> =
             (0..self.cores.len()).filter(|&i| !self.cores[i].finished()).collect();
+        let mut clocks = CoreClocks::new(self.cores.len(), self.cpu_cycle);
         while !live.is_empty() && self.cpu_cycle < max_cpu_cycles {
             let now = self.cpu_cycle;
-            self.maybe_sample(now);
+            if now >= self.telemetry_next_sample() {
+                for &i in &live {
+                    clocks.catch_up(i, now, &mut self.cores[i], &mut self.hierarchy);
+                }
+                self.maybe_sample(now);
+            }
             if let Some(bus) = self.bus_boundary(now, per_bus) {
-                self.step_bus(bus, per_bus, fill_latency, true);
+                self.step_bus(bus, per_bus, fill_latency, true, Some(&mut clocks));
             }
             if let Some(p) = &mut self.profiler {
                 p.clock.lap(PROF_MEMORY);
             }
-            // One fused pass over the live cores: tick each (exactly as
-            // the reference step does, after the bus half), then read its
-            // post-tick state to seed the horizon and the exit check.
-            let mut next = max_cpu_cycles;
-            live.retain(|&i| {
+            // Tick the due cores in index order, exactly as the reference
+            // step does after the bus half.
+            let mut k = 0;
+            while k < live.len() {
+                let i = live[k];
+                if clocks.due[i] > now {
+                    k += 1;
+                    continue;
+                }
                 let core = &mut self.cores[i];
+                clocks.catch_up(i, now, core, &mut self.hierarchy);
                 core.tick(now, &mut self.hierarchy);
+                clocks.synced[i] = now + 1;
+                // A dirty victim this tick pushed into the LLC may have
+                // unblocked another core: in the reference order a higher
+                // index sees it this cycle, a lower one the next.
+                self.hierarchy.take_unblocked(|u| {
+                    let at = if u > i { now } else { now + 1 };
+                    clocks.due[u] = clocks.due[u].min(at);
+                    at
+                });
                 if core.finished() {
-                    return false;
+                    live.remove(k);
+                    continue;
                 }
-                if let Some(t) = core.next_event_at(now) {
-                    next = next.min(t);
-                }
-                true
-            });
+                clocks.due[i] = core.next_event_at(now).unwrap_or(u64::MAX);
+                k += 1;
+            }
             if let Some(p) = &mut self.profiler {
                 p.clock.lap(PROF_CORES);
             }
@@ -427,6 +521,7 @@ impl System {
             if live.is_empty() {
                 break; // the reference loop's exact exit cycle
             }
+            let next = live.iter().map(|&i| clocks.due[i]).fold(max_cpu_cycles, u64::min);
             // An active core ticks next cycle; nothing can be earlier.
             if next <= now + 1 {
                 continue;
@@ -436,14 +531,10 @@ impl System {
             // extra executed cycle below the horizon is a no-op by the
             // skip contract, so the clamp keeps results bit-identical
             // while making every kernel sample at exactly k·interval.
-            let next = next.min(self.telemetry_next_sample());
-            let skip = next - self.cpu_cycle;
-            if skip > 0 {
-                for &i in &live {
-                    self.cores[i].skip_cycles(now, skip, &mut self.hierarchy);
-                }
-                self.cpu_cycle = next;
-            }
+            self.cpu_cycle = next.min(self.telemetry_next_sample());
+        }
+        for &i in &live {
+            clocks.catch_up(i, self.cpu_cycle, &mut self.cores[i], &mut self.hierarchy);
         }
     }
 
@@ -556,7 +647,7 @@ impl System {
             if next > end_bus {
                 break;
             }
-            self.step_bus(next, per_bus, fill_latency, true);
+            self.step_bus(next, per_bus, fill_latency, true, None);
             bus = next + 1;
         }
     }
