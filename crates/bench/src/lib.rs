@@ -34,18 +34,20 @@ use figaro_sim::Runner;
 
 /// Workspace-root path for a bench artifact (`BENCH_*.json`/`.csv`).
 /// Bench binaries run with the *package* directory as cwd, so relative
-/// paths would scatter artifacts under `crates/bench/`.
+/// paths would scatter artifacts under `crates/bench/`; the root is
+/// found at run time ([`figaro_sim::workspace_root`]), so a copy of the
+/// workspace writes into the copy.
 ///
 /// # Panics
 ///
-/// Panics if the crate is not nested two levels below the workspace root.
+/// Panics if no workspace root lies at or above the current directory.
 #[must_use]
 pub fn artifact_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .join(name)
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let root = figaro_sim::workspace_root(&cwd).unwrap_or_else(|| {
+        panic!("no workspace root for bench artifacts at or above {}", cwd.display())
+    });
+    root.join(name)
 }
 
 /// Builds the shared runner and prints the standard bench header.

@@ -101,7 +101,7 @@ impl CacheStats {
 /// order; jobs are self-contained command generators). Job completion is
 /// reported back through [`CacheEngine::on_job_complete`].
 /// (`Send` so a whole `MemoryController` — which boxes its engine — can
-/// move to a worker thread of the sharded parallel kernel.)
+/// move between threads.)
 pub trait CacheEngine: std::fmt::Debug + Send {
     /// Looks up a demand request to (`bank`, `row`, `col`) and decides
     /// where to serve it; updates tag-store state (benefit counters,

@@ -2,7 +2,7 @@ pub struct Config {
     pub channels: u32,
     pub sched: u32,
     pub free_reloc: bool,
-    pub threads: usize,
+    pub verbose: bool,
 }
 
 pub fn cache_key(c: &Config) -> String {

@@ -154,10 +154,10 @@ mod tests {
     #[test]
     fn token_extraction() {
         let toks = extract_tokens(
-            "| `FIGARO_KERNEL` | picks kernel | also FIGARO_THREADS. XFIGARO_NOPE",
+            "| `FIGARO_KERNEL` | picks kernel | also FIGARO_SCALE. XFIGARO_NOPE",
             "FIGARO_",
         );
-        assert_eq!(toks, vec!["FIGARO_KERNEL", "FIGARO_THREADS"]);
+        assert_eq!(toks, vec!["FIGARO_KERNEL", "FIGARO_SCALE"]);
     }
 
     #[test]

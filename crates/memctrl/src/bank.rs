@@ -1,12 +1,11 @@
 //! Per-bank controller state.
 //!
 //! The controller keeps one [`BankState`] per bank of its channel: the
-//! bank's (precomputed) address, the relocation-job slot the cache
-//! engine's jobs execute in, and the [`BankAgg`] scratch the flat-scan
-//! event-horizon path aggregates queue entries into. The DRAM-side row
-//! state (open row, must-precharge, pinned subarrays) lives in
-//! [`figaro_dram::DramChannel`]; `BankAgg` caches a snapshot of it for
-//! the duration of one horizon scan.
+//! bank's (precomputed) address and the relocation-job slot the cache
+//! engine's jobs execute in. The DRAM-side row state (open row,
+//! must-precharge, pinned subarrays) lives in
+//! [`figaro_dram::DramChannel`]; the event-horizon scan aggregates one
+//! bank's queued entries into a [`BankAgg`] against a snapshot of it.
 
 use figaro_core::RelocationJob;
 use figaro_dram::{BankAddr, DramGeometry, RowId};
@@ -18,15 +17,13 @@ pub struct BankState {
     pub addr: BankAddr,
     /// The relocation job currently executing on this bank, if any.
     pub job: Option<RelocationJob>,
-    /// Scratch for the flat-scan horizon aggregation (reset per scan).
-    pub agg: BankAgg,
 }
 
 impl BankState {
     /// State for flat bank index `flat` of `geometry`.
     #[must_use]
     pub fn new(flat: u32, geometry: &DramGeometry) -> Self {
-        Self { addr: BankAddr::from_flat(flat, geometry), job: None, agg: BankAgg::default() }
+        Self { addr: BankAddr::from_flat(flat, geometry), job: None }
     }
 }
 
@@ -36,9 +33,7 @@ impl BankState {
 /// bank and command class covers every queued entry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BankAgg {
-    /// The bank appeared in the scanned queue.
-    pub seen: bool,
-    /// The bank's open row, read once at first touch.
+    /// The bank's open row, read once per scan.
     pub open: Option<RowId>,
     /// Some entry's serve row is the open row (suppresses prep for the
     /// whole bank, exactly like the prep scan's same-row check).

@@ -10,7 +10,6 @@
 use figaro_core::{CacheEngine, CacheStats, RowHammerMonitor};
 use figaro_dram::{
     AddressMapping, BankAddr, Cycle, DramChannel, DramCommand, DramConfig, DramStats, MapKind,
-    Region,
 };
 
 use crate::bank::BankState;
@@ -55,9 +54,8 @@ pub struct McConfig {
     /// routed under one mapping and decoded under another would land on
     /// the wrong channel (asserted in [`MemoryController::enqueue`]).
     pub map: MapKind,
-    /// Use the pre-refactor flat queue scans instead of the per-bank
-    /// indexes. Selection is identical either way; this exists as the
-    /// wall-clock baseline for the `sched_sweep` bench.
+    /// Ignored; kept only for perfbench's struct literal, and goes once
+    /// the next benchmark change drops it from perfbench.
     pub flat_scan: bool,
 }
 
@@ -183,10 +181,6 @@ pub struct MemoryController {
     completions: Vec<Completion>,
     stats: McStats,
     monitor: Option<RowHammerMonitor>,
-    /// Scratch listing the banks whose `BankAgg` is live (flat scans).
-    agg_touched: Vec<u32>,
-    /// Scratch for the flat-scan `pending_start_horizon` demand flags.
-    demand_scratch: Vec<bool>,
     /// Memoized event horizon (`None` = stale). Invalidated by every
     /// [`MemoryController::tick`]; [`MemoryController::enqueue`] updates
     /// it incrementally instead of recomputing the full scan.
@@ -229,8 +223,6 @@ impl MemoryController {
             completions: Vec::new(),
             stats: McStats::default(),
             monitor: cfg.activation_window.map(RowHammerMonitor::new),
-            agg_touched: Vec::with_capacity(banks),
-            demand_scratch: vec![false; banks],
             horizon: None,
             trace: None,
         }
@@ -304,13 +296,7 @@ impl MemoryController {
             // comparison is block-aligned, so a sub-block-offset read
             // still matches; a block maps to one bank, so only that
             // bank's bucket is probed on the indexed path).
-            let forwarded = if self.cfg.flat_scan {
-                let block = Request::block_of(req.addr);
-                self.write_q.iter().any(|(_, w)| Request::block_of(w.req.addr) == block)
-            } else {
-                self.write_q.bank_has_block(flat, req.addr)
-            };
-            if forwarded {
+            if self.write_q.bank_has_block(flat, req.addr) {
                 self.stats.reads_served += 1;
                 self.stats.forwarded += 1;
                 // Same arrival→data convention as the scheduled path:
@@ -718,11 +704,9 @@ impl MemoryController {
         best = best.min(scheduler::queue_horizon(
             self.policy.as_ref(),
             queue,
-            &mut self.banks,
-            &mut self.agg_touched,
+            &self.banks,
             &self.channel,
             from,
-            self.cfg.flat_scan,
         ));
         if any_job {
             best = best.min(self.job_step_horizon(from));
@@ -791,28 +775,16 @@ impl MemoryController {
         best
     }
 
-    /// Whether any demand request waits on `flat_bank` — O(1) on the
-    /// per-bank indexes, a queue scan on the flat-scan baseline.
+    /// Whether any demand request waits on `flat_bank` (O(1) on the
+    /// per-bank indexes).
     fn bank_has_demand(&self, flat_bank: u32) -> bool {
-        if self.cfg.flat_scan {
-            self.read_q.iter().chain(self.write_q.iter()).any(|(_, e)| e.flat_bank == flat_bank)
-        } else {
-            self.read_q.bank_len(flat_bank) > 0 || self.write_q.bank_len(flat_bank) > 0
-        }
+        self.read_q.bank_len(flat_bank) > 0 || self.write_q.bank_len(flat_bank) > 0
     }
 
     /// `from` when `start_pending_jobs` would hand a pending job to a bank
     /// on its next opportunity, [`Cycle::MAX`] otherwise (the gating state
-    /// — open rows and queued demand — only changes at events). The
-    /// per-bank indexes answer the demand question in O(1); the flat-scan
-    /// baseline rebuilds the per-bank flags with one queue pass.
-    fn pending_start_horizon(&mut self, from: Cycle) -> Cycle {
-        if self.cfg.flat_scan {
-            self.demand_scratch.fill(false);
-            for (_, e) in self.read_q.iter().chain(self.write_q.iter()) {
-                self.demand_scratch[e.flat_bank as usize] = true;
-            }
-        }
+    /// — open rows and queued demand — only changes at events).
+    fn pending_start_horizon(&self, from: Cycle) -> Cycle {
         for bank_idx in 0..self.banks.len() {
             if self.banks[bank_idx].job.is_some() || !self.engine.has_pending_job(bank_idx as u32) {
                 continue;
@@ -822,122 +794,11 @@ impl MemoryController {
                 .engine
                 .next_job_source(bank)
                 .is_some_and(|src| self.channel.open_row(self.banks[bank_idx].addr) == Some(src));
-            let has_demand = if self.cfg.flat_scan {
-                self.demand_scratch[bank_idx]
-            } else {
-                self.bank_has_demand(bank)
-            };
-            if cheap || !has_demand {
+            if cheap || !self.bank_has_demand(bank) {
                 return from;
             }
         }
         Cycle::MAX
-    }
-
-    /// A sound lower bound on the earliest bus cycle `>= from` at which
-    /// this controller could **produce a read completion** — the only
-    /// events a memory controller ever surfaces to the rest of the
-    /// system (write serving, refresh and relocation steps are all
-    /// channel-internal). The sharded parallel kernel uses this as its
-    /// cross-shard lookahead window: every shard may be advanced
-    /// privately up to the minimum of these bounds without any shard
-    /// producing an externally visible event early.
-    ///
-    /// Soundness leans on register monotonicity: `DramChannel` timing
-    /// registers (`next_rd`, `next_act`, rank/FAW constraints, …) only
-    /// ever move forward when commands issue, so a `next_ready` probe
-    /// against the *current* state lower-bounds every future issue of
-    /// that command class on the bank. Per bank with queued reads:
-    ///
-    /// * an entry whose serve row is open (row hit): any read CAS obeys
-    ///   `next_ready(Read)`;
-    /// * otherwise the row must first be brought under the sense amps —
-    ///   via PRE→ACT→CAS (bounded by `next_ready(Precharge)` plus the
-    ///   *minimum-region* tRP and tRCD), via a fresh ACT on a closed
-    ///   bank (bounded by `next_ready(Activate)` + min tRCD), or via a
-    ///   relocation train whose merge re-activates a destination row
-    ///   without a precharge (bounded by the first RELOC at `>= from`
-    ///   plus the RELOC→merge-ready delay and the merge settle time,
-    ///   which is a region tRCD);
-    /// * a bank mid-relocation (active job or pinned subarray) falls
-    ///   back to `from` + min tRCD — any serve of a not-yet-open row
-    ///   still needs an ACT or merge at `>= from` and a tRCD-class
-    ///   settle before its CAS.
-    ///
-    /// The caller must separately account for *backlogged* reads it has
-    /// not enqueued yet: read-around-write forwarding completes one bus
-    /// cycle after `enqueue`, so a read accepted mid-window could
-    /// complete almost immediately (see the shard's bound in
-    /// `figaro-sim`). Returns [`Cycle::MAX`] when no read is queued and
-    /// no completion is pending.
-    #[must_use]
-    pub fn read_completion_horizon(&self, from: Cycle) -> Cycle {
-        if !self.completions.is_empty() {
-            return from;
-        }
-        if self.read_q.is_empty() {
-            return Cycle::MAX;
-        }
-        let t = &self.channel.config().timing;
-        let min_rcd = Cycle::from(t.rcd_of(Region::Fast).min(t.rcd_of(Region::Slow)));
-        let min_rp = Cycle::from(t.rp_of(Region::Fast).min(t.rp_of(Region::Slow)));
-        let min_reloc = Cycle::from(t.reloc.min(t.reloc_to_reloc));
-        let mut best = Cycle::MAX;
-        for flat in self.read_q.touched_banks() {
-            let st = &self.banks[flat as usize];
-            let bank = st.addr;
-            let relocating = st.job.is_some() || self.channel.is_pinned(bank);
-            let open = self.channel.open_row(bank);
-            let must_pre = self.channel.must_precharge(bank);
-            let (mut hit, mut miss) = (false, false);
-            let mut any_row = 0;
-            for (_, e) in self.read_q.iter_bank(flat) {
-                if !must_pre && open == Some(e.serve_row) {
-                    hit = true;
-                } else {
-                    miss = true;
-                    any_row = e.serve_row;
-                }
-            }
-            if hit {
-                // `next_ready(Read)` is column-independent, so one probe
-                // covers every hit entry on the bank. A `None` (command
-                // momentarily illegal) degrades to `from`.
-                let cand = self
-                    .channel
-                    .next_ready(bank, &DramCommand::Read { col: 0, auto_pre: false }, from)
-                    .unwrap_or(from);
-                best = best.min(cand);
-            }
-            if miss {
-                let cand = if relocating {
-                    from + min_rcd
-                } else if open.is_some() || must_pre {
-                    let pre_path = self
-                        .channel
-                        .next_ready(bank, &DramCommand::Precharge, from)
-                        .map_or(from, |p| p + min_rp + min_rcd);
-                    // A write accepted mid-window can schedule a job on
-                    // the open row whose merge re-activates a serve row
-                    // with no precharge in between.
-                    let merge_path = from + min_reloc + min_rcd;
-                    pre_path.min(merge_path)
-                } else {
-                    // Closed, unpinned: every serve path (demand ACT or
-                    // a job's ensure-open ACT followed by its train)
-                    // starts with an activate, whose bound is
-                    // row-independent without a pinned subarray.
-                    self.channel
-                        .next_ready(bank, &DramCommand::Activate { row: any_row }, from)
-                        .map_or(from, |a| a + min_rcd)
-                };
-                best = best.min(cand);
-            }
-            if best <= from {
-                return from;
-            }
-        }
-        best
     }
 
     fn progress_refresh(&mut self, now: Cycle) {
@@ -981,13 +842,8 @@ impl MemoryController {
     /// Priority 1: issue the policy's column-command pick, if any.
     fn try_issue_column(&mut self, serve_writes: bool, now: Cycle) -> bool {
         let queue = if serve_writes { &self.write_q } else { &self.read_q };
-        let Some(id) = scheduler::pick_column(
-            self.policy.as_ref(),
-            queue,
-            &self.channel,
-            now,
-            self.cfg.flat_scan,
-        ) else {
+        let Some(id) = scheduler::pick_column(self.policy.as_ref(), queue, &self.channel, now)
+        else {
             return false;
         };
         let entry = if serve_writes { self.write_q.remove(id) } else { self.read_q.remove(id) };
@@ -1088,14 +944,7 @@ impl MemoryController {
     fn try_issue_demand_prep(&mut self, serve_writes: bool, now: Cycle) -> bool {
         let decision = {
             let queue = if serve_writes { &self.write_q } else { &self.read_q };
-            scheduler::pick_prep(
-                self.policy.as_ref(),
-                queue,
-                &self.banks,
-                &self.channel,
-                now,
-                self.cfg.flat_scan,
-            )
+            scheduler::pick_prep(self.policy.as_ref(), queue, &self.banks, &self.channel, now)
         };
         match decision {
             Some(PrepAction::Pre(id)) => {
@@ -1267,19 +1116,17 @@ mod tests {
         // read at a sub-block offset of a queued write's block must be
         // served from the write queue (previously the exact-address
         // comparison missed it and the read went to DRAM).
-        for flat_scan in [false, true] {
-            let cfg = McConfig { enable_refresh: false, flat_scan, ..McConfig::default() };
-            let mut mc = base_mc_with(cfg);
-            mc.enqueue(write(1, 4096, 0), 0);
-            mc.enqueue(read(2, 4096 + 24, 1), 1);
-            assert_eq!(mc.stats().forwarded, 1, "flat_scan={flat_scan}");
-            let done = take_completions(&mut mc);
-            assert_eq!(done.len(), 1);
-            assert_eq!(done[0].id, 2);
-            // A read one block over must NOT forward.
-            mc.enqueue(read(3, 4096 + 64, 2), 2);
-            assert_eq!(mc.stats().forwarded, 1, "adjacent block must not forward");
-        }
+        let cfg = McConfig { enable_refresh: false, ..McConfig::default() };
+        let mut mc = base_mc_with(cfg);
+        mc.enqueue(write(1, 4096, 0), 0);
+        mc.enqueue(read(2, 4096 + 24, 1), 1);
+        assert_eq!(mc.stats().forwarded, 1);
+        let done = take_completions(&mut mc);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, 2);
+        // A read one block over must NOT forward.
+        mc.enqueue(read(3, 4096 + 64, 2), 2);
+        assert_eq!(mc.stats().forwarded, 1, "adjacent block must not forward");
     }
 
     #[test]
@@ -1468,54 +1315,6 @@ mod tests {
             (0, 1),
             "tuned watermarks must drain writes first"
         );
-    }
-
-    #[test]
-    fn flat_scan_baseline_is_bit_identical_to_indexed() {
-        // The flat-scan strategy exists only as a wall-clock baseline:
-        // selection must be identical. Drive both variants through a
-        // bursty FIGCache workload (jobs, conflicts, refresh) and demand
-        // identical completions and statistics every cycle.
-        let dram = DramConfig {
-            layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
-            ..DramConfig::ddr4_paper_default()
-        };
-        let mk = |flat_scan: bool| {
-            let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
-            let cfg = McConfig { flat_scan, ..McConfig::default() };
-            MemoryController::new(&dram, cfg, 0, Box::new(engine))
-        };
-        let mut indexed = mk(false);
-        let mut flat = mk(true);
-        let mut id = 0u64;
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for t in 0..40_000u64 {
-            if t.is_multiple_of(23) && indexed.can_accept(false) && flat.can_accept(false) {
-                let addr = (id * 7919) % 8192 * 64 + (id % 3) * 8;
-                indexed.enqueue(read(id, addr, t), t);
-                flat.enqueue(read(id, addr, t), t);
-                id += 1;
-            }
-            if t.is_multiple_of(97) && indexed.can_accept(true) && flat.can_accept(true) {
-                let addr = (id * 104_729) % 8192 * 64;
-                indexed.enqueue(write(id, addr, t), t);
-                flat.enqueue(write(id, addr, t), t);
-                id += 1;
-            }
-            indexed.tick(t);
-            flat.tick(t);
-            a.clear();
-            b.clear();
-            indexed.drain_completions_into(&mut a);
-            flat.drain_completions_into(&mut b);
-            assert_eq!(a, b, "completions diverged at bus cycle {t}");
-        }
-        assert_eq!(indexed.stats(), flat.stats());
-        assert_eq!(indexed.dram_stats(), flat.dram_stats());
-        assert_eq!(indexed.engine_stats(), flat.engine_stats());
-        assert!(indexed.stats().reads_served > 500, "workload must exercise the controller");
-        assert!(indexed.dram_stats().relocs > 0, "relocation jobs must run");
     }
 
     #[test]

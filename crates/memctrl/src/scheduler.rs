@@ -10,13 +10,8 @@
 //! while [`Fcfs`], [`FrFcfsCap`] and [`WriteDrainTuned`] reuse the same
 //! machinery.
 //!
-//! Each selection exists in two strategies:
-//!
-//! * **indexed** (default): walk only the banks that have queued
-//!   entries, probing DRAM timing once per bank and command class;
-//! * **flat** ([`crate::McConfig::flat_scan`]): the pre-refactor global
-//!   queue scans, kept as the honest wall-clock baseline for the
-//!   `sched_sweep` bench. Both strategies pick the identical command.
+//! Every selection walks only the banks that have queued entries,
+//! probing DRAM timing once per bank and command class.
 //!
 //! The policy in force is chosen by [`crate::McConfig::sched`]; the
 //! `FIGARO_SCHED` environment variable overrides the default at system
@@ -303,12 +298,6 @@ pub(crate) fn column_cmd(e: &Entry) -> DramCommand {
     }
 }
 
-/// Whether the (open) bank `flat_bank` has a queued entry for a
-/// different row — the conflict signal fed to the policy hooks.
-fn bank_has_conflict(q: &IndexedQueue, flat_bank: u32, open: figaro_dram::RowId) -> bool {
-    q.iter_bank(flat_bank).any(|(_, e)| e.serve_row != open)
-}
-
 /// Priority 1: the queued demand entry whose column command is ready to
 /// issue this cycle, or `None`. FR-FCFS picks the oldest ready row hit
 /// (ties by queue position); hooks restrict the candidate set.
@@ -317,7 +306,6 @@ pub(crate) fn pick_column(
     q: &IndexedQueue,
     chan: &DramChannel,
     now: Cycle,
-    flat_scan: bool,
 ) -> Option<u32> {
     if q.is_empty() {
         return None;
@@ -340,47 +328,31 @@ pub(crate) fn pick_column(
             best = Some((arrival, seq, id));
         }
     };
-    if flat_scan {
-        // Pre-refactor baseline: probe every entry against the channel.
-        for (id, e) in q.iter() {
-            let Some(open) = chan.open_row(e.bank) else { continue };
-            if open != e.serve_row || chan.must_precharge(e.bank) {
-                continue;
-            }
-            if !policy.allow_row_hit(e.flat_bank, bank_has_conflict(q, e.flat_bank, open)) {
-                continue;
-            }
-            if chan.can_issue(e.bank, &column_cmd(e), now) {
-                consider(e.req.arrival, q.seq(id), id);
+    // One timing probe per bank, entries via the bank list.
+    for b in q.touched_banks() {
+        let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
+        let Some(open) = chan.open_row(first.bank) else { continue };
+        if chan.must_precharge(first.bank) {
+            continue;
+        }
+        let mut hit: Option<(Cycle, u64, u32)> = None;
+        let mut has_conflict = false;
+        for (id, e) in q.iter_bank(b) {
+            if e.serve_row == open {
+                let key = (e.req.arrival, q.seq(id));
+                if hit.is_none_or(|(a, s, _)| key < (a, s)) {
+                    hit = Some((key.0, key.1, id));
+                }
+            } else {
+                has_conflict = true;
             }
         }
-    } else {
-        // Indexed: one timing probe per bank, entries via the bank list.
-        for b in q.touched_banks() {
-            let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
-            let Some(open) = chan.open_row(first.bank) else { continue };
-            if chan.must_precharge(first.bank) {
-                continue;
-            }
-            let mut hit: Option<(Cycle, u64, u32)> = None;
-            let mut has_conflict = false;
-            for (id, e) in q.iter_bank(b) {
-                if e.serve_row == open {
-                    let key = (e.req.arrival, q.seq(id));
-                    if hit.is_none_or(|(a, s, _)| key < (a, s)) {
-                        hit = Some((key.0, key.1, id));
-                    }
-                } else {
-                    has_conflict = true;
-                }
-            }
-            let Some((arrival, seq, id)) = hit else { continue };
-            if !policy.allow_row_hit(b, has_conflict) {
-                continue;
-            }
-            if chan.can_issue(first.bank, &column_cmd(q.entry(id)), now) {
-                consider(arrival, seq, id);
-            }
+        let Some((arrival, seq, id)) = hit else { continue };
+        if !policy.allow_row_hit(b, has_conflict) {
+            continue;
+        }
+        if chan.can_issue(first.bank, &column_cmd(q.entry(id)), now) {
+            consider(arrival, seq, id);
         }
     }
     best.map(|(_, _, id)| id)
@@ -395,16 +367,12 @@ pub(crate) fn pick_prep(
     banks: &[BankState],
     chan: &DramChannel,
     now: Cycle,
-    flat_scan: bool,
 ) -> Option<PrepAction> {
     if q.is_empty() {
         return None;
     }
     if policy.in_order_only() {
         return pick_prep_in_order(q, banks, chan, now);
-    }
-    if flat_scan {
-        return pick_prep_flat(policy, q, banks, chan, now);
     }
     let mut best: Option<(u64, PrepAction)> = None;
     let mut consider = |seq: u64, act: PrepAction| {
@@ -488,48 +456,6 @@ fn pick_prep_in_order(
     None // head is a row hit; priority 1 handles it
 }
 
-/// Pre-refactor flat prep scan (the `sched_sweep` baseline): global
-/// queue order, per-entry probes, O(queue) same-bank hit re-scans.
-fn pick_prep_flat(
-    policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
-    banks: &[BankState],
-    chan: &DramChannel,
-    now: Cycle,
-) -> Option<PrepAction> {
-    'outer: for (id, e) in q.iter() {
-        let st = &banks[e.flat_bank as usize];
-        if st.job.is_some() && !chan.is_pinned(e.bank) {
-            continue; // the bank belongs to a job still setting up
-        }
-        match chan.open_row(e.bank) {
-            Some(r) if r == e.serve_row => continue, // handled as a row hit
-            Some(open) => {
-                // Conflict: close the row, but not while other queued
-                // requests can still hit it (unless the policy lifted
-                // that protection for this bank).
-                if policy.hits_suppress_prep(e.flat_bank, true) {
-                    for (_, o) in q.iter() {
-                        if o.flat_bank == e.flat_bank && o.serve_row == open {
-                            continue 'outer;
-                        }
-                    }
-                }
-                if chan.can_issue(e.bank, &DramCommand::Precharge, now) {
-                    return Some(PrepAction::Pre(id));
-                }
-            }
-            None => {
-                let act = DramCommand::Activate { row: e.serve_row };
-                if chan.can_issue(e.bank, &act, now) {
-                    return Some(PrepAction::Act(id));
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Earliest cycle `>= from` at which [`pick_column`] or [`pick_prep`]
 /// over the active queue could return `Some` — the demand half of the
 /// controller's event horizon. A lower bound for every policy: a
@@ -537,11 +463,9 @@ fn pick_prep_flat(
 pub(crate) fn queue_horizon(
     policy: &dyn SchedPolicy,
     q: &IndexedQueue,
-    banks: &mut [BankState],
-    agg_touched: &mut Vec<u32>,
+    banks: &[BankState],
     chan: &DramChannel,
     from: Cycle,
-    flat_scan: bool,
 ) -> Cycle {
     if q.is_empty() {
         return Cycle::MAX;
@@ -549,42 +473,16 @@ pub(crate) fn queue_horizon(
     if policy.in_order_only() {
         return in_order_horizon(q, banks, chan, from);
     }
-    // Aggregate the queue per bank (flat: one global pass into the
-    // BankState scratch; indexed: per-bank list walks), then probe each
-    // touched bank once per command class.
+    // Aggregate each touched bank's entries, then probe the bank once
+    // per command class.
     let mut best = Cycle::MAX;
-    if flat_scan {
-        for &b in agg_touched.iter() {
-            banks[b as usize].agg = BankAgg::default();
+    for b in q.touched_banks() {
+        let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
+        let mut agg = BankAgg { open: chan.open_row(first.bank), ..BankAgg::default() };
+        for (_, e) in q.iter_bank(b) {
+            fold_entry(&mut agg, e);
         }
-        agg_touched.clear();
-        for (_, e) in q.iter() {
-            // The open row is read once at first touch, exactly like the
-            // pre-refactor scan this path preserves as a baseline.
-            if !banks[e.flat_bank as usize].agg.seen {
-                let open = chan.open_row(e.bank);
-                let agg = &mut banks[e.flat_bank as usize].agg;
-                agg.seen = true;
-                agg.open = open;
-                agg_touched.push(e.flat_bank);
-            }
-            fold_entry(&mut banks[e.flat_bank as usize].agg, e);
-        }
-        for &b in agg_touched.iter() {
-            let agg = banks[b as usize].agg;
-            best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
-        }
-    } else {
-        for b in q.touched_banks() {
-            let mut agg = BankAgg::default();
-            let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
-            agg.seen = true;
-            agg.open = chan.open_row(first.bank);
-            for (_, e) in q.iter_bank(b) {
-                fold_entry(&mut agg, e);
-            }
-            best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
-        }
+        best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
     }
     best
 }

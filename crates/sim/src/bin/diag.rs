@@ -8,6 +8,7 @@
 //! meant to sit in shell loops. The memory-controller scheduling policy
 //! follows `FIGARO_SCHED` like every other run.
 
+use figaro_sim::config::KERNEL_CHOICES;
 use figaro_sim::runner::Scale;
 use figaro_sim::{snapshot, ConfigKind, System, SystemConfig};
 use figaro_telemetry::TelemetryConfig;
@@ -36,8 +37,8 @@ fn usage() -> ! {
          env (result-affecting):\n\
          FIGARO_SCHED=frfcfs|fcfs|frfcfs-cap<N>|wdrain<H>-<L> picks the\n\
          memory-controller scheduling policy,\n\
-         FIGARO_KERNEL=event|reference|parallel|sampled[:W,S] the\n\
-         simulation kernel (sampled alternates W detailed cycles with S\n\
+         FIGARO_KERNEL={KERNEL_CHOICES} the simulation\n\
+         kernel (sampled alternates W detailed cycles with S\n\
          fast-forwarded cycles — approximate, its results key separately),\n\
          FIGARO_MAP=paper|chfirst|rowint[-xor] the DRAM address mapping,\n\
          FIGARO_PAGEMAP=ident|rand<seed>|color<N> the OS page-frame\n\
@@ -54,8 +55,6 @@ fn usage() -> ! {
          cache keys grow a -freereloc suffix)\n\
          \n\
          env (never affects results):\n\
-         FIGARO_THREADS=<N> the parallel kernel's worker-thread count\n\
-         (default: available parallelism, clamped to the channel count),\n\
          FIGARO_SNAPSHOT_DIR=<dir> where FGSN warm-state snapshots live\n\
          (default: <cache_dir>/snapshots; resumption is bit-identical, so\n\
          the location never changes results),\n\
@@ -64,10 +63,10 @@ fn usage() -> ! {
          activity, per-core IPC/MSHR) every N CPU cycles,\n\
          FIGARO_TRACE=<path>[:filter] writes a Chrome trace-event JSON\n\
          (relocation jobs, write drains, refreshes, sampling windows;\n\
-         filter is a comma list of reloc,drain,refresh,window,warm,epoch\n\
+         filter is a comma list of reloc,drain,refresh,window,warm\n\
          or `all`; load the file in Perfetto),\n\
          FIGARO_PROFILE=1 prints the kernel self-profile (wall-clock\n\
-         time per component, epochs/sec, shard imbalance) after the run,\n\
+         time per component) after the run,\n\
          FIGARO_FULL_SWEEPS=1 runs Figs. 12-15 over all 20 profiles,\n\
          FIGARO_SLOW_TESTS=1 enables the ignored full-scale tests,\n\
          FIGARO_LONG_OPS=<N> ops per core in the long streaming test,\n\
@@ -200,7 +199,6 @@ fn main() {
     let insts = insts.clamp(scale.target_insts(), scale.target_insts() * 12);
     let cfg = SystemConfig::paper(1, kind.clone());
     let kernel = cfg.kernel;
-    let threads = cfg.worker_threads();
     let sched = cfg.mc.sched;
     let map = cfg.mc.map;
     let page_map = cfg.page_map;
@@ -256,7 +254,7 @@ fn main() {
     }
 
     println!(
-        "app={app} config={} insts={insts} kernel={} threads={threads} sched={} map={} pagemap={}",
+        "app={app} config={} insts={insts} kernel={} sched={} map={} pagemap={}",
         kind.label(),
         kernel.label(),
         sched.label(),

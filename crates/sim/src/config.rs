@@ -23,12 +23,6 @@ pub enum Kernel {
     /// per-cycle stall counters.
     #[default]
     Event,
-    /// The event kernel sharded per memory channel: controllers advance
-    /// concurrently on a worker pool inside conservative lookahead
-    /// windows, syncing with the serial core/hierarchy phase at
-    /// bus-boundary epochs (see `crate::parallel`). Worker count comes
-    /// from [`SystemConfig::threads`] / `FIGARO_THREADS`.
-    Parallel,
     /// SMARTS-style sampled simulation: alternate detailed windows of
     /// `window` CPU cycles (the event kernel, bit-exact) with functional
     /// fast-forward intervals of `skip` CPU cycles whose instructions are
@@ -44,6 +38,10 @@ pub enum Kernel {
     },
 }
 
+/// The `FIGARO_KERNEL` vocabulary, as quoted by its error and `diag`'s
+/// usage text.
+pub const KERNEL_CHOICES: &str = "event|reference|sampled[:W,S]";
+
 /// Default detailed-window length for `FIGARO_KERNEL=sampled` (CPU
 /// cycles).
 pub const SAMPLED_DEFAULT_WINDOW: u64 = 100_000;
@@ -53,7 +51,7 @@ pub const SAMPLED_DEFAULT_SKIP: u64 = 400_000;
 
 impl Kernel {
     /// Reads `FIGARO_KERNEL` (`event` | `reference`/`ref` |
-    /// `parallel`/`par` | `sampled[:window,skip]`), defaulting to
+    /// `sampled[:window,skip]`), defaulting to
     /// [`Kernel::Event`] when unset. The variable is read once per
     /// process ([`SystemConfig::paper`] sits on system-construction
     /// paths).
@@ -69,10 +67,7 @@ impl Kernel {
         *KERNEL.get_or_init(|| {
             let raw = std::env::var("FIGARO_KERNEL").unwrap_or_default();
             Self::parse(&raw).unwrap_or_else(|| {
-                panic!(
-                    "unrecognized FIGARO_KERNEL `{raw}` (use `event`, `reference`, \
-                     `parallel` or `sampled[:window,skip]`)"
-                )
+                panic!("unrecognized FIGARO_KERNEL `{raw}` (use `{KERNEL_CHOICES}`)")
             })
         })
     }
@@ -91,7 +86,6 @@ impl Kernel {
         match lower.as_str() {
             "" | "event" => Some(Kernel::Event),
             "reference" | "ref" => Some(Kernel::Reference),
-            "parallel" | "par" => Some(Kernel::Parallel),
             "sampled" => {
                 Some(Kernel::Sampled { window: SAMPLED_DEFAULT_WINDOW, skip: SAMPLED_DEFAULT_SKIP })
             }
@@ -105,30 +99,9 @@ impl Kernel {
         match self {
             Kernel::Reference => "reference",
             Kernel::Event => "event",
-            Kernel::Parallel => "parallel",
             Kernel::Sampled { .. } => "sampled",
         }
     }
-}
-
-/// Reads `FIGARO_THREADS` once per process: the worker-thread count for
-/// [`Kernel::Parallel`] runs that do not set [`SystemConfig::threads`]
-/// explicitly. Defaults to the machine's available parallelism.
-///
-/// # Panics
-///
-/// Panics on a value that is not a positive integer — a typo must fail
-/// loudly rather than silently fall back to serial execution.
-#[must_use]
-pub fn threads_from_env() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| match std::env::var("FIGARO_THREADS") {
-        Err(_) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("unrecognized FIGARO_THREADS `{raw}` (use a positive integer)"),
-        },
-    })
 }
 
 /// Which in-DRAM mechanism a system uses (paper Section 8 names).
@@ -214,11 +187,8 @@ pub struct SystemConfig {
     pub cpu_cycles_per_bus: u64,
     /// Simulation kernel driving the clock (see [`Kernel`]).
     pub kernel: Kernel,
-    /// Worker threads for [`Kernel::Parallel`] (`0` = resolve from
-    /// `FIGARO_THREADS` / available parallelism). Clamped to the channel
-    /// count at run time; results are bit-identical at every setting, so
-    /// this is purely a wall-clock knob (and excluded from result-cache
-    /// keys).
+    /// Ignored; kept only for perfbench's struct literal, and goes once
+    /// the next benchmark change drops it from perfbench.
     pub threads: usize,
     /// OS page-frame placement applied to every trace source (the DRAM
     /// address interleaving itself lives in `mc.map`).
@@ -246,25 +216,6 @@ impl SystemConfig {
             threads: 0,
             page_map: PageMapKind::from_env(),
         }
-    }
-
-    /// Overrides the [`Kernel::Parallel`] worker-thread count (`0` =
-    /// resolve from `FIGARO_THREADS` / available parallelism).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker-thread count a [`Kernel::Parallel`] run uses: the
-    /// explicit [`SystemConfig::threads`] if nonzero, else the
-    /// `FIGARO_THREADS` / available-parallelism default — always clamped
-    /// to the channel count (shards are per-channel, so extra workers
-    /// would only spin at barriers).
-    #[must_use]
-    pub fn worker_threads(&self) -> usize {
-        let requested = if self.threads > 0 { self.threads } else { threads_from_env() };
-        requested.clamp(1, self.channels as usize)
     }
 
     /// Overrides the physical→DRAM address interleaving (mapping
@@ -404,7 +355,6 @@ mod tests {
         assert_eq!(Kernel::default(), Kernel::Event);
         assert_eq!(Kernel::Event.label(), "event");
         assert_eq!(Kernel::Reference.label(), "reference");
-        assert_eq!(Kernel::Parallel.label(), "parallel");
         assert_eq!(Kernel::Sampled { window: 1, skip: 1 }.label(), "sampled");
     }
 
@@ -423,20 +373,8 @@ mod tests {
         assert_eq!(Kernel::parse("sampled:0,5"), None, "zero-cycle windows are meaningless");
         assert_eq!(Kernel::parse("sampled:oops"), None);
         assert_eq!(Kernel::parse("spooled"), None);
-    }
-
-    #[test]
-    fn worker_threads_clamps_to_channels() {
-        let cfg = SystemConfig::paper(8, ConfigKind::Base); // 4 channels
-        assert_eq!(cfg.clone().with_threads(8).worker_threads(), 4);
-        assert_eq!(cfg.clone().with_threads(2).worker_threads(), 2);
-        assert_eq!(cfg.clone().with_threads(1).worker_threads(), 1);
-        // One channel can never use more than one worker.
-        let one = SystemConfig::paper(1, ConfigKind::Base);
-        assert_eq!(one.with_threads(64).worker_threads(), 1);
-        // `0` resolves from the environment default, still clamped.
-        let auto = cfg.with_threads(0).worker_threads();
-        assert!((1..=4).contains(&auto));
+        assert_eq!(Kernel::parse("parallel"), None);
+        assert_eq!(Kernel::parse("par"), None);
     }
 
     #[test]

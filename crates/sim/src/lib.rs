@@ -50,7 +50,6 @@ pub(crate) fn take(src: &mut &[u64]) -> u64 {
 pub mod config;
 pub mod experiments;
 pub mod metrics;
-pub(crate) mod parallel;
 pub mod report;
 pub mod runner;
 pub mod snapshot;
@@ -62,7 +61,7 @@ pub use figaro_dram::{MapKind, MapScheme};
 pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
 pub use metrics::{ChannelStats, RunStats, SampledStats};
-pub use runner::{Runner, Scale, Scenario, ScenarioWorkload};
+pub use runner::{workspace_root, Runner, Scale, Scenario, ScenarioWorkload};
 pub use snapshot::{config_hash, SnapshotHeader};
 pub use system::System;
 pub use telemetry::KernelProfile;

@@ -18,8 +18,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rayon::prelude::*;
@@ -613,14 +612,23 @@ impl Runner {
     /// paper's slice), the page placement selected by
     /// `FIGARO_PAGEMAP` (default: identity) and, for scenario runs, the
     /// open-loop arrival pacing selected by `FIGARO_LOAD` (default:
-    /// closed-loop).
+    /// closed-loop). The cache lives at `target/figaro-cache` under the
+    /// [`workspace_root`] above the current directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no workspace root lies at or above the current
+    /// directory.
     #[must_use]
     pub fn new(scale: Scale) -> Self {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(|ws| ws.join("target").join("figaro-cache"));
-        Self::build(scale, dir)
+        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+        let root = workspace_root(&cwd).unwrap_or_else(|| {
+            panic!(
+                "no workspace root (Cargo.lock beside a [workspace] Cargo.toml) at or above {}",
+                cwd.display()
+            )
+        });
+        Self::build(scale, Some(root.join("target").join("figaro-cache")))
     }
 
     /// A runner without the on-disk cache (tests).
@@ -730,10 +738,7 @@ impl Runner {
     /// outright.
     fn kernel_suffix(&self) -> String {
         match self.kernel {
-            // The parallel kernel is bit-identical to the event kernel,
-            // so the two share the canonical cache keys — a result
-            // computed by either is valid for both.
-            Kernel::Event | Kernel::Parallel => String::new(),
+            Kernel::Event => String::new(),
             Kernel::Reference => "-refkernel".to_string(),
             // Sampled results depend on the window/skip geometry, so
             // each geometry keys separately.
@@ -855,22 +860,11 @@ impl Runner {
 
     /// A [`SystemConfig::paper`] system with this runner's kernel,
     /// scheduling policy, address mapping and page placement.
-    ///
-    /// While a batch/matrix fan-out is in flight, the parallel kernel's
-    /// intra-run worker threads are capped at 1: the batch already
-    /// saturates the machine with independent runs, and `runs × shards`
-    /// threads would only oversubscribe it. Thread count never affects
-    /// simulated results, so the cap is invisible in every `RunSummary`.
     fn system_config(&self, cores: usize, kind: ConfigKind) -> SystemConfig {
-        let cfg = SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
+        SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
             .with_sched(self.sched)
             .with_mapping(self.map)
-            .with_page_map(self.page_map);
-        if BATCH_ACTIVE.load(Ordering::Relaxed) > 0 {
-            cfg.with_threads(1)
-        } else {
-            cfg
-        }
+            .with_page_map(self.page_map)
     }
 
     /// The process-wide per-cache-file lock: concurrent batch workers
@@ -1172,7 +1166,6 @@ impl Runner {
     ) -> Vec<Vec<RunSummary>> {
         let specs: Vec<(usize, usize)> =
             (0..apps.len()).flat_map(|a| (0..kinds.len()).map(move |k| (a, k))).collect();
-        let _batch = BatchGuard::enter();
         let flat: Vec<RunSummary> = specs
             .into_par_iter()
             .map(|(a, k)| self.run_single(&apps[a], kinds[k].clone()))
@@ -1185,7 +1178,6 @@ impl Runner {
     pub fn run_mix_matrix(&self, mixes: &[Mix], kinds: &[ConfigKind]) -> Vec<Vec<RunSummary>> {
         let specs: Vec<(usize, usize)> =
             (0..mixes.len()).flat_map(|m| (0..kinds.len()).map(move |k| (m, k))).collect();
-        let _batch = BatchGuard::enter();
         let flat: Vec<RunSummary> = specs
             .into_par_iter()
             .map(|(m, k)| self.run_mix(&mixes[m], kinds[k].clone()))
@@ -1202,32 +1194,22 @@ impl Runner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let _batch = BatchGuard::enter();
         (0..n).into_par_iter().map(f).collect::<Vec<_>>()
     }
 }
 
-/// Number of batch/matrix fan-outs currently in flight, process-wide.
-/// Non-zero means the rayon pool is already busy with whole runs, so
-/// [`Runner::system_config`] pins each run's shard-parallel kernel to one
-/// worker thread instead of stacking pools (`runs × shards` threads).
-static BATCH_ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII scope for [`BATCH_ACTIVE`]; drops on unwind too, so a panicking
-/// batch cannot leave later serial runs permanently single-threaded.
-struct BatchGuard;
-
-impl BatchGuard {
-    fn enter() -> Self {
-        BATCH_ACTIVE.fetch_add(1, Ordering::Relaxed);
-        Self
-    }
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        BATCH_ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    }
+/// The cargo workspace containing `start`: the nearest directory at or
+/// above it whose `Cargo.toml` has a `[workspace]` table and which holds
+/// a `Cargo.lock`. Output folders (`target/figaro-cache`, `BENCH_*`
+/// artifacts) resolve against it at run time, so a copy of the
+/// workspace writes into the copy.
+#[must_use]
+pub fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start.ancestors().find_map(|dir| {
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+        let is_workspace = manifest.lines().any(|l| l.trim() == "[workspace]");
+        (is_workspace && dir.join("Cargo.lock").is_file()).then(|| dir.to_path_buf())
+    })
 }
 
 fn config_key(kind: &ConfigKind) -> String {
@@ -1538,6 +1520,32 @@ mod tests {
         );
         let expected = (1_000_000.0 * (apps[0].nonmem_per_mem + 1.0)) as u64;
         assert_eq!(sc.target_insts, Some(expected));
+    }
+
+    #[test]
+    fn workspace_root_finds_the_nearest_locked_workspace() {
+        // outer/            Cargo.toml [workspace] + Cargo.lock  <- root
+        //   member/         Cargo.toml [package], no lock
+        //     src/deep/     start here
+        //   unlocked/       Cargo.toml [workspace], no lock
+        let outer = std::env::temp_dir().join(format!("figaro-ws-root-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&outer);
+        let deep = outer.join("member").join("src").join("deep");
+        fs::create_dir_all(&deep).unwrap();
+        fs::create_dir_all(outer.join("unlocked")).unwrap();
+        fs::write(outer.join("Cargo.toml"), "[workspace]\nmembers = [\"member\"]\n").unwrap();
+        fs::write(outer.join("Cargo.lock"), "").unwrap();
+        fs::write(outer.join("member").join("Cargo.toml"), "[package]\nname = \"m\"\n").unwrap();
+        fs::write(outer.join("unlocked").join("Cargo.toml"), "[workspace]\n").unwrap();
+
+        assert_eq!(workspace_root(&deep), Some(outer.clone()));
+        assert_eq!(workspace_root(&outer), Some(outer.clone()));
+        // A `[workspace]` manifest without a lock file is skipped.
+        assert_eq!(workspace_root(&outer.join("unlocked")), Some(outer.clone()));
+        // `[workspace.package]` alone does not make a workspace root.
+        fs::write(outer.join("Cargo.toml"), "[workspace.package]\nversion = \"1\"\n").unwrap();
+        assert_ne!(workspace_root(&deep), Some(outer.clone()));
+        let _ = fs::remove_dir_all(&outer);
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! [`config_hash`] fingerprints the producing [`SystemConfig`] so a
 //! snapshot only resumes under the configuration that made it — resuming
 //! under anything else would silently produce a run that matches nothing.
-//! The kernel and thread count are normalized out of the hash: all exact
-//! kernels produce bit-identical state, so a snapshot taken under one is
-//! valid under any other (and is what lets a warm snapshot serve a whole
-//! sweep regardless of the kernel each point runs).
+//! The kernel is normalized out of the hash: all exact kernels produce
+//! bit-identical state, so a snapshot taken under one is valid under any
+//! other (and is what lets a warm snapshot serve a whole sweep
+//! regardless of the kernel each point runs).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -58,10 +58,11 @@ pub const FORMAT_VERSION: u64 = 2;
 
 /// Fingerprint of the configuration that may resume a snapshot.
 ///
-/// FNV-1a over the config's `Debug` rendering, with the kernel and
-/// thread count normalized out (exact kernels are bit-identical, and the
-/// parallel kernel's worker count never affects results — see the
-/// kernel-equivalence suite in `system.rs`). A [`Kernel::Sampled`] run
+/// FNV-1a over the config's `Debug` rendering, with the kernel
+/// normalized out (exact kernels are bit-identical — see the
+/// kernel-equivalence suite in `system.rs`) and the ignored `threads`
+/// field zeroed, so hashes match those of snapshots written while it was
+/// still a worker-count knob. A [`Kernel::Sampled`] run
 /// may also *resume* from a warm snapshot — its approximation starts
 /// after the exact warmup — but snapshots are only ever *written* by
 /// exact runs (the runner warms up under the event kernel).
@@ -379,14 +380,59 @@ mod tests {
         );
     }
 
+    /// Two FIGCache-Fast cores on two channels with 4-entry queues, so
+    /// requests park in the per-channel backlogs.
+    fn backlogged_sys() -> System {
+        let traces = ["mcf", "lbm"]
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                generate_trace(&profile_by_name(n).expect("profile"), 8_000, 61 + i as u64)
+            })
+            .collect();
+        let mut cfg = SystemConfig::paper(2, ConfigKind::FigCacheFast);
+        cfg.kernel = Kernel::Event;
+        cfg.channels = 2;
+        cfg.mc.read_queue_cap = 4;
+        cfg.mc.write_queue_cap = 4;
+        cfg.mc.wq_high = 3;
+        cfg.mc.wq_low = 1;
+        cfg.hierarchy.mshrs_per_core = 16;
+        System::new(cfg, traces, &[20_000; 2])
+    }
+
+    #[test]
+    fn backlogged_snapshot_bytes_are_pinned() {
+        // The FGSN byte stream of a mid-run save with parked backlog
+        // requests, pinned so a refactor of the per-channel state cannot
+        // silently change the format (older snapshots must still load).
+        let mut warm = backlogged_sys();
+        let _ = warm.run(10_000);
+        let mut bytes = Vec::new();
+        save_to_writer(&warm, &mut bytes).expect("save");
+        let header = read_header(&mut bytes.as_slice()).expect("header");
+        assert!(
+            header.shards.iter().map(|s| s.backlog).sum::<u64>() > 0,
+            "backlog must be non-empty"
+        );
+        assert_eq!(fnv1a(&bytes), 0xd146_d019_73ad_962c, "FGSN bytes changed");
+
+        let mut resumed = backlogged_sys();
+        restore_from_reader(&mut resumed, &mut bytes.as_slice()).expect("restore");
+        let mut bytes2 = Vec::new();
+        save_to_writer(&resumed, &mut bytes2).expect("re-save");
+        assert_eq!(bytes, bytes2);
+        assert_eq!(resumed.run(u64::MAX), warm.run(u64::MAX));
+    }
+
     #[test]
     fn config_hash_ignores_kernel_and_threads() {
-        let mut a = SystemConfig::paper(2, ConfigKind::FigCacheFast);
-        a.kernel = Kernel::Reference;
-        a.threads = 1;
-        let mut b = a.clone();
-        b.kernel = Kernel::Parallel;
-        b.threads = 8;
+        let a = SystemConfig {
+            kernel: Kernel::Reference,
+            threads: 1,
+            ..SystemConfig::paper(2, ConfigKind::FigCacheFast)
+        };
+        let b = SystemConfig { kernel: Kernel::Event, threads: 8, ..a.clone() };
         assert_eq!(config_hash(&a), config_hash(&b));
 
         let c = SystemConfig::paper(2, ConfigKind::Base);

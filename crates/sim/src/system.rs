@@ -21,30 +21,113 @@
 //! settling a core's skipped cycles late preserves the order of every
 //! cache's LRU stamps (though not their absolute clock values).
 
+use std::collections::VecDeque;
+
 use figaro_cpu::{CacheHierarchy, TraceCore};
 use figaro_dram::AddressMapping;
 use figaro_energy::{DramEnergyModel, SystemActivity, SystemEnergyModel};
-use figaro_memctrl::{Completion, MemoryController};
+use figaro_memctrl::{Completion, MemoryController, Request};
 use figaro_workloads::{PageMapKind, PageMappedSource, PageMapper, Trace, TraceSource};
 
 use crate::config::{Kernel, SystemConfig};
 use crate::metrics::{ChannelStats, RunStats};
-use crate::parallel::ChannelShard;
 use crate::telemetry::{KernelProfile, SimTelemetry, PROF_CORES, PROF_MEMORY};
 
-/// One runnable system: cores + hierarchy + per-channel shards (each a
-/// controller plus its backlog — the ownership unit the parallel kernel
-/// hands to worker threads; the serial kernels walk the same shards in
-/// channel order).
+/// One memory channel: its controller plus the requests routed to it
+/// that the controller had no queue room for yet.
+#[derive(Debug)]
+pub(crate) struct ChannelShard {
+    /// The channel's controller (owns the DRAM channel model and the
+    /// in-DRAM cache engine).
+    pub(crate) mc: MemoryController,
+    /// Requests routed to this channel that the controller had no queue
+    /// room for, in arrival order (drains FIFO as room frees).
+    backlog: VecDeque<Request>,
+}
+
+impl ChannelShard {
+    fn new(mc: MemoryController) -> Self {
+        Self { mc, backlog: VecDeque::new() }
+    }
+
+    /// Parks a routed request at the tail of the backlog.
+    fn push_backlog(&mut self, req: Request) {
+        self.backlog.push_back(req);
+    }
+
+    /// Drains the backlog head-first into the controller while it
+    /// accepts, stamping arrival at `bus`; returns how many requests
+    /// were accepted (the router's `backlog_len` bookkeeping).
+    fn accept_backlog(&mut self, bus: u64) -> usize {
+        let mut accepted = 0;
+        while self.backlog_front_acceptable() {
+            let Some(mut req) = self.backlog.pop_front() else { break };
+            req.arrival = bus;
+            self.mc.enqueue(req, bus);
+            accepted += 1;
+        }
+        accepted
+    }
+
+    /// Whether the backlog's head request would be accepted right now
+    /// (the event kernel's backlog horizon term).
+    fn backlog_front_acceptable(&self) -> bool {
+        self.backlog.front().is_some_and(|f| self.mc.can_accept(f.is_write))
+    }
+
+    /// Appends the channel's live state — the controller plus the parked
+    /// backlog — to a snapshot word stream.
+    fn save_state(&self, out: &mut Vec<u64>) {
+        self.mc.save_state(out);
+        out.push(self.backlog.len() as u64);
+        for req in &self.backlog {
+            out.push(req.id);
+            out.push(req.addr.0);
+            out.push(u64::from(req.is_write));
+            out.push(u64::from(req.core));
+            out.push(req.arrival);
+        }
+    }
+
+    /// Restores state saved by [`ChannelShard::save_state`]; returns the
+    /// restored backlog length (the router's global bookkeeping).
+    fn load_state(&mut self, src: &mut &[u64]) -> usize {
+        self.mc.load_state(src);
+        let n = crate::take(src) as usize;
+        self.backlog.clear();
+        for _ in 0..n {
+            let id = crate::take(src);
+            let addr = figaro_dram::PhysAddr(crate::take(src));
+            let is_write = crate::take(src) != 0;
+            let core = crate::take(src) as u8;
+            let arrival = crate::take(src);
+            self.push_backlog(Request { id, addr, is_write, core, arrival });
+        }
+        n
+    }
+
+    /// (queued reads, queued writes, backlogged requests) — the `diag
+    /// snapshot` occupancy summary.
+    pub(crate) fn occupancy(&self) -> (u64, u64, u64) {
+        (
+            self.mc.read_queue_len() as u64,
+            self.mc.write_queue_len() as u64,
+            self.backlog.len() as u64,
+        )
+    }
+}
+
+/// One runnable system: cores + hierarchy + one [`ChannelShard`] per
+/// memory channel, walked in channel order.
 #[derive(Debug)]
 pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) cores: Vec<TraceCore>,
     pub(crate) hierarchy: CacheHierarchy,
     pub(crate) shards: Vec<ChannelShard>,
-    pub(crate) mapping: AddressMapping,
-    /// Total entries across the shard backlogs (early-out for the serial
-    /// router; the parallel kernel tracks per-shard state instead).
+    mapping: AddressMapping,
+    /// Total entries across the shard backlogs (early-out for the
+    /// router).
     backlog_len: usize,
     /// Reused completion scratch buffer (no per-bus-cycle allocation).
     completion_buf: Vec<Completion>,
@@ -226,7 +309,7 @@ impl System {
     /// when the divisor is a power of two — this is the hot path of both
     /// kernels).
     #[inline]
-    pub(crate) fn bus_boundary(&self, now: u64, per_bus: u64) -> Option<u64> {
+    fn bus_boundary(&self, now: u64, per_bus: u64) -> Option<u64> {
         match self.bus_shift {
             Some(s) => (now & ((1u64 << s) - 1) == 0).then(|| now >> s),
             None => now.is_multiple_of(per_bus).then(|| now / per_bus),
@@ -366,7 +449,6 @@ impl System {
         let stats = match self.cfg.kernel {
             Kernel::Reference => self.run_reference(max_cpu_cycles),
             Kernel::Event => self.run_event(max_cpu_cycles),
-            Kernel::Parallel => self.run_parallel(max_cpu_cycles),
             Kernel::Sampled { window, skip } => self.run_sampled(max_cpu_cycles, window, skip),
         };
         // Lands the final reconciliation sample and writes the merged
@@ -420,13 +502,9 @@ impl System {
         self.hierarchy.load_state(src);
         let n = crate::take(src) as usize;
         assert_eq!(n, self.shards.len(), "snapshot channel-count mismatch");
-        // The shard frontier the catch-up epoch would have left: every bus
-        // cycle at or before the last executed CPU cycle is processed.
-        let per_bus = self.cfg.cpu_cycles_per_bus;
-        let frontier = if self.cpu_cycle == 0 { 0 } else { (self.cpu_cycle - 1) / per_bus + 1 };
         self.backlog_len = 0;
         for sh in &mut self.shards {
-            self.backlog_len += sh.load_state(src, frontier);
+            self.backlog_len += sh.load_state(src);
         }
         self.completion_buf.clear();
     }
@@ -447,7 +525,7 @@ impl System {
     /// per-cycle step as the reference kernel, but only at event cycles,
     /// and tick only the cores due at each; skipped cycles are folded into
     /// the blocked counters.
-    pub(crate) fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
+    fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
         self.run_event_span(max_cpu_cycles);
         self.collect()
     }
@@ -652,7 +730,7 @@ impl System {
         }
     }
 
-    pub(crate) fn collect(&self) -> RunStats {
+    fn collect(&self) -> RunStats {
         let mut mc = figaro_memctrl::McStats::default();
         let mut dram = figaro_dram::DramStats::default();
         let mut cache = figaro_core::CacheStats::default();
@@ -766,117 +844,6 @@ mod tests {
         }
     }
 
-    fn run_parallel_threads(
-        kind: ConfigKind,
-        threads: usize,
-        cores: usize,
-        insts: u64,
-    ) -> RunStats {
-        let apps = ["mcf", "lbm", "zeusmp", "libquantum"];
-        let traces: Vec<Trace> = (0..cores)
-            .map(|i| {
-                let p = profile_by_name(apps[i % apps.len()]).unwrap();
-                generate_trace(&p, 8_000, 7 + i as u64)
-            })
-            .collect();
-        let cfg = SystemConfig { kernel: Kernel::Parallel, ..SystemConfig::paper(cores, kind) }
-            .with_threads(threads);
-        let mut sys = System::new(cfg, traces, &vec![insts; cores]);
-        sys.run(insts * 400)
-    }
-
-    #[test]
-    fn parallel_kernel_matches_event_multicore_multichannel() {
-        // Same traces/seeds as `run_with_kernel`, so the event run is the
-        // oracle: four channels, one worker thread per shard.
-        for cores in [2usize, 4] {
-            let event = run_with_kernel(ConfigKind::FigCacheFast, Kernel::Event, cores, 12_000);
-            let parallel = run_parallel_threads(ConfigKind::FigCacheFast, 4, cores, 12_000);
-            assert_eq!(event, parallel, "parallel kernel divergence with {cores} cores");
-        }
-    }
-
-    #[test]
-    fn parallel_kernel_is_thread_count_invariant() {
-        // Worker threads are a wall-clock knob only: 1 (inline epochs),
-        // 2 (shards shared), 4 (one each) and 8 (clamped to 4) must all
-        // produce the identical RunStats.
-        let event = run_with_kernel(ConfigKind::FigCacheFast, Kernel::Event, 4, 10_000);
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = run_parallel_threads(ConfigKind::FigCacheFast, threads, 4, 10_000);
-            assert_eq!(event, parallel, "divergence with {threads} worker threads");
-        }
-    }
-
-    #[test]
-    fn parallel_kernel_single_channel_degenerates_to_event() {
-        // One channel: `run_parallel` must fall straight through to the
-        // event kernel (nothing to shard), bit-identically.
-        let event = run_with_kernel(ConfigKind::Base, Kernel::Event, 1, 30_000);
-        let parallel = run_with_kernel(ConfigKind::Base, Kernel::Parallel, 1, 30_000);
-        assert_eq!(event, parallel);
-    }
-
-    #[test]
-    fn parallel_kernel_matches_event_under_backlog_saturation() {
-        // The hardest shape for the lookahead bound: queues shrunk to 4
-        // entries so the per-channel backlog stays pinned, FIGCache
-        // relocation traffic keeping banks pinned/merging, and a
-        // non-power-of-two CPU:bus ratio with a large fill latency.
-        let run = |kernel: Kernel, threads: usize| {
-            let apps = ["mcf", "com", "tigr", "mum"];
-            let traces: Vec<Trace> = apps
-                .iter()
-                .enumerate()
-                .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 8_000, 61 + i as u64))
-                .collect();
-            let mut cfg =
-                SystemConfig { kernel, ..SystemConfig::paper(4, ConfigKind::FigCacheFast) }
-                    .with_threads(threads);
-            cfg.channels = 2; // heavier per-channel contention
-            cfg.mc.read_queue_cap = 4;
-            cfg.mc.write_queue_cap = 4;
-            cfg.mc.wq_high = 3;
-            cfg.mc.wq_low = 1;
-            cfg.hierarchy.mshrs_per_core = 16;
-            cfg.hierarchy.fill_latency = 23;
-            cfg.cpu_cycles_per_bus = 5;
-            let mut sys = System::new(cfg, traces, &[10_000; 4]);
-            sys.run(40_000_000)
-        };
-        let event = run(Kernel::Event, 1);
-        for threads in [1usize, 2, 4] {
-            let parallel = run(Kernel::Parallel, threads);
-            assert_eq!(event, parallel, "divergence under saturation, {threads} threads");
-        }
-        for core in 0..4 {
-            assert_eq!(event.instructions[core], 10_000, "core {core} starved");
-        }
-        assert!(event.mc.enq_reads > 100, "workload must stress the queue");
-    }
-
-    #[test]
-    fn parallel_kernel_matches_event_at_cycle_cap() {
-        // A cap-truncated run must stop at the identical cycle with
-        // identical controller state (the catch-up epoch covers events in
-        // the final skipped stretch).
-        let run = |kernel: Kernel| {
-            let apps = ["mcf", "lbm"];
-            let traces: Vec<Trace> = apps
-                .iter()
-                .map(|n| generate_trace(&profile_by_name(n).unwrap(), 30_000, 9))
-                .collect();
-            let cfg = SystemConfig { kernel, ..SystemConfig::paper(2, ConfigKind::FigCacheFast) }
-                .with_threads(4);
-            let mut sys = System::new(cfg, traces, &[1_000_000; 2]);
-            sys.run(50_000)
-        };
-        let event = run(Kernel::Event);
-        let parallel = run(Kernel::Parallel);
-        assert_eq!(event.cpu_cycles, 50_000);
-        assert_eq!(event, parallel);
-    }
-
     #[test]
     fn event_kernel_matches_reference_at_cycle_cap() {
         // A run truncated by `max_cpu_cycles` must stop at the identical
@@ -974,6 +941,41 @@ mod tests {
         let reference = run(Kernel::Reference);
         let event = run(Kernel::Event);
         assert_eq!(reference, event, "kernel divergence with fill_latency=23, per_bus=5");
+        for core in 0..4 {
+            assert_eq!(reference.instructions[core], 10_000, "core {core} starved");
+        }
+        assert!(reference.mc.enq_reads > 100, "workload must stress the queue");
+    }
+
+    #[test]
+    fn event_kernel_matches_reference_with_saturated_figcache_channels() {
+        // Both backlog paths at once on more than one channel: 4-entry
+        // queues keep both per-channel backlogs pinned, FIGCache
+        // relocation jobs compete with demand traffic, and the CPU:bus
+        // ratio and fill latency are non-default.
+        let run = |kernel: Kernel| {
+            let apps = ["mcf", "com", "tigr", "mum"];
+            let traces: Vec<Trace> = apps
+                .iter()
+                .enumerate()
+                .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 8_000, 61 + i as u64))
+                .collect();
+            let mut cfg =
+                SystemConfig { kernel, ..SystemConfig::paper(4, ConfigKind::FigCacheFast) };
+            cfg.channels = 2;
+            cfg.mc.read_queue_cap = 4;
+            cfg.mc.write_queue_cap = 4;
+            cfg.mc.wq_high = 3;
+            cfg.mc.wq_low = 1;
+            cfg.hierarchy.mshrs_per_core = 16;
+            cfg.hierarchy.fill_latency = 23;
+            cfg.cpu_cycles_per_bus = 5;
+            let mut sys = System::new(cfg, traces, &[10_000; 4]);
+            sys.run(40_000_000)
+        };
+        let reference = run(Kernel::Reference);
+        let event = run(Kernel::Event);
+        assert_eq!(reference, event, "kernel divergence on saturated FIGCache channels");
         for core in 0..4 {
             assert_eq!(reference.instructions[core], 10_000, "core {core} starved");
         }

@@ -62,7 +62,7 @@ pub(crate) struct SimTelemetry {
     series: SeriesSet,
     /// Trace sink, when `FIGARO_TRACE` is set.
     sink: Option<TraceSink>,
-    /// Main-loop trace lane (window/warm/epoch marks); `Some` iff
+    /// Main-loop trace lane (window/warm marks); `Some` iff
     /// `sink` is.
     buf: Option<TraceBuffer>,
 }
@@ -142,14 +142,6 @@ impl SimTelemetry {
             buf.instant(Cat::Warm, "warm_resume", cycle, 0);
         }
     }
-
-    /// Parallel-kernel epoch-barrier instant (muted by the default
-    /// trace filter; opt in with `:epoch` / `:all`).
-    pub(crate) fn epoch_mark(&mut self, cycle: u64) {
-        if let Some(buf) = &mut self.buf {
-            buf.instant(Cat::Epoch, "epoch", cycle, 0);
-        }
-    }
 }
 
 /// Reads every sampled counter from the system, in the exact column
@@ -182,13 +174,9 @@ fn harvest(sys: &System, out: &mut Vec<u64>) {
 #[derive(Debug)]
 pub struct KernelProfile {
     /// Component lap clock: bucket 0 = memory side (bus routing,
-    /// epochs, controllers), bucket 1 = core side (core/hierarchy
-    /// ticks and horizon bookkeeping).
+    /// controllers), bucket 1 = core side (core/hierarchy ticks and
+    /// horizon bookkeeping).
     pub(crate) clock: profile::LapClock,
-    /// Executed bus-boundary epochs (parallel kernel).
-    pub(crate) epochs: u64,
-    /// Per-shard busy time (parallel kernel).
-    pub(crate) shard_timers: profile::ShardTimers,
 }
 
 /// Lap-clock bucket index for the memory half of a step.
@@ -197,12 +185,8 @@ pub(crate) const PROF_MEMORY: usize = 0;
 pub(crate) const PROF_CORES: usize = 1;
 
 impl KernelProfile {
-    pub(crate) fn new(shards: usize) -> Box<Self> {
-        Box::new(Self {
-            clock: profile::LapClock::new(&["memory", "cores"]),
-            epochs: 0,
-            shard_timers: profile::ShardTimers::new(shards),
-        })
+    pub(crate) fn new() -> Box<Self> {
+        Box::new(Self { clock: profile::LapClock::new(&["memory", "cores"]) })
     }
 
     /// Renders the profile as human-readable lines for `diag`.
@@ -214,20 +198,6 @@ impl KernelProfile {
         for b in self.clock.buckets() {
             let pct = b.nanos as f64 * 100.0 / total_ns as f64;
             lines.push(format!("  {:<22}{:>6.1} %  ({} laps)", b.label, pct, b.laps));
-        }
-        if self.epochs > 0 {
-            lines.push(format!("epochs                  {}", self.epochs));
-            lines.push(format!("epochs/sec              {:.0}", self.epochs as f64 / secs));
-            let busy = self.shard_timers.totals();
-            if busy.iter().any(|&n| n > 0) {
-                let list: Vec<String> =
-                    busy.iter().map(|&n| format!("{:.1}ms", n as f64 / 1e6)).collect();
-                lines.push(format!("shard busy              [{}]", list.join(", ")));
-                lines.push(format!(
-                    "shard idle imbalance    {:.1} %",
-                    self.shard_timers.imbalance() * 100.0
-                ));
-            }
         }
         lines
     }
@@ -269,9 +239,7 @@ impl System {
     }
 
     /// Loop-top sampling hook: snapshots a row when `now` has reached
-    /// the sample boundary. The parallel kernel must catch its shards
-    /// up first (see `catch_up_shards`) so the observed state matches
-    /// the serial kernels' cycle-`now` state exactly.
+    /// the sample boundary.
     #[inline]
     pub(crate) fn maybe_sample(&mut self, now: u64) {
         if now >= self.telemetry_next_sample() {
@@ -341,7 +309,7 @@ impl System {
     /// unaffected (the profiler reads no simulation state and no
     /// simulation state reads it).
     pub fn enable_profiling(&mut self) {
-        self.profiler = Some(KernelProfile::new(self.shards.len()));
+        self.profiler = Some(KernelProfile::new());
     }
 
     /// The kernel self-profile collected by the last `run`, if

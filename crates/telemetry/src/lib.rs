@@ -14,7 +14,7 @@
 //!   trace-event JSON loadable in Perfetto (`FIGARO_TRACE=<path>`).
 //! * [`profile`] — the **one sanctioned wall-clock island** (figlint
 //!   FIG001 allowlists exactly this module): kernel self-profiling of
-//!   time-per-component, epochs/sec and parallel-shard imbalance.
+//!   time-per-component.
 //!   Wall-clock readings never feed back into simulation state.
 //!
 //! ## Contract
@@ -25,7 +25,7 @@
 //! the disabled path does no work and allocates nothing. The
 //! `telemetry` integration suite proptests `RunStats` bit-identity
 //! with telemetry on vs. off across all kernels, and byte-identity of
-//! traced output across kernels and worker-thread counts.
+//! traced output across kernels.
 //!
 //! The env knobs (`FIGARO_STATS_INTERVAL`, `FIGARO_TRACE`,
 //! `FIGARO_PROFILE`) are registered as *never-affects-results* in the
@@ -166,9 +166,7 @@ mod tests {
     fn trace_spec_without_filter_keeps_colonless_path() {
         let s = parse_trace_spec("trace.json");
         assert_eq!(s.path, std::path::PathBuf::from("trace.json"));
-        assert!(s.filter.allows("reloc"));
-        // The default filter mutes only the high-volume epoch stream.
-        assert!(!s.filter.allows("epoch"));
+        assert!(s.filter.allows("reloc") && s.filter.allows("warm"));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! determinism lint's token scan meaningful everywhere else.
 
 use std::env;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -18,14 +17,6 @@ use std::time::Instant;
 pub fn profile_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| env::var("FIGARO_PROFILE").is_ok_and(|v| v == "1"))
-}
-
-/// Runs `f` and returns its result plus the elapsed wall time in
-/// nanoseconds.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
 /// One accumulation bucket of a [`LapClock`].
@@ -90,47 +81,6 @@ impl LapClock {
     }
 }
 
-/// Per-shard busy-time accumulators for the parallel kernel, shared
-/// with worker threads (relaxed atomics: the numbers are diagnostics,
-/// never simulation input).
-#[derive(Debug, Default)]
-pub struct ShardTimers {
-    nanos: Vec<AtomicU64>,
-}
-
-impl ShardTimers {
-    /// Timers for `shards` shards.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self { nanos: (0..shards).map(|_| AtomicU64::new(0)).collect() }
-    }
-
-    /// Adds `ns` busy nanoseconds to shard `idx`.
-    pub fn add(&self, idx: usize, ns: u64) {
-        self.nanos[idx].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Busy nanoseconds per shard.
-    #[must_use]
-    pub fn totals(&self) -> Vec<u64> {
-        self.nanos.iter().map(|n| n.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Idle imbalance in `[0, 1]`: `1 - mean/max` of per-shard busy
-    /// time — `0` means perfectly balanced shards, `→1` means one
-    /// shard did all the work while the others idled at the barrier.
-    #[must_use]
-    pub fn imbalance(&self) -> f64 {
-        let totals = self.totals();
-        let max = totals.iter().copied().max().unwrap_or(0);
-        if max == 0 || totals.is_empty() {
-            return 0.0;
-        }
-        let mean = totals.iter().copied().sum::<u64>() as f64 / totals.len() as f64;
-        1.0 - mean / max as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,24 +93,5 @@ mod tests {
         assert_eq!(c.buckets()[0].laps, 1);
         assert_eq!(c.buckets()[1].laps, 1);
         assert!(c.elapsed_ns() >= c.buckets()[0].nanos);
-    }
-
-    #[test]
-    fn shard_imbalance_bounds() {
-        let t = ShardTimers::new(2);
-        assert_eq!(t.imbalance(), 0.0);
-        t.add(0, 100);
-        t.add(1, 100);
-        assert!(t.imbalance().abs() < 1e-12);
-        let skew = ShardTimers::new(2);
-        skew.add(0, 1_000);
-        assert!((skew.imbalance() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timed_returns_result() {
-        let (v, ns) = timed(|| 41 + 1);
-        assert_eq!(v, 42);
-        let _ = ns;
     }
 }

@@ -5,14 +5,13 @@
 //! ## Determinism
 //!
 //! Events carry **simulated** timestamps only. Each controller (shard)
-//! owns its own [`TraceBuffer`], filled in simulated-time order
-//! regardless of which worker thread advances the shard; the writer
-//! merges buffers with a stable sort on `(timestamp, lane, sequence)`,
-//! so the output file is **byte-identical** across worker-thread
-//! counts — and, because every emit site fires at a simulator *state
+//! owns its own [`TraceBuffer`], filled in simulated-time order; the
+//! writer merges buffers with a stable sort on `(timestamp, lane,
+//! sequence)`. Because every emit site fires at a simulator *state
 //! change* (which the kernel-equivalence suite proves happens at the
-//! same cycle under every exact kernel), across the Reference, Event
-//! and Parallel kernels too. The integration suite pins both claims.
+//! same cycle under every exact kernel), the output file is
+//! **byte-identical** across the Reference and Event kernels. The
+//! integration suite pins that claim.
 
 use std::fs;
 use std::io::{self, Write};
@@ -32,14 +31,10 @@ pub enum Cat {
     Window,
     /// Warm-start resume markers.
     Warm,
-    /// Parallel-kernel epoch barriers (high volume — muted by the
-    /// default filter; opt in with `:epoch` or `:all`).
-    Epoch,
 }
 
 /// All categories, in bit order.
-pub const CATEGORIES: [Cat; 6] =
-    [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Window, Cat::Warm, Cat::Epoch];
+pub const CATEGORIES: [Cat; 5] = [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Window, Cat::Warm];
 
 impl Cat {
     /// The category label written to the JSON `cat` field and accepted
@@ -52,7 +47,6 @@ impl Cat {
             Cat::Refresh => "refresh",
             Cat::Window => "window",
             Cat::Warm => "warm",
-            Cat::Epoch => "epoch",
         }
     }
 
@@ -68,15 +62,15 @@ pub struct TraceFilter {
 }
 
 impl Default for TraceFilter {
-    /// Everything except the high-volume [`Cat::Epoch`] stream.
+    /// Every category.
     fn default() -> Self {
-        Self { mask: !Cat::Epoch.bit() }
+        Self { mask: u8::MAX }
     }
 }
 
 impl TraceFilter {
     /// Parses a comma-separated category list (`"reloc,drain"`), or
-    /// `"all"` for every category including `epoch`.
+    /// `"all"` for every category.
     ///
     /// # Panics
     ///
@@ -304,8 +298,7 @@ pub struct MergeSource {
 
 /// Merges lanes and writes Chrome trace-event JSON atomically
 /// (temp file + rename). Events are stably ordered by
-/// `(scaled timestamp, tid, emit order)`, which is independent of
-/// worker threading — the byte-identity anchor.
+/// `(scaled timestamp, tid, emit order)` — the byte-identity anchor.
 ///
 /// Timestamps are written in CPU cycles via the `ts` field (Perfetto
 /// renders them as microseconds; only relative placement matters).
@@ -652,8 +645,9 @@ mod tests {
     #[test]
     fn filter_parse_and_default() {
         let f = TraceFilter::default();
-        assert!(f.allows("reloc") && f.allows("warm") && !f.allows("epoch"));
-        assert!(TraceFilter::parse("all").allows("epoch"));
+        assert!(CATEGORIES.iter().all(|c| f.allows(c.name())));
+        assert_eq!(TraceFilter::parse("all"), f);
+        assert!(!TraceFilter::looks_like_filter("epoch"), "the epoch category is gone");
         let only = TraceFilter::parse("drain");
         assert!(only.allows("drain") && !only.allows("reloc"));
         assert!(TraceFilter::looks_like_filter("reloc,drain"));
@@ -698,7 +692,7 @@ mod tests {
     #[test]
     fn merge_orders_by_time_then_lane() {
         let mut a = TraceBuffer::new(TraceFilter::parse("all"));
-        a.instant(Cat::Epoch, "epoch", 5, 0);
+        a.instant(Cat::Warm, "warm_resume", 5, 0);
         let mut b = TraceBuffer::new(TraceFilter::parse("all"));
         b.instant(Cat::Refresh, "refresh", 3, 0);
         let dir = std::env::temp_dir().join("figaro-telemetry-test");
@@ -713,8 +707,8 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let refresh_at = text.find("refresh").unwrap();
-        let epoch_at = text.find("epoch").unwrap();
-        assert!(refresh_at < epoch_at, "earlier ts must be written first");
+        let warm_at = text.find("warm_resume").unwrap();
+        assert!(refresh_at < warm_at, "earlier ts must be written first");
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,9 +10,8 @@
 //! `RAYON_NUM_THREADS` environment variable when set (same knob as
 //! upstream rayon).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Worker-thread count: `RAYON_NUM_THREADS` if set, else the machine's
 /// available parallelism, always at least 1.
@@ -28,8 +27,8 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
 }
 
-/// Runs `f` over `items` on the worker pool, returning results in input
-/// order. The core primitive every adapter lowers to.
+/// Runs `f` over `items` on scoped worker threads, returning results in
+/// input order. The core primitive every adapter lowers to.
 fn parallel_map_ordered<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -164,210 +163,6 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
-// --- Persistent worker pool (shim-only extension) ---------------------
-//
-// Upstream rayon amortizes thread startup in its global pool; the scoped
-// threads `parallel_map_ordered` spawns per call are fine for
-// coarse-grained batch runs but far too slow for a caller that fans out
-// thousands of small barrier-synchronized jobs (the sharded simulation
-// kernel dispatches one job per executed bus-cycle boundary). This pool
-// keeps its workers alive across jobs: publishing a job is one atomic
-// epoch bump, and workers spin briefly before parking so an idle pool
-// costs no CPU.
-
-/// The job workers run: called once per participant with its index.
-type Task = dyn Fn(usize) + Sync;
-
-/// State shared between the coordinator and the workers.
-struct PoolShared {
-    /// The published task, valid while `pending > 0`.
-    ///
-    /// Written only by the coordinator while no worker can read it
-    /// (between jobs, after `pending` drained to zero) and read by
-    /// workers only after the `Acquire` load of the epoch whose
-    /// `Release` store happened after the write.
-    job: UnsafeCell<Option<*const Task>>,
-    /// Bumped (`Release`) to publish the job in `job`.
-    epoch: AtomicUsize,
-    /// Workers that have not yet finished the current job.
-    pending: AtomicUsize,
-    /// Set (with an epoch bump) to shut the workers down.
-    shutdown: AtomicBool,
-    /// Whether any worker's task panicked during the current job.
-    panicked: AtomicBool,
-}
-
-// SAFETY: the raw task pointer in `job` is only dereferenced under the
-// epoch/pending protocol described on the field; all other fields are
-// atomics.
-unsafe impl Sync for PoolShared {}
-// SAFETY: as above — the pointer is never used outside `run`'s scope.
-unsafe impl Send for PoolShared {}
-
-/// A persistent pool for repeated barrier-synchronized fan-out.
-///
-/// [`WorkerPool::run`] hands the same closure to every participant
-/// (`threads - 1` pool workers plus the calling thread, each with a
-/// distinct index in `0..threads`) and returns when all of them finish —
-/// one barrier per call, no thread spawns. Workers spin briefly waiting
-/// for the next job, then park with a timeout, so a pool between jobs
-/// costs (almost) no CPU; this keeps per-job overhead in the sub-
-/// microsecond range on idle machines while staying fair on
-/// oversubscribed ones.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool").field("threads", &self.threads).finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spin iterations before a waiting worker parks.
-    const SPINS: u32 = 4_096;
-
-    /// Spawns a pool with `threads` total participants (the calling
-    /// thread counts as one, so `threads - 1` OS threads are created;
-    /// `threads <= 1` spawns none and [`WorkerPool::run`] degenerates to
-    /// a plain call).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(PoolShared {
-            job: UnsafeCell::new(None),
-            epoch: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-        });
-        let handles = (0..threads - 1)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker_loop(&shared, idx))
-            })
-            .collect();
-        Self { shared, handles, threads }
-    }
-
-    /// Total participants (pool workers + the calling thread).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn worker_loop(shared: &PoolShared, index: usize) {
-        let mut seen = 0usize;
-        loop {
-            // Wait for a new epoch: spin first (a busy coordinator
-            // publishes the next job within microseconds), then park
-            // with a timeout (the unpark in `run` is best-effort).
-            let mut spins = 0u32;
-            loop {
-                let e = shared.epoch.load(Ordering::Acquire);
-                if e != seen {
-                    seen = e;
-                    break;
-                }
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                if spins < Self::SPINS {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::park_timeout(std::time::Duration::from_micros(100));
-                }
-            }
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            // SAFETY: the epoch `Acquire` above synchronizes with the
-            // `Release` bump in `run`, which stored the pointer first;
-            // the coordinator blocks until `pending` drains, so the
-            // pointee outlives this call.
-            let task = unsafe { (*shared.job.get()).expect("epoch bump published a job") };
-            // SAFETY: as above — valid for the duration of `run`.
-            let task = unsafe { &*task };
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(index))).is_err() {
-                shared.panicked.store(true, Ordering::Relaxed);
-            }
-            shared.pending.fetch_sub(1, Ordering::Release);
-        }
-    }
-
-    /// Runs `task(i)` once for every participant index `i` in
-    /// `0..threads()`, on `threads() - 1` pool workers plus the calling
-    /// thread, and returns when all calls finish. The task partitions
-    /// its work by index (e.g. item `j` goes to index `j % threads()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any participant's `task` call panicked.
-    pub fn run<F: Fn(usize) + Sync>(&self, task: &F) {
-        if self.threads <= 1 {
-            task(0);
-            return;
-        }
-        let shared = &*self.shared;
-        debug_assert_eq!(shared.pending.load(Ordering::Relaxed), 0);
-        let wide: *const (dyn Fn(usize) + Sync) = std::ptr::from_ref(task);
-        // SAFETY: lifetime erasure only — the pointer never outlives
-        // this call (`run` blocks until every worker finished with it).
-        let wide: *const Task = unsafe { std::mem::transmute(wide) };
-        // SAFETY: no worker reads `job` between jobs (`pending == 0`
-        // and the epoch is unchanged); the write below happens-before
-        // the `Release` epoch bump that lets workers load it.
-        unsafe { *shared.job.get() = Some(wide) };
-        shared.pending.store(self.threads - 1, Ordering::Relaxed);
-        shared.epoch.fetch_add(1, Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        // The coordinator is participant `threads - 1`.
-        let caller = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            task(self.threads - 1);
-        }));
-        // Wait for the workers (Acquire pairs with their Release
-        // decrement, publishing their writes to shared data).
-        let mut spins = 0u32;
-        while shared.pending.load(Ordering::Acquire) != 0 {
-            if spins < Self::SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                // Oversubscribed machine: let the workers run.
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: all workers are done with the pointer.
-        unsafe { *shared.job.get() = None };
-        if shared.panicked.swap(false, Ordering::Relaxed) {
-            panic!("worker pool task panicked");
-        }
-        if let Err(p) = caller {
-            std::panic::resume_unwind(p);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        // The epoch bump wakes spinners; unpark wakes parked workers.
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -399,62 +194,5 @@ mod tests {
     fn empty_input_is_fine() {
         let v: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x).collect::<Vec<_>>();
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn worker_pool_runs_every_index_per_job() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = crate::WorkerPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        let sum = AtomicU64::new(0);
-        for round in 0..200u64 {
-            pool.run(&|i| {
-                sum.fetch_add(round * 4 + i as u64, Ordering::Relaxed);
-            });
-        }
-        // Each round adds 4*round + (0+1+2+3).
-        let expect: u64 = (0..200u64).map(|r| 4 * r * 4 + 6).sum();
-        assert_eq!(sum.load(Ordering::Relaxed), expect);
-    }
-
-    #[test]
-    fn worker_pool_single_thread_degenerates_to_a_call() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = crate::WorkerPool::new(1);
-        let hits = AtomicU64::new(0);
-        pool.run(&|i| {
-            assert_eq!(i, 0);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn worker_pool_disjoint_mutation_by_index() {
-        // The intended usage shape: each participant owns the slice
-        // elements congruent to its index.
-        struct Cells(*mut u64, usize);
-        unsafe impl Sync for Cells {}
-        let threads = 3;
-        let pool = crate::WorkerPool::new(threads);
-        let n = 64;
-        let mut data = vec![0u64; n];
-        let cells = Cells(data.as_mut_ptr(), n);
-        let cells = &cells; // capture the Sync wrapper, not its raw fields
-        for _ in 0..50 {
-            pool.run(&|idx| {
-                let mut j = idx;
-                while j < cells.1 {
-                    // SAFETY: index classes are disjoint across
-                    // participants.
-                    unsafe { *cells.0.add(j) += j as u64 };
-                    j += threads;
-                }
-            });
-        }
-        drop(pool);
-        for (j, v) in data.iter().enumerate() {
-            assert_eq!(*v, 50 * j as u64);
-        }
     }
 }

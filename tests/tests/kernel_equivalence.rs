@@ -136,8 +136,7 @@ fn run_dirty_victim_unblock(kernel: Kernel, u: usize) -> RunStats {
         ops.reverse();
     }
     let traces = ops.into_iter().map(|ops| Trace { name: "dirty-victim".into(), ops }).collect();
-    let mut cfg =
-        SystemConfig { kernel, ..SystemConfig::paper(2, ConfigKind::Base) }.with_threads(1);
+    let mut cfg = SystemConfig { kernel, ..SystemConfig::paper(2, ConfigKind::Base) };
     cfg.hierarchy.mshrs_per_core = 1;
     cfg.hierarchy.l1 = CacheParams { size_bytes: 256, ways: 1, block_bytes: 64, latency: 1 };
     cfg.hierarchy.l2 = CacheParams { size_bytes: 512, ways: 1, block_bytes: 64, latency: 2 };
@@ -153,8 +152,6 @@ fn core_unblocked_by_another_cores_dirty_victim_matches_reference() {
         let reference = run_dirty_victim_unblock(Kernel::Reference, u);
         let event = run_dirty_victim_unblock(Kernel::Event, u);
         assert_eq!(reference, event, "event kernel diverged with the stalled core at index {u}");
-        let parallel = run_dirty_victim_unblock(Kernel::Parallel, u);
-        assert_eq!(reference, parallel, "parallel kernel diverged with the stalled core at {u}");
         // Blocks 8, 1<<18 + 1 and 3<<18 + 3 miss; block 0 hits the victim.
         let u_misses = reference.hierarchy.llc_misses_per_core[u];
         assert_eq!(u_misses, 3, "the scenario no longer unblocks core {u} by a dirty victim");

@@ -8,10 +8,7 @@
 //!    `cargo run --release --example golden_digest`).
 //! 2. **Policy × kernel equivalence**: every scheduling policy keeps the
 //!    event kernel bit-identical to the per-cycle reference.
-//! 3. **Flat-scan equivalence**: the pre-refactor flat scans (kept as
-//!    the `sched_sweep` wall-clock baseline) pick the same commands as
-//!    the indexed scans, end to end.
-//! 4. **Runner plumbing**: scenario-level policy overrides really reach
+//! 3. **Runner plumbing**: scenario-level policy overrides really reach
 //!    the controller and never share cache entries with the default.
 
 use proptest::prelude::*;
@@ -137,35 +134,6 @@ fn frfcfs_reproduces_the_seed_on_write_draining_runs() {
             kind.label()
         );
     }
-}
-
-#[test]
-fn flat_scan_matches_indexed_queues_end_to_end() {
-    // The flat-scan baseline must be behaviorally invisible: identical
-    // RunStats on a backlog-saturated multi-core FIGCache system (the
-    // shape whose queue scans the indexes accelerate).
-    let run = |flat_scan: bool| {
-        let apps = ["mcf", "com", "tigr", "mum"];
-        let traces: Vec<Trace> = apps
-            .iter()
-            .enumerate()
-            .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 8_000, 31 + i as u64))
-            .collect();
-        let mut cfg = SystemConfig::paper(4, ConfigKind::FigCacheFast);
-        cfg.channels = 1; // every request contends for one controller
-        cfg.mc.read_queue_cap = 4;
-        cfg.mc.write_queue_cap = 4;
-        cfg.mc.wq_high = 3;
-        cfg.mc.wq_low = 1;
-        cfg.mc.flat_scan = flat_scan;
-        cfg.hierarchy.mshrs_per_core = 16;
-        let mut sys = System::new(cfg, traces, &[10_000; 4]);
-        sys.run(40_000_000)
-    };
-    let indexed = run(false);
-    let flat = run(true);
-    assert_eq!(indexed, flat, "flat-scan baseline diverged from the indexed queues");
-    assert!(indexed.mc.enq_reads > 100, "workload must stress the queue");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //!    telemetry on vs. off, under every kernel (including the sampled
 //!    kernel, whose skip horizon the sampler clamps).
 //! 2. **Trace determinism** — the Chrome trace file is byte-identical
-//!    across the exact kernels and across parallel worker counts.
+//!    across the exact kernels.
 //! 3. **Exact reconciliation** — every delta column's running total
 //!    equals the corresponding end-of-run aggregate counter, exactly.
 //! 4. **Well-formedness** — the emitted JSON parses as a Chrome
@@ -31,14 +31,7 @@ fn trace_path(tag: &str) -> PathBuf {
 }
 
 /// Builds the standard tiny system for `(seed, cores, channels)`.
-fn system(
-    seed: u64,
-    cores: usize,
-    channels: u32,
-    kind: &ConfigKind,
-    kernel: Kernel,
-    threads: usize,
-) -> System {
+fn system(seed: u64, cores: usize, channels: u32, kind: &ConfigKind, kernel: Kernel) -> System {
     let profiles = app_profiles();
     let traces: Vec<Trace> = (0..cores)
         .map(|i| {
@@ -46,9 +39,8 @@ fn system(
             generate_trace(p, 6_000, seed ^ (i as u64).wrapping_mul(0x9e37_79b9))
         })
         .collect();
-    let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) }
-        .with_channels(channels)
-        .with_threads(threads);
+    let cfg =
+        SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) }.with_channels(channels);
     System::new(cfg, traces, &vec![INSTS; cores])
 }
 
@@ -58,10 +50,9 @@ fn run_telemetered(
     seed: u64,
     kind: &ConfigKind,
     kernel: Kernel,
-    threads: usize,
     tcfg: &TelemetryConfig,
 ) -> (RunStats, Option<SeriesSet>) {
-    let mut sys = system(seed, 2, 4, kind, kernel, threads);
+    let mut sys = system(seed, 2, 4, kind, kernel);
     sys.set_telemetry(tcfg);
     let stats = sys.run(INSTS * 400);
     let series = sys.telemetry_series().cloned();
@@ -69,32 +60,21 @@ fn run_telemetered(
 }
 
 /// The kernels the neutrality property quantifies over.
-fn kernels() -> [Kernel; 4] {
-    [
-        Kernel::Reference,
-        Kernel::Event,
-        Kernel::Parallel,
-        Kernel::Sampled { window: 30_000, skip: 50_000 },
-    ]
+fn kernels() -> [Kernel; 3] {
+    [Kernel::Reference, Kernel::Event, Kernel::Sampled { window: 30_000, skip: 50_000 }]
 }
 
 #[test]
 fn telemetry_on_equals_off_under_every_kernel() {
     for (k, kernel) in kernels().into_iter().enumerate() {
-        let threads = if matches!(kernel, Kernel::Parallel) { 4 } else { 1 };
-        let (off, _) = run_telemetered(
-            11,
-            &ConfigKind::FigCacheFast,
-            kernel,
-            threads,
-            &TelemetryConfig::off(),
-        );
+        let (off, _) =
+            run_telemetered(11, &ConfigKind::FigCacheFast, kernel, &TelemetryConfig::off());
         let path = trace_path(&format!("neutrality-{k}"));
         let on_cfg = TelemetryConfig {
             interval: Some(INTERVAL),
             trace: Some(parse_trace_spec(&format!("{}:all", path.display()))),
         };
-        let (on, _) = run_telemetered(11, &ConfigKind::FigCacheFast, kernel, threads, &on_cfg);
+        let (on, _) = run_telemetered(11, &ConfigKind::FigCacheFast, kernel, &on_cfg);
         assert_eq!(off, on, "telemetry perturbed RunStats under {kernel:?}");
         assert!(path.exists(), "traced run left no file under {kernel:?}");
         let _ = std::fs::remove_file(&path);
@@ -102,21 +82,17 @@ fn telemetry_on_equals_off_under_every_kernel() {
 }
 
 #[test]
-fn trace_bytes_identical_across_kernels_and_thread_counts() {
-    // The serial event kernel, the sharded kernel inline, and the
-    // sharded kernel on four workers must serialize the same story —
-    // with the epoch stream muted (the default filter), since epoch
-    // barriers are a parallel-kernel artifact, not simulated history.
+fn trace_bytes_identical_across_exact_kernels() {
+    // The per-cycle reference and the event kernel must serialize the
+    // same story.
     let mut blobs = Vec::new();
-    for (tag, kernel, threads) in
-        [("event", Kernel::Event, 1), ("par1", Kernel::Parallel, 1), ("par4", Kernel::Parallel, 4)]
-    {
+    for (tag, kernel) in [("event", Kernel::Event), ("reference", Kernel::Reference)] {
         let path = trace_path(&format!("bytes-{tag}"));
         let cfg = TelemetryConfig {
             interval: Some(INTERVAL),
             trace: Some(parse_trace_spec(&path.display().to_string())),
         };
-        let (_, _) = run_telemetered(7, &ConfigKind::FigCacheFast, kernel, threads, &cfg);
+        let (_, _) = run_telemetered(7, &ConfigKind::FigCacheFast, kernel, &cfg);
         blobs.push((tag, std::fs::read(&path).expect("trace file")));
         let _ = std::fs::remove_file(&path);
     }
@@ -131,7 +107,7 @@ fn trace_bytes_identical_across_kernels_and_thread_counts() {
 fn interval_series_reconciles_exactly_with_run_stats() {
     // Interval-only config (no sink), so the series survives the run.
     let cfg = TelemetryConfig { interval: Some(INTERVAL), trace: None };
-    let (stats, series) = run_telemetered(5, &ConfigKind::FigCacheFast, Kernel::Event, 1, &cfg);
+    let (stats, series) = run_telemetered(5, &ConfigKind::FigCacheFast, Kernel::Event, &cfg);
     let series = series.expect("series collected");
     assert!(series.len() > 1, "want several samples, got {}", series.len());
     assert_eq!(series.cycles.back(), Some(&stats.cpu_cycles), "final flush sample missing");
@@ -172,12 +148,8 @@ fn interval_series_reconciles_exactly_with_run_stats() {
 fn interval_series_is_identical_across_exact_kernels() {
     let cfg = TelemetryConfig { interval: Some(INTERVAL), trace: None };
     let mut csvs = Vec::new();
-    for (tag, kernel, threads) in [
-        ("reference", Kernel::Reference, 1),
-        ("event", Kernel::Event, 1),
-        ("par4", Kernel::Parallel, 4),
-    ] {
-        let (_, series) = run_telemetered(9, &ConfigKind::FigCacheFast, kernel, threads, &cfg);
+    for (tag, kernel) in [("reference", Kernel::Reference), ("event", Kernel::Event)] {
+        let (_, series) = run_telemetered(9, &ConfigKind::FigCacheFast, kernel, &cfg);
         csvs.push((tag, series.expect("series").to_csv()));
     }
     let (base_tag, base) = &csvs[0];
@@ -194,13 +166,13 @@ fn chrome_trace_is_well_formed_and_balanced() {
         interval: None,
         trace: Some(parse_trace_spec(&format!("{}:all", path.display()))),
     };
-    let (stats, _) = run_telemetered(3, &ConfigKind::FigCacheFast, Kernel::Parallel, 4, &cfg);
+    let (stats, _) = run_telemetered(3, &ConfigKind::FigCacheFast, Kernel::Event, &cfg);
     let sum = figaro_telemetry::trace::summarize_file(&path).expect("valid Chrome trace JSON");
     let _ = std::fs::remove_file(&path);
     assert!(sum.events > 0, "empty trace");
     assert!(sum.balanced(), "unbalanced span events");
     assert!(sum.complete > 0, "no complete (span) events — relocation/drain history missing");
-    assert!(sum.instant > 0, "no instant events — refresh/epoch marks missing");
+    assert!(sum.instant > 0, "no instant events — refresh marks missing");
     assert!(
         sum.max_ts <= stats.cpu_cycles,
         "event stamped past the end of the run: {} > {}",
@@ -221,18 +193,17 @@ proptest! {
     fn telemetry_never_perturbs_run_stats(
         seed in 0u64..1_000_000,
         kind_idx in 0usize..2,
-        kernel_idx in 0usize..4,
+        kernel_idx in 0usize..3,
     ) {
         let kind = if kind_idx == 0 { ConfigKind::Base } else { ConfigKind::FigCacheFast };
         let kernel = kernels()[kernel_idx];
-        let threads = if matches!(kernel, Kernel::Parallel) { 4 } else { 1 };
-        let (off, _) = run_telemetered(seed, &kind, kernel, threads, &TelemetryConfig::off());
+        let (off, _) = run_telemetered(seed, &kind, kernel, &TelemetryConfig::off());
         let path = trace_path(&format!("prop-{seed}-{kind_idx}-{kernel_idx}"));
         let cfg = TelemetryConfig {
             interval: Some(INTERVAL),
             trace: Some(parse_trace_spec(&path.display().to_string())),
         };
-        let (on, _) = run_telemetered(seed, &kind, kernel, threads, &cfg);
+        let (on, _) = run_telemetered(seed, &kind, kernel, &cfg);
         let _ = std::fs::remove_file(&path);
         prop_assert_eq!(
             &off, &on,
