@@ -419,6 +419,17 @@ impl DramChannel {
     /// returned cycle stays valid until the next [`DramChannel::issue`] on
     /// the channel — this is what lets an event-driven scheduler sleep
     /// until the horizon instead of re-polling every cycle.
+    ///
+    /// **Lemma (other banks only move later).** Issuing a bank-scoped
+    /// command (anything but `Refresh`/`PrechargeAll`) on bank `X` never
+    /// lowers the answer for any other bank `Y` and command, and never
+    /// turns a `None` for `Y` into `Some`: `X`'s issue changes `Y`'s
+    /// legality inputs (open row, pin, must-precharge) not at all, and
+    /// every rank- and bank-group register it touches (tRRD, tFAW,
+    /// tCCD, tWTR, turnaround) is updated with `max`. So an answer for `Y`
+    /// stays a valid lower bound across issues on other banks, and exact
+    /// across none — the memory controller's per-bank horizon memo rests
+    /// on this (property-tested below on random legal command streams).
     #[must_use]
     pub fn next_ready(&self, b: BankAddr, cmd: &DramCommand, from: Cycle) -> Option<Cycle> {
         let e = self.earliest_issue(b, cmd, from);
@@ -1091,6 +1102,118 @@ mod tests {
         let rd = DramCommand::Read { col: 0, auto_pre: false };
         assert_eq!(c.earliest_issue(bank0(), &rd, 0), 6); // fast tRCD
         assert_eq!(c.earliest_issue(bank0(), &DramCommand::Precharge, 0), 11); // fast tRAS
+    }
+
+    /// Every per-bank command class, with parameters spanning pinned and
+    /// unpinned subarrays of `layout` (slow and fast rows alike).
+    fn probe_commands(layout: &SubarrayLayout) -> Vec<DramCommand> {
+        let fast = layout.fast_row_base(0);
+        let rows = [3, 5 * 512 + 1, 9 * 512, fast, fast + 1];
+        let mut cmds = vec![
+            DramCommand::Precharge,
+            DramCommand::Read { col: 0, auto_pre: false },
+            DramCommand::Write { col: 0, auto_pre: false },
+            DramCommand::LisaClone { src_row: 3, dst_row: fast },
+        ];
+        for row in rows {
+            let dst_subarray = layout.subarray_id(row);
+            cmds.push(DramCommand::Activate { row });
+            cmds.push(DramCommand::ActivateMerge { row });
+            cmds.push(DramCommand::Reloc { src_col: 0, dst_subarray, dst_col: 0 });
+            cmds.push(DramCommand::RelocBurst { src_col: 0, dst_subarray, dst_col: 0, count: 4 });
+        }
+        cmds
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The lemma on [`DramChannel::next_ready`]: on a 2-rank FIGARO
+        /// layout, issuing a bank-scoped command on bank `X` never moves
+        /// another bank's earliest issue time earlier, and never makes an
+        /// illegal command legal. Rank-scoped `Refresh`/`PrechargeAll`
+        /// are issued (they shape the state) but not probed.
+        #[test]
+        fn issuing_on_one_bank_never_advances_another(
+            steps in proptest::collection::vec((0u8..6, 0u8..10, 0u32..u32::MAX, 0u8..12), 40..160)
+        ) {
+            let cfg = DramConfig {
+                geometry: crate::DramGeometry { ranks: 2, ..crate::DramGeometry::paper_default() },
+                layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
+                ..DramConfig::ddr4_paper_default()
+            };
+            let g = cfg.geometry;
+            let layout = cfg.layout;
+            let mut c = DramChannel::new(&cfg);
+            let probes = probe_commands(&layout);
+            let banks: Vec<BankAddr> =
+                (0..g.banks_per_channel()).map(|f| BankAddr::from_flat(f, &g)).collect();
+            // Issuing banks: both ranks, shared and separate bank groups.
+            let actors = [0u32, 1, 4, 16, 17, 21].map(|f| banks[f as usize]);
+            let earliest = |c: &DramChannel| -> Vec<Cycle> {
+                banks.iter().flat_map(|&b| probes.iter().map(move |p| c.earliest_issue(b, p, 0))).collect()
+            };
+            let mut now: Cycle = 0;
+            let mut issued = [0usize; 2];
+            for (pick, kind, param, gap) in steps {
+                now += Cycle::from(gap);
+                let x = actors[pick as usize];
+                let bank = &c.banks[c.bank_index(x)];
+                let row = param % layout.total_rows();
+                let subarrays = layout.regular_subarrays + layout.fast_count();
+                let dst_subarray = bank.pinned.map_or(param % subarrays, |p| p.dst_subarray);
+                let cmd = match kind {
+                    0 => DramCommand::Activate { row },
+                    1 => DramCommand::Precharge,
+                    2 => DramCommand::Read { col: param % 128, auto_pre: param % 7 == 0 },
+                    3 => DramCommand::Write { col: param % 128, auto_pre: param % 7 == 0 },
+                    4 => DramCommand::Reloc { src_col: param % 128, dst_subarray, dst_col: param % 64 },
+                    5 => DramCommand::RelocBurst { src_col: 0, dst_subarray, dst_col: 0, count: 1 + param % 8 },
+                    6 => {
+                        let dst = bank.pinned.map_or(0, |p| p.dst_subarray);
+                        let base = if dst < layout.regular_subarrays {
+                            dst * layout.rows_per_subarray
+                        } else {
+                            layout.fast_row_base(dst - layout.regular_subarrays)
+                        };
+                        DramCommand::ActivateMerge { row: base + param % layout.fast_rows_each() }
+                    }
+                    7 => DramCommand::LisaClone { src_row: row % 512, dst_row: layout.fast_row_base(0) },
+                    8 => DramCommand::Refresh,
+                    // Rarely: closing a whole rank erases most of the state.
+                    _ if param % 4 == 0 => DramCommand::PrechargeAll,
+                    _ => DramCommand::Activate { row: row % 512 },
+                };
+                let at = c.earliest_issue(x, &cmd, now);
+                if at == ILLEGAL {
+                    continue;
+                }
+                now = at;
+                let rank_scoped = matches!(cmd, DramCommand::Refresh | DramCommand::PrechargeAll);
+                let before = earliest(&c);
+                c.issue(x, &cmd, now);
+                issued[usize::from(rank_scoped)] += 1;
+                if rank_scoped {
+                    continue;
+                }
+                let after = earliest(&c);
+                for (i, (&b0, &b1)) in before.iter().zip(&after).enumerate() {
+                    let (y, p) = (banks[i / probes.len()], probes[i % probes.len()]);
+                    if y == x {
+                        continue;
+                    }
+                    proptest::prop_assert!(
+                        b0 != ILLEGAL || b1 == ILLEGAL,
+                        "{cmd:?} on {x:?} made {p:?} on {y:?} legal"
+                    );
+                    proptest::prop_assert!(
+                        b1 >= b0,
+                        "{cmd:?} on {x:?} moved {p:?} on {y:?} from {b0} to {b1}"
+                    );
+                }
+            }
+            proptest::prop_assert!(issued[0] > 0, "the stream must issue bank-scoped commands");
+        }
     }
 
     #[test]

@@ -4,19 +4,33 @@
 //! Demand scheduling itself is delegated to the pluggable
 //! [`SchedPolicy`](crate::scheduler::SchedPolicy) selected by
 //! [`McConfig::sched`]; queue storage is the per-bank
-//! [`IndexedQueue`](crate::queues::IndexedQueue); per-bank state (job
-//! slots, horizon scratch) lives in [`BankState`](crate::bank::BankState).
+//! [`IndexedQueue`](crate::queues::IndexedQueue); per-bank state lives
+//! in [`BankState`](crate::bank::BankState) (job slots) and
+//! [`BankMemo`](crate::bank::BankMemo) (the memoized summary).
+//!
+//! One memoized [`BankSummary`](crate::bank::BankSummary) per bank
+//! drives both halves of the controller: the tick's demand picks read
+//! the summaries (one fresh timing probe per candidate bank, no entry
+//! walk), and the event horizon is the minimum of the banks' memoized
+//! terms. Every site that changes what a summary depends on marks the
+//! bank dirty (`mark_dirty`/`dirty_all`, see the [`crate::bank`] docs
+//! for the rules), and a dirty bank is rebuilt on its next read. A
+//! stale term stays a lower bound (the lemma on
+//! [`DramChannel::next_ready`]), so the horizon re-probes a stale bank
+//! only while it holds the minimum and equals a full scan; debug builds
+//! assert both that and that every summary a tick reads equals a fresh
+//! build.
 
 use figaro_core::{CacheEngine, CacheStats, RowHammerMonitor};
 use figaro_dram::{
     AddressMapping, BankAddr, Cycle, DramChannel, DramCommand, DramConfig, DramStats, MapKind,
 };
 
-use crate::bank::BankState;
+use crate::bank::{BankMemo, BankState, BankSummary, UNPROBED};
 use crate::histogram::LatencyHistogram;
 use crate::queues::{Entry, IndexedQueue};
 use crate::request::{Completion, Request};
-use crate::scheduler::{self, PrepAction, SchedPolicy, SchedPolicyKind};
+use crate::scheduler::{self, SchedPolicy, SchedPolicyKind};
 
 /// Whether the `FIGARO_FREE_RELOC` debug ablation is active. Read once
 /// per process (the controller consults it on the tick hot path and the
@@ -178,12 +192,22 @@ pub struct MemoryController {
     next_refresh: Cycle,
     refresh_pending: bool,
     banks: Vec<BankState>,
+    /// Per-bank memoized summaries and horizon terms, indexed like
+    /// `banks`.
+    memo: Vec<BankMemo>,
+    /// The banks whose memo is dirty, so a rebuild visits only them.
+    dirty: Vec<u32>,
+    /// Which queue the bank summaries describe (`true` = writes).
+    summary_writes: bool,
+    /// DRAM commands issued so far: a bank's horizon term is exact when
+    /// probed at the current count, a lower bound otherwise.
+    issues: u64,
     completions: Vec<Completion>,
     stats: McStats,
     monitor: Option<RowHammerMonitor>,
     /// Memoized event horizon (`None` = stale). Invalidated by every
-    /// [`MemoryController::tick`]; [`MemoryController::enqueue`] updates
-    /// it incrementally instead of recomputing the full scan.
+    /// [`MemoryController::tick`] and [`MemoryController::enqueue`]; a
+    /// recompute only rebuilds dirty banks and re-probes stale minima.
     horizon: Option<Option<Cycle>>,
     /// Event-trace sink (`FIGARO_TRACE`): job/drain spans and refresh
     /// instants, stamped in bus cycles. Result-neutral — never
@@ -220,6 +244,10 @@ impl MemoryController {
             next_refresh: Cycle::from(dram.timing.refi),
             refresh_pending: false,
             banks: (0..banks as u32).map(|f| BankState::new(f, &dram.geometry)).collect(),
+            memo: vec![BankMemo::default(); banks],
+            dirty: (0..banks as u32).collect(),
+            summary_writes: false,
+            issues: 0,
             completions: Vec::new(),
             stats: McStats::default(),
             monitor: cfg.activation_window.map(RowHammerMonitor::new),
@@ -274,6 +302,10 @@ impl MemoryController {
         let flat = bank.flat_bank(self.mapping.geometry());
         let open = self.channel.open_row(bank);
         let target = self.engine.on_request(flat, loc.row, loc.col, req.is_write, open, now);
+        // The bank gains an entry, or (forwarded read) the engine consult
+        // may have scheduled a job on it.
+        self.mark_dirty(flat);
+        self.horizon = None;
         let entry = Entry {
             req,
             bank,
@@ -288,7 +320,6 @@ impl MemoryController {
             self.write_q.push_back(entry);
             self.stats.write_q_peak = self.stats.write_q_peak.max(self.write_q.len() as u64);
             figaro_telemetry::probe!(self.trace, t => t.drain_update(now, self.write_q.len(), self.wq_high, self.wq_low));
-            self.horizon_note_enqueue(&entry, now, true);
         } else {
             self.stats.enq_reads += 1;
             // Read-around-write forwarding: a queued write to the same
@@ -311,15 +342,10 @@ impl MemoryController {
                     addr: req.addr,
                     core: req.core,
                 });
-                // No queue/timing change, but the engine consult may have
-                // scheduled a job; the completion itself is surfaced by
-                // `next_event_at`'s drain check.
-                self.horizon_note_enqueue(&entry, now, false);
                 return;
             }
             self.read_q.push_back(entry);
             self.stats.read_q_peak = self.stats.read_q_peak.max(self.read_q.len() as u64);
-            self.horizon_note_enqueue(&entry, now, true);
         }
     }
 
@@ -334,56 +360,6 @@ impl MemoryController {
             self.drain_writes
         };
         drain || (read_len == 0 && write_len > 0)
-    }
-
-    /// Folds a just-enqueued request into the memoized horizon instead of
-    /// invalidating it: the timing state is untouched by an enqueue, so
-    /// existing candidates keep their times and only the new entry (plus a
-    /// possibly just-scheduled relocation job) adds candidates. The added
-    /// candidate is conservative — suppression by same-row entries, job
-    /// setup or the scheduling policy can only defer the real action, and
-    /// a too-early horizon merely costs a no-op tick. A flip of the active
-    /// serve queue changes the candidate set wholesale, so that falls back
-    /// to a recompute.
-    fn horizon_note_enqueue(&mut self, e: &Entry, now: Cycle, queued: bool) {
-        let Some(cached) = self.horizon else { return };
-        let mut cand = Cycle::MAX;
-        // The engine consult may have scheduled a pending relocation job.
-        if self.banks[e.flat_bank as usize].job.is_none()
-            && self.engine.has_pending_job(e.flat_bank)
-        {
-            cand = now;
-        }
-        if queued {
-            let (r, w) = (self.read_q.len(), self.write_q.len());
-            let (r0, w0) = if e.req.is_write { (r, w - 1) } else { (r - 1, w) };
-            if self.effective_serve_writes(r0, w0) != self.effective_serve_writes(r, w) {
-                self.horizon = None;
-                return;
-            }
-            if e.req.is_write == self.effective_serve_writes(r, w) {
-                let open = self.channel.open_row(e.bank);
-                let cmd = if open == Some(e.serve_row) {
-                    scheduler::column_cmd(e)
-                } else if open.is_some() {
-                    DramCommand::Precharge
-                } else {
-                    DramCommand::Activate { row: e.serve_row }
-                };
-                match self.channel.next_ready(e.bank, &cmd, now) {
-                    Some(t) => cand = cand.min(t),
-                    // Illegal for now (pinned subarray, must-precharge):
-                    // recompute lazily.
-                    None => {
-                        self.horizon = None;
-                        return;
-                    }
-                }
-            }
-        }
-        if cand != Cycle::MAX {
-            self.horizon = Some(Some(cached.map_or(cand, |h| h.min(cand))));
-        }
     }
 
     /// Moves all completions into `out` (appended in production order),
@@ -547,6 +523,7 @@ impl MemoryController {
         self.channel.load_state(src);
         self.engine.load_state(src);
         self.policy.load_state(src);
+        self.dirty_all();
         self.horizon = None;
     }
 
@@ -565,7 +542,95 @@ impl MemoryController {
             }
         }
         self.policy.on_issue(flat, cmd);
+        // Rank-scoped commands touch every bank (and a refresh resets
+        // the scheduler's streaks); anything else only its own bank.
+        if matches!(cmd, DramCommand::Refresh | DramCommand::PrechargeAll) {
+            self.dirty_all();
+        } else {
+            self.mark_dirty(flat);
+        }
+        self.issues += 1;
         self.channel.issue(bank, cmd, now).completes_at
+    }
+
+    /// Marks `flat_bank`'s summary for a rebuild on its next read.
+    fn mark_dirty(&mut self, flat_bank: u32) {
+        let memo = &mut self.memo[flat_bank as usize];
+        if !memo.dirty {
+            memo.dirty = true;
+            self.dirty.push(flat_bank);
+        }
+    }
+
+    /// Marks every bank's summary for a rebuild.
+    fn dirty_all(&mut self) {
+        for b in 0..self.banks.len() as u32 {
+            self.mark_dirty(b);
+        }
+    }
+
+    /// Brings every bank summary up to date for the serve queue
+    /// `serve_writes` names: a flip of the serve queue dirties them all,
+    /// then each dirty bank is rebuilt (its term reset to the trivial
+    /// lower bound `0`, unprobed).
+    fn fresh_summaries(&mut self, serve_writes: bool) {
+        if serve_writes != self.summary_writes {
+            self.summary_writes = serve_writes;
+            self.dirty_all();
+        }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &b in &dirty {
+            let summary = self.summarize(b as usize, serve_writes);
+            self.memo[b as usize] =
+                BankMemo { summary, dirty: false, term: 0, probed_at: UNPROBED };
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        #[cfg(debug_assertions)]
+        for b in 0..self.banks.len() {
+            debug_assert_eq!(
+                self.memo[b].summary,
+                self.summarize(b, serve_writes),
+                "bank {b}'s memoized summary is stale"
+            );
+        }
+    }
+
+    /// Builds bank `b`'s summary from scratch.
+    fn summarize(&self, b: usize, serve_writes: bool) -> BankSummary {
+        let st = &self.banks[b];
+        let queue = if serve_writes { &self.write_q } else { &self.read_q };
+        let (column, prep) =
+            scheduler::demand(self.policy.as_ref(), queue, b as u32, st, &self.channel);
+        let (job, now) = match st.job {
+            Some(job) => {
+                let open = self.channel.open_row(st.addr);
+                let cmd = job.peek(open, self.channel.must_precharge(st.addr));
+                // A finished job is retired defensively on the next tick.
+                (cmd, cmd.is_none())
+            }
+            None => (None, self.job_would_start(b as u32)),
+        };
+        BankSummary { column, prep, job, now }
+    }
+
+    /// Whether `start_pending_jobs` would hand `bank` (which has no
+    /// active job) its next pending job. FIGARO relocations pin two
+    /// subarrays but leave the rest of the bank servable, so they start
+    /// eagerly when their source row is open (the paper's "relocate
+    /// while the row serving the miss is open") or as soon as the bank
+    /// has no waiting demand. LISA clones occupy the whole bank, so they
+    /// only start on an idle bank.
+    fn job_would_start(&self, bank: u32) -> bool {
+        if !self.engine.has_pending_job(bank) {
+            return false;
+        }
+        let addr = self.banks[bank as usize].addr;
+        let cheap = self
+            .engine
+            .next_job_source(bank)
+            .is_some_and(|src| self.channel.open_row(addr) == Some(src));
+        cheap || !self.bank_has_demand(bank)
     }
 
     /// Advances the controller by one bus cycle, issuing at most one DRAM
@@ -688,31 +753,26 @@ impl MemoryController {
             // so a refresh-pending controller can never go to sleep forever.
             return Some(best.min(self.refresh_horizon(from)));
         }
-        let any_job = self.banks.iter().any(|b| b.job.is_some());
-        let any_pending = self.engine.has_any_pending_job(self.banks.len() as u32);
-        if self.read_q.is_empty() && self.write_q.is_empty() && !any_job && !any_pending {
-            return (best != Cycle::MAX).then_some(best);
-        }
-        if free_reloc_active() && (any_job || any_pending) {
-            // The debug ablation issues free train steps on every tick.
-            return Some(from);
+        // Job slots and pending jobs only matter here to an idle queue
+        // pair or the free-RELOC ablation; the bank terms cover them
+        // otherwise.
+        let queues_empty = self.read_q.is_empty() && self.write_q.is_empty();
+        if queues_empty || free_reloc_active() {
+            let any_job = self.banks.iter().any(|b| b.job.is_some());
+            let any_pending = self.engine.has_any_pending_job(self.banks.len() as u32);
+            if queues_empty && !any_job && !any_pending {
+                return (best != Cycle::MAX).then_some(best);
+            }
+            if free_reloc_active() && (any_job || any_pending) {
+                // The debug ablation issues free train steps on every tick.
+                return Some(from);
+            }
         }
         // Write-drain hysteresis exactly as the next tick will compute it
         // (queue lengths cannot change between events).
         let serve_writes = self.effective_serve_writes(self.read_q.len(), self.write_q.len());
-        let queue = if serve_writes { &self.write_q } else { &self.read_q };
-        best = best.min(scheduler::queue_horizon(
-            self.policy.as_ref(),
-            queue,
-            &self.banks,
-            &self.channel,
-            from,
-        ));
-        if any_job {
-            best = best.min(self.job_step_horizon(from));
-        }
-        if any_pending {
-            best = best.min(self.pending_start_horizon(from));
+        if let Some(t) = self.banks_horizon(serve_writes) {
+            best = best.min(t.max(from));
         }
         if best == Cycle::MAX {
             // Work is queued but no candidate produced a finite time (every
@@ -724,6 +784,39 @@ impl MemoryController {
             best = from + 1;
         }
         Some(best)
+    }
+
+    /// The minimum of the banks' unclamped horizon terms (`None` when no
+    /// bank has a legal candidate): dirty banks are rebuilt, and a stale
+    /// term is re-probed only while it holds the minimum (stale terms are
+    /// lower bounds, so the first exact minimum is the true one).
+    fn banks_horizon(&mut self, serve_writes: bool) -> Option<Cycle> {
+        self.fresh_summaries(serve_writes);
+        let min = loop {
+            let mut min = (0, Cycle::MAX);
+            for (b, memo) in self.memo.iter().enumerate() {
+                if memo.term < min.1 {
+                    min = (b, memo.term);
+                }
+            }
+            let memo = &mut self.memo[min.0];
+            // `MAX` is exact: an illegal command stays illegal.
+            if min.1 == Cycle::MAX || memo.probed_at == self.issues {
+                break min.1;
+            }
+            memo.term = memo.summary.probe(&self.channel, self.banks[min.0].addr);
+            memo.probed_at = self.issues;
+        };
+        let min = (min != Cycle::MAX).then_some(min);
+        debug_assert_eq!(
+            min,
+            (0..self.banks.len())
+                .map(|b| self.summarize(b, serve_writes).probe(&self.channel, self.banks[b].addr))
+                .filter(|&t| t != Cycle::MAX)
+                .min(),
+            "memoized bank horizon differs from a full scan"
+        );
+        min
     }
 
     /// Event horizon of `progress_refresh`: active-job wind-down first,
@@ -781,26 +874,6 @@ impl MemoryController {
         self.read_q.bank_len(flat_bank) > 0 || self.write_q.bank_len(flat_bank) > 0
     }
 
-    /// `from` when `start_pending_jobs` would hand a pending job to a bank
-    /// on its next opportunity, [`Cycle::MAX`] otherwise (the gating state
-    /// — open rows and queued demand — only changes at events).
-    fn pending_start_horizon(&self, from: Cycle) -> Cycle {
-        for bank_idx in 0..self.banks.len() {
-            if self.banks[bank_idx].job.is_some() || !self.engine.has_pending_job(bank_idx as u32) {
-                continue;
-            }
-            let bank = bank_idx as u32;
-            let cheap = self
-                .engine
-                .next_job_source(bank)
-                .is_some_and(|src| self.channel.open_row(self.banks[bank_idx].addr) == Some(src));
-            if cheap || !self.bank_has_demand(bank) {
-                return from;
-            }
-        }
-        Cycle::MAX
-    }
-
     fn progress_refresh(&mut self, now: Cycle) {
         // Let active jobs finish first (their banks cannot be interrupted).
         if self.banks.iter().any(|b| b.job.is_some()) {
@@ -841,17 +914,23 @@ impl MemoryController {
 
     /// Priority 1: issue the policy's column-command pick, if any.
     fn try_issue_column(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        let queue = if serve_writes { &self.write_q } else { &self.read_q };
-        let Some(id) = scheduler::pick_column(self.policy.as_ref(), queue, &self.channel, now)
+        self.fresh_summaries(serve_writes);
+        let Some(c) =
+            scheduler::oldest_ready(&self.banks, &self.memo, &self.channel, now, |s| s.column)
         else {
             return false;
         };
-        let entry = if serve_writes { self.write_q.remove(id) } else { self.read_q.remove(id) };
+        let queue = if serve_writes { &mut self.write_q } else { &mut self.read_q };
+        let entry = queue.remove(c.id);
+        // Strict FCFS summarizes only the head's bank: the head moved.
+        let head_bank = queue.head_id().map(|h| queue.entry(h).flat_bank);
+        if let Some(b) = head_bank.filter(|_| self.policy.in_order_only()) {
+            self.mark_dirty(b);
+        }
         if serve_writes {
             figaro_telemetry::probe!(self.trace, t => t.drain_update(now, self.write_q.len(), self.wq_high, self.wq_low));
         }
-        let cmd = scheduler::column_cmd(&entry);
-        let done = self.issue(entry.bank, &cmd, now);
+        let done = self.issue(entry.bank, &c.cmd, now);
         self.classify_and_count(&entry);
         if entry.req.is_write {
             self.stats.writes_served += 1;
@@ -909,6 +988,7 @@ impl MemoryController {
 
     fn retire_job(&mut self, bank_idx: usize, now: Cycle) {
         if let Some(job) = self.banks[bank_idx].job.take() {
+            self.mark_dirty(bank_idx as u32);
             self.engine.on_job_complete(bank_idx as u32, job.id, now);
             figaro_telemetry::probe!(self.trace, t => t.job_retire(bank_idx, now));
         }
@@ -916,21 +996,9 @@ impl MemoryController {
 
     fn start_pending_jobs(&mut self, now: Cycle) {
         for bank_idx in 0..self.banks.len() {
-            if self.banks[bank_idx].job.is_some() || !self.engine.has_pending_job(bank_idx as u32) {
-                continue;
-            }
-            // FIGARO relocations pin two subarrays but leave the rest of
-            // the bank servable, so start them eagerly when their source
-            // row is open (the paper's "relocate while the row serving
-            // the miss is open") or as soon as the bank has no waiting
-            // demand. LISA clones occupy the whole bank, so they only
-            // start on an idle bank.
             let bank = bank_idx as u32;
-            let cheap = self
-                .engine
-                .next_job_source(bank)
-                .is_some_and(|src| self.channel.open_row(self.banks[bank_idx].addr) == Some(src));
-            if cheap || !self.bank_has_demand(bank) {
+            if self.banks[bank_idx].job.is_none() && self.job_would_start(bank) {
+                self.mark_dirty(bank);
                 self.banks[bank_idx].job = self.engine.take_job(bank, now);
                 if let Some(job) = &self.banks[bank_idx].job {
                     let id = job.id;
@@ -942,33 +1010,22 @@ impl MemoryController {
 
     /// Priority 3: issue the policy's ACT/PRE pick, if any.
     fn try_issue_demand_prep(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        let decision = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
-            scheduler::pick_prep(self.policy.as_ref(), queue, &self.banks, &self.channel, now)
+        self.fresh_summaries(serve_writes);
+        let Some(c) =
+            scheduler::oldest_ready(&self.banks, &self.memo, &self.channel, now, |s| s.prep)
+        else {
+            return false;
         };
-        match decision {
-            Some(PrepAction::Pre(id)) => {
-                let bank = {
-                    let q = if serve_writes { &mut self.write_q } else { &mut self.read_q };
-                    let e = q.entry_mut(id);
-                    e.saw_conflict = true;
-                    e.bank
-                };
-                self.issue(bank, &DramCommand::Precharge, now);
-                true
-            }
-            Some(PrepAction::Act(id)) => {
-                let (bank, row) = {
-                    let q = if serve_writes { &mut self.write_q } else { &mut self.read_q };
-                    let e = q.entry_mut(id);
-                    e.saw_act = true;
-                    (e.bank, e.serve_row)
-                };
-                self.issue(bank, &DramCommand::Activate { row }, now);
-                true
-            }
-            None => false,
+        let queue = if serve_writes { &mut self.write_q } else { &mut self.read_q };
+        let e = queue.entry_mut(c.id);
+        if c.cmd == DramCommand::Precharge {
+            e.saw_conflict = true;
+        } else {
+            e.saw_act = true;
         }
+        let bank = e.bank;
+        self.issue(bank, &c.cmd, now);
+        true
     }
 }
 
@@ -1401,48 +1458,94 @@ mod tests {
         // cycle, one ticked only when its horizon says so — through a
         // bursty schedule that repeatedly blocks banks (relocation jobs in
         // flight) around the refresh deadline, and require bit-identical
-        // stats plus actual refreshes.
+        // stats plus actual refreshes. Every policy runs it: strict FCFS
+        // moves its head across banks, the row-hit cap resets its streaks
+        // at refresh, and tight write-drain watermarks flip the serve
+        // queue — each a site that must invalidate the per-bank memo.
         let dram = DramConfig {
             layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
             ..DramConfig::ddr4_paper_default()
         };
-        let cfg = McConfig::default();
-        let mk = || {
-            let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
-            MemoryController::new(&dram, cfg, 0, Box::new(engine))
-        };
-        let mut per_cycle = mk();
-        let mut event_paced = mk();
-        let refi = u64::from(dram.timing.refi);
-        let mut id = 0u64;
-        let horizon_end = 3 * refi + 2000;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for t in 0..horizon_end {
-            // Bursts of same-bank conflicts shortly before each refresh
-            // deadline, so jobs and open banks straddle the transition.
-            let phase = t % refi;
-            if phase > refi - 400 && t.is_multiple_of(13) && per_cycle.can_accept(false) {
-                let addr = (id * 12_289) % 8192 * 64;
-                per_cycle.enqueue(read(id, addr, t), t);
-                assert!(event_paced.can_accept(false), "acceptance must agree at {t}");
-                event_paced.enqueue(read(id, addr, t), t);
-                id += 1;
+        let policies = [
+            SchedPolicyKind::FrFcfs,
+            SchedPolicyKind::Fcfs,
+            SchedPolicyKind::FrFcfsCap { cap: 2 },
+            SchedPolicyKind::WriteDrain { high: 4, low: 1 },
+        ];
+        for sched in policies {
+            let cfg = McConfig { sched, ..McConfig::default() };
+            let mk = || {
+                let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
+                MemoryController::new(&dram, cfg, 0, Box::new(engine))
+            };
+            let mut per_cycle = mk();
+            let mut event_paced = mk();
+            let refi = u64::from(dram.timing.refi);
+            let mut id = 0u64;
+            let horizon_end = 3 * refi + 2000;
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for t in 0..horizon_end {
+                // Bursts of row conflicts alternating between two banks
+                // (every third request a write) shortly before each
+                // refresh deadline, so jobs and open banks straddle the
+                // transition.
+                let phase = t % refi;
+                let is_write = id % 3 == 2;
+                if phase > refi - 400 && t.is_multiple_of(13) && per_cycle.can_accept(is_write) {
+                    let addr = ((id * 12_289) % 8192 + (id % 2) * 128) * 64;
+                    let req = if is_write { write(id, addr, t) } else { read(id, addr, t) };
+                    per_cycle.enqueue(req, t);
+                    assert!(event_paced.can_accept(is_write), "acceptance must agree at {t}");
+                    event_paced.enqueue(req, t);
+                    id += 1;
+                }
+                per_cycle.tick(t);
+                if event_paced.next_event_at(t).is_some_and(|h| h <= t) {
+                    event_paced.tick(t);
+                }
+                a.clear();
+                b.clear();
+                per_cycle.drain_completions_into(&mut a);
+                event_paced.drain_completions_into(&mut b);
+                assert_eq!(a, b, "[{}] completions diverged at bus cycle {t}", sched.label());
             }
-            per_cycle.tick(t);
-            if event_paced.next_event_at(t).is_some_and(|h| h <= t) {
-                event_paced.tick(t);
-            }
-            a.clear();
-            b.clear();
-            per_cycle.drain_completions_into(&mut a);
-            event_paced.drain_completions_into(&mut b);
-            assert_eq!(a, b, "completions diverged at bus cycle {t}");
+            let label = sched.label();
+            assert_eq!(per_cycle.stats(), event_paced.stats(), "[{label}]");
+            assert_eq!(per_cycle.dram_stats(), event_paced.dram_stats(), "[{label}]");
+            assert_eq!(per_cycle.engine_stats(), event_paced.engine_stats(), "[{label}]");
+            let dram_stats = per_cycle.dram_stats();
+            assert_eq!(dram_stats.refreshes, 3, "[{label}] one refresh per elapsed tREFI");
+            assert!(dram_stats.relocs > 0, "[{label}] relocation jobs must run");
+            assert!(per_cycle.stats().writes_served > 0, "[{label}] writes must drain");
         }
-        assert_eq!(per_cycle.stats(), event_paced.stats());
-        assert_eq!(per_cycle.dram_stats(), event_paced.dram_stats());
-        assert_eq!(per_cycle.engine_stats(), event_paced.engine_stats());
-        assert_eq!(per_cycle.dram_stats().refreshes, 3, "one refresh per elapsed tREFI");
-        assert!(per_cycle.dram_stats().relocs > 0, "relocation jobs must run");
+    }
+
+    #[test]
+    fn load_state_into_a_used_controller_resumes_identically() {
+        // Restoring over a controller that already ran must drop every
+        // memoized bank summary: the restored queues, rows and jobs have
+        // nothing to do with the ones they were built from.
+        let feed = |mc: &mut MemoryController, from: Cycle, to: Cycle, stride: u64| {
+            for t in from..to {
+                if t.is_multiple_of(7) && mc.can_accept(false) {
+                    mc.enqueue(read(t, (t * stride) % 8192 * 64, t), t);
+                }
+                mc.tick(t);
+                let _ = take_completions(mc);
+            }
+        };
+        let (mut a, mut b) = (fig_mc(), fig_mc());
+        feed(&mut a, 0, 3_000, 12_289);
+        feed(&mut b, 0, 3_000, 7_919);
+        let mut words = Vec::new();
+        a.save_state(&mut words);
+        b.load_state(&mut words.as_slice());
+        feed(&mut a, 3_000, 6_000, 4_099);
+        feed(&mut b, 3_000, 6_000, 4_099);
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.dram_stats(), b.dram_stats());
+        assert_eq!(a.engine_stats(), b.engine_stats());
+        assert_eq!(a.next_event_at(6_000), b.next_event_at(6_000));
     }
 
     #[test]

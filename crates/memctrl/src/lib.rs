@@ -6,8 +6,8 @@
 //! | Module | Owns |
 //! |---|---|
 //! | [`queues`] | per-bank **indexed** transaction queues (intrusive FIFO + per-bank lists, O(1) bank occupancy) |
-//! | [`bank`] | per-bank state: the relocation-job slot and horizon scratch |
-//! | [`scheduler`] | the pluggable [`SchedPolicy`](scheduler::SchedPolicy) demand policies and the selection/horizon algorithms |
+//! | [`bank`] | per-bank state: the relocation-job slot, and the memoized [`BankSummary`](bank::BankSummary) the tick and the event horizon share |
+//! | [`scheduler`] | the pluggable [`SchedPolicy`](scheduler::SchedPolicy) demand policies and the selection algorithm |
 //! | [`controller`] | queue admission, write drain, refresh, job execution, the event-horizon contract |
 //!
 //! Behavior:

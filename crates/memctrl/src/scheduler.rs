@@ -3,15 +3,15 @@
 //! The controller's tick ladder delegates its two demand decisions —
 //! which ready **column command** to issue (priority 1) and which
 //! **ACT/PRE preparation** to issue (priority 3) — to a
-//! [`SchedPolicy`]. The selection and event-horizon algorithms live
-//! here as functions over the per-bank [`IndexedQueue`]; policies steer
-//! them through small hooks, so the default [`FrFcfs`] reproduces the
-//! classic first-ready / first-come-first-serve ladder bit for bit
-//! while [`Fcfs`], [`FrFcfsCap`] and [`WriteDrainTuned`] reuse the same
-//! machinery.
-//!
-//! Every selection walks only the banks that have queued entries,
-//! probing DRAM timing once per bank and command class.
+//! [`SchedPolicy`]. The selection algorithm lives here as two functions:
+//! [`demand`] walks one bank's entries of the per-bank [`IndexedQueue`]
+//! into that bank's candidates (memoized in its
+//! [`BankSummary`](crate::bank::BankSummary), which the event horizon
+//! probes too), and [`oldest_ready`] picks the oldest candidate whose
+//! command can issue now. Policies steer them through small hooks, so the
+//! default [`FrFcfs`] reproduces the classic first-ready /
+//! first-come-first-serve ladder bit for bit while [`Fcfs`],
+//! [`FrFcfsCap`] and [`WriteDrainTuned`] reuse the same machinery.
 //!
 //! The policy in force is chosen by [`crate::McConfig::sched`]; the
 //! `FIGARO_SCHED` environment variable overrides the default at system
@@ -19,7 +19,7 @@
 
 use figaro_dram::{Cycle, DramChannel, DramCommand};
 
-use crate::bank::{BankAgg, BankState};
+use crate::bank::{BankMemo, BankState, BankSummary, Candidate};
 use crate::queues::{Entry, IndexedQueue};
 
 /// Identifies a scheduling policy — the value form carried by
@@ -132,9 +132,13 @@ impl SchedPolicyKind {
 }
 
 /// A demand-scheduling policy: small hooks steering the shared
-/// selection/horizon machinery ([`pick_column`], [`pick_prep`],
-/// [`queue_horizon`]). Every hook has the FR-FCFS default, so the
-/// trivial implementation *is* FR-FCFS.
+/// selection machinery ([`demand`], [`oldest_ready`]). Every hook has
+/// the FR-FCFS default, so the trivial implementation *is* FR-FCFS.
+///
+/// Hook answers may depend on the policy's own state only per bank
+/// (changed by [`SchedPolicy::on_issue`] for that bank, or for all banks
+/// by a refresh): the controller memoizes them in each bank's summary
+/// until a command issues on it.
 pub trait SchedPolicy: std::fmt::Debug + Send {
     /// The policy's identifying value form.
     fn kind(&self) -> SchedPolicyKind;
@@ -278,16 +282,6 @@ impl SchedPolicy for WriteDrainTuned {
     }
 }
 
-/// The ACT/PRE decision of a prep pass (slot id of the entry the action
-/// is issued on behalf of).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrepAction {
-    /// Activate the entry's serve row (its bank is closed).
-    Act(u32),
-    /// Precharge the entry's bank (row conflict).
-    Pre(u32),
-}
-
 /// The demand column command serving `e`.
 #[must_use]
 pub(crate) fn column_cmd(e: &Entry) -> DramCommand {
@@ -298,300 +292,102 @@ pub(crate) fn column_cmd(e: &Entry) -> DramCommand {
     }
 }
 
-/// Priority 1: the queued demand entry whose column command is ready to
-/// issue this cycle, or `None`. FR-FCFS picks the oldest ready row hit
-/// (ties by queue position); hooks restrict the candidate set.
-pub(crate) fn pick_column(
+/// The demand half of bank `b`'s summary, from one walk of its entries
+/// in the serve queue `q`: `(column, prep)`. The column candidate is the
+/// oldest entry hitting the open row, if the policy lets it bypass; the
+/// prep candidate is the PRE for the first conflicting entry or the ACT
+/// for the oldest entry an ACT could open, subject to the FR-FCFS skip
+/// rules (a job still setting up owns the bank; same-row hits keep a
+/// row open unless the policy lifted that protection). Strict FCFS only
+/// ever considers the queue's head entry, on the head's bank.
+///
+/// Entries arrive in non-decreasing `arrival` order (see
+/// [`IndexedQueue`]), so "oldest" by `(arrival, seq)` is simply the
+/// smallest `seq`, the first in the bank's FIFO list.
+pub(crate) fn demand(
     policy: &dyn SchedPolicy,
     q: &IndexedQueue,
-    chan: &DramChannel,
-    now: Cycle,
-) -> Option<u32> {
-    if q.is_empty() {
-        return None;
-    }
-    if policy.in_order_only() {
-        let id = q.head_id()?;
-        let e = q.entry(id);
-        if chan.open_row(e.bank) == Some(e.serve_row)
-            && !chan.must_precharge(e.bank)
-            && chan.can_issue(e.bank, &column_cmd(e), now)
-        {
-            return Some(id);
-        }
-        return None;
-    }
-    // Oldest ready row hit = min (arrival, enqueue seq) over candidates.
-    let mut best: Option<(Cycle, u64, u32)> = None;
-    let mut consider = |arrival: Cycle, seq: u64, id: u32| {
-        if best.is_none_or(|(a, s, _)| (arrival, seq) < (a, s)) {
-            best = Some((arrival, seq, id));
-        }
-    };
-    // One timing probe per bank, entries via the bank list.
-    for b in q.touched_banks() {
-        let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
-        let Some(open) = chan.open_row(first.bank) else { continue };
-        if chan.must_precharge(first.bank) {
-            continue;
-        }
-        let mut hit: Option<(Cycle, u64, u32)> = None;
-        let mut has_conflict = false;
-        for (id, e) in q.iter_bank(b) {
-            if e.serve_row == open {
-                let key = (e.req.arrival, q.seq(id));
-                if hit.is_none_or(|(a, s, _)| key < (a, s)) {
-                    hit = Some((key.0, key.1, id));
-                }
-            } else {
-                has_conflict = true;
-            }
-        }
-        let Some((arrival, seq, id)) = hit else { continue };
-        if !policy.allow_row_hit(b, has_conflict) {
-            continue;
-        }
-        if chan.can_issue(first.bank, &column_cmd(q.entry(id)), now) {
-            consider(arrival, seq, id);
-        }
-    }
-    best.map(|(_, _, id)| id)
-}
-
-/// Priority 3: the oldest queued entry whose ACT or PRE can issue this
-/// cycle, subject to the FR-FCFS skip rules (job-owned banks wait;
-/// same-row hits keep a row open unless the policy says otherwise).
-pub(crate) fn pick_prep(
-    policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
-    banks: &[BankState],
-    chan: &DramChannel,
-    now: Cycle,
-) -> Option<PrepAction> {
-    if q.is_empty() {
-        return None;
-    }
-    if policy.in_order_only() {
-        return pick_prep_in_order(q, banks, chan, now);
-    }
-    let mut best: Option<(u64, PrepAction)> = None;
-    let mut consider = |seq: u64, act: PrepAction| {
-        if best.is_none_or(|(s, _)| seq < s) {
-            best = Some((seq, act));
-        }
-    };
-    for b in q.touched_banks() {
-        let st = &banks[b as usize];
-        let pinned = chan.is_pinned(st.addr);
-        if st.job.is_some() && !pinned {
-            continue; // the bank belongs to a job still setting up
-        }
-        match chan.open_row(st.addr) {
-            Some(open) => {
-                let mut has_hit = false;
-                let mut first_conflict: Option<(u64, u32)> = None;
-                for (id, e) in q.iter_bank(b) {
-                    if e.serve_row == open {
-                        has_hit = true;
-                    } else if first_conflict.is_none() {
-                        first_conflict = Some((q.seq(id), id));
-                    }
-                    if has_hit && first_conflict.is_some() {
-                        break;
-                    }
-                }
-                let Some((seq, id)) = first_conflict else { continue };
-                if has_hit && policy.hits_suppress_prep(b, true) {
-                    continue;
-                }
-                if chan.can_issue(st.addr, &DramCommand::Precharge, now) {
-                    consider(seq, PrepAction::Pre(id));
-                }
-            }
-            None => {
-                // ACT timing is row-independent on an unpinned bank, so
-                // only the oldest entry need be probed; a pinned bank's
-                // legality is per-subarray, so walk its entries.
-                for (id, e) in q.iter_bank(b) {
-                    let act = DramCommand::Activate { row: e.serve_row };
-                    if chan.can_issue(st.addr, &act, now) {
-                        consider(q.seq(id), PrepAction::Act(id));
-                        break;
-                    }
-                    if !pinned {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    best.map(|(_, act)| act)
-}
-
-/// Strict-FCFS prep: the head entry drives; a must-precharge bank is
-/// precharged first (it cannot serve anything until then).
-fn pick_prep_in_order(
-    q: &IndexedQueue,
-    banks: &[BankState],
-    chan: &DramChannel,
-    now: Cycle,
-) -> Option<PrepAction> {
-    let id = q.head_id()?;
-    let e = q.entry(id);
-    let st = &banks[e.flat_bank as usize];
-    let pinned = chan.is_pinned(st.addr);
-    if st.job.is_some() && !pinned {
-        return None; // wait for the job to finish
-    }
-    let open = chan.open_row(st.addr);
-    if chan.must_precharge(st.addr) || open.is_some_and(|r| r != e.serve_row) {
-        return chan
-            .can_issue(st.addr, &DramCommand::Precharge, now)
-            .then_some(PrepAction::Pre(id));
-    }
-    if open.is_none() {
-        let act = DramCommand::Activate { row: e.serve_row };
-        return chan.can_issue(st.addr, &act, now).then_some(PrepAction::Act(id));
-    }
-    None // head is a row hit; priority 1 handles it
-}
-
-/// Earliest cycle `>= from` at which [`pick_column`] or [`pick_prep`]
-/// over the active queue could return `Some` — the demand half of the
-/// controller's event horizon. A lower bound for every policy: a
-/// too-early horizon only costs a no-op tick.
-pub(crate) fn queue_horizon(
-    policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
-    banks: &[BankState],
-    chan: &DramChannel,
-    from: Cycle,
-) -> Cycle {
-    if q.is_empty() {
-        return Cycle::MAX;
-    }
-    if policy.in_order_only() {
-        return in_order_horizon(q, banks, chan, from);
-    }
-    // Aggregate each touched bank's entries, then probe the bank once
-    // per command class.
-    let mut best = Cycle::MAX;
-    for b in q.touched_banks() {
-        let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
-        let mut agg = BankAgg { open: chan.open_row(first.bank), ..BankAgg::default() };
-        for (_, e) in q.iter_bank(b) {
-            fold_entry(&mut agg, e);
-        }
-        best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
-    }
-    best
-}
-
-/// Folds one queued entry into its bank's aggregate.
-fn fold_entry(agg: &mut BankAgg, e: &Entry) {
-    if agg.open == Some(e.serve_row) {
-        agg.has_hit = true;
-        if e.req.is_write {
-            agg.write_hit = true;
-        } else {
-            agg.read_hit = true;
-        }
-    } else if agg.prep_row.is_none() {
-        agg.prep_row = Some(e.serve_row);
-    }
-}
-
-/// Horizon candidates of one aggregated bank.
-fn bank_horizon(
-    policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
-    banks: &[BankState],
     b: u32,
-    agg: &BankAgg,
+    st: &BankState,
     chan: &DramChannel,
-    from: Cycle,
-) -> Cycle {
-    let addr = banks[b as usize].addr;
-    let mut best = Cycle::MAX;
-    let has_conflict = agg.open.is_some() && agg.prep_row.is_some();
-    if agg.has_hit {
-        // Row-hit candidates; a must-precharge bank serves nothing (and
-        // its same-row entries suppress prep regardless).
-        if !chan.must_precharge(addr) && policy.allow_row_hit(b, has_conflict) {
-            if agg.read_hit {
-                let rd = DramCommand::Read { col: 0, auto_pre: false };
-                if let Some(t) = chan.next_ready(addr, &rd, from) {
-                    best = best.min(t);
-                }
-            }
-            if agg.write_hit {
-                let wr = DramCommand::Write { col: 0, auto_pre: false };
-                if let Some(t) = chan.next_ready(addr, &wr, from) {
-                    best = best.min(t);
-                }
-            }
-        }
-        // An entry that can still hit the open row suppresses the prep
-        // scan for every conflicting entry on this bank — unless the
-        // policy lifted that protection (row-hit cap reached).
-        if policy.hits_suppress_prep(b, has_conflict) {
-            return best;
-        }
-    }
-    let Some(prep_row) = agg.prep_row else { return best };
+) -> (Option<Candidate>, Option<Candidate>) {
+    let addr = st.addr;
+    let open = chan.open_row(addr);
+    let must_pre = chan.must_precharge(addr);
     let pinned = chan.is_pinned(addr);
-    if banks[b as usize].job.is_some() && !pinned {
-        return best; // the bank belongs to a job still setting up
-    }
-    if agg.open.is_some() {
-        if let Some(t) = chan.next_ready(addr, &DramCommand::Precharge, from) {
-            best = best.min(t);
+    let cand = |id: u32, cmd| Some(Candidate { seq: q.seq(id), id, cmd });
+    let (mut hit, mut conflict, mut act) = (None, None, None);
+    if policy.in_order_only() {
+        let Some(id) = q.head_id().filter(|&id| q.entry(id).flat_bank == b) else {
+            return (None, None);
+        };
+        let e = q.entry(id);
+        if open == Some(e.serve_row) && !must_pre {
+            hit = cand(id, column_cmd(e));
+        } else if must_pre || open.is_some() {
+            // A must-precharge bank serves nothing until it is closed.
+            conflict = cand(id, DramCommand::Precharge);
+        } else {
+            let cmd = DramCommand::Activate { row: e.serve_row };
+            act = chan.next_ready(addr, &cmd, 0).and_then(|_| cand(id, cmd));
         }
-    } else if !pinned {
-        let act = DramCommand::Activate { row: prep_row };
-        if let Some(t) = chan.next_ready(addr, &act, from) {
-            best = best.min(t);
+    } else if let Some(open) = open {
+        for (id, e) in q.iter_bank(b) {
+            if e.serve_row != open {
+                conflict = conflict.or_else(|| cand(id, DramCommand::Precharge));
+            } else if hit.is_none() {
+                hit = cand(id, column_cmd(e));
+            }
+            if hit.is_some() && conflict.is_some() {
+                break;
+            }
         }
     } else {
-        // Pinned + closed: ACT legality is per-subarray, so check each
-        // of this bank's entries.
-        for (_, e) in q.iter_bank(b) {
-            let act = DramCommand::Activate { row: e.serve_row };
-            if let Some(t) = chan.next_ready(addr, &act, from) {
-                best = best.min(t);
+        // ACT timing is row-independent, and so is its legality on an
+        // unpinned bank: only the oldest entry need be checked. A pinned
+        // bank's legality is per-subarray, so walk to the first legal one.
+        for (id, e) in q.iter_bank(b) {
+            let cmd = DramCommand::Activate { row: e.serve_row };
+            if chan.next_ready(addr, &cmd, 0).is_some() {
+                act = cand(id, cmd);
+                break;
             }
+            if !pinned {
+                break;
+            }
+        }
+    }
+    let has_conflict = conflict.is_some();
+    // A must-precharge bank serves no column command.
+    let column = hit.filter(|_| !must_pre && policy.allow_row_hit(b, has_conflict));
+    let suppressed = hit.is_some() && policy.hits_suppress_prep(b, has_conflict);
+    let job_owned = st.job.is_some() && !pinned;
+    let prep = if suppressed || job_owned { None } else { conflict.or(act) };
+    (column, prep)
+}
+
+/// The oldest candidate `select` picks from the bank summaries whose
+/// command can issue at `now` — one timing probe per candidate bank,
+/// skipped for a candidate younger than the best one found so far.
+pub(crate) fn oldest_ready(
+    banks: &[BankState],
+    memo: &[BankMemo],
+    chan: &DramChannel,
+    now: Cycle,
+    select: impl Fn(&BankSummary) -> Option<Candidate>,
+) -> Option<Candidate> {
+    let mut best: Option<Candidate> = None;
+    for (st, m) in banks.iter().zip(memo) {
+        debug_assert!(!m.dirty, "a tick read a dirty bank summary");
+        let Some(c) = select(&m.summary) else { continue };
+        if best.is_some_and(|b| b.seq < c.seq) {
+            continue;
+        }
+        if chan.can_issue(st.addr, &c.cmd, now) {
+            best = Some(c);
         }
     }
     best
-}
-
-/// Strict-FCFS horizon: the head entry's one possible command.
-fn in_order_horizon(
-    q: &IndexedQueue,
-    banks: &[BankState],
-    chan: &DramChannel,
-    from: Cycle,
-) -> Cycle {
-    let Some(id) = q.head_id() else { return Cycle::MAX };
-    let e = q.entry(id);
-    let st = &banks[e.flat_bank as usize];
-    let open = chan.open_row(st.addr);
-    let must_pre = chan.must_precharge(st.addr);
-    if open == Some(e.serve_row) && !must_pre {
-        // Head is a row hit; job ownership never gates column commands.
-        return chan.next_ready(st.addr, &column_cmd(e), from).unwrap_or(Cycle::MAX);
-    }
-    // Prep half: a job still setting up owns the bank (the job-step
-    // horizon covers the unblock).
-    if st.job.is_some() && !chan.is_pinned(st.addr) {
-        return Cycle::MAX;
-    }
-    let cmd = if must_pre || open.is_some() {
-        DramCommand::Precharge
-    } else {
-        DramCommand::Activate { row: e.serve_row }
-    };
-    chan.next_ready(st.addr, &cmd, from).unwrap_or(Cycle::MAX)
 }
 
 #[cfg(test)]

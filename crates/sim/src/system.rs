@@ -31,7 +31,10 @@ use figaro_workloads::{PageMapKind, PageMappedSource, PageMapper, Trace, TraceSo
 
 use crate::config::{Kernel, SystemConfig};
 use crate::metrics::{ChannelStats, RunStats};
-use crate::telemetry::{KernelProfile, SimTelemetry, PROF_CORES, PROF_MEMORY};
+use crate::telemetry::{
+    KernelProfile, SimTelemetry, PROF_COMPLETIONS, PROF_CONTROLLERS, PROF_CORES, PROF_HORIZON,
+    PROF_MEMORY, PROF_ROUTER,
+};
 
 /// One memory channel: its controller plus the requests routed to it
 /// that the controller had no queue room for yet.
@@ -346,9 +349,15 @@ impl System {
         per_bus: u64,
         fill_latency: u64,
         event_mode: bool,
-        mut clocks: Option<&mut CoreClocks>,
+        clocks: Option<&mut CoreClocks>,
     ) {
         self.route_requests(bus);
+        self.tick_controllers(bus, event_mode);
+        self.deliver_completions(bus, per_bus, fill_latency, clocks);
+    }
+
+    /// The controller part of [`System::step_bus`].
+    fn tick_controllers(&mut self, bus: u64, event_mode: bool) {
         if event_mode {
             for sh in &mut self.shards {
                 // The controller memoizes its horizon, so this is a
@@ -362,6 +371,16 @@ impl System {
                 sh.mc.tick(bus);
             }
         }
+    }
+
+    /// The completion-delivery part of [`System::step_bus`].
+    fn deliver_completions(
+        &mut self,
+        bus: u64,
+        per_bus: u64,
+        fill_latency: u64,
+        mut clocks: Option<&mut CoreClocks>,
+    ) {
         for ch in 0..self.shards.len() {
             if !self.shards[ch].mc.has_completions() {
                 continue;
@@ -559,7 +578,14 @@ impl System {
                 self.maybe_sample(now);
             }
             if let Some(bus) = self.bus_boundary(now, per_bus) {
-                self.step_bus(bus, per_bus, fill_latency, true, Some(&mut clocks));
+                // `step_bus`, with the profiler's memory splits between
+                // its three parts.
+                self.route_requests(bus);
+                self.profile_split(PROF_ROUTER);
+                self.tick_controllers(bus, true);
+                self.profile_split(PROF_CONTROLLERS);
+                self.deliver_completions(bus, per_bus, fill_latency, Some(&mut clocks));
+                self.profile_split(PROF_COMPLETIONS);
             }
             if let Some(p) = &mut self.profiler {
                 p.clock.lap(PROF_MEMORY);
@@ -605,6 +631,7 @@ impl System {
                 continue;
             }
             let next = self.component_horizon(now, next).clamp(now + 1, max_cpu_cycles);
+            self.profile_split(PROF_HORIZON);
             // Execute the next sample boundary instead of jumping it: an
             // extra executed cycle below the horizon is a no-op by the
             // skip contract, so the clamp keeps results bit-identical
@@ -1036,6 +1063,49 @@ mod tests {
         };
         assert_eq!(recorded, replayed, "record → replay must be bit-identical");
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn profile_report_splits_the_memory_bucket_without_changing_results() {
+        let run = |profile: bool| {
+            let traces = (0..2)
+                .map(|i| generate_trace(&profile_by_name("mcf").unwrap(), 8_000, 3 + i))
+                .collect();
+            let cfg = SystemConfig {
+                kernel: Kernel::Event,
+                ..SystemConfig::paper(2, ConfigKind::FigCacheFast)
+            };
+            let mut sys = System::new(cfg, traces, &[20_000, 20_000]);
+            if profile {
+                sys.enable_profiling();
+            }
+            let stats = sys.run(20_000_000);
+            (stats, sys.profile().map(KernelProfile::report))
+        };
+        let (plain, none) = run(false);
+        let (profiled, report) = run(true);
+        assert!(none.is_none());
+        assert_eq!(plain, profiled, "profiling must be result-neutral");
+        let report = report.expect("profiling was enabled");
+        let labels: Vec<&str> =
+            report[1..].iter().map(|l| l.split_whitespace().next().unwrap()).collect();
+        assert_eq!(labels, ["memory", "horizon", "router", "controllers", "completions", "cores"]);
+        // (share %, laps) of each line; splits are indented under memory.
+        let parse = |l: &String| {
+            let mut w = l.split_whitespace().skip(1);
+            let pct: f64 = w.next().unwrap().parse().unwrap();
+            let laps: u64 =
+                l.split('(').nth(1).unwrap().split_whitespace().next().unwrap().parse().unwrap();
+            (pct, laps)
+        };
+        let lines: Vec<(f64, u64)> = report[1..].iter().map(parse).collect();
+        let (memory, cores) = (lines[0], lines[5]);
+        assert_eq!(memory.1, cores.1, "one memory and one core lap per executed step");
+        assert!(memory.1 > 0);
+        let split_share: f64 = lines[1..5].iter().map(|l| l.0).sum();
+        assert!(split_share <= memory.0 + 0.5, "splits partition the memory bucket: {report:?}");
+        assert!(lines[1..5].iter().all(|l| l.1 > 0 && l.1 <= memory.1), "{report:?}");
+        assert!(report[2].starts_with("    "), "splits are indented under memory");
     }
 
     #[test]

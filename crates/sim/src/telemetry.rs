@@ -173,9 +173,10 @@ fn harvest(sys: &System, out: &mut Vec<u64>) {
 /// `diag`). Result-neutral: see [`figaro_telemetry::profile`].
 #[derive(Debug)]
 pub struct KernelProfile {
-    /// Component lap clock: bucket 0 = memory side (bus routing,
-    /// controllers), bucket 1 = core side (core/hierarchy ticks and
-    /// horizon bookkeeping).
+    /// Component lap clock, one lap per executed event-kernel step:
+    /// bucket 0 = memory side (kernel horizon, bus routing, controllers,
+    /// completion delivery), bucket 1 = core side (core/hierarchy ticks).
+    /// The memory lap is split into the four `PROF_*` split buckets.
     pub(crate) clock: profile::LapClock,
 }
 
@@ -183,21 +184,41 @@ pub struct KernelProfile {
 pub(crate) const PROF_MEMORY: usize = 0;
 /// Lap-clock bucket index for the core half of a step.
 pub(crate) const PROF_CORES: usize = 1;
+/// Memory split: the kernel's component horizon (`component_horizon`).
+pub(crate) const PROF_HORIZON: usize = 0;
+/// Memory split: routing hierarchy output and backlog to the controllers.
+pub(crate) const PROF_ROUTER: usize = 1;
+/// Memory split: the controllers' `next_event_at` and `tick`.
+pub(crate) const PROF_CONTROLLERS: usize = 2;
+/// Memory split: delivering completions to the hierarchy and cores.
+pub(crate) const PROF_COMPLETIONS: usize = 3;
 
 impl KernelProfile {
     pub(crate) fn new() -> Box<Self> {
-        Box::new(Self { clock: profile::LapClock::new(&["memory", "cores"]) })
+        // No split label may start with a lap label: report readers
+        // find the `memory`/`cores` lines by prefix.
+        let splits = ["horizon", "router", "controllers", "completions"];
+        Box::new(Self { clock: profile::LapClock::new(&["memory", "cores"], &splits) })
     }
 
-    /// Renders the profile as human-readable lines for `diag`.
+    /// Renders the profile as human-readable lines for `diag`: each lap
+    /// bucket's share of the kernel wall time, with the memory bucket's
+    /// splits (shares of the same total) indented under it.
     #[must_use]
     pub fn report(&self) -> Vec<String> {
         let total_ns = self.clock.elapsed_ns().max(1);
         let secs = total_ns as f64 / 1e9;
-        let mut lines = vec![format!("kernel wall time        {secs:.3} s")];
-        for b in self.clock.buckets() {
+        let line = |indent: &str, b: &profile::Bucket| {
             let pct = b.nanos as f64 * 100.0 / total_ns as f64;
-            lines.push(format!("  {:<22}{:>6.1} %  ({} laps)", b.label, pct, b.laps));
+            let width = 24 - indent.len();
+            format!("{indent}{:<width$}{pct:>6.1} %  ({} laps)", b.label, b.laps)
+        };
+        let mut lines = vec![format!("kernel wall time        {secs:.3} s")];
+        for (i, b) in self.clock.buckets().iter().enumerate() {
+            lines.push(line("  ", b));
+            if i == PROF_MEMORY {
+                lines.extend(self.clock.splits().iter().map(|s| line("    ", s)));
+            }
         }
         lines
     }
@@ -302,6 +323,15 @@ impl System {
     pub(crate) fn note_warm_resume(&mut self) {
         let cycle = self.cpu_cycle;
         figaro_telemetry::probe!(self.telemetry, t => t.warm_mark(cycle));
+    }
+
+    /// Charges the memory-half segment since the previous split to
+    /// split bucket `idx` when profiling (one `Option` test otherwise).
+    #[inline]
+    pub(crate) fn profile_split(&mut self, idx: usize) {
+        if let Some(p) = &mut self.profiler {
+            p.clock.split(idx);
+        }
     }
 
     /// Enables kernel self-profiling for the next `run` (diag does
