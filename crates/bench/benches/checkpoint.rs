@@ -106,7 +106,7 @@ fn warm_start_sweep(insts: u64, snap_dir: &std::path::Path) -> (Vec<GridPoint>, 
     (points, warm_cycles)
 }
 
-fn sampled_accuracy(insts: u64) -> Vec<SampledPoint> {
+fn sampled_accuracy(insts: u64, full_sweeps: bool) -> Vec<SampledPoint> {
     // Window/skip scaled to the bench's run length: ~1/3 detail, enough
     // windows per run for the rate estimate to settle. Base vs. FIGCache
     // separates the two error sources: rate estimation (Base) and the
@@ -114,7 +114,7 @@ fn sampled_accuracy(insts: u64) -> Vec<SampledPoint> {
     // (FIGCache — the same warmup transient warm-start exists to skip).
     let (window, skip) = (insts / 4, insts * 2 / 5);
     let configs = [("base", ConfigKind::Base), ("figcache-fast", ConfigKind::FigCacheFast)];
-    sweep_apps()
+    sweep_apps(full_sweeps)
         .iter()
         .flat_map(|p| {
             let trace = generate_trace(p, 8_000, 7_777);
@@ -202,7 +202,8 @@ fn main() {
     if criterion::launched_as_test() {
         return;
     }
-    let scale = Scale::from_env_or(Scale::Tiny);
+    let env = figaro_bench::env();
+    let scale = env.scale_or(Scale::Tiny);
     let insts = scale.target_insts();
     println!("--- checkpoint (scale: {}, {insts} insts/core) ---", scale.label());
 
@@ -237,7 +238,7 @@ fn main() {
         "warm-start must amortize the warm prefix: {speedup:.2}x < {required_speedup:.2}x"
     );
 
-    let sampled = sampled_accuracy(insts);
+    let sampled = sampled_accuracy(insts, env.full_sweeps);
     for s in &sampled {
         println!(
             "{:<12} {:<14} full {:.4} sampled {:.4}  err {:>5.1}%  detail {:.2}  {:>5.2}x faster",

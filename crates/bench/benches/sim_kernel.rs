@@ -163,7 +163,7 @@ fn main() {
     }
     // The kernel comparison is a fixed trajectory point at Tiny;
     // FIGARO_SCALE still sizes the run for ad-hoc exploration.
-    let scale = Scale::from_env_or(Scale::Tiny);
+    let scale = figaro_bench::env().scale_or(Scale::Tiny);
     println!(
         "--- sim_kernel (scale: {}, median of {SAMPLES} interleaved pairs) ---",
         scale.label()

@@ -55,7 +55,7 @@ fn main() {
     if criterion::launched_as_test() {
         return;
     }
-    let scale = Scale::from_env_or(Scale::Tiny);
+    let scale = figaro_bench::env().scale_or(Scale::Tiny);
     let insts = (scale.target_insts() / 4).max(20_000);
     println!(
         "--- telemetry (scale: {}, {insts} insts/core, median of {SAMPLES} interleaved rounds) ---",
@@ -70,7 +70,10 @@ fn main() {
             "series+trace",
             TelemetryConfig {
                 interval: Some(INTERVAL),
-                trace: Some(parse_trace_spec(&format!("{}:all", trace_artifact.display()))),
+                trace: Some(
+                    parse_trace_spec(&format!("{}:all", trace_artifact.display()))
+                        .expect("artifact path"),
+                ),
             },
         ),
     ];

@@ -7,7 +7,8 @@
 //! under `target/figaro-cache`, so figures built from the same runs
 //! (7/9/10/11 and 8/9/10/11) are cheap after the first one.
 //!
-//! Environment knobs:
+//! Environment knobs, parsed once by [`env`] (a malformed value stops
+//! the bench with a message naming the variable):
 //!
 //! * `FIGARO_SCALE` = `tiny` | `small` (default) | `full` — instructions
 //!   per core;
@@ -17,10 +18,11 @@
 //! * `FIGARO_LONG_RUN=<ops>` — append long-run streaming mixes (that
 //!   many memory operations per core, bounded memory at any length) to
 //!   the `streaming_scenarios` target;
-//! * `FIGARO_SCHED=frfcfs|fcfs|frfcfs-cap<N>|wdrain<H>-<L>` — the
-//!   memory-controller scheduling policy (non-default policies get
-//!   their own result-cache keys; the `sched_sweep` target compares
-//!   them explicitly).
+//! * `FIGARO_SCHED`, `FIGARO_KERNEL`, `FIGARO_MAP`, `FIGARO_PAGEMAP`,
+//!   `FIGARO_LOAD`, `FIGARO_WARMUP`, `FIGARO_SNAPSHOT_DIR` — runner
+//!   overrides for the figure targets (see the README's env table).
+//!   Each run's result-cache key covers its whole configuration, so an
+//!   override never reuses another configuration's cached results.
 //!
 //! The `micro` target contains Criterion micro-benchmarks of simulator
 //! hot paths (DRAM command issue, controller scheduling, tag-store
@@ -30,7 +32,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use figaro_sim::runner::Scale;
-use figaro_sim::Runner;
+use figaro_sim::{EnvConfig, Runner};
 
 /// Workspace-root path for a bench artifact (`BENCH_*.json`/`.csv`).
 /// Bench binaries run with the *package* directory as cwd, so relative
@@ -50,12 +52,24 @@ pub fn artifact_path(name: &str) -> PathBuf {
     root.join(name)
 }
 
-/// Builds the shared runner and prints the standard bench header.
+/// The parsed `FIGARO_*` environment; a malformed variable prints its
+/// error and exits with status 2.
+#[must_use]
+pub fn env() -> EnvConfig {
+    EnvConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// Builds the shared runner (the environment's overrides applied) and
+/// prints the standard bench header.
 #[must_use]
 pub fn bench_runner(name: &str) -> Runner {
-    let scale = Scale::from_env();
+    let env = env();
+    let scale = env.scale_or(Scale::Small);
     println!("--- {name} (scale: {}, cache: target/figaro-cache) ---", scale.label());
-    Runner::new(scale)
+    env.apply(Runner::new(scale))
 }
 
 /// Runs `f`, printing its wall-clock duration.

@@ -3,7 +3,8 @@
 //! FIGARO's headline claim is **bit-identical reproduction**: four
 //! kernels, four schedulers and a sweep grid must all agree to the last
 //! bit, and a shared on-disk result cache must never return anything a
-//! fresh run would not produce. The invariants that make that true are
+//! fresh run would not produce (the cache keys hash the whole run, and
+//! a unit test in `figaro-sim` mutates every field). The invariants that make that true are
 //! domain rules no generic linter knows:
 //!
 //! | Rule | ID | Bug class it mechanizes |
@@ -11,8 +12,7 @@
 //! | [`rules::determinism`] | FIG001 | order-dependent `HashMap`/`HashSet` iteration, wall-clock reads, unseeded RNG in result-affecting crates |
 //! | [`rules::horizon`] | FIG002 | `Cycle::MAX`/`u64::MAX` as `unwrap_or`/`fold` defaults in `*horizon*`/`next_*`/`earliest_*` functions (the PR-3 refresh-disable bug) |
 //! | [`rules::floats`] | FIG003 | lossy `{}`/`{:?}` float formatting in cache-key/serialization functions (the PR-6 cache-corruption bug) |
-//! | [`rules::cache_key`] | FIG004 | result-affecting config fields missing from the result-cache key builders |
-//! | [`rules::env_registry`] | FIG005 | `FIGARO_*` env vars read in code but undocumented (or documented but unread) |
+//! | [`rules::env_registry`] | FIG005 | the environment read outside the one parser file and harness code; `FIGARO_*` vars read but undocumented (or documented but unread) |
 //! | [`rules::panics`] | FIG006 | unbudgeted `unwrap`/`expect`/`panic!` growth in library code |
 //! | [`rules::probe`] | FIG007 | telemetry emits in result-affecting crates not behind the zero-cost `probe!` guard |
 //! | (driver) | FIG000 | stale allowlist entries that no longer match anything |
@@ -50,7 +50,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule ID (`FIG000` … `FIG007`).
+    /// Rule ID (`FIG000` … `FIG007`; FIG004 is retired).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -146,7 +146,6 @@ pub fn analyze_root(root: &Path) -> Result<Vec<Diagnostic>, String> {
     diags.extend(rules::determinism::run(&ws, &mut tracker)?);
     diags.extend(rules::horizon::run(&ws, &mut tracker)?);
     diags.extend(rules::floats::run(&ws, &mut tracker)?);
-    diags.extend(rules::cache_key::run(&ws, &mut tracker)?);
     diags.extend(rules::env_registry::run(&ws, &mut tracker)?);
     diags.extend(rules::panics::run(&ws, &mut tracker)?);
     diags.extend(rules::probe::run(&ws, &mut tracker)?);

@@ -1,14 +1,18 @@
-//! FIG005 — env-var registry: every `FIGARO_*` variable read in code
-//! must be documented, and every documented one must still be read.
+//! FIG005 — env-var registry: the environment is read in one parser
+//! file, every `FIGARO_*` variable read is documented, and every
+//! documented one is still read.
 //!
 //! Environment toggles are the least discoverable configuration surface
-//! the simulator has — nothing type-checks them, and an undocumented
-//! one is invisible until someone greps. The rule keeps three sets in
-//! sync:
+//! the simulator has — nothing type-checks them, and one read deep in a
+//! library silently reshapes every run that links it. The rule checks:
 //!
-//! * **reads** — string literals starting with `[env_registry] prefix`
-//!   on lines that call `env::var` / `env::var_os`, anywhere in the
-//!   workspace (test code included: a test-only knob still needs docs);
+//! * **where** — `env::var(` / `env::var_os(` calls may appear only in
+//!   the `[env_registry] parsers` files and in harness code (paths with
+//!   a `tests`, `benches` or `examples` component, `src/bin/`, and
+//!   `#[cfg(test)]` modules);
+//! * **reads** — every `[env_registry] prefix` string literal in a
+//!   parser file, plus same-line `env::var*("PREFIX…")` reads in harness
+//!   code (test code included: a test-only knob still needs docs);
 //! * **docs** — `FIGARO_*` tokens appearing in the `[env_registry]
 //!   docs` files (e.g. `README.md`);
 //! * **usage** — tokens in string literals of the `[env_registry]
@@ -22,17 +26,39 @@
 use crate::rules::AllowTracker;
 use crate::{Diagnostic, Workspace};
 
+/// Whether `rel_path` is harness code, which may read the environment.
+fn is_harness(rel_path: &str) -> bool {
+    rel_path.split('/').any(|c| matches!(c, "tests" | "benches" | "examples"))
+        || rel_path.contains("src/bin/")
+}
+
 /// Runs FIG005 over the workspace.
 pub fn run(ws: &Workspace, tracker: &mut AllowTracker) -> Result<Vec<Diagnostic>, String> {
     let prefix = ws.config.string_or("env_registry.prefix", "FIGARO_");
+    let parsers = ws.config.strings("env_registry.parsers");
     tracker.register("env_registry", ws.config.allow("env_registry")?);
 
-    // (var, file, line) for every same-line `env::var*("PREFIX…")` read.
+    let mut diags = Vec::new();
+    // (var, file, line) for every parser-file literal and every
+    // same-line `env::var*("PREFIX…")` harness read.
     let mut reads: Vec<(String, String, usize)> = Vec::new();
     for file in &ws.files {
+        let parser = parsers.contains(&file.rel_path);
+        let harness = is_harness(&file.rel_path);
         for (i, code) in file.code_lines.iter().enumerate() {
             let line = i + 1;
-            if !(code.contains("env::var(") || code.contains("env::var_os(")) {
+            let env_read = code.contains("env::var(") || code.contains("env::var_os(");
+            if env_read && !parser && !harness && !file.is_test_line(line) {
+                diags.push(Diagnostic {
+                    file: file.rel_path.clone(),
+                    line,
+                    rule: "FIG005",
+                    message: "library code reads the environment; parse it in the \
+                              `[env_registry] parsers` file and pass the value in"
+                        .into(),
+                });
+            }
+            if !(parser || env_read) {
                 continue;
             }
             for lit in file.strings_on(line) {
@@ -65,7 +91,6 @@ pub fn run(ws: &Workspace, tracker: &mut AllowTracker) -> Result<Vec<Diagnostic>
         }
     }
 
-    let mut diags = Vec::new();
     let mut flag = |var: &str, file: &str, line: usize, msg: String, tr: &mut AllowTracker| {
         if tr.take("env_registry", var).is_none() {
             diags.push(Diagnostic { file: file.into(), line, rule: "FIG005", message: msg });
@@ -162,7 +187,7 @@ mod tests {
 
     #[test]
     fn var_name_shape() {
-        assert!(is_var_name("FIGARO_FREE_RELOC"));
+        assert!(is_var_name("FIGARO_STATS_INTERVAL"));
         assert!(!is_var_name("FIGARO_lower"));
         assert!(!is_var_name(""));
     }

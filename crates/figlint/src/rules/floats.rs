@@ -14,7 +14,7 @@
 //! * `[floats] float_structs` — `"path: Struct"` entries whose `f32` /
 //!   `f64` (incl. `Vec<f64>`) fields are the values at risk;
 //! * `[floats] scopes` — names of serialization/key functions where the
-//!   convention is mandatory (`to_text`, `config_key`, …).
+//!   convention is mandatory (`to_text`, `save_state`, …).
 //!
 //! Inside a scope function, a formatting-macro line that mentions a
 //! float field (as an argument or as a `{field}` inline placeholder) or
@@ -24,7 +24,7 @@
 //! human-facing tables — may format floats freely.
 
 use crate::rules::AllowTracker;
-use crate::scan::contains_word;
+use crate::scan::{contains_word, SourceFile};
 use crate::{Diagnostic, Workspace};
 
 /// Formatting macros the rule inspects.
@@ -109,7 +109,7 @@ fn collect_float_fields(ws: &Workspace) -> Result<Vec<String>, String> {
         let Some(file) = ws.file(path.trim()) else {
             return Err(format!("figlint.toml: [floats] float_structs: no such file `{path}`"));
         };
-        for (fname, ftype, _line) in crate::rules::cache_key::struct_fields(file, name.trim())? {
+        for (fname, ftype) in struct_fields(file, name.trim())? {
             if (contains_word(&ftype, "f64") || contains_word(&ftype, "f32"))
                 && !fields.contains(&fname)
             {
@@ -118,4 +118,72 @@ fn collect_float_fields(ws: &Workspace) -> Result<Vec<String>, String> {
         }
     }
     Ok(fields)
+}
+
+/// `(name, type)` for each named field of `struct_name` in `file`.
+/// Errors when the struct is not found.
+fn struct_fields(file: &SourceFile, struct_name: &str) -> Result<Vec<(String, String)>, String> {
+    let decl = file
+        .code_lines
+        .iter()
+        .position(|c| {
+            contains_word(c, "struct") && contains_word(c, struct_name) && !c.contains("impl")
+        })
+        .ok_or_else(|| format!("figlint.toml: no `struct {struct_name}` in `{}`", file.rel_path))?;
+    let mut fields = Vec::new();
+    let mut depth = 0usize;
+    let mut opened = false;
+    for code in file.code_lines.iter().skip(decl) {
+        if opened && depth == 1 {
+            let t = code.trim();
+            let t = t.strip_prefix("pub ").unwrap_or(t);
+            if let Some((name, ty)) = t.split_once(':') {
+                let name = name.trim();
+                if !name.is_empty()
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                    && !name.chars().next().is_some_and(|c| c.is_ascii_digit())
+                {
+                    fields.push((name.to_string(), ty.trim().to_string()));
+                }
+            }
+        }
+        for ch in code.chars() {
+            match ch {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if opened && depth == 0 {
+            break;
+        }
+    }
+    Ok(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_struct_fields() {
+        let src = "\
+/// Doc.\n\
+pub struct Cfg {\n\
+    /// Cores.\n\
+    pub cores: usize,\n\
+    pub sched: Sched, // which\n\
+    limits: Vec<f64>,\n\
+}\n\
+pub struct Other { pub x: u8 }\n";
+        let f = SourceFile::lex("a.rs", src);
+        let fields = struct_fields(&f, "Cfg").unwrap();
+        let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["cores", "sched", "limits"]);
+        assert!(fields[2].1.contains("f64"));
+        assert!(struct_fields(&f, "Missing").is_err());
+    }
 }

@@ -1,7 +1,6 @@
 //! The rule catalog. Each rule module exposes
 //! `run(&Workspace, &mut AllowTracker) -> Result<Vec<Diagnostic>, String>`.
 
-pub mod cache_key;
 pub mod determinism;
 pub mod env_registry;
 pub mod floats;
@@ -57,8 +56,8 @@ impl AllowTracker {
         hit
     }
 
-    /// Direct lookup for rules with non-line-shaped exemptions (cache-key
-    /// fields, env vars, panic budgets). Marks the entry used.
+    /// Direct lookup for rules with non-line-shaped exemptions (env
+    /// vars, panic budgets). Marks the entry used.
     pub fn take(&mut self, section: &str, path: &str) -> Option<AllowEntry> {
         for (sec, e, used) in &mut self.entries {
             if sec == section && e.path == path {

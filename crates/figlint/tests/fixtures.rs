@@ -110,18 +110,6 @@ fn floats_accept_the_fgsn_word_stream_convention() {
 }
 
 #[test]
-fn cache_key_catches_an_unkeyed_field() {
-    let diags = lint("cache_key/bad");
-    assert_rules("cache_key/bad", &["FIG004"]);
-    assert!(diags[0].contains("Config.free_reloc"), "{}", diags.join("\n"));
-}
-
-#[test]
-fn cache_key_accepts_keyed_fields_and_justified_allows() {
-    assert_clean("cache_key/good");
-}
-
-#[test]
 fn env_registry_catches_both_directions() {
     let diags = lint("env_registry/bad");
     assert!(
@@ -134,10 +122,18 @@ fn env_registry_catches_both_directions() {
         "want documented-but-unread finding:\n{}",
         diags.join("\n")
     );
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.contains("FIG005") && d.contains("library code reads the environment")),
+        "want read-outside-the-parser finding:\n{}",
+        diags.join("\n")
+    );
 }
 
 #[test]
 fn env_registry_accepts_a_synced_registry() {
+    // The parser file and harness code (a `tests/` file) both read env.
     assert_clean("env_registry/good");
 }
 

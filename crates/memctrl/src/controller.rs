@@ -32,18 +32,6 @@ use crate::queues::{Entry, IndexedQueue};
 use crate::request::{Completion, Request};
 use crate::scheduler::{self, SchedPolicy, SchedPolicyKind};
 
-/// Whether the `FIGARO_FREE_RELOC` debug ablation is active. Read once
-/// per process (the controller consults it on the tick hot path and the
-/// event-horizon path, which must agree).
-///
-/// Public because the ablation changes simulated results, so the result
-/// cache must see it: the sim runner appends a `-freereloc` key suffix
-/// whenever this returns `true`.
-pub fn free_reloc_active() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| std::env::var_os("FIGARO_FREE_RELOC").is_some())
-}
-
 /// Controller configuration (the paper's Table 1 values by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McConfig {
@@ -669,17 +657,6 @@ impl MemoryController {
             return;
         }
 
-        // Debug ablation (FIGARO_FREE_RELOC=1): train commands cost no
-        // command-bus slot; used to attribute overhead between bus
-        // pressure and relocation latency.
-        if free_reloc_active() {
-            for _ in 0..16 {
-                if !self.try_issue_job_step(now, true) {
-                    break;
-                }
-            }
-            self.start_pending_jobs(now);
-        }
         // Priority 1: ready demand column commands (policy pick).
         if self.try_issue_column(serve_writes, now) {
             return;
@@ -754,19 +731,13 @@ impl MemoryController {
             return Some(best.min(self.refresh_horizon(from)));
         }
         // Job slots and pending jobs only matter here to an idle queue
-        // pair or the free-RELOC ablation; the bank terms cover them
-        // otherwise.
-        let queues_empty = self.read_q.is_empty() && self.write_q.is_empty();
-        if queues_empty || free_reloc_active() {
-            let any_job = self.banks.iter().any(|b| b.job.is_some());
-            let any_pending = self.engine.has_any_pending_job(self.banks.len() as u32);
-            if queues_empty && !any_job && !any_pending {
-                return (best != Cycle::MAX).then_some(best);
-            }
-            if free_reloc_active() && (any_job || any_pending) {
-                // The debug ablation issues free train steps on every tick.
-                return Some(from);
-            }
+        // pair; the bank terms cover them otherwise.
+        if self.read_q.is_empty()
+            && self.write_q.is_empty()
+            && !self.banks.iter().any(|b| b.job.is_some())
+            && !self.engine.has_any_pending_job(self.banks.len() as u32)
+        {
+            return (best != Cycle::MAX).then_some(best);
         }
         // Write-drain hysteresis exactly as the next tick will compute it
         // (queue lengths cannot change between events).

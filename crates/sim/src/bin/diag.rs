@@ -10,9 +10,8 @@
 
 use figaro_sim::config::KERNEL_CHOICES;
 use figaro_sim::runner::Scale;
-use figaro_sim::{snapshot, ConfigKind, System, SystemConfig};
-use figaro_telemetry::TelemetryConfig;
-use figaro_workloads::{profile_by_name, ArrivalKind, ArrivalSchedule, TraceSource};
+use figaro_sim::{snapshot, ConfigKind, EnvConfig, RunSpec, Runner};
+use figaro_workloads::profile_by_name;
 
 fn usage() -> ! {
     eprintln!(
@@ -50,9 +49,7 @@ fn usage() -> ! {
          the warm prefix resumes from the snapshot (bit-identical to an\n\
          uninterrupted run; warmed results key separately),\n\
          FIGARO_SCALE=tiny|small|full the per-core instruction target in\n\
-         the sweep binaries,\n\
-         FIGARO_FREE_RELOC=1 zero-cost relocation ablation (debug only;\n\
-         cache keys grow a -freereloc suffix)\n\
+         the sweep binaries\n\
          \n\
          env (never affects results):\n\
          FIGARO_SNAPSHOT_DIR=<dir> where FGSN warm-state snapshots live\n\
@@ -180,48 +177,30 @@ fn main() {
         eprintln!("unknown config `{}`", pos[1]);
         usage();
     };
-    let scale = match pos.get(2).map(String::as_str) {
-        None | Some("small") => Scale::Small,
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("unknown scale `{other}`");
-            usage();
-        }
-    };
+    let scale = pos.get(2).map_or(Some(Scale::Small), |s| Scale::parse(s)).unwrap_or_else(|| {
+        eprintln!("unknown scale `{}`", pos[2]);
+        usage()
+    });
     let Some(profile) = profile_by_name(app) else {
         eprintln!("unknown app `{app}`");
         usage();
     };
-    let runner = figaro_sim::Runner::uncached(scale);
-    let trace = runner.trace_for(&profile, 0);
-    let insts = (scale.target_insts() as f64 * (profile.nonmem_per_mem + 1.0) / 3.0) as u64;
-    let insts = insts.clamp(scale.target_insts(), scale.target_insts() * 12);
-    let cfg = SystemConfig::paper(1, kind.clone());
-    let kernel = cfg.kernel;
-    let sched = cfg.mc.sched;
-    let map = cfg.mc.map;
-    let page_map = cfg.page_map;
-    let mut sys = match ArrivalKind::from_env() {
-        // Open-loop pacing: wrap the trace source like scenario runs do.
-        Some(load) => {
-            let src: Box<dyn TraceSource> =
-                Box::new(ArrivalSchedule::new(Box::new(trace.into_source()), load, 0));
-            System::from_sources(cfg, vec![src], &[insts])
-        }
-        None => System::new(cfg, vec![trace], &[insts]),
-    };
+    let mut env = EnvConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("diag: {e}");
+        std::process::exit(2)
+    });
+    let runner = env.apply(Runner::uncached(scale));
+    // Open-loop pacing (FIGARO_LOAD) wraps the trace like scenario runs do.
+    let spec = RunSpec { arrival: env.arrival, ..runner.single_spec(&profile, kind.clone()) };
+    let (insts, cfg) = (spec.targets[0], &spec.config);
+    let mut sys = spec.build();
     if timeline_col.is_some() {
         // The timeline needs the sampler even when the env did not ask
-        // for it; keep any env-requested trace sink alongside.
-        let base = TelemetryConfig::from_env();
-        let interval = base.interval.unwrap_or(10_000);
-        sys.set_telemetry(&TelemetryConfig { interval: Some(interval), trace: base.trace });
+        // for it; FIGARO_STATS_INTERVAL still sets the stride.
+        env.telemetry.interval.get_or_insert(10_000);
     }
-    if figaro_telemetry::profile::profile_enabled() {
-        sys.enable_profiling();
-    }
-    let s = sys.run(insts * 400);
+    env.instrument(&mut sys);
+    let s = sys.run(spec.max_cycles);
     if let Some(col) = timeline_col {
         let Some(series) = sys.telemetry_series() else {
             eprintln!("diag timeline: no samples collected (run shorter than the interval?)");
@@ -256,10 +235,10 @@ fn main() {
     println!(
         "app={app} config={} insts={insts} kernel={} sched={} map={} pagemap={}",
         kind.label(),
-        kernel.label(),
-        sched.label(),
-        map.label(),
-        page_map.label()
+        cfg.kernel.label(),
+        cfg.mc.sched.label(),
+        cfg.mc.map.label(),
+        cfg.page_map.label()
     );
     println!("cycles            : {}", s.cpu_cycles);
     println!("IPC               : {:.4}", s.ipc(0));

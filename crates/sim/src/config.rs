@@ -28,8 +28,9 @@ pub enum Kernel {
     /// fast-forward intervals of `skip` CPU cycles whose instructions are
     /// consumed from the trace at the rate the last detailed window
     /// sustained, issuing **no** memory traffic. The only *approximate*
-    /// kernel: its `RunStats` carry a `sampled` block and its results get
-    /// their own cache keys — they must never stand in for a full run.
+    /// kernel: its `RunStats` carry a `sampled` block, and since the
+    /// kernel is part of every run's cache key its results never stand
+    /// in for a full run.
     Sampled {
         /// Detailed-window length (CPU cycles).
         window: u64,
@@ -50,28 +51,6 @@ pub const SAMPLED_DEFAULT_WINDOW: u64 = 100_000;
 pub const SAMPLED_DEFAULT_SKIP: u64 = 400_000;
 
 impl Kernel {
-    /// Reads `FIGARO_KERNEL` (`event` | `reference`/`ref` |
-    /// `sampled[:window,skip]`), defaulting to
-    /// [`Kernel::Event`] when unset. The variable is read once per
-    /// process ([`SystemConfig::paper`] sits on system-construction
-    /// paths).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value: this selector exists to pick the
-    /// equivalence oracle, so a typo must fail loudly rather than
-    /// silently run the kernel under suspicion.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static KERNEL: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
-        *KERNEL.get_or_init(|| {
-            let raw = std::env::var("FIGARO_KERNEL").unwrap_or_default();
-            Self::parse(&raw).unwrap_or_else(|| {
-                panic!("unrecognized FIGARO_KERNEL `{raw}` (use `{KERNEL_CHOICES}`)")
-            })
-        })
-    }
-
     /// Parses a kernel name (the `FIGARO_KERNEL` vocabulary); `None` for
     /// anything unrecognized.
     #[must_use]
@@ -197,7 +176,8 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// The paper's system for `cores` cores running `kind`
-    /// (1 core → 1 channel, otherwise 4 channels).
+    /// (1 core → 1 channel, otherwise 4 channels): event kernel, FR-FCFS,
+    /// the paper's address mapping and identity page placement.
     #[must_use]
     pub fn paper(cores: usize, kind: ConfigKind) -> Self {
         Self {
@@ -206,21 +186,16 @@ impl SystemConfig {
             kind,
             core: CoreParams::paper_default(),
             hierarchy: HierarchyConfig::paper_default(cores),
-            mc: McConfig {
-                sched: SchedPolicyKind::from_env(),
-                map: MapKind::from_env(),
-                ..McConfig::default()
-            },
+            mc: McConfig::default(),
             cpu_cycles_per_bus: 4,
-            kernel: Kernel::from_env(),
+            kernel: Kernel::Event,
             threads: 0,
-            page_map: PageMapKind::from_env(),
+            page_map: PageMapKind::Identity,
         }
     }
 
     /// Overrides the physical→DRAM address interleaving (mapping
-    /// sweeps; the default is the paper's bit slice or the `FIGARO_MAP`
-    /// override).
+    /// sweeps; the default is the paper's bit slice).
     #[must_use]
     pub fn with_mapping(mut self, map: MapKind) -> Self {
         self.mc.map = map;
@@ -228,7 +203,7 @@ impl SystemConfig {
     }
 
     /// Overrides the OS page-frame placement policy (the default is
-    /// identity or the `FIGARO_PAGEMAP` override).
+    /// identity).
     #[must_use]
     pub fn with_page_map(mut self, page_map: PageMapKind) -> Self {
         self.page_map = page_map;
@@ -236,7 +211,7 @@ impl SystemConfig {
     }
 
     /// Overrides the memory-controller scheduling policy (scheduler
-    /// sweeps; the default is FR-FCFS or the `FIGARO_SCHED` override).
+    /// sweeps; the default is FR-FCFS).
     #[must_use]
     pub fn with_sched(mut self, sched: SchedPolicyKind) -> Self {
         self.mc.sched = sched;

@@ -7,7 +7,8 @@
 //!
 //! Sweeps (Figs. 12–15) default to a representative subset (three
 //! applications per single-core category, one mix per eight-core
-//! category); set `FIGARO_FULL_SWEEPS=1` for the paper's full set.
+//! category); a runner built [`Runner::with_full_sweeps`] (binaries:
+//! `FIGARO_FULL_SWEEPS=1`) runs the paper's full set.
 
 use figaro_core::{FigCacheConfig, ReplacementPolicy};
 use figaro_dram::{MapKind, MapScheme};
@@ -22,15 +23,11 @@ use crate::metrics::{geomean, safe_ratio, weighted_speedup};
 use crate::report::FigureData;
 use crate::runner::{RunSummary, Runner, Scenario, ScenarioWorkload};
 
-fn full_sweeps() -> bool {
-    std::env::var("FIGARO_FULL_SWEEPS").is_ok_and(|v| v == "1")
-}
-
-/// Applications used in sweep figures (subset unless `FIGARO_FULL_SWEEPS=1`).
+/// Applications used in sweep figures (a subset unless `full`).
 #[must_use]
-pub fn sweep_apps() -> Vec<AppProfile> {
+pub fn sweep_apps(full: bool) -> Vec<AppProfile> {
     let all = app_profiles();
-    if full_sweeps() {
+    if full {
         return all;
     }
     let pick = ["gcc", "tpcc64", "h264ref", "mcf", "zeusmp", "libquantum"];
@@ -38,11 +35,11 @@ pub fn sweep_apps() -> Vec<AppProfile> {
 }
 
 /// Mixes used in sweep figures (the 25% and 100% extremes unless
-/// `FIGARO_FULL_SWEEPS=1`, which runs all twenty).
+/// `full`, which runs all twenty).
 #[must_use]
-pub fn sweep_mixes() -> Vec<Mix> {
+pub fn sweep_mixes(full: bool) -> Vec<Mix> {
     let all = eight_core_mixes();
-    if full_sweeps() {
+    if full {
         return all;
     }
     [MixCategory::Intensive25, MixCategory::Intensive100]
@@ -374,8 +371,8 @@ fn sweep_figure(
     points: &[(String, ConfigKind)],
     notes: &[&str],
 ) -> FigureData {
-    let apps = sweep_apps();
-    let mixes = sweep_mixes();
+    let apps = sweep_apps(runner.full_sweeps());
+    let mixes = sweep_mixes(runner.full_sweeps());
     let kinds: Vec<ConfigKind> =
         std::iter::once(ConfigKind::Base).chain(points.iter().map(|(_, k)| k.clone())).collect();
     let columns: Vec<String> = points.iter().map(|(l, _)| l.clone()).collect();
@@ -426,18 +423,17 @@ fn sweep_figure(
     for n in notes {
         fig.push_note(*n);
     }
-    if !full_sweeps() {
+    if !runner.full_sweeps() {
         fig.push_note("sweep subset in effect (set FIGARO_FULL_SWEEPS=1 for all 20 apps/mixes)");
     }
     fig
 }
 
 /// The sensitivity-sweep grid: `(channels, MSHRs/core)` system shapes ×
-/// cache-segment sizes (blocks per segment). A subset unless
-/// `FIGARO_FULL_SWEEPS=1`.
+/// cache-segment sizes (blocks per segment). A subset unless `full`.
 #[must_use]
-pub fn sensitivity_grid() -> (Vec<(u32, usize)>, Vec<u32>) {
-    if full_sweeps() {
+pub fn sensitivity_grid(full: bool) -> (Vec<(u32, usize)>, Vec<u32>) {
+    if full {
         (
             [1u32, 2, 4].iter().flat_map(|&c| [4usize, 8, 16].map(|m| (c, m))).collect(),
             vec![8, 16, 32],
@@ -453,7 +449,7 @@ pub fn sensitivity_grid() -> (Vec<(u32, usize)>, Vec<u32>) {
 /// **streaming** generators through the scenario batch API. Rows are
 /// system shapes, columns segment sizes.
 pub fn sensitivity_sweep(runner: &Runner) -> FigureData {
-    let (shapes, segments) = sensitivity_grid();
+    let (shapes, segments) = sensitivity_grid(runner.full_sweeps());
     let mix = eight_core_mixes()
         .into_iter()
         .find(|m| m.category == MixCategory::Intensive100)
@@ -502,7 +498,7 @@ pub fn sensitivity_sweep(runner: &Runner) -> FigureData {
     }
     note_truncations(&mut fig, &results);
     fig.push_note("streaming scenario runs (no materialized traces); one Intensive100 mix");
-    if !full_sweeps() {
+    if !runner.full_sweeps() {
         fig.push_note("sweep subset in effect (set FIGARO_FULL_SWEEPS=1 for the 3x3x3 grid)");
     }
     fig
@@ -557,8 +553,8 @@ pub fn sched_policies() -> Vec<SchedPolicyKind> {
 /// streamed eight-core mixes. Rows are `policy / mechanism` pairs;
 /// columns report throughput (Σ IPC) and DRAM row-hit rate per mix —
 /// the two axes scheduler choices move. Export with
-/// [`FigureData::to_csv`]. Mix subset unless `FIGARO_FULL_SWEEPS=1`
-/// (one mix per intensity category).
+/// [`FigureData::to_csv`]. Mix subset unless the runner runs full
+/// sweeps (one mix per intensity category).
 pub fn scheduler_sweep(runner: &Runner) -> FigureData {
     scheduler_sweep_with(runner, None)
 }
@@ -570,7 +566,7 @@ pub fn scheduler_sweep_with(runner: &Runner, target_insts: Option<u64>) -> Figur
     let policies = sched_policies();
     let kinds = [ConfigKind::Base, ConfigKind::FigCacheFast];
     let all = eight_core_mixes();
-    let cats: Vec<MixCategory> = if full_sweeps() {
+    let cats: Vec<MixCategory> = if runner.full_sweeps() {
         MixCategory::all().to_vec()
     } else {
         vec![MixCategory::Intensive100, MixCategory::Intensive25]
@@ -621,7 +617,7 @@ pub fn scheduler_sweep_with(runner: &Runner, target_insts: Option<u64>) -> Figur
     }
     note_truncations(&mut fig, &results);
     fig.push_note("frfcfs is the paper's controller; every policy runs the identical workload");
-    if !full_sweeps() {
+    if !runner.full_sweeps() {
         fig.push_note("mix subset in effect (set FIGARO_FULL_SWEEPS=1 for all four categories)");
     }
     fig
@@ -653,8 +649,8 @@ pub fn page_policies() -> Vec<PageMapKind> {
 /// over streamed eight-core mixes. Rows are `mapping / page / mechanism`
 /// triples; columns report throughput (Σ IPC), DRAM row-hit rate and
 /// in-DRAM cache hit rate per mix — the axes data placement moves.
-/// Export with [`FigureData::to_csv`]. Mix subset unless
-/// `FIGARO_FULL_SWEEPS=1`.
+/// Export with [`FigureData::to_csv`]. Mix subset unless the runner runs
+/// full sweeps.
 pub fn mapping_sweep(runner: &Runner) -> FigureData {
     mapping_sweep_with(runner, None)
 }
@@ -667,7 +663,7 @@ pub fn mapping_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureD
     let pages = page_policies();
     let kinds = [ConfigKind::Base, ConfigKind::FigCacheFast];
     let all = eight_core_mixes();
-    let cats: Vec<MixCategory> = if full_sweeps() {
+    let cats: Vec<MixCategory> = if runner.full_sweeps() {
         MixCategory::all().to_vec()
     } else {
         vec![MixCategory::Intensive100, MixCategory::Intensive25]
@@ -731,7 +727,7 @@ pub fn mapping_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureD
     fig.push_note(
         "paper/ident is the paper's placement; every cell runs the identical streamed workload",
     );
-    if !full_sweeps() {
+    if !runner.full_sweeps() {
         fig.push_note("mix subset in effect (set FIGARO_FULL_SWEEPS=1 for all four categories)");
     }
     fig
@@ -973,10 +969,12 @@ mod tests {
 
     #[test]
     fn sweep_subsets_have_both_classes() {
-        let apps = sweep_apps();
+        let apps = sweep_apps(false);
         assert!(apps.iter().any(|a| a.memory_intensive));
         assert!(apps.iter().any(|a| !a.memory_intensive));
-        assert_eq!(sweep_mixes().len(), 2);
+        assert_eq!(sweep_mixes(false).len(), 2);
+        assert_eq!(sweep_apps(true).len(), 20);
+        assert_eq!(sweep_mixes(true).len(), 20);
     }
 
     #[test]
@@ -990,7 +988,7 @@ mod tests {
 
     #[test]
     fn sensitivity_grid_subset_covers_both_axes() {
-        let (shapes, segments) = sensitivity_grid();
+        let (shapes, segments) = sensitivity_grid(false);
         assert!(shapes.iter().any(|&(c, _)| c == 1) && shapes.iter().any(|&(c, _)| c > 1));
         assert!(shapes.iter().any(|&(_, m)| m < 8) && shapes.iter().any(|&(_, m)| m > 4));
         assert!(segments.len() >= 2);

@@ -23,13 +23,18 @@
 //! Clock domains follow Table 1: cores at 3.2 GHz, DDR4-1600 bus at
 //! 800 MHz (one controller tick per four CPU cycles).
 //!
+//! Library code reads no environment variables: a run depends only on
+//! its arguments. Binaries parse the `FIGARO_*` variables once with
+//! [`EnvConfig::from_env`] and apply them through the builders.
+//!
 //! ## Example
 //!
 //! ```
-//! use figaro_sim::{ConfigKind, Runner, Scale};
+//! use figaro_sim::{ConfigKind, EnvConfig, Runner, Scale};
 //! use figaro_workloads::profile_by_name;
 //!
-//! let runner = Runner::new(Scale::Tiny);
+//! let env = EnvConfig::from_env().expect("well-formed FIGARO_* variables");
+//! let runner = env.apply(Runner::uncached(Scale::Tiny));
 //! let mcf = profile_by_name("mcf").unwrap();
 //! let base = runner.run_single(&mcf, ConfigKind::Base);
 //! let fig = runner.run_single(&mcf, ConfigKind::FigCacheFast);
@@ -48,6 +53,7 @@ pub(crate) fn take(src: &mut &[u64]) -> u64 {
 }
 
 pub mod config;
+pub mod env;
 pub mod experiments;
 pub mod metrics;
 pub mod report;
@@ -57,11 +63,14 @@ pub mod system;
 pub mod telemetry;
 
 pub use config::{ConfigKind, Kernel, SystemConfig};
+pub use env::EnvConfig;
 pub use figaro_dram::{MapKind, MapScheme};
 pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
 pub use metrics::{ChannelStats, RunStats, SampledStats};
-pub use runner::{workspace_root, Runner, Scale, Scenario, ScenarioWorkload};
+pub use runner::{
+    workspace_root, CoreWorkload, RunSpec, Runner, Scale, Scenario, ScenarioWorkload, MODEL_EPOCH,
+};
 pub use snapshot::{config_hash, SnapshotHeader};
 pub use system::System;
 pub use telemetry::KernelProfile;

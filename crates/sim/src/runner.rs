@@ -1,20 +1,29 @@
 //! The experiment runner: scales, deterministic trace construction,
-//! alone-IPC measurement for weighted speedup, a file-backed result cache
-//! (so benches that share runs — e.g. Figs. 7/9/10/11 — do not recompute
-//! them), and a parallel batch API over independent runs.
+//! alone-IPC measurement for weighted speedup, a content-addressed
+//! result cache (so benches that share runs — e.g. Figs. 7/9/10/11 — do
+//! not recompute them), and a parallel batch API over independent runs.
+//!
+//! ## The result cache
+//!
+//! Every run is described by one [`RunSpec`] — the full
+//! [`SystemConfig`], each core's workload and seed, targets, cycle cap,
+//! arrival pacing and warmup — and is a pure function of it. A cached
+//! summary lives in `<cache_dir>/<hash>.txt`, where `<hash>` is the
+//! FNV-1a of [`RunSpec::key_text`] ([`MODEL_EPOCH`] plus the spec's
+//! `Debug` text). The file repeats that text on its first line and is
+//! only used when it matches, so a hash collision recomputes instead of
+//! returning another run's result.
 //!
 //! ## Parallel batches
 //!
-//! Every run is a pure function of `(scale, workload, config)`, so
-//! independent runs parallelize trivially. The `*_batch` / `*_matrix`
-//! methods fan a job list out over rayon and return results **in input
-//! order**, which makes a parallel batch bit-identical to the equivalent
-//! serial loop — same `RunSummary` values, same cache keys, same on-disk
-//! cache contents. The on-disk cache is safe under this concurrency: a
-//! process-wide per-key mutex serializes compute-and-publish per cache
-//! key (so duplicate jobs in one batch compute once), and files are
-//! published with a write-temp-then-rename so concurrent *processes*
-//! never observe torn files.
+//! The `*_batch` / `*_matrix` methods fan a job list out over rayon and
+//! return results **in input order**, which makes a parallel batch
+//! bit-identical to the equivalent serial loop — same `RunSummary`
+//! values, same cache files. The on-disk cache is safe under this
+//! concurrency: a process-wide per-file mutex serializes
+//! compute-and-publish per run (so duplicate jobs in one batch compute
+//! once), and files are published with a write-temp-then-rename so
+//! concurrent *processes* never observe torn files.
 
 use std::collections::HashMap;
 use std::fs;
@@ -38,9 +47,8 @@ use crate::system::System;
 /// Simulation scale: instructions per core.
 ///
 /// The paper runs ≥1 B instructions per core; these scales trade fidelity
-/// for turnaround. Set the `FIGARO_SCALE` environment variable to
-/// `tiny`/`small`/`full` (default `small`) — EXPERIMENTS.md records which
-/// scale produced its numbers.
+/// for turnaround. Binaries pick one from `FIGARO_SCALE`
+/// (`tiny`/`small`/`full`, see [`crate::env::EnvConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// 100 k instructions per core — CI/integration tests.
@@ -52,23 +60,15 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `FIGARO_SCALE` (default [`Scale::Small`]).
+    /// Parses a scale label (`tiny` | `small` | `full`,
+    /// case-insensitive); `None` for anything else.
     #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_env_or(Scale::Small)
-    }
-
-    /// Reads `FIGARO_SCALE`, falling back to `default` when unset or
-    /// unrecognized. The integration suite's fast tier uses
-    /// `from_env_or(Scale::Tiny)` so CI stays fast while a local
-    /// `FIGARO_SCALE=small` run can still exercise bigger runs.
-    #[must_use]
-    pub fn from_env_or(default: Scale) -> Self {
-        match std::env::var("FIGARO_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "tiny" => Scale::Tiny,
-            "small" => Scale::Small,
-            "full" => Scale::Full,
-            _ => default,
+    pub fn parse(label: &str) -> Option<Self> {
+        match label.to_lowercase().as_str() {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "full" => Some(Scale::Full),
+            _ => None,
         }
     }
 
@@ -88,7 +88,7 @@ impl Scale {
         self.target_insts() * 400
     }
 
-    /// Label for cache keys and reports.
+    /// Label for reports.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -142,8 +142,7 @@ pub struct RunSummary {
     pub truncated_cores: u64,
     /// Per-channel row-buffer hit rate, in channel order — the merged
     /// `row_hit_rate` averages away a hot channel (see
-    /// [`crate::metrics::ChannelStats`]). Empty in summaries restored
-    /// from cache files written before the field existed.
+    /// [`crate::metrics::ChannelStats`]).
     pub ch_row_hit_rate: Vec<f64>,
     /// Per-channel peak read-queue occupancy.
     pub ch_read_q_peak: Vec<u64>,
@@ -195,13 +194,9 @@ impl RunSummary {
         format!("b{:016x}", x.to_bits())
     }
 
-    /// Parses [`RunSummary::f64_text`], plus the decimal form older cache
-    /// files used.
+    /// Parses [`RunSummary::f64_text`].
     fn f64_parse(s: &str) -> Option<f64> {
-        match s.strip_prefix('b') {
-            Some(hex) => u64::from_str_radix(hex, 16).ok().map(f64::from_bits),
-            None => s.parse().ok(),
-        }
+        u64::from_str_radix(s.strip_prefix('b')?, 16).ok().map(f64::from_bits)
     }
 
     fn to_text(&self) -> String {
@@ -249,45 +244,40 @@ impl RunSummary {
         if e.len() != 5 {
             return None;
         }
-        // Fields absent in cache files written before they existed
-        // default to 0 / empty (matching what those runs would have
-        // reported).
-        let legacy_u64 = |k: &str| map.get(k).map_or(Some(0), |v| v.parse().ok());
-        let legacy_f64_vec = |k: &str| -> Option<Vec<f64>> {
-            match map.get(k) {
-                None => Some(Vec::new()),
-                Some(v) if v.is_empty() => Some(Vec::new()),
-                Some(v) => parse_vec(v),
-            }
+        let u64_of = |k: &str| -> Option<u64> { map.get(k)?.parse().ok() };
+        let f64_of = |k: &str| Self::f64_parse(map.get(k)?);
+        // `split(',')` yields one empty piece for an empty list.
+        let f64_vec = |k: &str| match map.get(k)?.as_str() {
+            "" => Some(Vec::new()),
+            v => parse_vec(v),
         };
-        let legacy_u64_vec = |k: &str| -> Option<Vec<u64>> {
-            match map.get(k) {
-                None => Some(Vec::new()),
-                Some(v) if v.is_empty() => Some(Vec::new()),
-                Some(v) => v.split(',').map(|x| x.parse().ok()).collect(),
+        let u64_vec = |k: &str| -> Option<Vec<u64>> {
+            match map.get(k)?.as_str() {
+                "" => Some(Vec::new()),
+                v => v.split(',').map(|x| x.parse().ok()).collect(),
             }
         };
         Some(Self {
-            ipc: parse_vec(map.get("ipc")?)?,
-            mpki: parse_vec(map.get("mpki")?)?,
-            row_hit_rate: Self::f64_parse(map.get("row_hit_rate")?)?,
-            cache_hit_rate: Self::f64_parse(map.get("cache_hit_rate")?)?,
+            ipc: f64_vec("ipc")?,
+            mpki: f64_vec("mpki")?,
+            row_hit_rate: f64_of("row_hit_rate")?,
+            cache_hit_rate: f64_of("cache_hit_rate")?,
             energy: (e[0], e[1], e[2], e[3], e[4]),
-            cpu_cycles: map.get("cpu_cycles")?.parse().ok()?,
-            relocs: map.get("relocs")?.parse().ok()?,
-            lisa_clones: map.get("lisa_clones")?.parse().ok()?,
-            avg_read_latency: Self::f64_parse(map.get("avg_read_latency")?)?,
-            reads_served: legacy_u64("reads_served")?,
-            read_lat_p50: legacy_u64("read_lat_p50")?,
-            read_lat_p95: legacy_u64("read_lat_p95")?,
-            read_lat_p99: legacy_u64("read_lat_p99")?,
-            read_lat_p999: legacy_u64("read_lat_p999")?,
-            read_lat_max: legacy_u64("read_lat_max")?,
-            insertions: map.get("insertions")?.parse().ok()?,
-            truncated_cores: legacy_u64("truncated_cores")?,
-            ch_row_hit_rate: legacy_f64_vec("ch_row_hit_rate")?,
-            ch_read_q_peak: legacy_u64_vec("ch_read_q_peak")?,
-            ch_write_q_peak: legacy_u64_vec("ch_write_q_peak")?,
+            cpu_cycles: u64_of("cpu_cycles")?,
+            relocs: u64_of("relocs")?,
+            lisa_clones: u64_of("lisa_clones")?,
+            avg_read_latency: f64_of("avg_read_latency")?,
+            reads_served: u64_of("reads_served")?,
+            read_lat_p50: u64_of("read_lat_p50")?,
+            read_lat_p95: u64_of("read_lat_p95")?,
+            read_lat_p99: u64_of("read_lat_p99")?,
+            read_lat_p999: u64_of("read_lat_p999")?,
+            read_lat_max: u64_of("read_lat_max")?,
+            insertions: u64_of("insertions")?,
+            truncated_cores: u64_of("truncated_cores")?,
+            ch_row_hit_rate: f64_vec("ch_row_hit_rate")?,
+            ch_read_q_peak: u64_vec("ch_read_q_peak")?,
+            ch_write_q_peak: u64_vec("ch_write_q_peak")?,
         })
     }
 }
@@ -307,19 +297,13 @@ pub fn idle_companion_trace() -> Trace {
     }
 }
 
-/// Reads `FIGARO_WARMUP` (warm-start CPU cycles; unset, empty or `0`
-/// disables warm-start). Malformed values abort loudly — a typo that
-/// silently ran cold would skew every number in a warm sweep.
-fn warmup_from_env() -> Option<u64> {
-    match std::env::var("FIGARO_WARMUP") {
-        Ok(raw) if !raw.is_empty() => {
-            let parsed = raw.parse::<u64>();
-            assert!(parsed.is_ok(), "FIGARO_WARMUP must be a CPU-cycle count, got `{raw}`");
-            parsed.ok().filter(|&w| w > 0)
-        }
-        _ => None,
-    }
-}
+/// Version of the simulated model, the first thing every result-cache
+/// key hashes: cached summaries from another epoch are never found. It
+/// is the FNV-1a digest of the event-kernel seed-golden `RunStats`
+/// (`model_epoch_pins_the_seed_golden_run_stats` in
+/// `tests/tests/sched_policies.rs`), so a change that alters simulated
+/// behaviour fails that test, which prints the value to put here.
+pub const MODEL_EPOCH: u64 = 0xfb79_32f4_1163_ba7a;
 
 /// Deterministic per-run trace seed.
 fn seed_for(app: &str, core: usize) -> u64 {
@@ -347,6 +331,129 @@ fn insts_for(profile: &AppProfile, scale: Scale) -> u64 {
     scaled.clamp(base, base * 12)
 }
 
+/// What one core of a [`RunSpec`] executes.
+#[derive(Debug, Clone)]
+pub enum CoreWorkload {
+    /// `ops` operations of `profile`'s generator under `seed`,
+    /// materialized before the run.
+    Trace {
+        /// The application.
+        profile: AppProfile,
+        /// Operations in the trace.
+        ops: usize,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// `profile`'s generator under `seed`, streamed on demand.
+    Stream {
+        /// The application.
+        profile: AppProfile,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// A phase-switching generator under `seed`, streamed on demand.
+    Phased {
+        /// The phase schedule.
+        profile: PhasedProfile,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// The alone-IPC idle companion ([`idle_companion_trace`]).
+    Idle,
+}
+
+impl CoreWorkload {
+    fn source(&self) -> Box<dyn TraceSource> {
+        match self {
+            CoreWorkload::Trace { profile, ops, seed } => {
+                Box::new(generate_trace(profile, *ops, *seed).into_source())
+            }
+            CoreWorkload::Stream { profile, seed } => Box::new(TraceGenerator::new(profile, *seed)),
+            CoreWorkload::Phased { profile, seed } => {
+                Box::new(PhasedGenerator::new(profile, *seed))
+            }
+            CoreWorkload::Idle => Box::new(idle_companion_trace().into_source()),
+        }
+    }
+}
+
+/// Everything one simulation run depends on. Its `Debug` text, behind
+/// [`MODEL_EPOCH`], is the run's result-cache identity, so every field
+/// is keyed by construction.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The simulated system.
+    pub config: SystemConfig,
+    /// One workload per core.
+    pub workload: Vec<CoreWorkload>,
+    /// Retired-instruction target per core.
+    pub targets: Vec<u64>,
+    /// CPU-cycle cap of the run.
+    pub max_cycles: u64,
+    /// Open-loop pacing wrapped around every core's source; `None`
+    /// keeps the workload's own issue rate.
+    pub arrival: Option<ArrivalKind>,
+    /// Warm-start: the first N CPU cycles run once under the event
+    /// kernel and are snapshotted, and later runs sharing that prefix
+    /// resume from the snapshot (bit-identical to a cold run).
+    pub warmup: Option<u64>,
+}
+
+impl RunSpec {
+    /// A cold, closed-loop run capped at 400 CPU cycles per instruction
+    /// of the largest target.
+    #[must_use]
+    pub fn new(config: SystemConfig, workload: Vec<CoreWorkload>, targets: Vec<u64>) -> Self {
+        let max_cycles = targets.iter().max().copied().unwrap_or(1).saturating_mul(400);
+        Self { config, workload, targets, max_cycles, arrival: None, warmup: None }
+    }
+
+    /// The result-cache identity: [`MODEL_EPOCH`] plus the `Debug` text.
+    #[must_use]
+    pub fn key_text(&self) -> String {
+        format!("epoch {MODEL_EPOCH:016x} {self:?}")
+    }
+
+    /// FNV-1a of [`RunSpec::key_text`]: the cache file name.
+    #[must_use]
+    pub fn key(&self) -> u64 {
+        crate::snapshot::key_hash(&self.key_text())
+    }
+
+    /// Builds the system at cycle 0 (fresh deterministic sources).
+    #[must_use]
+    pub fn build(&self) -> System {
+        let sources: Vec<Box<dyn TraceSource>> = self
+            .workload
+            .iter()
+            .enumerate()
+            .map(|(c, w)| match self.arrival {
+                // Per-core seeds tied to the arrival label, so cores draw
+                // independent gap streams and a kind change redraws them.
+                Some(kind) => {
+                    Box::new(ArrivalSchedule::new(w.source(), kind, seed_for(&kind.label(), c)))
+                        as Box<dyn TraceSource>
+                }
+                None => w.source(),
+            })
+            .collect();
+        System::from_sources(self.config.clone(), sources, &self.targets)
+    }
+
+    /// The run whose final state is this run's warm point: the warm
+    /// prefix under the event kernel, so every kernel (and every sampled
+    /// geometry) branches from one snapshot.
+    fn warm_prefix(&self) -> Option<RunSpec> {
+        let cycles = self.warmup.filter(|&w| w > 0)?;
+        Some(RunSpec {
+            config: SystemConfig { kernel: Kernel::Event, ..self.config.clone() },
+            max_cycles: cycles.min(self.max_cycles),
+            warmup: None,
+            ..self.clone()
+        })
+    }
+}
+
 /// The workload of a [`Scenario`] — always **streamed** (cores pull from
 /// generators on demand; nothing materializes a full trace in memory, so
 /// scenario length is bounded by simulation time, not RAM).
@@ -371,17 +478,9 @@ impl ScenarioWorkload {
         }
     }
 
-    /// Mean non-memory instructions per memory op of core `i` (used to
-    /// convert op targets to instruction targets).
-    fn nonmem_per_mem(&self, core: usize) -> f64 {
-        match self {
-            ScenarioWorkload::Apps(apps) => apps[core].nonmem_per_mem,
-            ScenarioWorkload::Mix(m) => m.apps[core].nonmem_per_mem,
-            ScenarioWorkload::Phased(ps) => ps[core].base.nonmem_per_mem,
-        }
-    }
-
-    fn profile_for_insts(&self, core: usize) -> AppProfile {
+    /// Core `core`'s profile for instruction-target purposes (a phased
+    /// workload's base profile).
+    fn profile(&self, core: usize) -> AppProfile {
         match self {
             ScenarioWorkload::Apps(apps) => apps[core],
             ScenarioWorkload::Mix(m) => m.apps[core],
@@ -389,47 +488,16 @@ impl ScenarioWorkload {
         }
     }
 
-    /// Cache-key fragment identifying the workload (so two scenarios that
-    /// reuse a name with different workloads never share a cached
-    /// result). Phased workloads include the schedule in the signature:
-    /// a reconfigured schedule is a different workload.
-    fn cache_signature(&self) -> String {
+    /// Streamed workload of core `core` (deterministic per scenario).
+    fn core(&self, core: usize) -> CoreWorkload {
         match self {
-            ScenarioWorkload::Apps(apps) => {
-                format!("apps.{}", apps.iter().map(|p| p.name).collect::<Vec<_>>().join("."))
-            }
-            ScenarioWorkload::Mix(m) => format!("mix.{}", m.name),
-            ScenarioWorkload::Phased(ps) => {
-                let parts: Vec<String> = ps
-                    .iter()
-                    .map(|p| {
-                        let sched: Vec<String> = p
-                            .phases
-                            .iter()
-                            .map(|ph| format!("{}{}", ph.kind.label(), ph.ops))
-                            .collect();
-                        format!("{}.{}", p.name, sched.join("-"))
-                    })
-                    .collect();
-                format!("phased.{}", parts.join("."))
-            }
-        }
-    }
-
-    /// Streaming source for core `core` (deterministic per scenario).
-    fn source_for(&self, core: usize) -> Box<dyn TraceSource> {
-        match self {
-            ScenarioWorkload::Apps(apps) => {
-                let p = &apps[core];
-                Box::new(TraceGenerator::new(p, seed_for(p.name, core)))
-            }
-            ScenarioWorkload::Mix(m) => {
-                let p = &m.apps[core];
-                Box::new(TraceGenerator::new(p, seed_for(p.name, core)))
+            ScenarioWorkload::Apps(_) | ScenarioWorkload::Mix(_) => {
+                let profile = self.profile(core);
+                CoreWorkload::Stream { seed: seed_for(profile.name, core), profile }
             }
             ScenarioWorkload::Phased(ps) => {
                 let p = &ps[core];
-                Box::new(PhasedGenerator::new(p, seed_for(&p.name, core)))
+                CoreWorkload::Phased { profile: p.clone(), seed: seed_for(&p.name, core) }
             }
         }
     }
@@ -441,9 +509,8 @@ impl ScenarioWorkload {
 /// shares the runner's result cache.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Scenario name (reports; part of the cache key together with the
-    /// workload signature and every override, so reused names with
-    /// different shapes or workloads never collide).
+    /// Scenario name (reports only: the cache keys what the scenario
+    /// runs, so two names for one run share an entry).
     pub name: String,
     /// Mechanism under evaluation.
     pub kind: ConfigKind,
@@ -457,28 +524,23 @@ pub struct Scenario {
     /// per-profile target). This is what long-run scenarios set.
     pub target_insts: Option<u64>,
     /// Memory-controller scheduling-policy override (default: the
-    /// runner's policy, itself FR-FCFS unless `FIGARO_SCHED` says
-    /// otherwise).
+    /// runner's policy).
     pub sched: Option<SchedPolicyKind>,
-    /// Address-mapping override (default: the runner's mapping, itself
-    /// the paper slice unless `FIGARO_MAP` says otherwise).
+    /// Address-mapping override (default: the runner's mapping).
     pub map: Option<MapKind>,
-    /// Page-placement override (default: the runner's policy, itself
-    /// identity unless `FIGARO_PAGEMAP` says otherwise).
+    /// Page-placement override (default: the runner's policy).
     pub page_map: Option<PageMapKind>,
     /// Open-loop arrival-pacing override (default: the runner's pacing,
-    /// itself closed-loop unless `FIGARO_LOAD` says otherwise). When
-    /// set, every core's source is wrapped in an
-    /// [`figaro_workloads::ArrivalSchedule`], making offered load the
-    /// swept axis instead of the workload's own issue rate.
+    /// itself closed-loop unless set). When set, every core's source is
+    /// wrapped in an [`figaro_workloads::ArrivalSchedule`], making
+    /// offered load the swept axis instead of the workload's own issue
+    /// rate.
     pub arrival: Option<ArrivalKind>,
     /// Warm-start override (default: the runner's warmup, itself off
-    /// unless `FIGARO_WARMUP` says otherwise): run the first N CPU
-    /// cycles once, snapshot the warmed state (FGSN, see
-    /// [`crate::snapshot`]), and let every later run of the same warm
-    /// prefix resume from the snapshot instead of re-simulating it.
-    /// Resumed runs are bit-identical to uninterrupted ones, but warmed
-    /// results still get their own `-warm-<N>` cache keys.
+    /// unless set): run the first N CPU cycles once, snapshot the warmed
+    /// state (FGSN, see [`crate::snapshot`]), and let every later run of
+    /// the same warm prefix resume from the snapshot instead of
+    /// re-simulating it (see [`RunSpec::warmup`]).
     pub warmup_cycles: Option<u64>,
 }
 
@@ -574,7 +636,7 @@ impl Scenario {
         ops_per_core: u64,
     ) -> Self {
         let insts = (0..workload.cores())
-            .map(|c| (ops_per_core as f64 * (workload.nonmem_per_mem(c) + 1.0)) as u64)
+            .map(|c| (ops_per_core as f64 * (workload.profile(c).nonmem_per_mem + 1.0)) as u64)
             .max()
             .unwrap_or(ops_per_core);
         Self::new(name, kind, workload).with_target_insts(insts)
@@ -597,23 +659,22 @@ pub struct Runner {
     /// Warm-start applied to **scenario** runs (see
     /// [`Scenario::warmup_cycles`]); `None` runs everything cold.
     warmup: Option<u64>,
+    /// Sweep figures run the paper's full application and mix sets
+    /// instead of the representative subset.
+    full_sweeps: bool,
     cache_dir: Option<PathBuf>,
-    /// Where FGSN warm-state snapshots live (`FIGARO_SNAPSHOT_DIR`,
-    /// default `<cache_dir>/snapshots`); `None` disables snapshot
-    /// persistence (warmup still runs, once per process call).
+    /// Where FGSN warm-state snapshots live (default
+    /// `<cache_dir>/snapshots`); `None` disables snapshot persistence
+    /// (warmup still runs, once per process call).
     snapshot_dir: Option<PathBuf>,
 }
 
 impl Runner {
-    /// A runner at `scale` with the on-disk result cache enabled, the
-    /// kernel selected by `FIGARO_KERNEL` (default: event-driven), the
-    /// scheduling policy selected by `FIGARO_SCHED` (default: FR-FCFS),
-    /// the address mapping selected by `FIGARO_MAP` (default: the
-    /// paper's slice), the page placement selected by
-    /// `FIGARO_PAGEMAP` (default: identity) and, for scenario runs, the
-    /// open-loop arrival pacing selected by `FIGARO_LOAD` (default:
-    /// closed-loop). The cache lives at `target/figaro-cache` under the
-    /// [`workspace_root`] above the current directory.
+    /// A runner at `scale` with the on-disk result cache enabled and
+    /// the paper defaults: event kernel, FR-FCFS, the paper's address
+    /// mapping, identity page placement, closed-loop cold scenarios and
+    /// the sweep subset. The cache lives at `target/figaro-cache` under
+    /// the [`workspace_root`] above the current directory.
     ///
     /// # Panics
     ///
@@ -645,28 +706,21 @@ impl Runner {
     }
 
     fn build(scale: Scale, cache_dir: Option<PathBuf>) -> Self {
-        let snapshot_dir = match std::env::var("FIGARO_SNAPSHOT_DIR") {
-            Ok(dir) if !dir.is_empty() => Some(PathBuf::from(dir)),
-            _ => cache_dir.as_ref().map(|d| d.join("snapshots")),
-        };
         Self {
             scale,
-            kernel: Kernel::from_env(),
-            sched: SchedPolicyKind::from_env(),
-            map: MapKind::from_env(),
-            page_map: PageMapKind::from_env(),
-            arrival: ArrivalKind::from_env(),
-            warmup: warmup_from_env(),
+            kernel: Kernel::default(),
+            sched: SchedPolicyKind::FrFcfs,
+            map: MapKind::default(),
+            page_map: PageMapKind::Identity,
+            arrival: None,
+            warmup: None,
+            full_sweeps: false,
+            snapshot_dir: cache_dir.as_ref().map(|d| d.join("snapshots")),
             cache_dir,
-            snapshot_dir,
         }
     }
 
-    /// Pins the simulation kernel for every run this runner launches
-    /// (serial and batch alike). Event-kernel results are bit-identical
-    /// to the reference, so they share the canonical cache keys;
-    /// reference runs get their own keys (see [`Runner::kernel_suffix`])
-    /// so the oracle really executes when asked for.
+    /// Pins the simulation kernel for every run this runner launches.
     #[must_use]
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
@@ -674,9 +728,7 @@ impl Runner {
     }
 
     /// Pins the memory-controller scheduling policy for every run this
-    /// runner launches. Non-default policies change results, so they get
-    /// their own cache keys (see [`Runner::sched_suffix`]); the FR-FCFS
-    /// default keeps the canonical keys.
+    /// runner launches.
     #[must_use]
     pub fn with_sched(mut self, sched: SchedPolicyKind) -> Self {
         self.sched = sched;
@@ -684,8 +736,7 @@ impl Runner {
     }
 
     /// Pins the physical→DRAM address mapping for every run this runner
-    /// launches. Non-default mappings change results, so they get their
-    /// own cache keys (see [`Runner::map_suffix`]).
+    /// launches.
     #[must_use]
     pub fn with_mapping(mut self, map: MapKind) -> Self {
         self.map = map;
@@ -693,8 +744,7 @@ impl Runner {
     }
 
     /// Pins the OS page-frame placement policy for every run this
-    /// runner launches. Non-identity placements change results, so they
-    /// get their own cache keys (see [`Runner::pagemap_suffix`]).
+    /// runner launches.
     #[must_use]
     pub fn with_page_map(mut self, page_map: PageMapKind) -> Self {
         self.page_map = page_map;
@@ -702,130 +752,35 @@ impl Runner {
     }
 
     /// Pins open-loop arrival pacing for every **scenario** run this
-    /// runner launches (defaults to the `FIGARO_LOAD` override, or
-    /// closed-loop when unset). Pacing changes results, so it gets its
-    /// own cache keys (see [`Runner::arrival_suffix`]).
+    /// runner launches.
     #[must_use]
     pub fn with_arrival(mut self, arrival: ArrivalKind) -> Self {
         self.arrival = Some(arrival);
         self
     }
 
-    /// Warm-starts every **scenario** run this runner launches
-    /// (defaults to the `FIGARO_WARMUP` override, or cold when unset).
-    /// Warmed runs get their own `-warm-<N>` cache keys (see
-    /// [`Runner::warm_suffix`]) even though resumption is bit-identical,
-    /// so a canonical entry is always a cold, uninterrupted run.
+    /// Warm-starts every **scenario** run this runner launches.
     #[must_use]
     pub fn with_warmup(mut self, cycles: u64) -> Self {
         self.warmup = Some(cycles);
         self
     }
 
-    /// Pins the FGSN snapshot directory (default: `FIGARO_SNAPSHOT_DIR`,
-    /// falling back to `<cache_dir>/snapshots`).
+    /// Runs sweep figures over the paper's full application and mix
+    /// sets (`true`) or the representative subset (`false`, the
+    /// default).
+    #[must_use]
+    pub fn with_full_sweeps(mut self, full: bool) -> Self {
+        self.full_sweeps = full;
+        self
+    }
+
+    /// Pins the FGSN snapshot directory (default:
+    /// `<cache_dir>/snapshots`).
     #[must_use]
     pub fn with_snapshot_dir(mut self, dir: PathBuf) -> Self {
         self.snapshot_dir = Some(dir);
         self
-    }
-
-    /// Cache-key suffix for the non-default kernel. Without it, a
-    /// cross-check run under `FIGARO_KERNEL=reference` could silently
-    /// return a cached event-kernel result instead of exercising the
-    /// per-cycle oracle — and a `FIGARO_KERNEL=sampled` run, which is
-    /// approximate by construction, would poison the canonical entries
-    /// outright.
-    fn kernel_suffix(&self) -> String {
-        match self.kernel {
-            Kernel::Event => String::new(),
-            Kernel::Reference => "-refkernel".to_string(),
-            // Sampled results depend on the window/skip geometry, so
-            // each geometry keys separately.
-            Kernel::Sampled { window, skip } => format!("-sampled-{window},{skip}"),
-        }
-    }
-
-    /// Cache-key fragment for warm-started runs: empty for cold runs, a
-    /// `-warm-<N>` suffix otherwise. Resuming from a warm snapshot is
-    /// bit-identical to an uninterrupted run, but the suffix keeps the
-    /// invariant that a canonical cache entry never depended on a
-    /// snapshot file — a bad snapshot can at worst taint `-warm-`
-    /// entries, never the cold baselines figures are built from.
-    fn warm_suffix(warmup: Option<u64>) -> String {
-        warmup.map_or_else(String::new, |w| format!("-warm-{w}"))
-    }
-
-    /// Cache-key fragment for a scheduling policy: empty for the
-    /// FR-FCFS default (canonical keys stay stable), a labeled suffix
-    /// otherwise — a policy change alters results, so it must never
-    /// share a cached summary with the default ladder.
-    fn sched_suffix(sched: SchedPolicyKind) -> String {
-        match sched {
-            SchedPolicyKind::FrFcfs => String::new(),
-            other => format!("-sched-{}", other.label()),
-        }
-    }
-
-    /// Cache-key fragment for an address mapping: empty for the paper
-    /// default (canonical keys stay stable), a labeled suffix otherwise.
-    fn map_suffix(map: MapKind) -> String {
-        if map == MapKind::default() {
-            String::new()
-        } else {
-            format!("-map-{}", map.label())
-        }
-    }
-
-    /// Cache-key fragment for a page-placement policy: empty for the
-    /// identity default, a labeled suffix otherwise.
-    fn pagemap_suffix(page_map: PageMapKind) -> String {
-        if page_map == PageMapKind::Identity {
-            String::new()
-        } else {
-            format!("-pg-{}", page_map.label())
-        }
-    }
-
-    /// Cache-key fragment for arrival pacing: empty for the closed-loop
-    /// default (canonical scenario keys stay stable), a labeled suffix
-    /// otherwise — a paced run must never share a cached summary with
-    /// the closed-loop run of the same scenario.
-    fn arrival_suffix(arrival: Option<ArrivalKind>) -> String {
-        arrival.map_or_else(String::new, |a| format!("-arr-{}", a.label()))
-    }
-
-    /// Cache-key fragment for the `FIGARO_FREE_RELOC` debug ablation:
-    /// empty normally, `-freereloc` when the ablation is active. The
-    /// toggle changes relocation accounting (and therefore results), so
-    /// without this suffix an ablated run would poison — or be poisoned
-    /// by — the canonical cache entries.
-    fn freereloc_suffix() -> &'static str {
-        Self::ablation_suffix_for(figaro_memctrl::free_reloc_active())
-    }
-
-    /// Pure mapping behind [`Self::freereloc_suffix`], split out so tests
-    /// can cover both arms without mutating process environment.
-    fn ablation_suffix_for(active: bool) -> &'static str {
-        if active {
-            "-freereloc"
-        } else {
-            ""
-        }
-    }
-
-    /// All non-canonical cache-key suffixes of this runner's fixed
-    /// configuration (kernel, scheduler, mapping, page placement,
-    /// debug ablations).
-    fn config_suffixes(&self) -> String {
-        format!(
-            "{}{}{}{}{}",
-            self.kernel_suffix(),
-            Self::sched_suffix(self.sched),
-            Self::map_suffix(self.map),
-            Self::pagemap_suffix(self.page_map),
-            Self::freereloc_suffix()
-        )
     }
 
     /// The runner's scale.
@@ -834,28 +789,10 @@ impl Runner {
         self.scale
     }
 
-    /// The simulation kernel this runner uses.
+    /// Whether sweep figures run the full sets.
     #[must_use]
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// The memory-controller scheduling policy this runner uses.
-    #[must_use]
-    pub fn sched(&self) -> SchedPolicyKind {
-        self.sched
-    }
-
-    /// The physical→DRAM address mapping this runner uses.
-    #[must_use]
-    pub fn mapping(&self) -> MapKind {
-        self.map
-    }
-
-    /// The OS page-frame placement policy this runner uses.
-    #[must_use]
-    pub fn page_map(&self) -> PageMapKind {
-        self.page_map
+    pub fn full_sweeps(&self) -> bool {
+        self.full_sweeps
     }
 
     /// A [`SystemConfig::paper`] system with this runner's kernel,
@@ -868,11 +805,11 @@ impl Runner {
     }
 
     /// The process-wide per-cache-file lock: concurrent batch workers
-    /// that land on the same `(cache_dir, key)` serialize here, so the
-    /// first computes and publishes while the rest read the published
-    /// file. Entries are never evicted — the registry is bounded by the
-    /// number of distinct run keys in a process (a few hundred for the
-    /// full sweep set, each a few dozen bytes).
+    /// that land on the same cache file serialize here, so the first
+    /// computes and publishes while the rest read the published file.
+    /// Entries are never evicted — the registry is bounded by the number
+    /// of distinct runs in a process (a few hundred for the full sweep
+    /// set, each a few dozen bytes).
     fn key_lock(path: &std::path::Path) -> Arc<Mutex<()>> {
         static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
         LOCKS
@@ -884,26 +821,37 @@ impl Runner {
             .clone()
     }
 
-    fn cached<F: FnOnce() -> RunSummary>(&self, key: &str, run: F) -> RunSummary {
-        let Some(dir) = &self.cache_dir else { return run() };
-        let safe: String = key
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{safe}.txt"));
+    /// Runs `spec` through the result cache: `<cache_dir>/<key>.txt`
+    /// holds the spec's key text on its first line and the summary
+    /// after it. A file whose first line differs (a hash collision, or
+    /// a foreign file) is recomputed and overwritten.
+    #[must_use]
+    pub fn run(&self, spec: &RunSpec) -> RunSummary {
+        let fresh = || {
+            let mut sys = spec.build();
+            if let Some(prefix) = spec.warm_prefix() {
+                self.warm_start(&mut sys, &prefix);
+            }
+            RunSummary::from_stats(&sys.run(spec.max_cycles))
+        };
+        let Some(dir) = &self.cache_dir else { return fresh() };
+        let key_text = spec.key_text();
+        let name = format!("{:016x}", crate::snapshot::key_hash(&key_text));
+        let path = dir.join(format!("{name}.txt"));
         let lock = Self::key_lock(&path);
         let _guard = lock.lock().expect("cache key lock never poisoned");
+        let header = format!("spec {key_text}\n");
         if let Ok(text) = fs::read_to_string(&path) {
-            if let Some(s) = RunSummary::from_text(&text) {
+            if let Some(s) = text.strip_prefix(&header).and_then(RunSummary::from_text) {
                 return s;
             }
         }
-        let s = run();
+        let s = fresh();
         let _ = fs::create_dir_all(dir);
         // Publish atomically (temp + rename) so a concurrent reader in
         // another process never sees a torn file.
-        let tmp = dir.join(format!("{safe}.{}.tmp", std::process::id()));
-        if fs::write(&tmp, s.to_text()).is_ok() {
+        let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
+        if fs::write(&tmp, header + &s.to_text()).is_ok() {
             let _ = fs::rename(&tmp, &path);
         }
         s
@@ -919,189 +867,113 @@ impl Runner {
         )
     }
 
+    /// The materialized-trace workload of `profile` on core `core`.
+    fn trace_core(&self, profile: &AppProfile, core: usize) -> CoreWorkload {
+        CoreWorkload::Trace {
+            profile: *profile,
+            ops: ops_for(profile, insts_for(profile, self.scale)),
+            seed: seed_for(profile.name, core),
+        }
+    }
+
+    /// The run behind [`Runner::run_single`].
+    #[must_use]
+    pub fn single_spec(&self, profile: &AppProfile, kind: ConfigKind) -> RunSpec {
+        RunSpec::new(
+            self.system_config(1, kind),
+            vec![self.trace_core(profile, 0)],
+            vec![insts_for(profile, self.scale)],
+        )
+    }
+
     /// Runs one application on the single-core system under `kind`.
     pub fn run_single(&self, profile: &AppProfile, kind: ConfigKind) -> RunSummary {
-        let key = format!(
-            "{}-1core-{}-{}{}",
-            self.scale.label(),
-            profile.name,
-            config_key(&kind),
-            self.config_suffixes()
-        );
-        let insts = insts_for(profile, self.scale);
-        let trace = self.trace_for(profile, 0);
-        let cfg = self.system_config(1, kind);
-        self.cached(&key, move || {
-            let mut sys = System::new(cfg, vec![trace], &[insts]);
-            RunSummary::from_stats(&sys.run(insts * 400))
-        })
+        self.run(&self.single_spec(profile, kind))
     }
 
     /// Runs an eight-application mix under `kind`.
     pub fn run_mix(&self, mix: &Mix, kind: ConfigKind) -> RunSummary {
-        let key = format!(
-            "{}-8core-{}-{}{}",
-            self.scale.label(),
-            mix.name,
-            config_key(&kind),
-            self.config_suffixes()
-        );
-        let targets: Vec<u64> = mix.apps.iter().map(|p| insts_for(p, self.scale)).collect();
-        let max_cycles = targets.iter().max().copied().unwrap_or(1) * 400;
-        let traces: Vec<Trace> =
-            mix.apps.iter().enumerate().map(|(i, p)| self.trace_for(p, i)).collect();
-        let cfg = self.system_config(8, kind);
-        self.cached(&key, move || {
-            let mut sys = System::new(cfg, traces, &targets);
-            RunSummary::from_stats(&sys.run(max_cycles))
-        })
+        self.run(&RunSpec::new(
+            self.system_config(8, kind),
+            mix.apps.iter().enumerate().map(|(i, p)| self.trace_core(p, i)).collect(),
+            mix.apps.iter().map(|p| insts_for(p, self.scale)).collect(),
+        ))
     }
 
     /// Runs a multithreaded workload: eight threads of one program sharing
     /// a footprint (different seeds ⇒ different interleavings of the same
     /// address space).
     pub fn run_multithreaded(&self, profile: &AppProfile, kind: ConfigKind) -> RunSummary {
-        let key = format!(
-            "{}-8mt-{}-{}{}",
-            self.scale.label(),
-            profile.name,
-            config_key(&kind),
-            self.config_suffixes()
-        );
-        let insts = insts_for(profile, self.scale);
-        let traces: Vec<Trace> = (0..8).map(|i| self.trace_for(profile, i)).collect();
-        let cfg = self.system_config(8, kind);
-        self.cached(&key, move || {
-            let mut sys = System::new(cfg, traces, &[insts; 8]);
-            RunSummary::from_stats(&sys.run(insts * 400))
-        })
+        self.run(&RunSpec::new(
+            self.system_config(8, kind),
+            (0..8).map(|i| self.trace_core(profile, i)).collect(),
+            vec![insts_for(profile, self.scale); 8],
+        ))
     }
 
     /// IPC of `profile` running **alone** on the eight-core Base system
-    /// (the denominator of weighted speedup).
+    /// (the denominator of weighted speedup): seven idle companion cores.
     pub fn alone_ipc(&self, profile: &AppProfile) -> f64 {
-        let key =
-            format!("{}-alone-{}{}", self.scale.label(), profile.name, self.config_suffixes());
-        let insts = insts_for(profile, self.scale);
-        let trace = self.trace_for(profile, 0);
-        let cfg = self.system_config(8, ConfigKind::Base);
-        let summary = self.cached(&key, move || {
-            let mut traces = vec![trace];
-            // Seven idle companion cores.
-            for _ in 1..8 {
-                traces.push(idle_companion_trace());
-            }
-            let mut targets = vec![insts];
-            targets.extend([IDLE_COMPANION_TARGET; 7]);
-            let mut sys = System::new(cfg, traces, &targets);
-            RunSummary::from_stats(&sys.run(insts * 400))
-        });
-        summary.ipc[0]
+        let mut workload = vec![self.trace_core(profile, 0)];
+        workload.extend(std::iter::repeat_n(CoreWorkload::Idle, 7));
+        let mut targets = vec![insts_for(profile, self.scale)];
+        targets.extend([IDLE_COMPANION_TARGET; 7]);
+        self.run(&RunSpec::new(self.system_config(8, ConfigKind::Base), workload, targets)).ipc[0]
     }
 
-    /// Runs one [`Scenario`]: builds the system shape (paper defaults plus
-    /// the scenario's overrides) and drives it from **streaming** sources,
-    /// so even 100M-op-per-core runs hold no materialized traces.
-    pub fn run_scenario(&self, sc: &Scenario) -> RunSummary {
+    /// The run behind [`Runner::run_scenario`]: paper defaults plus the
+    /// scenario's overrides, falling back to the runner's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario's workload has no cores.
+    fn scenario_spec(&self, sc: &Scenario) -> RunSpec {
         let cores = sc.workload.cores();
         assert!(cores > 0, "scenario needs at least one core");
-        let sched = sc.sched.unwrap_or(self.sched);
-        let map = sc.map.unwrap_or(self.map);
-        let page_map = sc.page_map.unwrap_or(self.page_map);
-        let arrival = sc.arrival.or(self.arrival);
-        let warmup = sc.warmup_cycles.or(self.warmup).filter(|&w| w > 0);
-        // Everything that determines the simulated state, *except* the
-        // kernel and warm-start: the exact kernels are bit-identical and
-        // warmup always runs exactly, so every kernel (and every sampled
-        // geometry) branches from one snapshot of this warm prefix.
-        let base = format!(
-            "{}-scn-{}-{}-{}-ch{}-m{}-t{}{}{}{}{}{}",
-            self.scale.label(),
-            sc.name,
-            sc.workload.cache_signature(),
-            config_key(&sc.kind),
-            sc.channels.map_or_else(|| "def".into(), |c| c.to_string()),
-            sc.mshrs_per_core.map_or_else(|| "def".into(), |m| m.to_string()),
-            sc.target_insts.map_or_else(|| "def".into(), |t| t.to_string()),
-            Self::sched_suffix(sched),
-            Self::map_suffix(map),
-            Self::pagemap_suffix(page_map),
-            Self::arrival_suffix(arrival),
-            Self::freereloc_suffix()
-        );
-        let key = format!("{base}{}{}", self.kernel_suffix(), Self::warm_suffix(warmup));
-        let warm_key = warmup.map(|w| format!("{base}-w{w}"));
         let mut cfg = self
             .system_config(cores, sc.kind.clone())
-            .with_sched(sched)
-            .with_mapping(map)
-            .with_page_map(page_map);
+            .with_sched(sc.sched.unwrap_or(self.sched))
+            .with_mapping(sc.map.unwrap_or(self.map))
+            .with_page_map(sc.page_map.unwrap_or(self.page_map));
         if let Some(ch) = sc.channels {
             cfg = cfg.with_channels(ch);
         }
         if let Some(m) = sc.mshrs_per_core {
             cfg = cfg.with_mshrs(m);
         }
-        let targets: Vec<u64> = (0..cores)
+        let targets = (0..cores)
             .map(|c| {
-                sc.target_insts
-                    .unwrap_or_else(|| insts_for(&sc.workload.profile_for_insts(c), self.scale))
+                sc.target_insts.unwrap_or_else(|| insts_for(&sc.workload.profile(c), self.scale))
             })
             .collect();
-        let max_cycles = targets.iter().max().copied().unwrap_or(1).saturating_mul(400);
-        let workload = sc.workload.clone();
-        self.cached(&key, move || {
-            let build = |cfg: SystemConfig| -> System {
-                let sources: Vec<Box<dyn TraceSource>> = (0..cores)
-                    .map(|c| {
-                        let src = workload.source_for(c);
-                        match arrival {
-                            // Per-core seeds tied to the arrival label, so
-                            // cores draw independent gap streams and a kind
-                            // change redraws them.
-                            Some(kind) => Box::new(ArrivalSchedule::new(
-                                src,
-                                kind,
-                                seed_for(&kind.label(), c),
-                            )) as Box<dyn TraceSource>,
-                            None => src,
-                        }
-                    })
-                    .collect();
-                System::from_sources(cfg, sources, &targets)
-            };
-            let mut sys = build(cfg.clone());
-            if let (Some(w), Some(wkey)) = (warmup, &warm_key) {
-                self.warm_start(&mut sys, &cfg, w.min(max_cycles), wkey, &build);
-            }
-            RunSummary::from_stats(&sys.run(max_cycles))
-        })
+        RunSpec {
+            arrival: sc.arrival.or(self.arrival),
+            warmup: sc.warmup_cycles.or(self.warmup).filter(|&w| w > 0),
+            ..RunSpec::new(cfg, (0..cores).map(|c| sc.workload.core(c)).collect(), targets)
+        }
     }
 
-    /// Brings `sys` to the scenario's warm point: restores the FGSN
-    /// snapshot for `warm_key` when one exists, otherwise simulates the
-    /// warm prefix once — under the exact event kernel, so a snapshot
-    /// never embeds sampled-mode approximation — and publishes the
-    /// snapshot for every later run sharing the prefix. `build` must
-    /// reconstruct the system from the same run description (fresh
-    /// deterministic sources).
-    fn warm_start<F: Fn(SystemConfig) -> System>(
-        &self,
-        sys: &mut System,
-        cfg: &SystemConfig,
-        warm_cycles: u64,
-        warm_key: &str,
-        build: &F,
-    ) {
-        let path = self.snapshot_path(warm_key);
+    /// Runs one [`Scenario`] from **streaming** sources, so even
+    /// 100M-op-per-core runs hold no materialized traces.
+    pub fn run_scenario(&self, sc: &Scenario) -> RunSummary {
+        self.run(&self.scenario_spec(sc))
+    }
+
+    /// Brings `sys` to its warm point, the final state of `prefix`:
+    /// restores the FGSN snapshot of `prefix` when one exists, otherwise
+    /// runs `prefix` once and publishes its snapshot for every later run
+    /// sharing it.
+    fn warm_start(&self, sys: &mut System, prefix: &RunSpec) {
+        let path =
+            self.snapshot_dir.as_ref().map(|d| d.join(format!("{:016x}.fgsn", prefix.key())));
         if let Some(p) = &path {
             if crate::snapshot::restore(sys, p).is_ok() {
                 sys.note_warm_resume();
                 return;
             }
         }
-        let mut warm = build(SystemConfig { kernel: Kernel::Event, ..cfg.clone() });
-        let _ = warm.run(warm_cycles);
+        let mut warm = prefix.build();
+        let _ = warm.run(prefix.max_cycles);
         if let Some(p) = &path {
             if let Some(dir) = p.parent() {
                 let _ = fs::create_dir_all(dir);
@@ -1114,16 +986,6 @@ impl Runner {
         warm.save_state(&mut words);
         sys.load_state(&mut &words[..]);
         sys.note_warm_resume();
-    }
-
-    /// On-disk location of the FGSN snapshot for a warm-prefix key
-    /// (`None` when snapshot persistence is disabled). The key is
-    /// FNV-hashed into the filename: warm keys repeat the whole scenario
-    /// key and overflow comfortable filename lengths.
-    fn snapshot_path(&self, warm_key: &str) -> Option<PathBuf> {
-        self.snapshot_dir
-            .as_ref()
-            .map(|d| d.join(format!("{:016x}.fgsn", crate::snapshot::key_hash(warm_key))))
     }
 
     /// Runs a batch of scenarios in parallel; results in input order,
@@ -1212,36 +1074,162 @@ pub fn workspace_root(start: &Path) -> Option<PathBuf> {
     })
 }
 
-fn config_key(kind: &ConfigKind) -> String {
-    match kind {
-        ConfigKind::FigCacheCustom(c) => {
-            format!(
-                "custom-r{}-b{}-{:?}-t{}-{}",
-                c.cache_rows_per_bank,
-                c.blocks_per_segment,
-                c.replacement,
-                c.insertion.miss_threshold,
-                match c.region {
-                    figaro_core::CacheRegion::FastSubarrays => "fast",
-                    figaro_core::CacheRegion::ReservedSlowRows => "slow",
-                }
-            )
-        }
-        other => other.label().to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use figaro_core::{CacheRegion, FigCacheConfig, InsertionPolicy, ReplacementPolicy};
+    use figaro_cpu::{CoreParams, HierarchyConfig};
+    use figaro_memctrl::McConfig;
     use figaro_workloads::profile_by_name;
 
+    fn cache_files(dir: &Path) -> usize {
+        fs::read_dir(dir).map_or(0, |rd| {
+            rd.filter_map(Result::ok)
+                .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
+                .count()
+        })
+    }
+
     #[test]
-    fn freereloc_ablation_gets_its_own_cache_keys() {
-        // Both arms of the env-derived suffix, without mutating the
-        // process environment (tests run in parallel).
-        assert_eq!(Runner::ablation_suffix_for(false), "");
-        assert_eq!(Runner::ablation_suffix_for(true), "-freereloc");
+    fn figcache_custom_runs_differing_in_one_field_never_share_a_cache_entry() {
+        // Each variant differs from the paper config in one field alone;
+        // each must publish its own entry and return what a fresh run
+        // returns (an ideal-relocation run issues no RELOCs).
+        // Its own top-level directory: other tests here remove theirs.
+        let dir = std::env::temp_dir().join(format!("figaro-cache-custom-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cached = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+        let fresh = Runner::uncached(Scale::Tiny);
+        let mcf = profile_by_name("mcf").unwrap();
+        let paper = FigCacheConfig::paper_fast();
+        let variants = [
+            paper.clone(),
+            FigCacheConfig { ideal_relocation: true, ..paper.clone() },
+            FigCacheConfig { seed: paper.seed + 1, ..paper.clone() },
+            FigCacheConfig { max_pending_jobs_per_bank: 1, ..paper.clone() },
+        ];
+        for (i, cfg) in variants.into_iter().enumerate() {
+            let kind = ConfigKind::FigCacheCustom(cfg);
+            let got = cached.run_single(&mcf, kind.clone());
+            assert_eq!(got, fresh.run_single(&mcf, kind.clone()), "{kind:?} got a stale entry");
+            assert_eq!(cache_files(&dir), i + 1, "{kind:?} shares a cache entry");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Applies `mutate` to a copy of `base` and asserts the key moved.
+    fn assert_keyed(base: &RunSpec, field: &str, mutate: impl FnOnce(&mut RunSpec)) {
+        let mut spec = base.clone();
+        mutate(&mut spec);
+        assert_ne!(spec.key(), base.key(), "changing {field} must change the cache key");
+    }
+
+    /// The FIGCache config of a `FigCacheCustom` spec.
+    fn fig(spec: &mut RunSpec) -> &mut FigCacheConfig {
+        match &mut spec.config.kind {
+            ConfigKind::FigCacheCustom(c) => c,
+            _ => unreachable!("the base spec runs FigCacheCustom"),
+        }
+    }
+
+    #[test]
+    fn every_run_spec_field_reaches_the_cache_key() {
+        let mcf = profile_by_name("mcf").unwrap();
+        let lbm = profile_by_name("lbm").unwrap();
+        let base = Runner::uncached(Scale::Tiny)
+            .single_spec(&mcf, ConfigKind::FigCacheCustom(FigCacheConfig::paper_fast()));
+        // The patterns are exhaustive: a new field stops this test from
+        // compiling until it gets a mutation below.
+        let RunSpec { config, workload: _, targets: _, max_cycles: _, arrival: _, warmup: _ } =
+            &base;
+        assert_keyed(&base, "workload", |s| s.workload[0] = CoreWorkload::Idle);
+        assert_keyed(&base, "workload profile", |s| {
+            s.workload[0] = CoreWorkload::Trace { profile: lbm, ops: 10, seed: 1 };
+            let mut other = s.clone();
+            other.workload[0] = CoreWorkload::Trace { profile: mcf, ops: 10, seed: 1 };
+            assert_ne!(s.key(), other.key());
+        });
+        assert_keyed(&base, "workload ops", |s| {
+            let CoreWorkload::Trace { ops, .. } = &mut s.workload[0] else { unreachable!() };
+            *ops += 1;
+        });
+        assert_keyed(&base, "workload seed", |s| {
+            let CoreWorkload::Trace { seed, .. } = &mut s.workload[0] else { unreachable!() };
+            *seed += 1;
+        });
+        assert_keyed(&base, "targets", |s| s.targets[0] += 1);
+        assert_keyed(&base, "max_cycles", |s| s.max_cycles += 1);
+        assert_keyed(&base, "arrival", |s| s.arrival = Some(ArrivalKind::Fixed { gap: 8 }));
+        assert_keyed(&base, "warmup", |s| s.warmup = Some(1_000));
+
+        let SystemConfig {
+            cores: _,
+            channels: _,
+            kind: _,
+            core: CoreParams { width: _, window: _ },
+            hierarchy: HierarchyConfig { l1: _, l2: _, llc: _, mshrs_per_core: _, fill_latency: _ },
+            mc,
+            cpu_cycles_per_bus: _,
+            kernel: _,
+            threads: _,
+            page_map: _,
+        } = config;
+        assert_keyed(&base, "cores", |s| s.config.cores = 2);
+        assert_keyed(&base, "channels", |s| s.config.channels = 2);
+        assert_keyed(&base, "kind", |s| s.config.kind = ConfigKind::FigCacheFast);
+        assert_keyed(&base, "core.width", |s| s.config.core.width += 1);
+        assert_keyed(&base, "core.window", |s| s.config.core.window += 1);
+        assert_keyed(&base, "hierarchy.l1", |s| s.config.hierarchy.l1.latency += 1);
+        assert_keyed(&base, "hierarchy.l2", |s| s.config.hierarchy.l2.ways *= 2);
+        assert_keyed(&base, "hierarchy.llc", |s| s.config.hierarchy.llc.size_bytes *= 2);
+        assert_keyed(&base, "mshrs_per_core", |s| s.config.hierarchy.mshrs_per_core += 1);
+        assert_keyed(&base, "fill_latency", |s| s.config.hierarchy.fill_latency += 1);
+        assert_keyed(&base, "cpu_cycles_per_bus", |s| s.config.cpu_cycles_per_bus = 2);
+        assert_keyed(&base, "kernel", |s| s.config.kernel = Kernel::Reference);
+        assert_keyed(&base, "threads", |s| s.config.threads = 1);
+        assert_keyed(&base, "page_map", |s| s.config.page_map = PageMapKind::Random { seed: 7 });
+
+        let McConfig {
+            read_queue_cap: _,
+            write_queue_cap: _,
+            wq_high: _,
+            wq_low: _,
+            enable_refresh: _,
+            activation_window: _,
+            sched: _,
+            map: _,
+            flat_scan: _,
+        } = mc;
+        assert_keyed(&base, "read_queue_cap", |s| s.config.mc.read_queue_cap += 1);
+        assert_keyed(&base, "write_queue_cap", |s| s.config.mc.write_queue_cap += 1);
+        assert_keyed(&base, "wq_high", |s| s.config.mc.wq_high += 1);
+        assert_keyed(&base, "wq_low", |s| s.config.mc.wq_low += 1);
+        assert_keyed(&base, "enable_refresh", |s| s.config.mc.enable_refresh = false);
+        assert_keyed(&base, "activation_window", |s| s.config.mc.activation_window = Some(64));
+        assert_keyed(&base, "sched", |s| s.config.mc.sched = SchedPolicyKind::Fcfs);
+        assert_keyed(&base, "map", |s| s.config.mc.map = MapKind::from_name("chfirst").unwrap());
+        assert_keyed(&base, "flat_scan", |s| s.config.mc.flat_scan = true);
+
+        let FigCacheConfig {
+            cache_rows_per_bank: _,
+            blocks_per_segment: _,
+            region: _,
+            replacement: _,
+            insertion: InsertionPolicy { miss_threshold: _ },
+            ideal_relocation: _,
+            max_pending_jobs_per_bank: _,
+            seed: _,
+        } = FigCacheConfig::paper_fast();
+        assert_keyed(&base, "cache_rows_per_bank", |s| fig(s).cache_rows_per_bank = 32);
+        assert_keyed(&base, "blocks_per_segment", |s| fig(s).blocks_per_segment = 8);
+        assert_keyed(&base, "region", |s| fig(s).region = CacheRegion::ReservedSlowRows);
+        assert_keyed(&base, "replacement", |s| fig(s).replacement = ReplacementPolicy::Lru);
+        assert_keyed(&base, "miss_threshold", |s| fig(s).insertion.miss_threshold = 2);
+        assert_keyed(&base, "ideal_relocation", |s| fig(s).ideal_relocation = true);
+        assert_keyed(&base, "max_pending_jobs_per_bank", |s| {
+            fig(s).max_pending_jobs_per_bank = 1;
+        });
+        assert_keyed(&base, "seed", |s| fig(s).seed += 1);
     }
 
     #[test]
@@ -1279,35 +1267,8 @@ mod tests {
         }
         assert_eq!(loaded.cache_hit_rate.to_bits(), s.cache_hit_rate.to_bits());
         assert_eq!(loaded.energy.4.to_bits(), s.energy.4.to_bits());
-        // Cache files written before the newer fields existed still load
-        // (decimal floats, no percentile lines).
-        let legacy: String = t
-            .lines()
-            .filter(|l| {
-                !l.starts_with("truncated_cores")
-                    && !l.starts_with("reads_served")
-                    && !l.starts_with("read_lat_")
-                    && !l.starts_with("ch_")
-            })
-            .map(|l| {
-                // Rewrite hex-bit floats back to the old decimal form.
-                let (k, v) = l.split_once(' ').unwrap();
-                let dec: Vec<String> = v
-                    .split(',')
-                    .map(|x| match RunSummary::f64_parse(x) {
-                        Some(f) if x.starts_with('b') => f.to_string(),
-                        _ => x.to_string(),
-                    })
-                    .collect();
-                format!("{k} {}\n", dec.join(","))
-            })
-            .collect();
-        let loaded = RunSummary::from_text(&legacy).expect("legacy cache entry must parse");
-        assert_eq!(loaded.truncated_cores, 0);
-        assert_eq!(loaded.reads_served, 0);
-        assert_eq!(loaded.read_lat_p99, 0);
-        assert!(loaded.ch_row_hit_rate.is_empty() && loaded.ch_read_q_peak.is_empty());
-        assert_eq!(loaded.ipc, s.ipc, "shortest-decimal legacy floats still parse exactly");
+        let empty = RunSummary { ch_row_hit_rate: Vec::new(), ch_read_q_peak: Vec::new(), ..s };
+        assert_eq!(RunSummary::from_text(&empty.to_text()), Some(empty));
     }
 
     #[test]
@@ -1549,15 +1510,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_env_fallback_prefers_default_when_unset() {
-        // Do not set the env var here (tests share the process); only
-        // exercise the parse-side default.
-        assert_eq!(Scale::from_env_or(Scale::Tiny).label(), {
-            match std::env::var("FIGARO_SCALE").unwrap_or_default().to_lowercase().as_str() {
-                "small" => "small",
-                "full" => "full",
-                _ => "tiny",
-            }
-        });
+    fn scale_labels_round_trip() {
+        for s in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::parse(&s.label().to_uppercase()), Some(s));
+        }
+        assert_eq!(Scale::parse("huge"), None);
     }
 }

@@ -74,9 +74,8 @@ pub fn config_hash(cfg: &SystemConfig) -> u64 {
     fnv1a(format!("{normalized:?}").as_bytes())
 }
 
-/// FNV-1a of an arbitrary key string — the runner uses it to derive
-/// snapshot filenames from warm-prefix cache keys (which repeat the
-/// whole scenario key and overflow comfortable filename lengths).
+/// FNV-1a of an arbitrary key string — the runner names result-cache
+/// and warm-snapshot files by it (see [`crate::RunSpec::key`]).
 #[must_use]
 pub fn key_hash(key: &str) -> u64 {
     fnv1a(key.as_bytes())

@@ -262,7 +262,7 @@ impl System {
             .cpu_cycles_per_bus
             .is_power_of_two()
             .then(|| cfg.cpu_cycles_per_bus.trailing_zeros());
-        let mut sys = Self {
+        Self {
             cfg,
             cores,
             hierarchy,
@@ -274,14 +274,7 @@ impl System {
             cpu_cycle: 0,
             telemetry: None,
             profiler: None,
-        };
-        // Telemetry comes from the process env by default; tests override
-        // it programmatically via `set_telemetry` (never by mutating env).
-        let tcfg = figaro_telemetry::env_config();
-        if tcfg.enabled() {
-            sys.set_telemetry(tcfg);
         }
-        sys
     }
 
     /// Immutable access to the controllers (stats inspection), in

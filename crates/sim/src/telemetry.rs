@@ -227,10 +227,9 @@ impl KernelProfile {
 impl System {
     /// Installs (or, with a disabled config, removes) the run's
     /// telemetry: the interval sampler, the main trace lane, and the
-    /// per-controller trace buffers. `System::new` calls this with the
-    /// process-env config; tests call it directly with a programmatic
-    /// [`TelemetryConfig`] so parallel test binaries never race on
-    /// process env. Call before `run`.
+    /// per-controller trace buffers. Systems start with telemetry off;
+    /// `diag` installs the `FIGARO_STATS_INTERVAL` / `FIGARO_TRACE`
+    /// config through this. Call before `run`.
     pub fn set_telemetry(&mut self, cfg: &TelemetryConfig) {
         self.telemetry = SimTelemetry::create(cfg, self.cores.len(), self.shards.len());
         let filter = cfg.trace.as_ref().map(|s| s.filter);

@@ -28,9 +28,8 @@
 //! traced output across kernels.
 //!
 //! The env knobs (`FIGARO_STATS_INTERVAL`, `FIGARO_TRACE`,
-//! `FIGARO_PROFILE`) are registered as *never-affects-results* in the
-//! README env tables and deliberately appear in **no** result-cache
-//! key.
+//! `FIGARO_PROFILE`) are parsed by the binaries (`figaro_sim::env`) and
+//! registered as *never-affects-results* in the README env tables.
 
 pub mod profile;
 pub mod series;
@@ -38,9 +37,6 @@ pub mod trace;
 
 pub use series::SeriesSet;
 pub use trace::{TraceBuffer, TraceFilter};
-
-use std::env;
-use std::sync::OnceLock;
 
 /// Runs a telemetry emit only when the optional sink is live.
 ///
@@ -63,9 +59,7 @@ macro_rules! probe {
     };
 }
 
-/// Process-wide telemetry configuration, parsed once from the
-/// environment (or built programmatically by tests, which must not
-/// mutate process env).
+/// What a run's telemetry records (see `System::set_telemetry`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Sample the interval time-series every this many CPU cycles
@@ -97,57 +91,26 @@ impl TelemetryConfig {
     pub fn enabled(&self) -> bool {
         self.interval.is_some() || self.trace.is_some()
     }
-
-    /// Parses `FIGARO_STATS_INTERVAL` / `FIGARO_TRACE` from the
-    /// process environment. Malformed values abort loudly (the
-    /// workspace-wide env convention: a typo must never silently run
-    /// an untelemetered simulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-numeric or zero interval, or an empty trace
-    /// path / unknown trace filter category.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let interval = env::var("FIGARO_STATS_INTERVAL").ok().map(|v| {
-            let n: u64 = v
-                .parse()
-                .unwrap_or_else(|_| panic!("FIGARO_STATS_INTERVAL must be a cycle count: {v:?}"));
-            assert!(n > 0, "FIGARO_STATS_INTERVAL must be positive");
-            n
-        });
-        let trace = env::var("FIGARO_TRACE").ok().map(|v| parse_trace_spec(&v));
-        Self { interval, trace }
-    }
 }
 
 /// Parses a `FIGARO_TRACE` value: `<path>[:filter]` where `filter` is
 /// a comma-separated category list (see [`TraceFilter::parse`]). The
 /// filter, if any, follows the *last* colon, so plain relative/absolute
-/// paths work; a path whose final component itself contains a colon is
-/// not supported.
+/// paths work; a path whose final component itself contains a colon
+/// followed by only lowercase letters and commas is read as a filter.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an empty path or an unknown filter category.
-#[must_use]
-pub fn parse_trace_spec(spec: &str) -> TraceSink {
+/// An empty path or an unknown filter category.
+pub fn parse_trace_spec(spec: &str) -> Result<TraceSink, String> {
     let (path, filter) = match spec.rsplit_once(':') {
-        Some((p, f)) if !p.is_empty() && TraceFilter::looks_like_filter(f) => {
-            (p, TraceFilter::parse(f))
-        }
+        Some((p, f)) if TraceFilter::looks_like_filter(f) => (p, TraceFilter::parse(f)?),
         _ => (spec, TraceFilter::default()),
     };
-    assert!(!path.is_empty(), "FIGARO_TRACE path must not be empty");
-    TraceSink { path: std::path::PathBuf::from(path), filter }
-}
-
-/// The process-wide config as seen by `System::new` (tests bypass this
-/// via an explicit setter so parallel test binaries never race on
-/// process env).
-pub fn env_config() -> &'static TelemetryConfig {
-    static CONFIG: OnceLock<TelemetryConfig> = OnceLock::new();
-    CONFIG.get_or_init(TelemetryConfig::from_env)
+    if path.is_empty() {
+        return Err("the trace path must not be empty".into());
+    }
+    Ok(TraceSink { path: std::path::PathBuf::from(path), filter })
 }
 
 #[cfg(test)]
@@ -156,7 +119,7 @@ mod tests {
 
     #[test]
     fn trace_spec_splits_path_and_filter() {
-        let s = parse_trace_spec("out/trace.json:reloc,drain");
+        let s = parse_trace_spec("out/trace.json:reloc,drain").unwrap();
         assert_eq!(s.path, std::path::PathBuf::from("out/trace.json"));
         assert!(s.filter.allows("reloc") && s.filter.allows("drain"));
         assert!(!s.filter.allows("refresh"));
@@ -164,7 +127,7 @@ mod tests {
 
     #[test]
     fn trace_spec_without_filter_keeps_colonless_path() {
-        let s = parse_trace_spec("trace.json");
+        let s = parse_trace_spec("trace.json").unwrap();
         assert_eq!(s.path, std::path::PathBuf::from("trace.json"));
         assert!(s.filter.allows("reloc") && s.filter.allows("warm"));
     }
@@ -180,8 +143,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FIGARO_TRACE path")]
-    fn empty_trace_path_panics() {
-        let _ = parse_trace_spec("");
+    fn empty_trace_path_or_filter_typo_is_an_error() {
+        assert!(parse_trace_spec("").is_err());
+        assert!(parse_trace_spec(":reloc").is_err());
+        let err = parse_trace_spec("trace.json:relocs").unwrap_err();
+        assert!(err.contains("`relocs`"), "{err}");
     }
 }

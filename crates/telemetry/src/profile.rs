@@ -8,16 +8,7 @@
 //! the *callers* in `crates/sim` never mention `Instant` — keeping the
 //! determinism lint's token scan meaningful everywhere else.
 
-use std::env;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Whether `FIGARO_PROFILE=1` asked for kernel self-profiling (read
-/// once; the knob is registered as *never-affects-results*).
-pub fn profile_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| env::var("FIGARO_PROFILE").is_ok_and(|v| v == "1"))
-}
 
 /// One accumulation bucket of a [`LapClock`].
 #[derive(Debug, Clone, Copy)]

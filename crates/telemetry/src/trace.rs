@@ -72,35 +72,33 @@ impl TraceFilter {
     /// Parses a comma-separated category list (`"reloc,drain"`), or
     /// `"all"` for every category.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unknown category name (loud-env convention).
-    #[must_use]
-    pub fn parse(spec: &str) -> Self {
+    /// Names the first unknown category.
+    pub fn parse(spec: &str) -> Result<Self, String> {
         let mut mask = 0u8;
         for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             if tok == "all" {
                 mask = 0xff;
                 continue;
             }
-            let cat = CATEGORIES
-                .iter()
-                .find(|c| c.name() == tok)
-                .unwrap_or_else(|| panic!("unknown FIGARO_TRACE filter category {tok:?}"));
+            let cat = CATEGORIES.iter().find(|c| c.name() == tok).ok_or_else(|| {
+                let names: Vec<&str> = CATEGORIES.iter().map(|c| c.name()).collect();
+                format!("unknown trace filter category `{tok}` (use {} or all)", names.join(","))
+            })?;
             mask |= cat.bit();
         }
-        Self { mask }
+        Ok(Self { mask })
     }
 
-    /// Whether every comma token of `spec` is a known category name —
-    /// used to disambiguate `path:filter` from a path containing `:`.
+    /// Whether `spec` has the shape of a category list (lowercase words
+    /// and commas) — used to split `path:filter` from a path whose last
+    /// component contains `:`. A misspelled category still looks like a
+    /// filter, so [`TraceFilter::parse`] reports it.
     #[must_use]
     pub fn looks_like_filter(spec: &str) -> bool {
-        !spec.is_empty()
-            && spec
-                .split(',')
-                .map(str::trim)
-                .all(|t| t == "all" || CATEGORIES.iter().any(|c| c.name() == t))
+        !spec.trim().is_empty()
+            && spec.chars().all(|c| c.is_ascii_lowercase() || c == ',' || c == ' ')
     }
 
     /// Whether the named category is recorded (test/CLI convenience;
@@ -646,18 +644,18 @@ mod tests {
     fn filter_parse_and_default() {
         let f = TraceFilter::default();
         assert!(CATEGORIES.iter().all(|c| f.allows(c.name())));
-        assert_eq!(TraceFilter::parse("all"), f);
-        assert!(!TraceFilter::looks_like_filter("epoch"), "the epoch category is gone");
-        let only = TraceFilter::parse("drain");
+        assert_eq!(TraceFilter::parse("all"), Ok(f));
+        assert!(TraceFilter::parse("epoch").is_err(), "the epoch category is gone");
+        let only = TraceFilter::parse("drain").unwrap();
         assert!(only.allows("drain") && !only.allows("reloc"));
         assert!(TraceFilter::looks_like_filter("reloc,drain"));
         assert!(!TraceFilter::looks_like_filter("out.json"));
     }
 
     #[test]
-    #[should_panic(expected = "unknown FIGARO_TRACE filter")]
-    fn filter_typo_panics() {
-        let _ = TraceFilter::parse("relocs");
+    fn filter_typo_is_an_error() {
+        let err = TraceFilter::parse("relocs").unwrap_err();
+        assert!(err.contains("`relocs`") && err.contains("reloc,drain"), "{err}");
     }
 
     #[test]
@@ -691,9 +689,9 @@ mod tests {
 
     #[test]
     fn merge_orders_by_time_then_lane() {
-        let mut a = TraceBuffer::new(TraceFilter::parse("all"));
+        let mut a = TraceBuffer::new(TraceFilter::default());
         a.instant(Cat::Warm, "warm_resume", 5, 0);
-        let mut b = TraceBuffer::new(TraceFilter::parse("all"));
+        let mut b = TraceBuffer::new(TraceFilter::default());
         b.instant(Cat::Refresh, "refresh", 3, 0);
         let dir = std::env::temp_dir().join("figaro-telemetry-test");
         let path = dir.join("t2.json");

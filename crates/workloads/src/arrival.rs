@@ -139,29 +139,6 @@ impl ArrivalKind {
         parsed.validate()?;
         Ok(parsed)
     }
-
-    /// Reads the process-wide `FIGARO_LOAD` override once: `None` when
-    /// unset (closed-loop default — sources keep their own gaps).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed value: the override exists to pin the
-    /// offered load under study, so a typo must fail loudly rather than
-    /// silently run closed-loop.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        static LOAD: std::sync::OnceLock<Option<ArrivalKind>> = std::sync::OnceLock::new();
-        *LOAD.get_or_init(|| {
-            let raw = std::env::var("FIGARO_LOAD").unwrap_or_default();
-            if raw.is_empty() {
-                return None;
-            }
-            match ArrivalKind::parse(&raw) {
-                Ok(kind) => Some(kind),
-                Err(e) => panic!("unrecognized FIGARO_LOAD `{raw}`: {e}"),
-            }
-        })
-    }
 }
 
 /// A [`TraceSource`] adapter that re-paces its inner source with an

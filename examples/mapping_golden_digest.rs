@@ -6,7 +6,7 @@
 //! `cargo run --release --example mapping_golden_digest` whenever a PR
 //! *intentionally* changes default-mapping behavior, and say so in the PR.
 
-use figaro_sim::{ConfigKind, Kernel, MapKind, PageMapKind, SchedPolicyKind, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, SchedPolicyKind, System, SystemConfig};
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
 
 fn main() {
@@ -28,13 +28,8 @@ fn main() {
                         })
                         .collect();
                     let insts = 12_000u64;
-                    // Pinned explicitly: SystemConfig::paper reads
-                    // FIGARO_MAP / FIGARO_PAGEMAP, and a lingering env
-                    // override must not skew regenerated goldens.
                     let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) }
-                        .with_sched(sched)
-                        .with_mapping(MapKind::paper())
-                        .with_page_map(PageMapKind::Identity);
+                        .with_sched(sched);
                     let mut sys = System::new(cfg, traces, &vec![insts; cores]);
                     let s = sys.run(insts * 400);
                     println!(

@@ -12,11 +12,11 @@
 
 use figaro_sim::metrics::weighted_speedup;
 use figaro_sim::runner::Scale;
-use figaro_sim::{ConfigKind, Runner};
+use figaro_sim::{ConfigKind, EnvConfig, Runner};
 use figaro_workloads::{eight_core_mixes, MixCategory};
 
-fn main() {
-    let runner = Runner::uncached(Scale::Tiny);
+fn main() -> Result<(), String> {
+    let runner = EnvConfig::from_env()?.apply(Runner::uncached(Scale::Tiny));
     let mixes = eight_core_mixes();
     println!("eight-core mixes, Base vs FIGCache-Fast (tiny scale)\n");
     println!(
@@ -46,4 +46,5 @@ fn main() {
          induced bank conflicts are exactly what segment co-location removes\n\
          (paper Fig. 8: +3.9% at 25% intensity up to +27.1% at 100%)."
     );
+    Ok(())
 }

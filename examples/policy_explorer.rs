@@ -9,11 +9,11 @@
 
 use figaro_core::ReplacementPolicy;
 use figaro_sim::runner::Scale;
-use figaro_sim::{ConfigKind, Runner, SystemConfig};
+use figaro_sim::{ConfigKind, EnvConfig, Runner, SystemConfig};
 use figaro_workloads::profile_by_name;
 
-fn main() {
-    let runner = Runner::uncached(Scale::Tiny);
+fn main() -> Result<(), String> {
+    let runner = EnvConfig::from_env()?.apply(Runner::uncached(Scale::Tiny));
     let app = profile_by_name("GemsFDTD").expect("profile exists");
     let base = runner.run_single(&app, ConfigKind::Base).ipc[0];
     println!("GemsFDTD, single core, speedup over Base (tiny scale)\n");
@@ -45,4 +45,5 @@ fn main() {
     }
 
     println!("\npaper: RowBenefit ties or wins; 1 kB segments peak; threshold 1 is best.");
+    Ok(())
 }

@@ -14,7 +14,7 @@
 use figaro_core::{CacheEngine, FigCacheConfig, FigCacheEngine};
 use figaro_dram::{BankAddr, DataStore, DramChannel, DramCommand, DramConfig, SubarrayLayout};
 use figaro_sim::runner::Scale;
-use figaro_sim::{ConfigKind, Runner};
+use figaro_sim::{ConfigKind, EnvConfig, Runner};
 use figaro_workloads::profile_by_name;
 
 fn act1_functional_reloc() {
@@ -86,9 +86,9 @@ fn act2_figcache_engine() {
     assert!(hit.cache_hit);
 }
 
-fn act3_end_to_end() {
+fn act3_end_to_end(env: &EnvConfig) {
     println!("=== Act 3: end-to-end speedup on mcf (tiny scale) ===");
-    let runner = Runner::uncached(Scale::Tiny);
+    let runner = env.apply(Runner::uncached(Scale::Tiny));
     let mcf = profile_by_name("mcf").expect("mcf profile exists");
     let base = runner.run_single(&mcf, ConfigKind::Base);
     let fig = runner.run_single(&mcf, ConfigKind::FigCacheFast);
@@ -107,8 +107,10 @@ fn act3_end_to_end() {
     println!("speedup       : {:.3}x", fig.ipc[0] / base.ipc[0]);
 }
 
-fn main() {
+fn main() -> Result<(), String> {
+    let env = EnvConfig::from_env()?;
     act1_functional_reloc();
     act2_figcache_engine();
-    act3_end_to_end();
+    act3_end_to_end(&env);
+    Ok(())
 }

@@ -14,7 +14,7 @@
 //!   FIGARO_SLOW_TESTS=1 cargo test -q -- --include-ignored
 //!   ```
 
-use figaro_sim::Scale;
+use figaro_sim::{EnvConfig, Scale};
 
 /// Marker attached to every slow test's `#[ignore]` reason.
 pub const SLOW_HINT: &str =
@@ -38,25 +38,35 @@ pub fn slow_guard(test: &str) -> bool {
     false
 }
 
+/// The parsed `FIGARO_*` environment.
+///
+/// # Panics
+///
+/// Panics with the parser's message on a malformed variable.
+#[must_use]
+pub fn env() -> EnvConfig {
+    EnvConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The fast tier's scale: always [`Scale::Tiny`] unless the operator
 /// explicitly overrides `FIGARO_SCALE` (keeping the default run
 /// deterministic and CI-fast).
 #[must_use]
 pub fn fast_tier_scale() -> Scale {
-    Scale::from_env_or(Scale::Tiny)
+    env().scale_or(Scale::Tiny)
 }
 
 /// The slow tier's scale: the bench default unless overridden.
 #[must_use]
 pub fn slow_tier_scale() -> Scale {
-    Scale::from_env_or(Scale::Small)
+    env().scale_or(Scale::Small)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn tier_scales_disagree_by_default() {
-        if std::env::var("FIGARO_SCALE").is_err() {
+        if super::env().scale.is_none() {
             assert_ne!(super::fast_tier_scale(), super::slow_tier_scale());
         }
     }

@@ -10,13 +10,15 @@
 //!    event kernel bit-identical to the per-cycle reference.
 //! 3. **Runner plumbing**: scenario-level policy overrides really reach
 //!    the controller and never share cache entries with the default.
+//! 4. **Model epoch**: the result cache's `MODEL_EPOCH` is the hash of
+//!    the event-kernel golden runs' full `RunStats`.
 
 use proptest::prelude::*;
 
 use figaro_sim::experiments::scheduler_sweep_with;
 use figaro_sim::{
     ConfigKind, Kernel, RunStats, Runner, Scale, Scenario, ScenarioWorkload, SchedPolicyKind,
-    System, SystemConfig,
+    System, SystemConfig, MODEL_EPOCH,
 };
 use figaro_workloads::{app_profiles, generate_trace, profile_by_name, Trace};
 
@@ -134,6 +136,36 @@ fn frfcfs_reproduces_the_seed_on_write_draining_runs() {
             kind.label()
         );
     }
+}
+
+/// The event-kernel runs of both golden tables above, in table order.
+fn event_golden_runs() -> Vec<RunStats> {
+    let mut kinds = vec![ConfigKind::Base];
+    kinds.extend(ConfigKind::figure78_set());
+    let mut runs: Vec<RunStats> = kinds
+        .iter()
+        .flat_map(|kind| [1, 4].map(|cores| golden_run(kind, Kernel::Event, cores)))
+        .collect();
+    for kind in [ConfigKind::Base, ConfigKind::FigCacheFast] {
+        let trace = generate_trace(&profile_by_name("mcf").unwrap(), 30_000, 42);
+        let mut sys = System::new(SystemConfig::paper(1, kind), vec![trace], &[60_000]);
+        runs.push(sys.run(60_000 * 400));
+    }
+    runs
+}
+
+#[test]
+fn model_epoch_pins_the_seed_golden_run_stats() {
+    // Every field of every event-kernel golden run, not just the digest
+    // columns: any change to simulated behaviour moves this hash, and
+    // with it the result-cache epoch, so stale cache entries are never
+    // returned.
+    let text: String = event_golden_runs().iter().map(|s| format!("{s:?}\n")).collect();
+    let digest = figaro_sim::snapshot::key_hash(&text);
+    assert_eq!(
+        digest, MODEL_EPOCH,
+        "simulated behaviour changed: set MODEL_EPOCH in crates/sim/src/runner.rs to {digest:#018x}"
+    );
 }
 
 #[test]

@@ -72,7 +72,7 @@ fn telemetry_on_equals_off_under_every_kernel() {
         let path = trace_path(&format!("neutrality-{k}"));
         let on_cfg = TelemetryConfig {
             interval: Some(INTERVAL),
-            trace: Some(parse_trace_spec(&format!("{}:all", path.display()))),
+            trace: Some(parse_trace_spec(&format!("{}:all", path.display())).unwrap()),
         };
         let (on, _) = run_telemetered(11, &ConfigKind::FigCacheFast, kernel, &on_cfg);
         assert_eq!(off, on, "telemetry perturbed RunStats under {kernel:?}");
@@ -90,7 +90,7 @@ fn trace_bytes_identical_across_exact_kernels() {
         let path = trace_path(&format!("bytes-{tag}"));
         let cfg = TelemetryConfig {
             interval: Some(INTERVAL),
-            trace: Some(parse_trace_spec(&path.display().to_string())),
+            trace: Some(parse_trace_spec(&path.display().to_string()).unwrap()),
         };
         let (_, _) = run_telemetered(7, &ConfigKind::FigCacheFast, kernel, &cfg);
         blobs.push((tag, std::fs::read(&path).expect("trace file")));
@@ -164,7 +164,7 @@ fn chrome_trace_is_well_formed_and_balanced() {
     let path = trace_path("wellformed");
     let cfg = TelemetryConfig {
         interval: None,
-        trace: Some(parse_trace_spec(&format!("{}:all", path.display()))),
+        trace: Some(parse_trace_spec(&format!("{}:all", path.display())).unwrap()),
     };
     let (stats, _) = run_telemetered(3, &ConfigKind::FigCacheFast, Kernel::Event, &cfg);
     let sum = figaro_telemetry::trace::summarize_file(&path).expect("valid Chrome trace JSON");
@@ -201,7 +201,7 @@ proptest! {
         let path = trace_path(&format!("prop-{seed}-{kind_idx}-{kernel_idx}"));
         let cfg = TelemetryConfig {
             interval: Some(INTERVAL),
-            trace: Some(parse_trace_spec(&path.display().to_string())),
+            trace: Some(parse_trace_spec(&path.display().to_string()).unwrap()),
         };
         let (on, _) = run_telemetered(seed, &kind, kernel, &cfg);
         let _ = std::fs::remove_file(&path);

@@ -3,7 +3,8 @@
 //! guarantee, exercised end to end through `run_scenario`), the warm
 //! snapshot must be written once and reused by every run sharing the
 //! warm prefix — including other kernels — and warmed results must key
-//! separately in the result cache so canonical entries stay cold.
+//! separately in the result cache (the warmup is part of the cached
+//! spec).
 
 use std::path::{Path, PathBuf};
 
@@ -84,15 +85,18 @@ fn warm_and_sampled_runs_key_separately_in_result_cache() {
         .run_scenario(&scenario());
     assert_eq!(warm, cold);
 
-    let names: Vec<String> = std::fs::read_dir(&cache)
+    // Each entry's first line is the spec it caches.
+    let specs: Vec<String> = std::fs::read_dir(&cache)
         .unwrap()
         .filter_map(Result::ok)
         .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
-        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .map(|e| std::fs::read_to_string(e.path()).unwrap().lines().next().unwrap().to_string())
         .collect();
-    assert_eq!(names.len(), 3, "cold, warm and sampled must key separately: {names:?}");
-    assert_eq!(names.iter().filter(|n| n.contains("-warm-2000")).count(), 1, "{names:?}");
-    assert_eq!(names.iter().filter(|n| n.contains("-sampled-4000_8000")).count(), 1, "{names:?}");
+    assert_eq!(specs.len(), 3, "cold, warm and sampled must key separately: {specs:?}");
+    let count = |needle: &str| specs.iter().filter(|s| s.contains(needle)).count();
+    assert_eq!(count("warmup: Some(2000)"), 1, "{specs:?}");
+    assert_eq!(count("kernel: Sampled { window: 4000, skip: 8000 }"), 1, "{specs:?}");
+    assert_eq!(count("warmup: None"), 2, "{specs:?}");
 
     // The warm snapshot defaulted to <cache_dir>/snapshots.
     assert_eq!(fgsn_count(&cache.join("snapshots")), 1);
