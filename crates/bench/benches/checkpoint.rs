@@ -26,32 +26,28 @@ use std::time::Instant;
 
 use figaro_sim::experiments::{mapping_kinds, sweep_apps};
 use figaro_sim::runner::{RunSummary, Scale};
-use figaro_sim::{ConfigKind, Kernel, Runner, Scenario, ScenarioWorkload, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, RunSpec, Runner, System, SystemConfig};
 use figaro_workloads::{generate_trace, profile_by_name};
 
 /// Fraction of the cold run's cycles the warm prefix covers.
 const WARM_FRACTION: f64 = 0.5;
 const GRID: usize = 3;
 
-/// The swept scenario at one mapping point: two cores (`mcf` + `lbm`)
-/// on FIGCache-Fast, the shape the mapping sweep cares about.
-fn scenario(map_idx: usize, insts: u64) -> Scenario {
-    Scenario::new(
-        "ckpt-grid",
-        ConfigKind::FigCacheFast,
-        ScenarioWorkload::Apps(vec![
-            profile_by_name("mcf").expect("bench profile exists"),
-            profile_by_name("lbm").expect("bench profile exists"),
-        ]),
-    )
-    .with_mapping(mapping_kinds()[map_idx])
-    .with_target_insts(insts)
+/// The swept run at one mapping point: two streamed cores (`mcf` +
+/// `lbm`) on FIGCache-Fast, the shape the mapping sweep cares about,
+/// warm-started for `warmup` cycles when set.
+fn grid_spec(runner: &Runner, map_idx: usize, insts: u64, warmup: Option<u64>) -> RunSpec {
+    let apps = ["mcf", "lbm"].map(|n| profile_by_name(n).expect("bench profile exists"));
+    let mut spec = runner.stream_spec(ConfigKind::FigCacheFast, &apps, Some(insts));
+    spec.config = spec.config.with_mapping(mapping_kinds()[map_idx]);
+    spec.warmup = warmup;
+    spec
 }
 
-/// One timed uncached scenario run through `runner`.
-fn timed_run(runner: &Runner, sc: &Scenario) -> (RunSummary, f64) {
+/// One timed uncached run of `spec` through `runner`.
+fn timed_run(runner: &Runner, spec: &RunSpec) -> (RunSummary, f64) {
     let t = Instant::now();
-    let s = runner.run_scenario(sc);
+    let s = runner.run(spec);
     (s, t.elapsed().as_secs_f64())
 }
 
@@ -75,19 +71,20 @@ struct SampledPoint {
 
 fn warm_start_sweep(insts: u64, snap_dir: &std::path::Path) -> (Vec<GridPoint>, u64) {
     let cold_runner = Runner::uncached(Scale::Tiny);
-    let colds: Vec<(RunSummary, f64)> =
-        (0..GRID).map(|i| timed_run(&cold_runner, &scenario(i, insts))).collect();
+    let colds: Vec<(RunSummary, f64)> = (0..GRID)
+        .map(|i| timed_run(&cold_runner, &grid_spec(&cold_runner, i, insts, None)))
+        .collect();
     let min_cycles = colds.iter().map(|(s, _)| s.cpu_cycles).min().expect("grid non-empty");
     let warm_cycles = (min_cycles as f64 * WARM_FRACTION) as u64;
 
     let warm_runner = Runner::uncached(Scale::Tiny).with_snapshot_dir(snap_dir.to_path_buf());
     // Pass 2: empty snapshot store — pays each point's warm prefix once.
     let misses: Vec<(RunSummary, f64)> = (0..GRID)
-        .map(|i| timed_run(&warm_runner, &scenario(i, insts).with_warmup(warm_cycles)))
+        .map(|i| timed_run(&warm_runner, &grid_spec(&warm_runner, i, insts, Some(warm_cycles))))
         .collect();
     // Pass 3: hot snapshots — what every re-sweep costs.
     let hits: Vec<(RunSummary, f64)> = (0..GRID)
-        .map(|i| timed_run(&warm_runner, &scenario(i, insts).with_warmup(warm_cycles)))
+        .map(|i| timed_run(&warm_runner, &grid_spec(&warm_runner, i, insts, Some(warm_cycles))))
         .collect();
     for i in 0..GRID {
         assert_eq!(misses[i].0, colds[i].0, "warm (miss) diverged at grid point {i}");

@@ -13,11 +13,8 @@
 //! * `FIGARO_SCALE` = `tiny` | `small` (default) | `full` — instructions
 //!   per core;
 //! * `FIGARO_FULL_SWEEPS=1` — run sweep figures (12–15) and the
-//!   `streaming_scenarios` sensitivity grid over the full set instead of
-//!   the representative subset;
-//! * `FIGARO_LONG_RUN=<ops>` — append long-run streaming mixes (that
-//!   many memory operations per core, bounded memory at any length) to
-//!   the `streaming_scenarios` target;
+//!   scheduler and mapping sweeps over the full set instead of the
+//!   representative subset;
 //! * `FIGARO_SCHED`, `FIGARO_KERNEL`, `FIGARO_MAP`, `FIGARO_PAGEMAP`,
 //!   `FIGARO_LOAD`, `FIGARO_WARMUP`, `FIGARO_SNAPSHOT_DIR` — runner
 //!   overrides for the figure targets (see the README's env table).

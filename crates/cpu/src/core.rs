@@ -103,8 +103,8 @@ impl TraceCore {
     }
 
     /// Creates a core that pulls its operations from `source` — the
-    /// streaming form of [`TraceCore::new`] for generators, phased
-    /// workloads and trace-file replays.
+    /// streaming form of [`TraceCore::new`] for generators and
+    /// trace-file replays.
     ///
     /// # Panics
     ///

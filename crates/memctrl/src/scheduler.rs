@@ -21,7 +21,7 @@ use crate::bank::{BankMemo, BankState, BankSummary, Candidate};
 use crate::queues::{Entry, IndexedQueue};
 
 /// Identifies a scheduling policy — the value form carried by
-/// [`crate::McConfig`], scenario overrides and result-cache keys.
+/// [`crate::McConfig`] and result-cache keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicyKind {
     /// First-ready FCFS: ready row hits bypass older requests, then

@@ -44,7 +44,7 @@ fn usage() -> ! {
          placement,\n\
          FIGARO_LOAD=fixed:G|poisson:G|bursty:ON,OPS,IDLE replaces the\n\
          app's own issue gaps with an open-loop arrival process,\n\
-         FIGARO_WARMUP=<N> warm-starts scenario runs: the first N CPU\n\
+         FIGARO_WARMUP=<N> warm-starts streamed runs: the first N CPU\n\
          cycles are simulated once, snapshotted, and every run sharing\n\
          the warm prefix resumes from the snapshot (bit-identical to an\n\
          uninterrupted run; warmed results key separately),\n\
@@ -66,8 +66,6 @@ fn usage() -> ! {
          time per component) after the run,\n\
          FIGARO_FULL_SWEEPS=1 runs Figs. 12-15 over all 20 profiles,\n\
          FIGARO_SLOW_TESTS=1 enables the ignored full-scale tests,\n\
-         FIGARO_LONG_OPS=<N> ops per core in the long streaming test,\n\
-         FIGARO_LONG_RUN=<N> ops per core in the streaming bench,\n\
          FIGARO_MC_ITERS=<N> iterations of the controller microbench."
     );
     std::process::exit(2)
@@ -190,7 +188,7 @@ fn main() {
         std::process::exit(2)
     });
     let runner = env.apply(Runner::uncached(scale));
-    // Open-loop pacing (FIGARO_LOAD) wraps the trace like scenario runs do.
+    // Open-loop pacing (FIGARO_LOAD) wraps the trace like streamed runs do.
     let spec = RunSpec { arrival: env.arrival, ..runner.single_spec(&profile, kind.clone()) };
     let (insts, cfg) = (spec.targets[0], &spec.config);
     let mut sys = spec.build();

@@ -218,21 +218,13 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the channel count (sensitivity sweeps). Channel counts
+    /// Overrides the channel count (the serving sweep). Channel counts
     /// must be powers of two so the address interleaving stays a bit
     /// slice.
     #[must_use]
     pub fn with_channels(mut self, channels: u32) -> Self {
         assert!(channels.is_power_of_two(), "channel count must be a power of two");
         self.channels = channels;
-        self
-    }
-
-    /// Overrides the per-core MSHR count (sensitivity sweeps).
-    #[must_use]
-    pub fn with_mshrs(mut self, mshrs_per_core: usize) -> Self {
-        assert!(mshrs_per_core > 0, "cores need at least one MSHR");
-        self.hierarchy.mshrs_per_core = mshrs_per_core;
         self
     }
 

@@ -161,21 +161,26 @@ impl EnvConfig {
         self.scale.unwrap_or(default)
     }
 
-    /// `runner` with every set override applied through its builders.
+    /// `runner` with every set override applied through its builders
+    /// (the system overrides through its [`Runner::with_system`]
+    /// template).
     #[must_use]
     pub fn apply(&self, mut runner: Runner) -> Runner {
-        if let Some(k) = self.kernel {
-            runner = runner.with_kernel(k);
-        }
-        if let Some(s) = self.sched {
-            runner = runner.with_sched(s);
-        }
-        if let Some(m) = self.map {
-            runner = runner.with_mapping(m);
-        }
-        if let Some(p) = self.page_map {
-            runner = runner.with_page_map(p);
-        }
+        runner = runner.with_system(|mut system| {
+            if let Some(k) = self.kernel {
+                system.kernel = k;
+            }
+            if let Some(s) = self.sched {
+                system = system.with_sched(s);
+            }
+            if let Some(m) = self.map {
+                system = system.with_mapping(m);
+            }
+            if let Some(p) = self.page_map {
+                system = system.with_page_map(p);
+            }
+            system
+        });
         if let Some(a) = self.arrival {
             runner = runner.with_arrival(a);
         }
@@ -248,5 +253,13 @@ mod tests {
 
         let runner = env.apply(Runner::uncached(Scale::Tiny));
         assert!(runner.full_sweeps());
+        // The system overrides reach every run through the template.
+        let mcf = figaro_workloads::profile_by_name("mcf").unwrap();
+        let spec = runner.stream_spec(crate::ConfigKind::Base, &[mcf], None);
+        assert_eq!(spec.config.kernel, Kernel::Sampled { window: 10, skip: 20 });
+        assert_eq!(spec.config.mc.sched, SchedPolicyKind::Fcfs);
+        assert_eq!(Some(spec.config.mc.map), MapKind::from_name("chfirst"));
+        assert_eq!(spec.config.page_map, PageMapKind::Random { seed: 7 });
+        assert_eq!(spec.arrival, Some(ArrivalKind::Poisson { mean_gap: 32 }));
     }
 }

@@ -10,18 +10,18 @@
 //! category); a runner built [`Runner::with_full_sweeps`] (binaries:
 //! `FIGARO_FULL_SWEEPS=1`) runs the paper's full set.
 
-use figaro_core::{FigCacheConfig, ReplacementPolicy};
+use figaro_core::ReplacementPolicy;
 use figaro_dram::{MapKind, MapScheme};
 use figaro_memctrl::SchedPolicyKind;
 use figaro_workloads::{
-    app_profiles, eight_core_mixes, multithreaded_profiles, phased_profiles, profile_by_name,
-    AppProfile, ArrivalKind, Mix, MixCategory, PageMapKind,
+    app_profiles, eight_core_mixes, multithreaded_profiles, profile_by_name, AppProfile,
+    ArrivalKind, Mix, MixCategory, PageMapKind,
 };
 
 use crate::config::{ConfigKind, SystemConfig};
-use crate::metrics::{geomean, safe_ratio, weighted_speedup};
+use crate::metrics::{geomean, weighted_speedup};
 use crate::report::FigureData;
-use crate::runner::{RunSummary, Runner, Scenario, ScenarioWorkload};
+use crate::runner::{RunSummary, Runner};
 
 /// Applications used in sweep figures (a subset unless `full`).
 #[must_use]
@@ -429,113 +429,6 @@ fn sweep_figure(
     fig
 }
 
-/// The sensitivity-sweep grid: `(channels, MSHRs/core)` system shapes ×
-/// cache-segment sizes (blocks per segment). A subset unless `full`.
-#[must_use]
-pub fn sensitivity_grid(full: bool) -> (Vec<(u32, usize)>, Vec<u32>) {
-    if full {
-        (
-            [1u32, 2, 4].iter().flat_map(|&c| [4usize, 8, 16].map(|m| (c, m))).collect(),
-            vec![8, 16, 32],
-        )
-    } else {
-        (vec![(1, 4), (1, 8), (4, 8), (4, 16)], vec![8, 16])
-    }
-}
-
-/// **Sensitivity sweep** (beyond the paper's figures): normalized
-/// weighted speedup of FIGCache over `Base` across channels × MSHRs ×
-/// cache-segment size, on one 100%-intensive eight-core mix driven by
-/// **streaming** generators through the scenario batch API. Rows are
-/// system shapes, columns segment sizes.
-pub fn sensitivity_sweep(runner: &Runner) -> FigureData {
-    let (shapes, segments) = sensitivity_grid(runner.full_sweeps());
-    let mix = eight_core_mixes()
-        .into_iter()
-        .find(|m| m.category == MixCategory::Intensive100)
-        .expect("every category has mixes");
-    let alone: Vec<f64> = runner.alone_ipc_batch(&mix.apps);
-    assert!(
-        alone.iter().all(|&a| a > 0.0 && a.is_finite()),
-        "alone IPC must be positive (truncated alone run?)"
-    );
-    let scenario = |kind: ConfigKind, label: &str, &(ch, mshrs): &(u32, usize)| {
-        Scenario::new(
-            format!("sens-{}-{label}", mix.name),
-            kind,
-            ScenarioWorkload::Mix(mix.clone()),
-        )
-        .with_channels(ch)
-        .with_mshrs(mshrs)
-    };
-    // One Base run per shape (the normalization denominator) plus one
-    // FIGCache run per shape × segment size, all in one parallel batch.
-    let mut jobs: Vec<Scenario> =
-        shapes.iter().map(|s| scenario(ConfigKind::Base, "base", s)).collect();
-    for &blocks in &segments {
-        let kind = ConfigKind::FigCacheCustom(FigCacheConfig {
-            blocks_per_segment: blocks,
-            ..FigCacheConfig::paper_fast()
-        });
-        jobs.extend(shapes.iter().map(|s| scenario(kind.clone(), &format!("seg{blocks}"), s)));
-    }
-    let results = runner.run_scenario_batch(&jobs);
-    let (base_runs, fig_runs) = results.split_at(shapes.len());
-    let columns: Vec<String> = segments.iter().map(|b| format!("{} B", b * 64)).collect();
-    let mut fig = FigureData::new(
-        "Sensitivity: weighted speedup over Base, channels x MSHRs x segment size",
-        columns,
-    );
-    for (si, &(ch, mshrs)) in shapes.iter().enumerate() {
-        let base_ws = weighted_speedup(&base_runs[si].ipc, &alone);
-        let vals: Vec<f64> = (0..segments.len())
-            .map(|bi| {
-                let s = &fig_runs[bi * shapes.len() + si];
-                safe_ratio(weighted_speedup(&s.ipc, &alone), base_ws)
-            })
-            .collect();
-        fig.push_row(format!("{ch} ch / {mshrs} MSHR"), vals);
-    }
-    note_truncations(&mut fig, &results);
-    fig.push_note("streaming scenario runs (no materialized traces); one Intensive100 mix");
-    if !runner.full_sweeps() {
-        fig.push_note("sweep subset in effect (set FIGARO_FULL_SWEEPS=1 for the 3x3x3 grid)");
-    }
-    fig
-}
-
-/// **Phased workloads**: FIGCache-Fast vs Base on the phase-switching
-/// streaming workloads (hot-set / streaming / pointer-chase schedules) —
-/// the regime changes that stress insertion and replacement.
-pub fn phased_workloads(runner: &Runner) -> FigureData {
-    let profiles = phased_profiles();
-    let mut fig = FigureData::new(
-        "Phased workloads: FIGCache-Fast speedup over Base (single core, streamed)",
-        vec!["speedup".into(), "cache hit rate".into()],
-    );
-    let jobs: Vec<Scenario> = profiles
-        .iter()
-        .flat_map(|p| {
-            let workload = ScenarioWorkload::Phased(vec![p.clone()]);
-            [
-                Scenario::new(format!("{}-base", p.name), ConfigKind::Base, workload.clone()),
-                Scenario::new(format!("{}-fig", p.name), ConfigKind::FigCacheFast, workload),
-            ]
-        })
-        .collect();
-    let results = runner.run_scenario_batch(&jobs);
-    for (i, p) in profiles.iter().enumerate() {
-        let (base, fig_fast) = (&results[i * 2], &results[i * 2 + 1]);
-        fig.push_row(
-            &p.name,
-            vec![safe_ratio(fig_fast.ipc[0], base.ipc[0]), fig_fast.cache_hit_rate],
-        );
-    }
-    note_truncations(&mut fig, &results);
-    fig.push_note("phase switches churn the hot set; insertion/replacement must keep up");
-    fig
-}
-
 /// The scheduler policies compared by [`scheduler_sweep`]: the FR-FCFS
 /// default, strict FCFS, a capped FR-FCFS, and tuned write-drain
 /// watermarks.
@@ -575,24 +468,17 @@ pub fn scheduler_sweep_with(runner: &Runner, target_insts: Option<u64>) -> Figur
         .iter()
         .map(|c| all.iter().find(|m| m.category == *c).expect("every category has mixes").clone())
         .collect();
-    let mut jobs: Vec<Scenario> = Vec::new();
+    let mut jobs = Vec::new();
     for policy in &policies {
         for kind in &kinds {
             for mix in &mixes {
-                let mut sc = Scenario::new(
-                    format!("sched-{}-{}", policy.label(), mix.name),
-                    kind.clone(),
-                    ScenarioWorkload::Mix(mix.clone()),
-                )
-                .with_sched(*policy);
-                if let Some(t) = target_insts {
-                    sc = sc.with_target_insts(t);
-                }
-                jobs.push(sc);
+                let mut spec = runner.stream_spec(kind.clone(), &mix.apps, target_insts);
+                spec.config = spec.config.with_sched(*policy);
+                jobs.push(spec);
             }
         }
     }
-    let results = runner.run_scenario_batch(&jobs);
+    let results = runner.run_batch(&jobs);
     let mut columns = Vec::new();
     for mix in &mixes {
         columns.push(format!("{} ipc", mix.name));
@@ -672,27 +558,19 @@ pub fn mapping_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureD
         .iter()
         .map(|c| all.iter().find(|m| m.category == *c).expect("every category has mixes").clone())
         .collect();
-    let mut jobs: Vec<Scenario> = Vec::new();
+    let mut jobs = Vec::new();
     for map in &mappings {
         for page in &pages {
             for kind in &kinds {
                 for mix in &mixes {
-                    let mut sc = Scenario::new(
-                        format!("mapsw-{}-{}-{}", map.label(), page.label(), mix.name),
-                        kind.clone(),
-                        ScenarioWorkload::Mix(mix.clone()),
-                    )
-                    .with_mapping(*map)
-                    .with_page_map(*page);
-                    if let Some(t) = target_insts {
-                        sc = sc.with_target_insts(t);
-                    }
-                    jobs.push(sc);
+                    let mut spec = runner.stream_spec(kind.clone(), &mix.apps, target_insts);
+                    spec.config = spec.config.with_mapping(*map).with_page_map(*page);
+                    jobs.push(spec);
                 }
             }
         }
     }
-    let results = runner.run_scenario_batch(&jobs);
+    let results = runner.run_batch(&jobs);
     let mut columns = Vec::new();
     for mix in &mixes {
         columns.push(format!("{} ipc", mix.name));
@@ -780,26 +658,20 @@ pub fn serving_sweep_with(runner: &Runner, ops_per_core: Option<u64>) -> FigureD
     let apps = vec![profile_by_name("mcf").expect("mcf profile exists"); cores];
     let ops = ops_per_core.unwrap_or(runner.scale().target_insts() / 100);
     let width = SystemConfig::paper(cores, ConfigKind::Base).core.width as f64;
-    let mut jobs: Vec<Scenario> = Vec::new();
+    let mut jobs = Vec::new();
     for kind in &kinds {
         for sched in &scheds {
             for load in &loads {
                 let insts = (ops as f64 * (load.mean_gap() + 1.0)) as u64;
-                jobs.push(
-                    Scenario::new(
-                        format!("serve-{}-{}", sched.label(), load.label()),
-                        kind.clone(),
-                        ScenarioWorkload::Apps(apps.clone()),
-                    )
-                    .with_channels(1) // every request contends for one controller
-                    .with_sched(*sched)
-                    .with_arrival(*load)
-                    .with_target_insts(insts),
-                );
+                let mut spec = runner.stream_spec(kind.clone(), &apps, Some(insts));
+                // Every request contends for one controller.
+                spec.config = spec.config.with_channels(1).with_sched(*sched);
+                spec.arrival = Some(*load);
+                jobs.push(spec);
             }
         }
     }
-    let results = runner.run_scenario_batch(&jobs);
+    let results = runner.run_batch(&jobs);
     let mut fig = FigureData::new(
         "Serving sweep: offered load x mechanism x scheduler \
          (throughput, read-latency mean and tail)",
@@ -841,32 +713,6 @@ pub fn serving_sweep_with(runner: &Runner, ops_per_core: Option<u64>) -> FigureD
     );
     fig.push_note("p50/p99/p999 are histogram bucket floors (<= 12.5% quantization error)");
     fig
-}
-
-/// Long-run streaming scenarios: `ops_per_core` memory operations per
-/// core on 100%- and 25%-intensive mixes, streamed end to end (memory
-/// use is independent of the op count). These back the
-/// `FIGARO_LONG_RUN` tier; at default scales use
-/// [`sensitivity_sweep`]-sized runs instead.
-#[must_use]
-pub fn long_run_scenarios(ops_per_core: u64) -> Vec<Scenario> {
-    let mixes = eight_core_mixes();
-    [MixCategory::Intensive100, MixCategory::Intensive25]
-        .iter()
-        .map(|cat| {
-            let mix = mixes
-                .iter()
-                .find(|m| m.category == *cat)
-                .expect("every category has mixes")
-                .clone();
-            Scenario::long_run(
-                format!("long-{}", mix.name),
-                ConfigKind::FigCacheFast,
-                ScenarioWorkload::Mix(mix),
-                ops_per_core,
-            )
-        })
-        .collect()
 }
 
 /// **Table 2**: measured MPKI and intensity classification of every
@@ -966,6 +812,7 @@ pub fn tab1_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::safe_ratio;
 
     #[test]
     fn sweep_subsets_have_both_classes() {
@@ -984,25 +831,6 @@ mod tests {
         assert_eq!(safe_ratio(0.0, 0.0), 0.0);
         assert_eq!(safe_ratio(f64::NAN, 1.0), 0.0);
         assert_eq!(safe_ratio(1.0, f64::INFINITY), 0.0);
-    }
-
-    #[test]
-    fn sensitivity_grid_subset_covers_both_axes() {
-        let (shapes, segments) = sensitivity_grid(false);
-        assert!(shapes.iter().any(|&(c, _)| c == 1) && shapes.iter().any(|&(c, _)| c > 1));
-        assert!(shapes.iter().any(|&(_, m)| m < 8) && shapes.iter().any(|&(_, m)| m > 4));
-        assert!(segments.len() >= 2);
-    }
-
-    #[test]
-    fn long_run_scenarios_are_streamed_mixes_with_scaled_targets() {
-        let scs = long_run_scenarios(100_000_000);
-        assert_eq!(scs.len(), 2);
-        for sc in &scs {
-            assert_eq!(sc.workload.cores(), 8);
-            let t = sc.target_insts.expect("long runs set a target");
-            assert!(t >= 100_000_000, "{}: target {t} below the op count", sc.name);
-        }
     }
 
     #[test]

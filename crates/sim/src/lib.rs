@@ -68,9 +68,7 @@ pub use figaro_dram::{MapKind, MapScheme};
 pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
 pub use metrics::{ChannelStats, RunStats, SampledStats};
-pub use runner::{
-    workspace_root, CoreWorkload, RunSpec, Runner, Scale, Scenario, ScenarioWorkload, MODEL_EPOCH,
-};
+pub use runner::{workspace_root, CoreWorkload, RunSpec, Runner, Scale, MODEL_EPOCH};
 pub use snapshot::{config_hash, SnapshotHeader};
 pub use system::System;
 pub use telemetry::KernelProfile;

@@ -33,12 +33,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rayon::prelude::*;
 
 use figaro_workloads::{
-    generate_trace, AppProfile, ArrivalKind, ArrivalSchedule, Mix, PageMapKind, PhasedGenerator,
-    PhasedProfile, Trace, TraceGenerator, TraceOp, TraceSource,
+    generate_trace, AppProfile, ArrivalKind, ArrivalSchedule, Mix, Trace, TraceGenerator, TraceOp,
+    TraceSource,
 };
-
-use figaro_dram::MapKind;
-use figaro_memctrl::SchedPolicyKind;
 
 use crate::config::{ConfigKind, Kernel, SystemConfig};
 use crate::metrics::{ChannelStats, RunStats};
@@ -351,13 +348,6 @@ pub enum CoreWorkload {
         /// Generator seed.
         seed: u64,
     },
-    /// A phase-switching generator under `seed`, streamed on demand.
-    Phased {
-        /// The phase schedule.
-        profile: PhasedProfile,
-        /// Generator seed.
-        seed: u64,
-    },
     /// The alone-IPC idle companion ([`idle_companion_trace`]).
     Idle,
 }
@@ -369,9 +359,6 @@ impl CoreWorkload {
                 Box::new(generate_trace(profile, *ops, *seed).into_source())
             }
             CoreWorkload::Stream { profile, seed } => Box::new(TraceGenerator::new(profile, *seed)),
-            CoreWorkload::Phased { profile, seed } => {
-                Box::new(PhasedGenerator::new(profile, *seed))
-            }
             CoreWorkload::Idle => Box::new(idle_companion_trace().into_source()),
         }
     }
@@ -454,210 +441,24 @@ impl RunSpec {
     }
 }
 
-/// The workload of a [`Scenario`] — always **streamed** (cores pull from
-/// generators on demand; nothing materializes a full trace in memory, so
-/// scenario length is bounded by simulation time, not RAM).
-#[derive(Debug, Clone)]
-pub enum ScenarioWorkload {
-    /// One application per core (defines the core count).
-    Apps(Vec<AppProfile>),
-    /// An eight-application multiprogrammed mix.
-    Mix(Mix),
-    /// One phase-switching workload per core.
-    Phased(Vec<PhasedProfile>),
-}
-
-impl ScenarioWorkload {
-    /// Number of cores the workload occupies.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        match self {
-            ScenarioWorkload::Apps(apps) => apps.len(),
-            ScenarioWorkload::Mix(m) => m.apps.len(),
-            ScenarioWorkload::Phased(ps) => ps.len(),
-        }
-    }
-
-    /// Core `core`'s profile for instruction-target purposes (a phased
-    /// workload's base profile).
-    fn profile(&self, core: usize) -> AppProfile {
-        match self {
-            ScenarioWorkload::Apps(apps) => apps[core],
-            ScenarioWorkload::Mix(m) => m.apps[core],
-            ScenarioWorkload::Phased(ps) => ps[core].base,
-        }
-    }
-
-    /// Streamed workload of core `core` (deterministic per scenario).
-    fn core(&self, core: usize) -> CoreWorkload {
-        match self {
-            ScenarioWorkload::Apps(_) | ScenarioWorkload::Mix(_) => {
-                let profile = self.profile(core);
-                CoreWorkload::Stream { seed: seed_for(profile.name, core), profile }
-            }
-            ScenarioWorkload::Phased(ps) => {
-                let p = &ps[core];
-                CoreWorkload::Phased { profile: p.clone(), seed: seed_for(&p.name, core) }
-            }
-        }
-    }
-}
-
-/// One named simulation scenario: a streamed workload, a mechanism, and
-/// optional system-shape overrides (the sensitivity-sweep axes). Runs
-/// through [`Runner::run_scenario`] / [`Runner::run_scenario_batch`] and
-/// shares the runner's result cache.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Scenario name (reports only: the cache keys what the scenario
-    /// runs, so two names for one run share an entry).
-    pub name: String,
-    /// Mechanism under evaluation.
-    pub kind: ConfigKind,
-    /// The streamed workload.
-    pub workload: ScenarioWorkload,
-    /// Memory-channel override (power of two; default: paper rule).
-    pub channels: Option<u32>,
-    /// Per-core MSHR override (default: paper's 8).
-    pub mshrs_per_core: Option<usize>,
-    /// Per-core instruction-target override (default: the runner scale's
-    /// per-profile target). This is what long-run scenarios set.
-    pub target_insts: Option<u64>,
-    /// Memory-controller scheduling-policy override (default: the
-    /// runner's policy).
-    pub sched: Option<SchedPolicyKind>,
-    /// Address-mapping override (default: the runner's mapping).
-    pub map: Option<MapKind>,
-    /// Page-placement override (default: the runner's policy).
-    pub page_map: Option<PageMapKind>,
-    /// Open-loop arrival-pacing override (default: the runner's pacing,
-    /// itself closed-loop unless set). When set, every core's source is
-    /// wrapped in an [`figaro_workloads::ArrivalSchedule`], making
-    /// offered load the swept axis instead of the workload's own issue
-    /// rate.
-    pub arrival: Option<ArrivalKind>,
-    /// Warm-start override (default: the runner's warmup, itself off
-    /// unless set): run the first N CPU cycles once, snapshot the warmed
-    /// state (FGSN, see [`crate::snapshot`]), and let every later run of
-    /// the same warm prefix resume from the snapshot instead of
-    /// re-simulating it (see [`RunSpec::warmup`]).
-    pub warmup_cycles: Option<u64>,
-}
-
-impl Scenario {
-    /// A scenario with no overrides.
-    #[must_use]
-    pub fn new(name: impl Into<String>, kind: ConfigKind, workload: ScenarioWorkload) -> Self {
-        Self {
-            name: name.into(),
-            kind,
-            workload,
-            channels: None,
-            mshrs_per_core: None,
-            target_insts: None,
-            sched: None,
-            map: None,
-            page_map: None,
-            arrival: None,
-            warmup_cycles: None,
-        }
-    }
-
-    /// Overrides the channel count.
-    #[must_use]
-    pub fn with_channels(mut self, channels: u32) -> Self {
-        self.channels = Some(channels);
-        self
-    }
-
-    /// Overrides the per-core MSHR count.
-    #[must_use]
-    pub fn with_mshrs(mut self, mshrs: usize) -> Self {
-        self.mshrs_per_core = Some(mshrs);
-        self
-    }
-
-    /// Overrides the per-core instruction target.
-    #[must_use]
-    pub fn with_target_insts(mut self, insts: u64) -> Self {
-        self.target_insts = Some(insts);
-        self
-    }
-
-    /// Overrides the memory-controller scheduling policy.
-    #[must_use]
-    pub fn with_sched(mut self, sched: SchedPolicyKind) -> Self {
-        self.sched = Some(sched);
-        self
-    }
-
-    /// Overrides the physical→DRAM address mapping.
-    #[must_use]
-    pub fn with_mapping(mut self, map: MapKind) -> Self {
-        self.map = Some(map);
-        self
-    }
-
-    /// Overrides the OS page-frame placement policy.
-    #[must_use]
-    pub fn with_page_map(mut self, page_map: PageMapKind) -> Self {
-        self.page_map = Some(page_map);
-        self
-    }
-
-    /// Paces every core's source with an open-loop arrival process (the
-    /// serving-sweep axis).
-    #[must_use]
-    pub fn with_arrival(mut self, arrival: ArrivalKind) -> Self {
-        self.arrival = Some(arrival);
-        self
-    }
-
-    /// Warm-starts this scenario: the first `cycles` CPU cycles are
-    /// simulated once and snapshotted; later runs sharing the warm
-    /// prefix resume from the snapshot.
-    #[must_use]
-    pub fn with_warmup(mut self, cycles: u64) -> Self {
-        self.warmup_cycles = Some(cycles);
-        self
-    }
-
-    /// A long-run streaming scenario: `ops_per_core` memory operations
-    /// per core, converted to an instruction target via each core's mean
-    /// non-memory-per-memory ratio. The **maximum** across cores is used
-    /// so even the sparsest core retires enough instructions to reach its
-    /// op count. With streamed sources the memory footprint is
-    /// independent of `ops_per_core`.
-    #[must_use]
-    pub fn long_run(
-        name: impl Into<String>,
-        kind: ConfigKind,
-        workload: ScenarioWorkload,
-        ops_per_core: u64,
-    ) -> Self {
-        let insts = (0..workload.cores())
-            .map(|c| (ops_per_core as f64 * (workload.profile(c).nonmem_per_mem + 1.0)) as u64)
-            .max()
-            .unwrap_or(ops_per_core);
-        Self::new(name, kind, workload).with_target_insts(insts)
-    }
-}
-
 /// The experiment runner.
 #[derive(Debug)]
 pub struct Runner {
     scale: Scale,
-    kernel: Kernel,
-    sched: SchedPolicyKind,
-    map: MapKind,
-    page_map: PageMapKind,
-    /// Open-loop arrival pacing applied to **scenario** runs (the
-    /// serving paths); `None` leaves sources closed-loop. The figure
-    /// paths (`run_single`/`run_mix`/...) never pace — their results
-    /// model the applications' own issue rates.
+    /// The system every run starts from. Each run replaces its shape —
+    /// `cores`, `channels`, `kind` and `hierarchy` — with
+    /// [`SystemConfig::paper`]'s for the run's core count and mechanism;
+    /// every other field (kernel, controller, page placement, ...) comes
+    /// from here. Edit it with [`Runner::with_system`].
+    system: SystemConfig,
+    /// Open-loop arrival pacing applied to **streamed** runs
+    /// ([`Runner::stream_spec`], the serving paths); `None` leaves
+    /// sources closed-loop. The figure paths (`run_single`/`run_mix`/...)
+    /// never pace — their results model the applications' own issue
+    /// rates.
     arrival: Option<ArrivalKind>,
-    /// Warm-start applied to **scenario** runs (see
-    /// [`Scenario::warmup_cycles`]); `None` runs everything cold.
+    /// Warm-start applied to **streamed** runs (see [`RunSpec::warmup`]);
+    /// `None` runs everything cold.
     warmup: Option<u64>,
     /// Sweep figures run the paper's full application and mix sets
     /// instead of the representative subset.
@@ -671,10 +472,11 @@ pub struct Runner {
 
 impl Runner {
     /// A runner at `scale` with the on-disk result cache enabled and
-    /// the paper defaults: event kernel, FR-FCFS, the paper's address
-    /// mapping, identity page placement, closed-loop cold scenarios and
-    /// the sweep subset. The cache lives at `target/figaro-cache` under
-    /// the [`workspace_root`] above the current directory.
+    /// the paper defaults: the [`SystemConfig::paper`] system (event
+    /// kernel, FR-FCFS, the paper's address mapping, identity page
+    /// placement), closed-loop cold streamed runs and the sweep subset.
+    /// The cache lives at `target/figaro-cache` under the
+    /// [`workspace_root`] above the current directory.
     ///
     /// # Panics
     ///
@@ -708,10 +510,7 @@ impl Runner {
     fn build(scale: Scale, cache_dir: Option<PathBuf>) -> Self {
         Self {
             scale,
-            kernel: Kernel::default(),
-            sched: SchedPolicyKind::FrFcfs,
-            map: MapKind::default(),
-            page_map: PageMapKind::Identity,
+            system: SystemConfig::paper(1, ConfigKind::Base),
             arrival: None,
             warmup: None,
             full_sweeps: false,
@@ -720,49 +519,29 @@ impl Runner {
         }
     }
 
-    /// Pins the simulation kernel for every run this runner launches.
+    /// Edits the system template every run this runner launches starts
+    /// from, e.g. `runner.with_system(|s| s.with_sched(SchedPolicyKind::Fcfs))`.
+    /// Its shape fields (`cores`, `channels`, `kind`, `hierarchy`) are
+    /// replaced per run, so editing them here has no effect.
     #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
+    pub fn with_system(mut self, edit: impl FnOnce(SystemConfig) -> SystemConfig) -> Self {
+        self.system = edit(self.system);
         self
     }
 
-    /// Pins the memory-controller scheduling policy for every run this
-    /// runner launches.
-    #[must_use]
-    pub fn with_sched(mut self, sched: SchedPolicyKind) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Pins the physical→DRAM address mapping for every run this runner
-    /// launches.
-    #[must_use]
-    pub fn with_mapping(mut self, map: MapKind) -> Self {
-        self.map = map;
-        self
-    }
-
-    /// Pins the OS page-frame placement policy for every run this
-    /// runner launches.
-    #[must_use]
-    pub fn with_page_map(mut self, page_map: PageMapKind) -> Self {
-        self.page_map = page_map;
-        self
-    }
-
-    /// Pins open-loop arrival pacing for every **scenario** run this
-    /// runner launches.
+    /// Pins open-loop arrival pacing for every **streamed** run this
+    /// runner builds.
     #[must_use]
     pub fn with_arrival(mut self, arrival: ArrivalKind) -> Self {
         self.arrival = Some(arrival);
         self
     }
 
-    /// Warm-starts every **scenario** run this runner launches.
+    /// Warm-starts every **streamed** run this runner builds (`0` runs
+    /// cold).
     #[must_use]
     pub fn with_warmup(mut self, cycles: u64) -> Self {
-        self.warmup = Some(cycles);
+        self.warmup = Some(cycles).filter(|&w| w > 0);
         self
     }
 
@@ -795,13 +574,17 @@ impl Runner {
         self.full_sweeps
     }
 
-    /// A [`SystemConfig::paper`] system with this runner's kernel,
-    /// scheduling policy, address mapping and page placement.
+    /// The system of a run of `cores` cores under `kind`: the template
+    /// with [`SystemConfig::paper`]'s shape for that run.
     fn system_config(&self, cores: usize, kind: ConfigKind) -> SystemConfig {
-        SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
-            .with_sched(self.sched)
-            .with_mapping(self.map)
-            .with_page_map(self.page_map)
+        let paper = SystemConfig::paper(cores, kind);
+        SystemConfig {
+            cores: paper.cores,
+            channels: paper.channels,
+            kind: paper.kind,
+            hierarchy: paper.hierarchy,
+            ..self.system.clone()
+        }
     }
 
     /// The process-wide per-cache-file lock: concurrent batch workers
@@ -921,42 +704,37 @@ impl Runner {
         self.run(&RunSpec::new(self.system_config(8, ConfigKind::Base), workload, targets)).ipc[0]
     }
 
-    /// The run behind [`Runner::run_scenario`]: paper defaults plus the
-    /// scenario's overrides, falling back to the runner's.
+    /// A **streamed** run of `kind` with one core per entry of `apps`
+    /// (a [`Mix`] is its `apps`): cores pull from generators on demand,
+    /// so no trace is materialized and run length is bounded by
+    /// simulation time, not RAM. Each core targets `target_insts`, or
+    /// its scale-derived target when `None`; the runner's arrival pacing
+    /// and warmup apply. Change the system through `spec.config`'s
+    /// builders and set `spec.arrival` / `spec.warmup` directly.
     ///
     /// # Panics
     ///
-    /// Panics if the scenario's workload has no cores.
-    fn scenario_spec(&self, sc: &Scenario) -> RunSpec {
-        let cores = sc.workload.cores();
-        assert!(cores > 0, "scenario needs at least one core");
-        let mut cfg = self
-            .system_config(cores, sc.kind.clone())
-            .with_sched(sc.sched.unwrap_or(self.sched))
-            .with_mapping(sc.map.unwrap_or(self.map))
-            .with_page_map(sc.page_map.unwrap_or(self.page_map));
-        if let Some(ch) = sc.channels {
-            cfg = cfg.with_channels(ch);
-        }
-        if let Some(m) = sc.mshrs_per_core {
-            cfg = cfg.with_mshrs(m);
-        }
-        let targets = (0..cores)
-            .map(|c| {
-                sc.target_insts.unwrap_or_else(|| insts_for(&sc.workload.profile(c), self.scale))
-            })
+    /// Panics if `apps` is empty.
+    #[must_use]
+    pub fn stream_spec(
+        &self,
+        kind: ConfigKind,
+        apps: &[AppProfile],
+        target_insts: Option<u64>,
+    ) -> RunSpec {
+        assert!(!apps.is_empty(), "a streamed run needs at least one core");
+        let workload = apps
+            .iter()
+            .enumerate()
+            .map(|(c, p)| CoreWorkload::Stream { profile: *p, seed: seed_for(p.name, c) })
             .collect();
+        let targets =
+            apps.iter().map(|p| target_insts.unwrap_or_else(|| insts_for(p, self.scale))).collect();
         RunSpec {
-            arrival: sc.arrival.or(self.arrival),
-            warmup: sc.warmup_cycles.or(self.warmup).filter(|&w| w > 0),
-            ..RunSpec::new(cfg, (0..cores).map(|c| sc.workload.core(c)).collect(), targets)
+            arrival: self.arrival,
+            warmup: self.warmup,
+            ..RunSpec::new(self.system_config(apps.len(), kind), workload, targets)
         }
-    }
-
-    /// Runs one [`Scenario`] from **streaming** sources, so even
-    /// 100M-op-per-core runs hold no materialized traces.
-    pub fn run_scenario(&self, sc: &Scenario) -> RunSummary {
-        self.run(&self.scenario_spec(sc))
     }
 
     /// Brings `sys` to its warm point, the final state of `prefix`:
@@ -988,10 +766,10 @@ impl Runner {
         sys.note_warm_resume();
     }
 
-    /// Runs a batch of scenarios in parallel; results in input order,
-    /// bit-identical to calling [`Runner::run_scenario`] serially.
-    pub fn run_scenario_batch(&self, scenarios: &[Scenario]) -> Vec<RunSummary> {
-        scenarios.par_iter().map(|sc| self.run_scenario(sc)).collect::<Vec<_>>()
+    /// Runs a batch of specs in parallel; results in input order,
+    /// bit-identical to calling [`Runner::run`] serially.
+    pub fn run_batch(&self, specs: &[RunSpec]) -> Vec<RunSummary> {
+        specs.par_iter().map(|spec| self.run(spec)).collect::<Vec<_>>()
     }
 
     /// Runs a batch of single-core jobs in parallel; results in input
@@ -1046,18 +824,6 @@ impl Runner {
             .collect::<Vec<_>>();
         flat.chunks(kinds.len().max(1)).map(<[RunSummary]>::to_vec).collect()
     }
-
-    /// Maps `f` over `0..n` on the worker pool (runs are independent;
-    /// results come back in index order). Prefer the typed `*_batch` /
-    /// `*_matrix` methods for simulation runs; this remains for
-    /// irregular job shapes.
-    pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        (0..n).into_par_iter().map(f).collect::<Vec<_>>()
-    }
 }
 
 /// The cargo workspace containing `start`: the nearest directory at or
@@ -1079,8 +845,9 @@ mod tests {
     use super::*;
     use figaro_core::{CacheRegion, FigCacheConfig, InsertionPolicy, ReplacementPolicy};
     use figaro_cpu::{CoreParams, HierarchyConfig};
-    use figaro_memctrl::McConfig;
-    use figaro_workloads::profile_by_name;
+    use figaro_dram::MapKind;
+    use figaro_memctrl::{McConfig, SchedPolicyKind};
+    use figaro_workloads::{profile_by_name, PageMapKind};
 
     fn cache_files(dir: &Path) -> usize {
         fs::read_dir(dir).map_or(0, |rd| {
@@ -1280,16 +1047,15 @@ mod tests {
             .join(format!("figaro-cache-test-{}", std::process::id()))
             .join("exact");
         let _ = std::fs::remove_dir_all(&dir);
-        let sc = Scenario::new(
-            "exactness",
+        let spec = Runner::uncached(Scale::Tiny).stream_spec(
             ConfigKind::FigCacheFast,
-            ScenarioWorkload::Apps(vec![profile_by_name("mcf").unwrap()]),
-        )
-        .with_target_insts(10_000);
-        let fresh = Runner::uncached(Scale::Tiny).run_scenario(&sc);
+            &[profile_by_name("mcf").unwrap()],
+            Some(10_000),
+        );
+        let fresh = Runner::uncached(Scale::Tiny).run(&spec);
         let writer = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-        let first = writer.run_scenario(&sc); // computes and publishes
-        let cached = Runner::with_cache_dir(Scale::Tiny, dir.clone()).run_scenario(&sc);
+        let first = writer.run(&spec); // computes and publishes
+        let cached = Runner::with_cache_dir(Scale::Tiny, dir.clone()).run(&spec);
         for s in [&first, &cached] {
             assert_eq!(s, &fresh);
             for (a, b) in s.ipc.iter().zip(fresh.ipc.iter()) {
@@ -1316,12 +1082,6 @@ mod tests {
         assert_eq!(truncated.truncated_cores, 1);
         let completed = run_capped(20_000 * 400);
         assert_eq!(completed.truncated_cores, 0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let v = Runner::parallel_map(10, |i| i * i);
-        assert_eq!(v, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
     }
 
     #[test]
@@ -1394,15 +1154,15 @@ mod tests {
     #[test]
     fn scenario_runs_streamed_and_deterministic() {
         let runner = Runner::uncached(Scale::Tiny);
-        let sc = Scenario::new(
-            "smoke",
+        let spec = runner.stream_spec(
             ConfigKind::FigCacheFast,
-            ScenarioWorkload::Apps(vec![profile_by_name("mcf").unwrap()]),
-        )
-        .with_target_insts(20_000);
-        let a = runner.run_scenario(&sc);
-        let b = runner.run_scenario(&sc);
-        assert_eq!(a, b, "scenario runs must be deterministic");
+            &[profile_by_name("mcf").unwrap()],
+            Some(20_000),
+        );
+        assert!(matches!(spec.workload[0], CoreWorkload::Stream { .. }));
+        let a = runner.run(&spec);
+        let b = runner.run(&spec);
+        assert_eq!(a, b, "streamed runs must be deterministic");
         assert!(a.ipc[0] > 0.0);
     }
 
@@ -1413,54 +1173,46 @@ mod tests {
             .into_iter()
             .find(|m| m.category == figaro_workloads::MixCategory::Intensive100)
             .unwrap();
-        let base = Scenario::new("shape", ConfigKind::Base, ScenarioWorkload::Mix(mix.clone()))
-            .with_target_insts(4_000);
-        let narrow = base.clone().with_channels(1).with_mshrs(4);
-        let wide = base.with_channels(4).with_mshrs(16);
-        let results = runner.run_scenario_batch(&[narrow, wide]);
+        let with_channels = |ch: u32| {
+            let mut spec = runner.stream_spec(ConfigKind::Base, &mix.apps, Some(4_000));
+            spec.config = spec.config.with_channels(ch);
+            spec
+        };
+        let results = runner.run_batch(&[with_channels(1), with_channels(4)]);
         assert_eq!(results.len(), 2);
         let (narrow, wide) = (&results[0], &results[1]);
         assert!(
             wide.ipc.iter().sum::<f64>() > narrow.ipc.iter().sum::<f64>(),
-            "4 channels / 16 MSHRs must outrun 1 channel / 4 MSHRs on an intensive mix"
+            "4 channels must outrun 1 channel on an intensive mix"
         );
     }
 
     #[test]
-    fn phased_scenario_crosses_phase_boundaries() {
+    fn streamed_two_core_figcache_run_relocates() {
         let runner = Runner::uncached(Scale::Tiny);
-        let phased = figaro_workloads::phased_profiles().remove(0);
-        let sc = Scenario::new(
-            "phased",
-            ConfigKind::FigCacheFast,
-            ScenarioWorkload::Phased(vec![phased]),
-        )
-        .with_target_insts(30_000);
-        let s = runner.run_scenario(&sc);
-        assert!(s.ipc[0] > 0.0);
-        assert!(s.insertions > 0, "phase churn must exercise the cache engine");
+        let apps = ["mcf", "lbm"].map(|n| profile_by_name(n).unwrap());
+        let mut spec = runner.stream_spec(ConfigKind::FigCacheFast, &apps, Some(15_000));
+        spec.config = spec.config.with_channels(2);
+        let s = runner.run(&spec);
+        assert!(s.ipc.iter().all(|&i| i > 0.0 && i.is_finite()), "both cores must retire");
+        assert!(s.relocs > 0, "FIGCache must relocate under the streamed workload");
     }
 
     #[test]
     fn scenario_cache_keys_distinguish_workloads() {
-        // Two scenarios reusing a name with different workloads must not
+        // Two streamed runs differing only in their workload must not
         // share a cached result.
         let dir = std::env::temp_dir()
             .join(format!("figaro-cache-test-{}", std::process::id()))
             .join("scn");
         let _ = std::fs::remove_dir_all(&dir);
         let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-        let sc = |app: &str| {
-            Scenario::new(
-                "same-name",
-                ConfigKind::Base,
-                ScenarioWorkload::Apps(vec![profile_by_name(app).unwrap()]),
-            )
-            .with_target_insts(10_000)
+        let spec = |app: &str| {
+            runner.stream_spec(ConfigKind::Base, &[profile_by_name(app).unwrap()], Some(10_000))
         };
-        let mcf = runner.run_scenario(&sc("mcf"));
-        let sjeng = runner.run_scenario(&sc("sjeng"));
-        assert_ne!(mcf, sjeng, "different workloads under one name must not collide");
+        let mcf = runner.run(&spec("mcf"));
+        let sjeng = runner.run(&spec("sjeng"));
+        assert_ne!(mcf, sjeng, "different workloads must not collide");
         assert!(
             sjeng.mpki[0] < mcf.mpki[0],
             "sjeng must really have run (not mcf's cache entry): {} vs {}",
@@ -1468,19 +1220,6 @@ mod tests {
             mcf.mpki[0]
         );
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
-    }
-
-    #[test]
-    fn long_run_target_scales_with_op_count() {
-        let apps = vec![profile_by_name("mcf").unwrap()];
-        let sc = Scenario::long_run(
-            "long",
-            ConfigKind::Base,
-            ScenarioWorkload::Apps(apps.clone()),
-            1_000_000,
-        );
-        let expected = (1_000_000.0 * (apps[0].nonmem_per_mem + 1.0)) as u64;
-        assert_eq!(sc.target_insts, Some(expected));
     }
 
     #[test]

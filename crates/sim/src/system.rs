@@ -205,9 +205,8 @@ impl System {
     }
 
     /// Builds a system whose cores pull operations from streaming
-    /// [`TraceSource`]s — generators, phased workloads, or trace-file
-    /// replays — so run length never costs memory for a materialized
-    /// trace.
+    /// [`TraceSource`]s — generators or trace-file replays — so run
+    /// length never costs memory for a materialized trace.
     ///
     /// # Panics
     ///

@@ -6,7 +6,7 @@
 //! an **open-loop** arrival process where the offered load is a free
 //! axis, so saturation shows up as growing queues and tail latency
 //! instead of a politely self-throttling core. [`ArrivalSchedule`] wraps
-//! any source (generator, phased, replay, page-mapped) and replaces each
+//! any source (generator, replay, page-mapped) and replaces each
 //! op's `nonmem` gap with a draw from a configured arrival process,
 //! keeping the address/write stream untouched.
 //!

@@ -36,7 +36,6 @@ pub mod arrival;
 pub mod generator;
 pub mod mixes;
 pub mod pagemap;
-pub mod phased;
 pub mod trace_io;
 
 pub use apps::{app_profiles, multithreaded_profiles, profile_by_name, AppProfile};
@@ -44,7 +43,6 @@ pub use arrival::{ArrivalKind, ArrivalSchedule};
 pub use generator::{generate_trace, TraceGenerator};
 pub use mixes::{eight_core_mixes, Mix, MixCategory};
 pub use pagemap::{PageMapKind, PageMappedSource, PageMapper};
-pub use phased::{phased_profiles, Phase, PhaseKind, PhasedGenerator, PhasedProfile};
 pub use trace_io::{
     read_trace_file, read_varint, write_trace_file, write_varint, FileReplay, RecordingSource,
     TraceWriter,

@@ -32,7 +32,7 @@ use crate::{TraceOp, TraceSource};
 const SCRAMBLE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Identifies an OS page-frame placement policy — the value form
-/// carried by system configs, scenario overrides and result-cache keys.
+/// carried by system configs and result-cache keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PageMapKind {
     /// Virtual frame = physical frame (the default).

@@ -10,7 +10,9 @@ use proptest::prelude::*;
 use figaro_cpu::CacheParams;
 use figaro_sim::{ConfigKind, Kernel, RunStats, System, SystemConfig};
 use figaro_telemetry::TelemetryConfig;
-use figaro_workloads::{app_profiles, generate_trace, profile_by_name, Trace, TraceOp};
+use figaro_workloads::{
+    app_profiles, generate_trace, profile_by_name, Trace, TraceGenerator, TraceOp, TraceSource,
+};
 
 /// Runs one system built from `(seed, cores, kind)` under `kernel`.
 fn run(seed: u64, cores: usize, kind: &ConfigKind, kernel: Kernel, insts: u64) -> RunStats {
@@ -156,4 +158,23 @@ fn core_unblocked_by_another_cores_dirty_victim_matches_reference() {
         let u_misses = reference.hierarchy.llc_misses_per_core[u];
         assert_eq!(u_misses, 3, "the scenario no longer unblocks core {u} by a dirty victim");
     }
+}
+
+#[test]
+fn streamed_sources_are_kernel_equivalent() {
+    // The event kernel must stay bit-identical to the reference when the
+    // cores pull from live generators instead of materialized traces.
+    let run = |kernel: Kernel| {
+        let sources: Vec<Box<dyn TraceSource>> = ["mcf", "zeusmp"]
+            .iter()
+            .map(|n| {
+                Box::new(TraceGenerator::new(&profile_by_name(n).unwrap(), 13))
+                    as Box<dyn TraceSource>
+            })
+            .collect();
+        let cfg = SystemConfig { kernel, ..SystemConfig::paper(2, ConfigKind::FigCacheFast) };
+        let mut sys = System::from_sources(cfg, sources, &[10_000; 2]);
+        sys.run(10_000_000)
+    };
+    assert_eq!(run(Kernel::Reference), run(Kernel::Event));
 }

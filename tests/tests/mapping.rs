@@ -15,15 +15,15 @@
 //! 3. **Placement really moves**: non-default mappings and placements
 //!    change DRAM behavior (they must not silently fall back to the
 //!    default path).
-//! 4. **Runner plumbing**: scenario-level mapping/page overrides reach
+//! 4. **Runner plumbing**: per-run mapping/page overrides reach
 //!    the system and never share cache entries with the default.
 
 use proptest::prelude::*;
 
 use figaro_sim::experiments::{mapping_kinds, mapping_sweep_with, page_policies};
 use figaro_sim::{
-    ConfigKind, Kernel, MapKind, MapScheme, PageMapKind, RunStats, Runner, Scale, Scenario,
-    ScenarioWorkload, SchedPolicyKind, System, SystemConfig,
+    ConfigKind, Kernel, MapKind, MapScheme, PageMapKind, RunStats, Runner, Scale, SchedPolicyKind,
+    System, SystemConfig,
 };
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
 
@@ -228,22 +228,16 @@ fn scenario_mapping_override_reaches_the_system_and_gets_its_own_cache_key() {
         std::env::temp_dir().join(format!("figaro-cache-test-{}", std::process::id())).join("map");
     let _ = std::fs::remove_dir_all(&dir);
     let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-    let sc = |map: MapKind, page: PageMapKind| {
-        Scenario::new(
-            "map-key",
-            ConfigKind::Base,
-            ScenarioWorkload::Apps(vec![profile_by_name("mcf").unwrap()]),
-        )
-        .with_target_insts(12_000)
-        .with_mapping(map)
-        .with_page_map(page)
+    let spec = |map: MapKind, page: PageMapKind| {
+        let mut spec =
+            runner.stream_spec(ConfigKind::Base, &[profile_by_name("mcf").unwrap()], Some(12_000));
+        spec.config = spec.config.with_mapping(map).with_page_map(page);
+        spec
     };
-    let default = runner.run_scenario(&sc(MapKind::paper(), PageMapKind::Identity));
-    let rowint = runner.run_scenario(&sc(
-        MapKind { scheme: MapScheme::RowInt, xor_bank: false },
-        PageMapKind::Identity,
-    ));
-    let colored = runner.run_scenario(&sc(MapKind::paper(), PageMapKind::Color { colors: 16 }));
+    let default = runner.run(&spec(MapKind::paper(), PageMapKind::Identity));
+    let rowint = runner
+        .run(&spec(MapKind { scheme: MapScheme::RowInt, xor_bank: false }, PageMapKind::Identity));
+    let colored = runner.run(&spec(MapKind::paper(), PageMapKind::Color { colors: 16 }));
     assert_ne!(default, rowint, "mappings must not share cached results");
     assert_ne!(default, colored, "page policies must not share cached results");
     assert!(

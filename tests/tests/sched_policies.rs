@@ -8,7 +8,7 @@
 //!    `cargo run --release --example golden_digest`).
 //! 2. **Policy × kernel equivalence**: every scheduling policy keeps the
 //!    event kernel bit-identical to the per-cycle reference.
-//! 3. **Runner plumbing**: scenario-level policy overrides really reach
+//! 3. **Runner plumbing**: per-run policy overrides really reach
 //!    the controller and never share cache entries with the default.
 //! 4. **Model epoch**: the result cache's `MODEL_EPOCH` is the hash of
 //!    the event-kernel golden runs' full `RunStats`.
@@ -17,8 +17,7 @@ use proptest::prelude::*;
 
 use figaro_sim::experiments::scheduler_sweep_with;
 use figaro_sim::{
-    ConfigKind, Kernel, RunStats, Runner, Scale, Scenario, ScenarioWorkload, SchedPolicyKind,
-    System, SystemConfig, MODEL_EPOCH,
+    ConfigKind, Kernel, RunStats, Runner, Scale, SchedPolicyKind, System, SystemConfig, MODEL_EPOCH,
 };
 use figaro_workloads::{app_profiles, generate_trace, profile_by_name, Trace};
 
@@ -175,17 +174,14 @@ fn scenario_sched_override_reaches_the_controller_and_gets_its_own_cache_key() {
         .join("sched");
     let _ = std::fs::remove_dir_all(&dir);
     let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-    let sc = |sched: SchedPolicyKind| {
-        Scenario::new(
-            "sched-key",
-            ConfigKind::Base,
-            ScenarioWorkload::Apps(vec![profile_by_name("mcf").unwrap()]),
-        )
-        .with_target_insts(12_000)
-        .with_sched(sched)
+    let spec = |sched: SchedPolicyKind| {
+        let mut spec =
+            runner.stream_spec(ConfigKind::Base, &[profile_by_name("mcf").unwrap()], Some(12_000));
+        spec.config = spec.config.with_sched(sched);
+        spec
     };
-    let frfcfs = runner.run_scenario(&sc(SchedPolicyKind::FrFcfs));
-    let fcfs = runner.run_scenario(&sc(SchedPolicyKind::Fcfs));
+    let frfcfs = runner.run(&spec(SchedPolicyKind::FrFcfs));
+    let fcfs = runner.run(&spec(SchedPolicyKind::Fcfs));
     assert_ne!(frfcfs, fcfs, "policies must not share cached results");
     assert!(
         fcfs.cpu_cycles > frfcfs.cpu_cycles,

@@ -17,9 +17,7 @@ use proptest::prelude::*;
 
 use figaro_memctrl::LatencyHistogram;
 use figaro_sim::experiments::serving_sweep_with;
-use figaro_sim::{
-    ConfigKind, Kernel, RunStats, Runner, Scale, Scenario, ScenarioWorkload, System, SystemConfig,
-};
+use figaro_sim::{ConfigKind, Kernel, RunStats, Runner, Scale, System, SystemConfig};
 use figaro_workloads::{
     app_profiles, generate_trace, profile_by_name, ArrivalKind, ArrivalSchedule, TraceSource,
 };
@@ -27,18 +25,14 @@ use figaro_workloads::{
 #[test]
 fn serving_smoke_one_load_point_has_sane_tail() {
     // The CI fast tier's serving smoke: a single moderate Poisson load
-    // point through the full scenario path (arrival wrapper, histogram,
-    // RunSummary percentiles).
+    // point through the full streamed-run path (arrival wrapper,
+    // histogram, RunSummary percentiles).
     let runner = Runner::uncached(Scale::Tiny);
-    let sc = Scenario::new(
-        "serve-smoke",
-        ConfigKind::FigCacheFast,
-        ScenarioWorkload::Apps(vec![profile_by_name("mcf").expect("mcf profile exists"); 4]),
-    )
-    .with_channels(1)
-    .with_arrival(ArrivalKind::Poisson { mean_gap: 64 })
-    .with_target_insts(20_000);
-    let s = runner.run_scenario(&sc);
+    let apps = [profile_by_name("mcf").expect("mcf profile exists"); 4];
+    let mut spec = runner.stream_spec(ConfigKind::FigCacheFast, &apps, Some(20_000));
+    spec.config = spec.config.with_channels(1);
+    spec.arrival = Some(ArrivalKind::Poisson { mean_gap: 64 });
+    let s = runner.run(&spec);
 
     assert!(s.reads_served > 0, "paced run never reached DRAM");
     assert_eq!(s.truncated_cores, 0, "smoke load point must complete, not truncate");

@@ -1,6 +1,6 @@
-//! Warm-start through the [`Runner`]: a warmed scenario run must be
+//! Warm-start through the [`Runner`]: a warmed streamed run must be
 //! bit-identical to a cold uninterrupted run (the FGSN resume
-//! guarantee, exercised end to end through `run_scenario`), the warm
+//! guarantee, exercised end to end through `Runner::run`), the warm
 //! snapshot must be written once and reused by every run sharing the
 //! warm prefix — including other kernels — and warmed results must key
 //! separately in the result cache (the warmup is part of the cached
@@ -8,21 +8,21 @@
 
 use std::path::{Path, PathBuf};
 
-use figaro_sim::{ConfigKind, Kernel, Runner, Scale, Scenario, ScenarioWorkload};
+use figaro_sim::{ConfigKind, Kernel, RunSpec, Runner, Scale, SystemConfig};
 use figaro_workloads::profile_by_name;
 
 const WARM_CYCLES: u64 = 2_000;
 
-fn scenario() -> Scenario {
-    Scenario::new(
-        "warmstart",
-        ConfigKind::FigCacheFast,
-        ScenarioWorkload::Apps(vec![
-            profile_by_name("mcf").unwrap(),
-            profile_by_name("lbm").unwrap(),
-        ]),
-    )
-    .with_target_insts(12_000)
+/// The streamed `mcf` + `lbm` FIGCache run as `runner` builds it,
+/// warm-started for `warmup` cycles when set.
+fn spec(runner: &Runner, warmup: Option<u64>) -> RunSpec {
+    let apps = ["mcf", "lbm"].map(|n| profile_by_name(n).unwrap());
+    RunSpec { warmup, ..runner.stream_spec(ConfigKind::FigCacheFast, &apps, Some(12_000)) }
+}
+
+/// `runner` with its system template on `kernel`.
+fn on_kernel(runner: Runner, kernel: Kernel) -> Runner {
+    runner.with_system(|s| SystemConfig { kernel, ..s })
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -42,27 +42,24 @@ fn warm_run_matches_cold_run_bit_for_bit() {
     let snaps = tmp_dir("eq");
     let _ = std::fs::remove_dir_all(&snaps);
 
-    let cold = Runner::uncached(Scale::Tiny).run_scenario(&scenario());
-    let warm = Runner::uncached(Scale::Tiny)
-        .with_snapshot_dir(snaps.clone())
-        .run_scenario(&scenario().with_warmup(WARM_CYCLES));
+    let cold_runner = Runner::uncached(Scale::Tiny);
+    let cold = cold_runner.run(&spec(&cold_runner, None));
+    let warm_runner = Runner::uncached(Scale::Tiny).with_snapshot_dir(snaps.clone());
+    let warm = warm_runner.run(&spec(&warm_runner, Some(WARM_CYCLES)));
     assert_eq!(warm, cold, "resuming from the warm snapshot diverged from the cold run");
     assert_eq!(fgsn_count(&snaps), 1, "warmup must publish exactly one snapshot");
 
     // The reference kernel shares the warm prefix: it must branch from
     // the existing snapshot (no second file) and still match its own
     // cold run — which is bit-identical to the event kernel's.
-    let reference = Runner::uncached(Scale::Tiny)
-        .with_snapshot_dir(snaps.clone())
-        .with_kernel(Kernel::Reference)
-        .run_scenario(&scenario().with_warmup(WARM_CYCLES));
+    let ref_runner = on_kernel(warm_runner, Kernel::Reference);
+    let reference = ref_runner.run(&spec(&ref_runner, Some(WARM_CYCLES)));
     assert_eq!(reference, cold, "reference-kernel warm run diverged");
     assert_eq!(fgsn_count(&snaps), 1, "a shared warm prefix must reuse the snapshot");
 
     // A different warm length is a different prefix: new snapshot.
-    let longer = Runner::uncached(Scale::Tiny)
-        .with_snapshot_dir(snaps.clone())
-        .run_scenario(&scenario().with_warmup(WARM_CYCLES * 2));
+    let longer_runner = Runner::uncached(Scale::Tiny).with_snapshot_dir(snaps.clone());
+    let longer = longer_runner.run(&spec(&longer_runner, Some(WARM_CYCLES * 2)));
     assert_eq!(longer, cold, "longer warmup still resumes bit-identically");
     assert_eq!(fgsn_count(&snaps), 2, "a different warm length is its own snapshot");
 
@@ -74,15 +71,17 @@ fn warm_and_sampled_runs_key_separately_in_result_cache() {
     let cache = tmp_dir("keys");
     let _ = std::fs::remove_dir_all(&cache);
 
-    // One cold, one warmed, one sampled run of the same scenario: three
+    // One cold, one warmed, one sampled run of the same workload: three
     // distinct cache entries, so approximate or warmed results can never
     // shadow the canonical cold entry.
     let runner = Runner::with_cache_dir(Scale::Tiny, cache.clone());
-    let cold = runner.run_scenario(&scenario());
-    let warm = runner.run_scenario(&scenario().with_warmup(WARM_CYCLES));
-    let sampled = Runner::with_cache_dir(Scale::Tiny, cache.clone())
-        .with_kernel(Kernel::Sampled { window: 4_000, skip: 8_000 })
-        .run_scenario(&scenario());
+    let cold = runner.run(&spec(&runner, None));
+    let warm = runner.run(&spec(&runner, Some(WARM_CYCLES)));
+    let sampled_runner = on_kernel(
+        Runner::with_cache_dir(Scale::Tiny, cache.clone()),
+        Kernel::Sampled { window: 4_000, skip: 8_000 },
+    );
+    let sampled = sampled_runner.run(&spec(&sampled_runner, None));
     assert_eq!(warm, cold);
 
     // Each entry's first line is the spec it caches.
