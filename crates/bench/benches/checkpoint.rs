@@ -1,21 +1,13 @@
-//! `checkpoint` — warm-start amortization and sampled-simulation accuracy.
+//! `checkpoint` — warm-start amortization, recorded in
+//! `BENCH_checkpoint.json` at the workspace root.
 //!
-//! Two measurements, both recorded in `BENCH_checkpoint.json` at the
-//! workspace root:
-//!
-//! 1. **Warm-start speedup.** A three-point address-mapping grid (the
-//!    paper slice, channel-first, row-interleaved) is swept three ways:
-//!    cold (no warmup), warm with an empty snapshot store (the pass that
-//!    pays the warm prefix once and publishes the FGSN snapshot), and
-//!    warm with hot snapshots (every later re-sweep). Warmed results are
-//!    asserted bit-identical to the cold runs; the resumed sweep's total
-//!    wall clock must beat the cold sweep by at least
-//!    `(grid − 1) × warmup_fraction`.
-//!
-//! 2. **Sampled-simulation error.** Each Fig. 7 application runs
-//!    single-core under the exact event kernel and under
-//!    `Kernel::Sampled`; the per-app IPC error and wall-clock speedup
-//!    become the accuracy bars quoted next to any sampled sweep.
+//! A three-point address-mapping grid (the paper slice, channel-first,
+//! row-interleaved) is swept three ways: cold (no warmup), warm with an
+//! empty snapshot store (the pass that pays the warm prefix once and
+//! publishes the FGSN snapshot), and warm with hot snapshots (every later
+//! re-sweep). Warmed results are asserted bit-identical to the cold runs;
+//! the resumed sweep's total wall clock must beat the cold sweep by at
+//! least `(grid − 1) × warmup_fraction`.
 //!
 //! ```bash
 //! cargo bench --bench checkpoint
@@ -24,10 +16,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use figaro_sim::experiments::{mapping_kinds, sweep_apps};
+use figaro_sim::experiments::mapping_kinds;
 use figaro_sim::runner::{RunSummary, Scale};
-use figaro_sim::{ConfigKind, Kernel, RunSpec, Runner, System, SystemConfig};
-use figaro_workloads::{generate_trace, profile_by_name};
+use figaro_sim::{ConfigKind, RunSpec, Runner};
+use figaro_workloads::profile_by_name;
 
 /// Fraction of the cold run's cycles the warm prefix covers.
 const WARM_FRACTION: f64 = 0.5;
@@ -57,16 +49,6 @@ struct GridPoint {
     warm_miss_s: f64,
     warm_hit_s: f64,
     cycles: u64,
-}
-
-struct SampledPoint {
-    app: String,
-    config: &'static str,
-    full_ipc: f64,
-    sampled_ipc: f64,
-    err_pct: f64,
-    detail_fraction: f64,
-    speedup: f64,
 }
 
 fn warm_start_sweep(insts: u64, snap_dir: &std::path::Path) -> (Vec<GridPoint>, u64) {
@@ -103,43 +85,6 @@ fn warm_start_sweep(insts: u64, snap_dir: &std::path::Path) -> (Vec<GridPoint>, 
     (points, warm_cycles)
 }
 
-fn sampled_accuracy(insts: u64, full_sweeps: bool) -> Vec<SampledPoint> {
-    // Window/skip scaled to the bench's run length: ~1/3 detail, enough
-    // windows per run for the rate estimate to settle. Base vs. FIGCache
-    // separates the two error sources: rate estimation (Base) and the
-    // relocation-cache fill transient that fast-forward freezes
-    // (FIGCache — the same warmup transient warm-start exists to skip).
-    let (window, skip) = (insts / 4, insts * 2 / 5);
-    let configs = [("base", ConfigKind::Base), ("figcache-fast", ConfigKind::FigCacheFast)];
-    sweep_apps(full_sweeps)
-        .iter()
-        .flat_map(|p| {
-            let trace = generate_trace(p, 8_000, 7_777);
-            configs.clone().map(|(label, kind)| {
-                let run = |kernel: Kernel| {
-                    let cfg = SystemConfig { kernel, ..SystemConfig::paper(1, kind.clone()) };
-                    let mut sys = System::new(cfg, vec![trace.clone()], &[insts]);
-                    let t = Instant::now();
-                    (sys.run(insts * 400), t.elapsed().as_secs_f64())
-                };
-                let (full, full_s) = run(Kernel::Event);
-                let (approx, approx_s) = run(Kernel::Sampled { window, skip });
-                let st = approx.sampled.as_ref().expect("sampled kernel reports sampled stats");
-                let (full_ipc, sampled_ipc) = (full.ipc(0), st.sampled_ipc(0));
-                SampledPoint {
-                    app: p.name.to_string(),
-                    config: label,
-                    full_ipc,
-                    sampled_ipc,
-                    err_pct: (sampled_ipc - full_ipc).abs() / full_ipc * 100.0,
-                    detail_fraction: st.detail_fraction(),
-                    speedup: full_s / approx_s,
-                }
-            })
-        })
-        .collect()
-}
-
 fn json_report(
     scale: Scale,
     grid: &[GridPoint],
@@ -147,7 +92,6 @@ fn json_report(
     warmup_fraction: f64,
     required_speedup: f64,
     speedup: f64,
-    sampled: &[SampledPoint],
 ) -> String {
     let mut grid_rows = String::new();
     for (i, g) in grid.iter().enumerate() {
@@ -163,33 +107,12 @@ fn json_report(
             g.cycles,
         );
     }
-    let mut sampled_rows = String::new();
-    for (i, s) in sampled.iter().enumerate() {
-        let _ = write!(
-            sampled_rows,
-            "{}    {{\"app\": \"{}\", \"config\": \"{}\", \"full_ipc\": {:.6}, \
-             \"sampled_ipc\": {:.6}, \"err_pct\": {:.2}, \"detail_fraction\": {:.3}, \
-             \"speedup\": {:.2}}}",
-            if i == 0 { "" } else { ",\n" },
-            s.app,
-            s.config,
-            s.full_ipc,
-            s.sampled_ipc,
-            s.err_pct,
-            s.detail_fraction,
-            s.speedup,
-        );
-    }
-    let mean_err = sampled.iter().map(|s| s.err_pct).sum::<f64>() / sampled.len() as f64;
-    let max_err = sampled.iter().map(|s| s.err_pct).fold(0.0, f64::max);
     format!(
         "{{\n  \"bench\": \"checkpoint\",\n  \"scale\": \"{}\",\n  \
          \"warm_start\": {{\n    \"grid_points\": {},\n    \"warm_cycles\": {warm_cycles},\n    \
          \"warmup_fraction\": {warmup_fraction:.3},\n    \
          \"required_speedup\": {required_speedup:.3},\n    \"speedup\": {speedup:.3},\n    \
-         \"grid\": [\n{grid_rows}\n  ]}},\n  \
-         \"sampled\": {{\n    \"mean_err_pct\": {mean_err:.2},\n    \
-         \"max_err_pct\": {max_err:.2},\n    \"apps\": [\n{sampled_rows}\n  ]}}\n}}\n",
+         \"grid\": [\n{grid_rows}\n  ]}}\n}}\n",
         scale.label(),
         grid.len(),
     )
@@ -235,23 +158,7 @@ fn main() {
         "warm-start must amortize the warm prefix: {speedup:.2}x < {required_speedup:.2}x"
     );
 
-    let sampled = sampled_accuracy(insts, env.full_sweeps);
-    for s in &sampled {
-        println!(
-            "{:<12} {:<14} full {:.4} sampled {:.4}  err {:>5.1}%  detail {:.2}  {:>5.2}x faster",
-            s.app, s.config, s.full_ipc, s.sampled_ipc, s.err_pct, s.detail_fraction, s.speedup
-        );
-    }
-
-    let report = json_report(
-        scale,
-        &grid,
-        warm_cycles,
-        warmup_fraction,
-        required_speedup,
-        speedup,
-        &sampled,
-    );
+    let report = json_report(scale, &grid, warm_cycles, warmup_fraction, required_speedup, speedup);
     let path = figaro_bench::artifact_path("BENCH_checkpoint.json");
     std::fs::write(&path, &report).expect("write BENCH_checkpoint.json");
     println!("wrote {}", path.display());

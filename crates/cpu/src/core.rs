@@ -168,6 +168,8 @@ impl TraceCore {
 
     /// Delivers load data for `token` (from
     /// [`CacheHierarchy::on_completion`]) usable at cycle `ready_at`.
+    /// A load's window entry cannot retire before its wake, so the
+    /// `seq >= head_seq` check only guards the window index.
     pub fn wake(&mut self, token: u64, ready_at: u64) {
         if let Some(i) = self.token_seq.iter().position(|&(t, _)| t == token) {
             let (_, seq) = self.token_seq.swap_remove(i);
@@ -281,52 +283,6 @@ impl TraceCore {
         self.stats.long_loads = crate::take(src);
         self.stats.window_full_cycles = crate::take(src);
         self.stats.stall_cycles = crate::take(src);
-    }
-
-    /// Functionally consumes up to `insts` instructions without modeling
-    /// timing or issuing memory traffic — the fast-forward half of the
-    /// sampled kernel. In-flight window entries retire first (their loads
-    /// complete "during" the jump; any wake arriving later is ignored by
-    /// [`TraceCore::wake`]'s `seq >= head_seq` guard), then fresh
-    /// operations are pulled from the trace source so the resume point
-    /// stays aligned with the stream. Returns the instructions consumed;
-    /// the core finishes at `now` if it reaches its target.
-    pub fn fast_forward(&mut self, insts: u64, now: u64) -> u64 {
-        if self.finished_at.is_some() {
-            return 0;
-        }
-        let budget = insts.min(self.target_insts - self.stats.retired);
-        let mut done = 0u64;
-        while done < budget && !self.window.is_empty() {
-            self.window.pop_front();
-            self.head_seq += 1;
-            done += 1;
-        }
-        while done < budget {
-            if self.nonmem_left > 0 {
-                let k = u64::from(self.nonmem_left).min(budget - done);
-                self.nonmem_left -= k as u32;
-                done += k;
-            } else if self.pending_mem.take().is_some() {
-                self.stalled = false;
-                self.stats.mem_ops += 1;
-                done += 1;
-            } else {
-                let op = self.next_op();
-                if op.nonmem > 0 {
-                    self.nonmem_left = op.nonmem;
-                    self.pending_mem = Some(op);
-                } else {
-                    self.stats.mem_ops += 1;
-                    done += 1;
-                }
-            }
-        }
-        self.stats.retired += done;
-        if self.stats.retired >= self.target_insts {
-            self.finished_at = Some(now);
-        }
-        done
     }
 
     /// Cycles after `now` over which ticking is a deterministic full-width

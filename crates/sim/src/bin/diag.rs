@@ -37,8 +37,7 @@ fn usage() -> ! {
          FIGARO_SCHED=frfcfs|fcfs|frfcfs-cap<N>|wdrain<H>-<L> picks the\n\
          memory-controller scheduling policy,\n\
          FIGARO_KERNEL={KERNEL_CHOICES} the simulation\n\
-         kernel (sampled alternates W detailed cycles with S\n\
-         fast-forwarded cycles — approximate, its results key separately),\n\
+         kernel (both give bit-identical results),\n\
          FIGARO_MAP=paper|chfirst|rowint[-xor] the DRAM address mapping,\n\
          FIGARO_PAGEMAP=ident|rand<seed>|color<N> the OS page-frame\n\
          placement,\n\

@@ -23,51 +23,20 @@ pub enum Kernel {
     /// per-cycle stall counters.
     #[default]
     Event,
-    /// SMARTS-style sampled simulation: alternate detailed windows of
-    /// `window` CPU cycles (the event kernel, bit-exact) with functional
-    /// fast-forward intervals of `skip` CPU cycles whose instructions are
-    /// consumed from the trace at the rate the last detailed window
-    /// sustained, issuing **no** memory traffic. The only *approximate*
-    /// kernel: its `RunStats` carry a `sampled` block, and since the
-    /// kernel is part of every run's cache key its results never stand
-    /// in for a full run.
-    Sampled {
-        /// Detailed-window length (CPU cycles).
-        window: u64,
-        /// Fast-forwarded interval between windows (CPU cycles).
-        skip: u64,
-    },
 }
 
 /// The `FIGARO_KERNEL` vocabulary, as quoted by its error and `diag`'s
 /// usage text.
-pub const KERNEL_CHOICES: &str = "event|reference|sampled[:W,S]";
-
-/// Default detailed-window length for `FIGARO_KERNEL=sampled` (CPU
-/// cycles).
-pub const SAMPLED_DEFAULT_WINDOW: u64 = 100_000;
-/// Default fast-forward interval for `FIGARO_KERNEL=sampled` (CPU
-/// cycles): a 1:4 duty cycle, so ~20% of the run is simulated in detail.
-pub const SAMPLED_DEFAULT_SKIP: u64 = 400_000;
+pub const KERNEL_CHOICES: &str = "event|reference";
 
 impl Kernel {
     /// Parses a kernel name (the `FIGARO_KERNEL` vocabulary); `None` for
     /// anything unrecognized.
     #[must_use]
     pub fn parse(raw: &str) -> Option<Self> {
-        let lower = raw.to_lowercase();
-        if let Some(params) = lower.strip_prefix("sampled:") {
-            let (w, s) = params.split_once(',')?;
-            let window = w.parse::<u64>().ok().filter(|&w| w > 0)?;
-            let skip = s.parse::<u64>().ok()?;
-            return Some(Kernel::Sampled { window, skip });
-        }
-        match lower.as_str() {
+        match raw.to_lowercase().as_str() {
             "" | "event" => Some(Kernel::Event),
             "reference" | "ref" => Some(Kernel::Reference),
-            "sampled" => {
-                Some(Kernel::Sampled { window: SAMPLED_DEFAULT_WINDOW, skip: SAMPLED_DEFAULT_SKIP })
-            }
             _ => None,
         }
     }
@@ -78,7 +47,6 @@ impl Kernel {
         match self {
             Kernel::Reference => "reference",
             Kernel::Event => "event",
-            Kernel::Sampled { .. } => "sampled",
         }
     }
 }
@@ -322,26 +290,16 @@ mod tests {
         assert_eq!(Kernel::default(), Kernel::Event);
         assert_eq!(Kernel::Event.label(), "event");
         assert_eq!(Kernel::Reference.label(), "reference");
-        assert_eq!(Kernel::Sampled { window: 1, skip: 1 }.label(), "sampled");
     }
 
     #[test]
-    fn kernel_parse_covers_sampled_forms() {
+    fn kernel_parse_rejects_removed_kernels() {
         assert_eq!(Kernel::parse(""), Some(Kernel::Event));
         assert_eq!(Kernel::parse("REF"), Some(Kernel::Reference));
-        assert_eq!(
-            Kernel::parse("sampled"),
-            Some(Kernel::Sampled { window: SAMPLED_DEFAULT_WINDOW, skip: SAMPLED_DEFAULT_SKIP })
-        );
-        assert_eq!(
-            Kernel::parse("sampled:50000,200000"),
-            Some(Kernel::Sampled { window: 50_000, skip: 200_000 })
-        );
-        assert_eq!(Kernel::parse("sampled:0,5"), None, "zero-cycle windows are meaningless");
-        assert_eq!(Kernel::parse("sampled:oops"), None);
+        for removed in ["sampled", "sampled:50000,200000", "sampled:0,5", "parallel", "par"] {
+            assert_eq!(Kernel::parse(removed), None, "{removed}");
+        }
         assert_eq!(Kernel::parse("spooled"), None);
-        assert_eq!(Kernel::parse("parallel"), None);
-        assert_eq!(Kernel::parse("par"), None);
     }
 
     #[test]

@@ -225,7 +225,7 @@ mod tests {
     fn every_variable_parses_its_vocabulary() {
         let env = parse(&[
             ("FIGARO_SCALE", "Tiny"),
-            ("FIGARO_KERNEL", "sampled:10,20"),
+            ("FIGARO_KERNEL", "reference"),
             ("FIGARO_SCHED", "fcfs"),
             ("FIGARO_MAP", "chfirst"),
             ("FIGARO_PAGEMAP", "rand7"),
@@ -239,7 +239,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(env.scale, Some(Scale::Tiny));
-        assert_eq!(env.kernel, Some(Kernel::Sampled { window: 10, skip: 20 }));
+        assert_eq!(env.kernel, Some(Kernel::Reference));
         assert_eq!(env.sched, Some(SchedPolicyKind::Fcfs));
         assert_eq!(env.map, MapKind::from_name("chfirst"));
         assert_eq!(env.page_map, Some(PageMapKind::Random { seed: 7 }));
@@ -256,7 +256,7 @@ mod tests {
         // The system overrides reach every run through the template.
         let mcf = figaro_workloads::profile_by_name("mcf").unwrap();
         let spec = runner.stream_spec(crate::ConfigKind::Base, &[mcf], None);
-        assert_eq!(spec.config.kernel, Kernel::Sampled { window: 10, skip: 20 });
+        assert_eq!(spec.config.kernel, Kernel::Reference);
         assert_eq!(spec.config.mc.sched, SchedPolicyKind::Fcfs);
         assert_eq!(Some(spec.config.mc.map), MapKind::from_name("chfirst"));
         assert_eq!(spec.config.page_map, PageMapKind::Random { seed: 7 });

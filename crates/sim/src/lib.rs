@@ -43,8 +43,9 @@
 
 /// Pops the next word of a snapshot word stream (the `save_state` /
 /// `load_state` convention shared across the component crates).
-/// Truncation aborts loudly: resuming from a corrupt snapshot must never
-/// silently produce a different run.
+/// Truncation aborts loudly: it means the stream came from a system of
+/// another shape. A snapshot file reaches `load_state` only after its
+/// checksum verified, so a corrupt file is an error before this runs.
 pub(crate) fn take(src: &mut &[u64]) -> u64 {
     assert!(!src.is_empty(), "snapshot word stream truncated");
     let w = src[0];
@@ -67,7 +68,7 @@ pub use env::EnvConfig;
 pub use figaro_dram::{MapKind, MapScheme};
 pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
-pub use metrics::{ChannelStats, RunStats, SampledStats};
+pub use metrics::{ChannelStats, RunStats};
 pub use runner::{workspace_root, CoreWorkload, RunSpec, Runner, Scale, MODEL_EPOCH};
 pub use snapshot::{config_hash, SnapshotHeader};
 pub use system::System;

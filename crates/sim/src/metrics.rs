@@ -35,11 +35,6 @@ pub struct RunStats {
     pub hierarchy: HierarchyStats,
     /// System energy breakdown.
     pub energy: SystemEnergyBreakdown,
-    /// Sampling bookkeeping — `Some` only for [`crate::Kernel::Sampled`]
-    /// runs, whose results are approximate by construction. `None` for
-    /// the three exact kernels, so their bit-identity comparisons are
-    /// unaffected.
-    pub sampled: Option<SampledStats>,
 }
 
 /// Per-channel slice of the controller statistics — what the merged
@@ -68,36 +63,6 @@ impl ChannelStats {
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.row_hits + self.row_misses + self.row_conflicts;
         safe_ratio(self.row_hits as f64, total as f64)
-    }
-}
-
-/// Bookkeeping of a [`crate::Kernel::Sampled`] run: how much of the clock
-/// was simulated in detail versus functionally fast-forwarded.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SampledStats {
-    /// Detailed windows executed.
-    pub windows: u64,
-    /// CPU cycles simulated in detail (the measured region).
-    pub detailed_cycles: u64,
-    /// CPU cycles fast-forwarded.
-    pub skipped_cycles: u64,
-    /// Per-core instructions retired inside detailed windows.
-    pub detailed_insts: Vec<u64>,
-}
-
-impl SampledStats {
-    /// IPC of `core` measured over the detailed windows only — the
-    /// sampled estimator compared against full-run IPC in
-    /// `BENCH_checkpoint.json`'s error bars.
-    #[must_use]
-    pub fn sampled_ipc(&self, core: usize) -> f64 {
-        safe_ratio(self.detailed_insts[core] as f64, self.detailed_cycles as f64)
-    }
-
-    /// Fraction of the simulated clock that ran in detail.
-    #[must_use]
-    pub fn detail_fraction(&self) -> f64 {
-        safe_ratio(self.detailed_cycles as f64, (self.detailed_cycles + self.skipped_cycles) as f64)
     }
 }
 

@@ -280,14 +280,13 @@ impl RunSummary {
 }
 
 /// Instruction target for the idle companion cores of an alone-IPC run.
-pub const IDLE_COMPANION_TARGET: u64 = 1_000;
+const IDLE_COMPANION_TARGET: u64 = 1_000;
 
 /// The idle-companion trace used by alone-IPC measurements (the
-/// weighted-speedup denominators; see [`Runner::alone_ipc`] and the
-/// `sim_kernel` bench): a pure non-memory loop whose tiny instruction
-/// target retires immediately and never touches memory.
-#[must_use]
-pub fn idle_companion_trace() -> Trace {
+/// weighted-speedup denominators; see [`Runner::alone_spec`]): a pure
+/// non-memory loop whose tiny instruction target retires immediately and
+/// never touches memory.
+fn idle_companion_trace() -> Trace {
     Trace {
         name: "idle".into(),
         ops: vec![TraceOp { nonmem: 1_000_000, addr: 0, is_write: false }],
@@ -300,7 +299,7 @@ pub fn idle_companion_trace() -> Trace {
 /// (`model_epoch_pins_the_seed_golden_run_stats` in
 /// `tests/tests/sched_policies.rs`), so a change that alters simulated
 /// behaviour fails that test, which prints the value to put here.
-pub const MODEL_EPOCH: u64 = 0xfb79_32f4_1163_ba7a;
+pub const MODEL_EPOCH: u64 = 0x9fcf_59a7_b0dc_1188;
 
 /// Deterministic per-run trace seed.
 fn seed_for(app: &str, core: usize) -> u64 {
@@ -348,7 +347,8 @@ pub enum CoreWorkload {
         /// Generator seed.
         seed: u64,
     },
-    /// The alone-IPC idle companion ([`idle_companion_trace`]).
+    /// The alone-IPC idle companion: a pure non-memory loop that never
+    /// touches memory (see [`Runner::alone_spec`]).
     Idle,
 }
 
@@ -428,8 +428,8 @@ impl RunSpec {
     }
 
     /// The run whose final state is this run's warm point: the warm
-    /// prefix under the event kernel, so every kernel (and every sampled
-    /// geometry) branches from one snapshot.
+    /// prefix under the event kernel, so both kernels branch from one
+    /// snapshot.
     fn warm_prefix(&self) -> Option<RunSpec> {
         let cycles = self.warmup.filter(|&w| w > 0)?;
         Some(RunSpec {
@@ -695,13 +695,20 @@ impl Runner {
     }
 
     /// IPC of `profile` running **alone** on the eight-core Base system
-    /// (the denominator of weighted speedup): seven idle companion cores.
+    /// (the denominator of weighted speedup).
     pub fn alone_ipc(&self, profile: &AppProfile) -> f64 {
+        self.run(&self.alone_spec(profile)).ipc[0]
+    }
+
+    /// The run behind [`Runner::alone_ipc`]: `profile` on core 0 of the
+    /// eight-core Base system, beside seven idle companion cores.
+    #[must_use]
+    pub fn alone_spec(&self, profile: &AppProfile) -> RunSpec {
         let mut workload = vec![self.trace_core(profile, 0)];
         workload.extend(std::iter::repeat_n(CoreWorkload::Idle, 7));
         let mut targets = vec![insts_for(profile, self.scale)];
         targets.extend([IDLE_COMPANION_TARGET; 7]);
-        self.run(&RunSpec::new(self.system_config(8, ConfigKind::Base), workload, targets)).ipc[0]
+        RunSpec::new(self.system_config(8, ConfigKind::Base), workload, targets)
     }
 
     /// A **streamed** run of `kind` with one core per entry of `apps`

@@ -1,4 +1,4 @@
-//! FGSN v1 — serializable warm-state snapshots.
+//! FGSN v3 — serializable warm-state snapshots.
 //!
 //! A snapshot captures the *full* live state of a [`System`] between
 //! `run` calls — core pipelines and trace-source positions, cache
@@ -15,19 +15,22 @@
 //!
 //! ```text
 //! magic    b"FGSN"                       (4 raw bytes)
-//! version  format version (currently 2)
+//! version  format version (currently 3)
 //! hash     config hash of the producing SystemConfig
 //! cycle    CPU cycle the snapshot was taken at
 //! n_cores  then per core: ops_pulled, window_len
 //! n_shards then per shard: read_queue, write_queue, backlog
 //! n_words  payload length, then the payload words
+//! checksum FNV-1a of every byte above     (8 raw bytes, little-endian)
 //! ```
 //!
 //! The header is self-contained (readable without touching the payload —
 //! `figaro diag snapshot` prints exactly it). The payload is the word
 //! stream produced by the component crates' `save_state` convention:
 //! floats cross as `to_bits`, hash maps are walked in sorted-key order,
-//! so identical states produce identical bytes.
+//! so identical states produce identical bytes. A restore verifies the
+//! checksum before loading any state, so a corrupt file is an error,
+//! never a panic or a silently different run.
 //!
 //! ## Config hash
 //!
@@ -53,8 +56,9 @@ pub const MAGIC: [u8; 4] = *b"FGSN";
 
 /// Current format version, bumped on any layout change.
 /// History: 2 added the controller's queue-occupancy peak counters
-/// (`read_q_peak`/`write_q_peak`) to the `McStats` payload.
-pub const FORMAT_VERSION: u64 = 2;
+/// (`read_q_peak`/`write_q_peak`) to the `McStats` payload; 3 appended
+/// the FNV-1a checksum of the header and payload bytes.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Fingerprint of the configuration that may resume a snapshot.
 ///
@@ -62,10 +66,7 @@ pub const FORMAT_VERSION: u64 = 2;
 /// normalized out (exact kernels are bit-identical — see the
 /// kernel-equivalence suite in `system.rs`) and the ignored `threads`
 /// field zeroed, so hashes match those of snapshots written while it was
-/// still a worker-count knob. A [`Kernel::Sampled`] run
-/// may also *resume* from a warm snapshot — its approximation starts
-/// after the exact warmup — but snapshots are only ever *written* by
-/// exact runs (the runner warms up under the event kernel).
+/// still a worker-count knob.
 #[must_use]
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut normalized = cfg.clone();
@@ -81,13 +82,33 @@ pub fn key_hash(key: &str) -> u64 {
     fnv1a(key.as_bytes())
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Folds every byte read through it into FNV-1a, so the trailing
+/// checksum covers exactly the bytes the parser consumed.
+struct Checksummed<R> {
+    inner: R,
+    hash: u64,
+}
+
+impl<R: Read> Read for Checksummed<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hash = fnv1a_extend(self.hash, &buf[..n]);
+        Ok(n)
+    }
 }
 
 /// Per-core occupancy summary carried in the header (diagnostics only —
@@ -142,35 +163,36 @@ fn need<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
     }
 }
 
-/// Serializes `sys` as an FGSN v1 snapshot.
+/// Serializes `sys` as an FGSN snapshot.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn save_to_writer<W: Write>(sys: &System, w: &mut W) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    write_varint(w, FORMAT_VERSION)?;
-    write_varint(w, config_hash(sys.config()))?;
-    write_varint(w, sys.cpu_cycle())?;
-    write_varint(w, sys.cores.len() as u64)?;
+    let mut b = MAGIC.to_vec();
+    write_varint(&mut b, FORMAT_VERSION)?;
+    write_varint(&mut b, config_hash(sys.config()))?;
+    write_varint(&mut b, sys.cpu_cycle())?;
+    write_varint(&mut b, sys.cores.len() as u64)?;
     for core in &sys.cores {
-        write_varint(w, core.ops_pulled())?;
-        write_varint(w, core.window_len() as u64)?;
+        write_varint(&mut b, core.ops_pulled())?;
+        write_varint(&mut b, core.window_len() as u64)?;
     }
-    write_varint(w, sys.shards.len() as u64)?;
+    write_varint(&mut b, sys.shards.len() as u64)?;
     for sh in &sys.shards {
         let (rq, wq, backlog) = sh.occupancy();
-        write_varint(w, rq)?;
-        write_varint(w, wq)?;
-        write_varint(w, backlog)?;
+        write_varint(&mut b, rq)?;
+        write_varint(&mut b, wq)?;
+        write_varint(&mut b, backlog)?;
     }
     let mut words = Vec::new();
     sys.save_state(&mut words);
-    write_varint(w, words.len() as u64)?;
+    write_varint(&mut b, words.len() as u64)?;
     for &word in &words {
-        write_varint(w, word)?;
+        write_varint(&mut b, word)?;
     }
-    Ok(())
+    w.write_all(&b)?;
+    w.write_all(&fnv1a(&b).to_le_bytes())
 }
 
 /// Writes `sys` to `path` atomically (temp file + rename), so a
@@ -210,8 +232,11 @@ pub fn read_header<R: Read>(r: &mut R) -> io::Result<SnapshotHeader> {
     }
     let config_hash = need(r, "config hash")?;
     let cpu_cycle = need(r, "cpu cycle")?;
+    // The counts are untrusted: grow the vectors as entries actually
+    // parse, so a corrupt count ends in a truncation error, not a huge
+    // allocation.
     let n_cores = need(r, "core count")?;
-    let mut cores = Vec::with_capacity(n_cores as usize);
+    let mut cores = Vec::new();
     for _ in 0..n_cores {
         cores.push(CoreSummary {
             ops_pulled: need(r, "core ops_pulled")?,
@@ -219,7 +244,7 @@ pub fn read_header<R: Read>(r: &mut R) -> io::Result<SnapshotHeader> {
         });
     }
     let n_shards = need(r, "shard count")?;
-    let mut shards = Vec::with_capacity(n_shards as usize);
+    let mut shards = Vec::new();
     for _ in 0..n_shards {
         shards.push(ShardSummary {
             read_queue: need(r, "shard read queue")?,
@@ -249,16 +274,12 @@ pub fn read_header_from(path: &Path) -> io::Result<SnapshotHeader> {
 ///
 /// # Errors
 ///
-/// `InvalidData` if the snapshot is malformed or was produced by a
-/// different configuration (config-hash mismatch).
-///
-/// # Panics
-///
-/// Panics if a well-formed header carries a payload inconsistent with
-/// the system's shape (component `load_state` asserts) — that means the
-/// config hash collided, which FNV-1a over the full `Debug` text makes
-/// vanishingly unlikely.
+/// An error if the snapshot is malformed, truncated or fails its
+/// checksum, or was produced by a different configuration (config-hash
+/// mismatch). Every check but the final trailing-words one runs before
+/// any state is loaded.
 pub fn restore_from_reader<R: Read>(sys: &mut System, r: &mut R) -> io::Result<SnapshotHeader> {
+    let r = &mut Checksummed { inner: r, hash: FNV_OFFSET };
     let header = read_header(r)?;
     let expected = config_hash(sys.config());
     if header.config_hash != expected {
@@ -267,9 +288,14 @@ pub fn restore_from_reader<R: Read>(sys: &mut System, r: &mut R) -> io::Result<S
             header.config_hash
         )));
     }
-    let mut words = Vec::with_capacity(header.payload_words as usize);
+    let mut words = Vec::new();
     for _ in 0..header.payload_words {
         words.push(need(r, "payload word")?);
+    }
+    let mut sum = [0u8; 8];
+    r.inner.read_exact(&mut sum).map_err(|_| bad("snapshot truncated reading checksum"))?;
+    if u64::from_le_bytes(sum) != r.hash {
+        return Err(bad("snapshot checksum mismatch"));
     }
     let mut src = words.as_slice();
     sys.load_state(&mut src);
@@ -301,6 +327,17 @@ mod tests {
         let mut cfg = SystemConfig::paper(1, kind);
         cfg.kernel = Kernel::Event;
         System::new(cfg, vec![trace], &[4_000])
+    }
+
+    /// A one-core Base system with kilobyte caches: its snapshot is
+    /// about 2 kB, so a test can afford to corrupt every byte of it.
+    fn tiny_cache_sys() -> System {
+        let p = profile_by_name("mcf").expect("profile");
+        let mut cfg = SystemConfig::paper(1, ConfigKind::Base);
+        cfg.hierarchy.l1.size_bytes = 1 << 10;
+        cfg.hierarchy.l2.size_bytes = 2 << 10;
+        cfg.hierarchy.llc.size_bytes = 4 << 10;
+        System::new(cfg, vec![generate_trace(&p, 4_000, 7)], &[4_000])
     }
 
     #[test]
@@ -359,7 +396,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_truncation() {
-        let mut sys = small_sys(ConfigKind::Base);
+        let mut sys = tiny_cache_sys();
         let _ = sys.run(1_000);
         let mut bytes = Vec::new();
         save_to_writer(&sys, &mut bytes).expect("save");
@@ -371,12 +408,36 @@ mod tests {
             io::ErrorKind::InvalidData
         );
 
+        // Every failure below is detected before `load_state`, so one
+        // fresh system serves every input.
+        let mut fresh = tiny_cache_sys();
         let truncated = &bytes[..bytes.len() / 2];
-        let mut fresh = small_sys(ConfigKind::Base);
         assert_eq!(
             restore_from_reader(&mut fresh, &mut &truncated[..]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+        for len in 0..bytes.len() {
+            assert!(restore_from_reader(&mut fresh, &mut &bytes[..len]).is_err(), "length {len}");
+        }
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= flip;
+                assert!(
+                    restore_from_reader(&mut fresh, &mut corrupt.as_slice()).is_err(),
+                    "byte {i} ^ {flip:#04x}"
+                );
+            }
+        }
+
+        // A header claiming 2^59 cores must fail on the missing entries,
+        // not try to allocate them.
+        let mut huge = MAGIC.to_vec();
+        for v in [FORMAT_VERSION, config_hash(fresh.config()), 0, 1 << 59] {
+            write_varint(&mut huge, v).expect("varint");
+        }
+        assert!(read_header(&mut huge.as_slice()).is_err());
+        assert!(restore_from_reader(&mut fresh, &mut huge.as_slice()).is_err());
     }
 
     /// Two FIGCache-Fast cores on two channels with 4-entry queues, so
@@ -414,7 +475,12 @@ mod tests {
             header.shards.iter().map(|s| s.backlog).sum::<u64>() > 0,
             "backlog must be non-empty"
         );
-        assert_eq!(fnv1a(&bytes), 0xd146_d019_73ad_962c, "FGSN bytes changed");
+        // Version 3 only bumped the version and appended the checksum:
+        // undoing both gives back the pinned version-2 stream.
+        let mut v2 = bytes[..bytes.len() - 8].to_vec();
+        v2[4] = 2;
+        assert_eq!(fnv1a(&v2), 0xd146_d019_73ad_962c, "FGSN header or payload changed");
+        assert_eq!(fnv1a(&bytes), 0x478b_2b38_79f4_270a, "FGSN bytes changed");
 
         let mut resumed = backlogged_sys();
         restore_from_reader(&mut resumed, &mut bytes.as_slice()).expect("restore");

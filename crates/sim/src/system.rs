@@ -167,7 +167,7 @@ struct CoreClocks {
 }
 
 impl CoreClocks {
-    /// Every core due (and synced) at `now`, the span's first step.
+    /// Every core due (and synced) at `now`, the run's first step.
     fn new(cores: usize, now: u64) -> Self {
         Self { due: vec![now; cores], synced: vec![now; cores] }
     }
@@ -317,38 +317,27 @@ impl System {
     /// with its horizon bookkeeping.)
     fn step(&mut self, now: u64, per_bus: u64, fill_latency: u64) {
         if let Some(bus) = self.bus_boundary(now, per_bus) {
-            self.step_bus(bus, per_bus, fill_latency, false, None);
+            self.step_bus(bus, per_bus, fill_latency);
         }
         for core in &mut self.cores {
             core.tick(now, &mut self.hierarchy);
         }
     }
 
-    /// The bus-boundary half of a step: route requests, tick controllers,
-    /// deliver completions.
+    /// The bus-boundary half of a reference step: route requests, tick
+    /// every controller, deliver completions.
+    fn step_bus(&mut self, bus: u64, per_bus: u64, fill_latency: u64) {
+        self.route_requests(bus);
+        self.tick_controllers(bus, false);
+        self.deliver_completions(bus, per_bus, fill_latency, None);
+    }
+
+    /// The controller part of a bus step.
     ///
     /// With `event_mode`, a controller whose memoized horizon lies beyond
     /// this bus cycle is **not** ticked — its tick is a no-op by the
     /// horizon contract, so skipping the call cannot change behavior; the
     /// refreshed horizon doubles as the cache the event kernel reads.
-    ///
-    /// With `clocks` (the event kernel's due set), each completion first
-    /// catches its core up to this cycle and marks it due now, and every
-    /// core whose stall memo the fill unblocked is marked due now too.
-    fn step_bus(
-        &mut self,
-        bus: u64,
-        per_bus: u64,
-        fill_latency: u64,
-        event_mode: bool,
-        clocks: Option<&mut CoreClocks>,
-    ) {
-        self.route_requests(bus);
-        self.tick_controllers(bus, event_mode);
-        self.deliver_completions(bus, per_bus, fill_latency, clocks);
-    }
-
-    /// The controller part of [`System::step_bus`].
     fn tick_controllers(&mut self, bus: u64, event_mode: bool) {
         if event_mode {
             for sh in &mut self.shards {
@@ -365,7 +354,11 @@ impl System {
         }
     }
 
-    /// The completion-delivery part of [`System::step_bus`].
+    /// The completion-delivery part of a bus step.
+    ///
+    /// With `clocks` (the event kernel's due set), each completion first
+    /// catches its core up to this cycle and marks it due now, and every
+    /// core whose stall memo the fill unblocked is marked due now too.
     fn deliver_completions(
         &mut self,
         bus: u64,
@@ -460,7 +453,6 @@ impl System {
         let stats = match self.cfg.kernel {
             Kernel::Reference => self.run_reference(max_cpu_cycles),
             Kernel::Event => self.run_event(max_cpu_cycles),
-            Kernel::Sampled { window, skip } => self.run_sampled(max_cpu_cycles, window, skip),
         };
         // Lands the final reconciliation sample and writes the merged
         // Chrome trace; a no-op (single `is_none` test) when telemetry
@@ -536,22 +528,13 @@ impl System {
     /// per-cycle step as the reference kernel, but only at event cycles,
     /// and tick only the cores due at each; skipped cycles are folded into
     /// the blocked counters.
-    fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
-        self.run_event_span(max_cpu_cycles);
-        self.collect()
-    }
-
-    /// The event kernel's clock loop without the final stats collection —
-    /// `run_event` is `run_event_span` + `collect`, and the sampled
-    /// kernel's detailed windows reuse the span directly so each window
-    /// is the exact event-kernel cycle sequence.
     ///
     /// An executed step ticks only the cores in the due set (see
     /// [`CoreClocks`]); every other core's tick would be a batchable
     /// no-op, so it catches up with [`TraceCore::skip_cycles`] just
     /// before an event touches it, before a telemetry sample, and at
-    /// span end.
-    fn run_event_span(&mut self, max_cpu_cycles: u64) {
+    /// run end.
+    fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
         let per_bus = self.cfg.cpu_cycles_per_bus;
         let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);
         // Only live cores are ticked/skipped: a finished core's tick is a
@@ -633,120 +616,7 @@ impl System {
         for &i in &live {
             clocks.catch_up(i, self.cpu_cycle, &mut self.cores[i], &mut self.hierarchy);
         }
-    }
-
-    /// SMARTS-style sampled simulation ([`Kernel::Sampled`]): alternate
-    /// detailed event-kernel windows with functional fast-forward
-    /// intervals. Each skipped interval jumps the clock by `skip` cycles
-    /// and consumes, per core, the instructions the interval would have
-    /// executed at the IPC the core sustained in the detailed window just
-    /// measured — without issuing any cache or memory traffic (see
-    /// [`TraceCore::fast_forward`]). The first half of every post-jump
-    /// window is detailed *warming* (pipeline refill, row buffers, cache
-    /// churn recover from the functional skip) and is excluded from the
-    /// measured IPC, as in SMARTS. Approximate by construction; the
-    /// measured-window IPC and duty-cycle bookkeeping land in
-    /// [`RunStats::sampled`] so reports can quote error bars against full
-    /// runs.
-    fn run_sampled(&mut self, max_cpu_cycles: u64, window: u64, skip: u64) -> RunStats {
-        let window = window.max(1);
-        let mut sampled = crate::metrics::SampledStats {
-            detailed_insts: vec![0; self.cores.len()],
-            ..Default::default()
-        };
-        let mut window_retired = vec![0u64; self.cores.len()];
-        let mut jumped = false;
-        while self.cores.iter().any(|c| !c.finished()) && self.cpu_cycle < max_cpu_cycles {
-            // Detailed window: the exact event-kernel cycle sequence,
-            // with an unmeasured warming prefix after a jump.
-            let start_cycle = self.cpu_cycle;
-            if jumped {
-                self.run_event_span(max_cpu_cycles.min(start_cycle.saturating_add(window / 2)));
-            }
-            let measured_from = self.cpu_cycle;
-            figaro_telemetry::probe!(
-                self.telemetry,
-                t => t.window_mark("window_begin", measured_from, sampled.windows)
-            );
-            for (i, core) in self.cores.iter().enumerate() {
-                window_retired[i] = core.retired();
-            }
-            self.run_event_span(max_cpu_cycles.min(start_cycle.saturating_add(window)));
-            let ran = self.cpu_cycle - measured_from;
-            figaro_telemetry::probe!(
-                self.telemetry,
-                t => t.window_mark("window_end", measured_from + ran, ran)
-            );
-            sampled.windows += 1;
-            sampled.detailed_cycles += ran;
-            for (i, core) in self.cores.iter().enumerate() {
-                window_retired[i] = core.retired() - window_retired[i];
-                sampled.detailed_insts[i] += window_retired[i];
-            }
-            if skip == 0 || self.cores.iter().all(TraceCore::finished) {
-                continue; // skip=0 degenerates to pure detailed simulation
-            }
-            // Fast-forward: jump the clock, functionally consuming the
-            // instructions each core would have executed at its measured
-            // window IPC. In-flight loads complete "during" the jump
-            // (their absolute wake stamps fall inside it).
-            let jump = skip.min(max_cpu_cycles - self.cpu_cycle);
-            if jump == 0 {
-                continue;
-            }
-            let now = self.cpu_cycle + jump - 1;
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                let est = (u128::from(window_retired[i]) * u128::from(jump)
-                    / u128::from(ran.max(1))) as u64;
-                core.fast_forward(est, now);
-            }
-            // The memory side really simulates through the jump (cores
-            // are frozen, so this is just queued work draining plus
-            // refresh — proportional to pending requests, not cycles).
-            // Without it, in-flight reads would "age" across the whole
-            // skip and poison the next window's head-of-window latency.
-            self.fast_forward_channels(self.cpu_cycle - 1, now);
-            figaro_telemetry::probe!(
-                self.telemetry,
-                t => t.window_mark("fast_forward", self.cpu_cycle, jump)
-            );
-            self.cpu_cycle += jump;
-            sampled.skipped_cycles += jump;
-            jumped = true;
-        }
-        let mut stats = self.collect();
-        stats.sampled = Some(sampled);
-        stats
-    }
-
-    /// Advances only the memory side across a fast-forwarded interval:
-    /// processes every bus boundary in `(from, to]` where the hierarchy
-    /// has output to route, backlog waits for queue room, or a
-    /// controller has an event (command issue, write drain, refresh).
-    /// Cores are frozen, so no new traffic arrives and the channels
-    /// simply drain to quiescence; wakes for functionally-retired loads
-    /// are ignored by the cores' `seq >= head_seq` guard.
-    fn fast_forward_channels(&mut self, from: u64, to: u64) {
-        let per_bus = self.cfg.cpu_cycles_per_bus;
-        let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);
-        let mut bus = from / per_bus + 1;
-        let end_bus = to / per_bus;
-        while bus <= end_bus {
-            let mut next =
-                if self.backlog_len > 0 || self.hierarchy.has_outgoing() { bus } else { u64::MAX };
-            if next > bus {
-                for sh in &mut self.shards {
-                    if let Some(b) = sh.mc.next_event_at(bus) {
-                        next = next.min(b);
-                    }
-                }
-            }
-            if next > end_bus {
-                break;
-            }
-            self.step_bus(next, per_bus, fill_latency, true, None);
-            bus = next + 1;
-        }
+        self.collect()
     }
 
     fn collect(&self) -> RunStats {
@@ -810,7 +680,6 @@ impl System {
             per_channel,
             hierarchy,
             energy,
-            sampled: None,
         }
     }
 }

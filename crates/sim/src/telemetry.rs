@@ -108,10 +108,10 @@ impl SimTelemetry {
     }
 
     /// Snapshots one sample row at `now` and advances the boundary to
-    /// the next interval multiple strictly after `now` (a sampled-
-    /// kernel jump may have crossed several boundaries — they collapse
-    /// into this one row, whose deltas still cover the full gap, so
-    /// totals keep reconciling exactly).
+    /// the next interval multiple strictly after `now` (a warm-start
+    /// resume may have crossed several boundaries — they collapse into
+    /// this one row, whose deltas still cover the full gap, so totals
+    /// keep reconciling exactly).
     pub(crate) fn sample(&mut self, now: u64, sys: &System) {
         let Some(interval) = self.interval else { return };
         self.scratch.clear();
@@ -127,13 +127,6 @@ impl SimTelemetry {
         }
         self.series.push_row(now, &row);
         self.next_sample_at = (now / interval + 1) * interval;
-    }
-
-    /// Sampled-kernel window/fast-forward instants.
-    pub(crate) fn window_mark(&mut self, name: &'static str, cycle: u64, arg: u64) {
-        if let Some(buf) = &mut self.buf {
-            buf.instant(Cat::Window, name, cycle, arg);
-        }
     }
 
     /// Warm-start resume instant.

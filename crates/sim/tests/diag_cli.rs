@@ -1,13 +1,13 @@
 //! The `diag` binary's environment handling: the usage text and the
 //! `FIGARO_KERNEL` error list exactly the kernels that exist, the
-//! removed `parallel`/`par` names fail loudly instead of running, and
+//! removed `parallel` and `sampled` names fail loudly instead of running, and
 //! every malformed `FIGARO_*` value is an error naming its variable, not
 //! a panic or a silent fallback.
 
 use std::io;
 use std::process::{Command, Output};
 
-const CHOICES: &str = "event|reference|sampled[:W,S]";
+const CHOICES: &str = "event|reference";
 
 /// Runs `diag` with every inherited `FIGARO_*` variable removed and
 /// `vars` set.
@@ -29,13 +29,15 @@ fn help_lists_only_the_existing_kernels() -> io::Result<()> {
     assert_eq!(out.status.code(), Some(2));
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(usage.contains(&format!("FIGARO_KERNEL={CHOICES} ")), "{usage}");
-    assert!(!usage.contains("parallel") && !usage.contains("THREADS"), "{usage}");
+    for removed in ["parallel", "THREADS", "sampled"] {
+        assert!(!usage.contains(removed), "{usage}");
+    }
     Ok(())
 }
 
 #[test]
 fn removed_kernel_names_abort_with_the_valid_list() -> io::Result<()> {
-    for name in ["parallel", "par"] {
+    for name in ["parallel", "par", "sampled", "sampled:10,20"] {
         let out = diag(&["mcf", "base", "tiny"], &[("FIGARO_KERNEL", name)])?;
         assert!(!out.status.success(), "FIGARO_KERNEL={name} must not run");
         let err = String::from_utf8_lossy(&out.stderr);

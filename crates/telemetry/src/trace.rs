@@ -9,7 +9,7 @@
 //! writer merges buffers with a stable sort on `(timestamp, lane,
 //! sequence)`. Because every emit site fires at a simulator *state
 //! change* (which the kernel-equivalence suite proves happens at the
-//! same cycle under every exact kernel), the output file is
+//! same cycle under both kernels), the output file is
 //! **byte-identical** across the Reference and Event kernels. The
 //! integration suite pins that claim.
 
@@ -27,14 +27,12 @@ pub enum Cat {
     Drain,
     /// Refresh command instants.
     Refresh,
-    /// Sampled-kernel detailed-window boundaries and fast-forward jumps.
-    Window,
     /// Warm-start resume markers.
     Warm,
 }
 
 /// All categories, in bit order.
-pub const CATEGORIES: [Cat; 5] = [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Window, Cat::Warm];
+pub const CATEGORIES: [Cat; 4] = [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Warm];
 
 impl Cat {
     /// The category label written to the JSON `cat` field and accepted
@@ -45,7 +43,6 @@ impl Cat {
             Cat::Reloc => "reloc",
             Cat::Drain => "drain",
             Cat::Refresh => "refresh",
-            Cat::Window => "window",
             Cat::Warm => "warm",
         }
     }

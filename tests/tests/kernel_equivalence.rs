@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use figaro_cpu::CacheParams;
-use figaro_sim::{ConfigKind, Kernel, RunStats, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, RunStats, Runner, Scale, System, SystemConfig};
 use figaro_telemetry::TelemetryConfig;
 use figaro_workloads::{
     app_profiles, generate_trace, profile_by_name, Trace, TraceGenerator, TraceOp, TraceSource,
@@ -158,6 +158,23 @@ fn core_unblocked_by_another_cores_dirty_victim_matches_reference() {
         let u_misses = reference.hierarchy.llc_misses_per_core[u];
         assert_eq!(u_misses, 3, "the scenario no longer unblocks core {u} by a dirty victim");
     }
+}
+
+#[test]
+fn alone_ipc_shape_matches_reference() {
+    // Weighted speedup's denominator: mcf on the eight-core Base system
+    // beside seven idle companions, whose cores finish at once and
+    // leave the event kernel one live core among eight.
+    let mcf = profile_by_name("mcf").expect("mcf profile");
+    let run = |kernel: Kernel| {
+        let mut spec = Runner::uncached(Scale::Tiny).alone_spec(&mcf);
+        spec.config.kernel = kernel;
+        spec.build().run(spec.max_cycles)
+    };
+    let reference = run(Kernel::Reference);
+    assert_eq!(reference, run(Kernel::Event), "event kernel diverged on the alone-IPC shape");
+    assert_eq!(reference.instructions[1..], [1_000; 7], "the companions retire their target");
+    assert!(reference.dram.reads > 0, "mcf must reach DRAM");
 }
 
 #[test]

@@ -67,22 +67,21 @@ fn warm_run_matches_cold_run_bit_for_bit() {
 }
 
 #[test]
-fn warm_and_sampled_runs_key_separately_in_result_cache() {
+fn warm_and_reference_runs_key_separately_in_result_cache() {
     let cache = tmp_dir("keys");
     let _ = std::fs::remove_dir_all(&cache);
 
-    // One cold, one warmed, one sampled run of the same workload: three
-    // distinct cache entries, so approximate or warmed results can never
-    // shadow the canonical cold entry.
+    // One cold, one warmed and one reference-kernel run of the same
+    // workload: three distinct cache entries, because the kernel and the
+    // warmup are both part of the cached spec.
     let runner = Runner::with_cache_dir(Scale::Tiny, cache.clone());
     let cold = runner.run(&spec(&runner, None));
     let warm = runner.run(&spec(&runner, Some(WARM_CYCLES)));
-    let sampled_runner = on_kernel(
-        Runner::with_cache_dir(Scale::Tiny, cache.clone()),
-        Kernel::Sampled { window: 4_000, skip: 8_000 },
-    );
-    let sampled = sampled_runner.run(&spec(&sampled_runner, None));
+    let ref_runner =
+        on_kernel(Runner::with_cache_dir(Scale::Tiny, cache.clone()), Kernel::Reference);
+    let reference = ref_runner.run(&spec(&ref_runner, None));
     assert_eq!(warm, cold);
+    assert_eq!(reference, cold);
 
     // Each entry's first line is the spec it caches.
     let specs: Vec<String> = std::fs::read_dir(&cache)
@@ -91,18 +90,14 @@ fn warm_and_sampled_runs_key_separately_in_result_cache() {
         .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
         .map(|e| std::fs::read_to_string(e.path()).unwrap().lines().next().unwrap().to_string())
         .collect();
-    assert_eq!(specs.len(), 3, "cold, warm and sampled must key separately: {specs:?}");
+    assert_eq!(specs.len(), 3, "cold, warm and reference must key separately: {specs:?}");
     let count = |needle: &str| specs.iter().filter(|s| s.contains(needle)).count();
     assert_eq!(count("warmup: Some(2000)"), 1, "{specs:?}");
-    assert_eq!(count("kernel: Sampled { window: 4000, skip: 8000 }"), 1, "{specs:?}");
+    assert_eq!(count("kernel: Reference"), 1, "{specs:?}");
     assert_eq!(count("warmup: None"), 2, "{specs:?}");
 
     // The warm snapshot defaulted to <cache_dir>/snapshots.
     assert_eq!(fgsn_count(&cache.join("snapshots")), 1);
-
-    // Sampled mode is approximate: it must have produced a *different*
-    // entry, not a copy of the canonical numbers under another name.
-    assert!(sampled.cpu_cycles > 0 && sampled.ipc.iter().all(|i| i.is_finite()));
 
     let _ = std::fs::remove_dir_all(&cache);
 }
