@@ -1,12 +1,14 @@
-//! FIGCache configuration: where the cache rows live, segment size, and
-//! the insertion/replacement policies evaluated in the paper's Section 9.
+//! In-DRAM cache configuration: where the cache rows live, segment size,
+//! how data is relocated, and the insertion/replacement policies
+//! evaluated in the paper's Section 9. FIGCache and the LISA-VILLA
+//! baseline are presets of the one [`FigCacheConfig`].
 
 /// Where a bank's in-DRAM cache rows are located.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheRegion {
-    /// `FIGCache-Fast`: rows live in appended fast subarrays (the paper:
-    /// two fast subarrays of 32 rows each). The DRAM layout must declare
-    /// matching fast subarrays.
+    /// Rows live in fast subarrays: `FIGCache-Fast` appends two of 32
+    /// rows each, LISA-VILLA interleaves sixteen among the regular ones.
+    /// The DRAM layout must declare matching fast subarrays.
     FastSubarrays,
     /// `FIGCache-Slow`: rows are reserved at the top of the last regular
     /// subarray; segments homed in that subarray are not cacheable
@@ -47,7 +49,21 @@ impl InsertionPolicy {
     }
 }
 
-/// Full FIGCache configuration for one memory channel.
+/// How the engine moves data between a home row and a cache row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relocation {
+    /// FIGARO: one `RELOC` per block of the segment through the global
+    /// row buffer, at a latency independent of subarray distance.
+    Figaro,
+    /// LISA: a whole-row clone whose latency grows with the subarray hop
+    /// distance (LISA-VILLA). Needs whole-row segments.
+    LisaClone,
+    /// `FIGCache-Ideal`: relocations are free (no DRAM commands, no bank
+    /// occupancy); used to isolate the relocation-latency overhead.
+    Free,
+}
+
+/// Full in-DRAM cache configuration for one memory channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigCacheConfig {
     /// Cache rows per bank (the paper: 64 = 2 fast subarrays × 32 rows, or
@@ -61,9 +77,8 @@ pub struct FigCacheConfig {
     pub replacement: ReplacementPolicy,
     /// Insertion policy.
     pub insertion: InsertionPolicy,
-    /// `FIGCache-Ideal`: relocations are free (no DRAM commands, no bank
-    /// occupancy); used to isolate the relocation-latency overhead.
-    pub ideal_relocation: bool,
+    /// How segments move into and out of the cache rows.
+    pub relocation: Relocation,
     /// Maximum queued relocation jobs per bank before insertions are
     /// skipped (bounds bank starvation under miss floods).
     pub max_pending_jobs_per_bank: usize,
@@ -83,7 +98,7 @@ impl FigCacheConfig {
             region: CacheRegion::FastSubarrays,
             replacement: ReplacementPolicy::RowBenefit,
             insertion: InsertionPolicy::insert_any_miss(),
-            ideal_relocation: false,
+            relocation: Relocation::Figaro,
             max_pending_jobs_per_bank: 12,
             seed: 0xF16A_0001,
         }
@@ -99,7 +114,25 @@ impl FigCacheConfig {
     /// `FIGCache-Ideal`: `paper_fast` with free relocation.
     #[must_use]
     pub fn paper_ideal() -> Self {
-        Self { ideal_relocation: true, ..Self::paper_fast() }
+        Self { relocation: Relocation::Free, ..Self::paper_fast() }
+    }
+
+    /// The LISA-VILLA baseline (Chang et al., HPCA 2016): 512 cache rows
+    /// per bank in 16 interleaved fast subarrays, whole-row segments
+    /// filled by LISA clones, a row cloned only after its second miss
+    /// (cloning an 8 kB row on every miss would swamp the banks).
+    #[must_use]
+    pub fn lisa_villa() -> Self {
+        Self {
+            cache_rows_per_bank: 512,
+            blocks_per_segment: 128,
+            region: CacheRegion::FastSubarrays,
+            replacement: ReplacementPolicy::SegmentBenefit,
+            insertion: InsertionPolicy { miss_threshold: 2 },
+            relocation: Relocation::LisaClone,
+            max_pending_jobs_per_bank: 8,
+            seed: 0x115A_0001,
+        }
     }
 
     /// Bytes per segment given 64 B blocks.
@@ -139,6 +172,7 @@ mod tests {
         FigCacheConfig::paper_fast().validate().unwrap();
         FigCacheConfig::paper_slow().validate().unwrap();
         FigCacheConfig::paper_ideal().validate().unwrap();
+        FigCacheConfig::lisa_villa().validate().unwrap();
     }
 
     #[test]
@@ -153,7 +187,7 @@ mod tests {
     #[test]
     fn ideal_is_fast_plus_free_relocation() {
         let c = FigCacheConfig::paper_ideal();
-        assert!(c.ideal_relocation);
+        assert_eq!(c.relocation, Relocation::Free);
         assert_eq!(c.region, CacheRegion::FastSubarrays);
     }
 

@@ -3,7 +3,9 @@
 //! The engine owns one [`FtsBank`] per DRAM bank, decides on every demand
 //! request whether to redirect it into the in-DRAM cache, and produces the
 //! relocation jobs (segment insertions and dirty-victim writebacks) that
-//! the memory controller executes on the banks.
+//! the memory controller executes on the banks. The LISA-VILLA baseline
+//! is the same engine configured by [`FigCacheConfig::lisa_villa`]:
+//! whole-row segments moved by LISA clones.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -12,7 +14,7 @@ use rand::SeedableRng;
 
 use figaro_dram::{Cycle, DramConfig, RowId, SubarrayLayout};
 
-use crate::config::{CacheRegion, FigCacheConfig};
+use crate::config::{CacheRegion, FigCacheConfig, Relocation};
 use crate::fts::{FtsBank, SlotState};
 use crate::job::{JobPurpose, RelocationJob};
 use crate::segment::{SegmentGeometry, SegmentId};
@@ -65,12 +67,17 @@ impl FigCacheEngine {
     /// Panics if the configuration is inconsistent with the DRAM layout:
     /// `FastSubarrays` needs at least `cache_rows_per_bank` fast rows in
     /// the layout; `ReservedSlowRows` needs the reserved rows to fit in
-    /// one subarray.
+    /// one subarray; `LisaClone` needs whole-row segments.
     #[must_use]
     pub fn new(dram: &DramConfig, cfg: &FigCacheConfig, banks: u32) -> Self {
         cfg.validate().expect("FigCacheConfig must validate");
         let layout = dram.layout;
         let blocks_per_row = dram.geometry.blocks_per_row();
+        assert!(
+            cfg.relocation != Relocation::LisaClone || cfg.blocks_per_segment == blocks_per_row,
+            "LISA clones move whole rows: blocks_per_segment ({}) must be {blocks_per_row}",
+            cfg.blocks_per_segment
+        );
         let seg_geo = SegmentGeometry::new(cfg.blocks_per_segment, blocks_per_row);
         let (cache_row_base, reserved_subarray) = match cfg.region {
             CacheRegion::FastSubarrays => {
@@ -152,10 +159,10 @@ impl FigCacheEngine {
     }
 
     fn try_insert(&mut self, bank: u32, seg: SegmentId, now: Cycle) {
-        let segs_per_row = self.seg_geo.segments_per_row();
+        let free = self.cfg.relocation == Relocation::Free;
         let blocks = self.cfg.blocks_per_segment;
         let state = &mut self.banks[bank as usize];
-        if !self.cfg.ideal_relocation && state.pending.len() >= self.cfg.max_pending_jobs_per_bank {
+        if !free && state.pending.len() >= self.cfg.max_pending_jobs_per_bank {
             self.stats.insertions_skipped += 1;
             return;
         }
@@ -166,64 +173,56 @@ impl FigCacheEngine {
         if let Some(victim) = alloc.victim {
             if victim.dirty {
                 self.stats.evictions_dirty += 1;
-                if !self.cfg.ideal_relocation {
-                    // Copy the victim's cache-row slot back to its source
-                    // segment before the new segment overwrites it.
-                    let cache_row = self.cache_row_base + victim.slot / segs_per_row;
-                    let cache_col = (victim.slot % segs_per_row) * blocks;
-                    let src_first = victim.seg.index * blocks;
-                    let dst_subarray = self.layout.subarray_id(victim.seg.row);
-                    let id = self.next_job_id;
-                    self.next_job_id += 1;
-                    let job = RelocationJob::fig_copy(
-                        id,
-                        bank,
-                        JobPurpose::Writeback,
-                        cache_row,
-                        cache_col,
-                        victim.seg.row,
-                        src_first,
-                        dst_subarray,
-                        blocks,
-                    );
-                    state.in_flight.insert(
-                        id,
-                        InFlight { purpose: JobPurpose::Writeback, slot: None, blocks },
-                    );
-                    state.pending.push_back(job);
-                } else {
+                if free {
                     self.stats.blocks_relocated += u64::from(blocks);
+                } else {
+                    // Copy the victim's slot back to its home segment
+                    // before the new segment overwrites it.
+                    self.push_job(bank, JobPurpose::Writeback, victim.slot, victim.seg);
                 }
             } else {
                 self.stats.evictions_clean += 1;
             }
         }
-        if self.cfg.ideal_relocation {
-            state.fts.complete_relocation(alloc.slot);
+        if free {
+            self.banks[bank as usize].fts.complete_relocation(alloc.slot);
             self.stats.insertions += 1;
             self.stats.blocks_relocated += u64::from(blocks);
             return;
         }
-        let cache_row = self.cache_row_base + alloc.slot / segs_per_row;
-        let cache_col = (alloc.slot % segs_per_row) * blocks;
-        let src_first = seg.index * blocks;
-        let dst_subarray = self.layout.subarray_id(cache_row);
+        self.push_job(bank, JobPurpose::Insert, alloc.slot, seg);
+    }
+
+    /// Queues the job that copies `seg` into cache slot `slot` (`Insert`)
+    /// or the slot back to `seg`'s home (`Writeback`).
+    fn push_job(&mut self, bank: u32, purpose: JobPurpose, slot: u32, seg: SegmentId) {
+        let blocks = self.cfg.blocks_per_segment;
+        let segs_per_row = self.seg_geo.segments_per_row();
+        let cache = (self.cache_row_base + slot / segs_per_row, (slot % segs_per_row) * blocks);
+        let home = (seg.row, seg.index * blocks);
+        let ((from_row, from_col), (to_row, to_col)) = match purpose {
+            JobPurpose::Insert => (home, cache),
+            JobPurpose::Writeback => (cache, home),
+        };
         let id = self.next_job_id;
         self.next_job_id += 1;
-        let job = RelocationJob::fig_copy(
-            id,
-            bank,
-            JobPurpose::Insert,
-            seg.row,
-            src_first,
-            cache_row,
-            cache_col,
-            dst_subarray,
-            blocks,
-        );
-        state
-            .in_flight
-            .insert(id, InFlight { purpose: JobPurpose::Insert, slot: Some(alloc.slot), blocks });
+        let job = match self.cfg.relocation {
+            Relocation::LisaClone => RelocationJob::lisa_clone(id, bank, purpose, from_row, to_row),
+            Relocation::Figaro | Relocation::Free => RelocationJob::fig_copy(
+                id,
+                bank,
+                purpose,
+                from_row,
+                from_col,
+                to_row,
+                to_col,
+                self.layout.subarray_id(to_row),
+                blocks,
+            ),
+        };
+        let slot = (purpose == JobPurpose::Insert).then_some(slot);
+        let state = &mut self.banks[bank as usize];
+        state.in_flight.insert(id, InFlight { purpose, slot, blocks });
         state.pending.push_back(job);
     }
 }
@@ -420,6 +419,7 @@ impl CacheEngine for FigCacheEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobKind;
     use figaro_dram::{DramCommand, SubarrayLayout};
 
     fn fast_dram() -> DramConfig {
@@ -429,8 +429,38 @@ mod tests {
         }
     }
 
+    fn lisa_dram() -> DramConfig {
+        DramConfig {
+            layout: SubarrayLayout::homogeneous(64, 512).with_interleaved_fast(16, 32),
+            ..DramConfig::ddr4_paper_default()
+        }
+    }
+
     fn fast_engine() -> FigCacheEngine {
         FigCacheEngine::new(&fast_dram(), &FigCacheConfig::paper_fast(), 16)
+    }
+
+    /// LISA-VILLA on its interleaved layout, with `edit` applied to the
+    /// preset.
+    fn lisa_engine(edit: impl FnOnce(&mut FigCacheConfig)) -> FigCacheEngine {
+        let mut cfg = FigCacheConfig::lisa_villa();
+        edit(&mut cfg);
+        FigCacheEngine::new(&lisa_dram(), &cfg, 16)
+    }
+
+    /// Both relocation kinds, each on its own layout: FIGCache-Fast
+    /// (appended fast subarrays) and LISA-VILLA (interleaved ones).
+    fn presets() -> [FigCacheEngine; 2] {
+        [fast_engine(), lisa_engine(|_| {})]
+    }
+
+    /// Reads `row` until its misses cross the insertion threshold, so an
+    /// insertion job is queued.
+    fn miss_until_queued(e: &mut FigCacheEngine, row: RowId, now: Cycle) {
+        for _ in 0..e.cfg.insertion.miss_threshold {
+            assert!(!e.on_request(0, row, 0, false, None, now).cache_hit);
+        }
+        assert!(e.has_pending_job(0));
     }
 
     /// Runs a job to completion against an ideal bank and returns the
@@ -499,41 +529,107 @@ mod tests {
         assert_eq!(e.stats().misses, 2);
     }
 
-    #[test]
-    fn write_during_relocation_cancels_insertion() {
-        let mut e = fast_engine();
-        e.on_request(0, 100, 0, false, None, 0);
+    /// A write racing a queued insertion cancels it, and the row misses again.
+    fn check_write_cancels_insertion(mut e: FigCacheEngine) {
+        miss_until_queued(&mut e, 100, 0);
         e.on_request(0, 100, 1, true, None, 1); // racing write
         run_job(&mut e, 0, Some(100));
         assert_eq!(e.stats().insertions, 0);
         assert_eq!(e.stats().insertions_cancelled, 1);
-        // Next access is a miss again and re-inserts.
-        let t = e.on_request(0, 100, 0, false, None, 10);
-        assert!(!t.cache_hit);
-        assert!(e.has_pending_job(0));
+        // The row misses again and re-inserts.
+        miss_until_queued(&mut e, 100, 10);
     }
 
     #[test]
-    fn dirty_eviction_schedules_writeback_before_insert() {
-        let dram = fast_dram();
-        let mut cfg = FigCacheConfig::paper_fast();
-        cfg.cache_rows_per_bank = 1; // 8 slots
-        let mut e = FigCacheEngine::new(&dram, &cfg, 16);
-        // Fill all 8 slots from different rows, writing to make them dirty.
-        for r in 0..8u32 {
-            e.on_request(0, r, 0, false, None, 0);
+    fn write_during_relocation_cancels_insertion() {
+        check_write_cancels_insertion(fast_engine());
+    }
+
+    #[test]
+    fn lisa_villa_write_during_clone_cancels() {
+        check_write_cancels_insertion(lisa_engine(|_| {}));
+    }
+
+    /// With one cache row full of dirty segments, the next insertion is
+    /// preceded by a writeback of its victim.
+    fn check_dirty_eviction_writes_back_first(mut e: FigCacheEngine) {
+        let slots = e.seg_geo.segments_per_row();
+        // Fill every slot from different rows, writing to make them dirty.
+        for r in 0..slots {
+            miss_until_queued(&mut e, r, 0);
             run_job(&mut e, 0, Some(r));
             e.on_request(0, r, 1, true, None, 1); // dirty the cached copy
         }
-        assert_eq!(e.stats().hits, 8);
-        // Ninth segment evicts a dirty victim.
-        e.on_request(0, 100, 0, false, None, 2);
-        assert!(e.has_pending_job(0));
+        assert_eq!(e.stats().hits, u64::from(slots));
+        // The next segment evicts a dirty victim.
+        miss_until_queued(&mut e, 100, 2);
         let wb = e.take_job(0, 2).unwrap();
         assert_eq!(wb.purpose, JobPurpose::Writeback);
         let ins = e.take_job(0, 2).unwrap();
         assert_eq!(ins.purpose, JobPurpose::Insert);
         assert_eq!(e.stats().evictions_dirty, 1);
+    }
+
+    #[test]
+    fn dirty_eviction_schedules_writeback_before_insert() {
+        // One cache row of 8 slots of 1 kB segments.
+        let cfg = FigCacheConfig { cache_rows_per_bank: 1, ..FigCacheConfig::paper_fast() };
+        check_dirty_eviction_writes_back_first(FigCacheEngine::new(&fast_dram(), &cfg, 16));
+    }
+
+    #[test]
+    fn lisa_villa_dirty_row_eviction_schedules_writeback_clone() {
+        // One cache row holding one whole-row slot.
+        check_dirty_eviction_writes_back_first(lisa_engine(|cfg| cfg.cache_rows_per_bank = 1));
+    }
+
+    #[test]
+    fn cache_rows_are_not_cacheable_sources() {
+        for mut e in presets() {
+            let t = e.on_request(0, 64 * 512 + 3, 0, false, None, 0);
+            assert!(!t.cache_hit);
+            assert!(!e.has_pending_job(0));
+            assert_eq!(e.stats().uncacheable, 1);
+        }
+    }
+
+    #[test]
+    fn different_rows_fill_different_slots() {
+        for mut e in presets() {
+            for row in [10, 20] {
+                miss_until_queued(&mut e, row, 0);
+                run_job(&mut e, 0, None);
+            }
+            let a = e.on_request(0, 10, 0, false, None, 2);
+            let b = e.on_request(0, 20, 0, false, None, 3);
+            assert!(a.cache_hit && b.cache_hit);
+            assert_ne!((a.row, a.col), (b.row, b.col));
+        }
+    }
+
+    #[test]
+    fn lisa_villa_clones_whole_rows() {
+        let mut e = lisa_engine(|cfg| cfg.cache_rows_per_bank = 1);
+        miss_until_queued(&mut e, 1000, 0);
+        let cmds = run_job(&mut e, 0, None);
+        assert_eq!(cmds, [DramCommand::LisaClone { src_row: 1000, dst_row: 64 * 512 }]);
+        // Any column of the row now hits, at the same column.
+        let t = e.on_request(0, 1000, 99, true, None, 1);
+        assert!(t.cache_hit);
+        assert_eq!((t.row, t.col), (64 * 512, 99));
+        assert_eq!(e.stats().blocks_relocated, 128);
+        // Evicting the dirtied row clones it back to its home row.
+        miss_until_queued(&mut e, 2000, 2);
+        let wb = e.take_job(0, 2).unwrap();
+        assert_eq!(wb.purpose, JobPurpose::Writeback);
+        assert_eq!(wb.kind, JobKind::LisaClone { src_row: 64 * 512, dst_row: 1000 });
+    }
+
+    #[test]
+    #[should_panic(expected = "LISA clones move whole rows")]
+    fn lisa_clone_rejects_sub_row_segments() {
+        let cfg = FigCacheConfig { blocks_per_segment: 16, ..FigCacheConfig::lisa_villa() };
+        let _ = FigCacheEngine::new(&lisa_dram(), &cfg, 16);
     }
 
     #[test]
@@ -554,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn ideal_relocation_validates_immediately_without_jobs() {
+    fn free_relocation_validates_immediately_without_jobs() {
         let mut e = FigCacheEngine::new(&fast_dram(), &FigCacheConfig::paper_ideal(), 16);
         e.on_request(0, 100, 0, false, None, 0);
         assert!(!e.has_pending_job(0));

@@ -13,8 +13,9 @@
 //! source subarray's local row buffer, after which the bank may serve
 //! demand to other subarrays concurrently — then the merge `ACTIVATE` on
 //! the destination row completes the job (the destination subarray
-//! precharges locally). The LISA-VILLA baseline's job is a single
-//! composite `LISA_CLONE` that occupies the whole precharged bank.
+//! precharges locally). A LISA-VILLA job (the engine configured with
+//! [`crate::Relocation::LisaClone`]) is a single composite `LISA_CLONE`
+//! of the whole row that occupies the whole precharged bank.
 
 use figaro_dram::{DramCommand, RowId};
 

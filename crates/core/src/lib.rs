@@ -19,9 +19,10 @@
 //!   **RowBenefit** policy (row-granularity eviction via an eviction
 //!   register + bitvector) plus the SegmentBenefit / LRU / Random
 //!   alternatives of Fig. 14.
-//! * **LISA-VILLA baseline** ([`lisa::LisaVillaEngine`]): the
-//!   state-of-the-art comparison point — row-granularity caching into
-//!   interleaved fast subarrays with distance-*dependent* relocation.
+//! * **LISA-VILLA baseline** ([`FigCacheConfig::lisa_villa`]): the
+//!   state-of-the-art comparison point, run by the same engine —
+//!   whole-row segments cached in interleaved fast subarrays and moved by
+//!   distance-*dependent* LISA clones ([`Relocation::LisaClone`]).
 //! * **RowHammer monitor** ([`rowhammer::RowHammerMonitor`]): the
 //!   activation-frequency tracker used to demonstrate the Section 6
 //!   security use case.
@@ -62,16 +63,14 @@ pub mod config;
 pub mod engine;
 pub mod fts;
 pub mod job;
-pub mod lisa;
 pub mod rowhammer;
 pub mod segment;
 pub mod traits;
 
-pub use config::{CacheRegion, FigCacheConfig, InsertionPolicy, ReplacementPolicy};
+pub use config::{CacheRegion, FigCacheConfig, InsertionPolicy, Relocation, ReplacementPolicy};
 pub use engine::FigCacheEngine;
 pub use fts::{FtsBank, SlotState};
 pub use job::{JobKind, RelocationJob};
-pub use lisa::{LisaVillaConfig, LisaVillaEngine};
 pub use rowhammer::RowHammerMonitor;
 pub use segment::{SegmentGeometry, SegmentId};
 pub use traits::{CacheEngine, CacheStats, NullEngine, ServeTarget};

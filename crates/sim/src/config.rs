@@ -2,7 +2,7 @@
 //! variants of Section 9.
 
 use figaro_core::{
-    CacheEngine, FigCacheConfig, FigCacheEngine, LisaVillaConfig, LisaVillaEngine, NullEngine,
+    CacheEngine, CacheRegion, FigCacheConfig, FigCacheEngine, NullEngine, Relocation,
 };
 use figaro_cpu::{CoreParams, HierarchyConfig};
 use figaro_dram::{DramConfig, MapKind, SubarrayLayout};
@@ -51,12 +51,15 @@ impl Kernel {
     }
 }
 
+/// Rows per fast subarray (the paper's fast subarrays are 32 rows).
+const FAST_SUBARRAY_ROWS: u32 = 32;
+
 /// Which in-DRAM mechanism a system uses (paper Section 8 names).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigKind {
     /// Conventional DDR4.
     Base,
-    /// LISA-VILLA with the paper's 16 interleaved fast subarrays.
+    /// LISA-VILLA ([`FigCacheConfig::lisa_villa`]).
     LisaVilla,
     /// FIGCache in 64 reserved slow rows.
     FigCacheSlow,
@@ -196,25 +199,42 @@ impl SystemConfig {
         self
     }
 
-    /// The DRAM device layout implied by the mechanism.
+    /// The in-DRAM cache the mechanism runs; `None` for `Base` and
+    /// `LL-DRAM`, which cache nothing.
+    #[must_use]
+    pub fn cache_config(&self) -> Option<FigCacheConfig> {
+        match &self.kind {
+            ConfigKind::Base | ConfigKind::LlDram => None,
+            ConfigKind::LisaVilla => Some(FigCacheConfig::lisa_villa()),
+            ConfigKind::FigCacheSlow => Some(FigCacheConfig::paper_slow()),
+            ConfigKind::FigCacheFast => Some(FigCacheConfig::paper_fast()),
+            ConfigKind::FigCacheIdeal => Some(FigCacheConfig::paper_ideal()),
+            ConfigKind::FigCacheCustom(cfg) => Some(cfg.clone()),
+        }
+    }
+
+    /// The DRAM device layout implied by the mechanism. A cache in fast
+    /// subarrays gets enough 32-row fast subarrays for its
+    /// `cache_rows_per_bank`: interleaved among the regular subarrays for
+    /// LISA clones (their latency grows with distance), appended
+    /// otherwise.
     #[must_use]
     pub fn dram_config(&self) -> DramConfig {
         let base = DramConfig::ddr4_paper_default();
         let geometry = base.geometry.with_channels(self.channels);
-        let layout = match &self.kind {
-            ConfigKind::Base | ConfigKind::FigCacheSlow => SubarrayLayout::homogeneous(64, 512),
-            ConfigKind::LisaVilla => {
-                SubarrayLayout::homogeneous(64, 512).with_interleaved_fast(16, 32)
-            }
-            ConfigKind::FigCacheFast | ConfigKind::FigCacheIdeal => {
-                SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32)
-            }
-            ConfigKind::LlDram => SubarrayLayout::all_fast(64, 512),
-            ConfigKind::FigCacheCustom(cfg) => match cfg.region {
-                figaro_core::CacheRegion::ReservedSlowRows => SubarrayLayout::homogeneous(64, 512),
-                figaro_core::CacheRegion::FastSubarrays => {
-                    let count = cfg.cache_rows_per_bank.div_ceil(32).max(1);
-                    SubarrayLayout::homogeneous(64, 512).with_appended_fast(count, 32)
+        let regular = SubarrayLayout::homogeneous(64, 512);
+        let layout = match self.cache_config() {
+            None if self.kind == ConfigKind::LlDram => SubarrayLayout::all_fast(64, 512),
+            None => regular,
+            Some(cfg) => match cfg.region {
+                CacheRegion::ReservedSlowRows => regular,
+                CacheRegion::FastSubarrays => {
+                    let count = cfg.cache_rows_per_bank.div_ceil(FAST_SUBARRAY_ROWS);
+                    if cfg.relocation == Relocation::LisaClone {
+                        regular.with_interleaved_fast(count, FAST_SUBARRAY_ROWS)
+                    } else {
+                        regular.with_appended_fast(count, FAST_SUBARRAY_ROWS)
+                    }
                 }
             },
         };
@@ -224,22 +244,11 @@ impl SystemConfig {
     /// Builds the cache engine for one channel.
     #[must_use]
     pub fn build_engine(&self, dram: &DramConfig) -> Box<dyn CacheEngine> {
-        let banks = dram.geometry.banks_per_channel();
-        match &self.kind {
-            ConfigKind::Base | ConfigKind::LlDram => Box::new(NullEngine::new()),
-            ConfigKind::LisaVilla => {
-                Box::new(LisaVillaEngine::new(dram, &LisaVillaConfig::paper_default(), banks))
+        match self.cache_config() {
+            None => Box::new(NullEngine::new()),
+            Some(cfg) => {
+                Box::new(FigCacheEngine::new(dram, &cfg, dram.geometry.banks_per_channel()))
             }
-            ConfigKind::FigCacheSlow => {
-                Box::new(FigCacheEngine::new(dram, &FigCacheConfig::paper_slow(), banks))
-            }
-            ConfigKind::FigCacheFast => {
-                Box::new(FigCacheEngine::new(dram, &FigCacheConfig::paper_fast(), banks))
-            }
-            ConfigKind::FigCacheIdeal => {
-                Box::new(FigCacheEngine::new(dram, &FigCacheConfig::paper_ideal(), banks))
-            }
-            ConfigKind::FigCacheCustom(cfg) => Box::new(FigCacheEngine::new(dram, cfg, banks)),
         }
     }
 
@@ -248,7 +257,7 @@ impl SystemConfig {
     #[must_use]
     pub fn fig12_point(cores: usize, fast_subarrays: u32) -> Self {
         let cfg = FigCacheConfig {
-            cache_rows_per_bank: fast_subarrays * 32,
+            cache_rows_per_bank: fast_subarrays * FAST_SUBARRAY_ROWS,
             ..FigCacheConfig::paper_fast()
         };
         Self::paper(cores, ConfigKind::FigCacheCustom(cfg))
@@ -310,14 +319,32 @@ mod tests {
 
     #[test]
     fn dram_layouts_match_mechanisms() {
-        let lisa = SystemConfig::paper(8, ConfigKind::LisaVilla).dram_config();
-        assert_eq!(lisa.layout.fast_count(), 16);
-        let fast = SystemConfig::paper(8, ConfigKind::FigCacheFast).dram_config();
-        assert_eq!(fast.layout.fast_count(), 2);
-        let slow = SystemConfig::paper(8, ConfigKind::FigCacheSlow).dram_config();
-        assert_eq!(slow.layout.fast_count(), 0);
-        let ll = SystemConfig::paper(8, ConfigKind::LlDram).dram_config();
-        assert!(ll.layout.all_fast);
+        let regular = SubarrayLayout::homogeneous(64, 512);
+        let table = [
+            (ConfigKind::Base, regular, None),
+            (
+                ConfigKind::LisaVilla,
+                regular.with_interleaved_fast(16, 32),
+                Some(FigCacheConfig::lisa_villa()),
+            ),
+            (ConfigKind::FigCacheSlow, regular, Some(FigCacheConfig::paper_slow())),
+            (
+                ConfigKind::FigCacheFast,
+                regular.with_appended_fast(2, 32),
+                Some(FigCacheConfig::paper_fast()),
+            ),
+            (
+                ConfigKind::FigCacheIdeal,
+                regular.with_appended_fast(2, 32),
+                Some(FigCacheConfig::paper_ideal()),
+            ),
+            (ConfigKind::LlDram, SubarrayLayout::all_fast(64, 512), None),
+        ];
+        for (kind, layout, cache) in table {
+            let cfg = SystemConfig::paper(8, kind.clone());
+            assert_eq!(cfg.dram_config().layout, layout, "{kind:?}");
+            assert_eq!(cfg.cache_config(), cache, "{kind:?}");
+        }
     }
 
     #[test]

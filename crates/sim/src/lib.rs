@@ -3,7 +3,7 @@
 //! Assembles the whole evaluated stack — trace-driven cores and cache
 //! hierarchy (`figaro-cpu`), per-channel FR-FCFS memory controllers
 //! (`figaro-memctrl`), the cycle-level DRAM model (`figaro-dram`), the
-//! FIGCache / LISA-VILLA engines (`figaro-core`), synthetic workloads
+//! in-DRAM cache engine (`figaro-core`), synthetic workloads
 //! (`figaro-workloads`) and the energy models (`figaro-energy`) — into
 //! runnable systems, and defines every experiment of the paper's
 //! evaluation section (Figures 7–15, Tables 1–2, the Section 8
@@ -14,7 +14,7 @@
 //! | Name | Meaning |
 //! |---|---|
 //! | `Base` | conventional DDR4, no in-DRAM cache |
-//! | `LISA-VILLA` | row-granularity cache, 16 interleaved fast subarrays |
+//! | `LISA-VILLA` | whole-row cache, 16 interleaved fast subarrays, LISA clones |
 //! | `FIGCache-Slow` | segment cache in 64 reserved slow rows |
 //! | `FIGCache-Fast` | segment cache in 2 appended fast subarrays |
 //! | `FIGCache-Ideal` | FIGCache-Fast with free relocation |

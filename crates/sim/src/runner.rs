@@ -850,7 +850,9 @@ pub fn workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figaro_core::{CacheRegion, FigCacheConfig, InsertionPolicy, ReplacementPolicy};
+    use figaro_core::{
+        CacheRegion, FigCacheConfig, InsertionPolicy, Relocation, ReplacementPolicy,
+    };
     use figaro_cpu::{CoreParams, HierarchyConfig};
     use figaro_dram::MapKind;
     use figaro_memctrl::{McConfig, SchedPolicyKind};
@@ -878,7 +880,7 @@ mod tests {
         let paper = FigCacheConfig::paper_fast();
         let variants = [
             paper.clone(),
-            FigCacheConfig { ideal_relocation: true, ..paper.clone() },
+            FigCacheConfig { relocation: Relocation::Free, ..paper.clone() },
             FigCacheConfig { seed: paper.seed + 1, ..paper.clone() },
             FigCacheConfig { max_pending_jobs_per_bank: 1, ..paper.clone() },
         ];
@@ -990,7 +992,7 @@ mod tests {
             region: _,
             replacement: _,
             insertion: InsertionPolicy { miss_threshold: _ },
-            ideal_relocation: _,
+            relocation: _,
             max_pending_jobs_per_bank: _,
             seed: _,
         } = FigCacheConfig::paper_fast();
@@ -999,7 +1001,7 @@ mod tests {
         assert_keyed(&base, "region", |s| fig(s).region = CacheRegion::ReservedSlowRows);
         assert_keyed(&base, "replacement", |s| fig(s).replacement = ReplacementPolicy::Lru);
         assert_keyed(&base, "miss_threshold", |s| fig(s).insertion.miss_threshold = 2);
-        assert_keyed(&base, "ideal_relocation", |s| fig(s).ideal_relocation = true);
+        assert_keyed(&base, "relocation", |s| fig(s).relocation = Relocation::LisaClone);
         assert_keyed(&base, "max_pending_jobs_per_bank", |s| {
             fig(s).max_pending_jobs_per_bank = 1;
         });

@@ -1,4 +1,4 @@
-//! FGSN v3 — serializable warm-state snapshots.
+//! FGSN v4 — serializable warm-state snapshots.
 //!
 //! A snapshot captures the *full* live state of a [`System`] between
 //! `run` calls — core pipelines and trace-source positions, cache
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic    b"FGSN"                       (4 raw bytes)
-//! version  format version (currently 3)
+//! version  format version (currently 4)
 //! hash     config hash of the producing SystemConfig
 //! cycle    CPU cycle the snapshot was taken at
 //! n_cores  then per core: ops_pulled, window_len
@@ -57,8 +57,11 @@ pub const MAGIC: [u8; 4] = *b"FGSN";
 /// Current format version, bumped on any layout change.
 /// History: 2 added the controller's queue-occupancy peak counters
 /// (`read_q_peak`/`write_q_peak`) to the `McStats` payload; 3 appended
-/// the FNV-1a checksum of the header and payload bytes.
-pub const FORMAT_VERSION: u64 = 3;
+/// the FNV-1a checksum of the header and payload bytes; 4 gave LISA-VILLA
+/// FIGCache's engine payload (it became a FIGCache preset: in-flight
+/// records carry purpose and block count, miss counters are keyed by
+/// segment).
+pub const FORMAT_VERSION: u64 = 4;
 
 /// Fingerprint of the configuration that may resume a snapshot.
 ///
@@ -440,9 +443,9 @@ mod tests {
         assert!(restore_from_reader(&mut fresh, &mut huge.as_slice()).is_err());
     }
 
-    /// Two FIGCache-Fast cores on two channels with 4-entry queues, so
+    /// Two cores running `kind` on two channels with 4-entry queues, so
     /// requests park in the per-channel backlogs.
-    fn backlogged_sys() -> System {
+    fn backlogged_sys(kind: ConfigKind) -> System {
         let traces = ["mcf", "lbm"]
             .iter()
             .enumerate()
@@ -450,7 +453,7 @@ mod tests {
                 generate_trace(&profile_by_name(n).expect("profile"), 8_000, 61 + i as u64)
             })
             .collect();
-        let mut cfg = SystemConfig::paper(2, ConfigKind::FigCacheFast);
+        let mut cfg = SystemConfig::paper(2, kind);
         cfg.kernel = Kernel::Event;
         cfg.channels = 2;
         cfg.mc.read_queue_cap = 4;
@@ -466,7 +469,7 @@ mod tests {
         // The FGSN byte stream of a mid-run save with parked backlog
         // requests, pinned so a refactor of the per-channel state cannot
         // silently change the format (older snapshots must still load).
-        let mut warm = backlogged_sys();
+        let mut warm = backlogged_sys(ConfigKind::FigCacheFast);
         let _ = warm.run(10_000);
         let mut bytes = Vec::new();
         save_to_writer(&warm, &mut bytes).expect("save");
@@ -475,19 +478,45 @@ mod tests {
             header.shards.iter().map(|s| s.backlog).sum::<u64>() > 0,
             "backlog must be non-empty"
         );
-        // Version 3 only bumped the version and appended the checksum:
+        // Versions 3 and 4 left FIGCache-Fast's header and payload alone
+        // (3 appended the checksum, 4 changed LISA-VILLA's payload):
         // undoing both gives back the pinned version-2 stream.
         let mut v2 = bytes[..bytes.len() - 8].to_vec();
         v2[4] = 2;
         assert_eq!(fnv1a(&v2), 0xd146_d019_73ad_962c, "FGSN header or payload changed");
-        assert_eq!(fnv1a(&bytes), 0x478b_2b38_79f4_270a, "FGSN bytes changed");
+        assert_eq!(fnv1a(&bytes), 0x41ca_13f8_8947_206f, "FGSN bytes changed");
 
-        let mut resumed = backlogged_sys();
+        let mut resumed = backlogged_sys(ConfigKind::FigCacheFast);
         restore_from_reader(&mut resumed, &mut bytes.as_slice()).expect("restore");
         let mut bytes2 = Vec::new();
         save_to_writer(&resumed, &mut bytes2).expect("re-save");
         assert_eq!(bytes, bytes2);
         assert_eq!(resumed.run(u64::MAX), warm.run(u64::MAX));
+    }
+
+    /// FNV-1a over a system's payload words (little-endian bytes).
+    fn payload_digest(sys: &System) -> u64 {
+        let mut words = Vec::new();
+        sys.save_state(&mut words);
+        fnv1a(&words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn every_mechanism_payload_is_pinned() {
+        // One pin per mechanism, so a change to any engine's saved state
+        // fails here: update the pin and bump FORMAT_VERSION together.
+        for (kind, pin) in [
+            (ConfigKind::Base, 0xcb68_0f56_4160_1be4),
+            (ConfigKind::LisaVilla, 0x5064_b35f_c5d1_f554),
+            (ConfigKind::FigCacheSlow, 0x5509_e668_7219_f025),
+            (ConfigKind::FigCacheFast, 0xb0c9_b789_7622_0cc1),
+            (ConfigKind::FigCacheIdeal, 0xec1d_bda8_01d9_da5b),
+            (ConfigKind::LlDram, 0xbd8a_edcd_d1f5_b6df),
+        ] {
+            let mut sys = backlogged_sys(kind.clone());
+            let _ = sys.run(10_000);
+            assert_eq!(payload_digest(&sys), pin, "{kind:?} FGSN payload changed");
+        }
     }
 
     #[test]

@@ -265,20 +265,30 @@ pub struct FileReplay {
     reader: TraceReader<BufReader<File>>,
     /// Byte offset of the first record (seek target for wrap-around).
     data_start: u64,
-    /// Whether at least one record was seen (guards empty files).
-    saw_op: bool,
 }
 
 impl FileReplay {
-    /// Opens `path` for streaming replay.
+    /// Opens `path` for streaming replay. The records are decoded once
+    /// here, in constant memory, so a malformed file fails now rather
+    /// than mid-simulation.
     ///
     /// # Errors
     ///
-    /// Fails on open errors or a malformed header.
+    /// Fails on open errors, a malformed header, a malformed or
+    /// truncated record, or a file with no records (`InvalidData`).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let mut reader = TraceReader::new(BufReader::new(File::open(path)?))?;
         let data_start = reader.r.stream_position()?;
-        Ok(Self { reader, data_start, saw_op: false })
+        if reader.next_op()?.is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("trace file `{}` has no records", reader.name()),
+            ));
+        }
+        while reader.next_op()?.is_some() {}
+        let mut replay = Self { reader, data_start };
+        replay.rewind()?;
+        Ok(replay)
     }
 
     fn rewind(&mut self) -> io::Result<()> {
@@ -295,17 +305,14 @@ impl TraceSource for FileReplay {
 
     /// # Panics
     ///
-    /// Panics on I/O errors or an empty trace file: a trace that vanishes
-    /// or corrupts mid-simulation is unrecoverable, and silently
-    /// substituting ops would poison the run's determinism.
+    /// [`FileReplay::open`] has checked every record, so this panics only
+    /// if the file changes or becomes unreadable after it was opened: a
+    /// trace that vanishes or corrupts mid-simulation is unrecoverable,
+    /// and silently substituting ops would poison the run's determinism.
     fn next_op(&mut self) -> TraceOp {
         match self.reader.next_op() {
-            Ok(Some(op)) => {
-                self.saw_op = true;
-                op
-            }
+            Ok(Some(op)) => op,
             Ok(None) => {
-                assert!(self.saw_op, "trace file `{}` has no records", self.reader.name());
                 self.rewind().expect("trace file must stay seekable");
                 match self.reader.next_op() {
                     Ok(Some(op)) => op,
@@ -491,6 +498,41 @@ mod tests {
         let mut replay = FileReplay::open(&path).unwrap();
         for (i, &op) in pulled.iter().enumerate() {
             assert_eq!(replay.next_op(), op, "op {i}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn bad_record_streams_fail_at_open_never_mid_replay() {
+        let p = profile_by_name("mcf").unwrap();
+        let trace = generate_trace(&p, 200, 5);
+        let good = tmp("fuzz-good.figt");
+        write_trace_file(&good, &trace).unwrap();
+        let bytes = std::fs::read(&good).unwrap();
+        let _ = std::fs::remove_file(good);
+        // Header only: no records to replay.
+        let header_len = MAGIC.len() + 1 + 2 + trace.name.len();
+        let path = tmp("fuzz.figt");
+        std::fs::write(&path, &bytes[..header_len]).unwrap();
+        let err = FileReplay::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Every truncation and a stride of single-byte flips either fails
+        // to open or replays two laps of its records without panicking.
+        let truncations = (0..bytes.len()).map(|len| bytes[..len].to_vec());
+        let flips = (0..bytes.len()).step_by(7).flat_map(|i| {
+            [0x01u8, 0x80, 0xff].map(|flip| {
+                let mut b = bytes.clone();
+                b[i] ^= flip;
+                b
+            })
+        });
+        for input in truncations.chain(flips) {
+            std::fs::write(&path, &input).unwrap();
+            let Ok(mut src) = FileReplay::open(&path) else { continue };
+            let records = TraceReader::new(input.as_slice()).unwrap().count();
+            for _ in 0..2 * records {
+                let _ = src.next_op();
+            }
         }
         let _ = std::fs::remove_file(path);
     }

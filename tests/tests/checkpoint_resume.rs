@@ -114,7 +114,7 @@ proptest! {
 }
 
 /// A snapshot taken mid-relocation (engine jobs in flight, MSHRs busy)
-/// restores the LISA-VILLA engine too, not just FIGCache.
+/// restores LISA-VILLA's whole-row clone jobs too, not just FIGARO copies.
 #[test]
 fn lisa_villa_resumes_bit_identically() {
     let kind = ConfigKind::LisaVilla;

@@ -175,8 +175,8 @@ fn figcache_fast_beats_base_on_memory_intensive_apps() {
 
 #[test]
 #[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
-fn ideal_relocation_bounds_real_relocation() {
-    if !slow_guard("ideal_relocation_bounds_real_relocation") {
+fn free_relocation_bounds_real_relocation() {
+    if !slow_guard("free_relocation_bounds_real_relocation") {
         return;
     }
     let r = runner();

@@ -2,7 +2,7 @@
 //! engine × DRAM interplay, functional data movement under the timing
 //! engine, and the circuit/energy/area models' paper anchors.
 
-use figaro_core::{FigCacheConfig, FigCacheEngine, LisaVillaConfig, LisaVillaEngine, NullEngine};
+use figaro_core::{FigCacheConfig, FigCacheEngine, NullEngine};
 use figaro_dram::{
     AddressMapping, BankAddr, DataStore, DramChannel, DramCommand, DramConfig, PhysAddr,
     SubarrayLayout, TimingParams,
@@ -106,7 +106,7 @@ fn lisa_controller_path_clones_rows() {
         layout: SubarrayLayout::homogeneous(64, 512).with_interleaved_fast(16, 32),
         ..DramConfig::ddr4_paper_default()
     };
-    let engine = LisaVillaEngine::new(&dram, &LisaVillaConfig::paper_default(), 16);
+    let engine = FigCacheEngine::new(&dram, &FigCacheConfig::lisa_villa(), 16);
     let cfg = McConfig { enable_refresh: false, ..McConfig::default() };
     let mut mc = MemoryController::new(&dram, cfg, 0, Box::new(engine));
     // Two misses to the same row cross the hot-row threshold.
