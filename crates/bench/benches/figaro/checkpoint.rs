@@ -10,7 +10,7 @@
 //! least `(grid − 1) × warmup_fraction`.
 //!
 //! ```bash
-//! cargo bench --bench checkpoint
+//! cargo bench --bench figaro -- checkpoint
 //! ```
 
 use std::fmt::Write as _;
@@ -118,10 +118,8 @@ fn json_report(
     )
 }
 
-fn main() {
-    if criterion::launched_as_test() {
-        return;
-    }
+/// Runs the entry.
+pub fn run() {
     let env = figaro_bench::env();
     let scale = env.scale_or(Scale::Tiny);
     let insts = scale.target_insts();

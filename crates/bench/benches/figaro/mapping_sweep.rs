@@ -17,43 +17,18 @@
 //! the subsystem's behavior trajectory is tracked across PRs.
 //!
 //! ```bash
-//! cargo bench --bench mapping_sweep
+//! cargo bench --bench figaro -- mapping_sweep
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use figaro_sim::experiments::{mapping_kinds, mapping_sweep, page_policies};
-use figaro_sim::{ConfigKind, Kernel, MapKind, PageMapKind, RunStats, System, SystemConfig};
-use figaro_workloads::{generate_trace, profile_by_name, Trace};
+use figaro_sim::ConfigKind;
 
-/// One run of the backlog-saturation shape (event kernel) under the
-/// given placement: eight memory-intensive cores with deep MSHRs all
-/// contending for a single channel — the regime where bank-level
-/// parallelism (a pure function of the placement) dominates.
-fn run_backlog(kind: &ConfigKind, map: MapKind, page_map: PageMapKind) -> (RunStats, f64) {
-    let apps = ["mcf", "com", "tigr", "mum", "lbm", "mcf", "tigr", "com"];
-    let traces: Vec<Trace> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 60_000, 31 + i as u64))
-        .collect();
-    let mut cfg = SystemConfig { kernel: Kernel::Event, ..SystemConfig::paper(8, kind.clone()) }
-        .with_mapping(map)
-        .with_page_map(page_map);
-    cfg.channels = 1; // every request contends for one controller
-    cfg.hierarchy.mshrs_per_core = 16; // 128 outstanding misses vs 64 queue slots
-    let insts = 40_000u64;
-    let mut sys = System::new(cfg, traces, &[insts; 8]);
-    let t = Instant::now();
-    let stats = sys.run(insts * 400);
-    (stats, t.elapsed().as_secs_f64())
-}
+use crate::{backlog_config, run_backlog};
 
-fn main() {
-    if criterion::launched_as_test() {
-        return;
-    }
+/// Runs the entry.
+pub fn run() {
     let runner = figaro_bench::bench_runner("mapping_sweep");
 
     // 1. Per-placement behavior on the bank-contended shape.
@@ -62,7 +37,8 @@ fn main() {
         println!("--- placements (backlog saturation, {}) ---", kind.label());
         for map in mapping_kinds() {
             for page in page_policies() {
-                let (stats, wall) = run_backlog(&kind, map, page);
+                let cfg = backlog_config(kind.clone()).with_mapping(map).with_page_map(page);
+                let (stats, wall) = run_backlog(cfg);
                 let ipc: f64 = (0..8).map(|c| stats.ipc(c)).sum();
                 let row_hit = stats.row_hit_rate();
                 let cache_hit = stats.cache_hit_rate();

@@ -3,7 +3,7 @@
 //!
 //! Two sections:
 //!
-//! 1. **Policies** — one timed run per [`SchedPolicyKind`] on the
+//! 1. **Policies** — one timed run per `SchedPolicyKind` on the
 //!    backlog-saturation shape (8 memory-intensive cores with 16 MSHRs
 //!    each contending for one channel, so the 64-entry queues run full).
 //!    Policies legitimately change results; throughput and row-hit rate
@@ -15,48 +15,25 @@
 //! subsystem's performance trajectory is tracked across PRs.
 //!
 //! ```bash
-//! cargo bench --bench sched_sweep
+//! cargo bench --bench figaro -- sched_sweep
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use figaro_sim::experiments::{sched_policies, scheduler_sweep};
-use figaro_sim::{ConfigKind, Kernel, RunStats, SchedPolicyKind, System, SystemConfig};
-use figaro_workloads::{generate_trace, profile_by_name, Trace};
+use figaro_sim::ConfigKind;
 
-/// One run of the backlog-saturation shape (event kernel): eight
-/// memory-intensive cores with deep MSHRs all contending for a single
-/// channel, so the 64-entry queues actually run full.
-fn run_backlog(kind: &ConfigKind, sched: SchedPolicyKind) -> (RunStats, f64) {
-    let apps = ["mcf", "com", "tigr", "mum", "lbm", "mcf", "tigr", "com"];
-    let traces: Vec<Trace> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 60_000, 31 + i as u64))
-        .collect();
-    let mut cfg = SystemConfig { kernel: Kernel::Event, ..SystemConfig::paper(8, kind.clone()) };
-    cfg.channels = 1; // every request contends for one controller
-    cfg.mc.sched = sched;
-    cfg.hierarchy.mshrs_per_core = 16; // 128 outstanding misses vs 64 queue slots
-    let insts = 40_000u64;
-    let mut sys = System::new(cfg, traces, &[insts; 8]);
-    let t = Instant::now();
-    let stats = sys.run(insts * 400);
-    (stats, t.elapsed().as_secs_f64())
-}
+use crate::{backlog_config, run_backlog};
 
-fn main() {
-    if criterion::launched_as_test() {
-        return;
-    }
+/// Runs the entry.
+pub fn run() {
     let runner = figaro_bench::bench_runner("sched_sweep");
 
     // 1. Per-policy behavior on the backlog-saturation shape.
     println!("--- scheduling policies (backlog saturation, FIGCache-Fast) ---");
     let mut policy_entries = String::new();
     for sched in sched_policies() {
-        let (stats, wall) = run_backlog(&ConfigKind::FigCacheFast, sched);
+        let (stats, wall) = run_backlog(backlog_config(ConfigKind::FigCacheFast).with_sched(sched));
         let ipc: f64 = (0..8).map(|c| stats.ipc(c)).sum();
         let row_hit = stats.row_hit_rate();
         println!(

@@ -7,11 +7,11 @@ use figaro_dram::TimingParams;
 use figaro_energy::DramEnergyModel;
 use figaro_spice::{distance_sweep, run_monte_carlo, RelocCircuit};
 
-fn main() {
+/// Runs the entry.
+pub fn run() {
+    let iterations = figaro_bench::env().mc_iters.unwrap_or(20_000);
     println!("--- Section 4.2: RELOC latency and energy ---");
     let circuit = RelocCircuit::paper_default();
-    let iterations: u32 =
-        std::env::var("FIGARO_MC_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(20_000);
     let mc = run_monte_carlo(&circuit, iterations, 0.05, 0xF16A);
     println!("Monte-Carlo iterations          : {}", mc.iterations);
     println!("all iterations latched correctly: {}", mc.all_correct);

@@ -46,7 +46,8 @@ fn hammer(mut mc: MemoryController, rounds: u64) -> (u32, u64) {
     (mon.max_acts_per_window(), mon.total_acts())
 }
 
-fn main() {
+/// Runs the entry.
+pub fn run() {
     println!("--- Section 6: RowHammer pressure with and without FIGCache ---");
     let rounds = 20_000u64;
     let window = 1_000_000u64; // observation window in bus cycles

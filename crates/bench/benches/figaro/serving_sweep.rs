@@ -13,17 +13,15 @@
 //!   ordering (the tail-at-scale claim is that it need not).
 //!
 //! ```bash
-//! cargo bench --bench serving_sweep
+//! cargo bench --bench figaro -- serving_sweep
 //! ```
 
 use std::fmt::Write as _;
 
 use figaro_sim::experiments::{serving_loads, serving_scheds, serving_sweep};
 
-fn main() {
-    if criterion::launched_as_test() {
-        return;
-    }
+/// Runs the entry.
+pub fn run() {
     let runner = figaro_bench::bench_runner("serving_sweep");
 
     let fig = figaro_bench::timed("serving_sweep", || serving_sweep(&runner));

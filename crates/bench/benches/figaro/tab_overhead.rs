@@ -3,7 +3,8 @@
 
 use figaro_energy::AreaModel;
 
-fn main() {
+/// Runs the entry.
+pub fn run() {
     println!("--- Section 8.3: hardware overhead ---");
     let model = AreaModel::paper_default();
     let r = model.paper_report();

@@ -11,7 +11,7 @@
 //! artifact (drag it into <https://ui.perfetto.dev>).
 //!
 //! ```bash
-//! cargo bench --bench telemetry
+//! cargo bench --bench figaro -- telemetry
 //! ```
 
 use std::fmt::Write as _;
@@ -51,10 +51,8 @@ fn median(walls: &mut [f64]) -> f64 {
     walls[walls.len() / 2]
 }
 
-fn main() {
-    if criterion::launched_as_test() {
-        return;
-    }
+/// Runs the entry.
+pub fn run() {
     let scale = figaro_bench::env().scale_or(Scale::Tiny);
     let insts = (scale.target_insts() / 4).max(20_000);
     println!(

@@ -46,6 +46,9 @@ pub struct EnvConfig {
     pub telemetry: TelemetryConfig,
     /// `FIGARO_PROFILE=1`: kernel self-profiling.
     pub profile: bool,
+    /// `FIGARO_MC_ITERS`: iterations of the §4.2 RELOC Monte-Carlo
+    /// analysis (positive).
+    pub mc_iters: Option<u32>,
 }
 
 /// A variable source: `Ok(None)` for unset.
@@ -152,6 +155,11 @@ impl EnvConfig {
             full_sweeps: switch(get, "FIGARO_FULL_SWEEPS")?,
             telemetry: TelemetryConfig { interval, trace },
             profile: switch(get, "FIGARO_PROFILE")?,
+            mc_iters: field(get, "FIGARO_MC_ITERS", |raw| {
+                raw.parse().ok().filter(|&n: &u32| n > 0).ok_or_else(|| {
+                    format!("FIGARO_MC_ITERS must be a positive iteration count, got `{raw}`")
+                })
+            })?,
         })
     }
 
@@ -236,6 +244,7 @@ mod tests {
             ("FIGARO_STATS_INTERVAL", "500"),
             ("FIGARO_TRACE", "t.json:reloc"),
             ("FIGARO_PROFILE", "1"),
+            ("FIGARO_MC_ITERS", "200"),
         ])
         .unwrap();
         assert_eq!(env.scale, Some(Scale::Tiny));
@@ -247,6 +256,7 @@ mod tests {
         assert_eq!(env.warmup, None, "a zero warmup runs cold");
         assert_eq!(env.snapshot_dir, Some(PathBuf::from("snaps")));
         assert!(env.full_sweeps && env.profile);
+        assert_eq!(env.mc_iters, Some(200));
         assert_eq!(env.telemetry.interval, Some(500));
         let trace = env.telemetry.trace.as_ref().unwrap();
         assert!(trace.filter.allows("reloc") && !trace.filter.allows("drain"));
@@ -261,5 +271,11 @@ mod tests {
         assert_eq!(Some(spec.config.mc.map), MapKind::from_name("chfirst"));
         assert_eq!(spec.config.page_map, PageMapKind::Random { seed: 7 });
         assert_eq!(spec.arrival, Some(ArrivalKind::Poisson { mean_gap: 32 }));
+
+        // An iteration count is positive; anything else names the variable.
+        for raw in ["0", "lots"] {
+            let err = parse(&[("FIGARO_MC_ITERS", raw)]).unwrap_err();
+            assert!(err.contains("FIGARO_MC_ITERS") && err.contains(raw), "{err}");
+        }
     }
 }

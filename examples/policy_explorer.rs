@@ -5,7 +5,7 @@
 //! prints speedups over `Base`. A miniature of the Fig. 13/14/15 benches,
 //! built directly on the public `SystemConfig` sweep constructors.
 //!
-//! Run with `cargo run -p figaro-examples --bin policy_explorer --release`.
+//! Run with `cargo run --release --example policy_explorer`.
 
 use figaro_core::ReplacementPolicy;
 use figaro_sim::runner::Scale;

@@ -8,7 +8,7 @@
 //! the aggressor rows entirely.
 //!
 //! Run with
-//! `cargo run -p figaro-examples --bin rowhammer_mitigation --release`.
+//! `cargo run --release --example rowhammer_mitigation`.
 
 use figaro_core::{FigCacheConfig, FigCacheEngine, NullEngine};
 use figaro_dram::{DramConfig, PhysAddr, SubarrayLayout};
