@@ -20,9 +20,10 @@ use crate::job::{JobPurpose, RelocationJob};
 use crate::segment::{SegmentGeometry, SegmentId};
 use crate::traits::{CacheEngine, CacheStats, ServeTarget};
 
-/// Bookkeeping for a job the controller is executing.
+/// Bookkeeping for a queued or running job, until it completes.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
+    id: u64,
     purpose: JobPurpose,
     /// FTS slot being filled (insertions only).
     slot: Option<u32>,
@@ -34,7 +35,10 @@ struct InFlight {
 struct BankState {
     fts: FtsBank,
     pending: VecDeque<RelocationJob>,
-    in_flight: HashMap<u64, InFlight>,
+    /// Every job queued and not yet completed, in id order. A bank runs
+    /// one job at a time and takes its jobs in queue order, so jobs
+    /// complete from the front.
+    in_flight: VecDeque<InFlight>,
     /// Miss counters for thresholds above 1 (Fig. 15); cleared wholesale
     /// when it grows past a bound, a coarse form of aging.
     miss_counts: HashMap<SegmentId, u32>,
@@ -107,7 +111,7 @@ impl FigCacheEngine {
             .map(|_| BankState {
                 fts: FtsBank::new(cfg.cache_rows_per_bank, segs_per_row),
                 pending: VecDeque::new(),
-                in_flight: HashMap::new(),
+                in_flight: VecDeque::new(),
                 miss_counts: HashMap::new(),
             })
             .collect();
@@ -222,7 +226,7 @@ impl FigCacheEngine {
         };
         let slot = (purpose == JobPurpose::Insert).then_some(slot);
         let state = &mut self.banks[bank as usize];
-        state.in_flight.insert(id, InFlight { purpose, slot, blocks });
+        state.in_flight.push_back(InFlight { id, purpose, slot, blocks });
         state.pending.push_back(job);
     }
 }
@@ -318,10 +322,9 @@ impl CacheEngine for FigCacheEngine {
     }
 
     fn on_job_complete(&mut self, bank: u32, job_id: u64, _now: Cycle) {
-        let info = self.banks[bank as usize]
-            .in_flight
-            .remove(&job_id)
-            .expect("completion for unknown job");
+        let info =
+            self.banks[bank as usize].in_flight.pop_front().expect("completion for unknown job");
+        assert_eq!(info.id, job_id, "a bank completes its jobs in id order");
         self.stats.blocks_relocated += u64::from(info.blocks);
         match info.purpose {
             JobPurpose::Insert => {
@@ -348,12 +351,9 @@ impl CacheEngine for FigCacheEngine {
             for job in &bank.pending {
                 job.save_state(out);
             }
-            let mut ids: Vec<u64> = bank.in_flight.keys().copied().collect();
-            ids.sort_unstable();
-            out.push(ids.len() as u64);
-            for id in ids {
-                let info = bank.in_flight[&id];
-                out.push(id);
+            out.push(bank.in_flight.len() as u64);
+            for info in &bank.in_flight {
+                out.push(info.id);
                 out.push(match info.purpose {
                     JobPurpose::Insert => 0,
                     JobPurpose::Writeback => 1,
@@ -399,7 +399,7 @@ impl CacheEngine for FigCacheEngine {
                     if crate::take(src) == 0 { JobPurpose::Insert } else { JobPurpose::Writeback };
                 let slot = (crate::take(src) != 0).then(|| crate::take(src) as u32);
                 let blocks = crate::take(src) as u32;
-                bank.in_flight.insert(id, InFlight { purpose, slot, blocks });
+                bank.in_flight.push_back(InFlight { id, purpose, slot, blocks });
             }
             let n_miss = crate::take(src) as usize;
             bank.miss_counts.clear();

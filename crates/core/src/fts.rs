@@ -8,8 +8,11 @@
 //! replacement keeps the paper's eviction register (the cache row being
 //! drained) and an eviction bitvector (which of its slots still await
 //! eviction).
-
-use std::collections::HashMap;
+//!
+//! Lookups go through a fixed open-addressed index from segment to slot
+//! (linear probing, backward-shift deletion) sized from the slot count at
+//! construction, so the per-request tag lookup neither hashes with SipHash
+//! nor allocates.
 
 use rand::Rng;
 
@@ -76,12 +79,90 @@ pub struct Allocation {
     pub victim: Option<Victim>,
 }
 
+/// The segment→slot index of one tag store: a power-of-two table of at
+/// least twice as many cells as slots, so it is never more than half
+/// full and every probe ends at an empty cell. A cell holds `slot + 1`
+/// (0 = empty); the key is read back from the slot it names.
+#[derive(Debug, Clone)]
+struct SlotIndex {
+    cells: Vec<u32>,
+    /// `cells.len() - 1`.
+    mask: usize,
+    /// `64 - log2(cells.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl SlotIndex {
+    fn new(slots: u32) -> Self {
+        let len = (2 * slots as usize).next_power_of_two().max(2);
+        Self { cells: vec![0; len], mask: len - 1, shift: 64 - len.trailing_zeros() }
+    }
+
+    /// The cell a probe for `seg` starts at (Fibonacci hashing).
+    fn home(&self, seg: SegmentId) -> usize {
+        let key = u64::from(seg.row) << 32 | u64::from(seg.index);
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The cell holding `seg`'s entry, or the empty cell its probe run
+    /// ends at.
+    fn probe(&self, slots: &[Slot], seg: SegmentId) -> usize {
+        let mut i = self.home(seg);
+        while let Some(held) = self.cells[i].checked_sub(1) {
+            if slots[held as usize].seg == Some(seg) {
+                break;
+            }
+            i = (i + 1) & self.mask;
+        }
+        i
+    }
+
+    fn find(&self, slots: &[Slot], seg: SegmentId) -> Option<u32> {
+        self.cells[self.probe(slots, seg)].checked_sub(1)
+    }
+
+    /// Points `seg` at `slot` (which holds `seg`), replacing any previous
+    /// entry for `seg`.
+    fn insert(&mut self, slots: &[Slot], seg: SegmentId, slot: u32) {
+        let i = self.probe(slots, seg);
+        self.cells[i] = slot + 1;
+    }
+
+    /// Removes `seg`'s entry, if any, and shifts later entries of its
+    /// probe run back so no lookup meets a gap. `slots` must still hold
+    /// the segment of every entry, `seg`'s included.
+    fn remove(&mut self, slots: &[Slot], seg: SegmentId) {
+        let mut hole = self.probe(slots, seg);
+        if self.cells[hole] == 0 {
+            return;
+        }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & self.mask;
+            let Some(held) = self.cells[i].checked_sub(1) else { break };
+            // The entry may fill the hole if its probe started at or
+            // before the hole, counting cyclically back from `i`. (Every
+            // entry's slot holds its segment; a stray one stays put.)
+            let home = slots[held as usize].seg.map_or(i, |s| self.home(s));
+            if i.wrapping_sub(home) & self.mask >= i.wrapping_sub(hole) & self.mask {
+                self.cells[hole] = self.cells[i];
+                hole = i;
+            }
+        }
+        self.cells[hole] = 0;
+    }
+
+    fn clear(&mut self) {
+        self.cells.fill(0);
+    }
+}
+
 /// The per-bank FIGCache tag store.
 #[derive(Debug, Clone)]
 pub struct FtsBank {
     segs_per_row: u32,
     rows: u32,
-    map: HashMap<SegmentId, u32>,
+    index: SlotIndex,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Paper's eviction register: the cache row currently being drained.
@@ -105,7 +186,7 @@ impl FtsBank {
         Self {
             segs_per_row,
             rows,
-            map: HashMap::with_capacity(n as usize),
+            index: SlotIndex::new(n),
             slots: vec![Slot::empty(); n as usize],
             free: (0..n).rev().collect(),
             evict_row: None,
@@ -134,7 +215,7 @@ impl FtsBank {
     /// Looks up a segment; returns its slot index if present (any state).
     #[must_use]
     pub fn find(&self, seg: SegmentId) -> Option<u32> {
-        self.map.get(&seg).copied()
+        self.index.find(&self.slots, seg)
     }
 
     /// Immutable slot access.
@@ -185,11 +266,10 @@ impl FtsBank {
 
     /// Removes whatever occupies `slot` and returns it to the free list.
     pub fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        if let Some(seg) = s.seg.take() {
-            self.map.remove(&seg);
+        if let Some(seg) = self.slots[slot as usize].seg {
+            self.index.remove(&self.slots, seg);
         }
-        *s = Slot::empty();
+        self.slots[slot as usize] = Slot::empty();
         self.free.push(slot);
         // Drop a stale eviction mark if it pointed at this slot.
         if self.evict_row == Some(self.row_of(slot)) {
@@ -214,7 +294,7 @@ impl FtsBank {
             let slot = self.select_victim(policy, rng)?;
             let v = self.slots[slot as usize];
             let vseg = v.seg.expect("victim slot must hold a segment");
-            self.map.remove(&vseg);
+            self.index.remove(&self.slots, vseg);
             (slot, Some(Victim { seg: vseg, dirty: v.dirty, slot }))
         };
         self.slots[slot as usize] = Slot {
@@ -224,7 +304,7 @@ impl FtsBank {
             benefit: 0,
             last_use: now,
         };
-        self.map.insert(seg, slot);
+        self.index.insert(&self.slots, seg, slot);
         Some(Allocation { slot, victim })
     }
 
@@ -237,7 +317,7 @@ impl FtsBank {
     /// Appends the tag store's state to a snapshot word stream: every
     /// slot, the free list *in order* (allocation order matters for
     /// bit-identity), and the eviction register/bitvector. The segment→slot
-    /// map is rebuilt from the slots on load.
+    /// index is rebuilt from the slots on load.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.slots.len() as u64);
         for s in &self.slots {
@@ -274,7 +354,7 @@ impl FtsBank {
     }
 
     /// Restores state saved by [`FtsBank::save_state`] into a tag store
-    /// of the same geometry, rebuilding the segment→slot map.
+    /// of the same geometry, rebuilding the segment→slot index.
     ///
     /// # Panics
     ///
@@ -282,8 +362,7 @@ impl FtsBank {
     pub fn load_state(&mut self, src: &mut &[u64]) {
         let n = crate::take(src) as usize;
         assert_eq!(n, self.slots.len(), "snapshot tag-store capacity mismatch");
-        self.map.clear();
-        for (i, s) in self.slots.iter_mut().enumerate() {
+        for s in &mut self.slots {
             s.seg = (crate::take(src) != 0).then(|| SegmentId {
                 row: crate::take(src) as u32,
                 index: crate::take(src) as u32,
@@ -297,8 +376,11 @@ impl FtsBank {
             s.dirty = crate::take(src) != 0;
             s.benefit = crate::take(src) as u8;
             s.last_use = crate::take(src);
+        }
+        self.index.clear();
+        for (i, s) in self.slots.iter().enumerate() {
             if let Some(seg) = s.seg {
-                self.map.insert(seg, i as u32);
+                self.index.insert(&self.slots, seg, i as u32);
             }
         }
         let n_free = crate::take(src) as usize;
@@ -779,6 +861,94 @@ mod proptests {
                     }
                     prop_assert!(fts.slot(i).benefit <= BENEFIT_MAX);
                 }
+            }
+        }
+    }
+
+    /// Segment keys for the index test on a 2 × 4 store (16 cells): six
+    /// that hash to the last cell, so their probe runs wrap to cell 0,
+    /// six that share cell 3 with each other, and twelve others.
+    fn index_test_keys() -> Vec<SegmentId> {
+        let index = SlotIndex::new(8);
+        let keys: Vec<SegmentId> =
+            (0..256).flat_map(|row| (0..4).map(move |index| SegmentId { row, index })).collect();
+        let index = &index;
+        let at = |cell| keys.iter().copied().filter(move |&k| index.home(k) == cell).take(6);
+        let mut pool: Vec<SegmentId> = at(15).chain(at(3)).collect();
+        let others: Vec<SegmentId> = keys.iter().copied().filter(|k| !pool.contains(k)).collect();
+        pool.extend(&others[..12]);
+        assert_eq!(pool.len(), 24);
+        pool
+    }
+
+    proptest! {
+        /// The open-addressed index agrees with a `BTreeMap` model of
+        /// the segment→slot map through allocations (with evictions under
+        /// every policy), cancelled and completed relocations and
+        /// releases, and survives a snapshot round trip, on keys that
+        /// collide and probe runs that wrap.
+        #[test]
+        fn slot_index_matches_a_map(
+            ops in proptest::collection::vec((0u8..5, 0usize..24, 0u32..8), 1..200),
+            policy in 0u8..4,
+        ) {
+            let policy = [
+                ReplacementPolicy::RowBenefit,
+                ReplacementPolicy::SegmentBenefit,
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Random,
+            ][usize::from(policy)];
+            let keys = index_test_keys();
+            let mut fts = FtsBank::new(2, 4);
+            let mut model = std::collections::BTreeMap::new();
+            let mut rng = StdRng::seed_from_u64(11);
+            for (now, &(op, key, slot)) in ops.iter().enumerate() {
+                let seg = keys[key];
+                let relocating = matches!(fts.slot(slot).state, SlotState::Relocating { .. });
+                match op {
+                    0 | 1 if model.contains_key(&seg) => {
+                        if let Some(s) = fts.find(seg).filter(|&s| fts.slot(s).state == SlotState::Valid) {
+                            fts.touch_hit(s, op == 1, now as u64);
+                        }
+                    }
+                    0 | 1 => {
+                        if let Some(a) = fts.allocate(seg, policy, &mut rng, now as u64) {
+                            if let Some(v) = a.victim {
+                                prop_assert_eq!(model.remove(&v.seg), Some(v.slot));
+                            }
+                            model.insert(seg, a.slot);
+                        }
+                    }
+                    2 => fts.cancel_relocation(slot),
+                    3 if relocating => {
+                        let held = fts.slot(slot).seg.expect("a relocating slot holds a segment");
+                        if !fts.complete_relocation(slot) {
+                            prop_assert_eq!(model.remove(&held), Some(slot));
+                        }
+                    }
+                    3 => {}
+                    _ => {
+                        // Only occupied slots are released: a free slot is
+                        // already on the free list.
+                        if let Some(held) = fts.slot(slot).seg {
+                            prop_assert_eq!(model.remove(&held), Some(slot));
+                            fts.release(slot);
+                        }
+                    }
+                }
+                for &k in &keys {
+                    prop_assert_eq!(fts.find(k), model.get(&k).copied());
+                }
+                let mut words = Vec::new();
+                fts.save_state(&mut words);
+                let mut restored = FtsBank::new(2, 4);
+                restored.load_state(&mut words.as_slice());
+                for &k in &keys {
+                    prop_assert_eq!(restored.find(k), fts.find(k));
+                }
+                let mut again = Vec::new();
+                restored.save_state(&mut again);
+                prop_assert_eq!(again, words);
             }
         }
     }

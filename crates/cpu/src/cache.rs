@@ -55,15 +55,21 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
+/// Line-word flag: the line holds a block.
+const VALID: u64 = 1;
+/// Line-word flag: the line was written since it was filled.
+const DIRTY: u64 = 2;
+/// The tag sits above the two flag bits. A tag is an address shifted
+/// right by the block and set bits, at least `TAG_SHIFT` of them (checked
+/// at construction), so no tag bit is lost.
+const TAG_SHIFT: u32 = 2;
 
 /// One set-associative cache level.
+///
+/// Each line is two words: `tag << TAG_SHIFT | DIRTY | VALID` and the
+/// recency stamp of its last access or fill. Both tables start zeroed
+/// (an all-invalid cache), so the allocator hands out untouched pages
+/// and a large LLC only becomes resident as its sets are used.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     params: CacheParams,
@@ -74,7 +80,11 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_shift: u32,
     block_bits: u32,
-    lines: Vec<Line>,
+    ways: usize,
+    /// Packed tag and flags per line, set-major.
+    words: Vec<u64>,
+    /// Recency stamp per line, set-major.
+    stamps: Vec<u64>,
     clock: u64,
     /// Counters (public: the hierarchy reports them).
     pub stats: CacheStats,
@@ -85,17 +95,23 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two split.
+    /// Panics if the geometry is not a power-of-two split, or if blocks
+    /// and sets together span fewer than four addresses.
     #[must_use]
     pub fn new(params: CacheParams) -> Self {
         let sets = params.sets();
+        let lines = (sets * u64::from(params.ways)) as usize;
+        let (set_shift, block_bits) = (sets.trailing_zeros(), params.block_bytes.trailing_zeros());
+        assert!(set_shift + block_bits >= TAG_SHIFT, "a cache must span at least four addresses");
         Self {
             params,
             sets,
             set_mask: sets - 1,
-            set_shift: sets.trailing_zeros(),
-            block_bits: params.block_bytes.trailing_zeros(),
-            lines: vec![Line::default(); (sets * u64::from(params.ways)) as usize],
+            set_shift,
+            block_bits,
+            ways: params.ways as usize,
+            words: vec![0; lines],
+            stamps: vec![0; lines],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -107,15 +123,15 @@ impl SetAssocCache {
         &self.params
     }
 
+    /// The block's set and the valid, clean line word that holds it.
     fn index(&self, addr: u64) -> (u64, u64) {
         let block = addr >> self.block_bits;
-        (block & self.set_mask, block >> self.set_shift)
+        (block & self.set_mask, ((block >> self.set_shift) << TAG_SHIFT) | VALID)
     }
 
-    fn set_lines(&mut self, set: u64) -> &mut [Line] {
-        let ways = self.params.ways as usize;
-        let base = set as usize * ways;
-        &mut self.lines[base..base + ways]
+    /// The first line of `set`.
+    fn base(&self, set: u64) -> usize {
+        set as usize * self.ways
     }
 
     /// Demand access; returns `true` on hit. Write hits mark the line
@@ -123,18 +139,17 @@ impl SetAssocCache {
     /// the data arrives).
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.clock += 1;
-        let clock = self.clock;
-        let (set, tag) = self.index(addr);
+        let (set, want) = self.index(addr);
+        let base = self.base(set);
         self.stats.accesses += 1;
-        for line in self.set_lines(set) {
-            if line.valid && line.tag == tag {
-                line.lru = clock;
-                if is_write {
-                    line.dirty = true;
-                }
-                self.stats.hits += 1;
-                return true;
+        let words = &mut self.words[base..base + self.ways];
+        if let Some(way) = words.iter().position(|&w| w & !DIRTY == want) {
+            self.stamps[base + way] = self.clock;
+            if is_write {
+                words[way] |= DIRTY;
             }
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         false
@@ -154,58 +169,62 @@ impl SetAssocCache {
     /// Checks presence without updating any state.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        let ways = self.params.ways as usize;
-        let base = set as usize * ways;
-        self.lines[base..base + ways].iter().any(|l| l.valid && l.tag == tag)
+        let (set, want) = self.index(addr);
+        let base = self.base(set);
+        self.words[base..base + self.ways].iter().any(|&w| w & !DIRTY == want)
     }
 
     /// Inserts `addr`'s block (LRU victim). Returns the evicted block's
     /// address if the victim was dirty (the caller writes it back).
+    ///
+    /// One pass over the set finds either the block (a racing fill: the
+    /// line is just updated) or the victim: the first invalid way, else
+    /// the first way with the oldest stamp.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
         self.clock += 1;
-        let clock = self.clock;
-        let (set, tag) = self.index(addr);
-        let sets = self.sets;
-        let block_bits = self.block_bits;
-        let lines = self.set_lines(set);
-        // Already present (e.g. a racing fill): just update.
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = clock;
-            line.dirty |= dirty;
-            return None;
-        }
-        let victim =
-            lines.iter_mut().min_by_key(|l| if l.valid { l.lru } else { 0 }).expect("ways > 0");
-        let mut writeback = None;
-        let mut evicted = false;
-        let mut evicted_dirty = false;
-        if victim.valid {
-            evicted = true;
-            if victim.dirty {
-                evicted_dirty = true;
-                writeback = Some((victim.tag * sets + set) << block_bits);
+        let (set, want) = self.index(addr);
+        let base = self.base(set);
+        let words = &mut self.words[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        let dirty_bit = if dirty { DIRTY } else { 0 };
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for way in 0..words.len() {
+            let w = words[way];
+            if w & !DIRTY == want {
+                words[way] |= dirty_bit;
+                stamps[way] = self.clock;
+                return None;
+            }
+            let age = if w & VALID != 0 { stamps[way] } else { 0 };
+            if age < oldest {
+                oldest = age;
+                victim = way;
             }
         }
-        *victim = Line { tag, valid: true, dirty, lru: clock };
-        if evicted {
-            self.stats.evictions += 1;
+        let old = std::mem::replace(&mut words[victim], want | dirty_bit);
+        stamps[victim] = self.clock;
+        if old & VALID == 0 {
+            return None;
         }
-        if evicted_dirty {
-            self.stats.dirty_evictions += 1;
+        self.stats.evictions += 1;
+        if old & DIRTY == 0 {
+            return None;
         }
-        writeback
+        self.stats.dirty_evictions += 1;
+        Some(((old >> TAG_SHIFT) * self.sets + set) << self.block_bits)
     }
 
     /// Appends line/clock/stat state to a snapshot word stream (geometry
-    /// is reconstructed from `params`, so only dynamic state crosses).
+    /// is reconstructed from `params`, so only dynamic state crosses):
+    /// per line its tag, its `valid | dirty << 1` flags and its stamp.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.clock);
-        out.push(self.lines.len() as u64);
-        for line in &self.lines {
-            out.push(line.tag);
-            out.push(u64::from(line.valid) | u64::from(line.dirty) << 1);
-            out.push(line.lru);
+        out.push(self.words.len() as u64);
+        for (&w, &stamp) in self.words.iter().zip(&self.stamps) {
+            out.push(w >> TAG_SHIFT);
+            out.push(w & (VALID | DIRTY));
+            out.push(stamp);
         }
         out.push(self.stats.accesses);
         out.push(self.stats.hits);
@@ -224,13 +243,11 @@ impl SetAssocCache {
     pub fn load_state(&mut self, src: &mut &[u64]) {
         self.clock = crate::take(src);
         let n = crate::take(src) as usize;
-        assert_eq!(n, self.lines.len(), "snapshot cache geometry mismatch");
-        for line in &mut self.lines {
-            line.tag = crate::take(src);
-            let flags = crate::take(src);
-            line.valid = flags & 1 != 0;
-            line.dirty = flags & 2 != 0;
-            line.lru = crate::take(src);
+        assert_eq!(n, self.words.len(), "snapshot cache geometry mismatch");
+        for (w, stamp) in self.words.iter_mut().zip(&mut self.stamps) {
+            let tag = crate::take(src);
+            *w = (tag << TAG_SHIFT) | (crate::take(src) & (VALID | DIRTY));
+            *stamp = crate::take(src);
         }
         self.stats.accesses = crate::take(src);
         self.stats.hits = crate::take(src);
@@ -346,5 +363,169 @@ mod tests {
             block_bytes: 64,
             latency: 1,
         });
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The line-struct cache the packed tables replaced: one 24-byte
+    /// line per way, a hit search, then a separate LRU victim search.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    struct Reference {
+        ways: usize,
+        sets: u64,
+        set_shift: u32,
+        block_bits: u32,
+        lines: Vec<Line>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(params: CacheParams) -> Self {
+            let sets = params.sets();
+            Self {
+                ways: params.ways as usize,
+                sets,
+                set_shift: sets.trailing_zeros(),
+                block_bits: params.block_bytes.trailing_zeros(),
+                lines: vec![Line::default(); (sets * u64::from(params.ways)) as usize],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn index(&self, addr: u64) -> (u64, u64) {
+            let block = addr >> self.block_bits;
+            (block & (self.sets - 1), block >> self.set_shift)
+        }
+
+        fn set_lines(&mut self, set: u64) -> &mut [Line] {
+            let base = set as usize * self.ways;
+            &mut self.lines[base..base + self.ways]
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            let (set, tag) = self.index(addr);
+            self.stats.accesses += 1;
+            for line in self.set_lines(set) {
+                if line.valid && line.tag == tag {
+                    line.lru = clock;
+                    line.dirty |= is_write;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn note_misses(&mut self, times: u64) {
+            self.clock += times;
+            self.stats.accesses += times;
+            self.stats.misses += times;
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            let (set, tag) = self.index(addr);
+            self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
+            self.clock += 1;
+            let clock = self.clock;
+            let (set, tag) = self.index(addr);
+            let (sets, block_bits) = (self.sets, self.block_bits);
+            let lines = self.set_lines(set);
+            if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.lru = clock;
+                line.dirty |= dirty;
+                return None;
+            }
+            let victim = lines.iter_mut().min_by_key(|l| if l.valid { l.lru } else { 0 })?;
+            let old = std::mem::replace(victim, Line { tag, valid: true, dirty, lru: clock });
+            if old.valid {
+                self.stats.evictions += 1;
+            }
+            if old.valid && old.dirty {
+                self.stats.dirty_evictions += 1;
+                return Some((old.tag * sets + set) << block_bits);
+            }
+            None
+        }
+
+        fn save_state(&self, out: &mut Vec<u64>) {
+            out.push(self.clock);
+            out.push(self.lines.len() as u64);
+            for line in &self.lines {
+                out.push(line.tag);
+                out.push(u64::from(line.valid) | u64::from(line.dirty) << 1);
+                out.push(line.lru);
+            }
+            let s = self.stats;
+            out.extend([s.accesses, s.hits, s.misses, s.evictions, s.dirty_evictions]);
+        }
+    }
+
+    fn words(save: impl Fn(&mut Vec<u64>)) -> Vec<u64> {
+        let mut out = Vec::new();
+        save(&mut out);
+        out
+    }
+
+    /// Drives the packed cache and the reference with one op stream on a
+    /// four-set cache of `ways` ways. An op is (kind, block, high tag
+    /// bits, write/dirty flag); the block pool is three times the
+    /// capacity, so sets fill, hit and evict.
+    fn check(ways: u32, ops: &[(u8, u64, u64, bool)]) {
+        let params =
+            CacheParams { size_bytes: 4 * 64 * u64::from(ways), ways, block_bytes: 64, latency: 1 };
+        let mut packed = SetAssocCache::new(params);
+        let mut reference = Reference::new(params);
+        let pool = 12 * u64::from(ways);
+        for (step, &(kind, block, high, flag)) in ops.iter().enumerate() {
+            let addr = (block % pool) * 64 + (high << 40) + step as u64 % 64;
+            match kind {
+                0 => assert_eq!(packed.access(addr, flag), reference.access(addr, flag)),
+                1 => assert_eq!(packed.fill(addr, flag), reference.fill(addr, flag)),
+                2 => assert_eq!(packed.probe(addr), reference.probe(addr)),
+                _ => {
+                    packed.note_misses(block % 3);
+                    reference.note_misses(block % 3);
+                }
+            }
+            assert_eq!(packed.stats, reference.stats);
+        }
+        let saved = words(|out| packed.save_state(out));
+        assert_eq!(saved, words(|out| reference.save_state(out)));
+        let mut restored = SetAssocCache::new(params);
+        restored.load_state(&mut saved.as_slice());
+        assert_eq!(words(|out| restored.save_state(out)), saved);
+    }
+
+    proptest! {
+        /// Packed lines give the line-struct cache's hits, victims,
+        /// writeback addresses, counters and snapshot words, on every
+        /// associativity the hierarchy uses or could use.
+        #[test]
+        fn packed_cache_matches_the_line_struct_reference(
+            ops in proptest::collection::vec((0u8..4, 0u64..1024, 0u64..3, any::<bool>()), 1..400),
+        ) {
+            for ways in [1, 2, 4, 16] {
+                check(ways, &ops);
+            }
+        }
     }
 }

@@ -5,8 +5,13 @@
 //! fill request toward the memory controllers; fills propagate back
 //! through LLC → L2 → L1, pushing dirty victims downward (ultimately as
 //! write requests to DRAM).
+//!
+//! The MSHRs are one fixed table of `cores × mshrs_per_core` entries,
+//! like the hardware: each entry carries its fill request's id, so a
+//! completion finds its entry with one scan of the ids, and holds its
+//! first waiting load inline, so a miss never allocates.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use figaro_dram::PhysAddr;
 use figaro_memctrl::Request;
@@ -69,10 +74,50 @@ pub enum Access {
     Stall,
 }
 
-#[derive(Debug)]
-struct MshrEntry {
-    waiters: Vec<u64>,
+/// The load tokens waiting on one MSHR, in merge order:
+/// [`CacheHierarchy::on_completion`] returns them to wake. The first
+/// waiter is stored inline; only a block that several loads merged into
+/// spills into a vector.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Waiters {
+    first: Option<u64>,
+    rest: Vec<u64>,
+}
+
+impl Waiters {
+    fn push(&mut self, token: u64) {
+        if self.first.is_none() {
+            self.first = Some(token);
+        } else {
+            self.rest.push(token);
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+}
+
+impl IntoIterator for Waiters {
+    type Item = u64;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<u64>, std::vec::IntoIter<u64>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+/// An MSHR id-table entry that holds no miss. Request ids count up from
+/// 0 and never reach it.
+const FREE: u64 = u64::MAX;
+
+/// One outstanding LLC miss: the block, whether a store merged into it
+/// (the fill lands dirty) and its loads.
+#[derive(Debug, Default)]
+struct Mshr {
+    block: u64,
     store: bool,
+    waiters: Waiters,
 }
 
 /// A core's record of the block whose access last stalled on full MSHRs.
@@ -130,8 +175,15 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     llc: SetAssocCache,
-    mshrs: Vec<HashMap<u64, MshrEntry>>,
-    req_map: HashMap<u64, (usize, u64)>,
+    /// `cores × mshrs_per_core` entries; core `c` owns the run starting
+    /// at `c * mshrs_per_core` and keeps its live entries packed at the
+    /// front of it.
+    mshrs: Vec<Mshr>,
+    /// The fill request id of each entry of `mshrs`, [`FREE`] for an
+    /// entry past its core's live ones.
+    mshr_ids: Vec<u64>,
+    /// Live entries per core.
+    mshr_len: Vec<usize>,
     outbox: VecDeque<Request>,
     next_req_id: u64,
     next_token: u64,
@@ -154,8 +206,9 @@ impl CacheHierarchy {
             l1: (0..cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2: (0..cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
             llc: SetAssocCache::new(cfg.llc),
-            mshrs: (0..cores).map(|_| HashMap::new()).collect(),
-            req_map: HashMap::new(),
+            mshrs: (0..cores * cfg.mshrs_per_core).map(|_| Mshr::default()).collect(),
+            mshr_ids: vec![FREE; cores * cfg.mshrs_per_core],
+            mshr_len: vec![0; cores],
             outbox: VecDeque::new(),
             next_req_id: 0,
             next_token: 0,
@@ -169,6 +222,17 @@ impl CacheHierarchy {
 
     fn block_of(&self, addr: u64) -> u64 {
         addr & !u64::from(self.cfg.l1.block_bytes - 1)
+    }
+
+    /// Index of `core`'s first MSHR in the table.
+    fn mshr_base(&self, core: usize) -> usize {
+        core * self.cfg.mshrs_per_core
+    }
+
+    /// `core`'s live MSHRs.
+    fn live_mshrs(&self, core: usize) -> &[Mshr] {
+        let base = self.mshr_base(core);
+        &self.mshrs[base..base + self.mshr_len[core]]
     }
 
     /// Demand access from `core`. Loads may return [`Access::Pending`];
@@ -218,42 +282,44 @@ impl CacheHierarchy {
             self.fill_l1(core, block, is_write);
             return Access::Hit { ready_at: now + lat3 };
         }
-        // LLC miss → MSHR.
-        if let Some(entry) = self.mshrs[core].get_mut(&block) {
-            entry.store |= is_write;
-            self.mshr_merges += 1;
-            if is_write {
-                return Access::Hit { ready_at: now + lat1 }; // posted
+        // LLC miss → MSHR: merge into the block's entry, or take the
+        // core's next free one.
+        let base = self.mshr_base(core);
+        let live = self.mshr_len[core];
+        let slot = match self.live_mshrs(core).iter().position(|m| m.block == block) {
+            Some(i) => {
+                self.mshr_merges += 1;
+                i
             }
-            let token = self.next_token;
-            self.next_token += 1;
-            entry.waiters.push(token);
-            return Access::Pending { token };
-        }
-        if self.mshrs[core].len() >= self.cfg.mshrs_per_core {
-            self.mshr_stalls += 1;
-            return Access::Stall;
-        }
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        self.llc_misses_per_core[core] += 1;
-        self.outbox.push_back(Request {
-            id: req_id,
-            addr: PhysAddr(block),
-            is_write: false,
-            core: core as u8,
-            arrival: 0, // stamped by the sim when it reaches the controller
-        });
-        self.req_map.insert(req_id, (core, block));
-        let mut entry = MshrEntry { waiters: Vec::new(), store: is_write };
+            None if live < self.cfg.mshrs_per_core => {
+                let req_id = self.next_req_id;
+                self.next_req_id += 1;
+                self.llc_misses_per_core[core] += 1;
+                self.outbox.push_back(Request {
+                    id: req_id,
+                    addr: PhysAddr(block),
+                    is_write: false,
+                    core: core as u8,
+                    arrival: 0, // stamped by the sim when it reaches the controller
+                });
+                self.mshrs[base + live] = Mshr { block, store: false, waiters: Waiters::default() };
+                self.mshr_ids[base + live] = req_id;
+                self.mshr_len[core] += 1;
+                live
+            }
+            None => {
+                self.mshr_stalls += 1;
+                return Access::Stall;
+            }
+        };
+        let entry = &mut self.mshrs[base + slot];
+        entry.store |= is_write;
         if is_write {
-            self.mshrs[core].insert(block, entry);
             return Access::Hit { ready_at: now + lat1 }; // posted store
         }
         let token = self.next_token;
         self.next_token += 1;
         entry.waiters.push(token);
-        self.mshrs[core].insert(block, entry);
         Access::Pending { token }
     }
 
@@ -309,14 +375,25 @@ impl CacheHierarchy {
     ///
     /// Panics on completions for unknown request ids (writes are posted
     /// and produce no completions).
-    pub fn on_completion(&mut self, req_id: u64) -> Vec<u64> {
-        let (core, block) = self.req_map.remove(&req_id).expect("completion for unknown request");
-        let entry = self.mshrs[core].remove(&block).expect("MSHR entry must exist");
+    pub fn on_completion(&mut self, req_id: u64) -> Waiters {
+        let at = self
+            .mshr_ids
+            .iter()
+            .position(|&id| id == req_id)
+            .expect("completion for unknown request");
+        // Free the entry, keeping the core's live entries packed.
+        let core = at / self.cfg.mshrs_per_core;
+        self.mshr_len[core] -= 1;
+        let last = self.mshr_base(core) + self.mshr_len[core];
+        self.mshrs.swap(at, last);
+        self.mshr_ids[at] = self.mshr_ids[last];
+        self.mshr_ids[last] = FREE;
+        let entry = std::mem::take(&mut self.mshrs[last]);
         // An MSHR freed: the core's next retry walks the hierarchy again.
         self.stall[core] = None;
-        self.install_llc(block, false);
-        self.fill_l2(core, block);
-        self.fill_l1(core, block, entry.store);
+        self.install_llc(entry.block, false);
+        self.fill_l2(core, entry.block);
+        self.fill_l1(core, entry.block, entry.store);
         entry.waiters
     }
 
@@ -357,8 +434,8 @@ impl CacheHierarchy {
                     || (!self.l1[core].probe(block)
                         && !self.l2[core].probe(block)
                         && !self.llc.probe(block)
-                        && !self.mshrs[core].contains_key(&block)
-                        && self.mshrs[core].len() >= self.cfg.mshrs_per_core),
+                        && self.live_mshrs(core).iter().all(|m| m.block != block)
+                        && self.mshr_len[core] >= self.cfg.mshrs_per_core),
                 "a live stall memo requires the block to miss every level with full MSHRs"
             );
         }
@@ -407,12 +484,14 @@ impl CacheHierarchy {
     /// Outstanding LLC misses of `core`.
     #[must_use]
     pub fn outstanding(&self, core: usize) -> usize {
-        self.mshrs[core].len()
+        self.mshr_len[core]
     }
 
     /// Appends the hierarchy's live state (cache lines, MSHRs, in-flight
-    /// request map, outbox, counters) to a snapshot word stream. Hash maps
-    /// are walked in sorted-key order so the byte stream is deterministic.
+    /// requests, outbox, counters) to a snapshot word stream. Each core's
+    /// MSHRs are written in block order with their waiters in merge
+    /// order, then every fill request as `(id, core, block)` in id order,
+    /// so the words do not depend on which table entry a miss took.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         for c in &self.l1 {
             c.save_state(out);
@@ -421,26 +500,25 @@ impl CacheHierarchy {
             c.save_state(out);
         }
         self.llc.save_state(out);
-        for per_core in &self.mshrs {
-            let mut blocks: Vec<u64> = per_core.keys().copied().collect();
-            blocks.sort_unstable();
-            out.push(blocks.len() as u64);
-            for block in blocks {
-                let entry = &per_core[&block];
-                out.push(block);
-                out.push(u64::from(entry.store));
-                out.push(entry.waiters.len() as u64);
-                out.extend_from_slice(&entry.waiters);
+        let mut requests = Vec::new();
+        for core in 0..self.mshr_len.len() {
+            let base = self.mshr_base(core);
+            let mut live: Vec<usize> = (base..base + self.mshr_len[core]).collect();
+            live.sort_unstable_by_key(|&at| self.mshrs[at].block);
+            out.push(live.len() as u64);
+            for at in live {
+                let m = &self.mshrs[at];
+                out.push(m.block);
+                out.push(u64::from(m.store));
+                out.push(m.waiters.len() as u64);
+                out.extend(m.waiters.clone());
+                requests.push([self.mshr_ids[at], core as u64, m.block]);
             }
         }
-        let mut ids: Vec<u64> = self.req_map.keys().copied().collect();
-        ids.sort_unstable();
-        out.push(ids.len() as u64);
-        for id in ids {
-            let (core, block) = self.req_map[&id];
-            out.push(id);
-            out.push(core as u64);
-            out.push(block);
+        requests.sort_unstable();
+        out.push(requests.len() as u64);
+        for request in requests {
+            out.extend(request);
         }
         out.push(self.outbox.len() as u64);
         for r in &self.outbox {
@@ -463,7 +541,8 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics on a truncated stream or geometry mismatch.
+    /// Panics on a truncated stream, a geometry mismatch (more MSHRs
+    /// than the core has), or a request for a block with no MSHR.
     pub fn load_state(&mut self, src: &mut &[u64]) {
         for c in &mut self.l1 {
             c.load_state(src);
@@ -472,22 +551,30 @@ impl CacheHierarchy {
             c.load_state(src);
         }
         self.llc.load_state(src);
-        for per_core in &mut self.mshrs {
-            per_core.clear();
+        self.mshr_ids.fill(FREE);
+        for core in 0..self.mshr_len.len() {
             let n = crate::take(src) as usize;
-            for _ in 0..n {
-                let block = crate::take(src);
-                let store = crate::take(src) != 0;
-                let waiters = (0..crate::take(src)).map(|_| crate::take(src)).collect();
-                per_core.insert(block, MshrEntry { waiters, store });
+            assert!(n <= self.cfg.mshrs_per_core, "snapshot MSHR count exceeds mshrs_per_core");
+            let base = self.mshr_base(core);
+            for entry in &mut self.mshrs[base..base + n] {
+                entry.block = crate::take(src);
+                entry.store = crate::take(src) != 0;
+                entry.waiters = Waiters::default();
+                for _ in 0..crate::take(src) {
+                    entry.waiters.push(crate::take(src));
+                }
             }
+            self.mshr_len[core] = n;
         }
-        self.req_map.clear();
         for _ in 0..crate::take(src) {
             let id = crate::take(src);
             let core = crate::take(src) as usize;
             let block = crate::take(src);
-            self.req_map.insert(id, (core, block));
+            let Some(i) = self.live_mshrs(core).iter().position(|m| m.block == block) else {
+                panic!("snapshot request {id} has no MSHR");
+            };
+            let at = self.mshr_base(core) + i;
+            self.mshr_ids[at] = id;
         }
         self.outbox.clear();
         for _ in 0..crate::take(src) {
@@ -541,7 +628,7 @@ mod tests {
         let reqs: Vec<Request> = h.take_outgoing().collect();
         assert_eq!(reqs.len(), 1);
         assert!(!reqs[0].is_write);
-        let woken = h.on_completion(reqs[0].id);
+        let woken: Vec<u64> = h.on_completion(reqs[0].id).into_iter().collect();
         assert_eq!(woken, vec![token]);
         match h.access(0, 0x1000, false, 200) {
             Access::Hit { ready_at } => assert_eq!(ready_at, 204),
@@ -766,6 +853,61 @@ mod tests {
         assert!(matches!(h.access(0, block, false, 2), Access::Pending { .. }));
     }
 
+    /// The snapshot words after the cache lines: MSHRs, requests,
+    /// outbox and counters.
+    fn mshr_words(h: &CacheHierarchy) -> Vec<u64> {
+        let mut caches = Vec::new();
+        for c in h.l1.iter().chain(&h.l2).chain([&h.llc]) {
+            c.save_state(&mut caches);
+        }
+        let words = snapshot(h);
+        assert_eq!(words[..caches.len()], caches[..]);
+        words[caches.len()..].to_vec()
+    }
+
+    #[test]
+    fn mshr_snapshot_words_are_pinned() {
+        // Two cores in flight; core 0 has two loads merged into its miss
+        // on 0x3000 (three waiters) and a store merged into its miss on
+        // 0x1000; core 1 has a posted store miss, and its first
+        // completion reorders its table entries.
+        let mut h = hierarchy();
+        let pending = |a: Access| matches!(a, Access::Pending { .. });
+        assert!(pending(h.access(0, 0x3000, false, 0))); // req 0, token 0
+        assert!(pending(h.access(1, 0x1000, false, 0))); // req 1, token 1
+        assert!(pending(h.access(0, 0x1000, false, 1))); // req 2, token 2
+        assert!(pending(h.access(0, 0x3008, false, 2))); // merge, token 3
+        assert!(matches!(h.access(1, 0x2000, true, 2), Access::Hit { .. })); // req 3
+        assert!(matches!(h.access(0, 0x1010, true, 3), Access::Hit { .. })); // merge
+        assert!(pending(h.access(0, 0x3030, false, 3))); // merge, token 4
+        assert!(pending(h.access(1, 0x5000, false, 3))); // req 4, token 5
+        let woken: Vec<u64> = h.on_completion(1).into_iter().collect();
+        assert_eq!(woken, [1]);
+        assert_eq!(h.take_outgoing().count(), 5, "five fills, no writebacks");
+        #[rustfmt::skip]
+        let pinned = [
+            // core 0: two MSHRs in block order (block, store, waiters...)
+            2, 0x1000, 1, 1, 2, 0x3000, 0, 3, 0, 3, 4,
+            // core 1
+            2, 0x2000, 1, 0, 0x5000, 0, 1, 5,
+            // requests in id order: (id, core, block)
+            4, 0, 0, 0x3000, 2, 0, 0x1000, 3, 1, 0x2000, 4, 1, 0x5000,
+            // outbox, next request id, next token
+            0, 5, 6,
+            // LLC misses per core, merges, stalls
+            2, 2, 3, 3, 0,
+        ];
+        assert_eq!(mshr_words(&h), pinned);
+        // The words restore to the same table: saving again gives them
+        // back, and the merged load's waiters wake in merge order.
+        let mut restored = hierarchy();
+        restored.load_state(&mut snapshot(&h).as_slice());
+        assert_eq!(snapshot(&restored), snapshot(&h));
+        let woken: Vec<u64> = restored.on_completion(0).into_iter().collect();
+        assert_eq!(woken, [0, 3, 4]);
+        assert_eq!(restored.outstanding(0), 1);
+    }
+
     #[test]
     fn next_event_at_reflects_outbox_and_bus_alignment() {
         let mut h = hierarchy();
@@ -785,7 +927,7 @@ mod tests {
         let reqs: Vec<Request> = h.take_outgoing().collect();
         assert_eq!(reqs.len(), 1);
         let woken = h.on_completion(reqs[0].id);
-        assert!(woken.is_empty(), "no load waiters for a posted store");
+        assert_eq!(woken, Waiters::default(), "no load waiters for a posted store");
         // Evict the line by filling enough conflicting blocks through L1.
         // Instead, verify via a second store hit: the line is in L1.
         assert!(

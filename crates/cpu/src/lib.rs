@@ -7,10 +7,15 @@
 //! crate is that substrate, built from scratch:
 //!
 //! * [`cache::SetAssocCache`] — set-associative, write-back,
-//!   write-allocate cache with LRU replacement;
+//!   write-allocate cache with LRU replacement. Each line is a packed
+//!   `tag | VALID | DIRTY` word plus a recency stamp in zero-allocated
+//!   tables, and one pass over a set finds the hit or the LRU victim;
 //! * [`hierarchy::CacheHierarchy`] — the private-L1/L2 + shared-LLC stack
 //!   with per-core MSHRs (miss merging, structural stalls) and dirty
-//!   writeback chains down to the memory controller;
+//!   writeback chains down to the memory controller. The MSHRs are one
+//!   fixed `cores × mshrs_per_core` table whose entries carry their fill
+//!   request's id and their first waiting load inline, so the miss path
+//!   neither hashes nor allocates;
 //! * [`core::TraceCore`] — the instruction-window core model: non-memory
 //!   instructions retire at full width, loads block retirement until
 //!   their data returns, stores are posted.

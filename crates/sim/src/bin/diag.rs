@@ -14,6 +14,9 @@ use figaro_sim::{snapshot, ConfigKind, EnvConfig, RunSpec, Runner};
 use figaro_workloads::profile_by_name;
 
 fn usage() -> ! {
+    let categories: Vec<&str> =
+        figaro_telemetry::trace::CATEGORIES.iter().map(|c| c.name()).collect();
+    let categories = categories.join(",");
     eprintln!(
         "usage: diag [<app> [<config> [<scale>]]]\n\
          \x20      diag snapshot <file.fgsn>\n\
@@ -58,8 +61,8 @@ fn usage() -> ! {
          (per-channel row hits/misses/conflicts, queue depths, FIGCache\n\
          activity, per-core IPC/MSHR) every N CPU cycles,\n\
          FIGARO_TRACE=<path>[:filter] writes a Chrome trace-event JSON\n\
-         (relocation jobs, write drains, refreshes, sampling windows;\n\
-         filter is a comma list of reloc,drain,refresh,window,warm\n\
+         (relocation jobs, write drains, refreshes, warm-start marks;\n\
+         filter is a comma list of {categories}\n\
          or `all`; load the file in Perfetto),\n\
          FIGARO_PROFILE=1 prints the kernel self-profile (wall-clock\n\
          time per component) after the run,\n\

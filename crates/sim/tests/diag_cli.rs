@@ -36,6 +36,25 @@ fn help_lists_only_the_existing_kernels() -> io::Result<()> {
 }
 
 #[test]
+fn every_trace_category_the_help_names_parses() -> io::Result<()> {
+    let out = diag(&["--help"], &[])?;
+    let usage = String::from_utf8_lossy(&out.stderr);
+    let list = usage
+        .split_once("comma list of ")
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .unwrap_or_default();
+    assert!(!list.is_empty(), "the help names no trace categories: {usage}");
+    let named: Vec<&str> = list.split(',').collect();
+    let all: Vec<&str> = figaro_telemetry::trace::CATEGORIES.iter().map(|c| c.name()).collect();
+    assert_eq!(named, all, "{usage}");
+    for spec in named.iter().copied().chain([list]) {
+        let parsed = figaro_telemetry::parse_trace_spec(&format!("trace.json:{spec}"));
+        assert!(parsed.is_ok(), "`{spec}` from the help does not parse: {parsed:?}");
+    }
+    Ok(())
+}
+
+#[test]
 fn removed_kernel_names_abort_with_the_valid_list() -> io::Result<()> {
     for name in ["parallel", "par", "sampled", "sampled:10,20"] {
         let out = diag(&["mcf", "base", "tiny"], &[("FIGARO_KERNEL", name)])?;
