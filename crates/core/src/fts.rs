@@ -265,10 +265,11 @@ impl FtsBank {
     }
 
     /// Removes whatever occupies `slot` and returns it to the free list.
+    /// Releasing a free slot is a no-op: it is already on the free list,
+    /// and pushing it again would hand it to two later allocations.
     pub fn release(&mut self, slot: u32) {
-        if let Some(seg) = self.slots[slot as usize].seg {
-            self.index.remove(&self.slots, seg);
-        }
+        let Some(seg) = self.slots[slot as usize].seg else { return };
+        self.index.remove(&self.slots, seg);
         self.slots[slot as usize] = Slot::empty();
         self.free.push(slot);
         // Drop a stale eviction mark if it pointed at this slot.
@@ -885,8 +886,9 @@ mod proptests {
         /// The open-addressed index agrees with a `BTreeMap` model of
         /// the segment→slot map through allocations (with evictions under
         /// every policy), cancelled and completed relocations and
-        /// releases, and survives a snapshot round trip, on keys that
-        /// collide and probe runs that wrap.
+        /// releases (of free slots too), never hands out a slot that
+        /// still holds a segment, and survives a snapshot round trip, on
+        /// keys that collide and probe runs that wrap.
         #[test]
         fn slot_index_matches_a_map(
             ops in proptest::collection::vec((0u8..5, 0usize..24, 0u32..8), 1..200),
@@ -916,6 +918,11 @@ mod proptests {
                             if let Some(v) = a.victim {
                                 prop_assert_eq!(model.remove(&v.seg), Some(v.slot));
                             }
+                            prop_assert!(
+                                !model.values().any(|&s| s == a.slot),
+                                "slot {} handed out while it still holds a segment",
+                                a.slot
+                            );
                             model.insert(seg, a.slot);
                         }
                     }
@@ -928,12 +935,11 @@ mod proptests {
                     }
                     3 => {}
                     _ => {
-                        // Only occupied slots are released: a free slot is
-                        // already on the free list.
+                        // Free slots are released too (a no-op).
                         if let Some(held) = fts.slot(slot).seg {
                             prop_assert_eq!(model.remove(&held), Some(slot));
-                            fts.release(slot);
                         }
+                        fts.release(slot);
                     }
                 }
                 for &k in &keys {

@@ -1,6 +1,10 @@
 //! Physical DRAM organization: channels, ranks, bank groups, banks, rows,
 //! columns and cache-block widths.
 
+/// Most banks one channel may have: the memory controller keeps its
+/// per-bank sets as one 64-bit mask.
+pub const MAX_BANKS_PER_CHANNEL: u32 = 64;
+
 /// Physical organization of one DRAM channel (and how many channels exist).
 ///
 /// All counts must be powers of two so the address mapping can slice plain
@@ -65,8 +69,9 @@ impl DramGeometry {
         self.row_bytes / self.block_bytes
     }
 
-    /// Checks that every field is a non-zero power of two and that a row
-    /// holds at least one block.
+    /// Checks that every field is a non-zero power of two, that a channel
+    /// has at most [`MAX_BANKS_PER_CHANNEL`] banks and that a row holds at
+    /// least one block.
     ///
     /// # Errors
     ///
@@ -86,6 +91,17 @@ impl DramGeometry {
                     "geometry field `{name}` = {v} must be a non-zero power of two"
                 ));
             }
+        }
+        let banks = [self.bankgroups, self.banks_per_group]
+            .into_iter()
+            .try_fold(self.ranks, u32::checked_mul)
+            .filter(|&n| n <= MAX_BANKS_PER_CHANNEL);
+        if banks.is_none() {
+            return Err(format!(
+                "ranks × bankgroups × banks_per_group = {} × {} × {} exceeds \
+                 {MAX_BANKS_PER_CHANNEL} banks per channel",
+                self.ranks, self.bankgroups, self.banks_per_group
+            ));
         }
         if self.block_bytes > self.row_bytes {
             return Err(format!(
@@ -120,6 +136,17 @@ mod tests {
     fn validate_rejects_non_power_of_two() {
         let g = DramGeometry { channels: 3, ..DramGeometry::paper_default() };
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_banks_per_channel_without_overflow() {
+        let g =
+            |ranks, bankgroups| DramGeometry { ranks, bankgroups, ..DramGeometry::paper_default() };
+        assert!(g(2, 4).validate().is_ok(), "32 banks fit");
+        assert!(g(4, 4).validate().is_ok(), "64 banks fit");
+        assert!(g(8, 4).validate().is_err(), "128 banks do not");
+        let huge = DramGeometry { banks_per_group: 1 << 31, ..g(1 << 31, 1 << 31) };
+        assert!(huge.validate().is_err(), "an overflowing product is an error, not a panic");
     }
 
     #[test]

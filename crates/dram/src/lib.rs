@@ -77,7 +77,7 @@ pub use address::{AddressMapping, DramLocation, MapKind, MapScheme, PhysAddr};
 pub use channel::{BankAddr, DramChannel, IssueOutcome};
 pub use command::{CommandKind, DramCommand};
 pub use datastore::DataStore;
-pub use geometry::DramGeometry;
+pub use geometry::{DramGeometry, MAX_BANKS_PER_CHANNEL};
 pub use layout::{FastLayout, Region, RowPlace, SubarrayLayout};
 pub use stats::DramStats;
 pub use timing::TimingParams;

@@ -1,11 +1,11 @@
-//! Per-bank controller state and the memoized per-bank summary.
+//! Per-bank controller state and the memoized per-bank summaries.
 //!
 //! The controller keeps one [`BankState`] per bank of its channel — the
 //! bank's (precomputed) address and the relocation-job slot the cache
-//! engine's jobs execute in — and, beside it, one [`BankMemo`]: the
-//! bank's memoized [`BankSummary`] and horizon term. The DRAM-side row
-//! state (open row, must-precharge, pinned subarrays) lives in
-//! [`figaro_dram::DramChannel`].
+//! engine's jobs execute in — and, beside them, one `BankMemos`: every
+//! bank's memoized [`BankSummary`], its horizon term, and the bank masks
+//! the tick walks. The DRAM-side row state (open row, must-precharge,
+//! pinned subarrays) lives in [`figaro_dram::DramChannel`].
 //!
 //! A summary is everything the controller's tick and its event horizon
 //! need to know about one bank, built from one walk of the bank's
@@ -19,12 +19,14 @@
 //!
 //! * a command issues on it,
 //! * a queue gains or loses one of its entries,
-//! * its job starts or retires;
+//! * its job starts or retires,
+//! * the serve queue flips (write drain) while it holds an entry in
+//!   either queue — a bank with none summarizes the same for both;
 //!
-//! and every bank goes dirty when the serve queue flips (write drain),
-//! after a refresh (rank-wide timing, scheduler streaks reset) and on
-//! `load_state`. Under strict FCFS only the serve queue's head counts, so
-//! the new head's bank also goes dirty when the head moves.
+//! and every bank goes dirty after a refresh (rank-wide timing, scheduler
+//! streaks reset) and on `load_state`. Under strict FCFS only the serve
+//! queue's head counts, so the new head's bank also goes dirty when the
+//! head moves.
 //!
 //! Each bank also memoizes its **horizon term**: the earliest cycle any
 //! of its summary's commands could issue, unclamped (probed from cycle
@@ -34,10 +36,20 @@
 //! [`figaro_dram::DramChannel::next_ready`]). So a term probed before
 //! the channel's latest issue is still a lower bound, and the
 //! controller re-probes a stale term only while it holds the minimum —
-//! which makes the memoized horizon equal to a full scan.
+//! which makes the memoized horizon equal to a full scan. The terms sit
+//! in one dense `Vec<Cycle>`, so that minimum reads one word per bank.
+//!
+//! The same lower bound tells the tick which banks can act: a bank
+//! whose term is above `now` has no candidate that can issue now.
+//! `BankMemos::ready` is the set of banks at or below `now` plus the
+//! dirty ones, and five bank masks — column candidate, prep
+//! candidate, active job, job start due, dirty — let each ladder stage
+//! walk only its own mask ∩ that set. The summary masks follow each
+//! rebuild (`BankMemos::store`); the job mask follows job starts and
+//! retires.
 
 use figaro_core::RelocationJob;
-use figaro_dram::{BankAddr, Cycle, DramChannel, DramCommand, DramGeometry};
+use figaro_dram::{BankAddr, Cycle, DramChannel, DramCommand, DramGeometry, MAX_BANKS_PER_CHANNEL};
 
 /// A demand command a summary nominates: the command, the queue slot of
 /// the entry it is issued on behalf of, and that entry's global age.
@@ -89,6 +101,21 @@ impl BankSummary {
 /// `probed_at` of a term that was never probed.
 pub(crate) const UNPROBED: u64 = u64::MAX;
 
+/// A set of a channel's banks, one bit per flat bank index
+/// (`DramGeometry::validate` caps a channel at
+/// `MAX_BANKS_PER_CHANNEL`, the mask's width).
+pub(crate) type BankMask = u64;
+
+/// The banks of `mask`, in increasing flat-index order.
+pub(crate) fn banks_in(mask: BankMask) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let b = rest.trailing_zeros() as usize;
+        rest &= rest.wrapping_sub(1);
+        (b < 64).then_some(b)
+    })
+}
+
 /// Controller-side state of one bank.
 #[derive(Debug)]
 pub struct BankState {
@@ -106,24 +133,87 @@ impl BankState {
     }
 }
 
-/// One bank's memo: its summary and horizon term (new memos are dirty:
-/// nothing has been summarized yet). Never serialized.
-#[derive(Debug, Clone, Copy)]
-pub struct BankMemo {
-    /// The memoized summary; meaningless while `dirty`.
-    pub summary: BankSummary,
-    /// The summary must be rebuilt before it is read.
-    pub dirty: bool,
-    /// Horizon term: a lower bound on [`BankSummary::probe`], exact when
-    /// `probed_at` equals the controller's issue count.
-    pub term: Cycle,
-    /// The controller's issue count when `term` was probed.
-    pub probed_at: u64,
+/// The memo of every bank of one channel: the summaries, their dense
+/// horizon terms, and the bank masks the tick walks. Derived state:
+/// never serialized, and a new memo has every bank dirty.
+#[derive(Debug)]
+pub(crate) struct BankMemos {
+    /// Memoized summaries; a dirty bank's entry is meaningless.
+    pub(crate) summary: Vec<BankSummary>,
+    /// Horizon terms: a lower bound on [`BankSummary::probe`], exact
+    /// when `probed_at` equals the controller's issue count.
+    pub(crate) term: Vec<Cycle>,
+    /// The controller's issue count when each term was probed.
+    pub(crate) probed_at: Vec<u64>,
+    /// Banks whose summary must be rebuilt before it is read.
+    pub(crate) dirty: BankMask,
+    /// Banks whose summary has a column candidate.
+    pub(crate) column: BankMask,
+    /// Banks whose summary has a prep (ACT/PRE) candidate.
+    pub(crate) prep: BankMask,
+    /// Banks with an active relocation job (kept by the controller at
+    /// every job start and retire, independent of the summaries).
+    pub(crate) job: BankMask,
+    /// Idle banks whose summary says a pending job would start.
+    pub(crate) start: BankMask,
 }
 
-impl Default for BankMemo {
-    fn default() -> Self {
-        Self { summary: BankSummary::default(), dirty: true, term: 0, probed_at: UNPROBED }
+impl BankMemos {
+    /// A memo of `banks` banks, all dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics for more banks than a [`BankMask`] holds (a geometry that
+    /// `DramGeometry::validate` rejects).
+    #[must_use]
+    pub(crate) fn new(banks: usize) -> Self {
+        assert!(
+            banks <= MAX_BANKS_PER_CHANNEL as usize,
+            "{banks} banks exceed the bank mask; DramGeometry::validate rejects this geometry"
+        );
+        Self {
+            summary: vec![BankSummary::default(); banks],
+            term: vec![0; banks],
+            probed_at: vec![UNPROBED; banks],
+            dirty: Self::all(banks),
+            column: 0,
+            prep: 0,
+            job: 0,
+            start: 0,
+        }
+    }
+
+    /// The mask of all `banks` banks.
+    #[must_use]
+    pub(crate) fn all(banks: usize) -> BankMask {
+        u64::MAX.checked_shr(64 - banks as u32).unwrap_or(0)
+    }
+
+    /// Stores bank `b`'s fresh summary: its term resets to the trivial
+    /// lower bound `0` (unprobed) and its mask bits follow the summary.
+    pub(crate) fn store(&mut self, b: usize, summary: BankSummary, has_job: bool) {
+        let bit = 1 << b;
+        let set =
+            |mask: &mut BankMask, on: bool| *mask = (*mask & !bit) | (BankMask::from(on) << b);
+        set(&mut self.column, summary.column.is_some());
+        set(&mut self.prep, summary.prep.is_some());
+        set(&mut self.start, summary.now && !has_job);
+        self.summary[b] = summary;
+        self.term[b] = 0;
+        self.probed_at[b] = UNPROBED;
+        self.dirty &= !bit;
+    }
+
+    /// The banks that can act at `now`: those whose term is `<= now`
+    /// (a term is a lower bound on every candidate's issue cycle, so a
+    /// bank above `now` has nothing to issue) plus the dirty banks.
+    #[must_use]
+    pub(crate) fn ready(&self, now: Cycle) -> BankMask {
+        let mut ready = self.dirty;
+        for (b, &t) in self.term.iter().enumerate() {
+            ready |= BankMask::from(t <= now) << b;
+        }
+        ready
     }
 }
 

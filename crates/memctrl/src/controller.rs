@@ -6,27 +6,33 @@
 //! [`McConfig::sched`]; queue storage is the per-bank
 //! [`IndexedQueue`](crate::queues::IndexedQueue); per-bank state lives
 //! in [`BankState`](crate::bank::BankState) (job slots) and
-//! [`BankMemo`](crate::bank::BankMemo) (the memoized summary).
+//! `BankMemos` (the memoized summaries, horizon terms and bank masks).
 //!
 //! One memoized [`BankSummary`](crate::bank::BankSummary) per bank
-//! drives both halves of the controller: the tick's demand picks read
-//! the summaries (one fresh timing probe per candidate bank, no entry
-//! walk), and the event horizon is the minimum of the banks' memoized
-//! terms. Every site that changes what a summary depends on marks the
-//! bank dirty (`mark_dirty`/`dirty_all`, see the [`crate::bank`] docs
-//! for the rules), and a dirty bank is rebuilt on its next read. A
-//! stale term stays a lower bound (the lemma on
-//! [`DramChannel::next_ready`]), so the horizon re-probes a stale bank
-//! only while it holds the minimum and equals a full scan; debug builds
-//! assert both that and that every summary a tick reads equals a fresh
-//! build.
+//! drives both halves of the controller. The event horizon is the
+//! minimum of the banks' dense memoized terms. The tick computes its
+//! ready set once — the banks whose term is at or below `now`, plus the
+//! dirty ones — and each stage of its ladder walks only its own bank
+//! mask ∩ that set: column and ACT/PRE picks read the summaries (one
+//! fresh timing probe per candidate bank, no entry walk), job steps walk
+//! the active-job mask and job starts the job-start-due mask. Every site
+//! that changes what a summary depends on marks the bank dirty
+//! (`mark_dirty`/`dirty_all`, see the [`crate::bank`] docs for the
+//! rules; a serve-queue flip dirties only the banks with an entry in
+//! either queue), and a dirty bank is rebuilt on its next read. A stale
+//! term stays a lower bound (the lemma on [`DramChannel::next_ready`]),
+//! so the horizon re-probes a stale bank only while it holds the
+//! minimum and equals a full scan, and a bank outside the ready set has
+//! nothing to issue. Debug builds assert that, that every summary and
+//! mask bit a tick reads equals a fresh build, and that every stage's
+//! masked pick equals a full-scan pick.
 
 use figaro_core::{CacheEngine, CacheStats, RowHammerMonitor};
 use figaro_dram::{
     AddressMapping, BankAddr, Cycle, DramChannel, DramCommand, DramConfig, DramStats, MapKind,
 };
 
-use crate::bank::{BankMemo, BankState, BankSummary, UNPROBED};
+use crate::bank::{banks_in, BankMask, BankMemos, BankState, BankSummary};
 use crate::histogram::LatencyHistogram;
 use crate::queues::{Entry, IndexedQueue};
 use crate::request::{Completion, Request};
@@ -160,6 +166,40 @@ impl McStats {
     }
 }
 
+/// Work counters of one controller's horizon memo and tick ladder —
+/// what the event horizon and the tick cost, not what they decide.
+/// Counted only once [`MemoryController::enable_counters`] ran (every
+/// increment sits behind the `probe!` guard); never part of `RunStats`
+/// or a snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct McCounters {
+    /// [`MemoryController::next_event_at`] calls answered from the
+    /// memoized horizon.
+    pub horizon_hits: u64,
+    /// Horizon recomputes (the memo was stale).
+    pub horizon_recomputes: u64,
+    /// Bank summaries rebuilt (by the horizon or the tick).
+    pub banks_rebuilt: u64,
+    /// Stale horizon terms re-probed while holding the minimum.
+    pub terms_reprobed: u64,
+    /// [`MemoryController::tick`] calls.
+    pub ticks: u64,
+    /// Ticks that issued a DRAM command.
+    pub ticks_issued: u64,
+}
+
+impl McCounters {
+    /// Element-wise accumulation across channels.
+    pub fn merge_from(&mut self, o: &McCounters) {
+        self.horizon_hits += o.horizon_hits;
+        self.horizon_recomputes += o.horizon_recomputes;
+        self.banks_rebuilt += o.banks_rebuilt;
+        self.terms_reprobed += o.terms_reprobed;
+        self.ticks += o.ticks;
+        self.ticks_issued += o.ticks_issued;
+    }
+}
+
 /// One channel's memory controller. See the crate docs for the module
 /// map and the scheduling policy.
 #[derive(Debug)]
@@ -180,11 +220,9 @@ pub struct MemoryController {
     next_refresh: Cycle,
     refresh_pending: bool,
     banks: Vec<BankState>,
-    /// Per-bank memoized summaries and horizon terms, indexed like
-    /// `banks`.
-    memo: Vec<BankMemo>,
-    /// The banks whose memo is dirty, so a rebuild visits only them.
-    dirty: Vec<u32>,
+    /// Per-bank memoized summaries, dense horizon terms and the bank
+    /// masks the tick walks, indexed like `banks`.
+    memo: BankMemos,
     /// Which queue the bank summaries describe (`true` = writes).
     summary_writes: bool,
     /// DRAM commands issued so far: a bank's horizon term is exact when
@@ -202,6 +240,9 @@ pub struct MemoryController {
     /// snapshotted, never consulted by any scheduling decision; every
     /// emit goes through the `probe!` guard (figlint FIG007).
     trace: Option<Box<figaro_telemetry::trace::ControllerTrace>>,
+    /// Work counters (`System::enable_profiling`); result-neutral like
+    /// `trace`, and every increment goes through the `probe!` guard.
+    counters: Option<Box<McCounters>>,
 }
 
 impl MemoryController {
@@ -232,8 +273,7 @@ impl MemoryController {
             next_refresh: Cycle::from(dram.timing.refi),
             refresh_pending: false,
             banks: (0..banks as u32).map(|f| BankState::new(f, &dram.geometry)).collect(),
-            memo: vec![BankMemo::default(); banks],
-            dirty: (0..banks as u32).collect(),
+            memo: BankMemos::new(banks),
             summary_writes: false,
             issues: 0,
             completions: Vec::new(),
@@ -241,6 +281,7 @@ impl MemoryController {
             monitor: cfg.activation_window.map(RowHammerMonitor::new),
             horizon: None,
             trace: None,
+            counters: None,
         }
     }
 
@@ -255,6 +296,18 @@ impl MemoryController {
     /// at bus cycle `now`. `None` when tracing was never enabled.
     pub fn take_trace(&mut self, now: Cycle) -> Option<figaro_telemetry::TraceBuffer> {
         self.trace.take().map(|t| t.finish(now))
+    }
+
+    /// Starts counting horizon and tick work from zero (see
+    /// [`McCounters`]).
+    pub fn enable_counters(&mut self) {
+        self.counters = Some(Box::default());
+    }
+
+    /// The work counters, when [`MemoryController::enable_counters`] ran.
+    #[must_use]
+    pub fn counters(&self) -> Option<&McCounters> {
+        self.counters.as_deref()
     }
 
     /// The scheduling policy in force.
@@ -369,9 +422,9 @@ impl MemoryController {
     pub fn is_idle(&self) -> bool {
         self.read_q.is_empty()
             && self.write_q.is_empty()
-            && self.banks.iter().all(|b| b.job.is_none())
+            && self.memo.job == 0
             && self.completions.is_empty()
-            && !(0..self.banks.len()).any(|b| self.engine.has_pending_job(b as u32))
+            && !self.engine.has_any_pending_job(self.banks.len() as u32)
     }
 
     /// Request-level statistics.
@@ -511,7 +564,10 @@ impl MemoryController {
         self.channel.load_state(src);
         self.engine.load_state(src);
         self.policy.load_state(src);
-        self.dirty_all();
+        self.memo = BankMemos::new(self.banks.len());
+        for (b, st) in self.banks.iter().enumerate() {
+            self.memo.job |= BankMask::from(st.job.is_some()) << b;
+        }
         self.horizon = None;
     }
 
@@ -538,49 +594,55 @@ impl MemoryController {
             self.mark_dirty(flat);
         }
         self.issues += 1;
+        // A tick issues at most one command, and only ticks issue.
+        figaro_telemetry::probe!(self.counters, c => c.ticks_issued += 1);
         self.channel.issue(bank, cmd, now).completes_at
     }
 
     /// Marks `flat_bank`'s summary for a rebuild on its next read.
     fn mark_dirty(&mut self, flat_bank: u32) {
-        let memo = &mut self.memo[flat_bank as usize];
-        if !memo.dirty {
-            memo.dirty = true;
-            self.dirty.push(flat_bank);
-        }
+        self.memo.dirty |= 1 << flat_bank;
     }
 
     /// Marks every bank's summary for a rebuild.
     fn dirty_all(&mut self) {
-        for b in 0..self.banks.len() as u32 {
-            self.mark_dirty(b);
-        }
+        self.memo.dirty = BankMemos::all(self.banks.len());
     }
 
     /// Brings every bank summary up to date for the serve queue
-    /// `serve_writes` names: a flip of the serve queue dirties them all,
-    /// then each dirty bank is rebuilt (its term reset to the trivial
-    /// lower bound `0`, unprobed).
+    /// `serve_writes` names by rebuilding each dirty bank (its term reset
+    /// to the trivial lower bound `0`, unprobed). A flip of the serve
+    /// queue first dirties the banks with an entry in either queue; a
+    /// bank with none summarizes the same for both.
     fn fresh_summaries(&mut self, serve_writes: bool) {
         if serve_writes != self.summary_writes {
             self.summary_writes = serve_writes;
-            self.dirty_all();
+            for b in 0..self.banks.len() as u32 {
+                if self.bank_has_demand(b) {
+                    self.mark_dirty(b);
+                }
+            }
         }
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for &b in &dirty {
-            let summary = self.summarize(b as usize, serve_writes);
-            self.memo[b as usize] =
-                BankMemo { summary, dirty: false, term: 0, probed_at: UNPROBED };
+        let dirty = self.memo.dirty;
+        figaro_telemetry::probe!(self.counters, c => c.banks_rebuilt += u64::from(dirty.count_ones()));
+        for b in banks_in(dirty) {
+            let summary = self.summarize(b, serve_writes);
+            self.memo.store(b, summary, self.banks[b].job.is_some());
         }
-        dirty.clear();
-        self.dirty = dirty;
         #[cfg(debug_assertions)]
         for b in 0..self.banks.len() {
-            debug_assert_eq!(
-                self.memo[b].summary,
-                self.summarize(b, serve_writes),
-                "bank {b}'s memoized summary is stale"
-            );
+            let fresh = self.summarize(b, serve_writes);
+            debug_assert_eq!(self.memo.summary[b], fresh, "bank {b}'s memoized summary is stale");
+            let has_job = self.banks[b].job.is_some();
+            let bits = [
+                (self.memo.column, fresh.column.is_some(), "column"),
+                (self.memo.prep, fresh.prep.is_some(), "prep"),
+                (self.memo.job, has_job, "job"),
+                (self.memo.start, fresh.now && !has_job, "start"),
+            ];
+            for (mask, want, name) in bits {
+                debug_assert_eq!(mask >> b & 1 == 1, want, "bank {b}'s {name} mask bit is stale");
+            }
         }
     }
 
@@ -628,14 +690,15 @@ impl MemoryController {
         // event-driven caller only ticks at or past the horizon, so this
         // costs it exactly one recompute per action.)
         self.horizon = None;
+        figaro_telemetry::probe!(self.counters, c => c.ticks += 1);
         // Fast path: nothing queued, no jobs, no refresh due.
         if self.read_q.is_empty()
             && self.write_q.is_empty()
             && !self.refresh_pending
             && (!self.cfg.enable_refresh || now < self.next_refresh)
         {
-            let any_job = self.banks.iter().any(|b| b.job.is_some())
-                || (0..self.banks.len()).any(|b| self.engine.has_pending_job(b as u32));
+            let any_job =
+                self.memo.job != 0 || self.engine.has_any_pending_job(self.banks.len() as u32);
             if !any_job {
                 return;
             }
@@ -657,8 +720,14 @@ impl MemoryController {
             return;
         }
 
+        // Every stage below walks only its own bank mask ∩ the banks that
+        // can act this tick. A stage that issues returns, so the ready
+        // set stays valid down the ladder; banks a stage dirties without
+        // issuing (job starts and retires) join it through the dirty mask.
+        self.fresh_summaries(serve_writes);
+        let ready = self.memo.ready(now);
         // Priority 1: ready demand column commands (policy pick).
-        if self.try_issue_column(serve_writes, now) {
+        if self.try_issue_column(serve_writes, now, ready) {
             return;
         }
         // Priority 2: RELOC trains — both in-flight (pinned) ones and
@@ -666,21 +735,21 @@ impl MemoryController {
         // first RELOC immediately pins the source subarray, after which
         // demand may close the row and move on; losing this race would
         // force the job to re-activate its source row from scratch.
-        if self.try_issue_job_step(now, true) {
+        if self.try_issue_job_step(now, true, ready) {
             return;
         }
         // Priority 3: ACT/PRE for waiting demand requests (policy pick).
-        if self.try_issue_demand_prep(serve_writes, now) {
+        if self.try_issue_demand_prep(serve_writes, now, ready) {
             return;
         }
         // Priority 4: job setup (ensure-open activations, LISA clones,
         // pin-forming first RELOCs) on spare command slots.
-        if self.try_issue_job_step(now, false) {
+        if self.try_issue_job_step(now, false, ready) {
             return;
         }
         // Priority 5: start pending jobs and try their first step.
         self.start_pending_jobs(now);
-        let _ = self.try_issue_job_step(now, false);
+        let _ = self.try_issue_job_step(now, false, ready);
     }
 
     /// Conservative event horizon: the earliest bus cycle `>= from` at
@@ -706,6 +775,7 @@ impl MemoryController {
             return Some(from);
         }
         if let Some(h) = self.horizon {
+            figaro_telemetry::probe!(self.counters, c => c.horizon_hits += 1);
             return h.map(|t| t.max(from));
         }
         self.recompute_event_at(from)
@@ -713,6 +783,7 @@ impl MemoryController {
 
     /// Cold path of [`MemoryController::next_event_at`]: full scan.
     fn recompute_event_at(&mut self, from: Cycle) -> Option<Cycle> {
+        figaro_telemetry::probe!(self.counters, c => c.horizon_recomputes += 1);
         let computed = self.compute_horizon(from);
         self.horizon = Some(computed);
         computed
@@ -734,7 +805,7 @@ impl MemoryController {
         // pair; the bank terms cover them otherwise.
         if self.read_q.is_empty()
             && self.write_q.is_empty()
-            && !self.banks.iter().any(|b| b.job.is_some())
+            && self.memo.job == 0
             && !self.engine.has_any_pending_job(self.banks.len() as u32)
         {
             return (best != Cycle::MAX).then_some(best);
@@ -763,20 +834,22 @@ impl MemoryController {
     /// lower bounds, so the first exact minimum is the true one).
     fn banks_horizon(&mut self, serve_writes: bool) -> Option<Cycle> {
         self.fresh_summaries(serve_writes);
+        let memo = &mut self.memo;
         let min = loop {
             let mut min = (0, Cycle::MAX);
-            for (b, memo) in self.memo.iter().enumerate() {
-                if memo.term < min.1 {
-                    min = (b, memo.term);
+            for (b, &term) in memo.term.iter().enumerate() {
+                if term < min.1 {
+                    min = (b, term);
                 }
             }
-            let memo = &mut self.memo[min.0];
+            let (b, term) = min;
             // `MAX` is exact: an illegal command stays illegal.
-            if min.1 == Cycle::MAX || memo.probed_at == self.issues {
-                break min.1;
+            if term == Cycle::MAX || memo.probed_at[b] == self.issues {
+                break term;
             }
-            memo.term = memo.summary.probe(&self.channel, self.banks[min.0].addr);
-            memo.probed_at = self.issues;
+            memo.term[b] = memo.summary[b].probe(&self.channel, self.banks[b].addr);
+            memo.probed_at[b] = self.issues;
+            figaro_telemetry::probe!(self.counters, c => c.terms_reprobed += 1);
         };
         let min = (min != Cycle::MAX).then_some(min);
         debug_assert_eq!(
@@ -800,7 +873,7 @@ impl MemoryController {
     /// refresh for the rest of the run.
     fn refresh_horizon(&self, from: Cycle) -> Cycle {
         let retry = from + 1;
-        if self.banks.iter().any(|b| b.job.is_some()) {
+        if self.memo.job != 0 {
             let h = self.job_step_horizon(from);
             return if h == Cycle::MAX { retry } else { h };
         }
@@ -822,7 +895,7 @@ impl MemoryController {
     /// the first one can).
     fn job_step_horizon(&self, from: Cycle) -> Cycle {
         let mut best = Cycle::MAX;
-        for st in &self.banks {
+        for st in banks_in(self.memo.job).map(|b| &self.banks[b]) {
             let Some(job) = st.job else { continue };
             let open = self.channel.open_row(st.addr);
             let must_pre = self.channel.must_precharge(st.addr);
@@ -847,8 +920,10 @@ impl MemoryController {
 
     fn progress_refresh(&mut self, now: Cycle) {
         // Let active jobs finish first (their banks cannot be interrupted).
-        if self.banks.iter().any(|b| b.job.is_some()) {
-            let _ = self.try_issue_job_step(now, false);
+        // Summaries are not kept fresh while refresh is pending, so every
+        // job bank counts as ready.
+        if self.memo.job != 0 {
+            let _ = self.try_issue_job_step(now, false, BankMask::MAX);
             return;
         }
         // Close any open bank, one per cycle.
@@ -883,11 +958,14 @@ impl MemoryController {
         }
     }
 
-    /// Priority 1: issue the policy's column-command pick, if any.
-    fn try_issue_column(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        self.fresh_summaries(serve_writes);
+    /// Priority 1: issue the policy's column-command pick among the
+    /// `ready` banks, if any.
+    fn try_issue_column(&mut self, serve_writes: bool, now: Cycle, ready: BankMask) -> bool {
+        let walk = self.memo.column & ready;
         let Some(c) =
-            scheduler::oldest_ready(&self.banks, &self.memo, &self.channel, now, |s| s.column)
+            scheduler::oldest_ready(&self.banks, &self.memo, &self.channel, now, walk, |s| {
+                s.column
+            })
         else {
             return false;
         };
@@ -918,11 +996,27 @@ impl MemoryController {
         true
     }
 
-    /// Issues one step of an active job. With `trains_only`, only train
-    /// commands (`RELOC`/merge) are considered — job setup (precharges,
-    /// ensure-open activations, LISA clones) waits for spare slots.
-    fn try_issue_job_step(&mut self, now: Cycle, trains_only: bool) -> bool {
-        for bank_idx in 0..self.banks.len() {
+    /// Issues one step of an active job on the first `ready` (or dirty)
+    /// bank that can take one, retiring finished jobs on the way. With
+    /// `trains_only`, only train commands (`RELOC`/merge) are considered —
+    /// job setup (precharges, ensure-open activations, LISA clones) waits
+    /// for spare slots. A job bank outside `ready` has a horizon term
+    /// above `now`, so its next command cannot issue and its job is not
+    /// finished (that would make its term `0`).
+    fn try_issue_job_step(&mut self, now: Cycle, trains_only: bool, ready: BankMask) -> bool {
+        let walk = self.memo.job & (ready | self.memo.dirty);
+        #[cfg(debug_assertions)]
+        for (b, st) in self.banks.iter().enumerate() {
+            if let (Some(job), 0) = (st.job, walk >> b & 1) {
+                let cmd =
+                    job.peek(self.channel.open_row(st.addr), self.channel.must_precharge(st.addr));
+                debug_assert!(
+                    cmd.is_some_and(|cmd| !self.channel.can_issue(st.addr, &cmd, now)),
+                    "job bank {b} left out of the walk could act at {now}"
+                );
+            }
+        }
+        for bank_idx in banks_in(walk) {
             let Some(job) = self.banks[bank_idx].job else { continue };
             let bank = self.banks[bank_idx].addr;
             let open = self.channel.open_row(bank);
@@ -959,31 +1053,46 @@ impl MemoryController {
 
     fn retire_job(&mut self, bank_idx: usize, now: Cycle) {
         if let Some(job) = self.banks[bank_idx].job.take() {
+            self.memo.job &= !(1 << bank_idx);
             self.mark_dirty(bank_idx as u32);
             self.engine.on_job_complete(bank_idx as u32, job.id, now);
             figaro_telemetry::probe!(self.trace, t => t.job_retire(bank_idx, now));
         }
     }
 
+    /// Hands each idle bank whose summary says a job start is due (or
+    /// that went dirty this tick) its next pending job.
     fn start_pending_jobs(&mut self, now: Cycle) {
-        for bank_idx in 0..self.banks.len() {
+        let walk = (self.memo.start | self.memo.dirty) & !self.memo.job;
+        #[cfg(debug_assertions)]
+        for b in 0..self.banks.len() {
+            debug_assert!(
+                walk >> b & 1 == 1
+                    || self.banks[b].job.is_some()
+                    || !self.job_would_start(b as u32),
+                "bank {b} left out of the job-start walk would start a job"
+            );
+        }
+        for bank_idx in banks_in(walk) {
             let bank = bank_idx as u32;
-            if self.banks[bank_idx].job.is_none() && self.job_would_start(bank) {
+            if self.job_would_start(bank) {
                 self.mark_dirty(bank);
                 self.banks[bank_idx].job = self.engine.take_job(bank, now);
                 if let Some(job) = &self.banks[bank_idx].job {
                     let id = job.id;
+                    self.memo.job |= 1 << bank_idx;
                     figaro_telemetry::probe!(self.trace, t => t.job_start(bank_idx, id, now));
                 }
             }
         }
     }
 
-    /// Priority 3: issue the policy's ACT/PRE pick, if any.
-    fn try_issue_demand_prep(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        self.fresh_summaries(serve_writes);
+    /// Priority 3: issue the policy's ACT/PRE pick among the `ready`
+    /// banks, if any.
+    fn try_issue_demand_prep(&mut self, serve_writes: bool, now: Cycle, ready: BankMask) -> bool {
+        let walk = self.memo.prep & ready;
         let Some(c) =
-            scheduler::oldest_ready(&self.banks, &self.memo, &self.channel, now, |s| s.prep)
+            scheduler::oldest_ready(&self.banks, &self.memo, &self.channel, now, walk, |s| s.prep)
         else {
             return false;
         };
@@ -1017,11 +1126,16 @@ mod tests {
         MemoryController::new(&dram, cfg, 0, Box::new(NullEngine::new()))
     }
 
-    fn fig_mc() -> MemoryController {
-        let dram = DramConfig {
+    /// The paper's DRAM with two fast subarrays appended per bank.
+    fn fig_dram() -> DramConfig {
+        DramConfig {
             layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
             ..DramConfig::ddr4_paper_default()
-        };
+        }
+    }
+
+    fn fig_mc() -> MemoryController {
+        let dram = fig_dram();
         let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
         let cfg = McConfig { enable_refresh: false, ..McConfig::default() };
         MemoryController::new(&dram, cfg, 0, Box::new(engine))
@@ -1357,10 +1471,7 @@ mod tests {
             SchedPolicyKind::WriteDrain { high: 48, low: 8 },
         ];
         for sched in policies {
-            let dram = DramConfig {
-                layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
-                ..DramConfig::ddr4_paper_default()
-            };
+            let dram = fig_dram();
             let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
             let cfg = McConfig { sched, ..McConfig::default() };
             let mut mc = MemoryController::new(&dram, cfg, 0, Box::new(engine));
@@ -1419,75 +1530,131 @@ mod tests {
         }
     }
 
+    /// Drives two identical controllers from `mk` — one ticked every bus
+    /// cycle, one ticked only when its horizon says so — for `cycles` bus
+    /// cycles, enqueueing whatever `arrival` yields at each cycle into
+    /// both, and requires equal completions at every cycle and equal
+    /// stats at the end. Returns the per-cycle controller.
+    fn assert_event_paced_matches_per_cycle(
+        label: &str,
+        mk: impl Fn() -> MemoryController,
+        cycles: Cycle,
+        mut arrival: impl FnMut(Cycle, &MemoryController) -> Option<Request>,
+    ) -> MemoryController {
+        let mut per_cycle = mk();
+        let mut event_paced = mk();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for t in 0..cycles {
+            if let Some(req) = arrival(t, &per_cycle) {
+                assert!(per_cycle.can_accept(req.is_write), "[{label}] arrival refused at {t}");
+                assert!(
+                    event_paced.can_accept(req.is_write),
+                    "[{label}] acceptance differs at {t}"
+                );
+                per_cycle.enqueue(req, t);
+                event_paced.enqueue(req, t);
+            }
+            per_cycle.tick(t);
+            if event_paced.next_event_at(t).is_some_and(|h| h <= t) {
+                event_paced.tick(t);
+            }
+            a.clear();
+            b.clear();
+            per_cycle.drain_completions_into(&mut a);
+            event_paced.drain_completions_into(&mut b);
+            assert_eq!(a, b, "[{label}] completions diverged at bus cycle {t}");
+        }
+        assert_eq!(per_cycle.stats(), event_paced.stats(), "[{label}]");
+        assert_eq!(per_cycle.dram_stats(), event_paced.dram_stats(), "[{label}]");
+        assert_eq!(per_cycle.engine_stats(), event_paced.engine_stats(), "[{label}]");
+        per_cycle
+    }
+
+    const ALL_POLICIES: [SchedPolicyKind; 4] = [
+        SchedPolicyKind::FrFcfs,
+        SchedPolicyKind::Fcfs,
+        SchedPolicyKind::FrFcfsCap { cap: 2 },
+        SchedPolicyKind::WriteDrain { high: 4, low: 1 },
+    ];
+
     #[test]
     fn event_paced_ticking_matches_per_cycle_including_refresh() {
         // Regression for the refresh horizon: a `None` from
         // `next_ready(.., Refresh, ..)` used to collapse into `Cycle::MAX`,
         // which could put an event-paced controller to sleep with refresh
         // pending (silently disabling refresh for the rest of the run).
-        // Drive two identical FIGCache controllers — one ticked every bus
-        // cycle, one ticked only when its horizon says so — through a
-        // bursty schedule that repeatedly blocks banks (relocation jobs in
-        // flight) around the refresh deadline, and require bit-identical
-        // stats plus actual refreshes. Every policy runs it: strict FCFS
-        // moves its head across banks, the row-hit cap resets its streaks
-        // at refresh, and tight write-drain watermarks flip the serve
-        // queue — each a site that must invalidate the per-bank memo.
-        let dram = DramConfig {
-            layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
-            ..DramConfig::ddr4_paper_default()
-        };
-        let policies = [
-            SchedPolicyKind::FrFcfs,
-            SchedPolicyKind::Fcfs,
-            SchedPolicyKind::FrFcfsCap { cap: 2 },
-            SchedPolicyKind::WriteDrain { high: 4, low: 1 },
-        ];
-        for sched in policies {
+        // Drive a FIGCache controller through a bursty schedule that
+        // repeatedly blocks banks (relocation jobs in flight) around the
+        // refresh deadline, and require actual refreshes. Every policy
+        // runs it: strict FCFS moves its head across banks, the row-hit
+        // cap resets its streaks at refresh, and tight write-drain
+        // watermarks flip the serve queue — each a site that must
+        // invalidate the per-bank memo.
+        let dram = fig_dram();
+        for sched in ALL_POLICIES {
             let cfg = McConfig { sched, ..McConfig::default() };
             let mk = || {
                 let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
                 MemoryController::new(&dram, cfg, 0, Box::new(engine))
             };
-            let mut per_cycle = mk();
-            let mut event_paced = mk();
             let refi = u64::from(dram.timing.refi);
             let mut id = 0u64;
-            let horizon_end = 3 * refi + 2000;
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for t in 0..horizon_end {
-                // Bursts of row conflicts alternating between two banks
-                // (every third request a write) shortly before each
-                // refresh deadline, so jobs and open banks straddle the
-                // transition.
-                let phase = t % refi;
-                let is_write = id % 3 == 2;
-                if phase > refi - 400 && t.is_multiple_of(13) && per_cycle.can_accept(is_write) {
+            let label = sched.label();
+            // Bursts of row conflicts alternating between two banks
+            // (every third request a write) shortly before each refresh
+            // deadline, so jobs and open banks straddle the transition.
+            let per_cycle =
+                assert_event_paced_matches_per_cycle(&label, mk, 3 * refi + 2000, |t, mc| {
+                    let is_write = id % 3 == 2;
+                    if t % refi <= refi - 400 || !t.is_multiple_of(13) || !mc.can_accept(is_write) {
+                        return None;
+                    }
                     let addr = ((id * 12_289) % 8192 + (id % 2) * 128) * 64;
                     let req = if is_write { write(id, addr, t) } else { read(id, addr, t) };
-                    per_cycle.enqueue(req, t);
-                    assert!(event_paced.can_accept(is_write), "acceptance must agree at {t}");
-                    event_paced.enqueue(req, t);
                     id += 1;
-                }
-                per_cycle.tick(t);
-                if event_paced.next_event_at(t).is_some_and(|h| h <= t) {
-                    event_paced.tick(t);
-                }
-                a.clear();
-                b.clear();
-                per_cycle.drain_completions_into(&mut a);
-                event_paced.drain_completions_into(&mut b);
-                assert_eq!(a, b, "[{}] completions diverged at bus cycle {t}", sched.label());
-            }
-            let label = sched.label();
-            assert_eq!(per_cycle.stats(), event_paced.stats(), "[{label}]");
-            assert_eq!(per_cycle.dram_stats(), event_paced.dram_stats(), "[{label}]");
-            assert_eq!(per_cycle.engine_stats(), event_paced.engine_stats(), "[{label}]");
+                    Some(req)
+                });
             let dram_stats = per_cycle.dram_stats();
             assert_eq!(dram_stats.refreshes, 3, "[{label}] one refresh per elapsed tREFI");
             assert!(dram_stats.relocs > 0, "[{label}] relocation jobs must run");
             assert!(per_cycle.stats().writes_served > 0, "[{label}] writes must drain");
+        }
+    }
+
+    #[test]
+    fn serve_queue_flips_with_demand_on_separate_banks_match_per_cycle() {
+        // Each round, reads on bank 1 drain to empty while conflicting
+        // writes wait on bank 2, so the serve queue flips to writes; then
+        // a read arrives on bank 3, which holds no writes, and flips it
+        // back mid-drain. A flip rebuilds only the banks with an entry in
+        // either queue, so every bank's summary, masks and horizon term
+        // must follow both flips (debug builds also check each ladder
+        // stage's masked pick against a full scan).
+        let dram = fig_dram();
+        let round = 900;
+        // Block `col` of `row` on flat bank `bank` under the paper mapping.
+        let addr = |bank: u64, row: u64, col: u64| ((row * 16 + bank) * 128 + col) * 64;
+        for sched in ALL_POLICIES {
+            let cfg = McConfig { sched, ..McConfig::default() };
+            let mk = || {
+                let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
+                MemoryController::new(&dram, cfg, 0, Box::new(engine))
+            };
+            let label = sched.label();
+            let per_cycle = assert_event_paced_matches_per_cycle(&label, mk, 12 * round, |t, _| {
+                let (k, phase) = (t / round, t % round);
+                let id = t;
+                match phase {
+                    0..3 => Some(read(id, addr(1, k % 4, phase), t)),
+                    3..9 => Some(write(id, addr(2, 8 + (k * 6 + phase) % 48, phase), t)),
+                    200 => Some(read(id, addr(3, k % 4, 0), t)),
+                    _ => None,
+                }
+            });
+            let stats = per_cycle.stats();
+            assert_eq!(stats.reads_served, 12 * 4, "[{label}] every read is served");
+            assert_eq!(stats.writes_served, 12 * 6, "[{label}] every write drains");
+            assert_eq!(stats.forwarded, 0, "[{label}] no read is forwarded");
         }
     }
 

@@ -6,7 +6,7 @@
 //! | Module | Owns |
 //! |---|---|
 //! | [`queues`] | per-bank **indexed** transaction queues (intrusive FIFO + per-bank lists, O(1) bank occupancy) |
-//! | [`bank`] | per-bank state: the relocation-job slot, and the memoized [`BankSummary`](bank::BankSummary) the tick and the event horizon share |
+//! | [`bank`] | per-bank state: the relocation-job slot, and the memoized [`BankSummary`](bank::BankSummary)s, dense horizon terms and bank masks the tick and the event horizon share |
 //! | [`scheduler`] | the pluggable [`SchedPolicy`](scheduler::SchedPolicy) demand policies and the selection algorithm |
 //! | [`controller`] | queue admission, write drain, refresh, job execution, the event-horizon contract |
 //!
@@ -53,7 +53,7 @@ pub mod queues;
 pub mod request;
 pub mod scheduler;
 
-pub use controller::{McConfig, McStats, MemoryController};
+pub use controller::{McConfig, McCounters, McStats, MemoryController};
 pub use histogram::LatencyHistogram;
 pub use request::{Completion, Request, BLOCK_BYTES};
 pub use scheduler::{SchedPolicy, SchedPolicyKind};

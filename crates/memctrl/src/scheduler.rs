@@ -8,7 +8,9 @@
 //! into that bank's candidates (memoized in its
 //! [`BankSummary`](crate::bank::BankSummary), which the event horizon
 //! probes too), and [`oldest_ready`] picks the oldest candidate whose
-//! command can issue now. Policies steer them through small hooks, so the
+//! command can issue now, walking only the banks of the stage's
+//! candidate mask that the tick's ready set admits (a bank whose horizon
+//! term is above `now` cannot issue). Policies steer them through small hooks, so the
 //! default [`FrFcfs`] reproduces the classic first-ready /
 //! first-come-first-serve ladder bit for bit while [`Fcfs`],
 //! [`FrFcfsCap`] and [`WriteDrainTuned`] reuse the same machinery.
@@ -17,7 +19,7 @@
 
 use figaro_dram::{Cycle, DramChannel, DramCommand};
 
-use crate::bank::{BankMemo, BankState, BankSummary, Candidate};
+use crate::bank::{banks_in, BankMask, BankMemos, BankState, BankSummary, Candidate};
 use crate::queues::{Entry, IndexedQueue};
 
 /// Identifies a scheduling policy — the value form carried by
@@ -338,27 +340,40 @@ pub(crate) fn demand(
     (column, prep)
 }
 
-/// The oldest candidate `select` picks from the bank summaries whose
-/// command can issue at `now` — one timing probe per candidate bank,
-/// skipped for a candidate younger than the best one found so far.
+/// The oldest candidate `select` picks from the summaries of the banks
+/// in `walk` whose command can issue at `now` — one timing probe per
+/// candidate bank, skipped for a candidate younger than the best one
+/// found so far. The caller passes the stage's candidate mask ∩ the
+/// tick's ready set; debug builds check that a walk over every bank
+/// picks the same candidate.
 pub(crate) fn oldest_ready(
     banks: &[BankState],
-    memo: &[BankMemo],
+    memo: &BankMemos,
     chan: &DramChannel,
     now: Cycle,
+    walk: BankMask,
     select: impl Fn(&BankSummary) -> Option<Candidate>,
 ) -> Option<Candidate> {
-    let mut best: Option<Candidate> = None;
-    for (st, m) in banks.iter().zip(memo) {
-        debug_assert!(!m.dirty, "a tick read a dirty bank summary");
-        let Some(c) = select(&m.summary) else { continue };
-        if best.is_some_and(|b| b.seq < c.seq) {
-            continue;
+    debug_assert_eq!(memo.dirty, 0, "a tick read a dirty bank summary");
+    let pick = |walk: BankMask| {
+        let mut best: Option<Candidate> = None;
+        for b in banks_in(walk) {
+            let Some(c) = select(&memo.summary[b]) else { continue };
+            if best.is_some_and(|b| b.seq < c.seq) {
+                continue;
+            }
+            if chan.can_issue(banks[b].addr, &c.cmd, now) {
+                best = Some(c);
+            }
         }
-        if chan.can_issue(st.addr, &c.cmd, now) {
-            best = Some(c);
-        }
-    }
+        best
+    };
+    let best = pick(walk);
+    debug_assert_eq!(
+        best,
+        pick(BankMemos::all(banks.len())),
+        "masked pick differs from a full scan"
+    );
     best
 }
 

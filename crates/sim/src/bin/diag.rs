@@ -65,7 +65,8 @@ fn usage() -> ! {
          filter is a comma list of {categories}\n\
          or `all`; load the file in Perfetto),\n\
          FIGARO_PROFILE=1 prints the kernel self-profile (wall-clock\n\
-         time per component) after the run,\n\
+         time per component) and the controllers' work counters after\n\
+         the run,\n\
          FIGARO_FULL_SWEEPS=1 runs Figs. 12-15 over all 20 profiles,\n\
          FIGARO_SLOW_TESTS=1 enables the ignored full-scale tests,\n\
          FIGARO_MC_ITERS=<N> iterations of the Sec. 4.2 RELOC Monte-Carlo\n\
@@ -307,5 +308,13 @@ fn main() {
         for line in p.report() {
             println!("{line}");
         }
+    }
+    if let Some(c) = sys.controller_counters() {
+        println!("--- controller work counters (all channels) ---");
+        println!("horizon memo hits : {}", c.horizon_hits);
+        println!("horizon recomputes: {}", c.horizon_recomputes);
+        println!("banks rebuilt     : {}", c.banks_rebuilt);
+        println!("terms re-probed   : {}", c.terms_reprobed);
+        println!("ticks (issued)    : {} ({})", c.ticks, c.ticks_issued);
     }
 }

@@ -941,12 +941,15 @@ mod tests {
                 sys.enable_profiling();
             }
             let stats = sys.run(20_000_000);
-            (stats, sys.profile().map(KernelProfile::report))
+            (stats, sys.profile().map(KernelProfile::report), sys.controller_counters())
         };
-        let (plain, none) = run(false);
-        let (profiled, report) = run(true);
-        assert!(none.is_none());
+        let (plain, none, no_counters) = run(false);
+        let (profiled, report, counters) = run(true);
+        assert!(none.is_none() && no_counters.is_none());
         assert_eq!(plain, profiled, "profiling must be result-neutral");
+        let c = counters.expect("profiling switches the controller counters on");
+        assert!(c.ticks_issued > 0 && c.ticks_issued <= c.ticks, "{c:?}");
+        assert!(c.horizon_recomputes > 0 && c.banks_rebuilt > 0, "{c:?}");
         let report = report.expect("profiling was enabled");
         let labels: Vec<&str> =
             report[1..].iter().map(|l| l.split_whitespace().next().unwrap()).collect();

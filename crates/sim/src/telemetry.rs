@@ -20,6 +20,7 @@
 //! blocked counters, which are folded identically either way). The
 //! `telemetry` integration suite proptests exactly this claim.
 
+use figaro_memctrl::{McCounters, MemoryController};
 use figaro_telemetry::series::{ColKind, SeriesSet};
 use figaro_telemetry::trace::{Cat, MergeSource, TraceBuffer};
 use figaro_telemetry::{profile, TelemetryConfig, TraceSink};
@@ -327,11 +328,27 @@ impl System {
     }
 
     /// Enables kernel self-profiling for the next `run` (diag does
-    /// this when `FIGARO_PROFILE=1`). Wall-clock only; results are
+    /// this when `FIGARO_PROFILE=1`), and the controllers' work
+    /// counters with it. Wall-clock and counts only; results are
     /// unaffected (the profiler reads no simulation state and no
     /// simulation state reads it).
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(KernelProfile::new());
+        for sh in &mut self.shards {
+            sh.mc.enable_counters();
+        }
+    }
+
+    /// The controllers' work counters summed over channels, when
+    /// profiling was enabled.
+    #[must_use]
+    pub fn controller_counters(&self) -> Option<McCounters> {
+        self.profiler.as_ref()?;
+        let mut sum = McCounters::default();
+        for c in self.controllers().filter_map(MemoryController::counters) {
+            sum.merge_from(c);
+        }
+        Some(sum)
     }
 
     /// The kernel self-profile collected by the last `run`, if
