@@ -13,7 +13,7 @@
 //! so figures built from the same runs (7/9/10/11 and 8/9/10/11) are
 //! cheap after the first one.
 //!
-//! Environment knobs, parsed once by [`env`] (a malformed value stops
+//! Environment knobs, parsed once by [`env()`] (a malformed value stops
 //! the bench with a message naming the variable):
 //!
 //! * `FIGARO_SCALE` = `tiny` | `small` (default) | `full` — instructions

@@ -1,7 +1,7 @@
 //! The live workspace must stay figlint-clean: the whole point of the
 //! tool is that these invariants hold *now*, not aspirationally. This
 //! is the same check CI runs via `cargo run -p figlint --release`,
-//! wired into `cargo test` so a violation fails the fast tier too.
+//! wired into `cargo test` so a violation fails the test suite too.
 
 use std::path::Path;
 

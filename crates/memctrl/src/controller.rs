@@ -2,13 +2,13 @@
 //! refresh, relocation-job execution, and the event-horizon contract.
 //!
 //! Demand scheduling itself is delegated to the pluggable
-//! [`SchedPolicy`](crate::scheduler::SchedPolicy) selected by
+//! [`SchedPolicy`] selected by
 //! [`McConfig::sched`]; queue storage is the per-bank
-//! [`IndexedQueue`](crate::queues::IndexedQueue); per-bank state lives
-//! in [`BankState`](crate::bank::BankState) (job slots) and
+//! [`IndexedQueue`]; per-bank state lives
+//! in [`BankState`] (job slots) and
 //! `BankMemos` (the memoized summaries, horizon terms and bank masks).
 //!
-//! One memoized [`BankSummary`](crate::bank::BankSummary) per bank
+//! One memoized [`BankSummary`] per bank
 //! drives both halves of the controller. The event horizon is the
 //! minimum of the banks' dense memoized terms. The tick computes its
 //! ready set once — the banks whose term is at or below `now`, plus the

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`queues`] | per-bank **indexed** transaction queues (intrusive FIFO + per-bank lists, O(1) bank occupancy) |
 //! | [`bank`] | per-bank state: the relocation-job slot, and the memoized [`BankSummary`](bank::BankSummary)s, dense horizon terms and bank masks the tick and the event horizon share |
-//! | [`scheduler`] | the pluggable [`SchedPolicy`](scheduler::SchedPolicy) demand policies and the selection algorithm |
+//! | [`scheduler`] | the pluggable [`SchedPolicy`] demand policies and the selection algorithm |
 //! | [`controller`] | queue admission, write drain, refresh, job execution, the event-horizon contract |
 //!
 //! Behavior:

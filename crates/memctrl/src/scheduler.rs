@@ -4,14 +4,13 @@
 //! which ready **column command** to issue (priority 1) and which
 //! **ACT/PRE preparation** to issue (priority 3) — to a
 //! [`SchedPolicy`]. The selection algorithm lives here as two functions:
-//! [`demand`] walks one bank's entries of the per-bank [`IndexedQueue`]
-//! into that bank's candidates (memoized in its
-//! [`BankSummary`](crate::bank::BankSummary), which the event horizon
-//! probes too), and [`oldest_ready`] picks the oldest candidate whose
-//! command can issue now, walking only the banks of the stage's
-//! candidate mask that the tick's ready set admits (a bank whose horizon
-//! term is above `now` cannot issue). Policies steer them through small hooks, so the
-//! default [`FrFcfs`] reproduces the classic first-ready /
+//! `demand` walks one bank's entries of the per-bank [`IndexedQueue`]
+//! into that bank's candidates (memoized in its [`BankSummary`], which
+//! the event horizon probes too), and `oldest_ready` picks the oldest
+//! candidate whose command can issue now, walking only the banks of the
+//! stage's candidate mask that the tick's ready set admits (a bank whose
+//! horizon term is above `now` cannot issue). Policies steer them
+//! through small hooks, so the default [`FrFcfs`] reproduces the classic first-ready /
 //! first-come-first-serve ladder bit for bit while [`Fcfs`],
 //! [`FrFcfsCap`] and [`WriteDrainTuned`] reuse the same machinery.
 //!
@@ -106,7 +105,7 @@ impl SchedPolicyKind {
 }
 
 /// A demand-scheduling policy: small hooks steering the shared
-/// selection machinery ([`demand`], [`oldest_ready`]). Every hook has
+/// selection machinery (`demand`, `oldest_ready`). Every hook has
 /// the FR-FCFS default, so the trivial implementation *is* FR-FCFS.
 ///
 /// Hook answers may depend on the policy's own state only per bank

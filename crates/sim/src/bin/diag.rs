@@ -68,7 +68,6 @@ fn usage() -> ! {
          time per component) and the controllers' work counters after\n\
          the run,\n\
          FIGARO_FULL_SWEEPS=1 runs Figs. 12-15 over all 20 profiles,\n\
-         FIGARO_SLOW_TESTS=1 enables the ignored full-scale tests,\n\
          FIGARO_MC_ITERS=<N> iterations of the Sec. 4.2 RELOC Monte-Carlo\n\
          analysis (the sec42_reloc_latency bench entry)."
     );

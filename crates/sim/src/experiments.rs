@@ -453,7 +453,7 @@ pub fn scheduler_sweep(runner: &Runner) -> FigureData {
 }
 
 /// [`scheduler_sweep`] with an explicit per-core instruction target
-/// (the CI fast tier runs a tiny grid this way; `None` uses the
+/// (the test suite runs a tiny grid this way; `None` uses the
 /// runner scale's per-profile targets).
 pub fn scheduler_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureData {
     let policies = sched_policies();
@@ -542,7 +542,7 @@ pub fn mapping_sweep(runner: &Runner) -> FigureData {
 }
 
 /// [`mapping_sweep`] with an explicit per-core instruction target (the
-/// CI fast tier runs a tiny grid this way; `None` uses the runner
+/// test suite runs a tiny grid this way; `None` uses the runner
 /// scale's per-profile targets).
 pub fn mapping_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureData {
     let mappings = mapping_kinds();
@@ -646,7 +646,7 @@ pub fn serving_sweep(runner: &Runner) -> FigureData {
 }
 
 /// [`serving_sweep`] with an explicit **memory-op** budget per core
-/// (the CI fast tier runs a tiny grid this way; `None` derives one from
+/// (the test suite runs a tiny grid this way; `None` derives one from
 /// the runner scale). The per-point instruction target is
 /// `ops · (mean_gap + 1)`, which holds the sampled-op count roughly
 /// constant across load points instead of starving the light-load end.

@@ -120,7 +120,7 @@ impl ChannelShard {
     }
 }
 
-/// One runnable system: cores + hierarchy + one [`ChannelShard`] per
+/// One runnable system: cores + hierarchy + one `ChannelShard` per
 /// memory channel, walked in channel order.
 #[derive(Debug)]
 pub struct System {

@@ -12,7 +12,7 @@
 //! ## Why sampling cannot perturb results
 //!
 //! The sampler only *reads* public counters. The one interaction with
-//! the kernels is the horizon clamp ([`System::telemetry_next_sample`]
+//! the kernels is the horizon clamp (`System::telemetry_next_sample`
 //! folded into the skip target), which merely forces the event kernels
 //! to *execute* the sample-boundary cycle — and executing an extra
 //! cycle is a no-op by the event-kernel soundness invariant (every

@@ -2,7 +2,7 @@
 //!
 //! Supports the property-test shapes used in this workspace:
 //!
-//! ```ignore
+//! ```text
 //! proptest! {
 //!     #![proptest_config(ProptestConfig::with_cases(64))]
 //!

@@ -1,32 +1,27 @@
-//! Cross-crate end-to-end tests, tiered by cost.
+//! Cross-crate end-to-end tests.
 //!
 //! * `fast_tier` — deterministic `Scale::Tiny` smoke runs over the full
 //!   mechanism set, driven through the runner's parallel batch API.
-//!   These run by default and keep `cargo test -q` under a minute.
 //! * The remaining tests are the paper-shape assertions at
-//!   `Scale::Small`: they need cache warmup the tiny scale does not
-//!   provide and take a couple of minutes, so they are `#[ignore]`d by
-//!   default — run them with
-//!   `FIGARO_SLOW_TESTS=1 cargo test -q -- --include-ignored`.
+//!   `Scale::Small`, which gives the in-DRAM cache the warmup the tiny
+//!   scale does not.
 
-use figaro_sim::{ConfigKind, Runner};
-use figaro_tests::{slow_guard, slow_tier_scale, SLOW_HINT};
+use figaro_sim::{ConfigKind, Runner, Scale};
 use figaro_workloads::{eight_core_mixes, profile_by_name, MixCategory};
 
 fn runner() -> Runner {
-    Runner::uncached(slow_tier_scale())
+    Runner::uncached(Scale::Small)
 }
 
 mod fast_tier {
-    //! Default-run smoke tests at `Scale::Tiny`: every mechanism builds,
-    //! runs, caches, and stays deterministic; the parallel batch runner
-    //! is bit-identical to the serial loop.
+    //! Smoke tests at `Scale::Tiny`: every mechanism builds, runs,
+    //! caches, and stays deterministic; the parallel batch runner is
+    //! bit-identical to the serial loop.
 
     use std::sync::OnceLock;
 
     use figaro_sim::runner::RunSummary;
-    use figaro_sim::{ConfigKind, Runner};
-    use figaro_tests::fast_tier_scale;
+    use figaro_sim::{ConfigKind, Runner, Scale};
     use figaro_workloads::{eight_core_mixes, profile_by_name, AppProfile, Mix, MixCategory};
 
     fn all_kinds() -> Vec<ConfigKind> {
@@ -51,7 +46,7 @@ mod fast_tier {
         MATRIX.get_or_init(|| {
             let apps = vec![profile_by_name("mcf").unwrap(), profile_by_name("sjeng").unwrap()];
             let kinds = all_kinds();
-            let runner = Runner::uncached(fast_tier_scale());
+            let runner = Runner::uncached(Scale::Tiny);
             let m = runner.run_single_matrix(&apps, &kinds);
             (apps, kinds, m)
         })
@@ -66,7 +61,7 @@ mod fast_tier {
                 .into_iter()
                 .find(|m| m.category == MixCategory::Intensive100)
                 .unwrap();
-            let runner = Runner::uncached(fast_tier_scale());
+            let runner = Runner::uncached(Scale::Tiny);
             let jobs =
                 vec![(mix.clone(), ConfigKind::Base), (mix.clone(), ConfigKind::FigCacheFast)];
             let r = runner.run_mix_batch(&jobs);
@@ -119,7 +114,7 @@ mod fast_tier {
     #[test]
     fn parallel_matrix_is_bit_identical_to_serial() {
         let (apps, kinds, m) = matrix();
-        let runner = Runner::uncached(fast_tier_scale());
+        let runner = Runner::uncached(Scale::Tiny);
         // Spot-check the four corners against fresh serial runs.
         for (a, k) in
             [(0, 0), (0, kinds.len() - 1), (apps.len() - 1, 0), (apps.len() - 1, kinds.len() - 1)]
@@ -131,7 +126,7 @@ mod fast_tier {
 
     #[test]
     fn tiny_runs_are_deterministic() {
-        let runner = Runner::uncached(fast_tier_scale());
+        let runner = Runner::uncached(Scale::Tiny);
         let p = profile_by_name("grep").unwrap();
         let a = runner.run_single(&p, ConfigKind::FigCacheFast);
         let b = runner.run_single(&p, ConfigKind::FigCacheFast);
@@ -141,7 +136,7 @@ mod fast_tier {
     #[test]
     fn eight_core_mix_smoke_and_weighted_speedup_computable() {
         let (mix, results) = mix_results();
-        let runner = Runner::uncached(fast_tier_scale());
+        let runner = Runner::uncached(Scale::Tiny);
         let alone = runner.alone_ipc_batch(&mix.apps);
         assert!(alone.iter().all(|&v| v > 0.0), "alone IPCs must be positive");
         for s in results {
@@ -154,11 +149,7 @@ mod fast_tier {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn figcache_fast_beats_base_on_memory_intensive_apps() {
-    if !slow_guard("figcache_fast_beats_base_on_memory_intensive_apps") {
-        return;
-    }
     let r = runner();
     for name in ["mcf", "GemsFDTD"] {
         let p = profile_by_name(name).unwrap();
@@ -174,11 +165,7 @@ fn figcache_fast_beats_base_on_memory_intensive_apps() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn free_relocation_bounds_real_relocation() {
-    if !slow_guard("free_relocation_bounds_real_relocation") {
-        return;
-    }
     let r = runner();
     let p = profile_by_name("mcf").unwrap();
     let fast = r.run_single(&p, ConfigKind::FigCacheFast);
@@ -192,11 +179,7 @@ fn free_relocation_bounds_real_relocation() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn figcache_fast_beats_lisa_villa_on_intensive_apps() {
-    if !slow_guard("figcache_fast_beats_lisa_villa_on_intensive_apps") {
-        return;
-    }
     let r = runner();
     let p = profile_by_name("GemsFDTD").unwrap();
     let lisa = r.run_single(&p, ConfigKind::LisaVilla);
@@ -210,11 +193,7 @@ fn figcache_fast_beats_lisa_villa_on_intensive_apps() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn figcache_raises_row_buffer_hit_rate() {
-    if !slow_guard("figcache_raises_row_buffer_hit_rate") {
-        return;
-    }
     // Paper Fig. 10: the defining effect of segment co-location.
     let r = runner();
     let p = profile_by_name("mcf").unwrap();
@@ -229,11 +208,7 @@ fn figcache_raises_row_buffer_hit_rate() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn lisa_villa_does_not_change_row_hit_rate_much() {
-    if !slow_guard("lisa_villa_does_not_change_row_hit_rate_much") {
-        return;
-    }
     // Paper Sec 8.1: whole-row caching cannot improve row locality.
     let r = runner();
     let p = profile_by_name("mcf").unwrap();
@@ -248,11 +223,7 @@ fn lisa_villa_does_not_change_row_hit_rate_much() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn intensity_classification_matches_table2() {
-    if !slow_guard("intensity_classification_matches_table2") {
-        return;
-    }
     let r = runner();
     let apps = figaro_workloads::app_profiles();
     let jobs: Vec<_> = apps.iter().map(|p| (*p, ConfigKind::Base)).collect();
@@ -268,11 +239,7 @@ fn intensity_classification_matches_table2() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn eight_core_mix_runs_and_figcache_wins_at_high_intensity() {
-    if !slow_guard("eight_core_mix_runs_and_figcache_wins_at_high_intensity") {
-        return;
-    }
     let r = runner();
     let mixes = eight_core_mixes();
     let mix = mixes.iter().find(|m| m.category == MixCategory::Intensive100).unwrap();
@@ -288,11 +255,7 @@ fn eight_core_mix_runs_and_figcache_wins_at_high_intensity() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn energy_breakdown_is_consistent() {
-    if !slow_guard("energy_breakdown_is_consistent") {
-        return;
-    }
     let r = runner();
     let p = profile_by_name("lbm").unwrap();
     let base = r.run_single(&p, ConfigKind::Base);
@@ -308,21 +271,10 @@ fn energy_breakdown_is_consistent() {
 }
 
 #[test]
-#[ignore = "slow paper-shape test: FIGARO_SLOW_TESTS=1 cargo test -- --include-ignored"]
 fn small_scale_runs_are_deterministic() {
-    if !slow_guard("small_scale_runs_are_deterministic") {
-        return;
-    }
     let r = runner();
     let p = profile_by_name("grep").unwrap();
     let a = r.run_single(&p, ConfigKind::FigCacheFast);
     let b = r.run_single(&p, ConfigKind::FigCacheFast);
     assert_eq!(a, b, "identical runs must be bit-identical");
-}
-
-/// The `SLOW_HINT` constant and the `#[ignore]` messages must stay in
-/// sync — this is the only fast-tier use of the constant.
-#[test]
-fn slow_hint_matches_ignore_messages() {
-    assert!(SLOW_HINT.contains("FIGARO_SLOW_TESTS=1"));
 }

@@ -252,9 +252,9 @@ fn scenario_mapping_override_reaches_the_system_and_gets_its_own_cache_key() {
 
 #[test]
 fn mapping_sweep_tiny_grid_runs_and_exports_csv() {
-    // The CI fast tier's mapping-sweep smoke: the full mapping x page x
-    // mechanism grid on streamed mixes at a tiny instruction target,
-    // with the CSV export the slow tier uploads as an artifact.
+    // The mapping-sweep smoke: the full mapping x page x mechanism grid
+    // on streamed mixes at a tiny instruction target, with the CSV
+    // export the manual CI job uploads as an artifact.
     let runner = Runner::uncached(Scale::Tiny);
     let fig = mapping_sweep_with(&runner, Some(4_000));
     assert_eq!(fig.rows.len(), 4 * 3 * 2, "4 mappings x 3 page policies x 2 mechanisms");

@@ -201,9 +201,9 @@ fn scenario_sched_override_reaches_the_controller_and_gets_its_own_cache_key() {
 
 #[test]
 fn scheduler_sweep_tiny_grid_runs_and_exports_csv() {
-    // The CI fast tier's scheduler-sweep smoke: the full policy x
-    // mechanism grid on streamed mixes at a tiny instruction target,
-    // with the CSV export the slow tier uploads as an artifact.
+    // The scheduler-sweep smoke: the full policy x mechanism grid on
+    // streamed mixes at a tiny instruction target, with the CSV export
+    // the manual CI job uploads as an artifact.
     let runner = Runner::uncached(Scale::Tiny);
     let fig = scheduler_sweep_with(&runner, Some(4_000));
     assert_eq!(fig.rows.len(), 8, "4 policies x 2 mechanisms");

@@ -3,7 +3,7 @@
 //!
 //! Three proof obligations ride here:
 //!
-//! * the CI fast tier's serving smoke — one open-loop load point plus
+//! * the serving smoke — one open-loop load point plus
 //!   the tiny sweep grid, with sane percentile ordering and the
 //!   truncation-WARNING plumbing observable in the figure notes;
 //! * paced sources must not break the event kernel: wrapping every core
@@ -24,7 +24,7 @@ use figaro_workloads::{
 
 #[test]
 fn serving_smoke_one_load_point_has_sane_tail() {
-    // The CI fast tier's serving smoke: a single moderate Poisson load
+    // The serving smoke: a single moderate Poisson load
     // point through the full streamed-run path (arrival wrapper,
     // histogram, RunSummary percentiles).
     let runner = Runner::uncached(Scale::Tiny);
@@ -50,7 +50,7 @@ fn serving_smoke_one_load_point_has_sane_tail() {
 
 #[test]
 fn serving_sweep_tiny_grid_runs_and_exports_csv() {
-    // The sweep the slow tier uploads as an artifact, shrunk to a tiny
+    // The sweep the manual CI job uploads as an artifact, shrunk to a tiny
     // memory-op budget per core.
     let runner = Runner::uncached(Scale::Tiny);
     let fig = serving_sweep_with(&runner, Some(100));
