@@ -9,7 +9,6 @@
 //! The names are [`figaro_bench::ENTRIES`]; an unknown one runs nothing,
 //! lists the valid names and exits with status 2.
 
-mod checkpoint;
 mod mapping_sweep;
 mod sched_sweep;
 mod sec42;
@@ -57,7 +56,6 @@ fn body(name: &str) -> Option<Body> {
         "sched_sweep" => Program(sched_sweep::run),
         "mapping_sweep" => Program(mapping_sweep::run),
         "serving_sweep" => Program(serving_sweep::run),
-        "checkpoint" => Program(checkpoint::run),
         "telemetry" => Program(telemetry::run),
         _ => return None,
     })

@@ -24,8 +24,8 @@
 //! * `FIGARO_MC_ITERS` — iterations of the §4.2 RELOC Monte-Carlo
 //!   analysis (`sec42_reloc_latency`, default 20 000);
 //! * `FIGARO_SCHED`, `FIGARO_KERNEL`, `FIGARO_MAP`, `FIGARO_PAGEMAP`,
-//!   `FIGARO_LOAD`, `FIGARO_WARMUP`, `FIGARO_SNAPSHOT_DIR` — runner
-//!   overrides for the figure entries (see the README's env table).
+//!   `FIGARO_LOAD` — runner overrides for the figure entries (see the
+//!   README's env table).
 //!   Each run's result-cache key covers its whole configuration, so an
 //!   override never reuses another configuration's cached results.
 
@@ -37,7 +37,7 @@ use figaro_sim::{EnvConfig, Runner};
 
 /// The `figaro` bench binary's entry names, in the order a run with no
 /// names executes them.
-pub const ENTRIES: [&str; 20] = [
+pub const ENTRIES: [&str; 19] = [
     "fig07_single_core",
     "fig08_eight_core",
     "fig09_cache_hit_rate",
@@ -56,7 +56,6 @@ pub const ENTRIES: [&str; 20] = [
     "sched_sweep",
     "mapping_sweep",
     "serving_sweep",
-    "checkpoint",
     "telemetry",
 ];
 

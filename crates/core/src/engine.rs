@@ -342,78 +342,6 @@ impl CacheEngine for FigCacheEngine {
     fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.banks.len() as u64);
-        for bank in &self.banks {
-            bank.fts.save_state(out);
-            out.push(bank.pending.len() as u64);
-            for job in &bank.pending {
-                job.save_state(out);
-            }
-            out.push(bank.in_flight.len() as u64);
-            for info in &bank.in_flight {
-                out.push(info.id);
-                out.push(match info.purpose {
-                    JobPurpose::Insert => 0,
-                    JobPurpose::Writeback => 1,
-                });
-                match info.slot {
-                    None => out.push(0),
-                    Some(s) => {
-                        out.push(1);
-                        out.push(u64::from(s));
-                    }
-                }
-                out.push(u64::from(info.blocks));
-            }
-            let mut segs: Vec<SegmentId> = bank.miss_counts.keys().copied().collect();
-            segs.sort_unstable_by_key(|s| (s.row, s.index));
-            out.push(segs.len() as u64);
-            for seg in segs {
-                out.push(u64::from(seg.row));
-                out.push(u64::from(seg.index));
-                out.push(u64::from(bank.miss_counts[&seg]));
-            }
-        }
-        out.extend_from_slice(&self.rng.state());
-        self.stats.save_state(out);
-        out.push(self.next_job_id);
-    }
-
-    fn load_state(&mut self, src: &mut &[u64]) {
-        let n = crate::take(src) as usize;
-        assert_eq!(n, self.banks.len(), "snapshot engine bank-count mismatch");
-        for bank in &mut self.banks {
-            bank.fts.load_state(src);
-            let n_pending = crate::take(src) as usize;
-            bank.pending.clear();
-            for _ in 0..n_pending {
-                bank.pending.push_back(RelocationJob::load_state(src));
-            }
-            let n_flight = crate::take(src) as usize;
-            bank.in_flight.clear();
-            for _ in 0..n_flight {
-                let id = crate::take(src);
-                let purpose =
-                    if crate::take(src) == 0 { JobPurpose::Insert } else { JobPurpose::Writeback };
-                let slot = (crate::take(src) != 0).then(|| crate::take(src) as u32);
-                let blocks = crate::take(src) as u32;
-                bank.in_flight.push_back(InFlight { id, purpose, slot, blocks });
-            }
-            let n_miss = crate::take(src) as usize;
-            bank.miss_counts.clear();
-            for _ in 0..n_miss {
-                let seg =
-                    SegmentId { row: crate::take(src) as u32, index: crate::take(src) as u32 };
-                bank.miss_counts.insert(seg, crate::take(src) as u32);
-            }
-        }
-        let rng_state = [crate::take(src), crate::take(src), crate::take(src), crate::take(src)];
-        self.rng = StdRng::from_state(rng_state);
-        self.stats.load_state(src);
-        self.next_job_id = crate::take(src);
-    }
 }
 
 #[cfg(test)]

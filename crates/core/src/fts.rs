@@ -151,10 +151,6 @@ impl SlotIndex {
         }
         self.cells[hole] = 0;
     }
-
-    fn clear(&mut self) {
-        self.cells.fill(0);
-    }
 }
 
 /// The per-bank FIGCache tag store.
@@ -313,84 +309,6 @@ impl FtsBank {
     #[must_use]
     pub fn eviction_state(&self) -> (Option<u32>, u64) {
         (self.evict_row, self.evict_mask)
-    }
-
-    /// Appends the tag store's state to a snapshot word stream: every
-    /// slot, the free list *in order* (allocation order matters for
-    /// bit-identity), and the eviction register/bitvector. The segment→slot
-    /// index is rebuilt from the slots on load.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.slots.len() as u64);
-        for s in &self.slots {
-            match s.seg {
-                None => out.push(0),
-                Some(seg) => {
-                    out.push(1);
-                    out.push(u64::from(seg.row));
-                    out.push(u64::from(seg.index));
-                }
-            }
-            out.push(match s.state {
-                SlotState::Free => 0,
-                SlotState::Relocating { cancelled: false } => 1,
-                SlotState::Relocating { cancelled: true } => 2,
-                SlotState::Valid => 3,
-            });
-            out.push(u64::from(s.dirty));
-            out.push(u64::from(s.benefit));
-            out.push(s.last_use);
-        }
-        out.push(self.free.len() as u64);
-        for &i in &self.free {
-            out.push(u64::from(i));
-        }
-        match self.evict_row {
-            None => out.push(0),
-            Some(r) => {
-                out.push(1);
-                out.push(u64::from(r));
-            }
-        }
-        out.push(self.evict_mask);
-    }
-
-    /// Restores state saved by [`FtsBank::save_state`] into a tag store
-    /// of the same geometry, rebuilding the segment→slot index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream or a capacity mismatch.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        let n = crate::take(src) as usize;
-        assert_eq!(n, self.slots.len(), "snapshot tag-store capacity mismatch");
-        for s in &mut self.slots {
-            s.seg = (crate::take(src) != 0).then(|| SegmentId {
-                row: crate::take(src) as u32,
-                index: crate::take(src) as u32,
-            });
-            s.state = match crate::take(src) {
-                0 => SlotState::Free,
-                1 => SlotState::Relocating { cancelled: false },
-                2 => SlotState::Relocating { cancelled: true },
-                _ => SlotState::Valid,
-            };
-            s.dirty = crate::take(src) != 0;
-            s.benefit = crate::take(src) as u8;
-            s.last_use = crate::take(src);
-        }
-        self.index.clear();
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(seg) = s.seg {
-                self.index.insert(&self.slots, seg, i as u32);
-            }
-        }
-        let n_free = crate::take(src) as usize;
-        self.free.clear();
-        for _ in 0..n_free {
-            self.free.push(crate::take(src) as u32);
-        }
-        self.evict_row = (crate::take(src) != 0).then(|| crate::take(src) as u32);
-        self.evict_mask = crate::take(src);
     }
 
     fn select_victim<R: Rng>(&mut self, policy: ReplacementPolicy, rng: &mut R) -> Option<u32> {
@@ -887,8 +805,8 @@ mod proptests {
         /// the segment→slot map through allocations (with evictions under
         /// every policy), cancelled and completed relocations and
         /// releases (of free slots too), never hands out a slot that
-        /// still holds a segment, and survives a snapshot round trip, on
-        /// keys that collide and probe runs that wrap.
+        /// still holds a segment, and stays the map the slots spell out,
+        /// on keys that collide and probe runs that wrap.
         #[test]
         fn slot_index_matches_a_map(
             ops in proptest::collection::vec((0u8..5, 0usize..24, 0u32..8), 1..200),
@@ -945,16 +863,12 @@ mod proptests {
                 for &k in &keys {
                     prop_assert_eq!(fts.find(k), model.get(&k).copied());
                 }
-                let mut words = Vec::new();
-                fts.save_state(&mut words);
-                let mut restored = FtsBank::new(2, 4);
-                restored.load_state(&mut words.as_slice());
-                for &k in &keys {
-                    prop_assert_eq!(restored.find(k), fts.find(k));
+                // The index is exactly the map the slots spell out.
+                for s in 0..fts.capacity() {
+                    if let Some(held) = fts.slot(s).seg {
+                        prop_assert_eq!(fts.find(held), Some(s));
+                    }
                 }
-                let mut again = Vec::new();
-                restored.save_state(&mut again);
-                prop_assert_eq!(again, words);
             }
         }
     }

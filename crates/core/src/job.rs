@@ -204,77 +204,6 @@ impl RelocationJob {
             JobKind::LisaClone { .. } => 0,
         }
     }
-
-    /// Appends the job (including its private phase) to a snapshot word
-    /// stream.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.id);
-        out.push(u64::from(self.bank));
-        out.push(match self.purpose {
-            JobPurpose::Insert => 0,
-            JobPurpose::Writeback => 1,
-        });
-        match self.kind {
-            JobKind::FigCopy { from_row, from_col, to_row, to_col, to_subarray, blocks } => {
-                out.push(0);
-                out.push(u64::from(from_row));
-                out.push(u64::from(from_col));
-                out.push(u64::from(to_row));
-                out.push(u64::from(to_col));
-                out.push(u64::from(to_subarray));
-                out.push(u64::from(blocks));
-            }
-            JobKind::LisaClone { src_row, dst_row } => {
-                out.push(1);
-                out.push(u64::from(src_row));
-                out.push(u64::from(dst_row));
-            }
-        }
-        out.push(match self.phase {
-            Phase::Copy => 0,
-            Phase::MergeWait => 1,
-            Phase::CloneWait => 2,
-            Phase::Done => 3,
-        });
-    }
-
-    /// Rebuilds a job saved by [`RelocationJob::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream or an unknown kind/phase tag.
-    #[must_use]
-    pub fn load_state(src: &mut &[u64]) -> Self {
-        let id = crate::take(src);
-        let bank = crate::take(src) as u32;
-        let purpose = match crate::take(src) {
-            0 => JobPurpose::Insert,
-            _ => JobPurpose::Writeback,
-        };
-        let kind = match crate::take(src) {
-            0 => JobKind::FigCopy {
-                from_row: crate::take(src) as RowId,
-                from_col: crate::take(src) as u32,
-                to_row: crate::take(src) as RowId,
-                to_col: crate::take(src) as u32,
-                to_subarray: crate::take(src) as u32,
-                blocks: crate::take(src) as u32,
-            },
-            _ => JobKind::LisaClone {
-                src_row: crate::take(src) as RowId,
-                dst_row: crate::take(src) as RowId,
-            },
-        };
-        let tag = crate::take(src);
-        assert!(tag <= 3, "unknown job phase tag {tag}");
-        let phase = match tag {
-            0 => Phase::Copy,
-            1 => Phase::MergeWait,
-            2 => Phase::CloneWait,
-            _ => Phase::Done,
-        };
-        Self { id, bank, purpose, kind, phase }
-    }
 }
 
 /// Simulates a bank that immediately satisfies each command and records

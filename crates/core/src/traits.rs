@@ -56,40 +56,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Appends all counters to a snapshot word stream.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.lookups);
-        out.push(self.hits);
-        out.push(self.hits_bypassed);
-        out.push(self.misses);
-        out.push(self.uncacheable);
-        out.push(self.insertions);
-        out.push(self.insertions_skipped);
-        out.push(self.insertions_cancelled);
-        out.push(self.evictions_clean);
-        out.push(self.evictions_dirty);
-        out.push(self.blocks_relocated);
-    }
-
-    /// Restores counters saved by [`CacheStats::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        self.lookups = crate::take(src);
-        self.hits = crate::take(src);
-        self.hits_bypassed = crate::take(src);
-        self.misses = crate::take(src);
-        self.uncacheable = crate::take(src);
-        self.insertions = crate::take(src);
-        self.insertions_skipped = crate::take(src);
-        self.insertions_cancelled = crate::take(src);
-        self.evictions_clean = crate::take(src);
-        self.evictions_dirty = crate::take(src);
-        self.blocks_relocated = crate::take(src);
-    }
 }
 
 /// An in-DRAM cache engine plugged into the memory controller.
@@ -150,16 +116,19 @@ pub trait CacheEngine: std::fmt::Debug + Send {
     /// Engine statistics.
     fn stats(&self) -> CacheStats;
 
-    /// Appends the engine's full mutable state to a snapshot word stream
-    /// (tag stores, pending/in-flight jobs, miss counters, RNG, stats).
-    /// The restoring side builds an engine from the same configuration —
-    /// guaranteed by the snapshot's config hash — and calls
-    /// [`CacheEngine::load_state`], so only dynamic state crosses.
-    fn save_state(&self, out: &mut Vec<u64>);
+    /// Does nothing: the simulator never saves engine state. This method
+    /// and [`CacheEngine::load_state`] exist only because the benchmark
+    /// package's engine wrapper (`perfbench`, outside the workspace)
+    /// forwards them; they go when that wrapper stops forwarding.
+    fn save_state(&self, out: &mut Vec<u64>) {
+        let _ = out;
+    }
 
-    /// Restores state saved by [`CacheEngine::save_state`] into an engine
-    /// built from the same configuration.
-    fn load_state(&mut self, src: &mut &[u64]);
+    /// Does nothing; kept for the same reason as
+    /// [`CacheEngine::save_state`].
+    fn load_state(&mut self, src: &mut &[u64]) {
+        let _ = src;
+    }
 }
 
 /// The no-op engine used by the `Base` and `LL-DRAM` configurations:
@@ -210,14 +179,6 @@ impl CacheEngine for NullEngine {
 
     fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        self.stats.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut &[u64]) {
-        self.stats.load_state(src);
     }
 }
 

@@ -70,7 +70,7 @@ const TAG_SHIFT: u32 = 2;
 /// recency stamp of its last access or fill. Both tables start zeroed
 /// (an all-invalid cache), so the allocator hands out untouched pages
 /// and a large LLC only becomes resident as its sets are used.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     params: CacheParams,
     sets: u64,
@@ -214,47 +214,6 @@ impl SetAssocCache {
         self.stats.dirty_evictions += 1;
         Some(((old >> TAG_SHIFT) * self.sets + set) << self.block_bits)
     }
-
-    /// Appends line/clock/stat state to a snapshot word stream (geometry
-    /// is reconstructed from `params`, so only dynamic state crosses):
-    /// per line its tag, its `valid | dirty << 1` flags and its stamp.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.clock);
-        out.push(self.words.len() as u64);
-        for (&w, &stamp) in self.words.iter().zip(&self.stamps) {
-            out.push(w >> TAG_SHIFT);
-            out.push(w & (VALID | DIRTY));
-            out.push(stamp);
-        }
-        out.push(self.stats.accesses);
-        out.push(self.stats.hits);
-        out.push(self.stats.misses);
-        out.push(self.stats.evictions);
-        out.push(self.stats.dirty_evictions);
-    }
-
-    /// Restores state saved by [`SetAssocCache::save_state`] into a cache
-    /// built with the same parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream or a line-count mismatch (a snapshot
-    /// from a different geometry).
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        self.clock = crate::take(src);
-        let n = crate::take(src) as usize;
-        assert_eq!(n, self.words.len(), "snapshot cache geometry mismatch");
-        for (w, stamp) in self.words.iter_mut().zip(&mut self.stamps) {
-            let tag = crate::take(src);
-            *w = (tag << TAG_SHIFT) | (crate::take(src) & (VALID | DIRTY));
-            *stamp = crate::take(src);
-        }
-        self.stats.accesses = crate::take(src);
-        self.stats.hits = crate::take(src);
-        self.stats.misses = crate::take(src);
-        self.stats.evictions = crate::take(src);
-        self.stats.dirty_evictions = crate::take(src);
-    }
 }
 
 #[cfg(test)]
@@ -373,7 +332,7 @@ mod proptests {
 
     /// The line-struct cache the packed tables replaced: one 24-byte
     /// line per way, a hit search, then a separate LRU victim search.
-    #[derive(Debug, Clone, Copy, Default)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     struct Line {
         tag: u64,
         valid: bool,
@@ -465,24 +424,6 @@ mod proptests {
             }
             None
         }
-
-        fn save_state(&self, out: &mut Vec<u64>) {
-            out.push(self.clock);
-            out.push(self.lines.len() as u64);
-            for line in &self.lines {
-                out.push(line.tag);
-                out.push(u64::from(line.valid) | u64::from(line.dirty) << 1);
-                out.push(line.lru);
-            }
-            let s = self.stats;
-            out.extend([s.accesses, s.hits, s.misses, s.evictions, s.dirty_evictions]);
-        }
-    }
-
-    fn words(save: impl Fn(&mut Vec<u64>)) -> Vec<u64> {
-        let mut out = Vec::new();
-        save(&mut out);
-        out
     }
 
     /// Drives the packed cache and the reference with one op stream on a
@@ -508,16 +449,25 @@ mod proptests {
             }
             assert_eq!(packed.stats, reference.stats);
         }
-        let saved = words(|out| packed.save_state(out));
-        assert_eq!(saved, words(|out| reference.save_state(out)));
-        let mut restored = SetAssocCache::new(params);
-        restored.load_state(&mut saved.as_slice());
-        assert_eq!(words(|out| restored.save_state(out)), saved);
+        // The same lines (tag, flags and stamp) and recency clock.
+        let lines: Vec<Line> = packed
+            .words
+            .iter()
+            .zip(&packed.stamps)
+            .map(|(&w, &lru)| Line {
+                tag: w >> TAG_SHIFT,
+                valid: w & VALID != 0,
+                dirty: w & DIRTY != 0,
+                lru,
+            })
+            .collect();
+        assert_eq!(lines, reference.lines);
+        assert_eq!(packed.clock, reference.clock);
     }
 
     proptest! {
         /// Packed lines give the line-struct cache's hits, victims,
-        /// writeback addresses, counters and snapshot words, on every
+        /// writeback addresses, counters, lines and recency clock, on every
         /// associativity the hierarchy uses or could use.
         #[test]
         fn packed_cache_matches_the_line_struct_reference(

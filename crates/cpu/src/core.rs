@@ -79,11 +79,6 @@ pub struct TraceCore {
     target_insts: u64,
     finished_at: Option<u64>,
     stats: CoreStats,
-    /// Operations pulled from `source` so far. Snapshots record this so a
-    /// restore can fast-forward a freshly constructed (deterministic)
-    /// source to the same position instead of serializing source
-    /// internals.
-    ops_pulled: u64,
 }
 
 /// Sentinel ready-at for loads still in flight.
@@ -131,7 +126,6 @@ impl TraceCore {
             target_insts,
             finished_at: None,
             stats: CoreStats::default(),
-            ops_pulled: 0,
         }
     }
 
@@ -178,111 +172,6 @@ impl TraceCore {
                 self.window[idx] = ready_at;
             }
         }
-    }
-
-    fn next_op(&mut self) -> TraceOp {
-        self.ops_pulled += 1;
-        self.source.next_op()
-    }
-
-    /// Operations pulled from the trace source so far (diagnostics and
-    /// snapshot headers).
-    #[must_use]
-    pub fn ops_pulled(&self) -> u64 {
-        self.ops_pulled
-    }
-
-    /// Current instruction-window occupancy (diagnostics).
-    #[must_use]
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Appends the core's live state to a snapshot word stream. The
-    /// construction parameters (`params`, `id`, `target_insts`, the trace
-    /// source) are *not* included: a restore rebuilds the core from the
-    /// same run description and replays the source to `ops_pulled`.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.ops_pulled);
-        out.push(u64::from(self.nonmem_left));
-        match self.pending_mem {
-            None => out.push(0),
-            Some(op) => {
-                out.push(1);
-                out.push(u64::from(op.nonmem));
-                out.push(op.addr);
-                out.push(u64::from(op.is_write));
-            }
-        }
-        out.push(u64::from(self.stalled));
-        out.push(self.window.len() as u64);
-        for &ready in &self.window {
-            out.push(ready);
-        }
-        out.push(self.head_seq);
-        out.push(self.tail_seq);
-        out.push(self.token_seq.len() as u64);
-        for &(token, seq) in &self.token_seq {
-            out.push(token);
-            out.push(seq);
-        }
-        match self.finished_at {
-            None => out.push(0),
-            Some(at) => {
-                out.push(1);
-                out.push(at);
-            }
-        }
-        out.push(self.stats.retired);
-        out.push(self.stats.mem_ops);
-        out.push(self.stats.long_loads);
-        out.push(self.stats.window_full_cycles);
-        out.push(self.stats.stall_cycles);
-    }
-
-    /// Restores state saved by [`TraceCore::save_state`] into a freshly
-    /// constructed core, fast-forwarding the (deterministic) trace source
-    /// by the recorded pull count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated word stream.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        let pulled = crate::take(src);
-        for _ in self.ops_pulled..pulled {
-            let _ = self.source.next_op();
-        }
-        self.ops_pulled = pulled;
-        self.nonmem_left = crate::take(src) as u32;
-        self.pending_mem = if crate::take(src) == 1 {
-            let nonmem = crate::take(src) as u32;
-            let addr = crate::take(src);
-            let is_write = crate::take(src) != 0;
-            Some(TraceOp { nonmem, addr, is_write })
-        } else {
-            None
-        };
-        self.stalled = crate::take(src) != 0;
-        let window_len = crate::take(src) as usize;
-        self.window.clear();
-        for _ in 0..window_len {
-            self.window.push_back(crate::take(src));
-        }
-        self.head_seq = crate::take(src);
-        self.tail_seq = crate::take(src);
-        let tokens = crate::take(src) as usize;
-        self.token_seq.clear();
-        for _ in 0..tokens {
-            let token = crate::take(src);
-            let seq = crate::take(src);
-            self.token_seq.push((token, seq));
-        }
-        self.finished_at = if crate::take(src) == 1 { Some(crate::take(src)) } else { None };
-        self.stats.retired = crate::take(src);
-        self.stats.mem_ops = crate::take(src);
-        self.stats.long_loads = crate::take(src);
-        self.stats.window_full_cycles = crate::take(src);
-        self.stats.stall_cycles = crate::take(src);
     }
 
     /// Cycles after `now` over which ticking is a deterministic full-width
@@ -410,7 +299,7 @@ impl TraceCore {
             let op = match self.pending_mem.take() {
                 Some(op) => op,
                 None => {
-                    let op = self.next_op();
+                    let op = self.source.next_op();
                     if op.nonmem > 0 {
                         self.nonmem_left = op.nonmem;
                         self.pending_mem = Some(op);

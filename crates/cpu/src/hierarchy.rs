@@ -92,10 +92,6 @@ impl Waiters {
             self.rest.push(token);
         }
     }
-
-    fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.rest.len()
-    }
 }
 
 impl IntoIterator for Waiters {
@@ -128,7 +124,7 @@ struct Mshr {
 /// that: the core's own completion (an MSHR frees; the memo is dropped)
 /// and an LLC fill of the block by anyone else — a completion or a dirty
 /// L2 victim, both through [`CacheHierarchy::install_llc`]. Derived
-/// state: never serialized, dropped by `load_state`.
+/// state: it changes no result, only how a retry is computed.
 #[derive(Debug, Clone, Copy)]
 struct StallMemo {
     block: u64,
@@ -487,117 +483,6 @@ impl CacheHierarchy {
         self.mshr_len[core]
     }
 
-    /// Appends the hierarchy's live state (cache lines, MSHRs, in-flight
-    /// requests, outbox, counters) to a snapshot word stream. Each core's
-    /// MSHRs are written in block order with their waiters in merge
-    /// order, then every fill request as `(id, core, block)` in id order,
-    /// so the words do not depend on which table entry a miss took.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        for c in &self.l1 {
-            c.save_state(out);
-        }
-        for c in &self.l2 {
-            c.save_state(out);
-        }
-        self.llc.save_state(out);
-        let mut requests = Vec::new();
-        for core in 0..self.mshr_len.len() {
-            let base = self.mshr_base(core);
-            let mut live: Vec<usize> = (base..base + self.mshr_len[core]).collect();
-            live.sort_unstable_by_key(|&at| self.mshrs[at].block);
-            out.push(live.len() as u64);
-            for at in live {
-                let m = &self.mshrs[at];
-                out.push(m.block);
-                out.push(u64::from(m.store));
-                out.push(m.waiters.len() as u64);
-                out.extend(m.waiters.clone());
-                requests.push([self.mshr_ids[at], core as u64, m.block]);
-            }
-        }
-        requests.sort_unstable();
-        out.push(requests.len() as u64);
-        for request in requests {
-            out.extend(request);
-        }
-        out.push(self.outbox.len() as u64);
-        for r in &self.outbox {
-            out.push(r.id);
-            out.push(r.addr.0);
-            out.push(u64::from(r.is_write));
-            out.push(u64::from(r.core));
-            out.push(r.arrival);
-        }
-        out.push(self.next_req_id);
-        out.push(self.next_token);
-        out.push(self.llc_misses_per_core.len() as u64);
-        out.extend_from_slice(&self.llc_misses_per_core);
-        out.push(self.mshr_merges);
-        out.push(self.mshr_stalls);
-    }
-
-    /// Restores state saved by [`CacheHierarchy::save_state`] into a
-    /// hierarchy built with the same configuration and core count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream, a geometry mismatch (more MSHRs
-    /// than the core has), or a request for a block with no MSHR.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        for c in &mut self.l1 {
-            c.load_state(src);
-        }
-        for c in &mut self.l2 {
-            c.load_state(src);
-        }
-        self.llc.load_state(src);
-        self.mshr_ids.fill(FREE);
-        for core in 0..self.mshr_len.len() {
-            let n = crate::take(src) as usize;
-            assert!(n <= self.cfg.mshrs_per_core, "snapshot MSHR count exceeds mshrs_per_core");
-            let base = self.mshr_base(core);
-            for entry in &mut self.mshrs[base..base + n] {
-                entry.block = crate::take(src);
-                entry.store = crate::take(src) != 0;
-                entry.waiters = Waiters::default();
-                for _ in 0..crate::take(src) {
-                    entry.waiters.push(crate::take(src));
-                }
-            }
-            self.mshr_len[core] = n;
-        }
-        for _ in 0..crate::take(src) {
-            let id = crate::take(src);
-            let core = crate::take(src) as usize;
-            let block = crate::take(src);
-            let Some(i) = self.live_mshrs(core).iter().position(|m| m.block == block) else {
-                panic!("snapshot request {id} has no MSHR");
-            };
-            let at = self.mshr_base(core) + i;
-            self.mshr_ids[at] = id;
-        }
-        self.outbox.clear();
-        for _ in 0..crate::take(src) {
-            let id = crate::take(src);
-            let addr = PhysAddr(crate::take(src));
-            let is_write = crate::take(src) != 0;
-            let core = crate::take(src) as u8;
-            let arrival = crate::take(src);
-            self.outbox.push_back(Request { id, addr, is_write, core, arrival });
-        }
-        self.next_req_id = crate::take(src);
-        self.next_token = crate::take(src);
-        let cores = crate::take(src) as usize;
-        assert_eq!(cores, self.llc_misses_per_core.len(), "snapshot core-count mismatch");
-        for v in &mut self.llc_misses_per_core {
-            *v = crate::take(src);
-        }
-        self.mshr_merges = crate::take(src);
-        self.mshr_stalls = crate::take(src);
-        self.stall.fill(None);
-        self.unblocked = false;
-    }
-
     /// Snapshot of all counters.
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
@@ -639,10 +524,16 @@ mod tests {
     #[test]
     fn same_block_misses_merge_in_mshr() {
         let mut h = hierarchy();
-        let Access::Pending { .. } = h.access(0, 0x2000, false, 0) else { panic!() };
-        let Access::Pending { .. } = h.access(0, 0x2040 - 0x40, false, 1) else { panic!() };
-        assert_eq!(h.take_outgoing().count(), 1, "one fill for two merged misses");
-        assert_eq!(h.stats().mshr_merges, 1);
+        let Access::Pending { token: a } = h.access(0, 0x2000, false, 0) else { panic!() };
+        let Access::Pending { token: b } = h.access(0, 0x2040 - 0x40, false, 1) else { panic!() };
+        let Access::Pending { token: c } = h.access(0, 0x2030, false, 2) else { panic!() };
+        let reqs: Vec<Request> = h.take_outgoing().collect();
+        assert_eq!(reqs.len(), 1, "one fill for three merged misses");
+        assert_eq!(h.stats().mshr_merges, 2);
+        // The merged loads wake in merge order.
+        let woken: Vec<u64> = h.on_completion(reqs[0].id).into_iter().collect();
+        assert_eq!(woken, [a, b, c]);
+        assert_eq!(h.outstanding(0), 0);
     }
 
     #[test]
@@ -693,10 +584,25 @@ mod tests {
         }
     }
 
-    fn snapshot(h: &CacheHierarchy) -> Vec<u64> {
-        let mut words = Vec::new();
-        h.save_state(&mut words);
-        words
+    /// The hierarchy's state without the derived stall memo: the cache
+    /// levels, each core's live MSHRs as (block, fill request id, store,
+    /// waiters) in block order, the outbox, the id and token counters and
+    /// the statistics.
+    fn state(h: &CacheHierarchy) -> impl PartialEq + std::fmt::Debug + '_ {
+        let mshrs: Vec<Vec<(u64, u64, bool, &Waiters)>> = (0..h.mshr_len.len())
+            .map(|core| {
+                let ids = &h.mshr_ids[h.mshr_base(core)..];
+                let mut live: Vec<_> = h
+                    .live_mshrs(core)
+                    .iter()
+                    .zip(ids)
+                    .map(|(m, &id)| (m.block, id, m.store, &m.waiters))
+                    .collect();
+                live.sort_unstable_by_key(|&(block, ..)| block);
+                live
+            })
+            .collect();
+        (&h.l1, &h.l2, &h.llc, mshrs, &h.outbox, h.next_req_id, h.next_token, h.stats())
     }
 
     #[test]
@@ -727,7 +633,7 @@ mod tests {
         assert!(memoized.stall[0].is_some(), "the memo must have answered the retries");
         // Same counters, recency clocks and line stamps...
         assert_eq!(walked.stats(), memoized.stats());
-        assert_eq!(snapshot(&walked), snapshot(&memoized));
+        assert_eq!(state(&walked), state(&memoized));
         // ...so the next conflicting fills pick the same LRU victims.
         let set_stride = 512 * 64 * 16u64; // a multiple of every level's set span
         for i in 1..=20u64 {
@@ -739,7 +645,7 @@ mod tests {
                 complete_all(h);
             }
         }
-        assert_eq!(snapshot(&walked), snapshot(&memoized));
+        assert_eq!(state(&walked), state(&memoized));
         assert!(walked.stats().l1[1].evictions > 0, "the fills must have evicted lines");
     }
 
@@ -851,61 +757,6 @@ mod tests {
         h.on_completion(first);
         assert!(h.stall[0].is_none());
         assert!(matches!(h.access(0, block, false, 2), Access::Pending { .. }));
-    }
-
-    /// The snapshot words after the cache lines: MSHRs, requests,
-    /// outbox and counters.
-    fn mshr_words(h: &CacheHierarchy) -> Vec<u64> {
-        let mut caches = Vec::new();
-        for c in h.l1.iter().chain(&h.l2).chain([&h.llc]) {
-            c.save_state(&mut caches);
-        }
-        let words = snapshot(h);
-        assert_eq!(words[..caches.len()], caches[..]);
-        words[caches.len()..].to_vec()
-    }
-
-    #[test]
-    fn mshr_snapshot_words_are_pinned() {
-        // Two cores in flight; core 0 has two loads merged into its miss
-        // on 0x3000 (three waiters) and a store merged into its miss on
-        // 0x1000; core 1 has a posted store miss, and its first
-        // completion reorders its table entries.
-        let mut h = hierarchy();
-        let pending = |a: Access| matches!(a, Access::Pending { .. });
-        assert!(pending(h.access(0, 0x3000, false, 0))); // req 0, token 0
-        assert!(pending(h.access(1, 0x1000, false, 0))); // req 1, token 1
-        assert!(pending(h.access(0, 0x1000, false, 1))); // req 2, token 2
-        assert!(pending(h.access(0, 0x3008, false, 2))); // merge, token 3
-        assert!(matches!(h.access(1, 0x2000, true, 2), Access::Hit { .. })); // req 3
-        assert!(matches!(h.access(0, 0x1010, true, 3), Access::Hit { .. })); // merge
-        assert!(pending(h.access(0, 0x3030, false, 3))); // merge, token 4
-        assert!(pending(h.access(1, 0x5000, false, 3))); // req 4, token 5
-        let woken: Vec<u64> = h.on_completion(1).into_iter().collect();
-        assert_eq!(woken, [1]);
-        assert_eq!(h.take_outgoing().count(), 5, "five fills, no writebacks");
-        #[rustfmt::skip]
-        let pinned = [
-            // core 0: two MSHRs in block order (block, store, waiters...)
-            2, 0x1000, 1, 1, 2, 0x3000, 0, 3, 0, 3, 4,
-            // core 1
-            2, 0x2000, 1, 0, 0x5000, 0, 1, 5,
-            // requests in id order: (id, core, block)
-            4, 0, 0, 0x3000, 2, 0, 0x1000, 3, 1, 0x2000, 4, 1, 0x5000,
-            // outbox, next request id, next token
-            0, 5, 6,
-            // LLC misses per core, merges, stalls
-            2, 2, 3, 3, 0,
-        ];
-        assert_eq!(mshr_words(&h), pinned);
-        // The words restore to the same table: saving again gives them
-        // back, and the merged load's waiters wake in merge order.
-        let mut restored = hierarchy();
-        restored.load_state(&mut snapshot(&h).as_slice());
-        assert_eq!(snapshot(&restored), snapshot(&h));
-        let woken: Vec<u64> = restored.on_completion(0).into_iter().collect();
-        assert_eq!(woken, [0, 3, 4]);
-        assert_eq!(restored.outstanding(0), 1);
     }
 
     #[test]

@@ -28,17 +28,6 @@ pub mod cache;
 pub mod core;
 pub mod hierarchy;
 
-/// Pops the next word of a snapshot word stream (the `save_state` /
-/// `load_state` convention shared with `figaro-sim`'s FGSN codec).
-/// Truncation aborts loudly: resuming from a corrupt snapshot must never
-/// silently produce a different run.
-pub(crate) fn take(src: &mut &[u64]) -> u64 {
-    assert!(!src.is_empty(), "snapshot word stream truncated");
-    let w = src[0];
-    *src = &src[1..];
-    w
-}
-
 pub use crate::core::{CoreParams, CoreStats, TraceCore};
 pub use cache::{CacheParams, CacheStats, SetAssocCache};
 pub use hierarchy::{Access, CacheHierarchy, HierarchyConfig, HierarchyStats};

@@ -462,147 +462,6 @@ impl DramChannel {
         Cycle::from(src_ras + hops * t.lisa_hop + dst_settle + pre)
     }
 
-    /// Appends all timing state (per-bank registers, per-rank tRRD/tFAW/
-    /// tCCD/tWTR trackers) and the command statistics to a snapshot word
-    /// stream. The configuration itself does not cross — it is part of
-    /// the snapshot's config hash and rebuilt by the restoring side.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.banks.len() as u64);
-        for bank in &self.banks {
-            match bank.open_row {
-                None => out.push(0),
-                Some(r) => {
-                    out.push(1);
-                    out.push(u64::from(r));
-                }
-            }
-            out.push(u64::from(bank.must_precharge));
-            match bank.pinned {
-                None => out.push(0),
-                Some(pin) => {
-                    out.push(1);
-                    out.push(u64::from(pin.src_subarray));
-                    out.push(u64::from(pin.dst_subarray));
-                }
-            }
-            out.push(bank.act_at);
-            out.push(bank.next_act);
-            out.push(bank.next_rd);
-            out.push(bank.next_wr);
-            out.push(bank.next_pre);
-            out.push(bank.next_reloc);
-            match bank.merge_ready {
-                None => out.push(0),
-                Some(t) => {
-                    out.push(1);
-                    out.push(t);
-                }
-            }
-            match bank.reloc_dst {
-                None => out.push(0),
-                Some(sa) => {
-                    out.push(1);
-                    out.push(u64::from(sa));
-                }
-            }
-            out.push(bank.busy_until);
-        }
-        out.push(self.ranks.len() as u64);
-        for rank in &self.ranks {
-            out.push(rank.next_act_s);
-            out.push(rank.next_act_l.len() as u64);
-            for &t in &rank.next_act_l {
-                out.push(t);
-            }
-            out.extend_from_slice(&rank.faw);
-            out.push(rank.faw_idx as u64);
-            out.push(rank.faw_count);
-            out.push(rank.next_rd_s);
-            for &t in &rank.next_rd_l {
-                out.push(t);
-            }
-            out.push(rank.next_wr_s);
-            for &t in &rank.next_wr_l {
-                out.push(t);
-            }
-        }
-        out.push(self.stats.activates);
-        out.push(self.stats.activates_fast);
-        out.push(self.stats.precharges);
-        out.push(self.stats.reads);
-        out.push(self.stats.writes);
-        out.push(self.stats.refreshes);
-        out.push(self.stats.relocs);
-        out.push(self.stats.merges);
-        out.push(self.stats.merges_fast);
-        out.push(self.stats.lisa_clones);
-        out.push(self.stats.lisa_hops);
-        out.push(self.stats.bank_open_cycles);
-    }
-
-    /// Restores state saved by [`DramChannel::save_state`] into a channel
-    /// built from the same [`DramConfig`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream or a geometry mismatch.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        let banks = crate::take(src) as usize;
-        assert_eq!(banks, self.banks.len(), "snapshot channel bank-count mismatch");
-        for bank in &mut self.banks {
-            bank.open_row = (crate::take(src) != 0).then(|| crate::take(src) as RowId);
-            bank.must_precharge = crate::take(src) != 0;
-            bank.pinned = (crate::take(src) != 0).then(|| Pin {
-                src_subarray: crate::take(src) as u32,
-                dst_subarray: crate::take(src) as u32,
-            });
-            bank.act_at = crate::take(src);
-            bank.next_act = crate::take(src);
-            bank.next_rd = crate::take(src);
-            bank.next_wr = crate::take(src);
-            bank.next_pre = crate::take(src);
-            bank.next_reloc = crate::take(src);
-            bank.merge_ready = (crate::take(src) != 0).then(|| crate::take(src));
-            bank.reloc_dst = (crate::take(src) != 0).then(|| crate::take(src) as u32);
-            bank.busy_until = crate::take(src);
-        }
-        let ranks = crate::take(src) as usize;
-        assert_eq!(ranks, self.ranks.len(), "snapshot channel rank-count mismatch");
-        for rank in &mut self.ranks {
-            rank.next_act_s = crate::take(src);
-            let groups = crate::take(src) as usize;
-            assert_eq!(groups, rank.next_act_l.len(), "snapshot channel bank-group mismatch");
-            for t in &mut rank.next_act_l {
-                *t = crate::take(src);
-            }
-            for f in &mut rank.faw {
-                *f = crate::take(src);
-            }
-            rank.faw_idx = crate::take(src) as usize;
-            rank.faw_count = crate::take(src);
-            rank.next_rd_s = crate::take(src);
-            for t in &mut rank.next_rd_l {
-                *t = crate::take(src);
-            }
-            rank.next_wr_s = crate::take(src);
-            for t in &mut rank.next_wr_l {
-                *t = crate::take(src);
-            }
-        }
-        self.stats.activates = crate::take(src);
-        self.stats.activates_fast = crate::take(src);
-        self.stats.precharges = crate::take(src);
-        self.stats.reads = crate::take(src);
-        self.stats.writes = crate::take(src);
-        self.stats.refreshes = crate::take(src);
-        self.stats.relocs = crate::take(src);
-        self.stats.merges = crate::take(src);
-        self.stats.merges_fast = crate::take(src);
-        self.stats.lisa_clones = crate::take(src);
-        self.stats.lisa_hops = crate::take(src);
-        self.stats.bank_open_cycles = crate::take(src);
-    }
-
     /// Issues `cmd` to bank `b` at cycle `now`, updating all timing state
     /// and statistics.
     ///

@@ -53,17 +53,6 @@
 //! channel.issue(bank, &rd, t);
 //! ```
 
-/// Pops the next word of a snapshot word stream (the `save_state` /
-/// `load_state` convention shared with `figaro-sim`'s FGSN codec).
-/// Truncation aborts loudly: resuming from a corrupt snapshot must never
-/// silently produce a different run.
-pub(crate) fn take(src: &mut &[u64]) -> u64 {
-    assert!(!src.is_empty(), "snapshot word stream truncated");
-    let w = src[0];
-    *src = &src[1..];
-    w
-}
-
 pub mod address;
 pub mod channel;
 pub mod command;

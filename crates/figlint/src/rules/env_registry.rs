@@ -62,7 +62,7 @@ pub fn run(ws: &Workspace, tracker: &mut AllowTracker) -> Result<Vec<Diagnostic>
                 continue;
             }
             for lit in file.strings_on(line) {
-                if lit.text.starts_with(&prefix) && is_var_name(&lit.text) {
+                if names_var(&lit.text, &prefix) {
                     reads.push((lit.text.clone(), file.rel_path.clone(), line));
                 }
             }
@@ -146,6 +146,13 @@ fn is_var_name(s: &str) -> bool {
     !s.is_empty() && s.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
+/// Whether the string literal `lit` names a variable under `prefix`.
+/// The bare prefix (a prefix check such as `starts_with("FIGARO_")`)
+/// names none, as in [`extract_tokens`].
+fn names_var(lit: &str, prefix: &str) -> bool {
+    lit.len() > prefix.len() && lit.starts_with(prefix) && is_var_name(lit)
+}
+
 /// Maximal `PREFIX[A-Z0-9_]*` tokens in `text`.
 fn extract_tokens(text: &str, prefix: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -190,5 +197,8 @@ mod tests {
         assert!(is_var_name("FIGARO_STATS_INTERVAL"));
         assert!(!is_var_name("FIGARO_lower"));
         assert!(!is_var_name(""));
+        assert!(names_var("FIGARO_SCALE", "FIGARO_"));
+        assert!(!names_var("FIGARO_", "FIGARO_"), "the bare prefix names no variable");
+        assert!(!names_var("RAYON_NUM_THREADS", "FIGARO_"));
     }
 }

@@ -14,7 +14,7 @@
 //! * `[floats] float_structs` — `"path: Struct"` entries whose `f32` /
 //!   `f64` (incl. `Vec<f64>`) fields are the values at risk;
 //! * `[floats] scopes` — names of serialization/key functions where the
-//!   convention is mandatory (`to_text`, `save_state`, …).
+//!   convention is mandatory (`to_text`, `from_text`, …).
 //!
 //! Inside a scope function, a formatting-macro line that mentions a
 //! float field (as an argument or as a `{field}` inline placeholder) or

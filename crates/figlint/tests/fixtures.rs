@@ -96,20 +96,6 @@ fn floats_accept_the_bit_pattern_convention() {
 }
 
 #[test]
-fn floats_catch_a_lossy_snapshot_serializer() {
-    // The FGSN bug shape: a float crossing a `save_state` word stream as
-    // formatted text instead of a to_bits bit pattern.
-    let diags = lint("floats_snapshot/bad");
-    assert_rules("floats_snapshot/bad", &["FIG003"]);
-    assert!(diags[0].contains("save_state"), "{}", diags.join("\n"));
-}
-
-#[test]
-fn floats_accept_the_fgsn_word_stream_convention() {
-    assert_clean("floats_snapshot/good");
-}
-
-#[test]
 fn env_registry_catches_both_directions() {
     let diags = lint("env_registry/bad");
     assert!(

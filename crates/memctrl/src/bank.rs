@@ -24,9 +24,8 @@
 //!   either queue — a bank with none summarizes the same for both;
 //!
 //! and every bank goes dirty after a refresh (rank-wide timing, scheduler
-//! streaks reset) and on `load_state`. Under strict FCFS only the serve
-//! queue's head counts, so the new head's bank also goes dirty when the
-//! head moves.
+//! streaks reset). Under strict FCFS only the serve queue's head counts,
+//! so the new head's bank also goes dirty when the head moves.
 //!
 //! Each bank also memoizes its **horizon term**: the earliest cycle any
 //! of its summary's commands could issue, unclamped (probed from cycle

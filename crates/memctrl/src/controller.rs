@@ -169,8 +169,7 @@ impl McStats {
 /// Work counters of one controller's horizon memo and tick ladder —
 /// what the event horizon and the tick cost, not what they decide.
 /// Counted only once [`MemoryController::enable_counters`] ran (every
-/// increment sits behind the `probe!` guard); never part of `RunStats`
-/// or a snapshot.
+/// increment sits behind the `probe!` guard); never part of `RunStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct McCounters {
     /// [`MemoryController::next_event_at`] calls answered from the
@@ -236,9 +235,9 @@ pub struct MemoryController {
     /// recompute only rebuilds dirty banks and re-probes stale minima.
     horizon: Option<Option<Cycle>>,
     /// Event-trace sink (`FIGARO_TRACE`): job/drain spans and refresh
-    /// instants, stamped in bus cycles. Result-neutral — never
-    /// snapshotted, never consulted by any scheduling decision; every
-    /// emit goes through the `probe!` guard (figlint FIG007).
+    /// instants, stamped in bus cycles. Result-neutral — never consulted
+    /// by any scheduling decision; every emit goes through the `probe!`
+    /// guard (figlint FIG007).
     trace: Option<Box<figaro_telemetry::trace::ControllerTrace>>,
     /// Work counters (`System::enable_profiling`); result-neutral like
     /// `trace`, and every increment goes through the `probe!` guard.
@@ -461,114 +460,6 @@ impl MemoryController {
     #[must_use]
     pub fn write_queue_len(&self) -> usize {
         self.write_q.len()
-    }
-
-    /// Appends the controller's full live state to a snapshot word
-    /// stream: drain/refresh flags, per-bank relocation jobs, pending
-    /// completions, stats, both queues (exact slab images), the DRAM
-    /// channel timing state, the cache engine and the scheduling policy.
-    /// Derived members (mapping, watermarks, scratch, the horizon memo)
-    /// are reconstructed on load.
-    ///
-    /// # Panics
-    ///
-    /// Panics when RowHammer monitoring is enabled — monitoring is a
-    /// side-channel analysis that no cached/warm-start path enables, and
-    /// its activation history is deliberately outside the snapshot format.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        assert!(self.monitor.is_none(), "snapshots do not cover RowHammer monitoring");
-        out.push(u64::from(self.drain_writes));
-        out.push(self.next_refresh);
-        out.push(u64::from(self.refresh_pending));
-        out.push(self.banks.len() as u64);
-        for bank in &self.banks {
-            match &bank.job {
-                None => out.push(0),
-                Some(job) => {
-                    out.push(1);
-                    job.save_state(out);
-                }
-            }
-        }
-        out.push(self.completions.len() as u64);
-        for c in &self.completions {
-            out.push(c.id);
-            out.push(c.done_at);
-            out.push(c.addr.0);
-            out.push(u64::from(c.core));
-        }
-        out.push(self.stats.row_hits);
-        out.push(self.stats.row_misses);
-        out.push(self.stats.row_conflicts);
-        out.push(self.stats.reads_served);
-        out.push(self.stats.writes_served);
-        out.push(self.stats.forwarded);
-        out.push(self.stats.read_latency_sum);
-        out.push(self.stats.enq_reads);
-        out.push(self.stats.enq_writes);
-        out.push(self.stats.read_q_peak);
-        out.push(self.stats.write_q_peak);
-        self.stats.read_latency_hist.save_state(out);
-        self.read_q.save_state(out);
-        self.write_q.save_state(out);
-        self.channel.save_state(out);
-        self.engine.save_state(out);
-        self.policy.save_state(out);
-    }
-
-    /// Restores state saved by [`MemoryController::save_state`] into a
-    /// controller built with the same configuration. The horizon memo is
-    /// dropped (recomputed lazily on the next event query).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream or a geometry mismatch.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        assert!(self.monitor.is_none(), "snapshots do not cover RowHammer monitoring");
-        self.drain_writes = crate::take(src) != 0;
-        self.next_refresh = crate::take(src);
-        self.refresh_pending = crate::take(src) != 0;
-        let banks = crate::take(src) as usize;
-        assert_eq!(banks, self.banks.len(), "snapshot controller bank-count mismatch");
-        for bank in &mut self.banks {
-            bank.job = if crate::take(src) == 0 {
-                None
-            } else {
-                Some(figaro_core::RelocationJob::load_state(src))
-            };
-        }
-        let n = crate::take(src) as usize;
-        self.completions.clear();
-        for _ in 0..n {
-            self.completions.push(Completion {
-                id: crate::take(src),
-                done_at: crate::take(src),
-                addr: figaro_dram::PhysAddr(crate::take(src)),
-                core: crate::take(src) as u8,
-            });
-        }
-        self.stats.row_hits = crate::take(src);
-        self.stats.row_misses = crate::take(src);
-        self.stats.row_conflicts = crate::take(src);
-        self.stats.reads_served = crate::take(src);
-        self.stats.writes_served = crate::take(src);
-        self.stats.forwarded = crate::take(src);
-        self.stats.read_latency_sum = crate::take(src);
-        self.stats.enq_reads = crate::take(src);
-        self.stats.enq_writes = crate::take(src);
-        self.stats.read_q_peak = crate::take(src);
-        self.stats.write_q_peak = crate::take(src);
-        self.stats.read_latency_hist.load_state(src);
-        self.read_q.load_state(src);
-        self.write_q.load_state(src);
-        self.channel.load_state(src);
-        self.engine.load_state(src);
-        self.policy.load_state(src);
-        self.memo = BankMemos::new(self.banks.len());
-        for (b, st) in self.banks.iter().enumerate() {
-            self.memo.job |= BankMask::from(st.job.is_some()) << b;
-        }
-        self.horizon = None;
     }
 
     fn issue(&mut self, bank: BankAddr, cmd: &DramCommand, now: Cycle) -> Cycle {
@@ -1656,34 +1547,6 @@ mod tests {
             assert_eq!(stats.writes_served, 12 * 6, "[{label}] every write drains");
             assert_eq!(stats.forwarded, 0, "[{label}] no read is forwarded");
         }
-    }
-
-    #[test]
-    fn load_state_into_a_used_controller_resumes_identically() {
-        // Restoring over a controller that already ran must drop every
-        // memoized bank summary: the restored queues, rows and jobs have
-        // nothing to do with the ones they were built from.
-        let feed = |mc: &mut MemoryController, from: Cycle, to: Cycle, stride: u64| {
-            for t in from..to {
-                if t.is_multiple_of(7) && mc.can_accept(false) {
-                    mc.enqueue(read(t, (t * stride) % 8192 * 64, t), t);
-                }
-                mc.tick(t);
-                let _ = take_completions(mc);
-            }
-        };
-        let (mut a, mut b) = (fig_mc(), fig_mc());
-        feed(&mut a, 0, 3_000, 12_289);
-        feed(&mut b, 0, 3_000, 7_919);
-        let mut words = Vec::new();
-        a.save_state(&mut words);
-        b.load_state(&mut words.as_slice());
-        feed(&mut a, 3_000, 6_000, 4_099);
-        feed(&mut b, 3_000, 6_000, 4_099);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.dram_stats(), b.dram_stats());
-        assert_eq!(a.engine_stats(), b.engine_stats());
-        assert_eq!(a.next_event_at(6_000), b.next_event_at(6_000));
     }
 
     #[test]

@@ -122,25 +122,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Appends the bucket counters and the exact max to a snapshot word
-    /// stream (all counters are integers, so the round-trip is exact).
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.buckets);
-        out.push(self.max);
-    }
-
-    /// Restores state saved by [`LatencyHistogram::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream.
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        for b in &mut self.buckets {
-            *b = crate::take(src);
-        }
-        self.max = crate::take(src);
-    }
-
     /// Element-wise accumulation (counts add; max takes the larger).
     pub fn merge_from(&mut self, o: &LatencyHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(o.buckets.iter()) {

@@ -250,121 +250,6 @@ impl IndexedQueue {
         let block = Request::block_of(addr);
         self.iter_bank(flat_bank).any(|(_, e)| Request::block_of(e.req.addr) == block)
     }
-
-    /// Appends the exact slab image to a snapshot word stream: slots
-    /// (including recycled holes), the free list *in order*, all intrusive
-    /// links and `next_seq`. Anything less than the exact image would let
-    /// a resumed run hand out different slot ids or seq numbers than the
-    /// uninterrupted run, breaking bit-identity.
-    pub fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.slots.len() as u64);
-        for slot in &self.slots {
-            match slot {
-                None => out.push(0),
-                Some(s) => {
-                    out.push(1);
-                    out.push(s.entry.req.id);
-                    out.push(s.entry.req.addr.0);
-                    out.push(u64::from(s.entry.req.is_write));
-                    out.push(u64::from(s.entry.req.core));
-                    out.push(s.entry.req.arrival);
-                    out.push(u64::from(s.entry.bank.rank));
-                    out.push(u64::from(s.entry.bank.bankgroup));
-                    out.push(u64::from(s.entry.bank.bank));
-                    out.push(u64::from(s.entry.flat_bank));
-                    out.push(u64::from(s.entry.serve_row));
-                    out.push(u64::from(s.entry.serve_col));
-                    out.push(u64::from(s.entry.saw_act) | u64::from(s.entry.saw_conflict) << 1);
-                    out.push(s.seq);
-                    out.push(u64::from(s.prev));
-                    out.push(u64::from(s.next));
-                    out.push(u64::from(s.bank_prev));
-                    out.push(u64::from(s.bank_next));
-                }
-            }
-        }
-        out.push(self.free.len() as u64);
-        for &id in &self.free {
-            out.push(u64::from(id));
-        }
-        out.push(u64::from(self.head));
-        out.push(u64::from(self.tail));
-        out.push(self.bank_head.len() as u64);
-        for b in 0..self.bank_head.len() {
-            out.push(u64::from(self.bank_head[b]));
-            out.push(u64::from(self.bank_tail[b]));
-            out.push(u64::from(self.bank_count[b]));
-        }
-        out.push(self.len as u64);
-        out.push(self.next_seq);
-    }
-
-    /// Restores state saved by [`IndexedQueue::save_state`] into a queue
-    /// built for the same channel geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated stream or a bank-count mismatch (a snapshot
-    /// from a different geometry).
-    pub fn load_state(&mut self, src: &mut &[u64]) {
-        let n_slots = crate::take(src) as usize;
-        self.slots.clear();
-        for _ in 0..n_slots {
-            if crate::take(src) == 0 {
-                self.slots.push(None);
-                continue;
-            }
-            let req = Request {
-                id: crate::take(src),
-                addr: PhysAddr(crate::take(src)),
-                is_write: crate::take(src) != 0,
-                core: crate::take(src) as u8,
-                arrival: crate::take(src),
-            };
-            let bank = BankAddr {
-                rank: crate::take(src) as u32,
-                bankgroup: crate::take(src) as u32,
-                bank: crate::take(src) as u32,
-            };
-            let entry = Entry {
-                req,
-                bank,
-                flat_bank: crate::take(src) as u32,
-                serve_row: crate::take(src) as RowId,
-                serve_col: crate::take(src) as u32,
-                saw_act: false,
-                saw_conflict: false,
-            };
-            let flags = crate::take(src);
-            let mut slot = Slot {
-                entry,
-                seq: crate::take(src),
-                prev: crate::take(src) as u32,
-                next: crate::take(src) as u32,
-                bank_prev: crate::take(src) as u32,
-                bank_next: crate::take(src) as u32,
-            };
-            slot.entry.saw_act = flags & 1 != 0;
-            slot.entry.saw_conflict = flags & 2 != 0;
-            self.slots.push(Some(slot));
-        }
-        let n_free = crate::take(src) as usize;
-        self.free.clear();
-        for _ in 0..n_free {
-            self.free.push(crate::take(src) as u32);
-        }
-        self.head = crate::take(src) as u32;
-        self.tail = crate::take(src) as u32;
-        let banks = crate::take(src) as usize;
-        assert_eq!(banks, self.bank_head.len(), "snapshot queue bank-count mismatch");
-        for b in 0..banks {
-            self.bank_head[b] = crate::take(src) as u32;
-            self.bank_tail[b] = crate::take(src) as u32;
-            self.bank_count[b] = crate::take(src) as u32;
-        }
-        self.len = crate::take(src) as usize;
-        self.next_seq = crate::take(src);
-    }
 }
 
 struct QueueIter<'a> {

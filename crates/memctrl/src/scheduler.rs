@@ -147,18 +147,6 @@ pub trait SchedPolicy: std::fmt::Debug + Send {
     fn on_issue(&mut self, flat_bank: u32, cmd: &DramCommand) {
         let _ = (flat_bank, cmd);
     }
-
-    /// Appends the policy's mutable state (if any) to a snapshot word
-    /// stream. Stateless policies — the default — write nothing.
-    fn save_state(&self, out: &mut Vec<u64>) {
-        let _ = out;
-    }
-
-    /// Restores state saved by [`SchedPolicy::save_state`] into a policy
-    /// built from the same [`SchedPolicyKind`].
-    fn load_state(&mut self, src: &mut &[u64]) {
-        let _ = src;
-    }
 }
 
 /// First-ready FCFS — the paper's scheduler and the default.
@@ -219,21 +207,6 @@ impl SchedPolicy for FrFcfsCap {
             | DramCommand::PrechargeAll => self.streak[flat_bank as usize] = 0,
             DramCommand::Refresh => self.streak.fill(0),
             _ => {}
-        }
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.streak.len() as u64);
-        for &s in &self.streak {
-            out.push(u64::from(s));
-        }
-    }
-
-    fn load_state(&mut self, src: &mut &[u64]) {
-        let n = crate::take(src) as usize;
-        assert_eq!(n, self.streak.len(), "snapshot scheduler bank-count mismatch");
-        for s in &mut self.streak {
-            *s = crate::take(src) as u32;
         }
     }
 }

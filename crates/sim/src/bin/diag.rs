@@ -1,8 +1,6 @@
 //! Diagnostic runner: `diag <app> <config> [scale]` prints the full
 //! statistics of one single-core run — the tool for understanding *why*
-//! a configuration behaves the way it does — and
-//! `diag snapshot <file.fgsn>` inspects a warm-state snapshot without
-//! restoring it.
+//! a configuration behaves the way it does.
 //!
 //! Bad arguments print usage and exit nonzero (no panics): the binary is
 //! meant to sit in shell loops. The memory-controller scheduling policy
@@ -10,7 +8,7 @@
 
 use figaro_sim::config::KERNEL_CHOICES;
 use figaro_sim::runner::Scale;
-use figaro_sim::{snapshot, ConfigKind, EnvConfig, RunSpec, Runner};
+use figaro_sim::{ConfigKind, EnvConfig, RunSpec, Runner};
 use figaro_workloads::profile_by_name;
 
 fn usage() -> ! {
@@ -19,7 +17,6 @@ fn usage() -> ! {
     let categories = categories.join(",");
     eprintln!(
         "usage: diag [<app> [<config> [<scale>]]]\n\
-         \x20      diag snapshot <file.fgsn>\n\
          \x20      diag timeline <series> [<app> [<config> [<scale>]]]\n\
          \x20      diag trace <file.json>\n\
          \n\
@@ -27,9 +24,6 @@ fn usage() -> ! {
          config  base | lisa | slow | fast | ideal | ll (default: fast)\n\
          scale   tiny | small | full (default: small)\n\
          \n\
-         `diag snapshot` prints an FGSN warm-state snapshot's header:\n\
-         format version, config hash, CPU cycle, per-core progress and\n\
-         per-channel queue occupancy.\n\
          `diag timeline` runs the app with the interval sampler on and\n\
          renders the chosen series (e.g. row_hits, ch0.read_q, mshr) as\n\
          an ASCII sparkline; FIGARO_STATS_INTERVAL overrides the stride.\n\
@@ -46,22 +40,15 @@ fn usage() -> ! {
          placement,\n\
          FIGARO_LOAD=fixed:G|poisson:G|bursty:ON,OPS,IDLE replaces the\n\
          app's own issue gaps with an open-loop arrival process,\n\
-         FIGARO_WARMUP=<N> warm-starts streamed runs: the first N CPU\n\
-         cycles are simulated once, snapshotted, and every run sharing\n\
-         the warm prefix resumes from the snapshot (bit-identical to an\n\
-         uninterrupted run; warmed results key separately),\n\
          FIGARO_SCALE=tiny|small|full the per-core instruction target in\n\
          the sweep binaries\n\
          \n\
          env (never affects results):\n\
-         FIGARO_SNAPSHOT_DIR=<dir> where FGSN warm-state snapshots live\n\
-         (default: <cache_dir>/snapshots; resumption is bit-identical, so\n\
-         the location never changes results),\n\
          FIGARO_STATS_INTERVAL=<cycles> samples the interval time-series\n\
          (per-channel row hits/misses/conflicts, queue depths, FIGCache\n\
          activity, per-core IPC/MSHR) every N CPU cycles,\n\
          FIGARO_TRACE=<path>[:filter] writes a Chrome trace-event JSON\n\
-         (relocation jobs, write drains, refreshes, warm-start marks;\n\
+         (relocation jobs, write drains, refreshes;\n\
          filter is a comma list of {categories}\n\
          or `all`; load the file in Perfetto),\n\
          FIGARO_PROFILE=1 prints the kernel self-profile (wall-clock\n\
@@ -69,37 +56,11 @@ fn usage() -> ! {
          the run,\n\
          FIGARO_FULL_SWEEPS=1 runs Figs. 12-15 over all 20 profiles,\n\
          FIGARO_MC_ITERS=<N> iterations of the Sec. 4.2 RELOC Monte-Carlo\n\
-         analysis (the sec42_reloc_latency bench entry)."
+         analysis (the sec42_reloc_latency bench entry).\n\
+         \n\
+         Any other FIGARO_* variable that is set is an error."
     );
     std::process::exit(2)
-}
-
-/// `diag snapshot <file>`: print the FGSN header without restoring.
-fn snapshot_info(path: &str) -> ! {
-    let h = match snapshot::read_header_from(std::path::Path::new(path)) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("diag snapshot: cannot read `{path}`: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("file              : {path}");
-    println!("format            : FGSN v{}", h.version);
-    println!("config hash       : {:016x}", h.config_hash);
-    println!("cpu cycle         : {}", h.cpu_cycle);
-    println!("payload words     : {}", h.payload_words);
-    println!("cores             : {}", h.cores.len());
-    for (i, c) in h.cores.iter().enumerate() {
-        println!("  core {i:<2}         : ops_pulled {} window {}", c.ops_pulled, c.window_len);
-    }
-    println!("channels          : {}", h.shards.len());
-    for (i, s) in h.shards.iter().enumerate() {
-        println!(
-            "  channel {i:<2}      : rq {} wq {} backlog {}",
-            s.read_queue, s.write_queue, s.backlog
-        );
-    }
-    std::process::exit(0)
 }
 
 /// `diag trace <file>`: validate and summarize a Chrome trace file.
@@ -149,12 +110,6 @@ fn pooled(vals: impl ExactSizeIterator<Item = u64>, width: usize) -> Vec<u64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.get(1).is_some_and(|a| a == "snapshot") {
-        match args.get(2) {
-            Some(path) if args.len() == 3 => snapshot_info(path),
-            _ => usage(),
-        }
-    }
     if args.get(1).is_some_and(|a| a == "trace") {
         match args.get(2) {
             Some(path) if args.len() == 3 => trace_info(path),

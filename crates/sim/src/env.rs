@@ -7,9 +7,9 @@
 //! once, report its `Err` and exit, and apply the parsed overrides
 //! through the ordinary builders:
 //! [`EnvConfig::apply`] for runners and [`EnvConfig::instrument`] for
-//! telemetry and profiling. An empty value means unset.
-
-use std::path::PathBuf;
+//! telemetry and profiling. An empty value means unset. A set
+//! `FIGARO_*` variable outside [`VARIABLES`] is an error, so a typo or
+//! a removed knob never runs the defaults without a word.
 
 use figaro_dram::MapKind;
 use figaro_memctrl::SchedPolicyKind;
@@ -19,6 +19,21 @@ use figaro_workloads::{ArrivalKind, PageMapKind};
 use crate::config::{Kernel, KERNEL_CHOICES};
 use crate::runner::{Runner, Scale};
 use crate::system::System;
+
+/// Every `FIGARO_*` variable [`EnvConfig`] reads.
+pub const VARIABLES: [&str; 11] = [
+    "FIGARO_SCALE",
+    "FIGARO_KERNEL",
+    "FIGARO_SCHED",
+    "FIGARO_MAP",
+    "FIGARO_PAGEMAP",
+    "FIGARO_LOAD",
+    "FIGARO_FULL_SWEEPS",
+    "FIGARO_STATS_INTERVAL",
+    "FIGARO_TRACE",
+    "FIGARO_PROFILE",
+    "FIGARO_MC_ITERS",
+];
 
 /// Every run-shaping `FIGARO_*` variable, parsed. `None` / `false`
 /// means unset: the library default applies.
@@ -36,10 +51,6 @@ pub struct EnvConfig {
     pub page_map: Option<PageMapKind>,
     /// `FIGARO_LOAD`: an [`ArrivalKind::parse`] spec.
     pub arrival: Option<ArrivalKind>,
-    /// `FIGARO_WARMUP`: warm-start CPU cycles (`0` means cold).
-    pub warmup: Option<u64>,
-    /// `FIGARO_SNAPSHOT_DIR`: where FGSN warm-state snapshots live.
-    pub snapshot_dir: Option<PathBuf>,
     /// `FIGARO_FULL_SWEEPS=1`: sweep figures over the full sets.
     pub full_sweeps: bool,
     /// `FIGARO_STATS_INTERVAL` and `FIGARO_TRACE`.
@@ -95,6 +106,19 @@ fn switch(get: &Lookup<'_>, name: &str) -> Result<bool, String> {
     .unwrap_or(false))
 }
 
+/// An error naming the first of `set` (the names of the set, non-empty
+/// variables) that carries the `FIGARO_` prefix but is not one of
+/// [`VARIABLES`].
+fn reject_unknown<'a>(set: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+    let mut unknown: Vec<&str> =
+        set.into_iter().filter(|n| n.starts_with("FIGARO_") && !VARIABLES.contains(n)).collect();
+    unknown.sort_unstable();
+    match unknown.first() {
+        None => Ok(()),
+        Some(name) => Err(format!("unknown variable {name} (known: {})", VARIABLES.join(" "))),
+    }
+}
+
 /// A CPU-cycle count.
 fn cycles(get: &Lookup<'_>, name: &str) -> Result<Option<u64>, String> {
     field(get, name, |raw| {
@@ -107,8 +131,14 @@ impl EnvConfig {
     ///
     /// # Errors
     ///
-    /// A message naming the first malformed variable.
+    /// A message naming the first unknown `FIGARO_*` variable, else the
+    /// first malformed one.
     pub fn from_env() -> Result<Self, String> {
+        let set: Vec<String> = std::env::vars_os()
+            .filter(|(_, value)| !value.is_empty())
+            .map(|(name, _)| name.to_string_lossy().into_owned())
+            .collect();
+        reject_unknown(set.iter().map(String::as_str))?;
         Self::parse(&lookup)
     }
 
@@ -150,8 +180,6 @@ impl EnvConfig {
                 ArrivalKind::parse(raw)
                     .map_err(|e| format!("unrecognized FIGARO_LOAD `{raw}`: {e}"))
             })?,
-            warmup: cycles(get, "FIGARO_WARMUP")?.filter(|&w| w > 0),
-            snapshot_dir: field(get, "FIGARO_SNAPSHOT_DIR", |raw| Ok(PathBuf::from(raw)))?,
             full_sweeps: switch(get, "FIGARO_FULL_SWEEPS")?,
             telemetry: TelemetryConfig { interval, trace },
             profile: switch(get, "FIGARO_PROFILE")?,
@@ -192,12 +220,6 @@ impl EnvConfig {
         if let Some(a) = self.arrival {
             runner = runner.with_arrival(a);
         }
-        if let Some(w) = self.warmup {
-            runner = runner.with_warmup(w);
-        }
-        if let Some(d) = &self.snapshot_dir {
-            runner = runner.with_snapshot_dir(d.clone());
-        }
         runner.with_full_sweeps(self.full_sweeps)
     }
 
@@ -231,30 +253,31 @@ mod tests {
 
     #[test]
     fn every_variable_parses_its_vocabulary() {
-        let env = parse(&[
+        let vars = [
             ("FIGARO_SCALE", "Tiny"),
             ("FIGARO_KERNEL", "reference"),
             ("FIGARO_SCHED", "fcfs"),
             ("FIGARO_MAP", "chfirst"),
             ("FIGARO_PAGEMAP", "rand7"),
             ("FIGARO_LOAD", "poisson:32"),
-            ("FIGARO_WARMUP", "0"),
-            ("FIGARO_SNAPSHOT_DIR", "snaps"),
             ("FIGARO_FULL_SWEEPS", "1"),
             ("FIGARO_STATS_INTERVAL", "500"),
             ("FIGARO_TRACE", "t.json:reloc"),
             ("FIGARO_PROFILE", "1"),
             ("FIGARO_MC_ITERS", "200"),
-        ])
-        .unwrap();
+        ];
+        let mut names: Vec<&str> = vars.iter().map(|&(name, _)| name).collect();
+        let mut known = VARIABLES.to_vec();
+        names.sort_unstable();
+        known.sort_unstable();
+        assert_eq!(names, known, "VARIABLES lists exactly what parse reads");
+        let env = parse(&vars).unwrap();
         assert_eq!(env.scale, Some(Scale::Tiny));
         assert_eq!(env.kernel, Some(Kernel::Reference));
         assert_eq!(env.sched, Some(SchedPolicyKind::Fcfs));
         assert_eq!(env.map, MapKind::from_name("chfirst"));
         assert_eq!(env.page_map, Some(PageMapKind::Random { seed: 7 }));
         assert_eq!(env.arrival, Some(ArrivalKind::Poisson { mean_gap: 32 }));
-        assert_eq!(env.warmup, None, "a zero warmup runs cold");
-        assert_eq!(env.snapshot_dir, Some(PathBuf::from("snaps")));
         assert!(env.full_sweeps && env.profile);
         assert_eq!(env.mc_iters, Some(200));
         assert_eq!(env.telemetry.interval, Some(500));
@@ -277,5 +300,13 @@ mod tests {
             let err = parse(&[("FIGARO_MC_ITERS", raw)]).unwrap_err();
             assert!(err.contains("FIGARO_MC_ITERS") && err.contains(raw), "{err}");
         }
+    }
+    #[test]
+    fn unknown_prefixed_names_are_errors() {
+        assert_eq!(reject_unknown(VARIABLES), Ok(()));
+        assert_eq!(reject_unknown(["PATH", "RAYON_NUM_THREADS"]), Ok(()));
+        let typo = VARIABLES[2].replace("SCHED", "SHCED");
+        let err = reject_unknown(["PATH", typo.as_str(), VARIABLES[0]]).unwrap_err();
+        assert!(err.starts_with(&format!("unknown variable {typo} ")), "{err}");
     }
 }

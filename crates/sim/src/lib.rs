@@ -41,25 +41,12 @@
 //! assert!(fig.ipc[0] > 0.0 && base.ipc[0] > 0.0);
 //! ```
 
-/// Pops the next word of a snapshot word stream (the `save_state` /
-/// `load_state` convention shared across the component crates).
-/// Truncation aborts loudly: it means the stream came from a system of
-/// another shape. A snapshot file reaches `load_state` only after its
-/// checksum verified, so a corrupt file is an error before this runs.
-pub(crate) fn take(src: &mut &[u64]) -> u64 {
-    assert!(!src.is_empty(), "snapshot word stream truncated");
-    let w = src[0];
-    *src = &src[1..];
-    w
-}
-
 pub mod config;
 pub mod env;
 pub mod experiments;
 pub mod metrics;
 pub mod report;
 pub mod runner;
-pub mod snapshot;
 pub mod system;
 pub mod telemetry;
 
@@ -70,6 +57,5 @@ pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
 pub use metrics::{ChannelStats, RunStats};
 pub use runner::{workspace_root, CoreWorkload, RunSpec, Runner, Scale, MODEL_EPOCH};
-pub use snapshot::{config_hash, SnapshotHeader};
 pub use system::System;
 pub use telemetry::KernelProfile;

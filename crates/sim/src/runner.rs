@@ -6,8 +6,8 @@
 //! ## The result cache
 //!
 //! Every run is described by one [`RunSpec`] — the full
-//! [`SystemConfig`], each core's workload and seed, targets, cycle cap,
-//! arrival pacing and warmup — and is a pure function of it. A cached
+//! [`SystemConfig`], each core's workload and seed, targets, cycle cap
+//! and arrival pacing — and is a pure function of it. A cached
 //! summary lives in `<cache_dir>/<hash>.txt`, where `<hash>` is the
 //! FNV-1a of [`RunSpec::key_text`] ([`MODEL_EPOCH`] plus the spec's
 //! `Debug` text). The file repeats that text on its first line and is
@@ -37,7 +37,7 @@ use figaro_workloads::{
     TraceSource,
 };
 
-use crate::config::{ConfigKind, Kernel, SystemConfig};
+use crate::config::{ConfigKind, SystemConfig};
 use crate::metrics::{ChannelStats, RunStats};
 use crate::system::System;
 
@@ -301,6 +301,14 @@ fn idle_companion_trace() -> Trace {
 /// behaviour fails that test, which prints the value to put here.
 pub const MODEL_EPOCH: u64 = 0x9fcf_59a7_b0dc_1188;
 
+/// FNV-1a of `text`: names a result-cache file by its key text
+/// ([`RunSpec::key`]) and digests the seed goldens into [`MODEL_EPOCH`].
+#[must_use]
+pub fn key_hash(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// Deterministic per-run trace seed.
 fn seed_for(app: &str, core: usize) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -380,19 +388,15 @@ pub struct RunSpec {
     /// Open-loop pacing wrapped around every core's source; `None`
     /// keeps the workload's own issue rate.
     pub arrival: Option<ArrivalKind>,
-    /// Warm-start: the first N CPU cycles run once under the event
-    /// kernel and are snapshotted, and later runs sharing that prefix
-    /// resume from the snapshot (bit-identical to a cold run).
-    pub warmup: Option<u64>,
 }
 
 impl RunSpec {
-    /// A cold, closed-loop run capped at 400 CPU cycles per instruction
+    /// A closed-loop run capped at 400 CPU cycles per instruction
     /// of the largest target.
     #[must_use]
     pub fn new(config: SystemConfig, workload: Vec<CoreWorkload>, targets: Vec<u64>) -> Self {
         let max_cycles = targets.iter().max().copied().unwrap_or(1).saturating_mul(400);
-        Self { config, workload, targets, max_cycles, arrival: None, warmup: None }
+        Self { config, workload, targets, max_cycles, arrival: None }
     }
 
     /// The result-cache identity: [`MODEL_EPOCH`] plus the `Debug` text.
@@ -404,7 +408,7 @@ impl RunSpec {
     /// FNV-1a of [`RunSpec::key_text`]: the cache file name.
     #[must_use]
     pub fn key(&self) -> u64 {
-        crate::snapshot::key_hash(&self.key_text())
+        key_hash(&self.key_text())
     }
 
     /// Builds the system at cycle 0 (fresh deterministic sources).
@@ -426,19 +430,6 @@ impl RunSpec {
             .collect();
         System::from_sources(self.config.clone(), sources, &self.targets)
     }
-
-    /// The run whose final state is this run's warm point: the warm
-    /// prefix under the event kernel, so both kernels branch from one
-    /// snapshot.
-    fn warm_prefix(&self) -> Option<RunSpec> {
-        let cycles = self.warmup.filter(|&w| w > 0)?;
-        Some(RunSpec {
-            config: SystemConfig { kernel: Kernel::Event, ..self.config.clone() },
-            max_cycles: cycles.min(self.max_cycles),
-            warmup: None,
-            ..self.clone()
-        })
-    }
 }
 
 /// The experiment runner.
@@ -457,24 +448,17 @@ pub struct Runner {
     /// never pace — their results model the applications' own issue
     /// rates.
     arrival: Option<ArrivalKind>,
-    /// Warm-start applied to **streamed** runs (see [`RunSpec::warmup`]);
-    /// `None` runs everything cold.
-    warmup: Option<u64>,
     /// Sweep figures run the paper's full application and mix sets
     /// instead of the representative subset.
     full_sweeps: bool,
     cache_dir: Option<PathBuf>,
-    /// Where FGSN warm-state snapshots live (default
-    /// `<cache_dir>/snapshots`); `None` disables snapshot persistence
-    /// (warmup still runs, once per process call).
-    snapshot_dir: Option<PathBuf>,
 }
 
 impl Runner {
     /// A runner at `scale` with the on-disk result cache enabled and
     /// the paper defaults: the [`SystemConfig::paper`] system (event
     /// kernel, FR-FCFS, the paper's address mapping, identity page
-    /// placement), closed-loop cold streamed runs and the sweep subset.
+    /// placement), closed-loop streamed runs and the sweep subset.
     /// The cache lives at `target/figaro-cache` under the
     /// [`workspace_root`] above the current directory.
     ///
@@ -512,9 +496,7 @@ impl Runner {
             scale,
             system: SystemConfig::paper(1, ConfigKind::Base),
             arrival: None,
-            warmup: None,
             full_sweeps: false,
-            snapshot_dir: cache_dir.as_ref().map(|d| d.join("snapshots")),
             cache_dir,
         }
     }
@@ -537,28 +519,12 @@ impl Runner {
         self
     }
 
-    /// Warm-starts every **streamed** run this runner builds (`0` runs
-    /// cold).
-    #[must_use]
-    pub fn with_warmup(mut self, cycles: u64) -> Self {
-        self.warmup = Some(cycles).filter(|&w| w > 0);
-        self
-    }
-
     /// Runs sweep figures over the paper's full application and mix
     /// sets (`true`) or the representative subset (`false`, the
     /// default).
     #[must_use]
     pub fn with_full_sweeps(mut self, full: bool) -> Self {
         self.full_sweeps = full;
-        self
-    }
-
-    /// Pins the FGSN snapshot directory (default:
-    /// `<cache_dir>/snapshots`).
-    #[must_use]
-    pub fn with_snapshot_dir(mut self, dir: PathBuf) -> Self {
-        self.snapshot_dir = Some(dir);
         self
     }
 
@@ -610,16 +576,10 @@ impl Runner {
     /// a foreign file) is recomputed and overwritten.
     #[must_use]
     pub fn run(&self, spec: &RunSpec) -> RunSummary {
-        let fresh = || {
-            let mut sys = spec.build();
-            if let Some(prefix) = spec.warm_prefix() {
-                self.warm_start(&mut sys, &prefix);
-            }
-            RunSummary::from_stats(&sys.run(spec.max_cycles))
-        };
+        let fresh = || RunSummary::from_stats(&spec.build().run(spec.max_cycles));
         let Some(dir) = &self.cache_dir else { return fresh() };
         let key_text = spec.key_text();
-        let name = format!("{:016x}", crate::snapshot::key_hash(&key_text));
+        let name = format!("{:016x}", key_hash(&key_text));
         let path = dir.join(format!("{name}.txt"));
         let lock = Self::key_lock(&path);
         let _guard = lock.lock().expect("cache key lock never poisoned");
@@ -638,16 +598,6 @@ impl Runner {
             let _ = fs::rename(&tmp, &path);
         }
         s
-    }
-
-    /// Trace for `profile` on logical core `core`.
-    #[must_use]
-    pub fn trace_for(&self, profile: &AppProfile, core: usize) -> Trace {
-        generate_trace(
-            profile,
-            ops_for(profile, insts_for(profile, self.scale)),
-            seed_for(profile.name, core),
-        )
     }
 
     /// The materialized-trace workload of `profile` on core `core`.
@@ -716,8 +666,8 @@ impl Runner {
     /// so no trace is materialized and run length is bounded by
     /// simulation time, not RAM. Each core targets `target_insts`, or
     /// its scale-derived target when `None`; the runner's arrival pacing
-    /// and warmup apply. Change the system through `spec.config`'s
-    /// builders and set `spec.arrival` / `spec.warmup` directly.
+    /// applies. Change the system through `spec.config`'s builders and
+    /// set `spec.arrival` directly.
     ///
     /// # Panics
     ///
@@ -739,38 +689,8 @@ impl Runner {
             apps.iter().map(|p| target_insts.unwrap_or_else(|| insts_for(p, self.scale))).collect();
         RunSpec {
             arrival: self.arrival,
-            warmup: self.warmup,
             ..RunSpec::new(self.system_config(apps.len(), kind), workload, targets)
         }
-    }
-
-    /// Brings `sys` to its warm point, the final state of `prefix`:
-    /// restores the FGSN snapshot of `prefix` when one exists, otherwise
-    /// runs `prefix` once and publishes its snapshot for every later run
-    /// sharing it.
-    fn warm_start(&self, sys: &mut System, prefix: &RunSpec) {
-        let path =
-            self.snapshot_dir.as_ref().map(|d| d.join(format!("{:016x}.fgsn", prefix.key())));
-        if let Some(p) = &path {
-            if crate::snapshot::restore(sys, p).is_ok() {
-                sys.note_warm_resume();
-                return;
-            }
-        }
-        let mut warm = prefix.build();
-        let _ = warm.run(prefix.max_cycles);
-        if let Some(p) = &path {
-            if let Some(dir) = p.parent() {
-                let _ = fs::create_dir_all(dir);
-            }
-            let _ = crate::snapshot::save(&warm, p);
-        }
-        // Hand the warmed state over in memory — the run must not depend
-        // on the snapshot write having succeeded.
-        let mut words = Vec::new();
-        warm.save_state(&mut words);
-        sys.load_state(&mut &words[..]);
-        sys.note_warm_resume();
     }
 
     /// Runs a batch of specs in parallel; results in input order,
@@ -850,6 +770,7 @@ pub fn workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Kernel;
     use figaro_core::{
         CacheRegion, FigCacheConfig, InsertionPolicy, Relocation, ReplacementPolicy,
     };
@@ -916,8 +837,7 @@ mod tests {
             .single_spec(&mcf, ConfigKind::FigCacheCustom(FigCacheConfig::paper_fast()));
         // The patterns are exhaustive: a new field stops this test from
         // compiling until it gets a mutation below.
-        let RunSpec { config, workload: _, targets: _, max_cycles: _, arrival: _, warmup: _ } =
-            &base;
+        let RunSpec { config, workload: _, targets: _, max_cycles: _, arrival: _ } = &base;
         assert_keyed(&base, "workload", |s| s.workload[0] = CoreWorkload::Idle);
         assert_keyed(&base, "workload profile", |s| {
             s.workload[0] = CoreWorkload::Trace { profile: lbm, ops: 10, seed: 1 };
@@ -936,7 +856,6 @@ mod tests {
         assert_keyed(&base, "targets", |s| s.targets[0] += 1);
         assert_keyed(&base, "max_cycles", |s| s.max_cycles += 1);
         assert_keyed(&base, "arrival", |s| s.arrival = Some(ArrivalKind::Fixed { gap: 8 }));
-        assert_keyed(&base, "warmup", |s| s.warmup = Some(1_000));
 
         let SystemConfig {
             cores: _,

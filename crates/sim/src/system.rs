@@ -77,47 +77,6 @@ impl ChannelShard {
     fn backlog_front_acceptable(&self) -> bool {
         self.backlog.front().is_some_and(|f| self.mc.can_accept(f.is_write))
     }
-
-    /// Appends the channel's live state — the controller plus the parked
-    /// backlog — to a snapshot word stream.
-    fn save_state(&self, out: &mut Vec<u64>) {
-        self.mc.save_state(out);
-        out.push(self.backlog.len() as u64);
-        for req in &self.backlog {
-            out.push(req.id);
-            out.push(req.addr.0);
-            out.push(u64::from(req.is_write));
-            out.push(u64::from(req.core));
-            out.push(req.arrival);
-        }
-    }
-
-    /// Restores state saved by [`ChannelShard::save_state`]; returns the
-    /// restored backlog length (the router's global bookkeeping).
-    fn load_state(&mut self, src: &mut &[u64]) -> usize {
-        self.mc.load_state(src);
-        let n = crate::take(src) as usize;
-        self.backlog.clear();
-        for _ in 0..n {
-            let id = crate::take(src);
-            let addr = figaro_dram::PhysAddr(crate::take(src));
-            let is_write = crate::take(src) != 0;
-            let core = crate::take(src) as u8;
-            let arrival = crate::take(src);
-            self.push_backlog(Request { id, addr, is_write, core, arrival });
-        }
-        n
-    }
-
-    /// (queued reads, queued writes, backlogged requests) — the `diag
-    /// snapshot` occupancy summary.
-    pub(crate) fn occupancy(&self) -> (u64, u64, u64) {
-        (
-            self.mc.read_queue_len() as u64,
-            self.mc.write_queue_len() as u64,
-            self.backlog.len() as u64,
-        )
-    }
 }
 
 /// One runnable system: cores + hierarchy + one `ChannelShard` per
@@ -471,45 +430,6 @@ impl System {
     #[must_use]
     pub fn cpu_cycle(&self) -> u64 {
         self.cpu_cycle
-    }
-
-    /// Appends the system's full live state — clock, cores, hierarchy,
-    /// per-channel shards — to a snapshot word stream (the payload of the
-    /// FGSN format, see [`crate::snapshot`]). Construction parameters are
-    /// *not* included: a restore rebuilds the system from the same run
-    /// description, guaranteed by the snapshot's config hash.
-    pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.cpu_cycle);
-        out.push(self.cores.len() as u64);
-        for core in &self.cores {
-            core.save_state(out);
-        }
-        self.hierarchy.save_state(out);
-        out.push(self.shards.len() as u64);
-        for sh in &self.shards {
-            sh.save_state(out);
-        }
-    }
-
-    /// Restores state saved by [`System::save_state`] into a freshly
-    /// constructed system (same configuration and trace sources). After
-    /// this, `run` continues bit-identically to the uninterrupted run
-    /// under every kernel.
-    pub(crate) fn load_state(&mut self, src: &mut &[u64]) {
-        self.cpu_cycle = crate::take(src);
-        let n = crate::take(src) as usize;
-        assert_eq!(n, self.cores.len(), "snapshot core-count mismatch");
-        for core in &mut self.cores {
-            core.load_state(src);
-        }
-        self.hierarchy.load_state(src);
-        let n = crate::take(src) as usize;
-        assert_eq!(n, self.shards.len(), "snapshot channel-count mismatch");
-        self.backlog_len = 0;
-        for sh in &mut self.shards {
-            self.backlog_len += sh.load_state(src);
-        }
-        self.completion_buf.clear();
     }
 
     /// The original per-cycle clock loop ([`Kernel::Reference`]).

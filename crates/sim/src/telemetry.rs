@@ -1,11 +1,8 @@
 //! Telemetry glue: harvests component counters into the interval
-//! series, stamps main-loop trace marks, merges per-shard trace
-//! buffers, and owns the (wall-clock) kernel self-profile.
+//! series, merges per-shard trace buffers, and owns the (wall-clock)
+//! kernel self-profile.
 //!
-//! This module is the **only** place in `crates/sim` allowed to call
-//! `figaro-telemetry` emit primitives outside the `probe!` guard
-//! (figlint FIG007 carries a justified allow entry for this file):
-//! every entry point here is itself reachable only through the
+//! Every entry point here is reachable only through the
 //! `System::telemetry` / `System::profiler` `Option`s, so the disabled
 //! path never gets this far.
 //!
@@ -22,7 +19,7 @@
 
 use figaro_memctrl::{McCounters, MemoryController};
 use figaro_telemetry::series::{ColKind, SeriesSet};
-use figaro_telemetry::trace::{Cat, MergeSource, TraceBuffer};
+use figaro_telemetry::trace::MergeSource;
 use figaro_telemetry::{profile, TelemetryConfig, TraceSink};
 
 use crate::system::System;
@@ -63,9 +60,6 @@ pub(crate) struct SimTelemetry {
     series: SeriesSet,
     /// Trace sink, when `FIGARO_TRACE` is set.
     sink: Option<TraceSink>,
-    /// Main-loop trace lane (window/warm marks); `Some` iff
-    /// `sink` is.
-    buf: Option<TraceBuffer>,
 }
 
 impl SimTelemetry {
@@ -91,7 +85,6 @@ impl SimTelemetry {
             }
         }
         let ncols = series.cols.len();
-        let buf = cfg.trace.as_ref().map(|s| TraceBuffer::new(s.filter));
         Some(Box::new(Self {
             interval: cfg.interval,
             next_sample_at: cfg.interval.unwrap_or(u64::MAX),
@@ -99,7 +92,6 @@ impl SimTelemetry {
             scratch: Vec::with_capacity(ncols),
             series,
             sink: cfg.trace.clone(),
-            buf,
         }))
     }
 
@@ -109,10 +101,7 @@ impl SimTelemetry {
     }
 
     /// Snapshots one sample row at `now` and advances the boundary to
-    /// the next interval multiple strictly after `now` (a warm-start
-    /// resume may have crossed several boundaries — they collapse into
-    /// this one row, whose deltas still cover the full gap, so totals
-    /// keep reconciling exactly).
+    /// the next interval multiple strictly after `now`.
     pub(crate) fn sample(&mut self, now: u64, sys: &System) {
         let Some(interval) = self.interval else { return };
         self.scratch.clear();
@@ -128,13 +117,6 @@ impl SimTelemetry {
         }
         self.series.push_row(now, &row);
         self.next_sample_at = (now / interval + 1) * interval;
-    }
-
-    /// Warm-start resume instant.
-    pub(crate) fn warm_mark(&mut self, cycle: u64) {
-        if let Some(buf) = &mut self.buf {
-            buf.instant(Cat::Warm, "warm_resume", cycle, 0);
-        }
     }
 }
 
@@ -293,10 +275,7 @@ impl System {
         let Some(sink) = t.sink.clone() else { return };
         let per_bus = self.cfg.cpu_cycles_per_bus;
         let final_bus = now / per_bus;
-        let mut sources = Vec::with_capacity(1 + self.shards.len());
-        if let Some(buf) = t.buf.take() {
-            sources.push(MergeSource { tid: 0, ts_scale: 1, buf });
-        }
+        let mut sources = Vec::with_capacity(self.shards.len());
         for (ch, sh) in self.shards.iter_mut().enumerate() {
             if let Some(buf) = sh.mc.take_trace(final_bus) {
                 sources.push(MergeSource { tid: ch as u32 + 1, ts_scale: per_bus, buf });
@@ -308,14 +287,6 @@ impl System {
         // One write per run: drop the state so a (hypothetical) second
         // `run` on the same system cannot emit a half-empty trace.
         self.telemetry = None;
-    }
-
-    /// Stamps a `warm_resume` instant at the current clock (the runner
-    /// calls this when a run resumes from a warm-state snapshot or an
-    /// in-memory warm hand-over).
-    pub(crate) fn note_warm_resume(&mut self) {
-        let cycle = self.cpu_cycle;
-        figaro_telemetry::probe!(self.telemetry, t => t.warm_mark(cycle));
     }
 
     /// Charges the memory-half segment since the previous split to

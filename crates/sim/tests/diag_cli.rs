@@ -1,8 +1,9 @@
 //! The `diag` binary's environment handling: the usage text and the
 //! `FIGARO_KERNEL` error list exactly the kernels that exist, the
 //! removed `parallel` and `sampled` names fail loudly instead of running, and
-//! every malformed `FIGARO_*` value is an error naming its variable, not
-//! a panic or a silent fallback.
+//! every malformed `FIGARO_*` value, and every set `FIGARO_*` name the
+//! binary does not know, is an error naming its variable, not a panic or
+//! a silent fallback.
 
 use std::io;
 use std::process::{Command, Output};
@@ -76,17 +77,20 @@ fn bad_env_values_exit_with_an_error_naming_the_variable() -> io::Result<()> {
         ("FIGARO_MAP", "diagonal"),
         ("FIGARO_PAGEMAP", "color3"),
         ("FIGARO_LOAD", "poisson"),
-        ("FIGARO_WARMUP", "soon"),
         ("FIGARO_SCALE", "huge"),
         ("FIGARO_FULL_SWEEPS", "yes"),
         ("FIGARO_STATS_INTERVAL", "0"),
         ("FIGARO_TRACE", "trace.json:relocs"),
         ("FIGARO_PROFILE", "true"),
+        // Removed knobs and typos are unknown names, not no-ops.
+        ("FIGARO_WARMUP", "5000"),
+        ("FIGARO_SNAPSHOT_DIR", "snaps"),
+        ("FIGARO_SHCED", "fcfs"),
     ];
     for (name, value) in table {
         let out = diag(&["mcf", "base", "tiny"], &[(name, value)])?;
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{name}={value} must not run");
+        assert_eq!(out.status.code(), Some(2), "{name}={value} must not run: {err}");
         assert!(err.lines().any(|l| l.contains(name)), "{name}={value}: {err}");
         assert!(!err.contains("panicked"), "{name}={value}: {err}");
     }

@@ -129,7 +129,7 @@ mod tests {
     fn trace_spec_without_filter_keeps_colonless_path() {
         let s = parse_trace_spec("trace.json").unwrap();
         assert_eq!(s.path, std::path::PathBuf::from("trace.json"));
-        assert!(s.filter.allows("reloc") && s.filter.allows("warm"));
+        assert!(s.filter.allows("reloc") && s.filter.allows("refresh"));
     }
 
     #[test]

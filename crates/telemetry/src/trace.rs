@@ -27,12 +27,10 @@ pub enum Cat {
     Drain,
     /// Refresh command instants.
     Refresh,
-    /// Warm-start resume markers.
-    Warm,
 }
 
 /// All categories, in bit order.
-pub const CATEGORIES: [Cat; 4] = [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Warm];
+pub const CATEGORIES: [Cat; 3] = [Cat::Reloc, Cat::Drain, Cat::Refresh];
 
 impl Cat {
     /// The category label written to the JSON `cat` field and accepted
@@ -43,7 +41,6 @@ impl Cat {
             Cat::Reloc => "reloc",
             Cat::Drain => "drain",
             Cat::Refresh => "refresh",
-            Cat::Warm => "warm",
         }
     }
 
@@ -135,8 +132,8 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// An append-only, filter-aware event buffer owned by one lane
-/// (controller shard or the main simulation loop).
+/// An append-only, filter-aware event buffer owned by one lane (one
+/// controller shard).
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     filter: TraceFilter,
@@ -281,8 +278,8 @@ impl ControllerTrace {
 /// One lane feeding the merged trace file.
 #[derive(Debug)]
 pub struct MergeSource {
-    /// Chrome `tid` this lane's events render under (`0` = the main
-    /// simulation loop, `1 + channel` = that channel's controller).
+    /// Chrome `tid` this lane's events render under (`1 + channel` for
+    /// that channel's controller).
     pub tid: u32,
     /// Multiplier rescaling the lane's timestamps to CPU cycles
     /// (controllers stamp bus cycles; the bus runs slower).
@@ -642,7 +639,9 @@ mod tests {
         let f = TraceFilter::default();
         assert!(CATEGORIES.iter().all(|c| f.allows(c.name())));
         assert_eq!(TraceFilter::parse("all"), Ok(f));
-        assert!(TraceFilter::parse("epoch").is_err(), "the epoch category is gone");
+        for gone in ["epoch", "warm"] {
+            assert!(TraceFilter::parse(gone).is_err(), "the {gone} category is gone");
+        }
         let only = TraceFilter::parse("drain").unwrap();
         assert!(only.allows("drain") && !only.allows("reloc"));
         assert!(TraceFilter::looks_like_filter("reloc,drain"));
@@ -687,7 +686,7 @@ mod tests {
     #[test]
     fn merge_orders_by_time_then_lane() {
         let mut a = TraceBuffer::new(TraceFilter::default());
-        a.instant(Cat::Warm, "warm_resume", 5, 0);
+        a.instant(Cat::Reloc, "reloc", 5, 0);
         let mut b = TraceBuffer::new(TraceFilter::default());
         b.instant(Cat::Refresh, "refresh", 3, 0);
         let dir = std::env::temp_dir().join("figaro-telemetry-test");
@@ -702,8 +701,8 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let refresh_at = text.find("refresh").unwrap();
-        let warm_at = text.find("warm_resume").unwrap();
-        assert!(refresh_at < warm_at, "earlier ts must be written first");
+        let reloc_at = text.find("\"reloc\"").unwrap();
+        assert!(refresh_at < reloc_at, "earlier ts must be written first");
         std::fs::remove_file(&path).ok();
     }
 

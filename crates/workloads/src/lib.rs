@@ -43,10 +43,7 @@ pub use arrival::{ArrivalKind, ArrivalSchedule};
 pub use generator::{generate_trace, TraceGenerator};
 pub use mixes::{eight_core_mixes, Mix, MixCategory};
 pub use pagemap::{PageMapKind, PageMappedSource, PageMapper};
-pub use trace_io::{
-    read_trace_file, read_varint, write_trace_file, write_varint, FileReplay, RecordingSource,
-    TraceWriter,
-};
+pub use trace_io::{read_trace_file, write_trace_file, FileReplay, RecordingSource, TraceWriter};
 
 /// One trace record: `nonmem` non-memory instructions, then a memory
 /// access to `addr`.

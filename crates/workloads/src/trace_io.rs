@@ -40,13 +40,8 @@ use crate::{Trace, TraceOp, TraceSource};
 const MAGIC: [u8; 4] = *b"FIGT";
 const VERSION: u8 = 1;
 
-/// Writes one LEB128 varint. Public because the `FGSN` snapshot codec in
-/// `figaro-sim` reuses the FIGT varint machinery.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
+/// Writes one LEB128 varint.
+fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -57,12 +52,9 @@ pub fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     }
 }
 
-/// Reads one varint; `Ok(None)` on clean EOF at the first byte.
-///
-/// # Errors
-///
-/// Fails on I/O errors, truncation mid-varint, or u64 overflow.
-pub fn read_varint<R: Read>(r: &mut R) -> io::Result<Option<u64>> {
+/// Reads one varint; `Ok(None)` on clean EOF at the first byte. Fails on
+/// I/O errors, truncation mid-varint, or u64 overflow.
+fn read_varint<R: Read>(r: &mut R) -> io::Result<Option<u64>> {
     let mut v = 0u64;
     let mut shift = 0u32;
     let mut buf = [0u8; 1];
@@ -92,14 +84,12 @@ pub fn read_varint<R: Read>(r: &mut R) -> io::Result<Option<u64>> {
 }
 
 /// Zigzag-maps a signed value so small magnitudes varint-encode short.
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-#[must_use]
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

@@ -152,21 +152,6 @@ pub mod rngs {
         }
     }
 
-    impl StdRng {
-        /// The raw xoshiro256++ state words (checkpoint serialization).
-        #[must_use]
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from [`Self::state`] words. The stream
-        /// continues exactly where the saved generator left off.
-        #[must_use]
-        pub fn from_state(s: [u64; 4]) -> Self {
-            Self { s }
-        }
-    }
-
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
             // SplitMix64 state expansion, as xoshiro's authors recommend.

@@ -160,7 +160,7 @@ fn model_epoch_pins_the_seed_golden_run_stats() {
     // with it the result-cache epoch, so stale cache entries are never
     // returned.
     let text: String = event_golden_runs().iter().map(|s| format!("{s:?}\n")).collect();
-    let digest = figaro_sim::snapshot::key_hash(&text);
+    let digest = figaro_sim::runner::key_hash(&text);
     assert_eq!(
         digest, MODEL_EPOCH,
         "simulated behaviour changed: set MODEL_EPOCH in crates/sim/src/runner.rs to {digest:#018x}"
