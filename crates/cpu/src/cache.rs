@@ -6,13 +6,17 @@
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size_bytes: u64,
-    /// Associativity.
+    /// Associativity (1 to [`MAX_WAYS`]).
     pub ways: u32,
     /// Block size in bytes.
     pub block_bytes: u32,
     /// Lookup latency in CPU cycles.
     pub latency: u32,
 }
+
+/// The most ways a set can have: its recency order is one 4-bit way
+/// number per way in a `u64`.
+pub const MAX_WAYS: u32 = 16;
 
 impl CacheParams {
     /// Number of sets.
@@ -25,6 +29,34 @@ impl CacheParams {
         let sets = self.size_bytes / u64::from(self.block_bytes) / u64::from(self.ways);
         assert!(sets > 0 && sets.is_power_of_two(), "cache sets must be a non-zero power of two");
         sets
+    }
+
+    /// Checks that [`SetAssocCache::new`] can build this geometry: 1 to
+    /// [`MAX_WAYS`] ways, a power-of-two block size, a non-zero
+    /// power-of-two number of sets, and blocks and sets that together
+    /// span at least four addresses (the line word's flag bits).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the geometry breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_WAYS).contains(&self.ways) {
+            return Err(format!("cache ways must be 1 to {MAX_WAYS}, got {}", self.ways));
+        }
+        if !self.block_bytes.is_power_of_two() {
+            return Err(format!(
+                "cache block size must be a power of two, got {}",
+                self.block_bytes
+            ));
+        }
+        let sets = self.size_bytes / u64::from(self.block_bytes) / u64::from(self.ways);
+        if sets == 0 || !sets.is_power_of_two() {
+            return Err(format!("cache sets must be a non-zero power of two, got {sets}"));
+        }
+        if sets.trailing_zeros() + self.block_bytes.trailing_zeros() < TAG_SHIFT {
+            return Err("a cache must span at least four addresses".into());
+        }
+        Ok(())
     }
 }
 
@@ -64,12 +96,39 @@ const DIRTY: u64 = 2;
 /// at construction), so no tag bit is lost.
 const TAG_SHIFT: u32 = 2;
 
+/// A 1 in every nibble of a `u64`.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+/// The order word of a 16-way set whose ways were used in way order:
+/// way `i` at rank `i`. A set of fewer ways keeps its low nibbles.
+const WAY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+
+/// `order` with `way` moved to the MRU end (rank `ways - 1`, at bit
+/// `mru_shift`), the ways above its rank each moving one rank down.
+///
+/// The way's rank is found without a branch: XOR with the way number in
+/// every nibble zeroes exactly its own nibble among the set's ways, and
+/// the lowest nibble that the zero-nibble test flags is always a true
+/// zero. Nibbles above the set's ways are zero and stay zero; they can
+/// only be flagged above the way's own nibble.
+fn promote(order: u64, way: u64, mru_shift: u32) -> u64 {
+    let x = order ^ (way * NIBBLE_ONES);
+    let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+    let at = zero.trailing_zeros() & !3;
+    let below = order & ((1 << at) - 1);
+    let above = (order >> at) >> 4;
+    below | (above << at) | (way << mru_shift)
+}
+
 /// One set-associative cache level.
 ///
-/// Each line is two words: `tag << TAG_SHIFT | DIRTY | VALID` and the
-/// recency stamp of its last access or fill. Both tables start zeroed
-/// (an all-invalid cache), so the allocator hands out untouched pages
-/// and a large LLC only becomes resident as its sets are used.
+/// Each line is one word, `tag << TAG_SHIFT | DIRTY | VALID`, and each
+/// set has one recency-order word: its way numbers from least to most
+/// recently used, one nibble each. A fill's victim is the LRU nibble. A
+/// new cache lists its ways in way order, and no line is ever
+/// invalidated, so the ways not yet filled are always the LRU end in way
+/// order. The line table starts zeroed (an all-invalid cache), so the
+/// allocator hands out untouched pages and a large LLC only becomes
+/// resident as its sets are used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     params: CacheParams,
@@ -81,11 +140,12 @@ pub struct SetAssocCache {
     set_shift: u32,
     block_bits: u32,
     ways: usize,
+    /// Bit offset of the MRU nibble in an order word: `4 * (ways - 1)`.
+    mru_shift: u32,
     /// Packed tag and flags per line, set-major.
     words: Vec<u64>,
-    /// Recency stamp per line, set-major.
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Recency order per set, LRU way in the low nibble.
+    order: Vec<u64>,
     /// Counters (public: the hierarchy reports them).
     pub stats: CacheStats,
 }
@@ -95,24 +155,25 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two split, or if blocks
-    /// and sets together span fewer than four addresses.
+    /// Panics if `params` fails [`CacheParams::validate`].
     #[must_use]
     pub fn new(params: CacheParams) -> Self {
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         let sets = params.sets();
         let lines = (sets * u64::from(params.ways)) as usize;
-        let (set_shift, block_bits) = (sets.trailing_zeros(), params.block_bytes.trailing_zeros());
-        assert!(set_shift + block_bits >= TAG_SHIFT, "a cache must span at least four addresses");
+        let mru_shift = 4 * (params.ways - 1);
         Self {
             params,
             sets,
             set_mask: sets - 1,
-            set_shift,
-            block_bits,
+            set_shift: sets.trailing_zeros(),
+            block_bits: params.block_bytes.trailing_zeros(),
             ways: params.ways as usize,
+            mru_shift,
             words: vec![0; lines],
-            stamps: vec![0; lines],
-            clock: 0,
+            order: vec![WAY_ORDER & (u64::MAX >> (60 - mru_shift)); sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -138,16 +199,16 @@ impl SetAssocCache {
     /// dirty. Misses do **not** allocate (use [`SetAssocCache::fill`] when
     /// the data arrives).
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
-        self.clock += 1;
         let (set, want) = self.index(addr);
         let base = self.base(set);
         self.stats.accesses += 1;
         let words = &mut self.words[base..base + self.ways];
         if let Some(way) = words.iter().position(|&w| w & !DIRTY == want) {
-            self.stamps[base + way] = self.clock;
             if is_write {
                 words[way] |= DIRTY;
             }
+            let order = &mut self.order[set as usize];
+            *order = promote(*order, way as u64, self.mru_shift);
             self.stats.hits += 1;
             return true;
         }
@@ -157,11 +218,8 @@ impl SetAssocCache {
 
     /// Records `times` demand misses without touching line state: the
     /// batched equivalent of `times` calls to [`SetAssocCache::access`]
-    /// on an absent block. The internal recency clock advances exactly as
-    /// it would have, so a cycle-skipping caller stays in lockstep with a
-    /// per-cycle one.
+    /// on an absent block (a miss changes nothing but the counters).
     pub fn note_misses(&mut self, times: u64) {
-        self.clock += times;
         self.stats.accesses += times;
         self.stats.misses += times;
     }
@@ -177,33 +235,23 @@ impl SetAssocCache {
     /// Inserts `addr`'s block (LRU victim). Returns the evicted block's
     /// address if the victim was dirty (the caller writes it back).
     ///
-    /// One pass over the set finds either the block (a racing fill: the
-    /// line is just updated) or the victim: the first invalid way, else
-    /// the first way with the oldest stamp.
+    /// A racing fill of a present block just updates its line; otherwise
+    /// the victim is the set's LRU way, which is the first invalid way
+    /// while there is one.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
-        self.clock += 1;
         let (set, want) = self.index(addr);
         let base = self.base(set);
         let words = &mut self.words[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
+        let order = &mut self.order[set as usize];
         let dirty_bit = if dirty { DIRTY } else { 0 };
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for way in 0..words.len() {
-            let w = words[way];
-            if w & !DIRTY == want {
-                words[way] |= dirty_bit;
-                stamps[way] = self.clock;
-                return None;
-            }
-            let age = if w & VALID != 0 { stamps[way] } else { 0 };
-            if age < oldest {
-                oldest = age;
-                victim = way;
-            }
+        if let Some(way) = words.iter().position(|&w| w & !DIRTY == want) {
+            words[way] |= dirty_bit;
+            *order = promote(*order, way as u64, self.mru_shift);
+            return None;
         }
-        let old = std::mem::replace(&mut words[victim], want | dirty_bit);
-        stamps[victim] = self.clock;
+        let victim = *order & 0xF;
+        *order = (*order >> 4) | (victim << self.mru_shift);
+        let old = std::mem::replace(&mut words[victim as usize], want | dirty_bit);
         if old & VALID == 0 {
             return None;
         }
@@ -214,6 +262,12 @@ impl SetAssocCache {
         self.stats.dirty_evictions += 1;
         Some(((old >> TAG_SHIFT) * self.sets + set) << self.block_bits)
     }
+}
+
+/// The ways an order word lists, from LRU to MRU.
+#[cfg(test)]
+fn ranks(order: u64, ways: u32) -> Vec<u64> {
+    (0..ways).map(|rank| (order >> (4 * rank)) & 0xF).collect()
 }
 
 #[cfg(test)]
@@ -269,12 +323,7 @@ mod tests {
             assert!(!a.access(0x1000, false));
         }
         b.note_misses(5);
-        assert_eq!(a.stats, b.stats);
-        // Recency clocks stayed in lockstep: the next fill picks the same
-        // victim stamps in both caches.
-        a.access(0x40, false);
-        b.access(0x40, false);
-        assert_eq!(a.stats, b.stats);
+        assert_eq!(a, b, "a miss changes nothing but the counters");
     }
 
     #[test]
@@ -311,6 +360,74 @@ mod tests {
         c.access(set_stride, false);
         c.fill(2 * set_stride, false);
         assert!(!c.probe(0));
+    }
+
+    #[test]
+    fn promote_moves_each_rank_to_the_mru_end() {
+        for ways in [1u32, 2, 4, 8, 16] {
+            let mru_shift = 4 * (ways - 1);
+            // The ways in reverse order, so a way's number is not its rank.
+            let start = (0..ways).fold(0, |o, way| o | u64::from(way) << (4 * (ways - 1 - way)));
+            for rank in 0..ways {
+                let mut want = ranks(start, ways);
+                let way = want.remove(rank as usize);
+                want.push(way);
+                let moved = promote(start, way, mru_shift);
+                assert_eq!(ranks(moved, ways), want, "{ways} ways, rank {rank}");
+                assert_eq!(moved >> mru_shift >> 4, 0, "nibbles above the ways stay zero");
+            }
+        }
+    }
+
+    #[test]
+    fn metadata_is_one_word_per_line_plus_one_per_set() {
+        // The 8-core LLC: 262,144 lines in 16,384 sets.
+        let c = SetAssocCache::new(CacheParams {
+            size_bytes: 16 << 20,
+            ways: 16,
+            block_bytes: 64,
+            latency: 38,
+        });
+        assert_eq!((c.words.len(), c.order.len()), (262_144, 16_384));
+        // Geometry, the two tables and the counters: a third table would
+        // grow the struct.
+        let parts = std::mem::size_of::<CacheParams>()
+            + 2 * std::mem::size_of::<u64>()
+            + 3 * std::mem::size_of::<u32>()
+            + std::mem::size_of::<usize>()
+            + 2 * std::mem::size_of::<Vec<u64>>()
+            + std::mem::size_of::<CacheStats>();
+        assert!(std::mem::size_of::<SetAssocCache>() <= parts.next_multiple_of(8));
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_geometries() {
+        let ok = CacheParams { size_bytes: 1024, ways: 2, block_bytes: 64, latency: 1 };
+        assert_eq!(ok.validate(), Ok(()));
+        assert_eq!(CacheParams { ways: 16, ..ok }.validate(), Ok(()));
+        for (bad, why) in [
+            (CacheParams { ways: 0, ..ok }, "ways"),
+            (CacheParams { ways: 32, size_bytes: 4096, ..ok }, "ways"),
+            (CacheParams { block_bytes: 48, ..ok }, "block size"),
+            (CacheParams { block_bytes: 0, ..ok }, "block size"),
+            (CacheParams { size_bytes: 3 * 128, ..ok }, "power of two"),
+            (CacheParams { size_bytes: 64, ..ok }, "power of two"),
+            (CacheParams { size_bytes: 2, ways: 1, block_bytes: 2, ..ok }, "four addresses"),
+        ] {
+            let err = bad.validate().expect_err(why);
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be 1 to 16")]
+    fn more_than_sixteen_ways_panics() {
+        let _ = SetAssocCache::new(CacheParams {
+            size_bytes: 32 * 64,
+            ways: 32,
+            block_bytes: 64,
+            latency: 1,
+        });
     }
 
     #[test]
@@ -448,27 +565,39 @@ mod proptests {
                 }
             }
             assert_eq!(packed.stats, reference.stats);
+            for &order in &packed.order {
+                let mut ways_listed = ranks(order, ways);
+                ways_listed.sort_unstable();
+                assert!(ways_listed.into_iter().eq(0..u64::from(ways)), "{order:#x}");
+                assert_eq!(order >> packed.mru_shift >> 4, 0, "{order:#x}");
+            }
         }
-        // The same lines (tag, flags and stamp) and recency clock.
-        let lines: Vec<Line> = packed
+        // The same lines (tag and flags)...
+        let lines: Vec<(u64, bool, bool)> = packed
             .words
             .iter()
-            .zip(&packed.stamps)
-            .map(|(&w, &lru)| Line {
-                tag: w >> TAG_SHIFT,
-                valid: w & VALID != 0,
-                dirty: w & DIRTY != 0,
-                lru,
-            })
+            .map(|&w| (w >> TAG_SHIFT, w & VALID != 0, w & DIRTY != 0))
             .collect();
-        assert_eq!(lines, reference.lines);
-        assert_eq!(packed.clock, reference.clock);
+        let want: Vec<(u64, bool, bool)> =
+            reference.lines.iter().map(|l| (l.tag, l.valid, l.dirty)).collect();
+        assert_eq!(lines, want);
+        // ...and each set's order word is the reference's recency order:
+        // invalid ways first in way order, then valid ways by stamp.
+        for (set, &order) in packed.order.iter().enumerate() {
+            let lines = &reference.lines[set * reference.ways..][..reference.ways];
+            let mut by_age: Vec<u64> = (0..u64::from(ways)).collect();
+            by_age.sort_by_key(|&way| {
+                let line = lines[way as usize];
+                (line.valid, if line.valid { line.lru } else { way })
+            });
+            assert_eq!(ranks(order, ways), by_age, "set {set}");
+        }
     }
 
     proptest! {
-        /// Packed lines give the line-struct cache's hits, victims,
-        /// writeback addresses, counters, lines and recency clock, on every
-        /// associativity the hierarchy uses or could use.
+        /// Packed lines and order words give the line-struct cache's hits,
+        /// victims, writeback addresses, counters, lines and recency
+        /// order, on every associativity the hierarchy uses or could use.
         #[test]
         fn packed_cache_matches_the_line_struct_reference(
             ops in proptest::collection::vec((0u8..4, 0u64..1024, 0u64..3, any::<bool>()), 1..400),

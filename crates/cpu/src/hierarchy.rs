@@ -54,6 +54,23 @@ impl HierarchyConfig {
             fill_latency: 4,
         }
     }
+
+    /// Checks that [`CacheHierarchy::new`] can build this hierarchy and
+    /// that it can make progress: every level passes
+    /// [`CacheParams::validate`] and each core has at least one MSHR.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        for (level, params) in [("L1", self.l1), ("L2", self.l2), ("LLC", self.llc)] {
+            params.validate().map_err(|e| format!("{level}: {e}"))?;
+        }
+        if self.mshrs_per_core == 0 {
+            return Err("each core needs at least one MSHR".into());
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of a demand access.
@@ -238,8 +255,7 @@ impl CacheHierarchy {
     ///
     /// A retry of the block whose access last stalled is answered from
     /// the core's stall memo in O(1) with the same effects as the full
-    /// walk: one L1, L2 and LLC miss, each advancing its recency clock,
-    /// and one MSHR stall.
+    /// walk: one L1, L2 and LLC miss and one MSHR stall.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> Access {
         let block = self.block_of(addr);
         if let Some(memo) = &mut self.stall[core] {
@@ -483,6 +499,14 @@ impl CacheHierarchy {
         self.mshr_len[core]
     }
 
+    /// Every cache level: each core's L1, each core's L2, then the LLC.
+    /// Their whole state (lines, recency order and counters) is a
+    /// function of the access and fill sequence alone, so both
+    /// simulation kernels must leave equal caches.
+    pub fn caches(&self) -> impl Iterator<Item = &SetAssocCache> {
+        self.l1.iter().chain(&self.l2).chain([&self.llc])
+    }
+
     /// Snapshot of all counters.
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
@@ -609,8 +633,8 @@ mod tests {
     fn memoized_retries_match_full_walk_retries() {
         // `walked` forgets its memo before every retry, so each retry
         // walks L1, L2, the LLC and the MSHRs; `memoized` answers them
-        // from the memo. Core 1 hits a line between retries so the
-        // interleaving of recency stamps with retry clock bumps matters.
+        // from the memo. Core 1 hits a line between retries, so a retry
+        // that wrongly touched the recency order would show.
         let mut walked = hierarchy();
         let mut memoized = hierarchy();
         let stalled = 99 * 0x10000;
@@ -631,7 +655,7 @@ mod tests {
             }
         }
         assert!(memoized.stall[0].is_some(), "the memo must have answered the retries");
-        // Same counters, recency clocks and line stamps...
+        // Same counters, lines and recency order...
         assert_eq!(walked.stats(), memoized.stats());
         assert_eq!(state(&walked), state(&memoized));
         // ...so the next conflicting fills pick the same LRU victims.

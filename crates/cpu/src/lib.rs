@@ -8,8 +8,10 @@
 //!
 //! * [`cache::SetAssocCache`] — set-associative, write-back,
 //!   write-allocate cache with LRU replacement. Each line is a packed
-//!   `tag | VALID | DIRTY` word plus a recency stamp in zero-allocated
-//!   tables, and one pass over a set finds the hit or the LRU victim;
+//!   `tag | VALID | DIRTY` word in a zero-allocated table, and each set
+//!   keeps its recency order in one word of 4-bit way numbers (1 to 16
+//!   ways): a hit or fill moves its way to the MRU end, and a miss
+//!   fill's victim is the LRU way;
 //! * [`hierarchy::CacheHierarchy`] — the private-L1/L2 + shared-LLC stack
 //!   with per-core MSHRs (miss merging, structural stalls) and dirty
 //!   writeback chains down to the memory controller. The MSHRs are one

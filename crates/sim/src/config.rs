@@ -199,6 +199,31 @@ impl SystemConfig {
         self
     }
 
+    /// Checks that the model can run this system: 1 to 256 cores (a
+    /// request names its core in a `u8`), a non-zero core width and
+    /// window, a non-zero CPU:bus clock ratio, and a hierarchy that
+    /// passes [`HierarchyConfig::validate`]. The DRAM side is checked by
+    /// [`DramConfig::validate`] on [`SystemConfig::dram_config`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=usize::from(u8::MAX) + 1).contains(&self.cores) {
+            return Err(format!("cores must be 1 to 256, got {}", self.cores));
+        }
+        if self.core.width == 0 {
+            return Err("core width must be non-zero".into());
+        }
+        if self.core.window == 0 {
+            return Err("core window must be non-zero".into());
+        }
+        if self.cpu_cycles_per_bus == 0 {
+            return Err("cpu_cycles_per_bus must be non-zero".into());
+        }
+        self.hierarchy.validate()
+    }
+
     /// The in-DRAM cache the mechanism runs; `None` for `Base` and
     /// `LL-DRAM`, which cache nothing.
     #[must_use]
@@ -379,5 +404,59 @@ mod tests {
         let cfg = SystemConfig::fig13_point(1, 128);
         let dram = cfg.dram_config();
         let _ = cfg.build_engine(&dram);
+    }
+
+    /// `validate`'s error for `cfg` after `change`.
+    fn rejection(cores: usize, change: impl FnOnce(&mut SystemConfig)) -> String {
+        let mut cfg = SystemConfig::paper(cores, ConfigKind::Base);
+        change(&mut cfg);
+        cfg.validate().expect_err("the config must be rejected")
+    }
+
+    #[test]
+    fn paper_configs_validate() {
+        for cores in [1, 2, 4, 8, 16, 256] {
+            assert_eq!(SystemConfig::paper(cores, ConfigKind::FigCacheFast).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_non_power_of_two_llc() {
+        // Three cores' 6 MB LLC has 6144 sets.
+        let err = rejection(3, |_| {});
+        assert!(err.starts_with("LLC:") && err.contains("6144"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_more_than_sixteen_ways() {
+        let err = rejection(1, |c| c.hierarchy.l2.ways = 32);
+        assert!(err.starts_with("L2:") && err.contains("ways"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_core_width() {
+        assert!(rejection(1, |c| c.core.width = 0).contains("width"));
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_window() {
+        assert!(rejection(1, |c| c.core.window = 0).contains("window"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_mshrs() {
+        assert!(rejection(1, |c| c.hierarchy.mshrs_per_core = 0).contains("MSHR"));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_bus_ratio() {
+        assert!(rejection(1, |c| c.cpu_cycles_per_bus = 0).contains("cpu_cycles_per_bus"));
+    }
+
+    #[test]
+    fn validate_rejects_core_counts_a_request_cannot_name() {
+        // A request carries its core as a `u8`: core 256 would wake core 0.
+        assert!(rejection(512, |_| {}).contains("cores"));
+        assert!(rejection(1, |c| c.cores = 0).contains("cores"));
     }
 }

@@ -16,10 +16,11 @@
 //!   **bit-identical** to the reference.
 //!
 //! The invariant that makes this sound: between two ticks of a core
-//! nothing changes its state except the batched counters, every
-//! component horizon is a lower bound on its next state change, and
-//! settling a core's skipped cycles late preserves the order of every
-//! cache's LRU stamps (though not their absolute clock values).
+//! nothing changes its state except the batched counters, and every
+//! component horizon is a lower bound on its next state change. A
+//! skipped cycle's stall retry only counts misses, so settling it late
+//! leaves every cache's lines and recency order exactly as the reference
+//! kernel leaves them.
 
 use std::collections::VecDeque;
 
@@ -112,9 +113,8 @@ pub struct System {
 /// a batchable tick (blocked counters or full-width non-memory issue),
 /// so the core settles those cycles lazily with
 /// [`TraceCore::skip_cycles`] when it is next touched. Settling late
-/// moves stall retries' recency-clock bumps after other cores' accesses,
-/// which changes the caches' absolute clock values but never the order
-/// of their LRU stamps — and only that order picks victims.
+/// moves stall retries after other cores' accesses, which cannot matter:
+/// a retry only counts misses and changes no line or recency order.
 #[derive(Debug)]
 struct CoreClocks {
     /// The cycle each core must next tick: its own `next_event_at`, or
@@ -170,7 +170,8 @@ impl System {
     /// # Panics
     ///
     /// Panics if the number of sources or targets does not match
-    /// `cfg.cores` or the configuration is internally inconsistent.
+    /// `cfg.cores`, or if `cfg` fails [`SystemConfig::validate`] or its
+    /// DRAM configuration fails [`figaro_dram::DramConfig::validate`].
     #[must_use]
     pub fn from_sources(
         cfg: SystemConfig,
@@ -180,7 +181,7 @@ impl System {
         assert_eq!(sources.len(), cfg.cores, "one trace source per core");
         assert_eq!(targets.len(), cfg.cores, "one instruction target per core");
         let dram = cfg.dram_config();
-        dram.validate().expect("dram config must validate");
+        cfg.validate().and_then(|()| dram.validate()).expect("system config must validate");
         // The router decodes with the same mapping kind the controllers
         // use — mismatched mappings would send requests to the wrong
         // channel (the controller asserts this on enqueue).
@@ -608,7 +609,24 @@ impl System {
 mod tests {
     use super::*;
     use crate::config::ConfigKind;
+    use figaro_cpu::SetAssocCache;
     use figaro_workloads::{generate_trace, profile_by_name};
+
+    /// A run's stats and the final state of every cache level.
+    type Outcome = (RunStats, Vec<SetAssocCache>);
+
+    fn run_to_end(mut sys: System, max_cpu_cycles: u64) -> Outcome {
+        let stats = sys.run(max_cpu_cycles);
+        (stats, sys.hierarchy.caches().cloned().collect())
+    }
+
+    /// The kernels agree on the stats and on every cache's lines, recency
+    /// order and counters: the caches keep no clock, so their state
+    /// depends on the order of accesses and fills alone.
+    fn assert_kernels_agree(reference: &Outcome, event: &Outcome, what: &str) {
+        assert_eq!(reference.0, event.0, "kernel divergence {what}");
+        assert!(reference.1 == event.1, "cache state divergence {what}");
+    }
 
     fn run_one(kind: ConfigKind) -> RunStats {
         let profile = profile_by_name("mcf").unwrap();
@@ -618,7 +636,7 @@ mod tests {
         sys.run(60_000_000)
     }
 
-    fn run_with_kernel(kind: ConfigKind, kernel: Kernel, cores: usize, insts: u64) -> RunStats {
+    fn run_with_kernel(kind: ConfigKind, kernel: Kernel, cores: usize, insts: u64) -> Outcome {
         let apps = ["mcf", "lbm", "zeusmp", "libquantum"];
         let traces: Vec<Trace> = (0..cores)
             .map(|i| {
@@ -627,8 +645,7 @@ mod tests {
             })
             .collect();
         let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind) };
-        let mut sys = System::new(cfg, traces, &vec![insts; cores]);
-        sys.run(insts * 400)
+        run_to_end(System::new(cfg, traces, &vec![insts; cores]), insts * 400)
     }
 
     #[test]
@@ -638,7 +655,7 @@ mod tests {
         for kind in kinds {
             let reference = run_with_kernel(kind.clone(), Kernel::Reference, 1, 30_000);
             let event = run_with_kernel(kind.clone(), Kernel::Event, 1, 30_000);
-            assert_eq!(reference, event, "kernel divergence under {}", kind.label());
+            assert_kernels_agree(&reference, &event, &format!("under {}", kind.label()));
         }
     }
 
@@ -648,7 +665,7 @@ mod tests {
             let reference =
                 run_with_kernel(ConfigKind::FigCacheFast, Kernel::Reference, cores, 12_000);
             let event = run_with_kernel(ConfigKind::FigCacheFast, Kernel::Event, cores, 12_000);
-            assert_eq!(reference, event, "kernel divergence with {cores} cores");
+            assert_kernels_agree(&reference, &event, &format!("with {cores} cores"));
         }
     }
 
@@ -663,19 +680,17 @@ mod tests {
                 kernel: Kernel::Reference,
                 ..SystemConfig::paper(1, ConfigKind::Base)
             };
-            let mut sys = System::new(cfg, vec![trace], &[1_000_000]);
-            sys.run(50_000)
+            run_to_end(System::new(cfg, vec![trace], &[1_000_000]), 50_000)
         };
         let event = {
             let profile = profile_by_name("mcf").unwrap();
             let trace = generate_trace(&profile, 30_000, 9);
             let cfg =
                 SystemConfig { kernel: Kernel::Event, ..SystemConfig::paper(1, ConfigKind::Base) };
-            let mut sys = System::new(cfg, vec![trace], &[1_000_000]);
-            sys.run(50_000)
+            run_to_end(System::new(cfg, vec![trace], &[1_000_000]), 50_000)
         };
-        assert_eq!(reference.cpu_cycles, 50_000);
-        assert_eq!(reference, event);
+        assert_eq!(reference.0.cpu_cycles, 50_000);
+        assert_kernels_agree(&reference, &event, "at the cycle cap");
     }
 
     #[test]
@@ -701,19 +716,18 @@ mod tests {
             cfg.mc.wq_high = 3;
             cfg.mc.wq_low = 1;
             cfg.hierarchy.mshrs_per_core = 16;
-            let mut sys = System::new(cfg, traces, &[10_000; 4]);
-            sys.run(40_000_000)
+            run_to_end(System::new(cfg, traces, &[10_000; 4]), 40_000_000)
         };
         let reference = run(Kernel::Reference);
         let event = run(Kernel::Event);
-        assert_eq!(reference, event, "kernel divergence under backlog saturation");
+        assert_kernels_agree(&reference, &event, "under backlog saturation");
         for core in 0..4 {
-            assert_eq!(reference.instructions[core], 10_000, "core {core} starved");
+            assert_eq!(reference.0.instructions[core], 10_000, "core {core} starved");
         }
         // The shape must actually have exercised the backlog: with 64
         // outstanding misses possible and 4 queue slots, far more requests
         // were enqueued than fit at once.
-        assert!(reference.mc.enq_reads > 100, "workload must stress the queue");
+        assert!(reference.0.mc.enq_reads > 100, "workload must stress the queue");
     }
 
     #[test]
@@ -743,16 +757,15 @@ mod tests {
             cfg.hierarchy.mshrs_per_core = 16;
             cfg.hierarchy.fill_latency = 23; // default is much smaller
             cfg.cpu_cycles_per_bus = 5; // non-power-of-two ratio
-            let mut sys = System::new(cfg, traces, &[10_000; 4]);
-            sys.run(40_000_000)
+            run_to_end(System::new(cfg, traces, &[10_000; 4]), 40_000_000)
         };
         let reference = run(Kernel::Reference);
         let event = run(Kernel::Event);
-        assert_eq!(reference, event, "kernel divergence with fill_latency=23, per_bus=5");
+        assert_kernels_agree(&reference, &event, "with fill_latency=23, per_bus=5");
         for core in 0..4 {
-            assert_eq!(reference.instructions[core], 10_000, "core {core} starved");
+            assert_eq!(reference.0.instructions[core], 10_000, "core {core} starved");
         }
-        assert!(reference.mc.enq_reads > 100, "workload must stress the queue");
+        assert!(reference.0.mc.enq_reads > 100, "workload must stress the queue");
     }
 
     #[test]
@@ -778,16 +791,15 @@ mod tests {
             cfg.hierarchy.mshrs_per_core = 16;
             cfg.hierarchy.fill_latency = 23;
             cfg.cpu_cycles_per_bus = 5;
-            let mut sys = System::new(cfg, traces, &[10_000; 4]);
-            sys.run(40_000_000)
+            run_to_end(System::new(cfg, traces, &[10_000; 4]), 40_000_000)
         };
         let reference = run(Kernel::Reference);
         let event = run(Kernel::Event);
-        assert_eq!(reference, event, "kernel divergence on saturated FIGCache channels");
+        assert_kernels_agree(&reference, &event, "on saturated FIGCache channels");
         for core in 0..4 {
-            assert_eq!(reference.instructions[core], 10_000, "core {core} starved");
+            assert_eq!(reference.0.instructions[core], 10_000, "core {core} starved");
         }
-        assert!(reference.mc.enq_reads > 100, "workload must stress the queue");
+        assert!(reference.0.mc.enq_reads > 100, "workload must stress the queue");
     }
 
     #[test]
@@ -890,6 +902,17 @@ mod tests {
         assert!(split_share <= memory.0 + 0.5, "splits partition the memory bucket: {report:?}");
         assert!(lines[1..5].iter().all(|l| l.1 > 0 && l.1 <= memory.1), "{report:?}");
         assert!(report[2].starts_with("    "), "splits are indented under memory");
+    }
+
+    #[test]
+    #[should_panic(expected = "system config must validate")]
+    fn from_sources_rejects_an_invalid_config() {
+        // Without MSHRs the first load could never issue: the run would
+        // spin silently to the cycle cap.
+        let mut cfg = SystemConfig::paper(1, ConfigKind::Base);
+        cfg.hierarchy.mshrs_per_core = 0;
+        let trace = generate_trace(&profile_by_name("mcf").unwrap(), 1_000, 1);
+        let _ = System::new(cfg, vec![trace], &[1_000]);
     }
 
     #[test]
