@@ -3,6 +3,10 @@
 //! evaluated in the paper's Section 9. FIGCache and the LISA-VILLA
 //! baseline are presets of the one [`FigCacheConfig`].
 
+use figaro_dram::DramConfig;
+
+use crate::fts::MAX_SLOTS_PER_ROW;
+
 /// Where a bank's in-DRAM cache rows are located.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheRegion {
@@ -141,7 +145,8 @@ impl FigCacheConfig {
         self.blocks_per_segment * 64
     }
 
-    /// Checks configuration consistency.
+    /// Checks configuration consistency on its own; see
+    /// [`FigCacheConfig::validate_for`] for the fit with a DRAM device.
     ///
     /// # Errors
     ///
@@ -158,6 +163,72 @@ impl FigCacheConfig {
         }
         if self.max_pending_jobs_per_bank == 0 {
             return Err("max_pending_jobs_per_bank must be at least 1".into());
+        }
+        Ok(())
+    }
+
+    /// Checks [`FigCacheConfig::validate`] and that the cache fits the
+    /// device in `dram`, so that [`crate::FigCacheEngine::new`] can build
+    /// it: segments divide the row, a row holds at most
+    /// [`MAX_SLOTS_PER_ROW`] of them, LISA clones move whole rows,
+    /// `FastSubarrays` asks for no more rows than the bank's regular rows
+    /// and finds them in the layout's fast subarrays, and
+    /// `ReservedSlowRows` fits in one subarray.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate_for(&self, dram: &DramConfig) -> Result<(), String> {
+        self.validate()?;
+        let blocks_per_row = dram.geometry.blocks_per_row();
+        let blocks = self.blocks_per_segment;
+        if !blocks_per_row.is_multiple_of(blocks) {
+            return Err(format!(
+                "segment size ({blocks} blocks) must divide the row ({blocks_per_row} blocks)"
+            ));
+        }
+        if blocks_per_row / blocks > MAX_SLOTS_PER_ROW {
+            return Err(format!(
+                "{} segments per row exceed the {MAX_SLOTS_PER_ROW} a cache row's eviction \
+                 bitvector holds",
+                blocks_per_row / blocks
+            ));
+        }
+        if self.relocation == Relocation::LisaClone && blocks != blocks_per_row {
+            return Err(format!(
+                "LISA clones move whole rows: blocks_per_segment ({blocks}) must be \
+                 {blocks_per_row}"
+            ));
+        }
+        let layout = dram.layout;
+        match self.region {
+            CacheRegion::FastSubarrays => {
+                // A cache of more rows than the memory it caches holds
+                // nothing more, and an unbounded count overflows the
+                // layout's row arithmetic.
+                if self.cache_rows_per_bank > layout.regular_rows() {
+                    return Err(format!(
+                        "cache rows ({}) must not exceed the bank's {} regular rows",
+                        self.cache_rows_per_bank,
+                        layout.regular_rows()
+                    ));
+                }
+                let fast_rows = u64::from(layout.fast_count()) * u64::from(layout.fast_rows_each());
+                if fast_rows < u64::from(self.cache_rows_per_bank) {
+                    return Err(format!(
+                        "layout provides {fast_rows} fast rows but the cache needs {}",
+                        self.cache_rows_per_bank
+                    ));
+                }
+            }
+            CacheRegion::ReservedSlowRows => {
+                if self.cache_rows_per_bank > layout.rows_per_subarray {
+                    return Err(format!(
+                        "reserved rows ({}) must fit in one subarray ({} rows)",
+                        self.cache_rows_per_bank, layout.rows_per_subarray
+                    ));
+                }
+            }
         }
         Ok(())
     }

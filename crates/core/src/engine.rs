@@ -68,48 +68,25 @@ impl FigCacheEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent with the DRAM layout:
-    /// `FastSubarrays` needs at least `cache_rows_per_bank` fast rows in
-    /// the layout; `ReservedSlowRows` needs the reserved rows to fit in
-    /// one subarray; `LisaClone` needs whole-row segments.
+    /// Panics if `cfg` fails [`FigCacheConfig::validate_for`] on `dram`.
     #[must_use]
     pub fn new(dram: &DramConfig, cfg: &FigCacheConfig, banks: u32) -> Self {
-        cfg.validate().expect("FigCacheConfig must validate");
+        if let Err(e) = cfg.validate_for(dram) {
+            panic!("FigCacheConfig does not fit the DRAM device: {e}");
+        }
         let layout = dram.layout;
-        let blocks_per_row = dram.geometry.blocks_per_row();
-        assert!(
-            cfg.relocation != Relocation::LisaClone || cfg.blocks_per_segment == blocks_per_row,
-            "LISA clones move whole rows: blocks_per_segment ({}) must be {blocks_per_row}",
-            cfg.blocks_per_segment
-        );
-        let seg_geo = SegmentGeometry::new(cfg.blocks_per_segment, blocks_per_row);
+        let seg_geo = SegmentGeometry::new(cfg.blocks_per_segment, dram.geometry.blocks_per_row());
         let (cache_row_base, reserved_subarray) = match cfg.region {
-            CacheRegion::FastSubarrays => {
-                let fast_rows = layout.fast_count() * layout.fast_rows_each();
-                assert!(
-                    fast_rows >= cfg.cache_rows_per_bank,
-                    "layout provides {fast_rows} fast rows but the cache needs {}",
-                    cfg.cache_rows_per_bank
-                );
-                (layout.regular_rows(), None)
-            }
-            CacheRegion::ReservedSlowRows => {
-                assert!(
-                    cfg.cache_rows_per_bank <= layout.rows_per_subarray,
-                    "reserved rows ({}) must fit in one subarray ({} rows)",
-                    cfg.cache_rows_per_bank,
-                    layout.rows_per_subarray
-                );
-                (
-                    layout.regular_rows() - cfg.cache_rows_per_bank,
-                    Some(layout.regular_subarrays - 1),
-                )
-            }
+            CacheRegion::FastSubarrays => (layout.regular_rows(), None),
+            CacheRegion::ReservedSlowRows => (
+                layout.regular_rows() - cfg.cache_rows_per_bank,
+                Some(layout.regular_subarrays - 1),
+            ),
         };
         let segs_per_row = seg_geo.segments_per_row();
         let bank_states = (0..banks)
             .map(|_| BankState {
-                fts: FtsBank::new(cfg.cache_rows_per_bank, segs_per_row),
+                fts: FtsBank::new(cfg.cache_rows_per_bank, segs_per_row, cfg.replacement),
                 pending: VecDeque::new(),
                 in_flight: VecDeque::new(),
                 miss_counts: HashMap::new(),
@@ -170,7 +147,7 @@ impl FigCacheEngine {
             self.stats.insertions_skipped += 1;
             return;
         }
-        let Some(alloc) = state.fts.allocate(seg, self.cfg.replacement, &mut self.rng, now) else {
+        let Some(alloc) = state.fts.allocate(seg, &mut self.rng, now) else {
             self.stats.insertions_skipped += 1;
             return;
         };
@@ -250,10 +227,10 @@ impl CacheEngine for FigCacheEngine {
         let seg = self.seg_geo.segment_of(row, col);
         let slot_hit = self.banks[bank as usize].fts.find(seg);
         if let Some(slot) = slot_hit {
-            let state = self.banks[bank as usize].fts.slot(slot).state;
-            match state {
+            let entry = self.banks[bank as usize].fts.slot(slot);
+            match entry.state {
                 SlotState::Valid => {
-                    let dirty = self.banks[bank as usize].fts.slot(slot).dirty;
+                    let dirty = entry.dirty;
                     self.banks[bank as usize].fts.touch_hit(slot, is_write, now);
                     // Open-row bypass: a read whose clean source row is
                     // already open row-hits there; redirecting would force

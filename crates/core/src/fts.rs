@@ -2,12 +2,17 @@
 //! (paper Section 5.1 / Fig. 6).
 //!
 //! Each entry ("slot") corresponds to one segment-sized slot in the bank's
-//! in-DRAM cache rows and holds the source-segment tag, a valid/relocating
-//! state, a dirty bit, a 5-bit saturating *benefit* counter, and an LRU
-//! timestamp (for the alternative policies of Fig. 14). Row-granularity
-//! replacement keeps the paper's eviction register (the cache row being
-//! drained) and an eviction bitvector (which of its slots still await
-//! eviction).
+//! in-DRAM cache rows. The paper's entry is a tag, a valid bit, a dirty
+//! bit and a 5-bit saturating *benefit* counter. Here a slot is that
+//! entry in two dense arrays: a `u64` segment key (`row << 32 | index`,
+//! the tag) and one metadata byte holding a 2-bit state (free,
+//! relocating, relocating-cancelled, valid: the valid bit plus the
+//! simulator's view of an insertion in flight), the dirty bit and the
+//! benefit counter, which fill the byte exactly. Only
+//! [`ReplacementPolicy::Lru`] (Fig. 14) also keeps a last-hit time per
+//! slot. Row-granularity replacement keeps the paper's eviction register
+//! (the cache row being drained) and an eviction bitvector (which of its
+//! slots still await eviction).
 //!
 //! Lookups go through a fixed open-addressed index from segment to slot
 //! (linear probing, backward-shift deletion) sized from the slot count at
@@ -21,6 +26,9 @@ use crate::segment::SegmentId;
 
 /// Maximum benefit value (5-bit saturating counter).
 pub const BENEFIT_MAX: u8 = 31;
+
+/// Most slots one cache row can hold: the eviction bitvector is a `u64`.
+pub const MAX_SLOTS_PER_ROW: u32 = 64;
 
 /// Lifecycle state of one FTS slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +46,8 @@ pub enum SlotState {
     Valid,
 }
 
-/// One FTS entry.
-#[derive(Debug, Clone, Copy)]
+/// One FTS entry, decoded from the store's packed arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     /// The cached segment's identity (source row + segment index).
     pub seg: Option<SegmentId>,
@@ -49,14 +57,50 @@ pub struct Slot {
     pub dirty: bool,
     /// 5-bit saturating benefit counter (incremented per cache hit).
     pub benefit: u8,
-    /// Last-hit timestamp for the LRU policy.
-    pub last_use: u64,
 }
 
-impl Slot {
-    fn empty() -> Self {
-        Self { seg: None, state: SlotState::Free, dirty: false, benefit: 0, last_use: 0 }
-    }
+/// Metadata byte, bits 0–1: the state.
+const STATE_MASK: u8 = 0b11;
+const FREE: u8 = 0;
+const RELOCATING: u8 = 1;
+const CANCELLED: u8 = 2;
+const VALID: u8 = 3;
+/// Metadata byte, bit 2: the dirty bit.
+const DIRTY: u8 = 1 << 2;
+/// Metadata byte, bits 3–7: the benefit counter.
+const BENEFIT_SHIFT: u32 = 3;
+
+/// The metadata byte of an entry.
+fn pack(state: SlotState, dirty: bool, benefit: u8) -> u8 {
+    debug_assert!(benefit <= BENEFIT_MAX);
+    let state = match state {
+        SlotState::Free => FREE,
+        SlotState::Relocating { cancelled: false } => RELOCATING,
+        SlotState::Relocating { cancelled: true } => CANCELLED,
+        SlotState::Valid => VALID,
+    };
+    state | if dirty { DIRTY } else { 0 } | benefit << BENEFIT_SHIFT
+}
+
+/// The (state, dirty, benefit) a metadata byte holds.
+fn unpack(meta: u8) -> (SlotState, bool, u8) {
+    let state = match meta & STATE_MASK {
+        FREE => SlotState::Free,
+        RELOCATING => SlotState::Relocating { cancelled: false },
+        CANCELLED => SlotState::Relocating { cancelled: true },
+        _ => SlotState::Valid,
+    };
+    (state, meta & DIRTY != 0, meta >> BENEFIT_SHIFT)
+}
+
+/// A segment's key: its row above its index.
+fn key(seg: SegmentId) -> u64 {
+    u64::from(seg.row) << 32 | u64::from(seg.index)
+}
+
+/// The segment a key names.
+fn segment(key: u64) -> SegmentId {
+    SegmentId { row: (key >> 32) as u32, index: key as u32 }
 }
 
 /// A victim produced by an allocation.
@@ -82,7 +126,7 @@ pub struct Allocation {
 /// The segment→slot index of one tag store: a power-of-two table of at
 /// least twice as many cells as slots, so it is never more than half
 /// full and every probe ends at an empty cell. A cell holds `slot + 1`
-/// (0 = empty); the key is read back from the slot it names.
+/// (0 = empty); the key is read back from the key array at that slot.
 #[derive(Debug, Clone)]
 struct SlotIndex {
     cells: Vec<u32>,
@@ -98,18 +142,17 @@ impl SlotIndex {
         Self { cells: vec![0; len], mask: len - 1, shift: 64 - len.trailing_zeros() }
     }
 
-    /// The cell a probe for `seg` starts at (Fibonacci hashing).
-    fn home(&self, seg: SegmentId) -> usize {
-        let key = u64::from(seg.row) << 32 | u64::from(seg.index);
+    /// The cell a probe for `key` starts at (Fibonacci hashing).
+    fn home(&self, key: u64) -> usize {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// The cell holding `seg`'s entry, or the empty cell its probe run
+    /// The cell holding `key`'s entry, or the empty cell its probe run
     /// ends at.
-    fn probe(&self, slots: &[Slot], seg: SegmentId) -> usize {
-        let mut i = self.home(seg);
+    fn probe(&self, keys: &[u64], key: u64) -> usize {
+        let mut i = self.home(key);
         while let Some(held) = self.cells[i].checked_sub(1) {
-            if slots[held as usize].seg == Some(seg) {
+            if keys[held as usize] == key {
                 break;
             }
             i = (i + 1) & self.mask;
@@ -117,22 +160,22 @@ impl SlotIndex {
         i
     }
 
-    fn find(&self, slots: &[Slot], seg: SegmentId) -> Option<u32> {
-        self.cells[self.probe(slots, seg)].checked_sub(1)
+    fn find(&self, keys: &[u64], key: u64) -> Option<u32> {
+        self.cells[self.probe(keys, key)].checked_sub(1)
     }
 
-    /// Points `seg` at `slot` (which holds `seg`), replacing any previous
-    /// entry for `seg`.
-    fn insert(&mut self, slots: &[Slot], seg: SegmentId, slot: u32) {
-        let i = self.probe(slots, seg);
+    /// Points `key` at `slot` (which holds `key`), replacing any previous
+    /// entry for `key`.
+    fn insert(&mut self, keys: &[u64], key: u64, slot: u32) {
+        let i = self.probe(keys, key);
         self.cells[i] = slot + 1;
     }
 
-    /// Removes `seg`'s entry, if any, and shifts later entries of its
-    /// probe run back so no lookup meets a gap. `slots` must still hold
-    /// the segment of every entry, `seg`'s included.
-    fn remove(&mut self, slots: &[Slot], seg: SegmentId) {
-        let mut hole = self.probe(slots, seg);
+    /// Removes `key`'s entry, if any, and shifts later entries of its
+    /// probe run back so no lookup meets a gap. `keys` must still hold
+    /// the key of every entry, `key`'s included.
+    fn remove(&mut self, keys: &[u64], key: u64) {
+        let mut hole = self.probe(keys, key);
         if self.cells[hole] == 0 {
             return;
         }
@@ -141,9 +184,8 @@ impl SlotIndex {
             i = (i + 1) & self.mask;
             let Some(held) = self.cells[i].checked_sub(1) else { break };
             // The entry may fill the hole if its probe started at or
-            // before the hole, counting cyclically back from `i`. (Every
-            // entry's slot holds its segment; a stray one stays put.)
-            let home = slots[held as usize].seg.map_or(i, |s| self.home(s));
+            // before the hole, counting cyclically back from `i`.
+            let home = self.home(keys[held as usize]);
             if i.wrapping_sub(home) & self.mask >= i.wrapping_sub(hole) & self.mask {
                 self.cells[hole] = self.cells[i];
                 hole = i;
@@ -158,8 +200,15 @@ impl SlotIndex {
 pub struct FtsBank {
     segs_per_row: u32,
     rows: u32,
+    policy: ReplacementPolicy,
     index: SlotIndex,
-    slots: Vec<Slot>,
+    /// Segment key per slot; meaningful only while the slot is not free.
+    keys: Vec<u64>,
+    /// Packed state, dirty bit and benefit per slot.
+    meta: Vec<u8>,
+    /// Last-hit time per slot under [`ReplacementPolicy::Lru`]; empty
+    /// under every other policy.
+    last_use: Vec<u64>,
     free: Vec<u32>,
     /// Paper's eviction register: the cache row currently being drained.
     evict_row: Option<u32>,
@@ -168,22 +217,30 @@ pub struct FtsBank {
 }
 
 impl FtsBank {
-    /// Creates a tag store for `rows` cache rows of `segs_per_row` slots.
+    /// Creates a tag store for `rows` cache rows of `segs_per_row` slots
+    /// that evicts by `policy`.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero or `segs_per_row > 64`
-    /// (the eviction bitvector is 64 bits wide).
+    /// Panics if either dimension is zero or `segs_per_row` exceeds
+    /// [`MAX_SLOTS_PER_ROW`].
     #[must_use]
-    pub fn new(rows: u32, segs_per_row: u32) -> Self {
+    pub fn new(rows: u32, segs_per_row: u32, policy: ReplacementPolicy) -> Self {
         assert!(rows > 0 && segs_per_row > 0, "FTS dimensions must be non-zero");
-        assert!(segs_per_row <= 64, "eviction bitvector supports at most 64 slots per row");
+        assert!(
+            segs_per_row <= MAX_SLOTS_PER_ROW,
+            "eviction bitvector supports at most {MAX_SLOTS_PER_ROW} slots per row"
+        );
         let n = rows * segs_per_row;
+        let lru_slots = if policy == ReplacementPolicy::Lru { n as usize } else { 0 };
         Self {
             segs_per_row,
             rows,
+            policy,
             index: SlotIndex::new(n),
-            slots: vec![Slot::empty(); n as usize],
+            keys: vec![0; n as usize],
+            meta: vec![pack(SlotState::Free, false, 0); n as usize],
+            last_use: vec![0; lru_slots],
             free: (0..n).rev().collect(),
             evict_row: None,
             evict_mask: 0,
@@ -211,34 +268,45 @@ impl FtsBank {
     /// Looks up a segment; returns its slot index if present (any state).
     #[must_use]
     pub fn find(&self, seg: SegmentId) -> Option<u32> {
-        self.index.find(&self.slots, seg)
+        self.index.find(&self.keys, key(seg))
     }
 
-    /// Immutable slot access.
+    /// The entry in slot `idx`.
     #[must_use]
-    pub fn slot(&self, idx: u32) -> &Slot {
-        &self.slots[idx as usize]
+    pub fn slot(&self, idx: u32) -> Slot {
+        let i = idx as usize;
+        let (state, dirty, benefit) = unpack(self.meta[i]);
+        let seg = (state != SlotState::Free).then(|| segment(self.keys[i]));
+        Slot { seg, state, dirty, benefit }
     }
 
-    /// Records a cache hit on `slot`: saturating benefit increment and LRU
-    /// timestamp update; sets the dirty bit for writes.
+    /// Whether slot `i` holds a valid segment.
+    fn is_valid(&self, i: u32) -> bool {
+        self.meta[i as usize] & STATE_MASK == VALID
+    }
+
+    /// Records a cache hit on `slot`: saturating benefit increment and,
+    /// under LRU, the last-hit time; sets the dirty bit for writes.
     pub fn touch_hit(&mut self, slot: u32, is_write: bool, now: u64) {
-        let s = &mut self.slots[slot as usize];
-        debug_assert_eq!(s.state, SlotState::Valid);
-        if s.benefit < BENEFIT_MAX {
-            s.benefit += 1;
+        let i = slot as usize;
+        let m = &mut self.meta[i];
+        debug_assert_eq!(*m & STATE_MASK, VALID);
+        if *m >> BENEFIT_SHIFT < BENEFIT_MAX {
+            *m += 1 << BENEFIT_SHIFT;
         }
-        s.last_use = now;
         if is_write {
-            s.dirty = true;
+            *m |= DIRTY;
+        }
+        if let Some(t) = self.last_use.get_mut(i) {
+            *t = now;
         }
     }
 
     /// Marks a relocating slot's insertion as cancelled (a write raced it).
     pub fn cancel_relocation(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        if let SlotState::Relocating { .. } = s.state {
-            s.state = SlotState::Relocating { cancelled: true };
+        let m = &mut self.meta[slot as usize];
+        if let (SlotState::Relocating { .. }, dirty, benefit) = unpack(*m) {
+            *m = pack(SlotState::Relocating { cancelled: true }, dirty, benefit);
         }
     }
 
@@ -246,17 +314,16 @@ impl FtsBank {
     /// became valid, `false` if the insertion had been cancelled (the slot
     /// is freed).
     pub fn complete_relocation(&mut self, slot: u32) -> bool {
-        let s = self.slots[slot as usize];
-        match s.state {
-            SlotState::Relocating { cancelled: false } => {
-                self.slots[slot as usize].state = SlotState::Valid;
+        match unpack(self.meta[slot as usize]) {
+            (SlotState::Relocating { cancelled: false }, dirty, benefit) => {
+                self.meta[slot as usize] = pack(SlotState::Valid, dirty, benefit);
                 true
             }
-            SlotState::Relocating { cancelled: true } => {
+            (SlotState::Relocating { cancelled: true }, ..) => {
                 self.release(slot);
                 false
             }
-            state => panic!("complete_relocation on slot in state {state:?}"),
+            (state, ..) => panic!("complete_relocation on slot in state {state:?}"),
         }
     }
 
@@ -264,9 +331,12 @@ impl FtsBank {
     /// Releasing a free slot is a no-op: it is already on the free list,
     /// and pushing it again would hand it to two later allocations.
     pub fn release(&mut self, slot: u32) {
-        let Some(seg) = self.slots[slot as usize].seg else { return };
-        self.index.remove(&self.slots, seg);
-        self.slots[slot as usize] = Slot::empty();
+        let i = slot as usize;
+        if self.meta[i] & STATE_MASK == FREE {
+            return;
+        }
+        self.index.remove(&self.keys, self.keys[i]);
+        self.meta[i] = pack(SlotState::Free, false, 0);
         self.free.push(slot);
         // Drop a stale eviction mark if it pointed at this slot.
         if self.evict_row == Some(self.row_of(slot)) {
@@ -274,13 +344,12 @@ impl FtsBank {
         }
     }
 
-    /// Allocates a slot for `seg`, evicting per `policy` when full. The new
-    /// slot starts in `Relocating` state. Returns `None` when nothing can
-    /// be evicted (every candidate is mid-relocation).
+    /// Allocates a slot for `seg`, evicting by the store's policy when
+    /// full. The new slot starts in `Relocating` state. Returns `None`
+    /// when nothing can be evicted (every candidate is mid-relocation).
     pub fn allocate<R: Rng>(
         &mut self,
         seg: SegmentId,
-        policy: ReplacementPolicy,
         rng: &mut R,
         now: u64,
     ) -> Option<Allocation> {
@@ -288,20 +357,20 @@ impl FtsBank {
         let (slot, victim) = if let Some(slot) = self.free.pop() {
             (slot, None)
         } else {
-            let slot = self.select_victim(policy, rng)?;
-            let v = self.slots[slot as usize];
-            let vseg = v.seg.expect("victim slot must hold a segment");
-            self.index.remove(&self.slots, vseg);
-            (slot, Some(Victim { seg: vseg, dirty: v.dirty, slot }))
+            let slot = self.select_victim(rng)?;
+            let i = slot as usize;
+            let vkey = self.keys[i];
+            self.index.remove(&self.keys, vkey);
+            let dirty = self.meta[i] & DIRTY != 0;
+            (slot, Some(Victim { seg: segment(vkey), dirty, slot }))
         };
-        self.slots[slot as usize] = Slot {
-            seg: Some(seg),
-            state: SlotState::Relocating { cancelled: false },
-            dirty: false,
-            benefit: 0,
-            last_use: now,
-        };
-        self.index.insert(&self.slots, seg, slot);
+        let i = slot as usize;
+        self.keys[i] = key(seg);
+        self.meta[i] = pack(SlotState::Relocating { cancelled: false }, false, 0);
+        if let Some(t) = self.last_use.get_mut(i) {
+            *t = now;
+        }
+        self.index.insert(&self.keys, key(seg), slot);
         Some(Allocation { slot, victim })
     }
 
@@ -311,15 +380,16 @@ impl FtsBank {
         (self.evict_row, self.evict_mask)
     }
 
-    fn select_victim<R: Rng>(&mut self, policy: ReplacementPolicy, rng: &mut R) -> Option<u32> {
-        match policy {
+    fn select_victim<R: Rng>(&mut self, rng: &mut R) -> Option<u32> {
+        match self.policy {
             ReplacementPolicy::RowBenefit => self.select_row_benefit(),
-            ReplacementPolicy::SegmentBenefit => self.select_by_key(|s| u64::from(s.benefit)),
-            ReplacementPolicy::Lru => self.select_by_key(|s| s.last_use),
+            ReplacementPolicy::SegmentBenefit => {
+                self.select_by_key(|i| u64::from(self.meta[i] >> BENEFIT_SHIFT))
+            }
+            ReplacementPolicy::Lru => self.select_by_key(|i| self.last_use[i]),
             ReplacementPolicy::Random => {
-                let candidates: Vec<u32> = (0..self.capacity())
-                    .filter(|&i| self.slots[i as usize].state == SlotState::Valid)
-                    .collect();
+                let candidates: Vec<u32> =
+                    (0..self.capacity()).filter(|&i| self.is_valid(i)).collect();
                 if candidates.is_empty() {
                     None
                 } else {
@@ -330,10 +400,8 @@ impl FtsBank {
     }
 
     /// Minimum-key valid slot (ties broken by lowest index).
-    fn select_by_key(&self, key: impl Fn(&Slot) -> u64) -> Option<u32> {
-        (0..self.capacity())
-            .filter(|&i| self.slots[i as usize].state == SlotState::Valid)
-            .min_by_key(|&i| (key(&self.slots[i as usize]), i))
+    fn select_by_key(&self, key: impl Fn(usize) -> u64) -> Option<u32> {
+        (0..self.capacity()).filter(|&i| self.is_valid(i)).min_by_key(|&i| (key(i as usize), i))
     }
 
     /// The paper's row-granularity policy: drain the marked row one slot
@@ -348,8 +416,8 @@ impl FtsBank {
                     let chosen = (0..self.segs_per_row)
                         .filter(|p| self.evict_mask & (1 << p) != 0)
                         .map(|p| base + p)
-                        .filter(|&i| self.slots[i as usize].state == SlotState::Valid)
-                        .min_by_key(|&i| (self.slots[i as usize].benefit, i));
+                        .filter(|&i| self.is_valid(i))
+                        .min_by_key(|&i| (self.meta[i as usize] >> BENEFIT_SHIFT, i));
                     match chosen {
                         Some(slot) => {
                             self.evict_mask &= !(1u64 << self.pos_in_row(slot));
@@ -366,19 +434,18 @@ impl FtsBank {
             // skipping rows with any slot mid-relocation.
             let mut best: Option<(u64, u32)> = None;
             for row in 0..self.rows {
-                let base = row * self.segs_per_row;
+                let base = (row * self.segs_per_row) as usize;
                 let mut sum = 0u64;
                 let mut valid = 0u32;
                 let mut relocating = false;
-                for p in 0..self.segs_per_row {
-                    let s = &self.slots[(base + p) as usize];
-                    match s.state {
-                        SlotState::Valid => {
-                            sum += u64::from(s.benefit);
+                for &m in &self.meta[base..base + self.segs_per_row as usize] {
+                    match m & STATE_MASK {
+                        VALID => {
+                            sum += u64::from(m >> BENEFIT_SHIFT);
                             valid += 1;
                         }
-                        SlotState::Relocating { .. } => relocating = true,
-                        SlotState::Free => {}
+                        FREE => {}
+                        _ => relocating = true,
                     }
                 }
                 if relocating || valid == 0 {
@@ -392,7 +459,7 @@ impl FtsBank {
             let base = row * self.segs_per_row;
             let mut mask = 0u64;
             for p in 0..self.segs_per_row {
-                if self.slots[(base + p) as usize].state == SlotState::Valid {
+                if self.is_valid(base + p) {
                     mask |= 1 << p;
                 }
             }
@@ -417,41 +484,72 @@ mod tests {
     }
 
     /// Allocates and immediately validates a segment.
-    fn fill(
-        fts: &mut FtsBank,
-        s: SegmentId,
-        policy: ReplacementPolicy,
-        rng: &mut StdRng,
-    ) -> Allocation {
-        let a = fts.allocate(s, policy, rng, 0).expect("allocation must succeed");
+    fn fill(fts: &mut FtsBank, s: SegmentId, rng: &mut StdRng) -> Allocation {
+        let a = fts.allocate(s, rng, 0).expect("allocation must succeed");
         fts.complete_relocation(a.slot);
         a
     }
 
     #[test]
+    fn every_entry_round_trips_through_its_metadata_byte() {
+        let states = [
+            SlotState::Free,
+            SlotState::Relocating { cancelled: false },
+            SlotState::Relocating { cancelled: true },
+            SlotState::Valid,
+        ];
+        let mut bytes = std::collections::BTreeSet::new();
+        for state in states {
+            for dirty in [false, true] {
+                for benefit in 0..=BENEFIT_MAX {
+                    let meta = pack(state, dirty, benefit);
+                    assert_eq!(unpack(meta), (state, dirty, benefit));
+                    bytes.insert(meta);
+                }
+            }
+        }
+        assert_eq!(bytes.len(), 256, "the paper's entry fills the byte exactly");
+    }
+
+    #[test]
+    fn a_slot_is_a_key_word_and_a_metadata_byte() {
+        // The paper's store: 64 cache rows of 8 one-kB segments per bank.
+        for policy in [ReplacementPolicy::RowBenefit, ReplacementPolicy::Lru] {
+            let fts = FtsBank::new(64, 8, policy);
+            assert_eq!((fts.keys.len(), fts.meta.len()), (512, 512));
+            let per_slot =
+                std::mem::size_of_val(&fts.keys[0]) + std::mem::size_of_val(&fts.meta[0]);
+            assert_eq!(per_slot, 9);
+            // Last-hit times are kept only for the policy that reads them.
+            let lru = if policy == ReplacementPolicy::Lru { 512 } else { 0 };
+            assert_eq!(fts.last_use.len(), lru, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn capacity_matches_paper_fts() {
         // 64 cache rows x 8 segments = 512 entries per bank (paper Sec. 8.3).
-        let fts = FtsBank::new(64, 8);
+        let fts = FtsBank::new(64, 8, ReplacementPolicy::RowBenefit);
         assert_eq!(fts.capacity(), 512);
     }
 
     #[test]
     fn allocate_uses_free_slots_first() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::RowBenefit);
         let mut r = rng();
         for i in 0..4 {
-            let a = fill(&mut fts, seg(i, 0), ReplacementPolicy::RowBenefit, &mut r);
+            let a = fill(&mut fts, seg(i, 0), &mut r);
             assert!(a.victim.is_none(), "slot {i} should be free");
         }
-        let a = fts.allocate(seg(9, 0), ReplacementPolicy::RowBenefit, &mut r, 0).unwrap();
+        let a = fts.allocate(seg(9, 0), &mut r, 0).unwrap();
         assert!(a.victim.is_some());
     }
 
     #[test]
     fn benefit_saturates_at_31() {
-        let mut fts = FtsBank::new(1, 1);
+        let mut fts = FtsBank::new(1, 1, ReplacementPolicy::RowBenefit);
         let mut r = rng();
-        fill(&mut fts, seg(1, 0), ReplacementPolicy::RowBenefit, &mut r);
+        fill(&mut fts, seg(1, 0), &mut r);
         for t in 0..100 {
             fts.touch_hit(0, false, t);
         }
@@ -460,9 +558,9 @@ mod tests {
 
     #[test]
     fn write_hit_sets_dirty() {
-        let mut fts = FtsBank::new(1, 1);
+        let mut fts = FtsBank::new(1, 1, ReplacementPolicy::RowBenefit);
         let mut r = rng();
-        fill(&mut fts, seg(1, 0), ReplacementPolicy::RowBenefit, &mut r);
+        fill(&mut fts, seg(1, 0), &mut r);
         assert!(!fts.slot(0).dirty);
         fts.touch_hit(0, true, 1);
         assert!(fts.slot(0).dirty);
@@ -470,36 +568,34 @@ mod tests {
 
     #[test]
     fn row_benefit_evicts_lowest_benefit_row_one_slot_at_a_time() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::RowBenefit);
         let mut r = rng();
         // Row 0: segments A (benefit 3) and B (benefit 3). Row 1: C, D (benefit 0).
-        let a = fill(&mut fts, seg(10, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let b = fill(&mut fts, seg(11, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let _c = fill(&mut fts, seg(12, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let _d = fill(&mut fts, seg(13, 0), ReplacementPolicy::RowBenefit, &mut r);
+        let a = fill(&mut fts, seg(10, 0), &mut r);
+        let b = fill(&mut fts, seg(11, 0), &mut r);
+        let _c = fill(&mut fts, seg(12, 0), &mut r);
+        let _d = fill(&mut fts, seg(13, 0), &mut r);
         for _ in 0..3 {
             fts.touch_hit(a.slot, false, 1);
             fts.touch_hit(b.slot, false, 1);
         }
         // Row 1 has the lower cumulative benefit; its slots drain first.
-        let v1 = fts.allocate(seg(20, 0), ReplacementPolicy::RowBenefit, &mut r, 2).unwrap();
+        let v1 = fts.allocate(seg(20, 0), &mut r, 2).unwrap();
         let (erow, mask) = fts.eviction_state();
         assert_eq!(erow, Some(1));
         assert_eq!(mask.count_ones(), 1, "one of two marked slots already drained");
         assert_eq!(fts.row_of(v1.victim.unwrap().slot), 1);
         fts.complete_relocation(v1.slot);
-        let v2 = fts.allocate(seg(21, 0), ReplacementPolicy::RowBenefit, &mut r, 3).unwrap();
+        let v2 = fts.allocate(seg(21, 0), &mut r, 3).unwrap();
         assert_eq!(fts.row_of(v2.victim.unwrap().slot), 1);
         assert_eq!(v2.victim.unwrap().seg, seg(13, 0));
     }
 
     #[test]
     fn row_benefit_drains_lowest_benefit_slot_within_marked_row() {
-        let mut fts = FtsBank::new(1, 4);
+        let mut fts = FtsBank::new(1, 4, ReplacementPolicy::RowBenefit);
         let mut r = rng();
-        let allocs: Vec<Allocation> = (0..4)
-            .map(|i| fill(&mut fts, seg(i, 0), ReplacementPolicy::RowBenefit, &mut r))
-            .collect();
+        let allocs: Vec<Allocation> = (0..4).map(|i| fill(&mut fts, seg(i, 0), &mut r)).collect();
         // Benefits 2, 0, 3, 1.
         for (slot, hits) in [(allocs[0].slot, 2), (allocs[2].slot, 3), (allocs[3].slot, 1)] {
             for _ in 0..hits {
@@ -508,9 +604,7 @@ mod tests {
         }
         let order: Vec<SegmentId> = (0..4)
             .map(|i| {
-                let a = fts
-                    .allocate(seg(100 + i, 0), ReplacementPolicy::RowBenefit, &mut r, 5)
-                    .unwrap();
+                let a = fts.allocate(seg(100 + i, 0), &mut r, 5).unwrap();
                 fts.complete_relocation(a.slot);
                 a.victim.unwrap().seg
             })
@@ -521,75 +615,73 @@ mod tests {
 
     #[test]
     fn segment_benefit_evicts_global_minimum() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::SegmentBenefit);
         let mut r = rng();
-        let allocs: Vec<Allocation> = (0..4)
-            .map(|i| fill(&mut fts, seg(i, 0), ReplacementPolicy::SegmentBenefit, &mut r))
-            .collect();
+        let allocs: Vec<Allocation> = (0..4).map(|i| fill(&mut fts, seg(i, 0), &mut r)).collect();
         fts.touch_hit(allocs[0].slot, false, 1);
         fts.touch_hit(allocs[1].slot, false, 1);
         fts.touch_hit(allocs[3].slot, false, 1);
-        let a = fts.allocate(seg(50, 0), ReplacementPolicy::SegmentBenefit, &mut r, 2).unwrap();
+        let a = fts.allocate(seg(50, 0), &mut r, 2).unwrap();
         assert_eq!(a.victim.unwrap().seg, seg(2, 0));
     }
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::Lru);
         let mut r = rng();
-        let allocs: Vec<Allocation> =
-            (0..4).map(|i| fill(&mut fts, seg(i, 0), ReplacementPolicy::Lru, &mut r)).collect();
+        let allocs: Vec<Allocation> = (0..4).map(|i| fill(&mut fts, seg(i, 0), &mut r)).collect();
         for (t, idx) in [(10, 1), (20, 0), (30, 3), (40, 2)] {
             fts.touch_hit(allocs[idx].slot, false, t);
         }
-        let a = fts.allocate(seg(50, 0), ReplacementPolicy::Lru, &mut r, 41).unwrap();
+        let a = fts.allocate(seg(50, 0), &mut r, 41).unwrap();
         assert_eq!(a.victim.unwrap().seg, seg(1, 0));
     }
 
     #[test]
     fn random_evicts_some_valid_slot() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::Random);
         let mut r = rng();
         for i in 0..4 {
-            fill(&mut fts, seg(i, 0), ReplacementPolicy::Random, &mut r);
+            fill(&mut fts, seg(i, 0), &mut r);
         }
-        let a = fts.allocate(seg(50, 0), ReplacementPolicy::Random, &mut r, 1).unwrap();
+        let a = fts.allocate(seg(50, 0), &mut r, 1).unwrap();
         let v = a.victim.unwrap();
         assert!(v.seg.row < 4);
     }
 
     #[test]
     fn relocating_slots_are_never_victims() {
-        let mut fts = FtsBank::new(1, 2);
-        let mut r = rng();
-        // Two slots, both left in Relocating state.
-        fts.allocate(seg(1, 0), ReplacementPolicy::SegmentBenefit, &mut r, 0).unwrap();
-        fts.allocate(seg(2, 0), ReplacementPolicy::SegmentBenefit, &mut r, 0).unwrap();
-        assert!(fts.allocate(seg(3, 0), ReplacementPolicy::SegmentBenefit, &mut r, 0).is_none());
-        assert!(fts.allocate(seg(4, 0), ReplacementPolicy::RowBenefit, &mut r, 0).is_none());
+        for policy in [ReplacementPolicy::SegmentBenefit, ReplacementPolicy::RowBenefit] {
+            let mut fts = FtsBank::new(1, 2, policy);
+            let mut r = rng();
+            // Two slots, both left in Relocating state.
+            fts.allocate(seg(1, 0), &mut r, 0).unwrap();
+            fts.allocate(seg(2, 0), &mut r, 0).unwrap();
+            assert!(fts.allocate(seg(3, 0), &mut r, 0).is_none(), "{policy:?}");
+        }
     }
 
     #[test]
     fn cancelled_relocation_frees_the_slot() {
-        let mut fts = FtsBank::new(1, 1);
+        let mut fts = FtsBank::new(1, 1, ReplacementPolicy::RowBenefit);
         let mut r = rng();
-        let a = fts.allocate(seg(1, 0), ReplacementPolicy::RowBenefit, &mut r, 0).unwrap();
+        let a = fts.allocate(seg(1, 0), &mut r, 0).unwrap();
         fts.cancel_relocation(a.slot);
         assert!(!fts.complete_relocation(a.slot));
         assert!(fts.find(seg(1, 0)).is_none());
         // Slot is reusable.
-        let b = fts.allocate(seg(2, 0), ReplacementPolicy::RowBenefit, &mut r, 1).unwrap();
+        let b = fts.allocate(seg(2, 0), &mut r, 1).unwrap();
         assert!(b.victim.is_none());
     }
 
     #[test]
     fn release_clears_eviction_mark() {
-        let mut fts = FtsBank::new(1, 2);
+        let mut fts = FtsBank::new(1, 2, ReplacementPolicy::RowBenefit);
         let mut r = rng();
-        let a = fill(&mut fts, seg(1, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let _b = fill(&mut fts, seg(2, 0), ReplacementPolicy::RowBenefit, &mut r);
+        let a = fill(&mut fts, seg(1, 0), &mut r);
+        let _b = fill(&mut fts, seg(2, 0), &mut r);
         // Trigger marking by allocating into a full store.
-        let c = fts.allocate(seg(3, 0), ReplacementPolicy::RowBenefit, &mut r, 0).unwrap();
+        let c = fts.allocate(seg(3, 0), &mut r, 0).unwrap();
         fts.complete_relocation(c.slot);
         let (_, mask_before) = fts.eviction_state();
         assert_ne!(mask_before, 0);
@@ -615,14 +707,15 @@ mod tests {
     /// | C | 1 | (12,0) | 2 | 30 |
     /// | D | 1 | (13,0) | 3 | 20 |
     ///
-    /// Row benefit sums: row 0 = 32, row 1 = 5.
-    fn fig14_state() -> (FtsBank, [Allocation; 4]) {
-        let mut fts = FtsBank::new(2, 2);
+    /// Row benefit sums: row 0 = 32, row 1 = 5. The store evicts by
+    /// `policy` (and keeps last-hit times only under LRU).
+    fn fig14_state(policy: ReplacementPolicy) -> (FtsBank, [Allocation; 4]) {
+        let mut fts = FtsBank::new(2, 2, policy);
         let mut r = rng();
-        let a = fill(&mut fts, seg(10, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let b = fill(&mut fts, seg(11, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let c = fill(&mut fts, seg(12, 0), ReplacementPolicy::RowBenefit, &mut r);
-        let d = fill(&mut fts, seg(13, 0), ReplacementPolicy::RowBenefit, &mut r);
+        let a = fill(&mut fts, seg(10, 0), &mut r);
+        let b = fill(&mut fts, seg(11, 0), &mut r);
+        let c = fill(&mut fts, seg(12, 0), &mut r);
+        let d = fill(&mut fts, seg(13, 0), &mut r);
         for (alloc, hits, t) in [(&a, 1, 40), (&b, 31, 10), (&c, 2, 30), (&d, 3, 20)] {
             for _ in 0..hits {
                 fts.touch_hit(alloc.slot, false, t);
@@ -633,16 +726,15 @@ mod tests {
 
     #[test]
     fn fig14_policies_disagree_on_identical_state() {
-        let (state, _) = fig14_state();
         let mut victims = Vec::new();
         for policy in [
             ReplacementPolicy::RowBenefit,
             ReplacementPolicy::SegmentBenefit,
             ReplacementPolicy::Lru,
         ] {
-            let mut fts = state.clone();
+            let (mut fts, _) = fig14_state(policy);
             let mut r = rng();
-            let v = fts.allocate(seg(99, 0), policy, &mut r, 50).unwrap().victim.unwrap();
+            let v = fts.allocate(seg(99, 0), &mut r, 50).unwrap().victim.unwrap();
             victims.push(v.seg);
         }
         // RowBenefit drains the low-sum row (row 1) lowest-benefit-first -> C.
@@ -660,17 +752,13 @@ mod tests {
 
     #[test]
     fn fig14_random_is_seed_deterministic_and_spreads() {
-        let (state, _) = fig14_state();
+        let (state, _) = fig14_state(ReplacementPolicy::Random);
         let mut seen = std::collections::HashSet::new();
         for s in 0..32u64 {
             let victim = |seed| {
                 let mut fts = state.clone();
                 let mut r = StdRng::seed_from_u64(seed);
-                fts.allocate(seg(99, 0), ReplacementPolicy::Random, &mut r, 50)
-                    .unwrap()
-                    .victim
-                    .unwrap()
-                    .seg
+                fts.allocate(seg(99, 0), &mut r, 50).unwrap().victim.unwrap().seg
             };
             let v = victim(s);
             assert_eq!(v, victim(s), "same seed must evict the same slot");
@@ -682,26 +770,24 @@ mod tests {
 
     #[test]
     fn lru_ties_break_toward_lowest_slot_index() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::Lru);
         let mut r = rng();
         for i in 0..4 {
-            fill(&mut fts, seg(i, 0), ReplacementPolicy::Lru, &mut r);
+            fill(&mut fts, seg(i, 0), &mut r);
         }
         // All four share last_use = 0 from allocation; the tie breaks at
         // the lowest index (documented in select_by_key).
-        let v = fts.allocate(seg(50, 0), ReplacementPolicy::Lru, &mut r, 1).unwrap();
+        let v = fts.allocate(seg(50, 0), &mut r, 1).unwrap();
         assert_eq!(v.victim.unwrap().slot, 0);
     }
 
     #[test]
     fn row_benefit_remarks_after_marked_row_is_released() {
-        let mut fts = FtsBank::new(2, 2);
+        let mut fts = FtsBank::new(2, 2, ReplacementPolicy::RowBenefit);
         let mut r = rng();
-        let allocs: Vec<Allocation> = (0..4)
-            .map(|i| fill(&mut fts, seg(i, 0), ReplacementPolicy::RowBenefit, &mut r))
-            .collect();
+        let allocs: Vec<Allocation> = (0..4).map(|i| fill(&mut fts, seg(i, 0), &mut r)).collect();
         // First eviction marks a row (both rows sum to 0; row 0 wins).
-        let v = fts.allocate(seg(50, 0), ReplacementPolicy::RowBenefit, &mut r, 1).unwrap();
+        let v = fts.allocate(seg(50, 0), &mut r, 1).unwrap();
         fts.complete_relocation(v.slot);
         let (marked, _) = fts.eviction_state();
         let marked = marked.unwrap();
@@ -716,7 +802,7 @@ mod tests {
         // other row is drained.)
         for j in 0..3 {
             let a = fts
-                .allocate(seg(60 + j, 0), ReplacementPolicy::RowBenefit, &mut r, 2)
+                .allocate(seg(60 + j, 0), &mut r, 2)
                 .expect("allocation must succeed after release");
             fts.complete_relocation(a.slot);
         }
@@ -738,7 +824,7 @@ mod proptests {
         /// double-books a slot.
         #[test]
         fn fts_invariants_hold(ops in proptest::collection::vec((0u8..4, 0u32..32, any::<bool>()), 1..200)) {
-            let mut fts = FtsBank::new(4, 4);
+            let mut fts = FtsBank::new(4, 4, ReplacementPolicy::RowBenefit);
             let mut rng = StdRng::seed_from_u64(7);
             let mut relocating: Vec<u32> = Vec::new();
             for (op, x, w) in ops {
@@ -746,7 +832,7 @@ mod proptests {
                     0 => {
                         let s = SegmentId { row: x, index: 0 };
                         if fts.find(s).is_none() {
-                            if let Some(a) = fts.allocate(s, ReplacementPolicy::RowBenefit, &mut rng, 0) {
+                            if let Some(a) = fts.allocate(s, &mut rng, 0) {
                                 relocating.push(a.slot);
                             }
                         }
@@ -792,7 +878,7 @@ mod proptests {
         let keys: Vec<SegmentId> =
             (0..256).flat_map(|row| (0..4).map(move |index| SegmentId { row, index })).collect();
         let index = &index;
-        let at = |cell| keys.iter().copied().filter(move |&k| index.home(k) == cell).take(6);
+        let at = |cell| keys.iter().copied().filter(move |&k| index.home(key(k)) == cell).take(6);
         let mut pool: Vec<SegmentId> = at(15).chain(at(3)).collect();
         let others: Vec<SegmentId> = keys.iter().copied().filter(|k| !pool.contains(k)).collect();
         pool.extend(&others[..12]);
@@ -819,7 +905,7 @@ mod proptests {
                 ReplacementPolicy::Random,
             ][usize::from(policy)];
             let keys = index_test_keys();
-            let mut fts = FtsBank::new(2, 4);
+            let mut fts = FtsBank::new(2, 4, policy);
             let mut model = std::collections::BTreeMap::new();
             let mut rng = StdRng::seed_from_u64(11);
             for (now, &(op, key, slot)) in ops.iter().enumerate() {
@@ -832,7 +918,7 @@ mod proptests {
                         }
                     }
                     0 | 1 => {
-                        if let Some(a) = fts.allocate(seg, policy, &mut rng, now as u64) {
+                        if let Some(a) = fts.allocate(seg, &mut rng, now as u64) {
                             if let Some(v) = a.victim {
                                 prop_assert_eq!(model.remove(&v.seg), Some(v.slot));
                             }

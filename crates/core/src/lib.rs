@@ -13,8 +13,10 @@
 //! * **FIGCache** ([`engine::FigCacheEngine`]): the fine-grained in-DRAM
 //!   cache. A FIGCache tag store ([`fts::FtsBank`]) in the memory
 //!   controller tracks which segments are cached where, with valid/dirty
-//!   bits and 5-bit saturating *benefit* counters, found through a fixed
-//!   open-addressed segment→slot index sized from the slot count;
+//!   bits and 5-bit saturating *benefit* counters (each entry a `u64`
+//!   segment key plus one metadata byte, the paper's Fig. 6 entry),
+//!   found through a fixed open-addressed segment→slot index sized from
+//!   the slot count;
 //!   each bank's queued and running relocation jobs sit in a FIFO, since
 //!   a bank runs one job at a time in id order; insertion uses the
 //!   paper's insert-any-miss policy (generalised to a configurable miss

@@ -32,9 +32,9 @@ impl CacheParams {
     }
 
     /// Checks that [`SetAssocCache::new`] can build this geometry: 1 to
-    /// [`MAX_WAYS`] ways, a power-of-two block size, a non-zero
-    /// power-of-two number of sets, and blocks and sets that together
-    /// span at least four addresses (the line word's flag bits).
+    /// [`MAX_WAYS`] ways, a power-of-two block size and a non-zero
+    /// power-of-two number of sets. Whether its tags cover an address
+    /// space is [`CacheParams::covers`].
     ///
     /// # Errors
     ///
@@ -53,10 +53,22 @@ impl CacheParams {
         if sets == 0 || !sets.is_power_of_two() {
             return Err(format!("cache sets must be a non-zero power of two, got {sets}"));
         }
-        if sets.trailing_zeros() + self.block_bytes.trailing_zeros() < TAG_SHIFT {
-            return Err("a cache must span at least four addresses".into());
-        }
         Ok(())
+    }
+
+    /// Whether every address below `addr_space` has a tag that fits in
+    /// a line word's [`TAG_BITS`] bits. An address beyond the space a
+    /// cache covers would lose its high tag bits and could hit a line
+    /// that holds another block, so callers keep every address they look
+    /// up below a covered space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails [`CacheParams::validate`].
+    #[must_use]
+    pub fn covers(&self, addr_space: u64) -> bool {
+        let index_bits = self.sets().trailing_zeros() + self.block_bytes.trailing_zeros();
+        addr_space.saturating_sub(1) >> index_bits >> TAG_BITS == 0
     }
 }
 
@@ -88,13 +100,15 @@ impl CacheStats {
 }
 
 /// Line-word flag: the line holds a block.
-const VALID: u64 = 1;
+const VALID: u32 = 1;
 /// Line-word flag: the line was written since it was filled.
-const DIRTY: u64 = 2;
-/// The tag sits above the two flag bits. A tag is an address shifted
-/// right by the block and set bits, at least `TAG_SHIFT` of them (checked
-/// at construction), so no tag bit is lost.
+const DIRTY: u32 = 2;
+/// The tag sits above the two flag bits.
 const TAG_SHIFT: u32 = 2;
+/// Tag bits in a line word. A tag is an address shifted right by the
+/// block and set bits, so a cache names the addresses below
+/// 2^(`TAG_BITS` + set bits + block bits) ([`CacheParams::covers`]).
+pub const TAG_BITS: u32 = u32::BITS - TAG_SHIFT;
 
 /// A 1 in every nibble of a `u64`.
 const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
@@ -121,7 +135,7 @@ fn promote(order: u64, way: u64, mru_shift: u32) -> u64 {
 
 /// One set-associative cache level.
 ///
-/// Each line is one word, `tag << TAG_SHIFT | DIRTY | VALID`, and each
+/// Each line is one 4-byte word, `tag << TAG_SHIFT | DIRTY | VALID`, and each
 /// set has one recency-order word: its way numbers from least to most
 /// recently used, one nibble each. A fill's victim is the LRU nibble. A
 /// new cache lists its ways in way order, and no line is ever
@@ -129,6 +143,10 @@ fn promote(order: u64, way: u64, mru_shift: u32) -> u64 {
 /// order. The line table starts zeroed (an all-invalid cache), so the
 /// allocator hands out untouched pages and a large LLC only becomes
 /// resident as its sets are used.
+///
+/// Addresses must stay inside a space the geometry
+/// [covers](CacheParams::covers): the cache keeps [`TAG_BITS`] tag bits
+/// and does not check them in release builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     params: CacheParams,
@@ -143,7 +161,7 @@ pub struct SetAssocCache {
     /// Bit offset of the MRU nibble in an order word: `4 * (ways - 1)`.
     mru_shift: u32,
     /// Packed tag and flags per line, set-major.
-    words: Vec<u64>,
+    words: Vec<u32>,
     /// Recency order per set, LRU way in the low nibble.
     order: Vec<u64>,
     /// Counters (public: the hierarchy reports them).
@@ -185,9 +203,14 @@ impl SetAssocCache {
     }
 
     /// The block's set and the valid, clean line word that holds it.
-    fn index(&self, addr: u64) -> (u64, u64) {
+    fn index(&self, addr: u64) -> (u64, u32) {
         let block = addr >> self.block_bits;
-        (block & self.set_mask, ((block >> self.set_shift) << TAG_SHIFT) | VALID)
+        let tag = block >> self.set_shift;
+        debug_assert!(
+            tag >> TAG_BITS == 0,
+            "address {addr:#x} is outside the space the tags cover"
+        );
+        (block & self.set_mask, ((tag as u32) << TAG_SHIFT) | VALID)
     }
 
     /// The first line of `set`.
@@ -260,7 +283,7 @@ impl SetAssocCache {
             return None;
         }
         self.stats.dirty_evictions += 1;
-        Some(((old >> TAG_SHIFT) * self.sets + set) << self.block_bits)
+        Some((u64::from(old >> TAG_SHIFT) * self.sets + set) << self.block_bits)
     }
 }
 
@@ -389,15 +412,32 @@ mod tests {
             latency: 38,
         });
         assert_eq!((c.words.len(), c.order.len()), (262_144, 16_384));
+        // A line is a 4-byte word: 1 MiB of line words for this LLC.
+        assert_eq!(std::mem::size_of_val(c.words.as_slice()), 1 << 20);
         // Geometry, the two tables and the counters: a third table would
         // grow the struct.
         let parts = std::mem::size_of::<CacheParams>()
             + 2 * std::mem::size_of::<u64>()
             + 3 * std::mem::size_of::<u32>()
             + std::mem::size_of::<usize>()
-            + 2 * std::mem::size_of::<Vec<u64>>()
+            + std::mem::size_of::<Vec<u32>>()
+            + std::mem::size_of::<Vec<u64>>()
             + std::mem::size_of::<CacheStats>();
         assert!(std::mem::size_of::<SetAssocCache>() <= parts.next_multiple_of(8));
+    }
+
+    #[test]
+    fn paper_caches_cover_the_eight_core_dram_space() {
+        // 16 GiB (4 channels of 4 GiB): L1 has the widest tag, 20 bits.
+        let l1 = CacheParams { size_bytes: 64 << 10, ways: 4, block_bytes: 64, latency: 4 };
+        let llc = CacheParams { size_bytes: 16 << 20, ways: 16, block_bytes: 64, latency: 38 };
+        for c in [l1, llc] {
+            assert!(c.covers(16 << 30), "{c:?}");
+        }
+        // L1 indexes 14 address bits, so its tags reach 2^44 bytes.
+        assert!(l1.covers(1 << 44));
+        assert!(!l1.covers((1 << 44) + 1));
+        assert!(!l1.covers(u64::MAX));
     }
 
     #[test]
@@ -412,7 +452,6 @@ mod tests {
             (CacheParams { block_bytes: 0, ..ok }, "block size"),
             (CacheParams { size_bytes: 3 * 128, ..ok }, "power of two"),
             (CacheParams { size_bytes: 64, ..ok }, "power of two"),
-            (CacheParams { size_bytes: 2, ways: 1, block_bytes: 2, ..ok }, "four addresses"),
         ] {
             let err = bad.validate().expect_err(why);
             assert!(err.contains(why), "{bad:?}: {err}");
@@ -543,10 +582,14 @@ mod proptests {
         }
     }
 
+    /// The tags an op's high-bit draw counts down from: low tags, a
+    /// middle bit, and the largest tag a line word holds.
+    const TAG_BASES: [u64; 3] = [63, 1 << 29, (1 << TAG_BITS) - 1];
+
     /// Drives the packed cache and the reference with one op stream on a
-    /// four-set cache of `ways` ways. An op is (kind, block, high tag
-    /// bits, write/dirty flag); the block pool is three times the
-    /// capacity, so sets fill, hit and evict.
+    /// four-set cache of `ways` ways. An op is (kind, block, tag base,
+    /// write/dirty flag); the block pool is three times the capacity, so
+    /// sets fill, hit and evict.
     fn check(ways: u32, ops: &[(u8, u64, u64, bool)]) {
         let params =
             CacheParams { size_bytes: 4 * 64 * u64::from(ways), ways, block_bytes: 64, latency: 1 };
@@ -554,7 +597,9 @@ mod proptests {
         let mut reference = Reference::new(params);
         let pool = 12 * u64::from(ways);
         for (step, &(kind, block, high, flag)) in ops.iter().enumerate() {
-            let addr = (block % pool) * 64 + (high << 40) + step as u64 % 64;
+            let block = block % pool;
+            let tag = TAG_BASES[high as usize] - block / 4;
+            let addr = (tag * 4 + block % 4) * 64 + step as u64 % 64;
             match kind {
                 0 => assert_eq!(packed.access(addr, flag), reference.access(addr, flag)),
                 1 => assert_eq!(packed.fill(addr, flag), reference.fill(addr, flag)),
@@ -576,7 +621,7 @@ mod proptests {
         let lines: Vec<(u64, bool, bool)> = packed
             .words
             .iter()
-            .map(|&w| (w >> TAG_SHIFT, w & VALID != 0, w & DIRTY != 0))
+            .map(|&w| (u64::from(w >> TAG_SHIFT), w & VALID != 0, w & DIRTY != 0))
             .collect();
         let want: Vec<(u64, bool, bool)> =
             reference.lines.iter().map(|l| (l.tag, l.valid, l.dirty)).collect();

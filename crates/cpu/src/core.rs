@@ -77,8 +77,20 @@ pub struct TraceCore {
     /// x merges), and this sits on the simulator's hottest path.
     token_seq: Vec<(u64, u64)>,
     target_insts: u64,
+    /// Bytes of address space every op's address must lie below.
+    addr_space: u64,
     finished_at: Option<u64>,
     stats: CoreStats,
+}
+
+/// Fails the run of `core`, whose source yielded `addr` outside the
+/// DRAM address space. Kept out of line: inside [`TraceCore::tick`] the
+/// message's setup would sit in the hot issue loop, which should carry
+/// only the compare.
+#[cold]
+#[inline(never)]
+fn outside_space(core: usize, addr: u64, space: u64) -> ! {
+    panic!("core {core}: address {addr:#x} is outside the {space:#x}-byte DRAM address space")
 }
 
 /// Sentinel ready-at for loads still in flight.
@@ -86,30 +98,42 @@ const WAITING: u64 = u64::MAX;
 
 impl TraceCore {
     /// Creates a core that will execute `target_insts` instructions from
-    /// `trace` (wrapping around the trace as needed).
+    /// `trace` (wrapping around the trace as needed), every address below
+    /// `addr_space`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty trace or zero instruction target.
+    /// Panics on an empty trace or zero instruction target, and as
+    /// [`TraceCore::from_source`] describes.
     #[must_use]
-    pub fn new(id: usize, params: CoreParams, trace: Trace, target_insts: u64) -> Self {
+    pub fn new(
+        id: usize,
+        params: CoreParams,
+        trace: Trace,
+        target_insts: u64,
+        addr_space: u64,
+    ) -> Self {
         assert!(!trace.ops.is_empty(), "trace must be non-empty");
-        Self::from_source(id, params, Box::new(trace.into_source()), target_insts)
+        Self::from_source(id, params, Box::new(trace.into_source()), target_insts, addr_space)
     }
 
     /// Creates a core that pulls its operations from `source` — the
     /// streaming form of [`TraceCore::new`] for generators and
-    /// trace-file replays.
+    /// trace-file replays. Every op's address must lie below
+    /// `addr_space`, the DRAM address space the caches' tags cover.
     ///
     /// # Panics
     ///
-    /// Panics on a zero instruction target.
+    /// Panics on a zero instruction target. [`TraceCore::tick`] panics
+    /// when it pulls an op whose address is not below `addr_space`,
+    /// naming the core, the address and the space.
     #[must_use]
     pub fn from_source(
         id: usize,
         params: CoreParams,
         source: Box<dyn TraceSource>,
         target_insts: u64,
+        addr_space: u64,
     ) -> Self {
         assert!(target_insts > 0, "target_insts must be non-zero");
         Self {
@@ -124,6 +148,7 @@ impl TraceCore {
             tail_seq: 0,
             token_seq: Vec::new(),
             target_insts,
+            addr_space,
             finished_at: None,
             stats: CoreStats::default(),
         }
@@ -261,6 +286,11 @@ impl TraceCore {
     /// Advances one CPU cycle: retires up to `width` ready instructions
     /// from the window head, then issues up to `width` new instructions,
     /// sending memory operations to `hierarchy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source yields an op whose address is not below the
+    /// core's address space (see [`TraceCore::from_source`]).
     pub fn tick(&mut self, now: u64, hierarchy: &mut CacheHierarchy) {
         if self.finished_at.is_some() {
             return;
@@ -300,6 +330,9 @@ impl TraceCore {
                 Some(op) => op,
                 None => {
                     let op = self.source.next_op();
+                    if op.addr >= self.addr_space {
+                        outside_space(self.id, op.addr, self.addr_space);
+                    }
                     if op.nonmem > 0 {
                         self.nonmem_left = op.nonmem;
                         self.pending_mem = Some(op);
@@ -342,6 +375,9 @@ mod tests {
     use crate::hierarchy::HierarchyConfig;
     use figaro_workloads::TraceOp;
 
+    /// One channel of the paper's DRAM: 4 GiB.
+    const SPACE: u64 = 4 << 30;
+
     fn tiny_trace(ops: Vec<TraceOp>) -> Trace {
         Trace { name: "test".into(), ops }
     }
@@ -378,7 +414,7 @@ mod tests {
         // after the first fill.
         let trace = tiny_trace(vec![TraceOp { nonmem: 299, addr: 0, is_write: false }]);
         let mut h = CacheHierarchy::new(HierarchyConfig::paper_default(1), 1);
-        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 30_000);
+        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 30_000, SPACE);
         let cycles = run(&mut core, &mut h, 200_000);
         let ipc = 30_000.0 / cycles as f64;
         assert!(ipc > 2.5, "IPC {ipc} should approach width 3");
@@ -392,7 +428,7 @@ mod tests {
             (0..4096).map(|i| TraceOp { nonmem: 0, addr: i * 64 * 131, is_write: false }).collect();
         let trace = tiny_trace(ops);
         let mut h = CacheHierarchy::new(HierarchyConfig::paper_default(1), 1);
-        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 3_000);
+        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 3_000, SPACE);
         let cycles = run(&mut core, &mut h, 400_000);
         let ipc = 3_000.0 / cycles as f64;
         assert!(ipc < 1.0, "all-miss IPC {ipc} must be low");
@@ -403,7 +439,7 @@ mod tests {
     fn finished_core_stops_ticking() {
         let trace = tiny_trace(vec![TraceOp { nonmem: 10, addr: 0, is_write: false }]);
         let mut h = CacheHierarchy::new(HierarchyConfig::paper_default(1), 1);
-        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 100);
+        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 100, SPACE);
         let at = run(&mut core, &mut h, 100_000);
         assert!(core.finished());
         assert_eq!(core.finished_at(), Some(at));
@@ -417,7 +453,7 @@ mod tests {
         let trace = tiny_trace(vec![TraceOp { nonmem: 1, addr: 0, is_write: false }]);
         let mut h = CacheHierarchy::new(HierarchyConfig::paper_default(1), 1);
         // 2 instructions per op; ask for 1000 -> needs 500 wraps.
-        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 1000);
+        let mut core = TraceCore::new(0, CoreParams::paper_default(), trace, 1000, SPACE);
         run(&mut core, &mut h, 100_000);
         assert_eq!(core.retired(), 1000);
     }
@@ -426,7 +462,8 @@ mod tests {
     fn stores_do_not_block_retirement() {
         let ops = vec![TraceOp { nonmem: 2, addr: 4096, is_write: true }];
         let mut h = CacheHierarchy::new(HierarchyConfig::paper_default(1), 1);
-        let mut core = TraceCore::new(0, CoreParams::paper_default(), tiny_trace(ops), 3_000);
+        let mut core =
+            TraceCore::new(0, CoreParams::paper_default(), tiny_trace(ops), 3_000, SPACE);
         let cycles = run(&mut core, &mut h, 100_000);
         let ipc = 3_000.0 / cycles as f64;
         assert!(ipc > 2.0, "posted stores should keep IPC near width, got {ipc}");
@@ -440,7 +477,8 @@ mod tests {
         let ops: Vec<TraceOp> =
             (0..512).map(|i| TraceOp { nonmem: 2, addr: i * 64 * 131, is_write: false }).collect();
         let mut h = CacheHierarchy::new(HierarchyConfig::paper_default(1), 1);
-        let mut core = TraceCore::new(0, CoreParams::paper_default(), tiny_trace(ops), 2_000);
+        let mut core =
+            TraceCore::new(0, CoreParams::paper_default(), tiny_trace(ops), 2_000, SPACE);
         let mut in_flight: Vec<(u64, u64)> = Vec::new();
         for now in 0..200_000 {
             core.tick(now, &mut h);
@@ -471,7 +509,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_trace_panics() {
-        let _ = TraceCore::new(0, CoreParams::paper_default(), tiny_trace(vec![]), 10);
+        let _ = TraceCore::new(0, CoreParams::paper_default(), tiny_trace(vec![]), 10, SPACE);
     }
 
     #[test]
@@ -492,12 +530,14 @@ mod tests {
             CoreParams::paper_default(),
             generate_trace(&p, 50_000, 77),
             insts,
+            SPACE,
         ));
         let streamed = run_core(TraceCore::from_source(
             0,
             CoreParams::paper_default(),
             Box::new(TraceGenerator::new(&p, 77)),
             insts,
+            SPACE,
         ));
         assert_eq!(materialized, streamed);
     }

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use figaro_dram::PhysAddr;
 use figaro_memctrl::Request;
 
-use crate::cache::{CacheParams, CacheStats, SetAssocCache};
+use crate::cache::{CacheParams, CacheStats, SetAssocCache, TAG_BITS};
 
 /// Hierarchy configuration (paper Table 1 defaults via
 /// [`HierarchyConfig::paper_default`]).
@@ -55,16 +55,23 @@ impl HierarchyConfig {
         }
     }
 
-    /// Checks that [`CacheHierarchy::new`] can build this hierarchy and
-    /// that it can make progress: every level passes
-    /// [`CacheParams::validate`] and each core has at least one MSHR.
+    /// Checks that [`CacheHierarchy::new`] can build this hierarchy, that
+    /// it can make progress and that it can cache every address below
+    /// `addr_space`: every level passes [`CacheParams::validate`] and
+    /// [covers](CacheParams::covers) the space, and each core has at
+    /// least one MSHR.
     ///
     /// # Errors
     ///
     /// Returns a description of the first rule the configuration breaks.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self, addr_space: u64) -> Result<(), String> {
         for (level, params) in [("L1", self.l1), ("L2", self.l2), ("LLC", self.llc)] {
             params.validate().map_err(|e| format!("{level}: {e}"))?;
+            if !params.covers(addr_space) {
+                return Err(format!(
+                    "{level}: {TAG_BITS}-bit tags cannot name every address below {addr_space:#x}"
+                ));
+            }
         }
         if self.mshrs_per_core == 0 {
             return Err("each core needs at least one MSHR".into());

@@ -8,10 +8,15 @@
 //!
 //! * [`cache::SetAssocCache`] — set-associative, write-back,
 //!   write-allocate cache with LRU replacement. Each line is a packed
-//!   `tag | VALID | DIRTY` word in a zero-allocated table, and each set
-//!   keeps its recency order in one word of 4-bit way numbers (1 to 16
-//!   ways): a hit or fill moves its way to the MRU end, and a miss
-//!   fill's victim is the LRU way;
+//!   4-byte `tag | DIRTY | VALID` word in a zero-allocated table, and
+//!   each set keeps its recency order in one word of 4-bit way numbers
+//!   (1 to 16 ways): a hit or fill moves its way to the MRU end, and a
+//!   miss fill's victim is the LRU way. A tag has
+//!   [`cache::TAG_BITS`] (30) bits, so every address must lie in a space
+//!   the level covers ([`cache::CacheParams::covers`]):
+//!   [`hierarchy::HierarchyConfig::validate`] checks every level against
+//!   the DRAM address space, and [`core::TraceCore`] checks each op's
+//!   address against it as it pulls the op;
 //! * [`hierarchy::CacheHierarchy`] — the private-L1/L2 + shared-LLC stack
 //!   with per-core MSHRs (miss merging, structural stalls) and dirty
 //!   writeback chains down to the memory controller. The MSHRs are one

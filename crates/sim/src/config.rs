@@ -51,6 +51,10 @@ impl Kernel {
     }
 }
 
+/// The largest instruction window [`SystemConfig::validate`] accepts
+/// (the paper's is 256 entries); a core allocates its window up front.
+pub const MAX_CORE_WINDOW: usize = 65_536;
+
 /// Rows per fast subarray (the paper's fast subarrays are 32 rows).
 const FAST_SUBARRAY_ROWS: u32 = 32;
 
@@ -200,10 +204,13 @@ impl SystemConfig {
     }
 
     /// Checks that the model can run this system: 1 to 256 cores (a
-    /// request names its core in a `u8`), a non-zero core width and
-    /// window, a non-zero CPU:bus clock ratio, and a hierarchy that
-    /// passes [`HierarchyConfig::validate`]. The DRAM side is checked by
-    /// [`DramConfig::validate`] on [`SystemConfig::dram_config`].
+    /// request names its core in a `u8`), `1 <= width <= window <=`
+    /// [`MAX_CORE_WINDOW`], a non-zero CPU:bus clock ratio, a DRAM
+    /// configuration ([`SystemConfig::dram_config`]) that passes
+    /// [`DramConfig::validate`], an in-DRAM cache that passes
+    /// [`FigCacheConfig::validate_for`] on it, and a hierarchy that passes
+    /// [`HierarchyConfig::validate`] over the DRAM address space, so
+    /// every level's tags name every address a core may send.
     ///
     /// # Errors
     ///
@@ -212,16 +219,24 @@ impl SystemConfig {
         if !(1..=usize::from(u8::MAX) + 1).contains(&self.cores) {
             return Err(format!("cores must be 1 to 256, got {}", self.cores));
         }
-        if self.core.width == 0 {
+        let CoreParams { width, window } = self.core;
+        if width == 0 {
             return Err("core width must be non-zero".into());
         }
-        if self.core.window == 0 {
-            return Err("core window must be non-zero".into());
+        if !(width..=MAX_CORE_WINDOW).contains(&window) {
+            return Err(format!(
+                "core window must be from the width ({width}) to {MAX_CORE_WINDOW}, got {window}"
+            ));
         }
         if self.cpu_cycles_per_bus == 0 {
             return Err("cpu_cycles_per_bus must be non-zero".into());
         }
-        self.hierarchy.validate()
+        let dram = self.dram_config();
+        dram.validate()?;
+        if let Some(cache) = self.cache_config() {
+            cache.validate_for(&dram)?;
+        }
+        self.hierarchy.validate(dram.address_mapping(self.mc.map).addr_space())
     }
 
     /// The in-DRAM cache the mechanism runs; `None` for `Base` and
@@ -441,6 +456,63 @@ mod tests {
     #[test]
     fn validate_rejects_an_empty_window() {
         assert!(rejection(1, |c| c.core.window = 0).contains("window"));
+    }
+
+    #[test]
+    fn validate_bounds_the_core_window() {
+        // A core allocates its window up front: these used to pass and
+        // then abort with "capacity overflow" when the system was built.
+        for window in [usize::MAX, 1 << 62, MAX_CORE_WINDOW + 1] {
+            let err = rejection(1, |c| c.core.window = window);
+            assert!(err.contains("window") && err.contains(&window.to_string()), "{err}");
+        }
+        assert!(rejection(1, |c| c.core = CoreParams { width: 4, window: 3 }).contains("window"));
+        let mut cfg = SystemConfig::paper(1, ConfigKind::Base);
+        cfg.core = CoreParams { width: MAX_CORE_WINDOW, window: MAX_CORE_WINDOW };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    /// `validate`'s error for a one-core system running `cache`. Each of
+    /// the caches below used to pass `validate` and then fail while the
+    /// system was built.
+    fn cache_rejection(cache: FigCacheConfig) -> String {
+        rejection(1, |c| c.kind = ConfigKind::FigCacheCustom(cache))
+    }
+
+    #[test]
+    fn validate_rejects_more_segments_per_row_than_the_eviction_bitvector_holds() {
+        // 128 one-block segments per row, against 64 slots.
+        let cache = FigCacheConfig { blocks_per_segment: 1, ..FigCacheConfig::paper_fast() };
+        assert!(cache_rejection(cache).contains("exceed the 64"));
+    }
+
+    #[test]
+    fn validate_rejects_a_segment_that_does_not_divide_the_row() {
+        let cache = FigCacheConfig { blocks_per_segment: 48, ..FigCacheConfig::paper_fast() };
+        assert!(cache_rejection(cache).contains("must divide the row"));
+    }
+
+    #[test]
+    fn validate_rejects_reserved_rows_beyond_one_subarray() {
+        let cache = FigCacheConfig { cache_rows_per_bank: 4096, ..FigCacheConfig::paper_slow() };
+        assert!(cache_rejection(cache).contains("must fit in one subarray"));
+    }
+
+    #[test]
+    fn validate_rejects_more_fast_cache_rows_than_regular_rows() {
+        // The layout's row count used to overflow.
+        let cache =
+            FigCacheConfig { cache_rows_per_bank: u32::MAX, ..FigCacheConfig::paper_fast() };
+        assert!(cache_rejection(cache).contains("regular rows"));
+    }
+
+    #[test]
+    fn validate_rejects_tags_that_cannot_name_the_dram_space() {
+        // One 2-byte line indexes one address bit, so its 30-bit tags
+        // stop at 2 GiB, short of the 4 GiB channel.
+        let tiny = figaro_cpu::CacheParams { size_bytes: 2, ways: 1, block_bytes: 2, latency: 1 };
+        let err = rejection(1, |c| c.hierarchy.l1 = tiny);
+        assert!(err.starts_with("L1:") && err.contains("0x100000000"), "{err}");
     }
 
     #[test]

@@ -170,8 +170,7 @@ impl System {
     /// # Panics
     ///
     /// Panics if the number of sources or targets does not match
-    /// `cfg.cores`, or if `cfg` fails [`SystemConfig::validate`] or its
-    /// DRAM configuration fails [`figaro_dram::DramConfig::validate`].
+    /// `cfg.cores` or if `cfg` fails [`SystemConfig::validate`].
     #[must_use]
     pub fn from_sources(
         cfg: SystemConfig,
@@ -180,8 +179,8 @@ impl System {
     ) -> Self {
         assert_eq!(sources.len(), cfg.cores, "one trace source per core");
         assert_eq!(targets.len(), cfg.cores, "one instruction target per core");
+        cfg.validate().expect("system config must validate");
         let dram = cfg.dram_config();
-        cfg.validate().and_then(|()| dram.validate()).expect("system config must validate");
         // The router decodes with the same mapping kind the controllers
         // use — mismatched mappings would send requests to the wrong
         // channel (the controller asserts this on enqueue).
@@ -211,11 +210,12 @@ impl System {
                 .map(|s| Box::new(PageMappedSource::new(s, mapper)) as Box<dyn TraceSource>)
                 .collect()
         };
+        let space = mapping.addr_space();
         let cores: Vec<TraceCore> = sources
             .into_iter()
             .zip(targets)
             .enumerate()
-            .map(|(i, (s, &target))| TraceCore::from_source(i, cfg.core, s, target))
+            .map(|(i, (s, &target))| TraceCore::from_source(i, cfg.core, s, target, space))
             .collect();
         let bus_shift = cfg
             .cpu_cycles_per_bus
@@ -409,6 +409,12 @@ impl System {
     /// Runs until every core finishes or `max_cpu_cycles` elapse; returns
     /// the collected statistics. The kernel comes from
     /// [`SystemConfig::kernel`]; both produce bit-identical results.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a core pulls an op whose address is not below the
+    /// DRAM address space ([`figaro_dram::AddressMapping::addr_space`]),
+    /// with a message naming the core, the address and the space.
     pub fn run(&mut self, max_cpu_cycles: u64) -> RunStats {
         let stats = match self.cfg.kernel {
             Kernel::Reference => self.run_reference(max_cpu_cycles),
@@ -610,7 +616,8 @@ mod tests {
     use super::*;
     use crate::config::ConfigKind;
     use figaro_cpu::SetAssocCache;
-    use figaro_workloads::{generate_trace, profile_by_name};
+    use figaro_dram::MapKind;
+    use figaro_workloads::{generate_trace, profile_by_name, TraceOp};
 
     /// A run's stats and the final state of every cache level.
     type Outcome = (RunStats, Vec<SetAssocCache>);
@@ -913,6 +920,30 @@ mod tests {
         cfg.hierarchy.mshrs_per_core = 0;
         let trace = generate_trace(&profile_by_name("mcf").unwrap(), 1_000, 1);
         let _ = System::new(cfg, vec![trace], &[1_000]);
+    }
+
+    #[test]
+    fn an_address_outside_the_dram_space_fails_where_the_core_pulls_it() {
+        // One 4 GiB channel: 1 << 40 lies far above it, and before the
+        // check it failed deep in the model (a row out of range under
+        // the paper mapping, an index out of bounds under rowint).
+        for map in ["paper", "rowint"] {
+            let cfg = SystemConfig::paper(1, ConfigKind::Base)
+                .with_mapping(MapKind::from_name(map).expect("a known mapping"));
+            let trace = Trace {
+                name: "far".into(),
+                ops: vec![TraceOp { nonmem: 2, addr: 1 << 40, is_write: false }],
+            };
+            let mut sys = System::new(cfg, vec![trace], &[1_000]);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(10_000)))
+                .expect_err("the address must be rejected");
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert_eq!(
+                msg,
+                "core 0: address 0x10000000000 is outside the 0x100000000-byte DRAM address space",
+                "{map}"
+            );
+        }
     }
 
     #[test]
