@@ -7,7 +7,9 @@
 //! ```
 //!
 //! The names are [`figaro_bench::ENTRIES`]; an unknown one runs nothing,
-//! lists the valid names and exits with status 2.
+//! lists the valid names and exits with status 2. Every entry of one
+//! invocation runs on one shared runner, so entries built from the same
+//! runs (Figs. 7/9/10/11 and 8/9/10/11) simulate them once.
 
 mod mapping_sweep;
 mod sched_sweep;
@@ -19,7 +21,7 @@ mod telemetry;
 
 use std::time::Instant;
 
-use figaro_bench::{bench_runner, timed, ENTRIES};
+use figaro_bench::{bench_runner, header, timed, ENTRIES};
 use figaro_sim::experiments as ex;
 use figaro_sim::report::FigureData;
 use figaro_sim::{ConfigKind, RunStats, Runner, System, SystemConfig};
@@ -30,13 +32,15 @@ enum Body {
     /// A `figaro_sim::experiments` figure or table: its header title and
     /// builder, run on the shared bench runner.
     Figure(&'static str, fn(&Runner) -> FigureData),
+    /// A program that runs on the shared bench runner.
+    Sweep(fn(&Runner)),
     /// A self-contained program.
     Program(fn()),
 }
 
 /// The body of the entry `name`, if there is one.
 fn body(name: &str) -> Option<Body> {
-    use Body::{Figure, Program};
+    use Body::{Figure, Program, Sweep};
     Some(match name {
         "fig07_single_core" => Figure("Figure 7: single-core performance", ex::fig07),
         "fig08_eight_core" => Figure("Figure 8: eight-core performance", ex::fig08),
@@ -53,9 +57,9 @@ fn body(name: &str) -> Option<Body> {
         "sec42_reloc_latency" => Program(sec42::run),
         "sec6_rowhammer" => Program(sec6::run),
         "tab_overhead" => Program(tab_overhead::run),
-        "sched_sweep" => Program(sched_sweep::run),
-        "mapping_sweep" => Program(mapping_sweep::run),
-        "serving_sweep" => Program(serving_sweep::run),
+        "sched_sweep" => Sweep(sched_sweep::run),
+        "mapping_sweep" => Sweep(mapping_sweep::run),
+        "serving_sweep" => Sweep(serving_sweep::run),
         "telemetry" => Program(telemetry::run),
         _ => return None,
     })
@@ -96,13 +100,15 @@ fn main() {
     for name in ENTRIES {
         assert!(body(name).is_some(), "entry `{name}` has no body");
     }
+    let runner = bench_runner();
     for name in names {
         match body(name).expect("checked above") {
             Body::Figure(title, build) => {
-                let runner = bench_runner(title);
+                header(title, runner.scale());
                 let fig = timed(name, || build(&runner));
                 println!("{fig}");
             }
+            Body::Sweep(run) => run(&runner),
             Body::Program(run) => run(),
         }
     }

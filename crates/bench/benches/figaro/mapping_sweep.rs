@@ -23,13 +23,13 @@
 use std::fmt::Write as _;
 
 use figaro_sim::experiments::{mapping_kinds, mapping_sweep, page_policies};
-use figaro_sim::ConfigKind;
+use figaro_sim::{ConfigKind, Runner};
 
 use crate::{backlog_config, run_backlog};
 
-/// Runs the entry.
-pub fn run() {
-    let runner = figaro_bench::bench_runner("mapping_sweep");
+/// Runs the entry on the shared bench runner.
+pub fn run(runner: &Runner) {
+    figaro_bench::header("mapping_sweep", runner.scale());
 
     // 1. Per-placement behavior on the bank-contended shape.
     let mut placement_entries = String::new();
@@ -65,8 +65,8 @@ pub fn run() {
         }
     }
 
-    // 2. The mapping x page x mechanism sweep (cached runner runs).
-    let fig = figaro_bench::timed("mapping_sweep", || mapping_sweep(&runner));
+    // 2. The mapping x page x mechanism sweep (runs on the shared runner).
+    let fig = figaro_bench::timed("mapping_sweep", || mapping_sweep(runner));
     println!("{fig}");
     let csv_path = figaro_bench::artifact_path("BENCH_mapping.csv");
     fig.write_csv(&csv_path).expect("write BENCH_mapping.csv");

@@ -21,13 +21,13 @@
 use std::fmt::Write as _;
 
 use figaro_sim::experiments::{sched_policies, scheduler_sweep};
-use figaro_sim::ConfigKind;
+use figaro_sim::{ConfigKind, Runner};
 
 use crate::{backlog_config, run_backlog};
 
-/// Runs the entry.
-pub fn run() {
-    let runner = figaro_bench::bench_runner("sched_sweep");
+/// Runs the entry on the shared bench runner.
+pub fn run(runner: &Runner) {
+    figaro_bench::header("sched_sweep", runner.scale());
 
     // 1. Per-policy behavior on the backlog-saturation shape.
     println!("--- scheduling policies (backlog saturation, FIGCache-Fast) ---");
@@ -51,8 +51,8 @@ pub fn run() {
         );
     }
 
-    // 2. The policy x mechanism x workload sweep (cached runner runs).
-    let fig = figaro_bench::timed("scheduler_sweep", || scheduler_sweep(&runner));
+    // 2. The policy x mechanism x workload sweep (runs on the shared runner).
+    let fig = figaro_bench::timed("scheduler_sweep", || scheduler_sweep(runner));
     println!("{fig}");
     let csv_path = figaro_bench::artifact_path("BENCH_sched_sweep.csv");
     fig.write_csv(&csv_path).expect("write BENCH_sched_sweep.csv");

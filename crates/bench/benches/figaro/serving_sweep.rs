@@ -19,12 +19,13 @@
 use std::fmt::Write as _;
 
 use figaro_sim::experiments::{serving_loads, serving_scheds, serving_sweep};
+use figaro_sim::Runner;
 
-/// Runs the entry.
-pub fn run() {
-    let runner = figaro_bench::bench_runner("serving_sweep");
+/// Runs the entry on the shared bench runner.
+pub fn run(runner: &Runner) {
+    figaro_bench::header("serving_sweep", runner.scale());
 
-    let fig = figaro_bench::timed("serving_sweep", || serving_sweep(&runner));
+    let fig = figaro_bench::timed("serving_sweep", || serving_sweep(runner));
     println!("{fig}");
     let csv_path = figaro_bench::artifact_path("BENCH_serving.csv");
     fig.write_csv(&csv_path).expect("write BENCH_serving.csv");

@@ -27,7 +27,8 @@ const INTERVAL: u64 = 10_000;
 /// Maximum tolerated spread between the two disabled variants.
 const OFF_SPREAD_BUDGET_PCT: f64 = 5.0;
 
-/// One uncached four-core serving-shaped run with explicit telemetry.
+/// One four-core serving-shaped run with explicit telemetry, built
+/// directly (no runner, so every sample simulates).
 fn run_once(tcfg: &TelemetryConfig, insts: u64) -> (RunStats, f64) {
     let apps = ["mcf", "lbm", "libquantum", "gcc"];
     let traces: Vec<Trace> = apps

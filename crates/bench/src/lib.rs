@@ -9,9 +9,11 @@
 //! cargo bench --bench figaro -- fig07_single_core tab2_benchmarks
 //! ```
 //!
-//! Entries share the on-disk result cache under `target/figaro-cache`,
-//! so figures built from the same runs (7/9/10/11 and 8/9/10/11) are
-//! cheap after the first one.
+//! One invocation builds one [`Runner`] ([`bench_runner`]) and runs every
+//! named entry on it. Its in-process memo makes figures built from the
+//! same runs (7/9/10/11 and 8/9/10/11) cheap after the first one; nothing
+//! is kept between invocations, so a result never outlives the code that
+//! computed it.
 //!
 //! Environment knobs, parsed once by [`env()`] (a malformed value stops
 //! the bench with a message naming the variable):
@@ -26,8 +28,8 @@
 //! * `FIGARO_SCHED`, `FIGARO_KERNEL`, `FIGARO_MAP`, `FIGARO_PAGEMAP`,
 //!   `FIGARO_LOAD` — runner overrides for the figure entries (see the
 //!   README's env table).
-//!   Each run's result-cache key covers its whole configuration, so an
-//!   override never reuses another configuration's cached results.
+//!   Each run's memo key covers its whole configuration, so an override
+//!   never reuses another configuration's results.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -113,14 +115,17 @@ pub fn env() -> EnvConfig {
     })
 }
 
-/// Builds the shared runner (the environment's overrides applied) and
-/// prints the standard bench header.
+/// Builds the runner one bench invocation shares across its entries,
+/// with the environment's overrides applied.
 #[must_use]
-pub fn bench_runner(name: &str) -> Runner {
+pub fn bench_runner() -> Runner {
     let env = env();
-    let scale = env.scale_or(Scale::Small);
-    println!("--- {name} (scale: {}, cache: target/figaro-cache) ---", scale.label());
-    env.apply(Runner::new(scale))
+    env.apply(Runner::new(env.scale_or(Scale::Small)))
+}
+
+/// Prints the standard header of the entry `name`.
+pub fn header(name: &str, scale: Scale) {
+    println!("--- {name} (scale: {}) ---", scale.label());
 }
 
 /// Runs `f`, printing its wall-clock duration.

@@ -125,7 +125,7 @@ impl MapScheme {
 
 /// Complete identification of an address mapping: a base scheme plus
 /// the optional XOR bank-permutation layer. This is the value form
-/// carried by controller/system configs and result-cache keys.
+/// carried by controller/system configs and the runner's memo keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MapKind {
     /// The base bit-slice scheme.

@@ -93,10 +93,6 @@ const SCHEMA: &[&str] = &[
     "determinism.allow",
     "horizon.crates",
     "horizon.allow",
-    "floats.float_structs",
-    "floats.scopes",
-    "floats.sanitizers",
-    "floats.allow",
     "env_registry.prefix",
     "env_registry.parsers",
     "env_registry.docs",

@@ -2,16 +2,13 @@
 //!
 //! FIGARO's headline claim is **bit-identical reproduction**: four
 //! kernels, four schedulers and a sweep grid must all agree to the last
-//! bit, and a shared on-disk result cache must never return anything a
-//! fresh run would not produce (the cache keys hash the whole run, and
-//! a unit test in `figaro-sim` mutates every field). The invariants that make that true are
-//! domain rules no generic linter knows:
+//! bit. The invariants that make that true are domain rules no generic
+//! linter knows:
 //!
 //! | Rule | ID | Bug class it mechanizes |
 //! |---|---|---|
 //! | [`rules::determinism`] | FIG001 | order-dependent `HashMap`/`HashSet` iteration, wall-clock reads, unseeded RNG in result-affecting crates |
 //! | [`rules::horizon`] | FIG002 | `Cycle::MAX`/`u64::MAX` as `unwrap_or`/`fold` defaults in `*horizon*`/`next_*`/`earliest_*` functions (the PR-3 refresh-disable bug) |
-//! | [`rules::floats`] | FIG003 | lossy `{}`/`{:?}` float formatting in cache-key/serialization functions (the PR-6 cache-corruption bug) |
 //! | [`rules::env_registry`] | FIG005 | the environment read outside the one parser file and harness code; `FIGARO_*` vars read but undocumented (or documented but unread) |
 //! | [`rules::panics`] | FIG006 | unbudgeted `unwrap`/`expect`/`panic!` growth in library code |
 //! | [`rules::probe`] | FIG007 | telemetry emits in result-affecting crates not behind the zero-cost `probe!` guard |
@@ -50,7 +47,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule ID (`FIG000` … `FIG007`; FIG004 is retired).
+    /// Rule ID (`FIG000` … `FIG007`; FIG003 and FIG004 are retired).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -145,7 +142,6 @@ pub fn analyze_root(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut diags = Vec::new();
     diags.extend(rules::determinism::run(&ws, &mut tracker)?);
     diags.extend(rules::horizon::run(&ws, &mut tracker)?);
-    diags.extend(rules::floats::run(&ws, &mut tracker)?);
     diags.extend(rules::env_registry::run(&ws, &mut tracker)?);
     diags.extend(rules::panics::run(&ws, &mut tracker)?);
     diags.extend(rules::probe::run(&ws, &mut tracker)?);

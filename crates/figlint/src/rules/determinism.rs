@@ -3,8 +3,8 @@
 //!
 //! Simulated results are pure functions of `(workload, config, seed)`;
 //! anything that lets host state leak into a run breaks bit-identical
-//! reproduction and poisons the shared result cache. Three idioms are
-//! banned in the crates listed under `[determinism] crates`:
+//! reproduction. Three idioms are banned in the crates listed under
+//! `[determinism] crates`:
 //!
 //! 1. **Hash-container iteration.** `HashMap`/`HashSet` iteration order
 //!    is randomized per process, so any walk over one is a determinism

@@ -3,7 +3,6 @@
 
 pub mod determinism;
 pub mod env_registry;
-pub mod floats;
 pub mod horizon;
 pub mod panics;
 pub mod probe;

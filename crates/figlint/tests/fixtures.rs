@@ -84,18 +84,6 @@ fn horizon_allowlist_and_option_return_are_clean() {
 }
 
 #[test]
-fn floats_catch_the_pr6_lossy_format() {
-    // Only the `{}` in `to_text` — the human-facing `report` is out of
-    // scope by design.
-    assert_rules("floats/bad", &["FIG003"]);
-}
-
-#[test]
-fn floats_accept_the_bit_pattern_convention() {
-    assert_clean("floats/good");
-}
-
-#[test]
 fn env_registry_catches_both_directions() {
     let diags = lint("env_registry/bad");
     assert!(

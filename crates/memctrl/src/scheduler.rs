@@ -22,7 +22,7 @@ use crate::bank::{banks_in, BankMask, BankMemos, BankState, BankSummary, Candida
 use crate::queues::{Entry, IndexedQueue};
 
 /// Identifies a scheduling policy — the value form carried by
-/// [`crate::McConfig`] and result-cache keys.
+/// [`crate::McConfig`] and the runner's memo keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicyKind {
     /// First-ready FCFS: ready row hits bypass older requests, then

@@ -145,7 +145,7 @@ fn main() {
         eprintln!("diag: {e}");
         std::process::exit(2)
     });
-    let runner = env.apply(Runner::uncached(scale));
+    let runner = env.apply(Runner::new(scale));
     // Open-loop pacing (FIGARO_LOAD) wraps the trace like streamed runs do.
     let spec = RunSpec { arrival: env.arrival, ..runner.single_spec(&profile, kind.clone()) };
     let (insts, cfg) = (spec.targets[0], &spec.config);

@@ -284,7 +284,7 @@ mod tests {
         let trace = env.telemetry.trace.as_ref().unwrap();
         assert!(trace.filter.allows("reloc") && !trace.filter.allows("drain"));
 
-        let runner = env.apply(Runner::uncached(Scale::Tiny));
+        let runner = env.apply(Runner::new(Scale::Tiny));
         assert!(runner.full_sweeps());
         // The system overrides reach every run through the template.
         let mcf = figaro_workloads::profile_by_name("mcf").unwrap();

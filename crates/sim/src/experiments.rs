@@ -1,7 +1,7 @@
 //! Every experiment of the paper's evaluation section, expressed as a
 //! function from a [`Runner`] to a printable [`FigureData`].
 //!
-//! The functions share the runner's on-disk result cache, so figures that
+//! The functions share the runner's result memo, so figures that
 //! reuse the same runs (7/9/10/11 share the single-core matrix, 8/9/10/11
 //! the eight-core matrix) do not recompute them.
 //!

@@ -34,7 +34,7 @@
 //! use figaro_workloads::profile_by_name;
 //!
 //! let env = EnvConfig::from_env().expect("well-formed FIGARO_* variables");
-//! let runner = env.apply(Runner::uncached(Scale::Tiny));
+//! let runner = env.apply(Runner::new(Scale::Tiny));
 //! let mcf = profile_by_name("mcf").unwrap();
 //! let base = runner.run_single(&mcf, ConfigKind::Base);
 //! let fig = runner.run_single(&mcf, ConfigKind::FigCacheFast);

@@ -1,29 +1,25 @@
 //! The experiment runner: scales, deterministic trace construction,
-//! alone-IPC measurement for weighted speedup, a content-addressed
-//! result cache (so benches that share runs — e.g. Figs. 7/9/10/11 — do
-//! not recompute them), and a parallel batch API over independent runs.
+//! alone-IPC measurement for weighted speedup, an in-process result
+//! memo (so figures that share runs — e.g. Figs. 7/9/10/11 — do not
+//! recompute them), and a parallel batch API over independent runs.
 //!
-//! ## The result cache
+//! ## The result memo
 //!
 //! Every run is described by one [`RunSpec`] — the full
 //! [`SystemConfig`], each core's workload and seed, targets, cycle cap
-//! and arrival pacing — and is a pure function of it. A cached
-//! summary lives in `<cache_dir>/<hash>.txt`, where `<hash>` is the
-//! FNV-1a of [`RunSpec::key_text`] ([`MODEL_EPOCH`] plus the spec's
-//! `Debug` text). The file repeats that text on its first line and is
-//! only used when it matches, so a hash collision recomputes instead of
-//! returning another run's result.
+//! and arrival pacing — and is a pure function of it. Each [`Runner`]
+//! memoizes summaries under the spec's full `Debug` text, so one runner
+//! simulates a run at most once. The memo lives and dies with its
+//! runner: no result outlives the process, so none can come from an
+//! older build of the model.
 //!
 //! ## Parallel batches
 //!
 //! The `*_batch` / `*_matrix` methods fan a job list out over rayon and
 //! return results **in input order**, which makes a parallel batch
-//! bit-identical to the equivalent serial loop — same `RunSummary`
-//! values, same cache files. The on-disk cache is safe under this
-//! concurrency: a process-wide per-file mutex serializes
-//! compute-and-publish per run (so duplicate jobs in one batch compute
-//! once), and files are published with a write-temp-then-rename so
-//! concurrent *processes* never observe torn files.
+//! bit-identical to the equivalent serial loop. Each memo entry is a
+//! `OnceLock`, so duplicate jobs in one batch simulate once: the first
+//! worker to reach an entry runs it while the others wait for its result.
 
 use std::collections::HashMap;
 use std::fs;
@@ -96,7 +92,8 @@ impl Scale {
     }
 }
 
-/// The flattened per-run numbers the figures need (cacheable on disk).
+/// The flattened per-run numbers the figures need (what a [`Runner`]
+/// memoizes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Per-core IPC.
@@ -182,101 +179,6 @@ impl RunSummary {
         let (a, b, c, d, e) = self.energy;
         a + b + c + d + e
     }
-
-    /// Exact text encoding of an `f64`: the bit pattern in hex. A `{}`
-    /// float round trip can differ in the last ulp, so a cached result
-    /// would not equal a fresh run bit for bit; the bit pattern is
-    /// lossless by construction (and NaN-safe).
-    fn f64_text(x: f64) -> String {
-        format!("b{:016x}", x.to_bits())
-    }
-
-    /// Parses [`RunSummary::f64_text`].
-    fn f64_parse(s: &str) -> Option<f64> {
-        u64::from_str_radix(s.strip_prefix('b')?, 16).ok().map(f64::from_bits)
-    }
-
-    fn to_text(&self) -> String {
-        let vec_join =
-            |v: &[f64]| v.iter().map(|x| Self::f64_text(*x)).collect::<Vec<_>>().join(",");
-        let u64_join = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        format!(
-            "ipc {}\nmpki {}\nrow_hit_rate {}\ncache_hit_rate {}\nenergy {},{},{},{},{}\ncpu_cycles {}\nrelocs {}\nlisa_clones {}\navg_read_latency {}\nreads_served {}\nread_lat_p50 {}\nread_lat_p95 {}\nread_lat_p99 {}\nread_lat_p999 {}\nread_lat_max {}\ninsertions {}\ntruncated_cores {}\nch_row_hit_rate {}\nch_read_q_peak {}\nch_write_q_peak {}\n",
-            vec_join(&self.ipc),
-            vec_join(&self.mpki),
-            Self::f64_text(self.row_hit_rate),
-            Self::f64_text(self.cache_hit_rate),
-            Self::f64_text(self.energy.0),
-            Self::f64_text(self.energy.1),
-            Self::f64_text(self.energy.2),
-            Self::f64_text(self.energy.3),
-            Self::f64_text(self.energy.4),
-            self.cpu_cycles,
-            self.relocs,
-            self.lisa_clones,
-            Self::f64_text(self.avg_read_latency),
-            self.reads_served,
-            self.read_lat_p50,
-            self.read_lat_p95,
-            self.read_lat_p99,
-            self.read_lat_p999,
-            self.read_lat_max,
-            self.insertions,
-            self.truncated_cores,
-            vec_join(&self.ch_row_hit_rate),
-            u64_join(&self.ch_read_q_peak),
-            u64_join(&self.ch_write_q_peak),
-        )
-    }
-
-    fn from_text(text: &str) -> Option<Self> {
-        let mut map = HashMap::new();
-        for line in text.lines() {
-            let (k, v) = line.split_once(' ')?;
-            map.insert(k.to_string(), v.to_string());
-        }
-        let parse_vec =
-            |s: &str| -> Option<Vec<f64>> { s.split(',').map(Self::f64_parse).collect() };
-        let e = parse_vec(map.get("energy")?)?;
-        if e.len() != 5 {
-            return None;
-        }
-        let u64_of = |k: &str| -> Option<u64> { map.get(k)?.parse().ok() };
-        let f64_of = |k: &str| Self::f64_parse(map.get(k)?);
-        // `split(',')` yields one empty piece for an empty list.
-        let f64_vec = |k: &str| match map.get(k)?.as_str() {
-            "" => Some(Vec::new()),
-            v => parse_vec(v),
-        };
-        let u64_vec = |k: &str| -> Option<Vec<u64>> {
-            match map.get(k)?.as_str() {
-                "" => Some(Vec::new()),
-                v => v.split(',').map(|x| x.parse().ok()).collect(),
-            }
-        };
-        Some(Self {
-            ipc: f64_vec("ipc")?,
-            mpki: f64_vec("mpki")?,
-            row_hit_rate: f64_of("row_hit_rate")?,
-            cache_hit_rate: f64_of("cache_hit_rate")?,
-            energy: (e[0], e[1], e[2], e[3], e[4]),
-            cpu_cycles: u64_of("cpu_cycles")?,
-            relocs: u64_of("relocs")?,
-            lisa_clones: u64_of("lisa_clones")?,
-            avg_read_latency: f64_of("avg_read_latency")?,
-            reads_served: u64_of("reads_served")?,
-            read_lat_p50: u64_of("read_lat_p50")?,
-            read_lat_p95: u64_of("read_lat_p95")?,
-            read_lat_p99: u64_of("read_lat_p99")?,
-            read_lat_p999: u64_of("read_lat_p999")?,
-            read_lat_max: u64_of("read_lat_max")?,
-            insertions: u64_of("insertions")?,
-            truncated_cores: u64_of("truncated_cores")?,
-            ch_row_hit_rate: f64_vec("ch_row_hit_rate")?,
-            ch_read_q_peak: u64_vec("ch_read_q_peak")?,
-            ch_write_q_peak: u64_vec("ch_write_q_peak")?,
-        })
-    }
 }
 
 /// Instruction target for the idle companion cores of an alone-IPC run.
@@ -293,20 +195,26 @@ fn idle_companion_trace() -> Trace {
     }
 }
 
-/// Version of the simulated model, the first thing every result-cache
-/// key hashes: cached summaries from another epoch are never found. It
-/// is the FNV-1a digest of the event-kernel seed-golden `RunStats`
-/// (`model_epoch_pins_the_seed_golden_run_stats` in
-/// `tests/tests/sched_policies.rs`), so a change that alters simulated
-/// behaviour fails that test, which prints the value to put here.
+/// Version of the simulated model: the FNV-1a digest of the event-kernel
+/// seed-golden `RunStats` (`model_epoch_pins_the_seed_golden_run_stats`
+/// in `tests/tests/sched_policies.rs`). A change that alters simulated
+/// behaviour on those runs fails that test, which prints the new value
+/// to put here, so every such change must bump it in plain sight. Those
+/// runs are closed-loop FR-FCFS with the paper mapping and identity page
+/// placement, so a change confined to another scheduler, placement or
+/// arrival pacing does not move it.
 pub const MODEL_EPOCH: u64 = 0x9fcf_59a7_b0dc_1188;
 
-/// FNV-1a of `text`: names a result-cache file by its key text
-/// ([`RunSpec::key`]) and digests the seed goldens into [`MODEL_EPOCH`].
+/// FNV-1a of `text`: digests the seed goldens into [`MODEL_EPOCH`].
 #[must_use]
 pub fn key_hash(text: &str) -> u64 {
     text.bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Simulates `spec` from cycle 0, bypassing any memo.
+fn simulate(spec: &RunSpec) -> RunSummary {
+    RunSummary::from_stats(&spec.build().run(spec.max_cycles))
 }
 
 /// Deterministic per-run trace seed.
@@ -372,9 +280,9 @@ impl CoreWorkload {
     }
 }
 
-/// Everything one simulation run depends on. Its `Debug` text, behind
-/// [`MODEL_EPOCH`], is the run's result-cache identity, so every field
-/// is keyed by construction.
+/// Everything one simulation run depends on. Its `Debug` text is the
+/// run's memo key ([`Runner::run`]), so every field is keyed by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// The simulated system.
@@ -399,16 +307,9 @@ impl RunSpec {
         Self { config, workload, targets, max_cycles, arrival: None }
     }
 
-    /// The result-cache identity: [`MODEL_EPOCH`] plus the `Debug` text.
-    #[must_use]
-    pub fn key_text(&self) -> String {
-        format!("epoch {MODEL_EPOCH:016x} {self:?}")
-    }
-
-    /// FNV-1a of [`RunSpec::key_text`]: the cache file name.
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        key_hash(&self.key_text())
+    /// The memo key: the whole spec's `Debug` text.
+    fn key_text(&self) -> String {
+        format!("{self:?}")
     }
 
     /// Builds the system at cycle 0 (fresh deterministic sources).
@@ -451,53 +352,25 @@ pub struct Runner {
     /// Sweep figures run the paper's full application and mix sets
     /// instead of the representative subset.
     full_sweeps: bool,
-    cache_dir: Option<PathBuf>,
+    /// Summaries of the runs this runner has simulated, by
+    /// [`RunSpec::key_text`]. A per-key `OnceLock` lets concurrent batch
+    /// workers that land on one key wait for a single simulation.
+    memo: Mutex<HashMap<String, Arc<OnceLock<RunSummary>>>>,
 }
 
 impl Runner {
-    /// A runner at `scale` with the on-disk result cache enabled and
-    /// the paper defaults: the [`SystemConfig::paper`] system (event
-    /// kernel, FR-FCFS, the paper's address mapping, identity page
-    /// placement), closed-loop streamed runs and the sweep subset.
-    /// The cache lives at `target/figaro-cache` under the
-    /// [`workspace_root`] above the current directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no workspace root lies at or above the current
-    /// directory.
+    /// A runner at `scale` with an empty memo and the paper defaults:
+    /// the [`SystemConfig::paper`] system (event kernel, FR-FCFS, the
+    /// paper's address mapping, identity page placement), closed-loop
+    /// streamed runs and the sweep subset.
     #[must_use]
     pub fn new(scale: Scale) -> Self {
-        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        let root = workspace_root(&cwd).unwrap_or_else(|| {
-            panic!(
-                "no workspace root (Cargo.lock beside a [workspace] Cargo.toml) at or above {}",
-                cwd.display()
-            )
-        });
-        Self::build(scale, Some(root.join("target").join("figaro-cache")))
-    }
-
-    /// A runner without the on-disk cache (tests).
-    #[must_use]
-    pub fn uncached(scale: Scale) -> Self {
-        Self::build(scale, None)
-    }
-
-    /// A runner with the result cache at an explicit directory (tests,
-    /// tooling that wants an isolated cache).
-    #[must_use]
-    pub fn with_cache_dir(scale: Scale, dir: PathBuf) -> Self {
-        Self::build(scale, Some(dir))
-    }
-
-    fn build(scale: Scale, cache_dir: Option<PathBuf>) -> Self {
         Self {
             scale,
             system: SystemConfig::paper(1, ConfigKind::Base),
             arrival: None,
             full_sweeps: false,
-            cache_dir,
+            memo: Mutex::default(),
         }
     }
 
@@ -553,51 +426,19 @@ impl Runner {
         }
     }
 
-    /// The process-wide per-cache-file lock: concurrent batch workers
-    /// that land on the same cache file serialize here, so the first
-    /// computes and publishes while the rest read the published file.
-    /// Entries are never evicted — the registry is bounded by the number
-    /// of distinct runs in a process (a few hundred for the full sweep
-    /// set, each a few dozen bytes).
-    fn key_lock(path: &std::path::Path) -> Arc<Mutex<()>> {
-        static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
-        LOCKS
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("lock registry never poisoned")
-            .entry(path.to_path_buf())
-            .or_default()
-            .clone()
-    }
-
-    /// Runs `spec` through the result cache: `<cache_dir>/<key>.txt`
-    /// holds the spec's key text on its first line and the summary
-    /// after it. A file whose first line differs (a hash collision, or
-    /// a foreign file) is recomputed and overwritten.
+    /// Runs `spec`, or returns its summary from the memo when this
+    /// runner has run it before. Concurrent calls with one spec simulate
+    /// it once.
     #[must_use]
     pub fn run(&self, spec: &RunSpec) -> RunSummary {
-        let fresh = || RunSummary::from_stats(&spec.build().run(spec.max_cycles));
-        let Some(dir) = &self.cache_dir else { return fresh() };
-        let key_text = spec.key_text();
-        let name = format!("{:016x}", key_hash(&key_text));
-        let path = dir.join(format!("{name}.txt"));
-        let lock = Self::key_lock(&path);
-        let _guard = lock.lock().expect("cache key lock never poisoned");
-        let header = format!("spec {key_text}\n");
-        if let Ok(text) = fs::read_to_string(&path) {
-            if let Some(s) = text.strip_prefix(&header).and_then(RunSummary::from_text) {
-                return s;
-            }
-        }
-        let s = fresh();
-        let _ = fs::create_dir_all(dir);
-        // Publish atomically (temp + rename) so a concurrent reader in
-        // another process never sees a torn file.
-        let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
-        if fs::write(&tmp, header + &s.to_text()).is_ok() {
-            let _ = fs::rename(&tmp, &path);
-        }
-        s
+        let cell = Arc::clone(
+            self.memo
+                .lock()
+                .expect("memo lock never poisoned: no code panics while holding it")
+                .entry(spec.key_text())
+                .or_default(),
+        );
+        cell.get_or_init(|| simulate(spec)).clone()
     }
 
     /// The materialized-trace workload of `profile` on core `core`.
@@ -755,9 +596,8 @@ impl Runner {
 
 /// The cargo workspace containing `start`: the nearest directory at or
 /// above it whose `Cargo.toml` has a `[workspace]` table and which holds
-/// a `Cargo.lock`. Output folders (`target/figaro-cache`, `BENCH_*`
-/// artifacts) resolve against it at run time, so a copy of the
-/// workspace writes into the copy.
+/// a `Cargo.lock`. Bench artifacts (`BENCH_*`) resolve against it at
+/// run time, so a copy of the workspace writes into the copy.
 #[must_use]
 pub fn workspace_root(start: &Path) -> Option<PathBuf> {
     start.ancestors().find_map(|dir| {
@@ -779,24 +619,16 @@ mod tests {
     use figaro_memctrl::{McConfig, SchedPolicyKind};
     use figaro_workloads::{profile_by_name, PageMapKind};
 
-    fn cache_files(dir: &Path) -> usize {
-        fs::read_dir(dir).map_or(0, |rd| {
-            rd.filter_map(Result::ok)
-                .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
-                .count()
-        })
+    fn memo_entries(runner: &Runner) -> usize {
+        runner.memo.lock().unwrap().len()
     }
 
     #[test]
     fn figcache_custom_runs_differing_in_one_field_never_share_a_cache_entry() {
         // Each variant differs from the paper config in one field alone;
-        // each must publish its own entry and return what a fresh run
+        // each must get its own memo entry and return what a fresh run
         // returns (an ideal-relocation run issues no RELOCs).
-        // Its own top-level directory: other tests here remove theirs.
-        let dir = std::env::temp_dir().join(format!("figaro-cache-custom-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cached = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-        let fresh = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let mcf = profile_by_name("mcf").unwrap();
         let paper = FigCacheConfig::paper_fast();
         let variants = [
@@ -807,18 +639,18 @@ mod tests {
         ];
         for (i, cfg) in variants.into_iter().enumerate() {
             let kind = ConfigKind::FigCacheCustom(cfg);
-            let got = cached.run_single(&mcf, kind.clone());
-            assert_eq!(got, fresh.run_single(&mcf, kind.clone()), "{kind:?} got a stale entry");
-            assert_eq!(cache_files(&dir), i + 1, "{kind:?} shares a cache entry");
+            let got = runner.run_single(&mcf, kind.clone());
+            let fresh = simulate(&runner.single_spec(&mcf, kind.clone()));
+            assert_eq!(got, fresh, "{kind:?} got a stale entry");
+            assert_eq!(memo_entries(&runner), i + 1, "{kind:?} shares a memo entry");
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Applies `mutate` to a copy of `base` and asserts the key moved.
     fn assert_keyed(base: &RunSpec, field: &str, mutate: impl FnOnce(&mut RunSpec)) {
         let mut spec = base.clone();
         mutate(&mut spec);
-        assert_ne!(spec.key(), base.key(), "changing {field} must change the cache key");
+        assert_ne!(spec.key_text(), base.key_text(), "changing {field} must change the memo key");
     }
 
     /// The FIGCache config of a `FigCacheCustom` spec.
@@ -833,7 +665,7 @@ mod tests {
     fn every_run_spec_field_reaches_the_cache_key() {
         let mcf = profile_by_name("mcf").unwrap();
         let lbm = profile_by_name("lbm").unwrap();
-        let base = Runner::uncached(Scale::Tiny)
+        let base = Runner::new(Scale::Tiny)
             .single_spec(&mcf, ConfigKind::FigCacheCustom(FigCacheConfig::paper_fast()));
         // The patterns are exhaustive: a new field stops this test from
         // compiling until it gets a mutation below.
@@ -843,7 +675,7 @@ mod tests {
             s.workload[0] = CoreWorkload::Trace { profile: lbm, ops: 10, seed: 1 };
             let mut other = s.clone();
             other.workload[0] = CoreWorkload::Trace { profile: mcf, ops: 10, seed: 1 };
-            assert_ne!(s.key(), other.key());
+            assert_ne!(s.key_text(), other.key_text());
         });
         assert_keyed(&base, "workload ops", |s| {
             let CoreWorkload::Trace { ops, .. } = &mut s.workload[0] else { unreachable!() };
@@ -928,70 +760,26 @@ mod tests {
     }
 
     #[test]
-    fn summary_round_trips_through_text() {
-        // Deliberately awkward floats: values whose shortest decimal
-        // rendering used to round-trip off by an ulp through `{}`.
-        let s = RunSummary {
-            ipc: vec![0.1 + 0.2, 1.0 / 3.0],
-            mpki: vec![12.0, 3.0_f64.sqrt()],
-            row_hit_rate: 0.42,
-            cache_hit_rate: f64::from_bits(0x3FD5_5555_5555_5556),
-            energy: (1.0, 2.0, 3.0, 4.0, 5.0e-300),
-            cpu_cycles: 1000,
-            relocs: 77,
-            lisa_clones: 0,
-            avg_read_latency: 55.5,
-            reads_served: 12_345,
-            read_lat_p50: 28,
-            read_lat_p95: 96,
-            read_lat_p99: 224,
-            read_lat_p999: 1792,
-            read_lat_max: 2011,
-            insertions: 9,
-            truncated_cores: 1,
-            ch_row_hit_rate: vec![0.75, 1.0 / 7.0],
-            ch_read_q_peak: vec![31, 12],
-            ch_write_q_peak: vec![16, 0],
-        };
-        let t = s.to_text();
-        let loaded = RunSummary::from_text(&t).expect("round trip must parse");
-        assert_eq!(loaded, s.clone());
-        // Bit-exactness, not just PartialEq (the cache-vs-fresh contract).
-        for (a, b) in loaded.ipc.iter().zip(s.ipc.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(loaded.cache_hit_rate.to_bits(), s.cache_hit_rate.to_bits());
-        assert_eq!(loaded.energy.4.to_bits(), s.energy.4.to_bits());
-        let empty = RunSummary { ch_row_hit_rate: Vec::new(), ch_read_q_peak: Vec::new(), ..s };
-        assert_eq!(RunSummary::from_text(&empty.to_text()), Some(empty));
-    }
-
-    #[test]
     fn cached_scenario_result_is_bit_identical_to_fresh() {
-        // The satellite-2 contract end to end: write a summary through
-        // the on-disk cache, read it back, and require full bit equality
-        // with the freshly computed run (floats included).
-        let dir = std::env::temp_dir()
-            .join(format!("figaro-cache-test-{}", std::process::id()))
-            .join("exact");
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = Runner::uncached(Scale::Tiny).stream_spec(
+        // A memoized summary must equal, bit for bit, a fresh simulation
+        // of the same spec (floats included).
+        let runner = Runner::new(Scale::Tiny);
+        let spec = runner.stream_spec(
             ConfigKind::FigCacheFast,
             &[profile_by_name("mcf").unwrap()],
             Some(10_000),
         );
-        let fresh = Runner::uncached(Scale::Tiny).run(&spec);
-        let writer = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-        let first = writer.run(&spec); // computes and publishes
-        let cached = Runner::with_cache_dir(Scale::Tiny, dir.clone()).run(&spec);
+        let first = runner.run(&spec); // simulates and memoizes
+        let cached = runner.run(&spec); // from the memo
+        assert_eq!(memo_entries(&runner), 1);
+        let fresh = simulate(&spec);
         for s in [&first, &cached] {
             assert_eq!(s, &fresh);
             for (a, b) in s.ipc.iter().zip(fresh.ipc.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "cached float differs from fresh");
+                assert_eq!(a.to_bits(), b.to_bits(), "memoized float differs from fresh");
             }
             assert_eq!(s.avg_read_latency.to_bits(), fresh.avg_read_latency.to_bits());
         }
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 
     #[test]
@@ -1019,8 +807,8 @@ mod tests {
     }
 
     #[test]
-    fn tiny_single_run_works_uncached() {
-        let runner = Runner::uncached(Scale::Tiny);
+    fn tiny_single_run_works() {
+        let runner = Runner::new(Scale::Tiny);
         let p = profile_by_name("sjeng").unwrap();
         let s = runner.run_single(&p, ConfigKind::Base);
         assert!(s.ipc[0] > 0.0);
@@ -1029,7 +817,7 @@ mod tests {
 
     #[test]
     fn parallel_batch_is_bit_identical_to_serial() {
-        let runner = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let jobs: Vec<_> = ["sjeng", "grep"]
             .iter()
             .flat_map(|n| {
@@ -1038,50 +826,40 @@ mod tests {
             })
             .collect();
         let parallel = runner.run_single_batch(&jobs);
+        // A second runner, so the serial loop simulates afresh.
+        let serial_runner = Runner::new(Scale::Tiny);
         let serial: Vec<RunSummary> =
-            jobs.iter().map(|(p, k)| runner.run_single(p, k.clone())).collect();
+            jobs.iter().map(|(p, k)| serial_runner.run_single(p, k.clone())).collect();
         assert_eq!(parallel, serial, "batch must equal the serial loop bit-for-bit");
     }
 
     #[test]
     fn matrix_indexing_matches_flat_jobs() {
-        let runner = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let apps = vec![profile_by_name("sjeng").unwrap(), profile_by_name("grep").unwrap()];
         let kinds = vec![ConfigKind::Base, ConfigKind::FigCacheFast];
         let matrix = runner.run_single_matrix(&apps, &kinds);
         assert_eq!(matrix.len(), 2);
         assert_eq!(matrix[0].len(), 2);
-        assert_eq!(matrix[1][0], runner.run_single(&apps[1], ConfigKind::Base));
+        let fresh = Runner::new(Scale::Tiny);
+        assert_eq!(matrix[1][0], fresh.run_single(&apps[1], ConfigKind::Base));
     }
 
     #[test]
-    fn shared_cache_dedups_duplicate_jobs_and_survives_reload() {
-        let dir = std::env::temp_dir()
-            .join(format!("figaro-cache-test-{}", std::process::id()))
-            .join("dedup");
-        let _ = std::fs::remove_dir_all(&dir);
-        let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+    fn duplicate_jobs_in_one_batch_share_one_memo_entry() {
+        let runner = Runner::new(Scale::Tiny);
         let p = profile_by_name("grep").unwrap();
-        // Four copies of the same job racing over one cache key.
+        // Four copies of the same job racing over one memo key; its
+        // `OnceLock` lets exactly one of them simulate.
         let jobs = vec![(p, ConfigKind::Base); 4];
         let out = runner.run_single_batch(&jobs);
         assert!(out.windows(2).all(|w| w[0] == w[1]), "duplicates must agree");
-        let files: Vec<_> = std::fs::read_dir(&dir)
-            .expect("cache dir exists")
-            .filter_map(Result::ok)
-            .map(|e| e.file_name().into_string().unwrap())
-            .collect();
-        assert_eq!(files.len(), 1, "one key -> one published file, got {files:?}");
-        assert!(files[0].ends_with(".txt"), "no stray temp files: {files:?}");
-        // A fresh runner over the same dir must load the identical summary.
-        let reloaded = Runner::with_cache_dir(Scale::Tiny, dir.clone());
-        assert_eq!(reloaded.run_single(&p, ConfigKind::Base), out[0]);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        assert_eq!(memo_entries(&runner), 1, "one spec -> one memo entry");
     }
 
     #[test]
     fn scenario_runs_streamed_and_deterministic() {
-        let runner = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let spec = runner.stream_spec(
             ConfigKind::FigCacheFast,
             &[profile_by_name("mcf").unwrap()],
@@ -1089,14 +867,14 @@ mod tests {
         );
         assert!(matches!(spec.workload[0], CoreWorkload::Stream { .. }));
         let a = runner.run(&spec);
-        let b = runner.run(&spec);
+        let b = Runner::new(Scale::Tiny).run(&spec);
         assert_eq!(a, b, "streamed runs must be deterministic");
         assert!(a.ipc[0] > 0.0);
     }
 
     #[test]
     fn scenario_overrides_change_the_system_shape() {
-        let runner = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let mix = figaro_workloads::eight_core_mixes()
             .into_iter()
             .find(|m| m.category == figaro_workloads::MixCategory::Intensive100)
@@ -1117,7 +895,7 @@ mod tests {
 
     #[test]
     fn streamed_two_core_figcache_run_relocates() {
-        let runner = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let apps = ["mcf", "lbm"].map(|n| profile_by_name(n).unwrap());
         let mut spec = runner.stream_spec(ConfigKind::FigCacheFast, &apps, Some(15_000));
         spec.config = spec.config.with_channels(2);
@@ -1129,12 +907,8 @@ mod tests {
     #[test]
     fn scenario_cache_keys_distinguish_workloads() {
         // Two streamed runs differing only in their workload must not
-        // share a cached result.
-        let dir = std::env::temp_dir()
-            .join(format!("figaro-cache-test-{}", std::process::id()))
-            .join("scn");
-        let _ = std::fs::remove_dir_all(&dir);
-        let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+        // share a memoized result.
+        let runner = Runner::new(Scale::Tiny);
         let spec = |app: &str| {
             runner.stream_spec(ConfigKind::Base, &[profile_by_name(app).unwrap()], Some(10_000))
         };
@@ -1143,11 +917,10 @@ mod tests {
         assert_ne!(mcf, sjeng, "different workloads must not collide");
         assert!(
             sjeng.mpki[0] < mcf.mpki[0],
-            "sjeng must really have run (not mcf's cache entry): {} vs {}",
+            "sjeng must really have run (not mcf's memo entry): {} vs {}",
             sjeng.mpki[0],
             mcf.mpki[0]
         );
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! category under `Base` and `FIGCache-Fast` and reports weighted speedup,
 //! row-buffer hit rate and in-DRAM cache behaviour.
 //!
-//! Run with
-//! `cargo run -p figaro-examples --bin multicore_interference --release`.
+//! Run with `cargo run --release --example multicore_interference`.
 
 use figaro_sim::metrics::weighted_speedup;
 use figaro_sim::runner::Scale;
@@ -16,7 +15,7 @@ use figaro_sim::{ConfigKind, EnvConfig, Runner};
 use figaro_workloads::{eight_core_mixes, MixCategory};
 
 fn main() -> Result<(), String> {
-    let runner = EnvConfig::from_env()?.apply(Runner::uncached(Scale::Tiny));
+    let runner = EnvConfig::from_env()?.apply(Runner::new(Scale::Tiny));
     let mixes = eight_core_mixes();
     println!("eight-core mixes, Base vs FIGCache-Fast (tiny scale)\n");
     println!(

@@ -13,7 +13,7 @@ use figaro_sim::{ConfigKind, EnvConfig, Runner, SystemConfig};
 use figaro_workloads::profile_by_name;
 
 fn main() -> Result<(), String> {
-    let runner = EnvConfig::from_env()?.apply(Runner::uncached(Scale::Tiny));
+    let runner = EnvConfig::from_env()?.apply(Runner::new(Scale::Tiny));
     let app = profile_by_name("GemsFDTD").expect("profile exists");
     let base = runner.run_single(&app, ConfigKind::Base).ipc[0];
     println!("GemsFDTD, single core, speedup over Base (tiny scale)\n");

@@ -9,7 +9,7 @@
 //! 3. **System**: run a small end-to-end simulation of `mcf` under `Base`
 //!    and `FIGCache-Fast` and print the speedup.
 //!
-//! Run with `cargo run -p figaro-examples --bin quickstart --release`.
+//! Run with `cargo run --release --example quickstart`.
 
 use figaro_core::{CacheEngine, FigCacheConfig, FigCacheEngine};
 use figaro_dram::{BankAddr, DataStore, DramChannel, DramCommand, DramConfig, SubarrayLayout};
@@ -88,7 +88,7 @@ fn act2_figcache_engine() {
 
 fn act3_end_to_end(env: &EnvConfig) {
     println!("=== Act 3: end-to-end speedup on mcf (tiny scale) ===");
-    let runner = env.apply(Runner::uncached(Scale::Tiny));
+    let runner = env.apply(Runner::new(Scale::Tiny));
     let mcf = profile_by_name("mcf").expect("mcf profile exists");
     let base = runner.run_single(&mcf, ConfigKind::Base);
     let fig = runner.run_single(&mcf, ConfigKind::FigCacheFast);

@@ -4,7 +4,7 @@
 //! on `std::thread::scope` with an atomic work queue (dynamic load
 //! balancing, like rayon). Results always come back in input order, so
 //! parallel runs are bit-identical to serial ones — a property the
-//! simulator's result cache relies on.
+//! simulator's batch runner relies on.
 //!
 //! Worker count is `available_parallelism`, clamped by the
 //! `RAYON_NUM_THREADS` environment variable when set (same knob as

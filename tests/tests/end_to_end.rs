@@ -10,13 +10,13 @@ use figaro_sim::{ConfigKind, Runner, Scale};
 use figaro_workloads::{eight_core_mixes, profile_by_name, MixCategory};
 
 fn runner() -> Runner {
-    Runner::uncached(Scale::Small)
+    Runner::new(Scale::Small)
 }
 
 mod fast_tier {
-    //! Smoke tests at `Scale::Tiny`: every mechanism builds, runs,
-    //! caches, and stays deterministic; the parallel batch runner is
-    //! bit-identical to the serial loop.
+    //! Smoke tests at `Scale::Tiny`: every mechanism builds, runs and
+    //! stays deterministic; the parallel batch runner is bit-identical to
+    //! the serial loop.
 
     use std::sync::OnceLock;
 
@@ -46,7 +46,7 @@ mod fast_tier {
         MATRIX.get_or_init(|| {
             let apps = vec![profile_by_name("mcf").unwrap(), profile_by_name("sjeng").unwrap()];
             let kinds = all_kinds();
-            let runner = Runner::uncached(Scale::Tiny);
+            let runner = Runner::new(Scale::Tiny);
             let m = runner.run_single_matrix(&apps, &kinds);
             (apps, kinds, m)
         })
@@ -61,7 +61,7 @@ mod fast_tier {
                 .into_iter()
                 .find(|m| m.category == MixCategory::Intensive100)
                 .unwrap();
-            let runner = Runner::uncached(Scale::Tiny);
+            let runner = Runner::new(Scale::Tiny);
             let jobs =
                 vec![(mix.clone(), ConfigKind::Base), (mix.clone(), ConfigKind::FigCacheFast)];
             let r = runner.run_mix_batch(&jobs);
@@ -114,8 +114,9 @@ mod fast_tier {
     #[test]
     fn parallel_matrix_is_bit_identical_to_serial() {
         let (apps, kinds, m) = matrix();
-        let runner = Runner::uncached(Scale::Tiny);
-        // Spot-check the four corners against fresh serial runs.
+        // A runner of its own, so the four corners below are fresh
+        // serial simulations, not the matrix runner's memo.
+        let runner = Runner::new(Scale::Tiny);
         for (a, k) in
             [(0, 0), (0, kinds.len() - 1), (apps.len() - 1, 0), (apps.len() - 1, kinds.len() - 1)]
         {
@@ -126,17 +127,17 @@ mod fast_tier {
 
     #[test]
     fn tiny_runs_are_deterministic() {
-        let runner = Runner::uncached(Scale::Tiny);
+        // Two runners: one runner would return its memo the second time.
         let p = profile_by_name("grep").unwrap();
-        let a = runner.run_single(&p, ConfigKind::FigCacheFast);
-        let b = runner.run_single(&p, ConfigKind::FigCacheFast);
+        let a = Runner::new(Scale::Tiny).run_single(&p, ConfigKind::FigCacheFast);
+        let b = Runner::new(Scale::Tiny).run_single(&p, ConfigKind::FigCacheFast);
         assert_eq!(a, b, "identical runs must be bit-identical");
     }
 
     #[test]
     fn eight_core_mix_smoke_and_weighted_speedup_computable() {
         let (mix, results) = mix_results();
-        let runner = Runner::uncached(Scale::Tiny);
+        let runner = Runner::new(Scale::Tiny);
         let alone = runner.alone_ipc_batch(&mix.apps);
         assert!(alone.iter().all(|&v| v > 0.0), "alone IPCs must be positive");
         for s in results {
@@ -272,9 +273,9 @@ fn energy_breakdown_is_consistent() {
 
 #[test]
 fn small_scale_runs_are_deterministic() {
-    let r = runner();
+    // Two runners: one runner would return its memo the second time.
     let p = profile_by_name("grep").unwrap();
-    let a = r.run_single(&p, ConfigKind::FigCacheFast);
-    let b = r.run_single(&p, ConfigKind::FigCacheFast);
+    let a = runner().run_single(&p, ConfigKind::FigCacheFast);
+    let b = runner().run_single(&p, ConfigKind::FigCacheFast);
     assert_eq!(a, b, "identical runs must be bit-identical");
 }

@@ -167,7 +167,7 @@ fn alone_ipc_shape_matches_reference() {
     // leave the event kernel one live core among eight.
     let mcf = profile_by_name("mcf").expect("mcf profile");
     let run = |kernel: Kernel| {
-        let mut spec = Runner::uncached(Scale::Tiny).alone_spec(&mcf);
+        let mut spec = Runner::new(Scale::Tiny).alone_spec(&mcf);
         spec.config.kernel = kernel;
         spec.build().run(spec.max_cycles)
     };

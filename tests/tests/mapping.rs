@@ -224,10 +224,7 @@ fn rowint_serializes_banks_and_chfirst_spreads_them() {
 
 #[test]
 fn scenario_mapping_override_reaches_the_system_and_gets_its_own_cache_key() {
-    let dir =
-        std::env::temp_dir().join(format!("figaro-cache-test-{}", std::process::id())).join("map");
-    let _ = std::fs::remove_dir_all(&dir);
-    let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+    let runner = Runner::new(Scale::Tiny);
     let spec = |map: MapKind, page: PageMapKind| {
         let mut spec =
             runner.stream_spec(ConfigKind::Base, &[profile_by_name("mcf").unwrap()], Some(12_000));
@@ -238,8 +235,8 @@ fn scenario_mapping_override_reaches_the_system_and_gets_its_own_cache_key() {
     let rowint = runner
         .run(&spec(MapKind { scheme: MapScheme::RowInt, xor_bank: false }, PageMapKind::Identity));
     let colored = runner.run(&spec(MapKind::paper(), PageMapKind::Color { colors: 16 }));
-    assert_ne!(default, rowint, "mappings must not share cached results");
-    assert_ne!(default, colored, "page policies must not share cached results");
+    assert_ne!(default, rowint, "mappings must not share memoized results");
+    assert_ne!(default, colored, "page policies must not share memoized results");
     assert!(
         rowint.cpu_cycles > default.cpu_cycles,
         "bank-sequential mapping must serialize mcf's bank bursts \
@@ -247,7 +244,6 @@ fn scenario_mapping_override_reaches_the_system_and_gets_its_own_cache_key() {
         rowint.cpu_cycles,
         default.cpu_cycles
     );
-    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
 #[test]
@@ -255,7 +251,7 @@ fn mapping_sweep_tiny_grid_runs_and_exports_csv() {
     // The mapping-sweep smoke: the full mapping x page x mechanism grid
     // on streamed mixes at a tiny instruction target, with the CSV
     // export the manual CI job uploads as an artifact.
-    let runner = Runner::uncached(Scale::Tiny);
+    let runner = Runner::new(Scale::Tiny);
     let fig = mapping_sweep_with(&runner, Some(4_000));
     assert_eq!(fig.rows.len(), 4 * 3 * 2, "4 mappings x 3 page policies x 2 mechanisms");
     assert!(fig.columns.len() >= 6, "ipc + row-hit + cache-hit per mix");

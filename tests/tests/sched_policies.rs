@@ -9,9 +9,10 @@
 //! 2. **Policy × kernel equivalence**: every scheduling policy keeps the
 //!    event kernel bit-identical to the per-cycle reference.
 //! 3. **Runner plumbing**: per-run policy overrides really reach
-//!    the controller and never share cache entries with the default.
-//! 4. **Model epoch**: the result cache's `MODEL_EPOCH` is the hash of
-//!    the event-kernel golden runs' full `RunStats`.
+//!    the controller and never share memo entries with the default.
+//! 4. **Model epoch**: `MODEL_EPOCH` is the hash of the event-kernel
+//!    golden runs' full `RunStats`, so a change to simulated behaviour on
+//!    them must bump it.
 
 use proptest::prelude::*;
 
@@ -156,9 +157,8 @@ fn event_golden_runs() -> Vec<RunStats> {
 #[test]
 fn model_epoch_pins_the_seed_golden_run_stats() {
     // Every field of every event-kernel golden run, not just the digest
-    // columns: any change to simulated behaviour moves this hash, and
-    // with it the result-cache epoch, so stale cache entries are never
-    // returned.
+    // columns: any change to simulated behaviour on these runs moves
+    // this hash and must bump `MODEL_EPOCH` with it.
     let text: String = event_golden_runs().iter().map(|s| format!("{s:?}\n")).collect();
     let digest = figaro_sim::runner::key_hash(&text);
     assert_eq!(
@@ -169,11 +169,7 @@ fn model_epoch_pins_the_seed_golden_run_stats() {
 
 #[test]
 fn scenario_sched_override_reaches_the_controller_and_gets_its_own_cache_key() {
-    let dir = std::env::temp_dir()
-        .join(format!("figaro-cache-test-{}", std::process::id()))
-        .join("sched");
-    let _ = std::fs::remove_dir_all(&dir);
-    let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+    let runner = Runner::new(Scale::Tiny);
     let spec = |sched: SchedPolicyKind| {
         let mut spec =
             runner.stream_spec(ConfigKind::Base, &[profile_by_name("mcf").unwrap()], Some(12_000));
@@ -182,7 +178,7 @@ fn scenario_sched_override_reaches_the_controller_and_gets_its_own_cache_key() {
     };
     let frfcfs = runner.run(&spec(SchedPolicyKind::FrFcfs));
     let fcfs = runner.run(&spec(SchedPolicyKind::Fcfs));
-    assert_ne!(frfcfs, fcfs, "policies must not share cached results");
+    assert_ne!(frfcfs, fcfs, "policies must not share memoized results");
     assert!(
         fcfs.cpu_cycles > frfcfs.cpu_cycles,
         "strict FCFS must be slower than FR-FCFS on a row-local workload \
@@ -196,7 +192,6 @@ fn scenario_sched_override_reaches_the_controller_and_gets_its_own_cache_key() {
         fcfs.row_hit_rate,
         frfcfs.row_hit_rate
     );
-    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
 #[test]
@@ -204,7 +199,7 @@ fn scheduler_sweep_tiny_grid_runs_and_exports_csv() {
     // The scheduler-sweep smoke: the full policy x mechanism grid on
     // streamed mixes at a tiny instruction target, with the CSV export
     // the manual CI job uploads as an artifact.
-    let runner = Runner::uncached(Scale::Tiny);
+    let runner = Runner::new(Scale::Tiny);
     let fig = scheduler_sweep_with(&runner, Some(4_000));
     assert_eq!(fig.rows.len(), 8, "4 policies x 2 mechanisms");
     assert!(fig.columns.len() >= 4, "ipc + row-hit per mix");

@@ -27,7 +27,7 @@ fn serving_smoke_one_load_point_has_sane_tail() {
     // The serving smoke: a single moderate Poisson load
     // point through the full streamed-run path (arrival wrapper,
     // histogram, RunSummary percentiles).
-    let runner = Runner::uncached(Scale::Tiny);
+    let runner = Runner::new(Scale::Tiny);
     let apps = [profile_by_name("mcf").expect("mcf profile exists"); 4];
     let mut spec = runner.stream_spec(ConfigKind::FigCacheFast, &apps, Some(20_000));
     spec.config = spec.config.with_channels(1);
@@ -52,7 +52,7 @@ fn serving_smoke_one_load_point_has_sane_tail() {
 fn serving_sweep_tiny_grid_runs_and_exports_csv() {
     // The sweep the manual CI job uploads as an artifact, shrunk to a tiny
     // memory-op budget per core.
-    let runner = Runner::uncached(Scale::Tiny);
+    let runner = Runner::new(Scale::Tiny);
     let fig = serving_sweep_with(&runner, Some(100));
     assert_eq!(fig.rows.len(), 24, "2 mechanisms x 2 schedulers x 6 loads");
     for (label, vals) in &fig.rows {
