@@ -11,7 +11,6 @@
 //! invocation runs on one shared runner, so entries built from the same
 //! runs (Figs. 7/9/10/11 and 8/9/10/11) simulate them once.
 
-mod mapping_sweep;
 mod sched_sweep;
 mod sec42;
 mod sec6;
@@ -58,14 +57,13 @@ fn body(name: &str) -> Option<Body> {
         "sec6_rowhammer" => Program(sec6::run),
         "tab_overhead" => Program(tab_overhead::run),
         "sched_sweep" => Sweep(sched_sweep::run),
-        "mapping_sweep" => Sweep(mapping_sweep::run),
         "serving_sweep" => Sweep(serving_sweep::run),
         "telemetry" => Program(telemetry::run),
         _ => return None,
     })
 }
 
-/// The backlog-saturation shape the scheduler and mapping sweeps time:
+/// The backlog-saturation shape the scheduler sweep times:
 /// eight memory-intensive cores with deep MSHRs all contending for a
 /// single channel, so the 64-entry queues actually run full.
 fn backlog_config(kind: ConfigKind) -> SystemConfig {

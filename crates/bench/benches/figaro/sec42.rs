@@ -5,7 +5,13 @@
 
 use figaro_dram::TimingParams;
 use figaro_energy::DramEnergyModel;
+use figaro_sim::experiments::claim;
 use figaro_spice::{distance_sweep, run_monte_carlo, RelocCircuit};
+
+/// Prints the claim row `id` checked against `modelled`.
+fn check(id: &str, modelled: f64) {
+    println!("{}", claim(id).unwrap_or_else(|| panic!("no claim row `{id}`")).report(modelled));
+}
 
 /// Runs the entry.
 pub fn run() {
@@ -16,20 +22,20 @@ pub fn run() {
     println!("Monte-Carlo iterations          : {}", mc.iterations);
     println!("all iterations latched correctly: {}", mc.all_correct);
     println!("mean RELOC settle latency       : {:.3} ns", mc.mean_ns);
-    println!("worst-case RELOC settle latency : {:.3} ns   (paper: 0.57 ns)", mc.worst_ns);
-    println!("+43% guardband                  : {:.3} ns   (paper: 1 ns)", mc.guardbanded_ns);
+    println!("worst-case RELOC settle latency : {:.3} ns", mc.worst_ns);
+    println!("+43% guardband                  : {:.3} ns", mc.guardbanded_ns);
 
     let t = TimingParams::ddr4_1600();
     let one_col = t.cycles_to_ns(u64::from(t.ras + t.reloc + t.rcd + t.rp));
     println!(
-        "one-column relocation (ACT src tRAS + RELOC + ACT dst tRCD + PRE tRP): {one_col:.2} ns   (paper: 63.5 ns)"
+        "one-column relocation (ACT src tRAS + RELOC + ACT dst tRCD + PRE tRP): {one_col:.2} ns"
     );
-
-    let e = DramEnergyModel::ddr4_1600();
-    println!(
-        "one-block relocation energy     : {:.1} nJ  (paper estimate: 30 nJ / 0.03 uJ)",
-        e.one_block_relocation_nj()
-    );
+    let energy = DramEnergyModel::ddr4_1600().one_block_relocation_nj();
+    println!("one-block relocation energy     : {energy:.1} nJ");
+    check("sec42-worst", mc.worst_ns);
+    check("sec42-guardband", mc.guardbanded_ns);
+    check("sec42-one-column", one_col);
+    check("sec42-energy", energy);
 
     println!("\ndistance sweep (subarray slots): FIGARO vs hop-based relocation");
     println!("{:>6}  {:>12}  {:>14}", "slots", "FIGARO (ns)", "hop-based (ns)");

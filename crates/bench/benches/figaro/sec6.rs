@@ -71,6 +71,8 @@ pub fn run() {
     println!("FIGCache : max row ACTs/window = {fig_max:>7}   total ACTs = {fig_total}");
     let reduction = f64::from(base_max) / f64::from(fig_max.max(1));
     println!("activation-pressure reduction   : {reduction:.1}x");
+    let row = figaro_sim::experiments::claim("sec6-act-pressure").expect("the Sec. 6 claim row");
+    println!("{}", row.report(reduction));
     println!(
         "note: paper Sec 6 — FIGCache caches the hammered segments in one cache row, removing the \
          repeated open/close cycling that induces RowHammer bit flips in neighbouring rows"

@@ -49,9 +49,9 @@ pub struct CoreStats {
 /// cycle, and deliver load data with [`TraceCore::wake`].
 ///
 /// The core pulls operations on demand from a [`TraceSource`] — a
-/// wrapped finite [`Trace`] (see [`TraceCore::new`]), a streaming
-/// generator, or a trace-file replay (see [`TraceCore::from_source`]) —
-/// so run length never requires a materialized trace in memory.
+/// wrapped finite [`Trace`] (see [`TraceCore::new`]) or a streaming
+/// generator (see [`TraceCore::from_source`]) — so run length never
+/// requires a materialized trace in memory.
 #[derive(Debug)]
 pub struct TraceCore {
     params: CoreParams,
@@ -118,8 +118,8 @@ impl TraceCore {
     }
 
     /// Creates a core that pulls its operations from `source` — the
-    /// streaming form of [`TraceCore::new`] for generators and
-    /// trace-file replays. Every op's address must lie below
+    /// streaming form of [`TraceCore::new`] for generators and paced
+    /// sources. Every op's address must lie below
     /// `addr_space`, the DRAM address space the caches' tags cover.
     ///
     /// # Panics

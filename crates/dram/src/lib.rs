@@ -8,12 +8,9 @@
 //! * **Geometry** ([`DramGeometry`]): channels → ranks → bank groups → banks
 //!   → subarrays → rows → columns, with the paper's default organization
 //!   (4 bank groups × 4 banks, 64 subarrays × 512 rows per bank, 8 kB rows).
-//! * **Address mapping** ([`AddressMapping`]): a pluggable interleaving
-//!   subsystem ([`MapKind`]) — the paper's
-//!   `{row, rank, bankgroup, bank, channel, column}` slice (default),
-//!   channel/bank-first block interleaving, a bank-sequential
-//!   row-interleaved scheme, and an XOR bank-permutation hash layered
-//!   over any of them — plus the inverse mapping.
+//! * **Address mapping** ([`AddressMapping`]): the paper's
+//!   `{row, rank, bankgroup, bank, channel, column}` slice ([`MapKind`]
+//!   names it in configs), plus the inverse mapping.
 //! * **Timing** ([`TimingParams`]): JEDEC-style DDR4-1600 timing parameters
 //!   in bus cycles, including the new `RELOC` latency, and the fast-region
 //!   scaling used for fast subarrays (tRCD −45.5%, tRP −38.2%, tRAS −62.9%).
@@ -62,7 +59,7 @@ pub mod layout;
 pub mod stats;
 pub mod timing;
 
-pub use address::{AddressMapping, DramLocation, MapKind, MapScheme, PhysAddr};
+pub use address::{AddressMapping, DramLocation, MapKind, PhysAddr};
 pub use channel::{BankAddr, DramChannel, IssueOutcome};
 pub use command::{CommandKind, DramCommand};
 pub use datastore::DataStore;
@@ -114,13 +111,13 @@ impl DramConfig {
         self.layout.total_rows()
     }
 
-    /// The address mapping of `kind` for this device: sliced over the
-    /// geometry and the layout's *regular* rows (fast cache rows are not
-    /// directly addressable — they are reached only through cache-engine
-    /// redirects).
+    /// The address mapping (the paper's, the only [`MapKind`]) for this
+    /// device: sliced over the geometry and the layout's *regular* rows
+    /// (fast cache rows are not directly addressable — they are reached
+    /// only through cache-engine redirects).
     #[must_use]
-    pub fn address_mapping(&self, kind: MapKind) -> AddressMapping {
-        AddressMapping::with_kind(self.geometry, kind, self.layout.regular_rows())
+    pub fn address_mapping(&self, _: MapKind) -> AddressMapping {
+        AddressMapping::with_rows(self.geometry, self.layout.regular_rows())
     }
 
     /// Validates internal consistency (geometry vs layout vs timing).

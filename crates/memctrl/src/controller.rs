@@ -56,11 +56,9 @@ pub struct McConfig {
     pub activation_window: Option<Cycle>,
     /// Demand-scheduling policy (default: FR-FCFS, the paper's ladder).
     pub sched: SchedPolicyKind,
-    /// Physical→DRAM address interleaving (default: the paper's
-    /// `{row, rank, bankgroup, bank, channel, column}` bit slice). The
-    /// system router must be built with the **same** kind — requests
-    /// routed under one mapping and decoded under another would land on
-    /// the wrong channel (asserted in [`MemoryController::enqueue`]).
+    /// Physical→DRAM address interleaving: the paper's `{row, rank,
+    /// bankgroup, bank, channel, column}` bit slice, the only one
+    /// modelled.
     pub map: MapKind,
     /// Ignored; kept only for perfbench's struct literal, and goes once
     /// the next benchmark change drops it from perfbench.
@@ -77,7 +75,7 @@ impl Default for McConfig {
             enable_refresh: true,
             activation_window: None,
             sched: SchedPolicyKind::FrFcfs,
-            map: MapKind::default(),
+            map: MapKind::paper(),
             flat_scan: false,
         }
     }

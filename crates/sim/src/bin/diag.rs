@@ -35,9 +35,6 @@ fn usage() -> ! {
          memory-controller scheduling policy,\n\
          FIGARO_KERNEL={KERNEL_CHOICES} the simulation\n\
          kernel (both give bit-identical results),\n\
-         FIGARO_MAP=paper|chfirst|rowint[-xor] the DRAM address mapping,\n\
-         FIGARO_PAGEMAP=ident|rand<seed>|color<N> the OS page-frame\n\
-         placement,\n\
          FIGARO_LOAD=fixed:G|poisson:G|bursty:ON,OPS,IDLE replaces the\n\
          app's own issue gaps with an open-loop arrival process,\n\
          FIGARO_SCALE=tiny|small|full the per-core instruction target in\n\
@@ -189,12 +186,10 @@ fn main() {
     }
 
     println!(
-        "app={app} config={} insts={insts} kernel={} sched={} map={} pagemap={}",
+        "app={app} config={} insts={insts} kernel={} sched={}",
         kind.label(),
         cfg.kernel.label(),
-        cfg.mc.sched.label(),
-        cfg.mc.map.label(),
-        cfg.page_map.label()
+        cfg.mc.sched.label()
     );
     println!("cycles            : {}", s.cpu_cycles);
     println!("IPC               : {:.4}", s.ipc(0));

@@ -5,9 +5,17 @@ use figaro_core::{
     CacheEngine, CacheRegion, FigCacheConfig, FigCacheEngine, NullEngine, Relocation,
 };
 use figaro_cpu::{CoreParams, HierarchyConfig};
-use figaro_dram::{DramConfig, MapKind, SubarrayLayout};
+use figaro_dram::{DramConfig, SubarrayLayout};
 use figaro_memctrl::{McConfig, SchedPolicyKind};
-use figaro_workloads::PageMapKind;
+
+/// The OS page-frame placement a config runs: virtual frame = physical
+/// frame, the only placement modelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PageMapKind {
+    /// Virtual frame = physical frame.
+    #[default]
+    Identity,
+}
 
 /// Which simulation kernel drives [`crate::System::run`].
 ///
@@ -144,8 +152,8 @@ pub struct SystemConfig {
     /// Ignored; kept only for perfbench's struct literal, and goes once
     /// the next benchmark change drops it from perfbench.
     pub threads: usize,
-    /// OS page-frame placement applied to every trace source (the DRAM
-    /// address interleaving itself lives in `mc.map`).
+    /// OS page-frame placement of every trace source: identity, the only
+    /// one modelled.
     pub page_map: PageMapKind,
 }
 
@@ -167,22 +175,6 @@ impl SystemConfig {
             threads: 0,
             page_map: PageMapKind::Identity,
         }
-    }
-
-    /// Overrides the physical→DRAM address interleaving (mapping
-    /// sweeps; the default is the paper's bit slice).
-    #[must_use]
-    pub fn with_mapping(mut self, map: MapKind) -> Self {
-        self.mc.map = map;
-        self
-    }
-
-    /// Overrides the OS page-frame placement policy (the default is
-    /// identity).
-    #[must_use]
-    pub fn with_page_map(mut self, page_map: PageMapKind) -> Self {
-        self.page_map = page_map;
-        self
     }
 
     /// Overrides the memory-controller scheduling policy (scheduler

@@ -11,22 +11,19 @@
 //! `FIGARO_*` variable outside [`VARIABLES`] is an error, so a typo or
 //! a removed knob never runs the defaults without a word.
 
-use figaro_dram::MapKind;
 use figaro_memctrl::SchedPolicyKind;
 use figaro_telemetry::{parse_trace_spec, TelemetryConfig};
-use figaro_workloads::{ArrivalKind, PageMapKind};
+use figaro_workloads::ArrivalKind;
 
 use crate::config::{Kernel, KERNEL_CHOICES};
 use crate::runner::{Runner, Scale};
 use crate::system::System;
 
 /// Every `FIGARO_*` variable [`EnvConfig`] reads.
-pub const VARIABLES: [&str; 11] = [
+pub const VARIABLES: [&str; 9] = [
     "FIGARO_SCALE",
     "FIGARO_KERNEL",
     "FIGARO_SCHED",
-    "FIGARO_MAP",
-    "FIGARO_PAGEMAP",
     "FIGARO_LOAD",
     "FIGARO_FULL_SWEEPS",
     "FIGARO_STATS_INTERVAL",
@@ -45,10 +42,6 @@ pub struct EnvConfig {
     pub kernel: Option<Kernel>,
     /// `FIGARO_SCHED`: a [`SchedPolicyKind::from_name`] label.
     pub sched: Option<SchedPolicyKind>,
-    /// `FIGARO_MAP`: a [`MapKind::from_name`] label.
-    pub map: Option<MapKind>,
-    /// `FIGARO_PAGEMAP`: a [`PageMapKind::from_name`] label.
-    pub page_map: Option<PageMapKind>,
     /// `FIGARO_LOAD`: an [`ArrivalKind::parse`] spec.
     pub arrival: Option<ArrivalKind>,
     /// `FIGARO_FULL_SWEEPS=1`: sweep figures over the full sets.
@@ -164,18 +157,6 @@ impl EnvConfig {
                 "frfcfs | fcfs | frfcfs-cap<N> | wdrain<H>-<L>",
                 SchedPolicyKind::from_name,
             )?,
-            map: choice(
-                get,
-                "FIGARO_MAP",
-                "paper | chfirst | rowint, optionally with an -xor suffix",
-                MapKind::from_name,
-            )?,
-            page_map: choice(
-                get,
-                "FIGARO_PAGEMAP",
-                "ident | rand<seed> | color<N>, N a power of two",
-                PageMapKind::from_name,
-            )?,
             arrival: field(get, "FIGARO_LOAD", |raw| {
                 ArrivalKind::parse(raw)
                     .map_err(|e| format!("unrecognized FIGARO_LOAD `{raw}`: {e}"))
@@ -208,12 +189,6 @@ impl EnvConfig {
             }
             if let Some(s) = self.sched {
                 system = system.with_sched(s);
-            }
-            if let Some(m) = self.map {
-                system = system.with_mapping(m);
-            }
-            if let Some(p) = self.page_map {
-                system = system.with_page_map(p);
             }
             system
         });
@@ -257,8 +232,6 @@ mod tests {
             ("FIGARO_SCALE", "Tiny"),
             ("FIGARO_KERNEL", "reference"),
             ("FIGARO_SCHED", "fcfs"),
-            ("FIGARO_MAP", "chfirst"),
-            ("FIGARO_PAGEMAP", "rand7"),
             ("FIGARO_LOAD", "poisson:32"),
             ("FIGARO_FULL_SWEEPS", "1"),
             ("FIGARO_STATS_INTERVAL", "500"),
@@ -275,8 +248,6 @@ mod tests {
         assert_eq!(env.scale, Some(Scale::Tiny));
         assert_eq!(env.kernel, Some(Kernel::Reference));
         assert_eq!(env.sched, Some(SchedPolicyKind::Fcfs));
-        assert_eq!(env.map, MapKind::from_name("chfirst"));
-        assert_eq!(env.page_map, Some(PageMapKind::Random { seed: 7 }));
         assert_eq!(env.arrival, Some(ArrivalKind::Poisson { mean_gap: 32 }));
         assert!(env.full_sweeps && env.profile);
         assert_eq!(env.mc_iters, Some(200));
@@ -291,8 +262,6 @@ mod tests {
         let spec = runner.stream_spec(crate::ConfigKind::Base, &[mcf], None);
         assert_eq!(spec.config.kernel, Kernel::Reference);
         assert_eq!(spec.config.mc.sched, SchedPolicyKind::Fcfs);
-        assert_eq!(Some(spec.config.mc.map), MapKind::from_name("chfirst"));
-        assert_eq!(spec.config.page_map, PageMapKind::Random { seed: 7 });
         assert_eq!(spec.arrival, Some(ArrivalKind::Poisson { mean_gap: 32 }));
 
         // An iteration count is positive; anything else names the variable.
@@ -308,5 +277,12 @@ mod tests {
         let typo = VARIABLES[2].replace("SCHED", "SHCED");
         let err = reject_unknown(["PATH", typo.as_str(), VARIABLES[0]]).unwrap_err();
         assert!(err.starts_with(&format!("unknown variable {typo} ")), "{err}");
+        // Removed knobs: the address-mapping and page-placement choices
+        // (spelled out at run time, as the typo is: a full-name literal
+        // in this file would count as a read of the variable).
+        for removed in ["MAP", "PAGEMAP"].map(|v| format!("FIGARO_{v}")) {
+            let err = reject_unknown([removed.as_str()]).unwrap_err();
+            assert!(err.starts_with(&format!("unknown variable {removed} ")), "{err}");
+        }
     }
 }

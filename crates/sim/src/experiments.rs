@@ -9,14 +9,18 @@
 //! applications per single-core category, one mix per eight-core
 //! category); a runner built [`Runner::with_full_sweeps`] (binaries:
 //! `FIGARO_FULL_SWEEPS=1`) runs the paper's full set.
+//!
+//! The paper's claims are one table, [`CLAIMS`]: each figure appends
+//! its rows to its notes as `HIT` or `MISS` lines with the modelled and
+//! the paper's value.
 
 use figaro_core::ReplacementPolicy;
-use figaro_dram::{MapKind, MapScheme};
 use figaro_memctrl::SchedPolicyKind;
 use figaro_workloads::{
     app_profiles, eight_core_mixes, multithreaded_profiles, profile_by_name, AppProfile,
-    ArrivalKind, Mix, MixCategory, PageMapKind,
+    ArrivalKind, Mix, MixCategory,
 };
+use rayon::prelude::*;
 
 use crate::config::{ConfigKind, SystemConfig};
 use crate::metrics::{geomean, weighted_speedup};
@@ -100,6 +104,595 @@ fn ws_speedup(runner: &Runner, mix: &Mix, summary: &RunSummary, base: &RunSummar
     weighted_speedup(&summary.ipc, &alone) / weighted_speedup(&base.ipc, &alone)
 }
 
+/// The test a modelled value must pass. Every bound below was fixed
+/// before the row was first measured, by one rule: a ratio is `Near`
+/// the paper's number within ±0.02 when the paper's effect is under
+/// 5 % and ±0.05 otherwise; a hit rate in percent within ±10 points; a
+/// §4.2 circuit or timing number within ±10 %; an ordering is `Above`
+/// or `Below` the paper's direction, or the bound the paper-shape
+/// tests asserted before the table existed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Relation {
+    /// A ratio or value: `|modelled - paper| < tol`.
+    Near {
+        /// Half-width of the accepted band.
+        tol: f64,
+    },
+    /// An ordering with a margin: `modelled > bound`.
+    Above(f64),
+    /// An ordering or a saturation cap: `modelled < bound`.
+    Below(f64),
+}
+
+/// Measures a claim on the runs it names.
+pub type RunsMeasure = fn(&Runner) -> f64;
+
+/// Where a claim's modelled value comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source {
+    /// A function of the printed table of the claim's figure; `None`
+    /// when a cell it reads is missing.
+    Table(fn(&FigureData) -> Option<f64>),
+    /// Runs of its own on a runner: few enough that the test suite
+    /// checks every such row at `Scale::Small`. The figure that owns
+    /// the row has already run them, so they cost it nothing.
+    Runs(RunsMeasure),
+    /// A program outside the simulator (the bench's §4.2 and §6
+    /// entries), which hands its value to [`Claim::report`].
+    Program,
+}
+
+/// One claim of the paper as a checkable row.
+#[derive(Debug, Clone, Copy)]
+pub struct Claim {
+    /// Stable row name.
+    pub id: &'static str,
+    /// Where the paper makes the claim; figure code checks the rows of
+    /// its own figure.
+    pub figure: &'static str,
+    /// What is measured.
+    pub metric: &'static str,
+    /// The paper's number for the metric. For a claim the paper makes
+    /// only as a direction, the neutral point of that direction (1 for
+    /// a ratio, 0 for a difference).
+    pub paper: f64,
+    /// The test the modelled value must pass.
+    pub relation: Relation,
+    /// How the modelled value is measured.
+    pub source: Source,
+}
+
+impl Claim {
+    /// Whether `modelled` satisfies the row (a NaN never does).
+    #[must_use]
+    pub fn holds(&self, modelled: f64) -> bool {
+        match self.relation {
+            Relation::Near { tol } => (modelled - self.paper).abs() < tol,
+            Relation::Above(bound) => modelled > bound,
+            Relation::Below(bound) => modelled < bound,
+        }
+    }
+
+    /// One line: hit or miss, the row, the modelled value and the
+    /// paper's.
+    #[must_use]
+    pub fn report(&self, modelled: f64) -> String {
+        let verdict = if self.holds(modelled) { "HIT " } else { "MISS" };
+        let need = match self.relation {
+            Relation::Near { tol } => format!("within {tol} of paper"),
+            Relation::Above(bound) => format!("> {bound}"),
+            Relation::Below(bound) => format!("< {bound}"),
+        };
+        format!(
+            "{verdict} {} ({}; {}): model {modelled:.3}, paper {:.3}, need {need}",
+            self.id, self.figure, self.metric, self.paper
+        )
+    }
+}
+
+/// The row called `id`, if there is one.
+#[must_use]
+pub fn claim(id: &str) -> Option<&'static Claim> {
+    CLAIMS.iter().find(|c| c.id == id)
+}
+
+/// Every [`Source::Runs`] row with its modelled value on `runner`,
+/// measured in parallel; the runner's memo runs each shared job once.
+#[must_use]
+pub fn claims_from_runs(runner: &Runner) -> Vec<(&'static Claim, f64)> {
+    let rows: Vec<(&'static Claim, RunsMeasure)> = CLAIMS
+        .iter()
+        .filter_map(|c| match c.source {
+            Source::Runs(measure) => Some((c, measure)),
+            _ => None,
+        })
+        .collect();
+    rows.par_iter().map(|&(c, measure)| (c, measure(runner))).collect::<Vec<_>>()
+}
+
+/// Appends one hit-or-miss line for each [`Source::Table`] and
+/// [`Source::Runs`] row of `figure`.
+fn check_claims(fig: &mut FigureData, runner: &Runner, figure: &str) {
+    for claim in CLAIMS.iter().filter(|c| c.figure == figure) {
+        let modelled = match claim.source {
+            Source::Table(measure) => measure(fig).unwrap_or(f64::NAN),
+            Source::Runs(measure) => measure(runner),
+            Source::Program => continue,
+        };
+        fig.push_note(claim.report(modelled));
+    }
+}
+
+/// The Table 2 profile `name`.
+fn app(name: &str) -> AppProfile {
+    profile_by_name(name).expect("claim rows name Table 2 applications")
+}
+
+/// `app`'s single-core IPC under `num` over its IPC under `den`.
+fn ipc_ratio(runner: &Runner, app_name: &str, num: ConfigKind, den: ConfigKind) -> f64 {
+    let runs = single_pair(runner, app_name, num, den);
+    runs[0].ipc[0] / runs[1].ipc[0]
+}
+
+/// `app`'s single-core row-buffer hit rate under `kind` minus Base's.
+fn row_hit_gain(runner: &Runner, app_name: &str, kind: ConfigKind) -> f64 {
+    let runs = single_pair(runner, app_name, kind, ConfigKind::Base);
+    runs[0].row_hit_rate - runs[1].row_hit_rate
+}
+
+/// `app`'s single-core runs under `a` and `b`, in that order, run in
+/// parallel.
+fn single_pair(runner: &Runner, app_name: &str, a: ConfigKind, b: ConfigKind) -> Vec<RunSummary> {
+    let p = app(app_name);
+    runner.run_single_batch(&[(p, a), (p, b)])
+}
+
+/// Mean over the figure's rows of `g(a, b)`, `a` and `b` the cells of
+/// columns `col_a` and `col_b`.
+fn row_mean(f: &FigureData, col_a: &str, col_b: &str, g: fn(f64, f64) -> f64) -> Option<f64> {
+    let ia = f.columns.iter().position(|c| c == col_a)?;
+    let ib = f.columns.iter().position(|c| c == col_b)?;
+    Some(mean(&f.rows.iter().map(|(_, v)| g(v[ia], v[ib])).collect::<Vec<_>>()))
+}
+
+/// The x-value of the best of `points` (`(column, x)`) in `row`.
+fn peak_at(f: &FigureData, row: &str, points: &[(&str, f64)]) -> Option<f64> {
+    let mut best: Option<(f64, f64)> = None;
+    for &(col, x) in points {
+        let v = f.value(row, col)?;
+        if best.is_none_or(|(b, _)| v > b) {
+            best = Some((v, x));
+        }
+    }
+    best.map(|(_, x)| x)
+}
+
+/// Best FIGCache-Fast speedup of one intensity class in Fig. 7.
+fn fig07_max(f: &FigureData, intensive: bool) -> Option<f64> {
+    app_profiles()
+        .iter()
+        .filter(|a| a.memory_intensive == intensive)
+        .map(|a| f.value(a.name, "FIGCache-Fast"))
+        .try_fold(f64::NEG_INFINITY, |m, v| Some(m.max(v?)))
+}
+
+/// Row of the 100 %-intensive eight-core category in the sweep figures.
+const MIX100: &str = "8-core 100%";
+
+/// The paper's claims, one row each: Figs. 7–15, Table 2 and the
+/// multithreaded results of §8, the RELOC analysis of §4.2 and the
+/// RowHammer argument of §6. Figure code prints every row of its figure
+/// with hit or miss; the test suite checks every [`Source::Runs`] row
+/// at `Scale::Small`.
+pub const CLAIMS: &[Claim] = &[
+    Claim {
+        id: "fig07-fast-nonint",
+        figure: "Fig. 7",
+        metric: "FIGCache-Fast speedup over Base, geomean of non-intensive apps",
+        paper: 1.015,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| f.value("geomean non-intensive", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig07-fast-nonint-max",
+        figure: "Fig. 7",
+        metric: "FIGCache-Fast speedup over Base, best non-intensive app",
+        paper: 1.029,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| fig07_max(f, false)),
+    },
+    Claim {
+        id: "fig07-fast-int",
+        figure: "Fig. 7",
+        metric: "FIGCache-Fast speedup over Base, geomean of intensive apps",
+        paper: 1.161,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("geomean intensive", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig07-fast-int-max",
+        figure: "Fig. 7",
+        metric: "FIGCache-Fast speedup over Base, best intensive app",
+        paper: 1.225,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| fig07_max(f, true)),
+    },
+    Claim {
+        id: "fig07-slow-all",
+        figure: "Fig. 7",
+        metric: "FIGCache-Slow speedup over Base, geomean of all apps",
+        paper: 1.059,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("geomean all", "FIGCache-Slow")),
+    },
+    Claim {
+        id: "fig07-mcf-fast-vs-base",
+        figure: "Fig. 7",
+        metric: "mcf IPC, FIGCache-Fast / Base (paper value: the intensive geomean)",
+        paper: 1.161,
+        relation: Relation::Above(1.02),
+        source: Source::Runs(|r| ipc_ratio(r, "mcf", ConfigKind::FigCacheFast, ConfigKind::Base)),
+    },
+    Claim {
+        id: "fig07-gems-fast-vs-base",
+        figure: "Fig. 7",
+        metric: "GemsFDTD IPC, FIGCache-Fast / Base (paper value: the intensive geomean)",
+        paper: 1.161,
+        relation: Relation::Above(1.02),
+        source: Source::Runs(|r| {
+            ipc_ratio(r, "GemsFDTD", ConfigKind::FigCacheFast, ConfigKind::Base)
+        }),
+    },
+    Claim {
+        id: "fig07-mcf-ideal-vs-fast",
+        figure: "Fig. 7",
+        metric: "mcf IPC, FIGCache-Ideal / FIGCache-Fast (free relocation bounds real)",
+        paper: 1.0,
+        relation: Relation::Above(0.99),
+        source: Source::Runs(|r| {
+            ipc_ratio(r, "mcf", ConfigKind::FigCacheIdeal, ConfigKind::FigCacheFast)
+        }),
+    },
+    Claim {
+        id: "fig07-gems-fast-vs-lisa",
+        figure: "Fig. 7",
+        metric: "GemsFDTD IPC, FIGCache-Fast / LISA-VILLA",
+        paper: 1.0,
+        relation: Relation::Above(1.0),
+        source: Source::Runs(|r| {
+            ipc_ratio(r, "GemsFDTD", ConfigKind::FigCacheFast, ConfigKind::LisaVilla)
+        }),
+    },
+    Claim {
+        id: "fig08-fast-25",
+        figure: "Fig. 8",
+        metric: "FIGCache-Fast weighted speedup over Base, 25% intensive mixes",
+        paper: 1.039,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| f.value("avg 25% intensive", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig08-fast-50",
+        figure: "Fig. 8",
+        metric: "FIGCache-Fast weighted speedup over Base, 50% intensive mixes",
+        paper: 1.129,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("avg 50% intensive", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig08-fast-75",
+        figure: "Fig. 8",
+        metric: "FIGCache-Fast weighted speedup over Base, 75% intensive mixes",
+        paper: 1.218,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("avg 75% intensive", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig08-fast-100",
+        figure: "Fig. 8",
+        metric: "FIGCache-Fast weighted speedup over Base, 100% intensive mixes",
+        paper: 1.271,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("avg 100% intensive", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig08-fast-all",
+        figure: "Fig. 8",
+        metric: "FIGCache-Fast weighted speedup over Base, all 20 mixes",
+        paper: 1.163,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("avg all 20 mixes", "FIGCache-Fast")),
+    },
+    Claim {
+        id: "fig08-fast-vs-lisa",
+        figure: "Fig. 8",
+        metric: "weighted speedup, FIGCache-Fast / LISA-VILLA, all 20 mixes",
+        paper: 1.047,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| {
+            Some(
+                f.value("avg all 20 mixes", "FIGCache-Fast")?
+                    / f.value("avg all 20 mixes", "LISA-VILLA")?,
+            )
+        }),
+    },
+    Claim {
+        id: "fig08-fast-vs-ideal",
+        figure: "Fig. 8",
+        metric: "weighted speedup, FIGCache-Fast / FIGCache-Ideal, all 20 mixes",
+        paper: 0.981,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| {
+            Some(
+                f.value("avg all 20 mixes", "FIGCache-Fast")?
+                    / f.value("avg all 20 mixes", "FIGCache-Ideal")?,
+            )
+        }),
+    },
+    Claim {
+        id: "fig08-fast-vs-ll",
+        figure: "Fig. 8",
+        metric: "weighted speedup, FIGCache-Fast / LL-DRAM, all 20 mixes",
+        paper: 0.954,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| {
+            Some(
+                f.value("avg all 20 mixes", "FIGCache-Fast")?
+                    / f.value("avg all 20 mixes", "LL-DRAM")?,
+            )
+        }),
+    },
+    Claim {
+        id: "fig08-mix100-fast-vs-base",
+        figure: "Fig. 8",
+        metric: "first 100% intensive mix, weighted speedup FIGCache-Fast / Base \
+                 (paper value: the 100% category mean)",
+        paper: 1.271,
+        relation: Relation::Above(1.03),
+        source: Source::Runs(|r| {
+            let mix = eight_core_mixes()
+                .into_iter()
+                .find(|m| m.category == MixCategory::Intensive100)
+                .expect("every category has mixes");
+            let jobs = [ConfigKind::FigCacheFast, ConfigKind::Base].map(|k| (mix.clone(), k));
+            let runs = r.run_mix_batch(&jobs);
+            let alone = r.alone_ipc_batch(&mix.apps);
+            weighted_speedup(&runs[0].ipc, &alone) / weighted_speedup(&runs[1].ipc, &alone)
+        }),
+    },
+    Claim {
+        id: "fig09-slow-below-fast",
+        figure: "Fig. 9",
+        metric: "cache hit rate, FIGCache-Fast minus FIGCache-Slow, mean of categories (points)",
+        paper: 0.0,
+        relation: Relation::Above(0.0),
+        source: Source::Table(|f| row_mean(f, "FIGCache-Fast", "FIGCache-Slow", |a, b| a - b)),
+    },
+    Claim {
+        id: "fig09-lisa-comparable",
+        figure: "Fig. 9",
+        metric: "cache hit rate, LISA-VILLA minus FIGCache-Fast, mean of categories (points)",
+        paper: 0.0,
+        relation: Relation::Near { tol: 10.0 },
+        source: Source::Table(|f| row_mean(f, "LISA-VILLA", "FIGCache-Fast", |a, b| a - b)),
+    },
+    Claim {
+        id: "fig10-fast-vs-lisa",
+        figure: "Fig. 10",
+        metric: "row-buffer hit rate, FIGCache-Fast / LISA-VILLA, mean of categories",
+        paper: 1.18,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| row_mean(f, "FIGCache-Fast", "LISA-VILLA", |a, b| a / b)),
+    },
+    Claim {
+        id: "fig10-slow-vs-lisa",
+        figure: "Fig. 10",
+        metric: "row-buffer hit rate, FIGCache-Slow / LISA-VILLA, mean of categories",
+        paper: 1.18,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| row_mean(f, "FIGCache-Slow", "LISA-VILLA", |a, b| a / b)),
+    },
+    Claim {
+        id: "fig10-mcf-fast-gain",
+        figure: "Fig. 10",
+        metric: "mcf row-buffer hit rate, FIGCache-Fast minus Base",
+        paper: 0.0,
+        relation: Relation::Above(0.03),
+        source: Source::Runs(|r| row_hit_gain(r, "mcf", ConfigKind::FigCacheFast)),
+    },
+    Claim {
+        id: "fig10-mcf-lisa-gain",
+        figure: "Fig. 10",
+        metric: "mcf row-buffer hit rate, LISA-VILLA minus Base (whole rows add no locality)",
+        paper: 0.0,
+        relation: Relation::Near { tol: 0.08 },
+        source: Source::Runs(|r| row_hit_gain(r, "mcf", ConfigKind::LisaVilla)),
+    },
+    Claim {
+        id: "fig11-slow-int",
+        figure: "Fig. 11",
+        metric: "system energy, FIGCache-Slow / Base, 1-core intensive",
+        paper: 0.931,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("1-core intensive / FIGCache-Slow", "Total")),
+    },
+    Claim {
+        id: "fig11-fast-int",
+        figure: "Fig. 11",
+        metric: "system energy, FIGCache-Fast / Base, 1-core intensive",
+        paper: 0.889,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("1-core intensive / FIGCache-Fast", "Total")),
+    },
+    Claim {
+        id: "fig11-fast-8core-dram",
+        figure: "Fig. 11",
+        metric: "DRAM energy, FIGCache-Fast / Base, mean of 8-core categories",
+        paper: 0.922,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| {
+            let ratios = MixCategory::all().map(|c| {
+                let cell = |kind: &str| f.value(&format!("8-core {} / {kind}", c.label()), "DRAM");
+                Some(cell("FIGCache-Fast")? / cell("Base")?)
+            });
+            Some(mean(&ratios.into_iter().collect::<Option<Vec<f64>>>()?))
+        }),
+    },
+    Claim {
+        id: "fig11-lbm-energy",
+        figure: "Fig. 11",
+        metric: "lbm system energy, FIGCache-Fast / Base (paper value: the 1-core intensive mean)",
+        paper: 0.889,
+        relation: Relation::Below(1.05),
+        source: Source::Runs(|r| {
+            let runs = single_pair(r, "lbm", ConfigKind::FigCacheFast, ConfigKind::Base);
+            runs[0].energy_total() / runs[1].energy_total()
+        }),
+    },
+    Claim {
+        id: "fig12-2-to-4",
+        figure: "Fig. 12",
+        metric: "speedup gained from 2 to 4 fast subarrays, 8-core 100% (saturation)",
+        paper: 0.027,
+        relation: Relation::Below(0.027),
+        source: Source::Table(|f| Some(f.value(MIX100, "4 FS")? / f.value(MIX100, "2 FS")? - 1.0)),
+    },
+    Claim {
+        id: "fig12-4-to-8",
+        figure: "Fig. 12",
+        metric: "speedup gained from 4 to 8 fast subarrays, 8-core 100% (saturation)",
+        paper: 0.008,
+        relation: Relation::Below(0.008),
+        source: Source::Table(|f| Some(f.value(MIX100, "8 FS")? / f.value(MIX100, "4 FS")? - 1.0)),
+    },
+    Claim {
+        id: "fig13-peak",
+        figure: "Fig. 13",
+        metric: "segment size (kB) with the best speedup, 8-core 100%",
+        paper: 1.0,
+        relation: Relation::Near { tol: 0.5 },
+        source: Source::Table(|f| {
+            peak_at(
+                f,
+                MIX100,
+                &[("512B", 0.5), ("1KB", 1.0), ("2KB", 2.0), ("4KB", 4.0), ("8KB", 8.0)],
+            )
+        }),
+    },
+    Claim {
+        id: "fig13-8kb-vs-lisa",
+        figure: "Fig. 13",
+        metric: "speedup, 8 kB segments / LISA-VILLA, 8-core 100%",
+        paper: 1.0,
+        relation: Relation::Below(1.0),
+        source: Source::Table(|f| Some(f.value(MIX100, "8KB")? / f.value(MIX100, "LISA-VILLA")?)),
+    },
+    Claim {
+        id: "fig14-worst-policy",
+        figure: "Fig. 14",
+        metric: "lowest speedup over Base of the four replacement policies, 8-core 100%",
+        paper: 1.125,
+        relation: Relation::Above(1.125),
+        source: Source::Table(|f| {
+            ["Random", "LRU", "SegmentBenefit", "RowBenefit"]
+                .iter()
+                .try_fold(f64::INFINITY, |m, col| Some(m.min(f.value(MIX100, col)?)))
+        }),
+    },
+    Claim {
+        id: "fig14-row-vs-segment",
+        figure: "Fig. 14",
+        metric: "speedup, RowBenefit / SegmentBenefit, 8-core 100%",
+        paper: 1.041,
+        relation: Relation::Near { tol: 0.02 },
+        source: Source::Table(|f| {
+            Some(f.value(MIX100, "RowBenefit")? / f.value(MIX100, "SegmentBenefit")?)
+        }),
+    },
+    Claim {
+        id: "fig15-best-threshold",
+        figure: "Fig. 15",
+        metric: "insertion threshold with the best speedup, 8-core 100%",
+        paper: 1.0,
+        relation: Relation::Near { tol: 0.5 },
+        source: Source::Table(|f| {
+            peak_at(
+                f,
+                MIX100,
+                &[
+                    ("Threshold 1", 1.0),
+                    ("Threshold 2", 2.0),
+                    ("Threshold 4", 4.0),
+                    ("Threshold 8", 8.0),
+                ],
+            )
+        }),
+    },
+    Claim {
+        id: "tab2-classes",
+        figure: "Table 2",
+        metric: "apps whose measured class (MPKI > 10) contradicts Table 2",
+        paper: 0.0,
+        relation: Relation::Below(1.0),
+        source: Source::Runs(|r| {
+            let apps = app_profiles();
+            let jobs: Vec<_> = apps.iter().map(|p| (*p, ConfigKind::Base)).collect();
+            let runs = r.run_single_batch(&jobs);
+            let wrong =
+                apps.iter().zip(&runs).filter(|(p, s)| (s.mpki[0] > 10.0) != p.memory_intensive);
+            wrong.count() as f64
+        }),
+    },
+    Claim {
+        id: "mt-fast",
+        figure: "Sec. 8.1",
+        metric: "FIGCache-Fast speedup over Base (execution time), mean of 3 multithreaded apps",
+        paper: 1.168,
+        relation: Relation::Near { tol: 0.05 },
+        source: Source::Table(|f| f.value("average", "speedup")),
+    },
+    Claim {
+        id: "sec42-worst",
+        figure: "Sec. 4.2",
+        metric: "worst-case RELOC settle latency over the Monte-Carlo runs (ns)",
+        paper: 0.57,
+        relation: Relation::Near { tol: 0.057 },
+        source: Source::Program,
+    },
+    Claim {
+        id: "sec42-guardband",
+        figure: "Sec. 4.2",
+        metric: "RELOC latency with the 43% guardband (ns)",
+        paper: 1.0,
+        relation: Relation::Near { tol: 0.1 },
+        source: Source::Program,
+    },
+    Claim {
+        id: "sec42-one-column",
+        figure: "Sec. 4.2",
+        metric: "one-column relocation, ACT tRAS + RELOC + ACT tRCD + PRE tRP (ns)",
+        paper: 63.5,
+        relation: Relation::Near { tol: 6.35 },
+        source: Source::Program,
+    },
+    Claim {
+        id: "sec42-energy",
+        figure: "Sec. 4.2",
+        metric: "one-block relocation energy (nJ)",
+        paper: 30.0,
+        relation: Relation::Near { tol: 3.0 },
+        source: Source::Program,
+    },
+    Claim {
+        id: "sec6-act-pressure",
+        figure: "Sec. 6",
+        metric: "most ACTs of one row per window under a double-sided hammer, Base / FIGCache",
+        paper: 1.0,
+        relation: Relation::Above(1.0),
+        source: Source::Program,
+    },
+];
+
 /// **Figure 7**: single-core speedup over `Base` for the five mechanisms,
 /// per application and per intensity category.
 pub fn fig07(runner: &Runner) -> FigureData {
@@ -116,20 +709,19 @@ pub fn fig07(runner: &Runner) -> FigureData {
         per_cat[usize::from(app.memory_intensive)].push(speedups.clone());
         fig.push_row(app.name, speedups);
     }
-    for (idx, label) in [(0usize, "geomean non-intensive"), (1, "geomean intensive")] {
-        let cols = kinds.len() - 1;
-        let g: Vec<f64> = (0..cols)
-            .map(|k| geomean(&per_cat[idx].iter().map(|v| v[k]).collect::<Vec<_>>()))
-            .collect();
+    let cols = kinds.len() - 1;
+    let all: Vec<Vec<f64>> = per_cat.concat();
+    for (rows, label) in [
+        (&per_cat[0], "geomean non-intensive"),
+        (&per_cat[1], "geomean intensive"),
+        (&all, "geomean all"),
+    ] {
+        let g: Vec<f64> =
+            (0..cols).map(|k| geomean(&rows.iter().map(|v| v[k]).collect::<Vec<_>>())).collect();
         fig.push_row(label, g);
     }
     note_truncations(&mut fig, matrix.iter().flatten());
-    fig.push_note(
-        "paper: FIGCache-Fast averages +1.5% (up to +2.9%) on non-intensive and +16.1% (up to +22.5%) on intensive applications",
-    );
-    fig.push_note(
-        "paper: FIGCache-Slow retains most of FIGCache-Fast's gain (avg +5.9% single-core)",
-    );
+    check_claims(&mut fig, runner, "Fig. 7");
     fig
 }
 
@@ -166,8 +758,7 @@ pub fn fig08(runner: &Runner) -> FigureData {
     }
     fig.push_row("avg all 20 mixes", (0..cols).map(|k| mean(&overall[k])).collect());
     note_truncations(&mut fig, matrix.iter().flatten());
-    fig.push_note("paper: FIGCache-Fast +3.9%/+12.9%/+21.8%/+27.1% for 25/50/75/100% categories, +16.3% overall");
-    fig.push_note("paper: FIGCache-Fast beats LISA-VILLA by 4.7% and is within 1.9% of Ideal / 4.6% of LL-DRAM");
+    check_claims(&mut fig, runner, "Fig. 8");
     fig
 }
 
@@ -178,7 +769,7 @@ pub fn fig09(runner: &Runner) -> FigureData {
     let labels: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
     let mut fig = FigureData::new("Figure 9: in-DRAM cache hit rate (%)", labels);
     category_metric(runner, &kinds, &mut fig, |s| s.cache_hit_rate * 100.0);
-    fig.push_note("paper: all three mechanisms show comparable cache hit rates; FIGCache-Slow slightly below FIGCache-Fast (its own subarray is uncacheable)");
+    check_claims(&mut fig, runner, "Fig. 9");
     fig
 }
 
@@ -193,7 +784,7 @@ pub fn fig10(runner: &Runner) -> FigureData {
     let labels: Vec<String> = kinds.iter().map(|k| k.label().to_string()).collect();
     let mut fig = FigureData::new("Figure 10: DRAM row-buffer hit rate (%)", labels);
     category_metric(runner, &kinds, &mut fig, |s| s.row_hit_rate * 100.0);
-    fig.push_note("paper: FIGCache-Slow/Fast sit ~18% above LISA-VILLA — segment co-location raises row locality, whole-row caching cannot");
+    check_claims(&mut fig, runner, "Fig. 10");
     fig
 }
 
@@ -289,8 +880,7 @@ pub fn fig11(runner: &Runner) -> FigureData {
         add_group(&format!("8-core {}", cat.label()), &idxs, &mix_mat);
     }
     note_truncations(&mut fig, matrix.iter().chain(mix_mat.iter()).flatten());
-    fig.push_note("paper: FIGCache-Slow/Fast cut 1-core intensive system energy by 6.9%/11.1%; savings come from fewer ACT/PRE (row hits) and shorter runtime");
-    fig.push_note("paper: 8-core DRAM energy drops 7.8% on average under FIGCache-Fast");
+    check_claims(&mut fig, runner, "Fig. 11");
     fig
 }
 
@@ -305,10 +895,10 @@ pub fn fig12(runner: &Runner) -> FigureData {
         })
         .chain([(String::from("LL-DRAM"), ConfigKind::LlDram)])
         .collect();
-    sweep_figure(runner, "Figure 12: speedup vs number of fast subarrays", &points, &[
-        "paper: gains grow with cache capacity but saturate — 2→4 FS adds <2.7%, 4→8 adds <0.8% (100% intensive)",
-        "paper picks 2 fast subarrays as the area/performance balance",
-    ])
+    let mut fig =
+        sweep_figure(runner, "Figure 12: speedup vs number of fast subarrays", &points, "Fig. 12");
+    fig.push_note("2 fast subarrays are the paper's area/performance balance");
+    fig
 }
 
 /// **Figure 13**: sensitivity to the row-segment size (512 B … 8 kB) with
@@ -323,10 +913,7 @@ pub fn fig13(runner: &Runner) -> FigureData {
             })
             .chain([(String::from("LISA-VILLA"), ConfigKind::LisaVilla)])
             .collect();
-    sweep_figure(runner, "Figure 13: speedup vs row-segment size", &points, &[
-        "paper: performance peaks at 1 kB segments (1/8 row)",
-        "paper: whole-row (8 kB) segments fall slightly below LISA-VILLA — 128 RELOCs per relocation outweigh the benefit",
-    ])
+    sweep_figure(runner, "Figure 13: speedup vs row-segment size", &points, "Fig. 13")
 }
 
 /// **Figure 14**: replacement policies (Random / LRU / SegmentBenefit /
@@ -344,9 +931,7 @@ pub fn fig14(runner: &Runner) -> FigureData {
         (label.to_string(), kind)
     })
     .collect();
-    sweep_figure(runner, "Figure 14: speedup vs replacement policy", &points, &[
-        "paper: every policy beats Base by >12.5%; RowBenefit matches or beats all, +4.1% over SegmentBenefit at 100% intensity",
-    ])
+    sweep_figure(runner, "Figure 14: speedup vs replacement policy", &points, "Fig. 14")
 }
 
 /// **Figure 15**: insertion thresholds 1/2/4/8.
@@ -358,18 +943,17 @@ pub fn fig15(runner: &Runner) -> FigureData {
             (format!("Threshold {n}"), kind)
         })
         .collect();
-    sweep_figure(runner, "Figure 15: speedup vs insertion threshold", &points, &[
-        "paper: threshold 1 (insert-any-miss) is best for intensive workloads; higher thresholds lose cache hits",
-    ])
+    sweep_figure(runner, "Figure 15: speedup vs insertion threshold", &points, "Fig. 15")
 }
 
 /// Shared sweep shape: categories as rows, sweep points as columns,
-/// speedup over Base as the value.
+/// speedup over Base as the value; the claim rows of `figure` are
+/// checked on it.
 fn sweep_figure(
     runner: &Runner,
     title: &str,
     points: &[(String, ConfigKind)],
-    notes: &[&str],
+    figure: &str,
 ) -> FigureData {
     let apps = sweep_apps(runner.full_sweeps());
     let mixes = sweep_mixes(runner.full_sweeps());
@@ -420,9 +1004,7 @@ fn sweep_figure(
         fig.push_row(format!("8-core {}", cat.label()), vals);
     }
     note_truncations(&mut fig, matrix.iter().chain(mix_mat.iter()).flatten());
-    for n in notes {
-        fig.push_note(*n);
-    }
+    check_claims(&mut fig, runner, figure);
     if !runner.full_sweeps() {
         fig.push_note("sweep subset in effect (set FIGARO_FULL_SWEEPS=1 for all 20 apps/mixes)");
     }
@@ -503,108 +1085,6 @@ pub fn scheduler_sweep_with(runner: &Runner, target_insts: Option<u64>) -> Figur
     }
     note_truncations(&mut fig, &results);
     fig.push_note("frfcfs is the paper's controller; every policy runs the identical workload");
-    if !runner.full_sweeps() {
-        fig.push_note("mix subset in effect (set FIGARO_FULL_SWEEPS=1 for all four categories)");
-    }
-    fig
-}
-
-/// The address mappings compared by [`mapping_sweep`]: the paper's
-/// default slice, channel/bank-first block interleaving, the
-/// bank-sequential row-interleaved scheme, and the XOR bank hash over
-/// the paper slice.
-#[must_use]
-pub fn mapping_kinds() -> Vec<MapKind> {
-    vec![
-        MapKind::paper(),
-        MapKind { scheme: MapScheme::ChFirst, xor_bank: false },
-        MapKind { scheme: MapScheme::RowInt, xor_bank: false },
-        MapKind { scheme: MapScheme::Paper, xor_bank: true },
-    ]
-}
-
-/// The OS page-placement policies compared by [`mapping_sweep`]:
-/// identity, seeded-random frame allocation, and 16-color bank
-/// coloring.
-#[must_use]
-pub fn page_policies() -> Vec<PageMapKind> {
-    vec![PageMapKind::Identity, PageMapKind::Random { seed: 1 }, PageMapKind::Color { colors: 16 }]
-}
-
-/// **Mapping sweep**: address-mapping × page-placement × mechanism grid
-/// over streamed eight-core mixes. Rows are `mapping / page / mechanism`
-/// triples; columns report throughput (Σ IPC), DRAM row-hit rate and
-/// in-DRAM cache hit rate per mix — the axes data placement moves.
-/// Export with [`FigureData::to_csv`]. Mix subset unless the runner runs
-/// full sweeps.
-pub fn mapping_sweep(runner: &Runner) -> FigureData {
-    mapping_sweep_with(runner, None)
-}
-
-/// [`mapping_sweep`] with an explicit per-core instruction target (the
-/// test suite runs a tiny grid this way; `None` uses the runner
-/// scale's per-profile targets).
-pub fn mapping_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureData {
-    let mappings = mapping_kinds();
-    let pages = page_policies();
-    let kinds = [ConfigKind::Base, ConfigKind::FigCacheFast];
-    let all = eight_core_mixes();
-    let cats: Vec<MixCategory> = if runner.full_sweeps() {
-        MixCategory::all().to_vec()
-    } else {
-        vec![MixCategory::Intensive100, MixCategory::Intensive25]
-    };
-    let mixes: Vec<Mix> = cats
-        .iter()
-        .map(|c| all.iter().find(|m| m.category == *c).expect("every category has mixes").clone())
-        .collect();
-    let mut jobs = Vec::new();
-    for map in &mappings {
-        for page in &pages {
-            for kind in &kinds {
-                for mix in &mixes {
-                    let mut spec = runner.stream_spec(kind.clone(), &mix.apps, target_insts);
-                    spec.config = spec.config.with_mapping(*map).with_page_map(*page);
-                    jobs.push(spec);
-                }
-            }
-        }
-    }
-    let results = runner.run_batch(&jobs);
-    let mut columns = Vec::new();
-    for mix in &mixes {
-        columns.push(format!("{} ipc", mix.name));
-        columns.push(format!("{} row-hit", mix.name));
-        columns.push(format!("{} cache-hit", mix.name));
-    }
-    let mut fig = FigureData::new(
-        "Mapping sweep: address mapping x page placement x mechanism \
-         (throughput, row-hit, cache-hit)",
-        columns,
-    );
-    let mut idx = 0;
-    for map in &mappings {
-        for page in &pages {
-            for kind in &kinds {
-                let mut vals = Vec::new();
-                for _ in &mixes {
-                    let s = &results[idx];
-                    idx += 1;
-                    vals.push(s.ipc.iter().sum::<f64>());
-                    vals.push(s.row_hit_rate);
-                    vals.push(s.cache_hit_rate);
-                }
-                fig.push_row(
-                    format!("{} / {} / {}", map.label(), page.label(), kind.label()),
-                    vals,
-                );
-            }
-        }
-    }
-    note_truncations(&mut fig, &results);
-    fig.push_note(
-        "paper/ident is the paper's placement; every cell runs the identical streamed workload",
-    );
     if !runner.full_sweeps() {
         fig.push_note("mix subset in effect (set FIGARO_FULL_SWEEPS=1 for all four categories)");
     }
@@ -733,7 +1213,8 @@ pub fn tab2(runner: &Runner) -> FigureData {
         );
     }
     note_truncations(&mut fig, matrix.iter().flatten());
-    fig.push_note("paper splits Table 2 at 10 LLC misses per kilo-instruction");
+    fig.push_note("the paper splits Table 2 at 10 LLC misses per kilo-instruction");
+    check_claims(&mut fig, runner, "Table 2");
     fig
 }
 
@@ -760,7 +1241,7 @@ pub fn multithreaded(runner: &Runner) -> FigureData {
     }
     fig.push_row("average", vec![mean(&speedups)]);
     note_truncations(&mut fig, &results);
-    fig.push_note("paper: +16.8% average over Base for the three multithreaded applications");
+    check_claims(&mut fig, runner, "Sec. 8.1");
     fig
 }
 
@@ -831,6 +1312,36 @@ mod tests {
         assert_eq!(safe_ratio(0.0, 0.0), 0.0);
         assert_eq!(safe_ratio(f64::NAN, 1.0), 0.0);
         assert_eq!(safe_ratio(1.0, f64::INFINITY), 0.0);
+    }
+
+    #[test]
+    fn claim_ids_are_unique_and_found_by_name() {
+        for (i, c) in CLAIMS.iter().enumerate() {
+            assert!(CLAIMS[..i].iter().all(|d| d.id != c.id), "duplicate claim `{}`", c.id);
+            assert_eq!(claim(c.id).map(|d| d.id), Some(c.id));
+        }
+        assert!(claim("no-such-claim").is_none());
+    }
+
+    #[test]
+    fn a_relation_decides_hit_or_miss_strictly_and_nan_always_misses() {
+        let row = |relation| Claim {
+            id: "t",
+            figure: "Fig. 0",
+            metric: "m",
+            paper: 1.0,
+            relation,
+            source: Source::Program,
+        };
+        let near = row(Relation::Near { tol: 0.5 });
+        assert!(near.holds(1.4) && near.holds(0.6) && !near.holds(1.5) && !near.holds(0.5));
+        assert!(row(Relation::Above(2.0)).holds(2.1) && !row(Relation::Above(2.0)).holds(2.0));
+        assert!(row(Relation::Below(2.0)).holds(1.9) && !row(Relation::Below(2.0)).holds(2.0));
+        for r in [Relation::Near { tol: 9.0 }, Relation::Above(-9.0), Relation::Below(9.0)] {
+            assert!(!row(r).holds(f64::NAN), "{r:?}");
+        }
+        assert!(near.report(1.2).starts_with("HIT  t (Fig. 0; m): model 1.200, paper 1.000"));
+        assert!(near.report(f64::NAN).starts_with("MISS t"));
     }
 
     #[test]

@@ -50,11 +50,10 @@ pub mod runner;
 pub mod system;
 pub mod telemetry;
 
-pub use config::{ConfigKind, Kernel, SystemConfig};
+pub use config::{ConfigKind, Kernel, PageMapKind, SystemConfig};
 pub use env::EnvConfig;
-pub use figaro_dram::{MapKind, MapScheme};
+pub use figaro_dram::MapKind;
 pub use figaro_memctrl::SchedPolicyKind;
-pub use figaro_workloads::PageMapKind;
 pub use metrics::{ChannelStats, RunStats};
 pub use runner::{workspace_root, CoreWorkload, RunSpec, Runner, Scale, MODEL_EPOCH};
 pub use system::System;

@@ -615,9 +615,8 @@ mod tests {
         CacheRegion, FigCacheConfig, InsertionPolicy, Relocation, ReplacementPolicy,
     };
     use figaro_cpu::{CoreParams, HierarchyConfig};
-    use figaro_dram::MapKind;
     use figaro_memctrl::{McConfig, SchedPolicyKind};
-    use figaro_workloads::{profile_by_name, PageMapKind};
+    use figaro_workloads::profile_by_name;
 
     fn memo_entries(runner: &Runner) -> usize {
         runner.memo.lock().unwrap().len()
@@ -714,7 +713,6 @@ mod tests {
         assert_keyed(&base, "cpu_cycles_per_bus", |s| s.config.cpu_cycles_per_bus = 2);
         assert_keyed(&base, "kernel", |s| s.config.kernel = Kernel::Reference);
         assert_keyed(&base, "threads", |s| s.config.threads = 1);
-        assert_keyed(&base, "page_map", |s| s.config.page_map = PageMapKind::Random { seed: 7 });
 
         let McConfig {
             read_queue_cap: _,
@@ -734,7 +732,6 @@ mod tests {
         assert_keyed(&base, "enable_refresh", |s| s.config.mc.enable_refresh = false);
         assert_keyed(&base, "activation_window", |s| s.config.mc.activation_window = Some(64));
         assert_keyed(&base, "sched", |s| s.config.mc.sched = SchedPolicyKind::Fcfs);
-        assert_keyed(&base, "map", |s| s.config.mc.map = MapKind::from_name("chfirst").unwrap());
         assert_keyed(&base, "flat_scan", |s| s.config.mc.flat_scan = true);
 
         let FigCacheConfig {

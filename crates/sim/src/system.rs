@@ -28,7 +28,7 @@ use figaro_cpu::{CacheHierarchy, TraceCore};
 use figaro_dram::AddressMapping;
 use figaro_energy::{DramEnergyModel, SystemActivity, SystemEnergyModel};
 use figaro_memctrl::{Completion, MemoryController, Request};
-use figaro_workloads::{PageMapKind, PageMappedSource, PageMapper, Trace, TraceSource};
+use figaro_workloads::{Trace, TraceSource};
 
 use crate::config::{Kernel, SystemConfig};
 use crate::metrics::{ChannelStats, RunStats};
@@ -164,8 +164,8 @@ impl System {
     }
 
     /// Builds a system whose cores pull operations from streaming
-    /// [`TraceSource`]s — generators or trace-file replays — so run
-    /// length never costs memory for a materialized trace.
+    /// [`TraceSource`]s, so run length never costs memory for a
+    /// materialized trace.
     ///
     /// # Panics
     ///
@@ -181,9 +181,6 @@ impl System {
         assert_eq!(targets.len(), cfg.cores, "one instruction target per core");
         cfg.validate().expect("system config must validate");
         let dram = cfg.dram_config();
-        // The router decodes with the same mapping kind the controllers
-        // use — mismatched mappings would send requests to the wrong
-        // channel (the controller asserts this on enqueue).
         let mapping = dram.address_mapping(cfg.mc.map);
         let shards: Vec<ChannelShard> = (0..cfg.channels)
             .map(|ch| {
@@ -191,25 +188,6 @@ impl System {
             })
             .collect();
         let hierarchy = CacheHierarchy::new(cfg.hierarchy, cfg.cores);
-        // OS page-frame placement wraps every source; identity skips the
-        // wrapper entirely so the default path stays byte-for-byte the
-        // pre-subsystem one.
-        let sources: Vec<Box<dyn TraceSource>> = if cfg.page_map == PageMapKind::Identity {
-            sources
-        } else {
-            // The mapping's own address space (it was built over the
-            // layout's regular rows), so the frame space can never
-            // diverge from the row slice.
-            let mapper = PageMapper::new(
-                cfg.page_map,
-                u64::from(dram.geometry.row_bytes),
-                mapping.addr_space(),
-            );
-            sources
-                .into_iter()
-                .map(|s| Box::new(PageMappedSource::new(s, mapper)) as Box<dyn TraceSource>)
-                .collect()
-        };
         let space = mapping.addr_space();
         let cores: Vec<TraceCore> = sources
             .into_iter()
@@ -616,7 +594,6 @@ mod tests {
     use super::*;
     use crate::config::ConfigKind;
     use figaro_cpu::SetAssocCache;
-    use figaro_dram::MapKind;
     use figaro_workloads::{generate_trace, profile_by_name, TraceOp};
 
     /// A run's stats and the final state of every cache level.
@@ -840,32 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_replays_bit_identically() {
-        // Record a streaming run's op stream to the compact on-disk
-        // format, then drive a fresh system from the file: RunStats must
-        // round-trip bit-for-bit.
-        use figaro_workloads::{FileReplay, RecordingSource, TraceGenerator};
-        let p = profile_by_name("zeusmp").unwrap();
-        let path = std::env::temp_dir().join(format!("figaro-replay-{}.figt", std::process::id()));
-        let cfg = || SystemConfig::paper(1, ConfigKind::FigCacheFast);
-        let recorded = {
-            let rec = RecordingSource::create(TraceGenerator::new(&p, 21), &path)
-                .expect("create recording");
-            let mut sys = System::from_sources(cfg(), vec![Box::new(rec)], &[20_000]);
-            sys.run(10_000_000)
-            // Dropping the system flushes the recording via the buffered
-            // writer's Drop.
-        };
-        let replayed = {
-            let src = FileReplay::open(&path).expect("open recording");
-            let mut sys = System::from_sources(cfg(), vec![Box::new(src)], &[20_000]);
-            sys.run(10_000_000)
-        };
-        assert_eq!(recorded, replayed, "record → replay must be bit-identical");
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn profile_report_splits_the_memory_bucket_without_changing_results() {
         let run = |profile: bool| {
             let traces = (0..2)
@@ -925,25 +876,20 @@ mod tests {
     #[test]
     fn an_address_outside_the_dram_space_fails_where_the_core_pulls_it() {
         // One 4 GiB channel: 1 << 40 lies far above it, and before the
-        // check it failed deep in the model (a row out of range under
-        // the paper mapping, an index out of bounds under rowint).
-        for map in ["paper", "rowint"] {
-            let cfg = SystemConfig::paper(1, ConfigKind::Base)
-                .with_mapping(MapKind::from_name(map).expect("a known mapping"));
-            let trace = Trace {
-                name: "far".into(),
-                ops: vec![TraceOp { nonmem: 2, addr: 1 << 40, is_write: false }],
-            };
-            let mut sys = System::new(cfg, vec![trace], &[1_000]);
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(10_000)))
-                .expect_err("the address must be rejected");
-            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
-            assert_eq!(
-                msg,
-                "core 0: address 0x10000000000 is outside the 0x100000000-byte DRAM address space",
-                "{map}"
-            );
-        }
+        // check it failed deep in the model (a row out of range).
+        let cfg = SystemConfig::paper(1, ConfigKind::Base);
+        let trace = Trace {
+            name: "far".into(),
+            ops: vec![TraceOp { nonmem: 2, addr: 1 << 40, is_write: false }],
+        };
+        let mut sys = System::new(cfg, vec![trace], &[1_000]);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(10_000)))
+            .expect_err("the address must be rejected");
+        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert_eq!(
+            msg,
+            "core 0: address 0x10000000000 is outside the 0x100000000-byte DRAM address space"
+        );
     }
 
     #[test]

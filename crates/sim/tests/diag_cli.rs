@@ -74,8 +74,6 @@ fn bad_env_values_exit_with_an_error_naming_the_variable() -> io::Result<()> {
     let table = [
         ("FIGARO_KERNEL", "spooled"),
         ("FIGARO_SCHED", "fifo"),
-        ("FIGARO_MAP", "diagonal"),
-        ("FIGARO_PAGEMAP", "color3"),
         ("FIGARO_LOAD", "poisson"),
         ("FIGARO_SCALE", "huge"),
         ("FIGARO_FULL_SWEEPS", "yes"),
@@ -85,6 +83,8 @@ fn bad_env_values_exit_with_an_error_naming_the_variable() -> io::Result<()> {
         // Removed knobs and typos are unknown names, not no-ops.
         ("FIGARO_WARMUP", "5000"),
         ("FIGARO_SNAPSHOT_DIR", "snaps"),
+        ("FIGARO_MAP", "chfirst"),
+        ("FIGARO_PAGEMAP", "rand7"),
         ("FIGARO_SHCED", "fcfs"),
     ];
     for (name, value) in table {

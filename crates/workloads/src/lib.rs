@@ -24,26 +24,19 @@
 //! exactly one DRAM row under the paper's
 //! `{row, rank, bankgroup, bank, channel, column}` interleaving, letting
 //! profiles place "hot segments" in distinct rows spread across banks and
-//! channels.
-//!
-//! The OS side of data placement lives in [`pagemap`]: deterministic,
-//! bijective page-frame allocation policies (identity, seeded-random,
-//! bank/channel coloring) applied to any [`TraceSource`] via
-//! [`PageMappedSource`].
+//! channels. Cores pull operations through [`TraceSource`]: a
+//! [`TraceGenerator`] streams them, a [`Trace`] replays materialized ones,
+//! and [`ArrivalSchedule`] paces either as an open-loop arrival process.
 
 pub mod apps;
 pub mod arrival;
 pub mod generator;
 pub mod mixes;
-pub mod pagemap;
-pub mod trace_io;
 
 pub use apps::{app_profiles, multithreaded_profiles, profile_by_name, AppProfile};
 pub use arrival::{ArrivalKind, ArrivalSchedule};
 pub use generator::{generate_trace, TraceGenerator};
 pub use mixes::{eight_core_mixes, Mix, MixCategory};
-pub use pagemap::{PageMapKind, PageMappedSource, PageMapper};
-pub use trace_io::{read_trace_file, write_trace_file, FileReplay, RecordingSource, TraceWriter};
 
 /// One trace record: `nonmem` non-memory instructions, then a memory
 /// access to `addr`.
@@ -99,11 +92,11 @@ impl Trace {
 /// This is what a trace-driven core consumes: instead of materializing a
 /// whole `Vec<TraceOp>` up front (whose length costs memory), a source
 /// hands out one operation at a time from a bounded internal window — a
-/// generator's current burst buffer, a file reader's read-ahead buffer,
-/// or a wrapped finite [`Trace`]. Sources never end; finite backing
-/// stores wrap around. Implementations must be deterministic: the same
-/// construction yields the same op sequence, which is what keeps
-/// streaming runs reproducible and replayable.
+/// generator's current burst buffer or a wrapped finite [`Trace`].
+/// Sources never end; finite backing stores wrap around.
+/// Implementations must be deterministic: the same construction yields
+/// the same op sequence, which is what keeps streaming runs
+/// reproducible.
 pub trait TraceSource: std::fmt::Debug + Send {
     /// Name of the workload the source models (reports, cache keys).
     fn name(&self) -> &str;

@@ -40,7 +40,7 @@ fn digest(s: &RunStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u6
 }
 
 /// The deterministic multi-app run shape the goldens were captured on.
-fn golden_run(kind: &ConfigKind, kernel: Kernel, cores: usize) -> RunStats {
+fn golden_run(kind: &ConfigKind, sched: SchedPolicyKind, kernel: Kernel, cores: usize) -> RunStats {
     let apps = ["mcf", "lbm", "zeusmp", "libquantum"];
     let traces: Vec<Trace> = (0..cores)
         .map(|i| {
@@ -49,7 +49,7 @@ fn golden_run(kind: &ConfigKind, kernel: Kernel, cores: usize) -> RunStats {
         })
         .collect();
     let insts = 12_000u64;
-    let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) };
+    let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) }.with_sched(sched);
     let mut sys = System::new(cfg, traces, &vec![insts; cores]);
     sys.run(insts * 400)
 }
@@ -102,12 +102,50 @@ fn frfcfs_reproduces_the_pre_refactor_seed_bit_for_bit() {
     for &(label, kernel_label, cores, a, b, c, d, e, f, g, h, i, j, k) in goldens {
         let kind = kinds.iter().find(|x| x.label() == label).expect("golden label known");
         let kernel = if kernel_label == "event" { Kernel::Event } else { Kernel::Reference };
-        let s = golden_run(kind, kernel, cores);
+        let s = golden_run(kind, SchedPolicyKind::FrFcfs, kernel, cores);
         assert_eq!(
             digest(&s),
             (a, b, c, d, e, f, g, h, i, j, k),
             "refactored FR-FCFS diverged from the seed: {label}/{kernel_label}/{cores}c"
         );
+    }
+}
+
+/// One golden row of a non-default policy on the multi-app shape:
+/// config label, policy label, cores, then the [`digest`] fields.
+type PolicyGoldenRow =
+    (&'static str, &'static str, usize, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
+
+#[test]
+fn every_policy_reproduces_its_seed_golden() {
+    // The other three policies on the FR-FCFS goldens' shape, each row
+    // checked under both kernels; captured when the policies landed.
+    #[rustfmt::skip]
+    let goldens: &[PolicyGoldenRow] = &[
+        ("Base", "fcfs", 1, 148097, 461, 89, 956, 1506, 0, 0, 316844, 0, 5, 0),
+        ("Base", "fcfs", 4, 108232, 3554, 264, 1669, 5487, 0, 0, 851328, 0, 16, 0),
+        ("Base", "frfcfs-cap4", 1, 56000, 472, 47, 1000, 1519, 0, 0, 132306, 0, 2, 0),
+        ("Base", "frfcfs-cap4", 4, 54428, 3503, 259, 1773, 5535, 0, 0, 459830, 0, 8, 0),
+        ("Base", "wdrain48-8", 1, 55780, 474, 45, 1000, 1519, 0, 0, 131866, 0, 2, 0),
+        ("Base", "wdrain48-8", 4, 54808, 3629, 144, 1747, 5520, 0, 0, 434698, 0, 8, 0),
+        ("FIGCache-Fast", "fcfs", 1, 162109, 523, 103, 880, 1506, 0, 0, 344766, 13424, 6, 838),
+        ("FIGCache-Fast", "fcfs", 4, 117788, 3665, 281, 1544, 5490, 0, 0, 886328, 26416, 16, 1648),
+        ("FIGCache-Fast", "frfcfs-cap4", 1, 64092, 545, 90, 885, 1520, 0, 0, 147856, 13504, 2, 842),
+        ("FIGCache-Fast", "frfcfs-cap4", 4, 61048, 3617, 300, 1596, 5513, 0, 0, 494942, 26512, 8, 1655),
+        ("FIGCache-Fast", "wdrain48-8", 1, 63752, 548, 87, 885, 1520, 0, 0, 147188, 13504, 2, 842),
+        ("FIGCache-Fast", "wdrain48-8", 4, 60264, 3746, 186, 1579, 5511, 0, 0, 472416, 26416, 8, 1650),
+    ];
+    for &(label, sched_label, cores, a, b, c, d, e, f, g, h, i, j, k) in goldens {
+        let kind = if label == "Base" { ConfigKind::Base } else { ConfigKind::FigCacheFast };
+        let sched = SchedPolicyKind::from_name(sched_label).expect("golden policy label known");
+        for kernel in [Kernel::Reference, Kernel::Event] {
+            assert_eq!(
+                digest(&golden_run(&kind, sched, kernel, cores)),
+                (a, b, c, d, e, f, g, h, i, j, k),
+                "{sched_label} diverged from its seed: {label}/{}/{cores}c",
+                kernel.label()
+            );
+        }
     }
 }
 
@@ -144,7 +182,9 @@ fn event_golden_runs() -> Vec<RunStats> {
     kinds.extend(ConfigKind::figure78_set());
     let mut runs: Vec<RunStats> = kinds
         .iter()
-        .flat_map(|kind| [1, 4].map(|cores| golden_run(kind, Kernel::Event, cores)))
+        .flat_map(|kind| {
+            [1, 4].map(|cores| golden_run(kind, SchedPolicyKind::FrFcfs, Kernel::Event, cores))
+        })
         .collect();
     for kind in [ConfigKind::Base, ConfigKind::FigCacheFast] {
         let trace = generate_trace(&profile_by_name("mcf").unwrap(), 30_000, 42);
