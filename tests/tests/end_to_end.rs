@@ -2,13 +2,14 @@
 //!
 //! * `fast_tier` — deterministic `Scale::Tiny` smoke runs over the full
 //!   mechanism set, driven through the runner's parallel batch API.
-//! * `paper_claims_hold_at_small_scale` checks the claims table's rows
-//!   that are measured from runs, at `Scale::Small`, which gives the
-//!   in-DRAM cache the warmup the tiny scale does not.
+//! * The `Scale::Small` tests check the claims table's rows that are
+//!   measured from runs (`paper_claims_hold_at_small_scale` all of
+//!   them, the others one paper-shape claim each), at the scale that
+//!   gives the in-DRAM cache the warmup the tiny scale does not.
 
 use std::sync::OnceLock;
 
-use figaro_sim::experiments::claims_from_runs;
+use figaro_sim::experiments::{claim, claims_from_runs, Claim, Source};
 use figaro_sim::{ConfigKind, Runner, Scale};
 use figaro_workloads::profile_by_name;
 
@@ -155,23 +156,85 @@ fn small_runner() -> &'static Runner {
     RUNNER.get_or_init(|| Runner::new(Scale::Small))
 }
 
+/// Asserts that every row holds at its modelled value.
+fn assert_rows_hold(rows: &[(&Claim, f64)]) {
+    let misses: Vec<String> = rows
+        .iter()
+        .filter(|&&(claim, modelled)| !claim.holds(modelled))
+        .map(|&(claim, modelled)| claim.report(modelled))
+        .collect();
+    assert!(misses.is_empty(), "claim rows missed at Scale::Small:\n{}", misses.join("\n"));
+}
+
+/// Asserts the named [`Source::Runs`] rows of the claims table, each
+/// against the bound the table states, on [`small_runner`]'s runs.
+fn assert_claims_hold(ids: &[&str]) {
+    let rows: Vec<(&Claim, f64)> = ids
+        .iter()
+        .map(|&id| {
+            let row = claim(id).unwrap_or_else(|| panic!("no claim row {id}"));
+            let Source::Runs(measure) = row.source else {
+                panic!("claim row {id} is not measured from runs")
+            };
+            (row, measure(small_runner()))
+        })
+        .collect();
+    assert_rows_hold(&rows);
+}
+
 #[test]
 fn paper_claims_hold_at_small_scale() {
-    // Every `Source::Runs` row of the claims table, each against the
-    // bound the table states: FIGCache-Fast beats Base (mcf, GemsFDTD)
-    // and LISA-VILLA (GemsFDTD), free relocation bounds real relocation,
-    // the row-buffer hit rate rises under FIGCache and not under
-    // LISA-VILLA, the measured classes match Table 2, FIGCache wins the
-    // 100%-intensive mix, and it burns no more energy on lbm.
+    // Every `Source::Runs` row of the claims table, so a row no test
+    // below names is checked too.
     let rows = claims_from_runs(small_runner());
     assert_eq!(rows.len(), 9, "the claims table has nine rows measured from runs");
-    let mut misses = Vec::new();
-    for &(claim, modelled) in &rows {
-        if !claim.holds(modelled) {
-            misses.push(claim.report(modelled));
-        }
-    }
-    assert!(misses.is_empty(), "claim rows missed at Scale::Small:\n{}", misses.join("\n"));
+    assert_rows_hold(&rows);
+}
+
+#[test]
+fn figcache_fast_beats_base_on_memory_intensive_apps() {
+    assert_claims_hold(&["fig07-mcf-fast-vs-base", "fig07-gems-fast-vs-base"]);
+}
+
+#[test]
+fn free_relocation_bounds_real_relocation() {
+    assert_claims_hold(&["fig07-mcf-ideal-vs-fast"]);
+}
+
+#[test]
+fn figcache_fast_beats_lisa_villa_on_intensive_apps() {
+    // Paper Sec 8.1: FIGCache-Fast outperforms LISA-VILLA.
+    assert_claims_hold(&["fig07-gems-fast-vs-lisa"]);
+}
+
+#[test]
+fn figcache_raises_row_buffer_hit_rate() {
+    // Paper Fig. 10: the defining effect of segment co-location.
+    assert_claims_hold(&["fig10-mcf-fast-gain"]);
+}
+
+#[test]
+fn lisa_villa_does_not_change_row_hit_rate_much() {
+    // Paper Sec 8.1: whole-row caching cannot improve row locality.
+    assert_claims_hold(&["fig10-mcf-lisa-gain"]);
+}
+
+#[test]
+fn intensity_classification_matches_table2() {
+    assert_claims_hold(&["tab2-classes"]);
+}
+
+#[test]
+fn eight_core_mix_runs_and_figcache_wins_at_high_intensity() {
+    assert_claims_hold(&["fig08-mix100-fast-vs-base"]);
+}
+
+#[test]
+fn energy_breakdown_is_consistent() {
+    let lbm = profile_by_name("lbm").unwrap();
+    assert!(small_runner().run_single(&lbm, ConfigKind::Base).energy_total() > 0.0);
+    // Faster run + fewer ACT/PRE => FIGCache must not burn more energy.
+    assert_claims_hold(&["fig11-lbm-energy"]);
 }
 
 #[test]
