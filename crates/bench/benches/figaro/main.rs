@@ -2,8 +2,8 @@
 //! subsystem record, dispatched by entry name.
 //!
 //! ```bash
-//! cargo bench --bench figaro -- fig07_single_core sched_sweep   # those two
-//! cargo bench --bench figaro                                    # every entry
+//! cargo bench --bench figaro -- fig07_single_core serving_sweep   # those two
+//! cargo bench --bench figaro                                      # every entry
 //! ```
 //!
 //! The names are [`figaro_bench::ENTRIES`]; an unknown one runs nothing,
@@ -11,20 +11,16 @@
 //! invocation runs on one shared runner, so entries built from the same
 //! runs (Figs. 7/9/10/11 and 8/9/10/11) simulate them once.
 
-mod sched_sweep;
 mod sec42;
 mod sec6;
 mod serving_sweep;
 mod tab_overhead;
 mod telemetry;
 
-use std::time::Instant;
-
 use figaro_bench::{bench_runner, header, timed, ENTRIES};
 use figaro_sim::experiments as ex;
 use figaro_sim::report::FigureData;
-use figaro_sim::{ConfigKind, RunStats, Runner, System, SystemConfig};
-use figaro_workloads::{generate_trace, profile_by_name, Trace};
+use figaro_sim::Runner;
 
 /// What an entry runs.
 enum Body {
@@ -56,37 +52,10 @@ fn body(name: &str) -> Option<Body> {
         "sec42_reloc_latency" => Program(sec42::run),
         "sec6_rowhammer" => Program(sec6::run),
         "tab_overhead" => Program(tab_overhead::run),
-        "sched_sweep" => Sweep(sched_sweep::run),
         "serving_sweep" => Sweep(serving_sweep::run),
         "telemetry" => Program(telemetry::run),
         _ => return None,
     })
-}
-
-/// The backlog-saturation shape the scheduler sweep times:
-/// eight memory-intensive cores with deep MSHRs all contending for a
-/// single channel, so the 64-entry queues actually run full.
-fn backlog_config(kind: ConfigKind) -> SystemConfig {
-    let mut cfg = SystemConfig::paper(8, kind);
-    cfg.channels = 1; // every request contends for one controller
-    cfg.hierarchy.mshrs_per_core = 16; // 128 outstanding misses vs 64 queue slots
-    cfg
-}
-
-/// One run of `cfg` (a [`backlog_config`]) on the backlog apps, with its
-/// wall time.
-fn run_backlog(cfg: SystemConfig) -> (RunStats, f64) {
-    let apps = ["mcf", "com", "tigr", "mum", "lbm", "mcf", "tigr", "com"];
-    let traces: Vec<Trace> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 60_000, 31 + i as u64))
-        .collect();
-    let insts = 40_000u64;
-    let mut sys = System::new(cfg, traces, &[insts; 8]);
-    let t = Instant::now();
-    let stats = sys.run(insts * 400);
-    (stats, t.elapsed().as_secs_f64())
 }
 
 fn main() {

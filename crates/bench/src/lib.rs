@@ -20,13 +20,13 @@
 //!
 //! * `FIGARO_SCALE` = `tiny` | `small` (default) | `full` — instructions
 //!   per core;
-//! * `FIGARO_FULL_SWEEPS=1` — run sweep figures (12–15) and the
-//!   scheduler sweep over the full set instead of the representative
-//!   subset;
+//! * `FIGARO_FULL_SWEEPS=1` — run the sweep figures (12–15) over the
+//!   full set instead of the representative subset;
 //! * `FIGARO_MC_ITERS` — iterations of the §4.2 RELOC Monte-Carlo
 //!   analysis (`sec42_reloc_latency`, default 20 000);
-//! * `FIGARO_SCHED`, `FIGARO_KERNEL`, `FIGARO_LOAD` — runner overrides
-//!   for the figure entries (see the README's env table).
+//! * `FIGARO_SCHED` = `frfcfs` (default) | `fcfs`, `FIGARO_KERNEL`,
+//!   `FIGARO_LOAD` — runner overrides for the figure entries (see the
+//!   README's env table).
 //!   Each run's memo key covers its whole configuration, so an override
 //!   never reuses another configuration's results.
 
@@ -38,7 +38,7 @@ use figaro_sim::{EnvConfig, Runner};
 
 /// The `figaro` bench binary's entry names, in the order a run with no
 /// names executes them.
-pub const ENTRIES: [&str; 18] = [
+pub const ENTRIES: [&str; 17] = [
     "fig07_single_core",
     "fig08_eight_core",
     "fig09_cache_hit_rate",
@@ -54,7 +54,6 @@ pub const ENTRIES: [&str; 18] = [
     "sec42_reloc_latency",
     "sec6_rowhammer",
     "tab_overhead",
-    "sched_sweep",
     "serving_sweep",
     "telemetry",
 ];

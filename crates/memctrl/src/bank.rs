@@ -14,8 +14,8 @@
 //! whether a job start (or a finished job's retire) is due. It depends
 //! only on state local to the bank — its queued entries in either queue
 //! (demand gates job starts), its row and pin state, its job slot and
-//! pending jobs, and its scheduler streak — so a bank goes **dirty**
-//! (rebuilt on the next read) only when
+//! pending jobs — so a bank goes **dirty** (rebuilt on the next read)
+//! only when
 //!
 //! * a command issues on it,
 //! * a queue gains or loses one of its entries,
@@ -23,8 +23,8 @@
 //! * the serve queue flips (write drain) while it holds an entry in
 //!   either queue — a bank with none summarizes the same for both;
 //!
-//! and every bank goes dirty after a refresh (rank-wide timing, scheduler
-//! streaks reset). Under strict FCFS only the serve queue's head counts,
+//! and every bank goes dirty after a rank-wide command (refresh,
+//! precharge-all). Under strict FCFS only the serve queue's head counts,
 //! so the new head's bank also goes dirty when the head moves.
 //!
 //! Each bank also memoizes its **horizon term**: the earliest cycle any
@@ -66,7 +66,7 @@ pub struct Candidate {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BankSummary {
     /// Priority 1: the column command of the oldest serve-queue entry
-    /// hitting the open row, when the policy lets it bypass.
+    /// hitting the open row (under FCFS, only when it is the queue head).
     pub column: Option<Candidate>,
     /// Priority 3: the PRE (row conflict) or ACT (closed bank) issued
     /// on behalf of the oldest entry that needs one.

@@ -1,12 +1,11 @@
 //! The per-channel memory controller: queue management, write drain,
 //! refresh, relocation-job execution, and the event-horizon contract.
 //!
-//! Demand scheduling itself is delegated to the pluggable
-//! [`SchedPolicy`] selected by
-//! [`McConfig::sched`]; queue storage is the per-bank
-//! [`IndexedQueue`]; per-bank state lives
-//! in [`BankState`] (job slots) and
-//! `BankMemos` (the memoized summaries, horizon terms and bank masks).
+//! Demand candidates come from [`scheduler`] under the policy
+//! [`McConfig::sched`] names (FR-FCFS or strict FCFS); queue storage is
+//! the per-bank [`IndexedQueue`]; per-bank state lives in [`BankState`]
+//! (job slots) and `BankMemos` (the memoized summaries, horizon terms
+//! and bank masks).
 //!
 //! One memoized [`BankSummary`] per bank
 //! drives both halves of the controller. The event horizon is the
@@ -36,7 +35,7 @@ use crate::bank::{banks_in, BankMask, BankMemos, BankState, BankSummary};
 use crate::histogram::LatencyHistogram;
 use crate::queues::{Entry, IndexedQueue};
 use crate::request::{Completion, Request};
-use crate::scheduler::{self, SchedPolicy, SchedPolicyKind};
+use crate::scheduler::{self, SchedPolicyKind};
 
 /// Controller configuration (the paper's Table 1 values by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +77,34 @@ impl Default for McConfig {
             map: MapKind::paper(),
             flat_scan: false,
         }
+    }
+}
+
+impl McConfig {
+    /// Checks that both queues hold requests and that the write-drain
+    /// watermarks fit the write queue: `wq_low < wq_high <=
+    /// write_queue_cap` (a zero `wq_high` would drain writes on every
+    /// tick; one above the capacity would never start a drain).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule broken, naming the field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, cap) in
+            [("read_queue_cap", self.read_queue_cap), ("write_queue_cap", self.write_queue_cap)]
+        {
+            if cap == 0 {
+                return Err(format!("mc.{name} must be non-zero"));
+            }
+        }
+        let (low, high, cap) = (self.wq_low, self.wq_high, self.write_queue_cap);
+        if low >= high {
+            return Err(format!("mc.wq_low ({low}) must be below mc.wq_high ({high})"));
+        }
+        if high > cap {
+            return Err(format!("mc.wq_high ({high}) exceeds mc.write_queue_cap ({cap})"));
+        }
+        Ok(())
     }
 }
 
@@ -206,14 +233,9 @@ pub struct MemoryController {
     channel: DramChannel,
     channel_id: u32,
     engine: Box<dyn CacheEngine>,
-    policy: Box<dyn SchedPolicy>,
     read_q: IndexedQueue,
     write_q: IndexedQueue,
     drain_writes: bool,
-    /// Write-drain watermarks as resolved by the policy (defaults to the
-    /// configured `wq_high`/`wq_low`).
-    wq_high: usize,
-    wq_low: usize,
     next_refresh: Cycle,
     refresh_pending: bool,
     banks: Vec<BankState>,
@@ -253,20 +275,15 @@ impl MemoryController {
         engine: Box<dyn CacheEngine>,
     ) -> Self {
         let banks = dram.geometry.banks_per_channel() as usize;
-        let policy = cfg.sched.build(banks);
-        let (wq_high, wq_low) = policy.watermarks(cfg.wq_high, cfg.wq_low);
         Self {
             cfg,
             mapping: dram.address_mapping(cfg.map),
             channel: DramChannel::new(dram),
             channel_id,
             engine,
-            policy,
             read_q: IndexedQueue::new(banks, cfg.read_queue_cap),
             write_q: IndexedQueue::new(banks, cfg.write_queue_cap),
             drain_writes: false,
-            wq_high,
-            wq_low,
             next_refresh: Cycle::from(dram.timing.refi),
             refresh_pending: false,
             banks: (0..banks as u32).map(|f| BankState::new(f, &dram.geometry)).collect(),
@@ -305,12 +322,6 @@ impl MemoryController {
     #[must_use]
     pub fn counters(&self) -> Option<&McCounters> {
         self.counters.as_deref()
-    }
-
-    /// The scheduling policy in force.
-    #[must_use]
-    pub fn sched(&self) -> SchedPolicyKind {
-        self.policy.kind()
     }
 
     /// Whether a request of the given kind can be accepted this cycle.
@@ -357,7 +368,7 @@ impl MemoryController {
             self.stats.enq_writes += 1;
             self.write_q.push_back(entry);
             self.stats.write_q_peak = self.stats.write_q_peak.max(self.write_q.len() as u64);
-            figaro_telemetry::probe!(self.trace, t => t.drain_update(now, self.write_q.len(), self.wq_high, self.wq_low));
+            figaro_telemetry::probe!(self.trace, t => t.drain_update(now, self.write_q.len(), self.cfg.wq_high, self.cfg.wq_low));
         } else {
             self.stats.enq_reads += 1;
             // Read-around-write forwarding: a queued write to the same
@@ -387,17 +398,21 @@ impl MemoryController {
         }
     }
 
-    /// The write-drain decision the next tick will make, given queue
-    /// lengths (the hysteresis flag itself only changes on ticks).
-    fn effective_serve_writes(&self, read_len: usize, write_len: usize) -> bool {
-        let drain = if write_len >= self.wq_high {
+    /// The write-drain hysteresis at the current queue lengths:
+    /// `(drain, serve_writes)` — the flag the next tick sets, and the
+    /// queue it serves (writes while draining, and opportunistically
+    /// when no read waits). The tick and the event horizon both ask
+    /// here; the flag itself only changes on ticks.
+    fn write_drain(&self) -> (bool, bool) {
+        let writes = self.write_q.len();
+        let drain = if writes >= self.cfg.wq_high {
             true
-        } else if write_len <= self.wq_low {
+        } else if writes <= self.cfg.wq_low {
             false
         } else {
             self.drain_writes
         };
-        drain || (read_len == 0 && write_len > 0)
+        (drain, drain || (self.read_q.is_empty() && writes > 0))
     }
 
     /// Moves all completions into `out` (appended in production order),
@@ -474,9 +489,8 @@ impl MemoryController {
                 _ => {}
             }
         }
-        self.policy.on_issue(flat, cmd);
-        // Rank-scoped commands touch every bank (and a refresh resets
-        // the scheduler's streaks); anything else only its own bank.
+        // Rank-scoped commands change every bank's timing; anything else
+        // only its own bank's.
         if matches!(cmd, DramCommand::Refresh | DramCommand::PrechargeAll) {
             self.dirty_all();
         } else {
@@ -539,8 +553,7 @@ impl MemoryController {
     fn summarize(&self, b: usize, serve_writes: bool) -> BankSummary {
         let st = &self.banks[b];
         let queue = if serve_writes { &self.write_q } else { &self.read_q };
-        let (column, prep) =
-            scheduler::demand(self.policy.as_ref(), queue, b as u32, st, &self.channel);
+        let (column, prep) = scheduler::demand(self.cfg.sched, queue, b as u32, st, &self.channel);
         let (job, now) = match st.job {
             Some(job) => {
                 let open = self.channel.open_row(st.addr);
@@ -592,14 +605,8 @@ impl MemoryController {
                 return;
             }
         }
-        // Write-drain hysteresis; also drain opportunistically when idle.
-        if self.write_q.len() >= self.wq_high {
-            self.drain_writes = true;
-        } else if self.write_q.len() <= self.wq_low {
-            self.drain_writes = false;
-        }
-        let serve_writes =
-            self.drain_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
+        let (drain, serve_writes) = self.write_drain();
+        self.drain_writes = drain;
 
         if self.cfg.enable_refresh && now >= self.next_refresh {
             self.refresh_pending = true;
@@ -699,9 +706,9 @@ impl MemoryController {
         {
             return (best != Cycle::MAX).then_some(best);
         }
-        // Write-drain hysteresis exactly as the next tick will compute it
-        // (queue lengths cannot change between events).
-        let serve_writes = self.effective_serve_writes(self.read_q.len(), self.write_q.len());
+        // The serve queue exactly as the next tick will pick it (queue
+        // lengths cannot change between events).
+        let (_, serve_writes) = self.write_drain();
         if let Some(t) = self.banks_horizon(serve_writes) {
             best = best.min(t.max(from));
         }
@@ -862,11 +869,11 @@ impl MemoryController {
         let entry = queue.remove(c.id);
         // Strict FCFS summarizes only the head's bank: the head moved.
         let head_bank = queue.head_id().map(|h| queue.entry(h).flat_bank);
-        if let Some(b) = head_bank.filter(|_| self.policy.in_order_only()) {
+        if let Some(b) = head_bank.filter(|_| self.cfg.sched == SchedPolicyKind::Fcfs) {
             self.mark_dirty(b);
         }
         if serve_writes {
-            figaro_telemetry::probe!(self.trace, t => t.drain_update(now, self.write_q.len(), self.wq_high, self.wq_low));
+            figaro_telemetry::probe!(self.trace, t => t.drain_update(now, self.write_q.len(), self.cfg.wq_high, self.cfg.wq_low));
         }
         let done = self.issue(entry.bank, &c.cmd, now);
         self.classify_and_count(&entry);
@@ -1298,37 +1305,12 @@ mod tests {
     }
 
     #[test]
-    fn row_hit_cap_unblocks_a_starved_conflict() {
-        // Row 0 open, one conflicting request (row 1) queued behind a
-        // steady stream of row-0 hits. Plain FR-FCFS serves every hit
-        // first; FrFcfsCap{2} must close the row after two hits and
-        // serve the conflict before the stream ends.
-        let row_stride = 128 * 64 * 16;
-        let conflict_position = |sched: SchedPolicyKind| {
-            let cfg = McConfig { enable_refresh: false, sched, ..McConfig::default() };
-            let mut mc = base_mc_with(cfg);
-            mc.enqueue(read(1, 0, 0), 0);
-            let (_, t) = run_until_completions(&mut mc, 0, 1, 1000);
-            mc.enqueue(read(100, row_stride, t), t); // the conflict
-            for i in 0..8u64 {
-                mc.enqueue(read(2 + i, 64 * (i + 1), t), t); // hits
-            }
-            let (done, _) = run_until_completions(&mut mc, t, 9, 4000);
-            done.iter().position(|c| c.id == 100).expect("conflict must complete")
-        };
-        let frfcfs = conflict_position(SchedPolicyKind::FrFcfs);
-        let capped = conflict_position(SchedPolicyKind::FrFcfsCap { cap: 2 });
-        assert_eq!(frfcfs, 8, "FR-FCFS serves all 8 hits before the conflict");
-        assert!(capped <= 2, "cap=2 must serve the conflict after at most 2 hits, got {capped}");
-    }
-
-    #[test]
     fn write_drain_policy_drains_at_its_own_watermark() {
-        // Two writes + one read queued. The default watermarks (40/16)
-        // never trigger a drain, so FR-FCFS serves the read first; a
-        // WriteDrain{2,1} policy must drain the writes first.
-        let first_served = |sched: SchedPolicyKind| {
-            let cfg = McConfig { enable_refresh: false, sched, ..McConfig::default() };
+        // Two writes + one read queued. The paper's watermarks (40/16)
+        // never trigger a drain, so the read is served first; watermarks
+        // of 2/1 must drain the writes first.
+        let first_served = |wq_high: usize, wq_low: usize| {
+            let cfg = McConfig { enable_refresh: false, wq_high, wq_low, ..McConfig::default() };
             let mut mc = base_mc_with(cfg);
             mc.enqueue(write(1, 4096, 0), 0);
             mc.enqueue(write(2, 8192, 0), 0);
@@ -1340,29 +1322,19 @@ mod tests {
             }
             (mc.stats().reads_served, mc.stats().writes_served)
         };
-        assert_eq!(first_served(SchedPolicyKind::FrFcfs), (1, 0), "default serves the read");
-        assert_eq!(
-            first_served(SchedPolicyKind::WriteDrain { high: 2, low: 1 }),
-            (0, 1),
-            "tuned watermarks must drain writes first"
-        );
+        assert_eq!(first_served(40, 16), (1, 0), "the paper's watermarks serve the read");
+        assert_eq!(first_served(2, 1), (0, 1), "tight watermarks must drain writes first");
     }
 
     #[test]
     fn next_event_at_is_never_in_the_past_and_skipped_ticks_are_noops() {
         // A FIGCache controller with refresh enabled exercises every event
         // source: demand queues, relocation jobs, and refresh transitions.
-        // Every policy must uphold the horizon contract.
-        let policies = [
-            SchedPolicyKind::FrFcfs,
-            SchedPolicyKind::Fcfs,
-            SchedPolicyKind::FrFcfsCap { cap: 4 },
-            SchedPolicyKind::WriteDrain { high: 48, low: 8 },
-        ];
-        for sched in policies {
+        // Every scheduler and watermark pair must uphold the horizon
+        // contract.
+        for (label, cfg) in sched_grid() {
             let dram = fig_dram();
             let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
-            let cfg = McConfig { sched, ..McConfig::default() };
             let mut mc = MemoryController::new(&dram, cfg, 0, Box::new(engine));
             let snapshot = |mc: &MemoryController| {
                 (
@@ -1385,11 +1357,7 @@ mod tests {
                 }
                 let horizon = mc.next_event_at(t);
                 if let Some(h) = horizon {
-                    assert!(
-                        h >= t,
-                        "[{}] horizon {h} at bus cycle {t} lies in the past",
-                        sched.label()
-                    );
+                    assert!(h >= t, "[{label}] horizon {h} at bus cycle {t} lies in the past");
                 }
                 let before = snapshot(&mc);
                 mc.tick(t);
@@ -1398,21 +1366,17 @@ mod tests {
                     assert_eq!(
                         snapshot(&mc),
                         before,
-                        "[{}] tick before the horizon acted at {t}",
-                        sched.label()
+                        "[{label}] tick before the horizon acted at {t}"
                     );
                     assert_eq!(
-                        drained,
-                        0,
-                        "[{}] tick before the horizon completed a request at {t}",
-                        sched.label()
+                        drained, 0,
+                        "[{label}] tick before the horizon completed a request at {t}"
                     );
                 }
             }
             assert!(
                 mc.stats().reads_served > 100,
-                "[{}] the workload must exercise the controller",
-                sched.label()
+                "[{label}] the workload must exercise the controller"
             );
             assert!(mc.dram_stats().refreshes > 0, "refresh must fire during the run");
             assert!(mc.dram_stats().relocs > 0, "relocation jobs must run");
@@ -1459,12 +1423,18 @@ mod tests {
         per_cycle
     }
 
-    const ALL_POLICIES: [SchedPolicyKind; 4] = [
-        SchedPolicyKind::FrFcfs,
-        SchedPolicyKind::Fcfs,
-        SchedPolicyKind::FrFcfsCap { cap: 2 },
-        SchedPolicyKind::WriteDrain { high: 4, low: 1 },
-    ];
+    /// Both schedulers, each with the paper's write-drain watermarks
+    /// (40/16) and with tight ones (4/1) that flip the serve queue often.
+    fn sched_grid() -> Vec<(String, McConfig)> {
+        let mut grid = Vec::new();
+        for sched in [SchedPolicyKind::FrFcfs, SchedPolicyKind::Fcfs] {
+            for (wq_high, wq_low) in [(40, 16), (4, 1)] {
+                let cfg = McConfig { sched, wq_high, wq_low, ..McConfig::default() };
+                grid.push((format!("{}/wq{wq_high}-{wq_low}", sched.label()), cfg));
+            }
+        }
+        grid
+    }
 
     #[test]
     fn event_paced_ticking_matches_per_cycle_including_refresh() {
@@ -1474,21 +1444,18 @@ mod tests {
         // pending (silently disabling refresh for the rest of the run).
         // Drive a FIGCache controller through a bursty schedule that
         // repeatedly blocks banks (relocation jobs in flight) around the
-        // refresh deadline, and require actual refreshes. Every policy
-        // runs it: strict FCFS moves its head across banks, the row-hit
-        // cap resets its streaks at refresh, and tight write-drain
-        // watermarks flip the serve queue — each a site that must
-        // invalidate the per-bank memo.
+        // refresh deadline, and require actual refreshes. Every pair of
+        // `sched_grid` runs it: strict FCFS moves its head across banks
+        // and tight write-drain watermarks flip the serve queue — each a
+        // site that must invalidate the per-bank memo.
         let dram = fig_dram();
-        for sched in ALL_POLICIES {
-            let cfg = McConfig { sched, ..McConfig::default() };
+        for (label, cfg) in sched_grid() {
             let mk = || {
                 let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
                 MemoryController::new(&dram, cfg, 0, Box::new(engine))
             };
             let refi = u64::from(dram.timing.refi);
             let mut id = 0u64;
-            let label = sched.label();
             // Bursts of row conflicts alternating between two banks
             // (every third request a write) shortly before each refresh
             // deadline, so jobs and open banks straddle the transition.
@@ -1523,13 +1490,11 @@ mod tests {
         let round = 900;
         // Block `col` of `row` on flat bank `bank` under the paper mapping.
         let addr = |bank: u64, row: u64, col: u64| ((row * 16 + bank) * 128 + col) * 64;
-        for sched in ALL_POLICIES {
-            let cfg = McConfig { sched, ..McConfig::default() };
+        for (label, cfg) in sched_grid() {
             let mk = || {
                 let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
                 MemoryController::new(&dram, cfg, 0, Box::new(engine))
             };
-            let label = sched.label();
             let per_cycle = assert_event_paced_matches_per_cycle(&label, mk, 12 * round, |t, _| {
                 let (k, phase) = (t / round, t % round);
                 let id = t;

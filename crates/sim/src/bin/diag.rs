@@ -31,8 +31,8 @@ fn usage() -> ! {
          foreign) and summarizes events per category and span balance.\n\
          \n\
          env (result-affecting):\n\
-         FIGARO_SCHED=frfcfs|fcfs|frfcfs-cap<N>|wdrain<H>-<L> picks the\n\
-         memory-controller scheduling policy,\n\
+         FIGARO_SCHED=frfcfs|fcfs picks the memory-controller\n\
+         scheduling policy,\n\
          FIGARO_KERNEL={KERNEL_CHOICES} the simulation\n\
          kernel (both give bit-identical results),\n\
          FIGARO_LOAD=fixed:G|poisson:G|bursty:ON,OPS,IDLE replaces the\n\

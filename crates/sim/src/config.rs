@@ -197,8 +197,9 @@ impl SystemConfig {
 
     /// Checks that the model can run this system: 1 to 256 cores (a
     /// request names its core in a `u8`), `1 <= width <= window <=`
-    /// [`MAX_CORE_WINDOW`], a non-zero CPU:bus clock ratio, a DRAM
-    /// configuration ([`SystemConfig::dram_config`]) that passes
+    /// [`MAX_CORE_WINDOW`], a non-zero CPU:bus clock ratio, a controller
+    /// that passes [`McConfig::validate`], a DRAM configuration
+    /// ([`SystemConfig::dram_config`]) that passes
     /// [`DramConfig::validate`], an in-DRAM cache that passes
     /// [`FigCacheConfig::validate_for`] on it, and a hierarchy that passes
     /// [`HierarchyConfig::validate`] over the DRAM address space, so
@@ -223,6 +224,7 @@ impl SystemConfig {
         if self.cpu_cycles_per_bus == 0 {
             return Err("cpu_cycles_per_bus must be non-zero".into());
         }
+        self.mc.validate()?;
         let dram = self.dram_config();
         dram.validate()?;
         if let Some(cache) = self.cache_config() {
@@ -515,6 +517,29 @@ mod tests {
     #[test]
     fn validate_rejects_a_zero_bus_ratio() {
         assert!(rejection(1, |c| c.cpu_cycles_per_bus = 0).contains("cpu_cycles_per_bus"));
+    }
+
+    #[test]
+    fn validate_rejects_empty_queues_and_misplaced_watermarks() {
+        let paper = McConfig::default();
+        // (the field the error must name, the bad controller)
+        let rows = [
+            ("read_queue_cap", McConfig { read_queue_cap: 0, ..paper }),
+            ("write_queue_cap", McConfig { write_queue_cap: 0, ..paper }),
+            ("wq_high", McConfig { wq_high: 0, ..paper }),
+            ("wq_low", McConfig { wq_low: paper.wq_high, ..paper }),
+            ("wq_low", McConfig { wq_high: 8, wq_low: 9, ..paper }),
+            ("wq_high", McConfig { wq_high: paper.write_queue_cap + 1, ..paper }),
+        ];
+        for (field, mc) in rows {
+            let err = rejection(1, |c| c.mc = mc);
+            assert!(err.contains(field), "{err}");
+        }
+        let full = McConfig { wq_high: 64, wq_low: 63, ..paper };
+        assert_eq!(
+            SystemConfig { mc: full, ..SystemConfig::paper(1, ConfigKind::Base) }.validate(),
+            Ok(())
+        );
     }
 
     #[test]

@@ -151,12 +151,7 @@ impl EnvConfig {
         Ok(Self {
             scale: choice(get, "FIGARO_SCALE", "tiny|small|full", Scale::parse)?,
             kernel: choice(get, "FIGARO_KERNEL", &format!("`{KERNEL_CHOICES}`"), Kernel::parse)?,
-            sched: choice(
-                get,
-                "FIGARO_SCHED",
-                "frfcfs | fcfs | frfcfs-cap<N> | wdrain<H>-<L>",
-                SchedPolicyKind::from_name,
-            )?,
+            sched: choice(get, "FIGARO_SCHED", "frfcfs | fcfs", SchedPolicyKind::from_name)?,
             arrival: field(get, "FIGARO_LOAD", |raw| {
                 ArrivalKind::parse(raw)
                     .map_err(|e| format!("unrecognized FIGARO_LOAD `{raw}`: {e}"))

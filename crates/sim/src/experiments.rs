@@ -1011,86 +1011,6 @@ fn sweep_figure(
     fig
 }
 
-/// The scheduler policies compared by [`scheduler_sweep`]: the FR-FCFS
-/// default, strict FCFS, a capped FR-FCFS, and tuned write-drain
-/// watermarks.
-#[must_use]
-pub fn sched_policies() -> Vec<SchedPolicyKind> {
-    vec![
-        SchedPolicyKind::FrFcfs,
-        SchedPolicyKind::Fcfs,
-        SchedPolicyKind::FrFcfsCap { cap: 4 },
-        SchedPolicyKind::WriteDrain { high: 48, low: 8 },
-    ]
-}
-
-/// **Scheduler sweep**: policy × mechanism × workload grid over the
-/// streamed eight-core mixes. Rows are `policy / mechanism` pairs;
-/// columns report throughput (Σ IPC) and DRAM row-hit rate per mix —
-/// the two axes scheduler choices move. Export with
-/// [`FigureData::to_csv`]. Mix subset unless the runner runs full
-/// sweeps (one mix per intensity category).
-pub fn scheduler_sweep(runner: &Runner) -> FigureData {
-    scheduler_sweep_with(runner, None)
-}
-
-/// [`scheduler_sweep`] with an explicit per-core instruction target
-/// (the test suite runs a tiny grid this way; `None` uses the
-/// runner scale's per-profile targets).
-pub fn scheduler_sweep_with(runner: &Runner, target_insts: Option<u64>) -> FigureData {
-    let policies = sched_policies();
-    let kinds = [ConfigKind::Base, ConfigKind::FigCacheFast];
-    let all = eight_core_mixes();
-    let cats: Vec<MixCategory> = if runner.full_sweeps() {
-        MixCategory::all().to_vec()
-    } else {
-        vec![MixCategory::Intensive100, MixCategory::Intensive25]
-    };
-    let mixes: Vec<Mix> = cats
-        .iter()
-        .map(|c| all.iter().find(|m| m.category == *c).expect("every category has mixes").clone())
-        .collect();
-    let mut jobs = Vec::new();
-    for policy in &policies {
-        for kind in &kinds {
-            for mix in &mixes {
-                let mut spec = runner.stream_spec(kind.clone(), &mix.apps, target_insts);
-                spec.config = spec.config.with_sched(*policy);
-                jobs.push(spec);
-            }
-        }
-    }
-    let results = runner.run_batch(&jobs);
-    let mut columns = Vec::new();
-    for mix in &mixes {
-        columns.push(format!("{} ipc", mix.name));
-        columns.push(format!("{} row-hit", mix.name));
-    }
-    let mut fig = FigureData::new(
-        "Scheduler sweep: policy x mechanism x mix (throughput, row-hit rate)",
-        columns,
-    );
-    let mut idx = 0;
-    for policy in &policies {
-        for kind in &kinds {
-            let mut vals = Vec::new();
-            for _ in &mixes {
-                let s = &results[idx];
-                idx += 1;
-                vals.push(s.ipc.iter().sum::<f64>());
-                vals.push(s.row_hit_rate);
-            }
-            fig.push_row(format!("{} / {}", policy.label(), kind.label()), vals);
-        }
-    }
-    note_truncations(&mut fig, &results);
-    fig.push_note("frfcfs is the paper's controller; every policy runs the identical workload");
-    if !runner.full_sweeps() {
-        fig.push_note("mix subset in effect (set FIGARO_FULL_SWEEPS=1 for all four categories)");
-    }
-    fig
-}
-
 /// The offered-load ladder swept by [`serving_sweep`]: Poisson arrival
 /// processes from light load (mean gap 256 non-memory instructions per
 /// memory op) down past the saturation knee (mean gap 8).

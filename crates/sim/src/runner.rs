@@ -200,9 +200,9 @@ fn idle_companion_trace() -> Trace {
 /// in `tests/tests/sched_policies.rs`). A change that alters simulated
 /// behaviour on those runs fails that test, which prints the new value
 /// to put here, so every such change must bump it in plain sight. Those
-/// runs are closed-loop FR-FCFS with the paper mapping and identity page
-/// placement, so a change confined to another scheduler, placement or
-/// arrival pacing does not move it.
+/// runs are closed-loop FR-FCFS with the paper's mapping and write-drain
+/// watermarks, so a change confined to FCFS or to open-loop arrival
+/// pacing does not move it.
 pub const MODEL_EPOCH: u64 = 0x9fcf_59a7_b0dc_1188;
 
 /// FNV-1a of `text`: digests the seed goldens into [`MODEL_EPOCH`].

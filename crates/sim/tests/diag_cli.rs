@@ -74,6 +74,9 @@ fn bad_env_values_exit_with_an_error_naming_the_variable() -> io::Result<()> {
     let table = [
         ("FIGARO_KERNEL", "spooled"),
         ("FIGARO_SCHED", "fifo"),
+        // The retired tuned schedulers are bad values, not fallbacks.
+        ("FIGARO_SCHED", "frfcfs-cap4"),
+        ("FIGARO_SCHED", "wdrain48-8"),
         ("FIGARO_LOAD", "poisson"),
         ("FIGARO_SCALE", "huge"),
         ("FIGARO_FULL_SWEEPS", "yes"),

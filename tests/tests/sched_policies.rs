@@ -1,12 +1,14 @@
-//! Cross-crate proof obligations of the modular scheduling subsystem.
+//! Cross-crate proof obligations of the memory controller's scheduling.
 //!
-//! 1. **Seed bit-identity**: the refactored FR-FCFS controller (per-bank
-//!    indexed queues + pluggable policy) reproduces the pre-refactor
+//! 1. **Seed bit-identity**: the FR-FCFS controller (per-bank indexed
+//!    queues, memoized bank summaries) reproduces the pre-refactor
 //!    monolith's `RunStats` bit for bit on the Figure 7/8 config set
 //!    under both kernels — the hardcoded digests below were captured
 //!    from `main` immediately before the refactor (regenerate with
-//!    `cargo run --release --example golden_digest`).
-//! 2. **Policy × kernel equivalence**: every scheduling policy keeps the
+//!    `cargo run --release --example golden_digest`); strict FCFS
+//!    reproduces the rows captured when it landed.
+//! 2. **Policy × watermark × kernel equivalence**: FR-FCFS and FCFS, at
+//!    the paper's write-drain watermarks and at tight ones, keep the
 //!    event kernel bit-identical to the per-cycle reference.
 //! 3. **Runner plumbing**: per-run policy overrides really reach
 //!    the controller and never share memo entries with the default.
@@ -16,7 +18,7 @@
 
 use proptest::prelude::*;
 
-use figaro_sim::experiments::scheduler_sweep_with;
+use figaro_memctrl::McConfig;
 use figaro_sim::{
     ConfigKind, Kernel, RunStats, Runner, Scale, SchedPolicyKind, System, SystemConfig, MODEL_EPOCH,
 };
@@ -111,29 +113,21 @@ fn frfcfs_reproduces_the_pre_refactor_seed_bit_for_bit() {
     }
 }
 
-/// One golden row of a non-default policy on the multi-app shape:
-/// config label, policy label, cores, then the [`digest`] fields.
+/// One golden row of strict FCFS on the multi-app shape: config label,
+/// policy label, cores, then the [`digest`] fields.
 type PolicyGoldenRow =
     (&'static str, &'static str, usize, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
 #[test]
 fn every_policy_reproduces_its_seed_golden() {
-    // The other three policies on the FR-FCFS goldens' shape, each row
-    // checked under both kernels; captured when the policies landed.
+    // Strict FCFS on the FR-FCFS goldens' shape, each row checked under
+    // both kernels; captured when the policy landed.
     #[rustfmt::skip]
     let goldens: &[PolicyGoldenRow] = &[
         ("Base", "fcfs", 1, 148097, 461, 89, 956, 1506, 0, 0, 316844, 0, 5, 0),
         ("Base", "fcfs", 4, 108232, 3554, 264, 1669, 5487, 0, 0, 851328, 0, 16, 0),
-        ("Base", "frfcfs-cap4", 1, 56000, 472, 47, 1000, 1519, 0, 0, 132306, 0, 2, 0),
-        ("Base", "frfcfs-cap4", 4, 54428, 3503, 259, 1773, 5535, 0, 0, 459830, 0, 8, 0),
-        ("Base", "wdrain48-8", 1, 55780, 474, 45, 1000, 1519, 0, 0, 131866, 0, 2, 0),
-        ("Base", "wdrain48-8", 4, 54808, 3629, 144, 1747, 5520, 0, 0, 434698, 0, 8, 0),
         ("FIGCache-Fast", "fcfs", 1, 162109, 523, 103, 880, 1506, 0, 0, 344766, 13424, 6, 838),
         ("FIGCache-Fast", "fcfs", 4, 117788, 3665, 281, 1544, 5490, 0, 0, 886328, 26416, 16, 1648),
-        ("FIGCache-Fast", "frfcfs-cap4", 1, 64092, 545, 90, 885, 1520, 0, 0, 147856, 13504, 2, 842),
-        ("FIGCache-Fast", "frfcfs-cap4", 4, 61048, 3617, 300, 1596, 5513, 0, 0, 494942, 26512, 8, 1655),
-        ("FIGCache-Fast", "wdrain48-8", 1, 63752, 548, 87, 885, 1520, 0, 0, 147188, 13504, 2, 842),
-        ("FIGCache-Fast", "wdrain48-8", 4, 60264, 3746, 186, 1579, 5511, 0, 0, 472416, 26416, 8, 1650),
     ];
     for &(label, sched_label, cores, a, b, c, d, e, f, g, h, i, j, k) in goldens {
         let kind = if label == "Base" { ConfigKind::Base } else { ConfigKind::FigCacheFast };
@@ -234,30 +228,11 @@ fn scenario_sched_override_reaches_the_controller_and_gets_its_own_cache_key() {
     );
 }
 
-#[test]
-fn scheduler_sweep_tiny_grid_runs_and_exports_csv() {
-    // The scheduler-sweep smoke: the full policy x mechanism grid on
-    // streamed mixes at a tiny instruction target, with the CSV export
-    // the manual CI job uploads as an artifact.
-    let runner = Runner::new(Scale::Tiny);
-    let fig = scheduler_sweep_with(&runner, Some(4_000));
-    assert_eq!(fig.rows.len(), 8, "4 policies x 2 mechanisms");
-    assert!(fig.columns.len() >= 4, "ipc + row-hit per mix");
-    for (label, vals) in &fig.rows {
-        assert!(vals.iter().all(|v| v.is_finite() && *v >= 0.0), "non-finite cell in row {label}");
-        assert!(vals[0] > 0.0, "zero throughput in row {label}");
-    }
-    let csv = fig.to_csv();
-    assert!(csv.lines().count() > 8, "csv must carry the grid");
-    assert!(csv.contains("frfcfs / Base"));
-    assert!(csv.contains("fcfs / FIGCache-Fast"));
-}
-
-/// Runs one policy/kernel combination on a deterministic seed mix.
+/// Runs one controller/kernel combination on a deterministic seed mix.
 fn policy_run(
     seed: u64,
     cores: usize,
-    sched: SchedPolicyKind,
+    mc: McConfig,
     kind: &ConfigKind,
     kernel: Kernel,
 ) -> RunStats {
@@ -269,7 +244,7 @@ fn policy_run(
         })
         .collect();
     let insts = 8_000u64;
-    let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) }.with_sched(sched);
+    let cfg = SystemConfig { kernel, mc, ..SystemConfig::paper(cores, kind.clone()) };
     let mut sys = System::new(cfg, traces, &vec![insts; cores]);
     sys.run(insts * 400)
 }
@@ -278,34 +253,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Every scheduling policy preserves the event-kernel contract:
-    /// random seed x policy x mechanism x 1-2 cores, bit-identical
-    /// RunStats between the event and reference kernels.
+    /// random seed x policy x write-drain watermarks (the paper's 40/16,
+    /// or a tight 8/2 that flips the serve queue often) x mechanism x
+    /// 1-2 cores, bit-identical RunStats between the event and reference
+    /// kernels.
     #[test]
     fn every_policy_preserves_kernel_equivalence(
         seed in 0u64..1_000_000,
         cores_log2 in 0u32..2,
-        policy_idx in 0usize..4,
+        policy_idx in 0usize..2,
+        tight in any::<bool>(),
         kind_idx in 0usize..3,
     ) {
-        let policies = [
-            SchedPolicyKind::FrFcfs,
-            SchedPolicyKind::Fcfs,
-            SchedPolicyKind::FrFcfsCap { cap: 2 },
-            SchedPolicyKind::WriteDrain { high: 8, low: 2 },
-        ];
+        let policies = [SchedPolicyKind::FrFcfs, SchedPolicyKind::Fcfs];
         let kinds = [ConfigKind::Base, ConfigKind::FigCacheFast, ConfigKind::LisaVilla];
         let cores = 1usize << cores_log2;
-        let sched = policies[policy_idx];
+        let (wq_high, wq_low) = if tight { (8, 2) } else { (40, 16) };
+        let mc = McConfig { sched: policies[policy_idx], wq_high, wq_low, ..McConfig::default() };
         let kind = &kinds[kind_idx];
-        let reference = policy_run(seed, cores, sched, kind, Kernel::Reference);
-        let event = policy_run(seed, cores, sched, kind, Kernel::Event);
+        let reference = policy_run(seed, cores, mc, kind, Kernel::Reference);
+        let event = policy_run(seed, cores, mc, kind, Kernel::Event);
         prop_assert_eq!(
             &reference,
             &event,
-            "RunStats diverged: seed={} cores={} sched={} kind={}",
+            "RunStats diverged: seed={} cores={} sched={} wq={}/{} kind={}",
             seed,
             cores,
-            sched.label(),
+            mc.sched.label(),
+            wq_high,
+            wq_low,
             kind.label()
         );
         prop_assert!(reference.dram.reads > 0, "workload never reached DRAM");
