@@ -10,14 +10,16 @@
 //!   the cores that are due (see `CoreClocks`). Between events it
 //!   advances the clock straight to the minimum component horizon
 //!   (`next_event_at` on cores, hierarchy and controllers); each core
-//!   batches the cycles it skipped into the per-cycle blocked counters
-//!   (`window_full_cycles`, `stall_cycles`, MSHR-stall retry misses) when
-//!   it is next touched, so the resulting [`RunStats`] are
-//!   **bit-identical** to the reference.
+//!   applies the cycles it skipped in closed form when it is next touched
+//!   (full-width retire/issue spans, and the per-cycle blocked counters
+//!   `window_full_cycles`, `stall_cycles` and MSHR-stall retry misses),
+//!   so the resulting [`RunStats`] are **bit-identical** to the
+//!   reference.
 //!
 //! The invariant that makes this sound: between two ticks of a core
-//! nothing changes its state except the batched counters, and every
-//! component horizon is a lower bound on its next state change. A
+//! nothing changes its state but what `TraceCore::skip_cycles` applies,
+//! which touches the hierarchy only through batched retry counters, and
+//! every component horizon is a lower bound on its next state change. A
 //! skipped cycle's stall retry only counts misses, so settling it late
 //! leaves every cache's lines and recency order exactly as the reference
 //! kernel leaves them.
@@ -110,9 +112,11 @@ pub struct System {
 
 /// The event kernel's per-core due set. A core is ticked only at its own
 /// horizon or when an event touches it; every cycle in between would be
-/// a batchable tick (blocked counters or full-width non-memory issue),
-/// so the core settles those cycles lazily with
-/// [`TraceCore::skip_cycles`] when it is next touched. Settling late
+/// a tick the core can apply in closed form (a span that retires `width`
+/// entries or none while it issues `width` non-memory entries, retries a
+/// stalled op or finds the window full), so the core settles those
+/// cycles lazily with [`TraceCore::skip_cycles`] when it is next
+/// touched. A span may be cut short there: any prefix of it is exact. Settling late
 /// moves stall retries after other cores' accesses, which cannot matter:
 /// a retry only counts misses and changes no line or recency order.
 #[derive(Debug)]
@@ -335,8 +339,8 @@ impl System {
     /// Folds the hierarchy-routing, backlog and controller horizons into
     /// `next` (the minimum core horizon, computed by the caller in the
     /// same pass that checks for finished cores). Every cycle in
-    /// `(now, result)` is a no-op apart from the blocked accounting that
-    /// [`TraceCore::skip_cycles`] batches.
+    /// `(now, result)` is a no-op apart from the core cycles that
+    /// [`TraceCore::skip_cycles`] applies in closed form.
     fn component_horizon(&mut self, now: u64, mut next: u64) -> u64 {
         let per_bus = self.cfg.cpu_cycles_per_bus;
         // Pending hierarchy output routes at the next bus boundary...
@@ -431,14 +435,14 @@ impl System {
 
     /// Next-event time skipping ([`Kernel::Event`]): execute the same
     /// per-cycle step as the reference kernel, but only at event cycles,
-    /// and tick only the cores due at each; skipped cycles are folded into
-    /// the blocked counters.
+    /// and tick only the cores due at each; a core applies the cycles it
+    /// skipped in closed form.
     ///
     /// An executed step ticks only the cores in the due set (see
-    /// [`CoreClocks`]); every other core's tick would be a batchable
-    /// no-op, so it catches up with [`TraceCore::skip_cycles`] just
-    /// before an event touches it, before a telemetry sample, and at
-    /// run end.
+    /// [`CoreClocks`]); every other core's tick would be one that
+    /// [`TraceCore::skip_cycles`] applies in closed form, so it catches up
+    /// with it just before an event touches it, before a telemetry
+    /// sample, and at run end.
     fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
         let per_bus = self.cfg.cpu_cycles_per_bus;
         let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);

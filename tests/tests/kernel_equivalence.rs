@@ -7,15 +7,23 @@
 
 use proptest::prelude::*;
 
-use figaro_cpu::CacheParams;
+use figaro_cpu::{CacheParams, CoreParams};
 use figaro_sim::{ConfigKind, Kernel, RunStats, Runner, Scale, System, SystemConfig};
 use figaro_telemetry::TelemetryConfig;
 use figaro_workloads::{
     app_profiles, generate_trace, profile_by_name, Trace, TraceGenerator, TraceOp, TraceSource,
 };
 
-/// Runs one system built from `(seed, cores, kind)` under `kernel`.
-fn run(seed: u64, cores: usize, kind: &ConfigKind, kernel: Kernel, insts: u64) -> RunStats {
+/// Runs one system built from `(seed, cores, kind)` with `core` cores
+/// under `kernel`.
+fn run(
+    seed: u64,
+    cores: usize,
+    kind: &ConfigKind,
+    core: CoreParams,
+    kernel: Kernel,
+    insts: u64,
+) -> RunStats {
     let profiles = app_profiles();
     let traces: Vec<Trace> = (0..cores)
         .map(|i| {
@@ -24,38 +32,45 @@ fn run(seed: u64, cores: usize, kind: &ConfigKind, kernel: Kernel, insts: u64) -
             generate_trace(p, 6_000, seed ^ (i as u64).wrapping_mul(0x9e37_79b9))
         })
         .collect();
-    let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) };
+    let cfg = SystemConfig { kernel, core, ..SystemConfig::paper(cores, kind.clone()) };
     let mut sys = System::new(cfg, traces, &vec![insts; cores]);
     sys.run(insts * 400)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random seed x Figure 7/8 mechanism x 1-4 cores (powers of two —
     /// the shared LLC scales at 2 MB/core and needs a power-of-two set
-    /// count): the two kernels must agree bit-for-bit on the full
-    /// statistics record.
+    /// count) x core shape (width 1-4; a window of one issue group, of
+    /// two groups plus one, 32 or 256 entries — the short windows make a
+    /// core's spans retire entries they issued themselves): the two
+    /// kernels must agree bit-for-bit on the full statistics record.
     #[test]
     fn event_kernel_is_bit_identical_to_reference(
         seed in 0u64..1_000_000,
         cores_log2 in 0u32..3,
         kind_idx in 0usize..6,
+        width in 1usize..=4,
+        window_idx in 0usize..4,
     ) {
         let cores = 1usize << cores_log2;
         let mut kinds = vec![ConfigKind::Base];
         kinds.extend(ConfigKind::figure78_set());
         let kind = &kinds[kind_idx];
+        let window = [width, 2 * width + 1, 32, 256][window_idx];
+        let core = CoreParams { width, window };
         let insts = 10_000;
-        let reference = run(seed, cores, kind, Kernel::Reference, insts);
-        let event = run(seed, cores, kind, Kernel::Event, insts);
+        let reference = run(seed, cores, kind, core, Kernel::Reference, insts);
+        let event = run(seed, cores, kind, core, Kernel::Event, insts);
         prop_assert_eq!(
             &reference,
             &event,
-            "RunStats diverged: seed={} cores={} kind={}",
+            "RunStats diverged: seed={} cores={} kind={} core={:?}",
             seed,
             cores,
-            kind.label()
+            kind.label(),
+            core
         );
         // The run must be non-trivial for the comparison to mean much.
         prop_assert!(reference.instructions.iter().all(|&i| i == insts));
