@@ -233,7 +233,7 @@ pub fn generate_trace(profile: &AppProfile, ops: usize, seed: u64) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{app_profiles, profile_by_name};
+    use crate::apps::{app_profiles, profile_by_name, AppProfile};
 
     #[test]
     fn generation_is_deterministic() {
@@ -317,6 +317,76 @@ mod tests {
             banks.insert((op.addr >> 13) & 0xF);
         }
         assert!(banks.len() >= 12, "only {} banks touched", banks.len());
+    }
+
+    /// FNV-1a over the first `ops` ops' `nonmem`, `addr` and `is_write`.
+    fn digest(gen: TraceGenerator, ops: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for op in gen.take(ops) {
+            let bytes = op.nonmem.to_le_bytes().into_iter().chain(op.addr.to_le_bytes());
+            for b in bytes.chain([u8::from(op.is_write)]) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Digests of the first 200 000 ops of every profile at seeds 1 and
+    /// 1 000 003, captured from the op-at-a-time generator this batched
+    /// one replaced: the batching must not move a single op.
+    const DIGESTS: [(&str, u64, u64); 23] = [
+        ("zeusmp", 0x1312b222d0cf0fc4, 0xbdbb38201aed8211),
+        ("leslie3d", 0xeb0fdc0f7b7f145f, 0xd6adce0229b5dcbb),
+        ("mcf", 0x0949cf2db426c04e, 0x64c8562e64e189ff),
+        ("GemsFDTD", 0xcf2e5f7fff438172, 0xd56f54bb6eac1665),
+        ("libquantum", 0xe0c317ada647a5f7, 0x8e223cb2ffb1ab90),
+        ("bwaves", 0x1093c602767eda53, 0x81161ac8a31efb14),
+        ("lbm", 0xf718533639dda219, 0x09be45a416b0f797),
+        ("com", 0x1e506ee420147fe7, 0xaa7b2a8260cf92f0),
+        ("tigr", 0xff7d2428ad7cfa67, 0xd15628c37d9ff907),
+        ("mum", 0x6648665832c011d5, 0xf36534ed79b9747f),
+        ("h264ref", 0x72ea8181978f8c03, 0x50a6d18fe4d6c55e),
+        ("bzip2", 0x08453357d44204e8, 0xc062552227edd8c4),
+        ("gromacs", 0x379c70a70029468a, 0xac03ad8d7aa34e92),
+        ("gcc", 0xfaa340f759e88fbe, 0x2a0518957ef8c15e),
+        ("bfssandy", 0xae422b3235bbff53, 0xf97cf375565fd844),
+        ("grep", 0x907e91bd7a54be12, 0x2adfa64d056cc7fa),
+        ("wc-8443", 0xc2508d5801c71758, 0xba2c8c2d88dd49ce),
+        ("sjeng", 0xe0130ba999c2318e, 0xd76a808d787bbbe8),
+        ("tpcc64", 0x2e5aa06296f2d8c0, 0x3bbe36e9f5f58836),
+        ("tpch2", 0x4e3454170c927c40, 0xae7cd35056b3acdb),
+        ("canneal", 0xa6efac1082547c6f, 0x2a771702fa8c1412),
+        ("fluidanimate", 0xc02d0a2abcb29d66, 0xec913d3d25cd797e),
+        ("radix", 0x624754c8aa1b92ec, 0xfe390af3ae0126e1),
+    ];
+
+    #[test]
+    fn every_profile_matches_its_digest() {
+        use crate::apps::multithreaded_profiles;
+        let profiles: Vec<AppProfile> =
+            app_profiles().into_iter().chain(multithreaded_profiles()).collect();
+        assert_eq!(profiles.len(), DIGESTS.len());
+        for (p, &(name, at_1, at_1000003)) in profiles.iter().zip(&DIGESTS) {
+            assert_eq!(p.name, name);
+            assert_eq!(digest(TraceGenerator::new(p, 1), 200_000), at_1, "{name} seed 1");
+            assert_eq!(
+                digest(TraceGenerator::new(p, 1_000_003), 200_000),
+                at_1000003,
+                "{name} seed 1000003"
+            );
+        }
+    }
+
+    #[test]
+    fn materialized_traces_are_stream_prefixes() {
+        // 255, 256 and 257 straddle the first refill; 600 crosses several.
+        for name in ["mcf", "libquantum", "gcc"] {
+            let p = profile_by_name(name).unwrap();
+            let streamed: Vec<TraceOp> = TraceGenerator::new(&p, 5).take(600).collect();
+            for ops in [1, 255, 256, 257, 600] {
+                assert_eq!(generate_trace(&p, ops, 5).ops, streamed[..ops], "{name} at {ops} ops");
+            }
+        }
     }
 
     #[test]
