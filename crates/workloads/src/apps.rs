@@ -52,6 +52,17 @@ impl AppProfile {
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
+        for (field, value) in [
+            ("nonmem_per_mem", self.nonmem_per_mem),
+            ("hot_burst", self.hot_burst),
+            ("stream_burst", self.stream_burst),
+            ("zipf_exponent", self.zipf_exponent),
+            ("group_span", self.group_span),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("{}: {field} is not finite", self.name));
+            }
+        }
         if !(0.0..=1.0).contains(&self.hot_fraction) {
             return Err(format!("{}: hot_fraction out of range", self.name));
         }
@@ -67,8 +78,11 @@ impl AppProfile {
         if u64::from(self.hot_segments) * 8192 > self.footprint_bytes {
             return Err(format!("{}: hot pages exceed footprint", self.name));
         }
-        if self.hot_segment_bytes == 0 || self.hot_segment_bytes > 8192 {
-            return Err(format!("{}: hot_segment_bytes out of range", self.name));
+        if !(64..=8192).contains(&self.hot_segment_bytes) {
+            return Err(format!(
+                "{}: hot_segment_bytes out of range [64, 8192] (one block to one page)",
+                self.name
+            ));
         }
         if self.nonmem_per_mem < 0.0 {
             return Err(format!("{}: negative nonmem_per_mem", self.name));
@@ -263,6 +277,41 @@ mod tests {
                 assert!(hot_bytes > 2 * MB, "{} hot set too small", p.name);
             } else {
                 assert!(hot_bytes <= 2 * MB, "{} hot set too large", p.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_hot_segment_holds_at_least_one_block() {
+        let gcc = profile_by_name("gcc").unwrap();
+        for bytes in [0, 1, 32, 63] {
+            let err = AppProfile { hot_segment_bytes: bytes, ..gcc }.validate().unwrap_err();
+            assert!(err.contains("hot_segment_bytes"), "{bytes}: {err}");
+        }
+        // The smallest valid segment, one block, generates.
+        let one_block = AppProfile { hot_segment_bytes: 64, ..gcc };
+        one_block.validate().unwrap();
+        let trace = crate::generate_trace(&one_block, 2_000, 1);
+        assert!(trace.ops.iter().all(|op| op.addr < one_block.footprint_bytes));
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        type Field = fn(&mut AppProfile) -> &mut f64;
+        let gcc = profile_by_name("gcc").unwrap();
+        let fields: [(&str, Field); 5] = [
+            ("nonmem_per_mem", |p| &mut p.nonmem_per_mem),
+            ("hot_burst", |p| &mut p.hot_burst),
+            ("stream_burst", |p| &mut p.stream_burst),
+            ("zipf_exponent", |p| &mut p.zipf_exponent),
+            ("group_span", |p| &mut p.group_span),
+        ];
+        for (field, at) in fields {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = gcc;
+                *at(&mut p) = value;
+                let err = p.validate().unwrap_err();
+                assert!(err.contains(field), "{field} = {value}: {err}");
             }
         }
     }

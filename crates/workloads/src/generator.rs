@@ -8,6 +8,13 @@
 //! slot inside it; the hot region of a page is small, so rows are mostly
 //! cold — the property that makes row-granularity in-DRAM caching
 //! wasteful and segment-granularity caching effective.
+//!
+//! Ops are generated a batch at a time: whole bursts (one group visit or
+//! one streaming run each) are appended until at least 256 ops are
+//! buffered, and each pull pops one. The RNG draws follow the order of
+//! an op-at-a-time generator (a burst's addresses and write flags, then
+//! its ops' instruction gaps in op order), so the op sequence does not
+//! depend on the batch size.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,27 +30,70 @@ const GROUP: u32 = 8;
 /// Page residues that share one bank under the paper's interleaving for
 /// both the 1-channel and 4-channel geometries (lcm of 16 and 64 banks).
 const BANK_RESIDUES: u64 = 64;
+/// Longest run a geometric burst-length draw returns.
+const MAX_RUN: u32 = 64;
+/// Most ops one burst appends: a group visit of every member, each a
+/// longest run.
+const MAX_BURST: usize = (GROUP * MAX_RUN) as usize;
+/// A refill appends whole bursts until at least this many ops are buffered.
+const BATCH: usize = 256;
+/// Probability that a streaming burst restarts at a random block.
+const STREAM_RESTART: f64 = 0.05;
+/// 2⁵³: a draw's top 53 bits, as `unit_f64` reads them, are a fraction
+/// of this.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// `rng.gen_bool(p)` is `(x >> 11) · 2⁻⁵³ < p` for a raw draw `x`, which
+/// holds exactly when `x >> 11 < ceil(p · 2⁵³)`: the threshold this
+/// returns for a `p` in `[0, 1]`.
+fn bernoulli(p: f64) -> u64 {
+    (p * UNIT).ceil() as u64
+}
+
+/// The stop threshold of a geometric burst length around `mean`, or
+/// `None` when the length is always 1 and nothing is drawn.
+fn geometric(mean: f64) -> Option<u64> {
+    (mean > 1.0).then(|| bernoulli(1.0 / mean))
+}
 
 /// Streaming generator over an application profile. Implements
 /// [`Iterator`] (and [`crate::TraceSource`]) and never ends; its only
-/// buffered state is the burst in progress — a bounded lookahead window
-/// of at most a few hundred operations — so a consumer pulling ops on
-/// demand simulates arbitrarily long traces in constant memory. Use
-/// [`generate_trace`] for a fixed-length materialized [`Trace`].
+/// buffered state is one batch — whole bursts appended until at least
+/// 256 ops are ready, so at most 255 plus one burst's — so a consumer
+/// pulling ops on demand simulates arbitrarily long traces in constant
+/// memory. Use [`generate_trace`] for a fixed-length materialized
+/// [`Trace`].
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     profile: AppProfile,
     rng: StdRng,
-    pages: u64,
-    /// Hot segment popularity CDF within the current phase.
-    zipf_cdf: Vec<f64>,
-    /// Active hot segments this phase (indices into the hot-segment space).
-    phase_set: Vec<u32>,
+    /// The ops generated ahead of the consumer; `pos` is the next to pop.
+    batch: Vec<TraceOp>,
+    pos: usize,
+    /// Bernoulli thresholds (see [`bernoulli`]): a hot burst, a store.
+    hot_threshold: u64,
+    write_threshold: u64,
+    /// Geometric stop thresholds (see [`geometric`]) of the members per
+    /// group visit, the blocks per member and the blocks per streaming run.
+    span_stop: Option<u64>,
+    hot_run_stop: Option<u64>,
+    stream_run_stop: Option<u64>,
+    /// Hot segment popularity CDF within a phase, as `floor(c · 2⁵³)`.
+    zipf_cdf: Vec<u64>,
+    /// The first hot group active this phase; the phase's active groups
+    /// are the `zipf_cdf.len()` that follow it (wrapping).
+    phase_start: u32,
     ops_left_in_phase: u32,
-    /// Remaining (addr, is_write)s of the burst in progress — the bounded
-    /// lookahead window (one group/stream visit's worth of accesses).
-    burst: Vec<(u64, bool)>,
-    /// Streaming pointer (block index within the footprint).
+    /// Hot placement (see [`TraceGenerator::hot_page`]): pages in the
+    /// footprint, page quotients per residue, group classes per residue,
+    /// blocks per hot segment and hot slots per page.
+    pages: u64,
+    q_space: u64,
+    classes: u64,
+    hot_blocks: u64,
+    slots: u64,
+    /// Streaming pointer (block index within the footprint, below
+    /// `pages · BLOCKS_PER_PAGE`).
     stream_block: u64,
 }
 
@@ -66,17 +116,28 @@ impl TraceGenerator {
             total += w;
             weights.push(total);
         }
-        for w in &mut weights {
-            *w /= total;
-        }
+        // `unit_f64(x) > c` holds exactly when `x >> 11 > floor(c · 2⁵³)`;
+        // the cast truncates, so it floors these non-negative values.
+        let zipf_cdf = weights.into_iter().map(|w| (w / total * UNIT) as u64).collect();
+        let hot_blocks = u64::from(profile.hot_segment_bytes) / BLOCK_BYTES;
         let mut gen = Self {
             profile: *profile,
             rng: StdRng::seed_from_u64(seed),
-            pages,
-            zipf_cdf: weights,
-            phase_set: Vec::new(),
+            batch: Vec::new(),
+            pos: 0,
+            hot_threshold: bernoulli(profile.hot_fraction),
+            write_threshold: bernoulli(profile.write_frac),
+            span_stop: geometric(profile.group_span),
+            hot_run_stop: geometric(profile.hot_burst),
+            stream_run_stop: geometric(profile.stream_burst),
+            zipf_cdf,
+            phase_start: 0,
             ops_left_in_phase: 0,
-            burst: Vec::new(),
+            pages,
+            q_space: pages / BANK_RESIDUES,
+            classes: u64::from(profile.hot_segments / GROUP).div_ceil(BANK_RESIDUES).max(1),
+            hot_blocks,
+            slots: BLOCKS_PER_PAGE / hot_blocks,
             stream_block: 0,
         };
         gen.redraw_phase();
@@ -89,7 +150,53 @@ impl TraceGenerator {
         self.profile.name
     }
 
-    /// The page (row) a hot segment lives in. Placement rules:
+    /// The next op in program order.
+    pub(crate) fn pop(&mut self) -> TraceOp {
+        if self.pos == self.batch.len() {
+            self.refill();
+        }
+        let op = self.batch[self.pos];
+        self.pos += 1;
+        op
+    }
+
+    /// Replaces the drained batch with whole bursts, at least [`BATCH`]
+    /// ops of them. Per burst the draws run as an op-at-a-time generator
+    /// made them: the phase redraw when the phase has run out, the hot or
+    /// streaming choice, the burst's addresses and write flags, then one
+    /// instruction gap per op in op order.
+    #[inline(never)]
+    fn refill(&mut self) {
+        self.batch.clear();
+        // Allocated at the first refill, not in `new`: a generator costs
+        // its builder no more than the profile's scalars and Zipf table.
+        self.batch.reserve(BATCH - 1 + MAX_BURST);
+        self.pos = 0;
+        while self.batch.len() < BATCH {
+            if self.ops_left_in_phase == 0 {
+                self.redraw_phase();
+            }
+            let first = self.batch.len();
+            if self.draw() < self.hot_threshold {
+                self.push_hot_burst();
+            } else {
+                self.push_stream_burst();
+            }
+            let len = (self.batch.len() - first) as u32;
+            self.ops_left_in_phase = self.ops_left_in_phase.saturating_sub(len);
+            for i in first..self.batch.len() {
+                self.batch[i].nonmem = self.sample_nonmem();
+            }
+        }
+    }
+
+    /// The top 53 bits of the next raw draw (see [`bernoulli`]).
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
+    /// The first page of a hot group's pages; member `m`'s page is
+    /// `m · BANK_RESIDUES` above it, modulo the footprint. Placement rules:
     ///
     /// * every hot segment gets a **distinct** page, so hot fragments are
     ///   scattered small pieces of many rows (the paper's premise — if
@@ -99,42 +206,41 @@ impl TraceGenerator {
     ///   bank** (page numbers congruent mod 64), so a group visit is a
     ///   burst of same-bank row conflicts that an in-DRAM cache row can
     ///   absorb.
-    fn hot_page(&self, segment: u32) -> u64 {
-        let group = u64::from(segment / GROUP);
-        let member = u64::from(segment % GROUP);
+    fn hot_page(&self, group: u32) -> u64 {
+        let group = u64::from(group);
         let residue = group % BANK_RESIDUES;
         let class_index = group / BANK_RESIDUES; // k-th group in its residue class
-        let groups = u64::from(self.profile.hot_segments / GROUP);
-        let classes = groups.div_ceil(BANK_RESIDUES).max(1);
-        let q_space = self.pages / BANK_RESIDUES;
-        let base_q = class_index * q_space / classes;
-        ((base_q + member) * BANK_RESIDUES + residue) % self.pages
+        let base_q = class_index * self.q_space / self.classes;
+        base_q * BANK_RESIDUES + residue
     }
 
     /// Block offset of the hot slot within its page: segment-aligned,
     /// derived from the segment id so it is stable across phases.
     fn hot_slot_block(&self, segment: u32) -> u64 {
-        let hot_blocks = u64::from(self.profile.hot_segment_bytes) / BLOCK_BYTES;
-        let slots = (BLOCKS_PER_PAGE / hot_blocks).max(1);
-        (u64::from(segment).wrapping_mul(0x85EB_CA6B) % slots) * hot_blocks
+        (u64::from(segment).wrapping_mul(0x85EB_CA6B) % self.slots) * self.hot_blocks
     }
 
     fn redraw_phase(&mut self) {
-        let n = self.profile.phase_segments / GROUP;
-        let universe = self.profile.hot_segments / GROUP;
         // A random contiguous window of the group space (cheap,
         // deterministic, and temporally clustered: neighbouring phases
         // overlap only by chance).
-        let start = self.rng.gen_range(0..universe);
-        self.phase_set = (0..n).map(|i| (start + i) % universe).collect();
+        self.phase_start = self.rng.gen_range(0..self.profile.hot_segments / GROUP);
         self.ops_left_in_phase = self.profile.phase_len_ops;
     }
 
     /// Samples a hot *group* from the phase's Zipf distribution.
     fn sample_zipf(&mut self) -> u32 {
-        let u: f64 = self.rng.gen();
+        let u = self.draw();
         let idx = self.zipf_cdf.partition_point(|&c| c < u).min(self.zipf_cdf.len() - 1);
-        self.phase_set[idx]
+        // `idx` is below the phase's group count, which is at most
+        // `groups`, so one subtraction wraps the window.
+        let groups = self.profile.hot_segments / GROUP;
+        let group = self.phase_start + idx as u32;
+        if group >= groups {
+            group - groups
+        } else {
+            group
+        }
     }
 
     /// One group visit: walk `span` consecutive members of one hot group
@@ -142,49 +248,51 @@ impl TraceGenerator {
     /// member's hot slot.
     fn push_hot_burst(&mut self) {
         let group = self.sample_zipf();
-        let span = self.sample_burst(self.profile.group_span).min(GROUP);
+        let span = self.sample_burst(self.span_stop).min(GROUP);
         let first = self.rng.gen_range(0..GROUP);
-        let hot_blocks = (u64::from(self.profile.hot_segment_bytes) / BLOCK_BYTES).max(1);
+        let base_page = self.hot_page(group);
         for m in 0..span {
-            let seg = group * GROUP + (first + m) % GROUP;
-            let page = self.hot_page(seg);
-            let slot = self.hot_slot_block(seg);
-            let burst_len = self.sample_burst(self.profile.hot_burst).min(hot_blocks as u32).max(1);
-            let start = self.rng.gen_range(0..hot_blocks.saturating_sub(u64::from(burst_len)) + 1);
-            for i in 0..u64::from(burst_len) {
-                let block = slot + start + i;
-                let addr = page * PAGE_BYTES + block * BLOCK_BYTES;
-                let is_write = self.rng.gen_bool(self.profile.write_frac);
-                self.burst.push((addr, is_write));
+            let member = (first + m) % GROUP;
+            let mut page = base_page + u64::from(member) * BANK_RESIDUES;
+            if page >= self.pages {
+                page %= self.pages;
+            }
+            let slot = self.hot_slot_block(group * GROUP + member);
+            let run = u64::from(self.sample_burst(self.hot_run_stop)).min(self.hot_blocks);
+            let start = self.rng.gen_range(0..self.hot_blocks - run + 1);
+            let base = page * PAGE_BYTES + (slot + start) * BLOCK_BYTES;
+            for i in 0..run {
+                let is_write = self.draw() < self.write_threshold;
+                self.batch.push(TraceOp { nonmem: 0, addr: base + i * BLOCK_BYTES, is_write });
             }
         }
-        self.burst.reverse(); // pop from the back in order
     }
 
     fn push_stream_burst(&mut self) {
         let total_blocks = self.pages * BLOCKS_PER_PAGE;
-        let burst_len = self.sample_burst(self.profile.stream_burst).max(1);
+        let run = self.sample_burst(self.stream_run_stop);
         // Occasionally jump to a random position (streaming with restarts).
-        if self.rng.gen_bool(0.05) {
+        if self.draw() < bernoulli(STREAM_RESTART) {
             self.stream_block = self.rng.gen_range(0..total_blocks);
         }
-        for _ in 0..burst_len {
-            let addr = (self.stream_block % total_blocks) * BLOCK_BYTES;
-            let is_write = self.rng.gen_bool(self.profile.write_frac);
-            self.burst.push((addr, is_write));
+        for _ in 0..run {
+            let is_write = self.draw() < self.write_threshold;
+            self.batch.push(TraceOp { nonmem: 0, addr: self.stream_block * BLOCK_BYTES, is_write });
             self.stream_block += 1;
+            if self.stream_block == total_blocks {
+                self.stream_block = 0;
+            }
         }
-        self.burst.reverse();
     }
 
-    /// Geometric-ish burst length around `mean`.
-    fn sample_burst(&mut self, mean: f64) -> u32 {
-        if mean <= 1.0 {
+    /// Geometric-ish burst length: 1, plus one per draw that misses
+    /// `stop`, up to [`MAX_RUN`]; always 1, without a draw, for `None`.
+    fn sample_burst(&mut self, stop: Option<u64>) -> u32 {
+        let Some(stop) = stop else {
             return 1;
-        }
-        let p = 1.0 / mean;
+        };
         let mut len = 1u32;
-        while len < 64 && !self.rng.gen_bool(p) {
+        while len < MAX_RUN && self.draw() >= stop {
             len += 1;
         }
         len
@@ -207,19 +315,7 @@ impl Iterator for TraceGenerator {
     type Item = TraceOp;
 
     fn next(&mut self) -> Option<TraceOp> {
-        if self.burst.is_empty() {
-            if self.ops_left_in_phase == 0 {
-                self.redraw_phase();
-            }
-            if self.rng.gen_bool(self.profile.hot_fraction) {
-                self.push_hot_burst();
-            } else {
-                self.push_stream_burst();
-            }
-        }
-        let (addr, is_write) = self.burst.pop().expect("burst refilled above");
-        self.ops_left_in_phase = self.ops_left_in_phase.saturating_sub(1);
-        Some(TraceOp { nonmem: self.sample_nonmem(), addr, is_write })
+        Some(self.pop())
     }
 }
 
@@ -332,8 +428,9 @@ mod tests {
     }
 
     /// Digests of the first 200 000 ops of every profile at seeds 1 and
-    /// 1 000 003, captured from the op-at-a-time generator this batched
-    /// one replaced: the batching must not move a single op.
+    /// 1 000 003. They pin the op sequence itself, which every seeded
+    /// result rests on: a change to how ops are generated (batch size,
+    /// draw thresholds) must not move a single op.
     const DIGESTS: [(&str, u64, u64); 23] = [
         ("zeusmp", 0x1312b222d0cf0fc4, 0xbdbb38201aed8211),
         ("leslie3d", 0xeb0fdc0f7b7f145f, 0xd6adce0229b5dcbb),

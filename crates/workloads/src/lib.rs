@@ -25,8 +25,10 @@
 //! `{row, rank, bankgroup, bank, channel, column}` interleaving, letting
 //! profiles place "hot segments" in distinct rows spread across banks and
 //! channels. Cores pull operations through [`TraceSource`]: a
-//! [`TraceGenerator`] streams them, a [`Trace`] replays materialized ones,
-//! and [`ArrivalSchedule`] paces either as an open-loop arrival process.
+//! [`TraceGenerator`] streams them (refilling a batch of a few hundred
+//! ops at a time, whole bursts each), a [`Trace`] replays materialized
+//! ones, and [`ArrivalSchedule`] paces either as an open-loop arrival
+//! process.
 
 pub mod apps;
 pub mod arrival;
@@ -92,7 +94,8 @@ impl Trace {
 /// This is what a trace-driven core consumes: instead of materializing a
 /// whole `Vec<TraceOp>` up front (whose length costs memory), a source
 /// hands out one operation at a time from a bounded internal window — a
-/// generator's current burst buffer or a wrapped finite [`Trace`].
+/// generator's current batch of whole bursts or a wrapped finite
+/// [`Trace`].
 /// Sources never end; finite backing stores wrap around.
 /// Implementations must be deterministic: the same construction yields
 /// the same op sequence, which is what keeps streaming runs
@@ -143,7 +146,7 @@ impl TraceSource for TraceGenerator {
     }
 
     fn next_op(&mut self) -> TraceOp {
-        self.next().expect("trace generators are endless")
+        self.pop()
     }
 }
 
