@@ -18,6 +18,13 @@
 //! (linear probing, backward-shift deletion) sized from the slot count at
 //! construction, so the per-request tag lookup neither hashes with SipHash
 //! nor allocates.
+//!
+//! Free slots are a free list of released slots plus a high-water counter
+//! of the slots ever issued: an allocation pops the last released slot,
+//! else issues the lowest never-used one, and evicts only once all are
+//! issued. That is the order of a full free list stacked in reverse (the
+//! ascending fresh slots beneath, released ones pushed on top), without
+//! building one per bank at construction.
 
 use rand::Rng;
 
@@ -195,7 +202,9 @@ impl SlotIndex {
     }
 }
 
-/// The per-bank FIGCache tag store.
+/// The per-bank FIGCache tag store: key and metadata arrays, the
+/// segment→slot index, a free list of released slots with a high-water
+/// counter of issued ones, and the eviction register and bitvector.
 #[derive(Debug, Clone)]
 pub struct FtsBank {
     segs_per_row: u32,
@@ -209,7 +218,12 @@ pub struct FtsBank {
     /// Last-hit time per slot under [`ReplacementPolicy::Lru`]; empty
     /// under every other policy.
     last_use: Vec<u64>,
+    /// Released slots, reused last-in first-out before any fresh slot.
     free: Vec<u32>,
+    /// Slots `issued..capacity` have never been handed out; a fresh bank
+    /// issues them in ascending order once `free` is empty, and only
+    /// when all are issued does an allocation evict.
+    issued: u32,
     /// Paper's eviction register: the cache row currently being drained.
     evict_row: Option<u32>,
     /// Paper's eviction bitvector: slots of `evict_row` still marked.
@@ -241,7 +255,8 @@ impl FtsBank {
             keys: vec![0; n as usize],
             meta: vec![pack(SlotState::Free, false, 0); n as usize],
             last_use: vec![0; lru_slots],
-            free: (0..n).rev().collect(),
+            free: Vec::new(),
+            issued: 0,
             evict_row: None,
             evict_mask: 0,
         }
@@ -328,8 +343,9 @@ impl FtsBank {
     }
 
     /// Removes whatever occupies `slot` and returns it to the free list.
-    /// Releasing a free slot is a no-op: it is already on the free list,
-    /// and pushing it again would hand it to two later allocations.
+    /// Releasing a free slot is a no-op: it is already on the free list
+    /// or not yet issued, and pushing it again would hand it to two later
+    /// allocations.
     pub fn release(&mut self, slot: u32) {
         let i = slot as usize;
         if self.meta[i] & STATE_MASK == FREE {
@@ -344,9 +360,10 @@ impl FtsBank {
         }
     }
 
-    /// Allocates a slot for `seg`, evicting by the store's policy when
-    /// full. The new slot starts in `Relocating` state. Returns `None`
-    /// when nothing can be evicted (every candidate is mid-relocation).
+    /// Allocates a slot for `seg`: the last released slot, else the lowest
+    /// never-issued one, else a victim chosen by the store's policy. The
+    /// new slot starts in `Relocating` state. Returns `None` when nothing
+    /// can be evicted (every candidate is mid-relocation).
     pub fn allocate<R: Rng>(
         &mut self,
         seg: SegmentId,
@@ -356,6 +373,9 @@ impl FtsBank {
         debug_assert!(self.find(seg).is_none(), "segment {seg:?} already present");
         let (slot, victim) = if let Some(slot) = self.free.pop() {
             (slot, None)
+        } else if self.issued < self.capacity() {
+            self.issued += 1;
+            (self.issued - 1, None)
         } else {
             let slot = self.select_victim(rng)?;
             let i = slot as usize;
@@ -543,6 +563,33 @@ mod tests {
         }
         let a = fts.allocate(seg(9, 0), &mut r, 0).unwrap();
         assert!(a.victim.is_some());
+    }
+
+    #[test]
+    fn slots_are_issued_fresh_in_order_after_released_ones() {
+        for policy in [
+            ReplacementPolicy::RowBenefit,
+            ReplacementPolicy::SegmentBenefit,
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Random,
+        ] {
+            let mut fts = FtsBank::new(2, 4, policy);
+            let mut r = rng();
+            // Releasing a never-issued slot changes nothing.
+            fts.release(5);
+            let first: Vec<u32> = (0..3).map(|i| fill(&mut fts, seg(i, 0), &mut r).slot).collect();
+            assert_eq!(first, [0, 1, 2], "{policy:?}: a fresh bank issues in ascending order");
+            fts.release(0);
+            fts.release(2);
+            fts.release(6);
+            let next: Vec<Allocation> =
+                (3..10).map(|i| fill(&mut fts, seg(i, 0), &mut r)).collect();
+            let slots: Vec<u32> = next.iter().map(|a| a.slot).collect();
+            assert_eq!(slots, [2, 0, 3, 4, 5, 6, 7], "{policy:?}: released LIFO, then fresh");
+            assert!(next.iter().all(|a| a.victim.is_none()), "{policy:?}: evicted while not full");
+            let full = fts.allocate(seg(10, 0), &mut r, 1).unwrap();
+            assert!(full.victim.is_some(), "{policy:?}: a full bank evicts");
+        }
     }
 
     #[test]
@@ -865,6 +912,60 @@ mod proptests {
                         prop_assert_eq!(fts.slot(i).state, SlotState::Free);
                     }
                     prop_assert!(fts.slot(i).benefit <= BENEFIT_MAX);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Allocations hand out slots in the order of a model free list
+        /// holding every slot in reverse (fresh slots ascending beneath,
+        /// released slots pushed on top), under every policy, and evict
+        /// only when that list is empty.
+        #[test]
+        fn slot_order_matches_a_reversed_free_list(
+            ops in proptest::collection::vec((0u8..4, 0u32..12, 0u32..8), 1..200),
+            policy in 0u8..4,
+        ) {
+            let policy = [
+                ReplacementPolicy::RowBenefit,
+                ReplacementPolicy::SegmentBenefit,
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Random,
+            ][usize::from(policy)];
+            let mut fts = FtsBank::new(2, 4, policy);
+            let mut model: Vec<u32> = (0..fts.capacity()).rev().collect();
+            let mut rng = StdRng::seed_from_u64(3);
+            for (now, &(op, row, slot)) in ops.iter().enumerate() {
+                let relocating = matches!(fts.slot(slot).state, SlotState::Relocating { .. });
+                match op {
+                    0 => {
+                        let seg = SegmentId { row, index: 0 };
+                        if fts.find(seg).is_some() {
+                            continue;
+                        }
+                        let a = fts.allocate(seg, &mut rng, now as u64);
+                        if let Some(expected) = model.pop() {
+                            prop_assert_eq!(a, Some(Allocation { slot: expected, victim: None }));
+                        } else if let Some(a) = a {
+                            prop_assert_eq!(a.victim.map(|v| v.slot), Some(a.slot));
+                        }
+                    }
+                    1 if relocating => {
+                        // A cancelled insertion frees its slot.
+                        let validated = fts.complete_relocation(slot);
+                        if !validated {
+                            model.push(slot);
+                        }
+                    }
+                    2 => fts.cancel_relocation(slot),
+                    3 => {
+                        if fts.slot(slot).state != SlotState::Free {
+                            model.push(slot);
+                        }
+                        fts.release(slot);
+                    }
+                    _ => {}
                 }
             }
         }

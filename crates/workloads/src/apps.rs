@@ -35,7 +35,8 @@ pub struct AppProfile {
     pub phase_segments: u32,
     /// Memory operations per phase before the active set is redrawn.
     pub phase_len_ops: u32,
-    /// Zipf exponent of segment popularity within a phase.
+    /// Zipf exponent of segment popularity within a phase: at least 0
+    /// (0 is uniform).
     pub zipf_exponent: f64,
     /// Mean number of segments touched per *group* visit. Hot segments
     /// form groups of eight whose pages share a DRAM bank; a group visit
@@ -86,6 +87,11 @@ impl AppProfile {
         }
         if self.nonmem_per_mem < 0.0 {
             return Err(format!("{}: negative nonmem_per_mem", self.name));
+        }
+        // Below zero, `k.powf(s)` underflows for large `k`, the weights
+        // turn infinite and the CDF degenerates to NaN casts (zeros).
+        if self.zipf_exponent < 0.0 {
+            return Err(format!("{}: negative zipf_exponent", self.name));
         }
         if !self.hot_segments.is_multiple_of(8) || !self.phase_segments.is_multiple_of(8) {
             return Err(format!(
@@ -314,6 +320,16 @@ mod tests {
                 assert!(err.contains(field), "{field} = {value}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn a_negative_zipf_exponent_is_rejected() {
+        let gcc = profile_by_name("gcc").unwrap();
+        for value in [-1.0, -2000.0] {
+            let err = AppProfile { zipf_exponent: value, ..gcc }.validate().unwrap_err();
+            assert!(err.contains("zipf_exponent"), "{value}: {err}");
+        }
+        assert_eq!(AppProfile { zipf_exponent: 0.0, ..gcc }.validate(), Ok(()));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! its ops' instruction gaps in op order), so the op sequence does not
 //! depend on the batch size.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,13 +58,78 @@ fn geometric(mean: f64) -> Option<u64> {
     (mean > 1.0).then(|| bernoulli(1.0 / mean))
 }
 
+/// Most Zipf tables [`ZIPF_CDFS`] keeps. Past it a table is built
+/// without being kept, so profiles with ever new exponents cannot grow
+/// the memo without bound.
+const ZIPF_MEMO_CAP: usize = 64;
+
+/// The process-wide memo of Zipf tables: every generator of one profile
+/// shares one table.
+static ZIPF_CDFS: ZipfMemo = ZipfMemo::new();
+
+/// A memo entry: `(groups, exponent bits)`, the only inputs of
+/// [`zipf_cdf`], and the table they give.
+type ZipfEntry = ((usize, u64), Arc<[u64]>);
+
+/// A bounded memo of Zipf tables, searched linearly.
+#[derive(Debug)]
+struct ZipfMemo {
+    tables: Mutex<Vec<ZipfEntry>>,
+}
+
+impl ZipfMemo {
+    const fn new() -> Self {
+        Self { tables: Mutex::new(Vec::new()) }
+    }
+
+    /// The table of [`zipf_cdf`]`(groups, exponent)`, built on a miss and
+    /// kept while fewer than [`ZIPF_MEMO_CAP`] tables are. The lock is
+    /// held across the build so concurrent builders of one profile share
+    /// one table; a poisoned lock is taken over, since a table enters the
+    /// memo only once fully built.
+    fn get(&self, groups: usize, exponent: f64) -> Arc<[u64]> {
+        let key = (groups, exponent.to_bits());
+        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, cdf)) = tables.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(cdf);
+        }
+        let cdf = zipf_cdf(groups, exponent);
+        if tables.len() < ZIPF_MEMO_CAP {
+            tables.push((key, Arc::clone(&cdf)));
+        }
+        cdf
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+/// The Zipf popularity CDF over a phase's `groups` hot groups at
+/// `exponent`, each entry as `floor(c · 2⁵³)`.
+fn zipf_cdf(groups: usize, exponent: f64) -> Arc<[u64]> {
+    let mut weights = Vec::with_capacity(groups);
+    let mut total = 0.0;
+    for k in 1..=groups {
+        let w = 1.0 / (k as f64).powf(exponent);
+        total += w;
+        weights.push(total);
+    }
+    // `unit_f64(x) > c` holds exactly when `x >> 11 > floor(c · 2⁵³)`;
+    // the cast truncates, so it floors these non-negative values.
+    weights.into_iter().map(|w| (w / total * UNIT) as u64).collect()
+}
+
 /// Streaming generator over an application profile. Implements
 /// [`Iterator`] (and [`crate::TraceSource`]) and never ends; its only
 /// buffered state is one batch — whole bursts appended until at least
 /// 256 ops are ready, so at most 255 plus one burst's — so a consumer
 /// pulling ops on demand simulates arbitrarily long traces in constant
-/// memory. Use [`generate_trace`] for a fixed-length materialized
-/// [`Trace`].
+/// memory. Its Zipf table is not its own: every generator of one
+/// `(groups, exponent)` pair shares one table from a process-wide memo,
+/// so building a generator again costs no `powf`. Use [`generate_trace`]
+/// for a fixed-length materialized [`Trace`].
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     profile: AppProfile,
@@ -78,8 +145,10 @@ pub struct TraceGenerator {
     span_stop: Option<u64>,
     hot_run_stop: Option<u64>,
     stream_run_stop: Option<u64>,
-    /// Hot segment popularity CDF within a phase, as `floor(c · 2⁵³)`.
-    zipf_cdf: Vec<u64>,
+    /// Hot segment popularity CDF within a phase, as `floor(c · 2⁵³)`:
+    /// one table per `(groups, exponent)`, shared by every generator of
+    /// the profile through [`ZIPF_CDFS`].
+    zipf_cdf: Arc<[u64]>,
     /// The first hot group active this phase; the phase's active groups
     /// are the `zipf_cdf.len()` that follow it (wrapping).
     phase_start: u32,
@@ -107,18 +176,8 @@ impl TraceGenerator {
     pub fn new(profile: &AppProfile, seed: u64) -> Self {
         profile.validate().expect("profile must validate");
         let pages = profile.footprint_bytes / PAGE_BYTES;
-        let n = (profile.phase_segments / GROUP) as usize;
-        // Zipf CDF over the phase set.
-        let mut weights = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            let w = 1.0 / (k as f64).powf(profile.zipf_exponent);
-            total += w;
-            weights.push(total);
-        }
-        // `unit_f64(x) > c` holds exactly when `x >> 11 > floor(c · 2⁵³)`;
-        // the cast truncates, so it floors these non-negative values.
-        let zipf_cdf = weights.into_iter().map(|w| (w / total * UNIT) as u64).collect();
+        let groups = (profile.phase_segments / GROUP) as usize;
+        let zipf_cdf = ZIPF_CDFS.get(groups, profile.zipf_exponent);
         let hot_blocks = u64::from(profile.hot_segment_bytes) / BLOCK_BYTES;
         let mut gen = Self {
             profile: *profile,
@@ -169,7 +228,8 @@ impl TraceGenerator {
     fn refill(&mut self) {
         self.batch.clear();
         // Allocated at the first refill, not in `new`: a generator costs
-        // its builder no more than the profile's scalars and Zipf table.
+        // its builder no more than the profile's scalars and a handle on
+        // the shared Zipf table.
         self.batch.reserve(BATCH - 1 + MAX_BURST);
         self.pos = 0;
         while self.batch.len() < BATCH {
@@ -471,6 +531,33 @@ mod tests {
                 at_1000003,
                 "{name} seed 1000003"
             );
+        }
+    }
+
+    #[test]
+    fn every_profile_shares_one_exact_zipf_table() {
+        use crate::apps::multithreaded_profiles;
+        for p in app_profiles().into_iter().chain(multithreaded_profiles()) {
+            let groups = (p.phase_segments / GROUP) as usize;
+            let a = TraceGenerator::new(&p, 1);
+            let b = TraceGenerator::new(&p, 2);
+            assert_eq!(*a.zipf_cdf, *zipf_cdf(groups, p.zipf_exponent), "{}", p.name);
+            assert!(Arc::ptr_eq(&a.zipf_cdf, &b.zipf_cdf), "{}: two tables", p.name);
+        }
+    }
+
+    #[test]
+    fn the_zipf_memo_stops_growing_at_its_cap() {
+        let memo = ZipfMemo::new();
+        for i in 0..ZIPF_MEMO_CAP + 16 {
+            let (groups, exponent) = (8 + i % 5, 0.5 + i as f64 / 64.0);
+            let first = memo.get(groups, exponent);
+            assert_eq!(*first, *zipf_cdf(groups, exponent), "table {i}");
+            // Kept while under the cap; past it rebuilt, still exact.
+            let again = memo.get(groups, exponent);
+            assert_eq!(Arc::ptr_eq(&first, &again), i < ZIPF_MEMO_CAP, "table {i}");
+            assert_eq!(*again, *first, "table {i}");
+            assert_eq!(memo.len(), ZIPF_MEMO_CAP.min(i + 1));
         }
     }
 
