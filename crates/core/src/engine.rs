@@ -126,12 +126,6 @@ impl FigCacheEngine {
         }
     }
 
-    /// Segment geometry in use (for tests and reporting).
-    #[must_use]
-    pub fn segment_geometry(&self) -> SegmentGeometry {
-        self.seg_geo
-    }
-
     fn serve_from_slot(&self, bank: u32, slot: u32, col: u32) -> ServeTarget {
         let fts = &self.banks[bank as usize].fts;
         let row = self.cache_row_id(fts.row_of(slot));

@@ -219,11 +219,6 @@ impl DramChannel {
         &self.stats
     }
 
-    /// Mutable statistics access (the controller adds request-level stats).
-    pub fn stats_mut(&mut self) -> &mut DramStats {
-        &mut self.stats
-    }
-
     fn bank_index(&self, b: BankAddr) -> usize {
         b.flat_bank(&self.config.geometry) as usize
     }

@@ -1,4 +1,4 @@
-//! The experiment runner: scales, deterministic trace construction,
+//! The experiment runner: scales, deterministic per-core workloads,
 //! alone-IPC measurement for weighted speedup, an in-process result
 //! memo (so figures that share runs — e.g. Figs. 7/9/10/11 — do not
 //! recompute them), and a parallel batch API over independent runs.
@@ -29,8 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rayon::prelude::*;
 
 use figaro_workloads::{
-    generate_trace, AppProfile, ArrivalKind, ArrivalSchedule, Mix, Trace, TraceGenerator, TraceOp,
-    TraceSource,
+    AppProfile, ArrivalKind, ArrivalSchedule, Mix, Trace, TraceGenerator, TraceOp, TraceSource,
 };
 
 use crate::config::{ConfigKind, SystemConfig};
@@ -227,10 +226,10 @@ fn seed_for(app: &str, core: usize) -> u64 {
     h
 }
 
-/// How many trace ops cover `insts` instructions for `profile`.
-fn ops_for(profile: &AppProfile, insts: u64) -> usize {
-    let per_op = profile.nonmem_per_mem + 1.0;
-    ((insts as f64 / per_op) * 1.2) as usize + 4096
+/// `profile` on core `core` of a run: its generator under the core's
+/// deterministic seed.
+fn app_core(profile: &AppProfile, core: usize) -> CoreWorkload {
+    CoreWorkload::Stream { profile: *profile, seed: seed_for(profile.name, core) }
 }
 
 /// Effective instruction target for a profile: scaled so every
@@ -246,17 +245,8 @@ fn insts_for(profile: &AppProfile, scale: Scale) -> u64 {
 /// What one core of a [`RunSpec`] executes.
 #[derive(Debug, Clone)]
 pub enum CoreWorkload {
-    /// `ops` operations of `profile`'s generator under `seed`,
-    /// materialized before the run.
-    Trace {
-        /// The application.
-        profile: AppProfile,
-        /// Operations in the trace.
-        ops: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-    /// `profile`'s generator under `seed`, streamed on demand.
+    /// `profile`'s generator under `seed`, pulled on demand: the op
+    /// source of every application core, so no run materializes a trace.
     Stream {
         /// The application.
         profile: AppProfile,
@@ -271,9 +261,6 @@ pub enum CoreWorkload {
 impl CoreWorkload {
     fn source(&self) -> Box<dyn TraceSource> {
         match self {
-            CoreWorkload::Trace { profile, ops, seed } => {
-                Box::new(generate_trace(profile, *ops, *seed).into_source())
-            }
             CoreWorkload::Stream { profile, seed } => Box::new(TraceGenerator::new(profile, *seed)),
             CoreWorkload::Idle => Box::new(idle_companion_trace().into_source()),
         }
@@ -333,7 +320,9 @@ impl RunSpec {
     }
 }
 
-/// The experiment runner.
+/// The experiment runner. Every run it builds streams each application
+/// core from its generator ([`CoreWorkload::Stream`]); none replays a
+/// pre-generated trace.
 #[derive(Debug)]
 pub struct Runner {
     scale: Scale,
@@ -343,11 +332,10 @@ pub struct Runner {
     /// every other field (kernel, controller, page placement, ...) comes
     /// from here. Edit it with [`Runner::with_system`].
     system: SystemConfig,
-    /// Open-loop arrival pacing applied to **streamed** runs
-    /// ([`Runner::stream_spec`], the serving paths); `None` leaves
-    /// sources closed-loop. The figure paths (`run_single`/`run_mix`/...)
-    /// never pace — their results model the applications' own issue
-    /// rates.
+    /// Open-loop arrival pacing applied to [`Runner::stream_spec`] runs
+    /// (the serving paths); `None` leaves sources closed-loop. The figure
+    /// paths (`run_single`/`run_mix`/...) never pace — their results
+    /// model the applications' own issue rates.
     arrival: Option<ArrivalKind>,
     /// Sweep figures run the paper's full application and mix sets
     /// instead of the representative subset.
@@ -384,8 +372,8 @@ impl Runner {
         self
     }
 
-    /// Pins open-loop arrival pacing for every **streamed** run this
-    /// runner builds.
+    /// Pins open-loop arrival pacing for every [`Runner::stream_spec`]
+    /// run this runner builds.
     #[must_use]
     pub fn with_arrival(mut self, arrival: ArrivalKind) -> Self {
         self.arrival = Some(arrival);
@@ -441,23 +429,27 @@ impl Runner {
         cell.get_or_init(|| simulate(spec)).clone()
     }
 
-    /// The materialized-trace workload of `profile` on core `core`.
-    fn trace_core(&self, profile: &AppProfile, core: usize) -> CoreWorkload {
-        CoreWorkload::Trace {
-            profile: *profile,
-            ops: ops_for(profile, insts_for(profile, self.scale)),
-            seed: seed_for(profile.name, core),
-        }
+    /// A closed-loop run of `kind` with one core per entry of `apps`,
+    /// each core running [`app_core`] and targeting `target_insts`, or
+    /// its scale-derived target when `None`. Every figure run and
+    /// [`Runner::stream_spec`] are built here, so a figure run and the
+    /// unpaced streamed run of the same apps are one spec.
+    fn closed_loop_spec(
+        &self,
+        kind: ConfigKind,
+        apps: &[AppProfile],
+        target_insts: Option<u64>,
+    ) -> RunSpec {
+        let workload = apps.iter().enumerate().map(|(c, p)| app_core(p, c)).collect();
+        let targets =
+            apps.iter().map(|p| target_insts.unwrap_or_else(|| insts_for(p, self.scale))).collect();
+        RunSpec::new(self.system_config(apps.len(), kind), workload, targets)
     }
 
     /// The run behind [`Runner::run_single`].
     #[must_use]
     pub fn single_spec(&self, profile: &AppProfile, kind: ConfigKind) -> RunSpec {
-        RunSpec::new(
-            self.system_config(1, kind),
-            vec![self.trace_core(profile, 0)],
-            vec![insts_for(profile, self.scale)],
-        )
+        self.closed_loop_spec(kind, &[*profile], None)
     }
 
     /// Runs one application on the single-core system under `kind`.
@@ -467,22 +459,14 @@ impl Runner {
 
     /// Runs an eight-application mix under `kind`.
     pub fn run_mix(&self, mix: &Mix, kind: ConfigKind) -> RunSummary {
-        self.run(&RunSpec::new(
-            self.system_config(8, kind),
-            mix.apps.iter().enumerate().map(|(i, p)| self.trace_core(p, i)).collect(),
-            mix.apps.iter().map(|p| insts_for(p, self.scale)).collect(),
-        ))
+        self.run(&self.closed_loop_spec(kind, &mix.apps, None))
     }
 
     /// Runs a multithreaded workload: eight threads of one program sharing
     /// a footprint (different seeds ⇒ different interleavings of the same
     /// address space).
     pub fn run_multithreaded(&self, profile: &AppProfile, kind: ConfigKind) -> RunSummary {
-        self.run(&RunSpec::new(
-            self.system_config(8, kind),
-            (0..8).map(|i| self.trace_core(profile, i)).collect(),
-            vec![insts_for(profile, self.scale); 8],
-        ))
+        self.run(&self.closed_loop_spec(kind, &[*profile; 8], None))
     }
 
     /// IPC of `profile` running **alone** on the eight-core Base system
@@ -495,20 +479,21 @@ impl Runner {
     /// eight-core Base system, beside seven idle companion cores.
     #[must_use]
     pub fn alone_spec(&self, profile: &AppProfile) -> RunSpec {
-        let mut workload = vec![self.trace_core(profile, 0)];
+        let mut workload = vec![app_core(profile, 0)];
         workload.extend(std::iter::repeat_n(CoreWorkload::Idle, 7));
         let mut targets = vec![insts_for(profile, self.scale)];
         targets.extend([IDLE_COMPANION_TARGET; 7]);
         RunSpec::new(self.system_config(8, ConfigKind::Base), workload, targets)
     }
 
-    /// A **streamed** run of `kind` with one core per entry of `apps`
-    /// (a [`Mix`] is its `apps`): cores pull from generators on demand,
-    /// so no trace is materialized and run length is bounded by
-    /// simulation time, not RAM. Each core targets `target_insts`, or
-    /// its scale-derived target when `None`; the runner's arrival pacing
-    /// applies. Change the system through `spec.config`'s builders and
-    /// set `spec.arrival` directly.
+    /// A run of `kind` with one core per entry of `apps` (a [`Mix`] is
+    /// its `apps`): cores pull from generators on demand, so run length
+    /// is bounded by simulation time, not RAM. Each core targets
+    /// `target_insts`, or its scale-derived target when `None`; the
+    /// runner's arrival pacing applies. Unpaced with `None`, it is the
+    /// spec the figure paths build for the same apps (`single_spec` for
+    /// one). Change the system through `spec.config`'s builders and set
+    /// `spec.arrival` directly.
     ///
     /// # Panics
     ///
@@ -521,17 +506,7 @@ impl Runner {
         target_insts: Option<u64>,
     ) -> RunSpec {
         assert!(!apps.is_empty(), "a streamed run needs at least one core");
-        let workload = apps
-            .iter()
-            .enumerate()
-            .map(|(c, p)| CoreWorkload::Stream { profile: *p, seed: seed_for(p.name, c) })
-            .collect();
-        let targets =
-            apps.iter().map(|p| target_insts.unwrap_or_else(|| insts_for(p, self.scale))).collect();
-        RunSpec {
-            arrival: self.arrival,
-            ..RunSpec::new(self.system_config(apps.len(), kind), workload, targets)
-        }
+        RunSpec { arrival: self.arrival, ..self.closed_loop_spec(kind, apps, target_insts) }
     }
 
     /// Runs a batch of specs in parallel; results in input order,
@@ -616,7 +591,7 @@ mod tests {
     };
     use figaro_cpu::{CoreParams, HierarchyConfig};
     use figaro_memctrl::{McConfig, SchedPolicyKind};
-    use figaro_workloads::profile_by_name;
+    use figaro_workloads::{eight_core_mixes, generate_trace, profile_by_name};
 
     fn memo_entries(runner: &Runner) -> usize {
         runner.memo.lock().unwrap().len()
@@ -671,17 +646,11 @@ mod tests {
         let RunSpec { config, workload: _, targets: _, max_cycles: _, arrival: _ } = &base;
         assert_keyed(&base, "workload", |s| s.workload[0] = CoreWorkload::Idle);
         assert_keyed(&base, "workload profile", |s| {
-            s.workload[0] = CoreWorkload::Trace { profile: lbm, ops: 10, seed: 1 };
-            let mut other = s.clone();
-            other.workload[0] = CoreWorkload::Trace { profile: mcf, ops: 10, seed: 1 };
-            assert_ne!(s.key_text(), other.key_text());
-        });
-        assert_keyed(&base, "workload ops", |s| {
-            let CoreWorkload::Trace { ops, .. } = &mut s.workload[0] else { unreachable!() };
-            *ops += 1;
+            let CoreWorkload::Stream { profile, .. } = &mut s.workload[0] else { unreachable!() };
+            *profile = lbm;
         });
         assert_keyed(&base, "workload seed", |s| {
-            let CoreWorkload::Trace { seed, .. } = &mut s.workload[0] else { unreachable!() };
+            let CoreWorkload::Stream { seed, .. } = &mut s.workload[0] else { unreachable!() };
             *seed += 1;
         });
         assert_keyed(&base, "targets", |s| s.targets[0] += 1);
@@ -754,6 +723,41 @@ mod tests {
             fig(s).max_pending_jobs_per_bank = 1;
         });
         assert_keyed(&base, "seed", |s| fig(s).seed += 1);
+    }
+
+    /// Asserts that core `c` of `spec` streams `apps[c]` under its
+    /// per-core seed, and that every core past `apps` is an idle
+    /// companion.
+    fn assert_streams(spec: &RunSpec, apps: &[AppProfile]) {
+        for (c, w) in spec.workload.iter().enumerate() {
+            match (w, apps.get(c)) {
+                (CoreWorkload::Stream { profile, seed }, Some(app)) => {
+                    assert_eq!(profile.name, app.name, "core {c}");
+                    assert_eq!(*seed, seed_for(app.name, c), "core {c}");
+                }
+                (CoreWorkload::Idle, None) => {}
+                _ => panic!("core {c} runs {w:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_figure_run_streams_its_apps() {
+        let runner = Runner::new(Scale::Small);
+        let mcf = profile_by_name("mcf").unwrap();
+        let kind = ConfigKind::FigCacheFast;
+        let single = runner.single_spec(&mcf, kind.clone());
+        assert_streams(&single, &[mcf]);
+        assert_eq!(single.key_text(), runner.stream_spec(kind.clone(), &[mcf], None).key_text());
+
+        let alone = runner.alone_spec(&mcf);
+        assert_eq!(alone.workload.len(), 8);
+        assert_streams(&alone, &[mcf]);
+
+        // `run_mix` and `run_multithreaded` build their specs here.
+        let mix = &eight_core_mixes()[0];
+        assert_streams(&runner.closed_loop_spec(kind.clone(), &mix.apps, None), &mix.apps);
+        assert_streams(&runner.closed_loop_spec(kind, &[mcf; 8], None), &[mcf; 8]);
     }
 
     #[test]
@@ -872,7 +876,7 @@ mod tests {
     #[test]
     fn scenario_overrides_change_the_system_shape() {
         let runner = Runner::new(Scale::Tiny);
-        let mix = figaro_workloads::eight_core_mixes()
+        let mix = eight_core_mixes()
             .into_iter()
             .find(|m| m.category == figaro_workloads::MixCategory::Intensive100)
             .unwrap();

@@ -153,7 +153,8 @@ impl CoreClocks {
 }
 
 impl System {
-    /// Builds a system running one trace per core; core `i` targets
+    /// Builds a system replaying one materialized trace per core (the
+    /// seed goldens and hand-built op lists); core `i` targets
     /// `targets[i]` retired instructions.
     ///
     /// # Panics

@@ -28,7 +28,9 @@
 //! [`TraceGenerator`] streams them (refilling a batch of a few hundred
 //! ops at a time, whole bursts each), a [`Trace`] replays materialized
 //! ones, and [`ArrivalSchedule`] paces either as an open-loop arrival
-//! process.
+//! process. Every simulated application core streams from a generator;
+//! a [`Trace`] is the replay source of tests' fixed op lists and of
+//! idle loops.
 
 pub mod apps;
 pub mod arrival;
@@ -52,7 +54,8 @@ pub struct TraceOp {
     pub is_write: bool,
 }
 
-/// A named instruction/memory trace.
+/// A named, materialized instruction/memory trace: the replay source of
+/// fixed op lists (tests, the seed goldens, idle loops).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Benchmark name the trace models.
@@ -62,12 +65,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Total instructions the trace represents (memory + non-memory).
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.ops.iter().map(|o| u64::from(o.nonmem) + 1).sum()
-    }
-
     /// Fraction of memory operations that are writes.
     #[must_use]
     pub fn write_fraction(&self) -> f64 {
@@ -155,7 +152,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn instructions_count_nonmem_plus_access() {
+    fn write_fraction_counts_writes_among_memory_ops() {
         let t = Trace {
             name: "t".into(),
             ops: vec![
@@ -163,7 +160,6 @@ mod tests {
                 TraceOp { nonmem: 0, addr: 64, is_write: true },
             ],
         };
-        assert_eq!(t.instructions(), 5);
         assert!((t.write_fraction() - 0.5).abs() < 1e-12);
     }
 }
